@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dpr_core::{Key, SessionId, ShardId, Token, Value, Version};
 use dpr_faster::{FasterConfig, FasterKv};
-use dpr_metadata::{MetadataStore, SimulatedSqlStore};
+use dpr_metadata::{MetadataStore, PartitionedSqlStore};
 use dpr_storage::{MemBlobStore, MemLogDevice};
 use libdpr::{ApproximateFinder, DprFinder, ExactFinder, HybridFinder};
 use std::sync::Arc;
@@ -81,7 +81,7 @@ fn bench_checkpoint(c: &mut Criterion) {
     g.finish();
 }
 
-fn finder_setup(meta: &Arc<SimulatedSqlStore>, shards: u32) {
+fn finder_setup(meta: &Arc<PartitionedSqlStore>, shards: u32) {
     for s in 0..shards {
         meta.register_worker(ShardId(s)).unwrap();
     }
@@ -90,7 +90,7 @@ fn finder_setup(meta: &Arc<SimulatedSqlStore>, shards: u32) {
 fn bench_finders(c: &mut Criterion) {
     let mut g = c.benchmark_group("dpr-finder");
     let shards = 8;
-    type FinderMaker = Box<dyn Fn(Arc<SimulatedSqlStore>) -> Box<dyn DprFinder>>;
+    type FinderMaker = Box<dyn Fn(Arc<PartitionedSqlStore>) -> Box<dyn DprFinder>>;
     let makers: Vec<(&str, FinderMaker)> = vec![
         (
             "exact",
@@ -106,7 +106,7 @@ fn bench_finders(c: &mut Criterion) {
         ),
     ];
     for (name, make) in makers {
-        let meta = Arc::new(SimulatedSqlStore::new());
+        let meta = Arc::new(PartitionedSqlStore::new(8));
         finder_setup(&meta, shards);
         let finder = make(meta);
         let mut v = 1u64;

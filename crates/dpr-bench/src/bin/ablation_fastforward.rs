@@ -12,7 +12,7 @@ use dpr_cluster::worker::WorkerConfig;
 use dpr_cluster::{ClusterOp, FasterShard, SimNetwork, Worker};
 use dpr_core::{Clock, Key, SessionId, ShardId, SystemClock, Value};
 use dpr_faster::{FasterConfig, FasterKv};
-use dpr_metadata::{MetadataStore, OwnershipTable, Partitioner, SimulatedSqlStore};
+use dpr_metadata::{MetadataStore, OwnershipTable, PartitionedSqlStore, Partitioner};
 use dpr_storage::{MemBlobStore, MemLogDevice};
 use dpr_ycsb::LatencyHistogram;
 use libdpr::{ApproximateFinder, BatchHeader, DprFinder};
@@ -60,7 +60,7 @@ fn build_worker(
 
 fn run(fast_forward: bool, duration: Duration, keys: u64) -> (f64, LatencyHistogram) {
     let net = SimNetwork::new(Duration::ZERO);
-    let meta: Arc<dyn MetadataStore> = Arc::new(SimulatedSqlStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(PartitionedSqlStore::new(8));
     let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
     let ownership = Arc::new(OwnershipTable::new(
         Partitioner::Hash { partitions: 64 },

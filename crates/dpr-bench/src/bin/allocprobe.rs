@@ -3,8 +3,8 @@
 //! Runs the worker execute path (validate → store batch → gate record)
 //! in-process under a per-thread counting allocator and prints allocations
 //! per batch for read-only and write batches. This isolates the request
-//! path from background pump/finder threads, which `netload`'s
-//! process-wide counter cannot do.
+//! path from background pump/finder threads, which the benchmark's
+//! process-wide `net.server_allocs_per_op` cannot do.
 //!
 //! Diagnostic only — not part of the benchmark suite or the CI gate.
 

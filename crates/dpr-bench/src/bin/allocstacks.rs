@@ -1,5 +1,5 @@
 //! Allocation *attribution* probe: samples a backtrace on every Nth heap
-//! allocation while driving netload-shaped traffic in-process, then prints
+//! allocation while driving `net_sat`-shaped traffic in-process, then prints
 //! the top allocating stacks for an early ("fresh") and a late ("aged")
 //! window. Built to chase allocation rates that grow with accumulated
 //! store state, which a plain counter cannot localize.
@@ -152,7 +152,7 @@ fn main() {
                 ops.clear();
                 for i in 0..8u64 {
                     let key = Key::from_u64((r.wrapping_mul(31) + i * 7919) % 10_000);
-                    // 50/50 read-write mix, like netload's default point.
+                    // 50/50 read-write mix, like the benchmark's `net_sat`.
                     ops.push(if (r + i).is_multiple_of(2) {
                         ClusterOp::Upsert(key, Value::from_u64(r))
                     } else {

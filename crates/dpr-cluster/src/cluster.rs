@@ -10,7 +10,7 @@ use crate::worker::{ShardStore, Worker, WorkerConfig};
 use dpr_core::{
     Clock, DprFinderMode, RecoverabilityLevel, Result, SessionId, ShardId, SystemClock,
 };
-use dpr_metadata::{Cut, MetadataStore, OwnershipTable, Partitioner, SimulatedSqlStore};
+use dpr_metadata::{Cut, MetadataStore, OwnershipTable, PartitionedSqlStore, Partitioner};
 use dpr_redis::{AofPolicy, RedisConfig, RedisStore};
 use dpr_storage::{MemBlobStore, MemLogDevice, StorageProfile};
 use libdpr::{ApproximateFinder, DprFinder, ExactFinder, HybridFinder};
@@ -48,11 +48,6 @@ pub struct ClusterConfig {
     pub network_latency: Duration,
     /// Per-statement metadata-store latency (the Azure SQL round trip).
     pub metadata_latency: Duration,
-    /// Metadata-store partitions: `>1` backs the cluster with the
-    /// lock-partitioned [`dpr_metadata::PartitionedSqlStore`] so DPR-table
-    /// writes from many shards stop serialising on one table lock; `<=1`
-    /// keeps the monolithic [`SimulatedSqlStore`].
-    pub metadata_partitions: usize,
     /// Recoverability level (§7.6).
     pub recoverability: RecoverabilityLevel,
     /// Executor threads per worker.
@@ -91,7 +86,6 @@ impl Default for ClusterConfig {
             finder_mode: DprFinderMode::Approximate,
             network_latency: Duration::ZERO,
             metadata_latency: Duration::ZERO,
-            metadata_partitions: 8,
             recoverability: RecoverabilityLevel::Dpr,
             executors_per_worker: 2,
             memory_budget_records: 1 << 22,
@@ -104,6 +98,10 @@ impl Default for ClusterConfig {
         }
     }
 }
+
+/// Lock partitions of the cluster's metadata store: enough that DPR-table
+/// writes from many shards stop serialising on one table lock.
+const META_STORE_PARTITIONS: usize = 8;
 
 /// A running cluster.
 pub struct Cluster {
@@ -124,14 +122,10 @@ impl Cluster {
     /// Start a cluster per `config`.
     pub fn start(config: ClusterConfig) -> Result<Cluster> {
         let net = SimNetwork::new(config.network_latency);
-        let meta: Arc<dyn MetadataStore> = if config.metadata_partitions > 1 {
-            Arc::new(dpr_metadata::PartitionedSqlStore::with_latency(
-                config.metadata_partitions,
-                config.metadata_latency,
-            ))
-        } else {
-            Arc::new(SimulatedSqlStore::with_latency(config.metadata_latency))
-        };
+        let meta: Arc<dyn MetadataStore> = Arc::new(PartitionedSqlStore::with_latency(
+            META_STORE_PARTITIONS,
+            config.metadata_latency,
+        ));
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let ownership = Arc::new(OwnershipTable::new(
             Partitioner::Hash {

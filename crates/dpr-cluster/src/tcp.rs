@@ -11,8 +11,8 @@
 //!   by the integration tests and as the worked example in the docs.
 //! * [`PipelinedClient`] — one connection, many batches in flight
 //!   (windowing is the caller's policy), duplicate-safe retransmission and
-//!   reconnect-with-epoch-bump. This is the client the `netload` generator
-//!   drives, and its request/response path is allocation-free in steady
+//!   reconnect-with-epoch-bump. This is the client the benchmark's TCP
+//!   workloads drive, and its request/response path is allocation-free in steady
 //!   state: frames encode into recycled buffers that double as the
 //!   retransmission record, receive buffers are pooled, and response
 //!   bodies land in pooled shared buffers whose values are zero-copy
@@ -450,8 +450,8 @@ pub struct CompletedRef<'a> {
 /// A pipelined client session over one connection to a fan-in server: many
 /// batches in flight, explicit polling, duplicate-safe retransmission, and
 /// reconnect with an epoch bump. The windowing policy (how many batches to
-/// keep in flight) belongs to the caller — typically the `netload`
-/// closed-loop generator.
+/// keep in flight) belongs to the caller — typically the benchmark's
+/// generator.
 pub struct PipelinedClient {
     session: DprClientSession,
     epoch: u32,

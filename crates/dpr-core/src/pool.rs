@@ -58,9 +58,9 @@ metric_fn!(
 
 /// Size classes: 1 KiB, 4 KiB, 16 KiB, 64 KiB, 256 KiB, 1 MiB.
 ///
-/// Typical netload frame bodies (batch of 8 ops, 8-byte keys/values) are a
-/// few hundred bytes and land in the first class; `MAX_FRAME_BODY`-sized
-/// bodies overflow the largest class and fall back to plain allocation.
+/// Typical frame bodies (the benchmark's batches of 8 ops with 8-byte keys
+/// and values) are a few hundred bytes and land in the first class;
+/// `MAX_FRAME_BODY`-sized bodies overflow the largest class and fall back to plain allocation.
 const CLASSES: [usize; 6] = [1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20];
 
 /// Free-list capacity per stripe per class. Bounds pool memory at

@@ -30,7 +30,6 @@
 
 pub mod checkpoint;
 pub mod index;
-pub mod legacy;
 pub mod log;
 mod metrics;
 pub mod record;

@@ -1,22 +1,19 @@
-//! Differential property tests: the in-place page-arena log against the
-//! pre-arena engine (`dpr_faster::legacy`) as an oracle, plus a pure
-//! model.
+//! Differential property test: the in-place page-arena log against a pure
+//! model of the chain semantics it must implement.
 //!
 //! A random program of upserts, deletes, version bumps and rollbacks runs
-//! against three implementations of the same chain semantics:
+//! against:
 //!
 //! * the arena log ([`dpr_faster::RecordLog`]) with the real
 //!   [`HashIndex`],
-//! * the legacy `Arc<Record>` log with an explicit head map,
 //! * a Vec-of-writes model.
 //!
 //! After every rollback (`purge_versions`), reads must "travel back" the
-//! hash chain past invalidated versions (§5.5) identically in all three,
+//! hash chain past invalidated versions (§5.5) exactly as the model says,
 //! and tombstones must read as absent without terminating the walk early.
 
 use dpr_core::{Key, Value, Version};
 use dpr_faster::index::HashIndex;
-use dpr_faster::legacy;
 use dpr_faster::{GetOutcome, RecordLog, NONE_ADDRESS};
 use dpr_storage::MemLogDevice;
 use proptest::prelude::*;
@@ -63,19 +60,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn arena_matches_legacy_and_model(
+    fn arena_matches_model(
         ops in prop::collection::vec(op_strategy(), 1..120)
     ) {
         let arena = RecordLog::new(Arc::new(MemLogDevice::null()), 1 << 22);
         let index = HashIndex::new(256);
-        let old = legacy::RecordLog::new(Arc::new(MemLogDevice::null()), 1 << 22);
-        let mut old_heads: HashMap<u8, u64> = HashMap::new();
         let mut writes: HashMap<u8, Vec<(u64, Option<u16>)>> = HashMap::new();
         let mut purged: Vec<(u64, u64)> = Vec::new();
         let mut version = 1u64;
 
         let apply_write = |k: u8, v: Option<u16>, version: u64,
-                               old_heads: &mut HashMap<u8, u64>,
                                writes: &mut HashMap<u8, Vec<(u64, Option<u16>)>>| {
             let key = Key::from_u64(u64::from(k));
             let value = Value::from_u64(u64::from(v.unwrap_or(0)));
@@ -84,29 +78,24 @@ proptest! {
             let prev = index.head(&key);
             let addr = arena.append(&key, &value, Version(version), tomb, prev);
             index.set_head(&key, addr);
-            // Legacy: append, then link the chain by hand.
-            let rec = old.append(key, value, Version(version), tomb);
-            rec.set_prev(old_heads.get(&k).copied().unwrap_or(NONE_ADDRESS));
-            old_heads.insert(k, rec.address());
             writes.entry(k).or_default().push((version, v));
         };
 
         for op in &ops {
             match *op {
-                Op::Upsert(k, v) => apply_write(k, Some(v), version, &mut old_heads, &mut writes),
-                Op::Delete(k) => apply_write(k, None, version, &mut old_heads, &mut writes),
+                Op::Upsert(k, v) => apply_write(k, Some(v), version, &mut writes),
+                Op::Delete(k) => apply_write(k, None, version, &mut writes),
                 Op::NewVersion => version += 1,
                 Op::Rollback(n) => {
                     let v_safe = version - 1 - (u64::from(n) % version).min(version - 1);
                     purged.push((v_safe, version));
                     arena.purge_versions(Version(v_safe), Version(version));
-                    old.purge_versions(Version(v_safe), Version(version));
                     version += 1;
                 }
             }
         }
 
-        // Every key must resolve identically in all three implementations.
+        // Every key must resolve as the model says.
         for k in 0..24u8 {
             let expected = model_visible(&writes, &purged, k);
             let key = Key::from_u64(u64::from(k));
@@ -130,31 +119,10 @@ proptest! {
             }
             drop(guard);
 
-            // Legacy oracle: same walk over Arc<Record> nodes.
-            let mut addr = old_heads.get(&k).copied().unwrap_or(NONE_ADDRESS);
-            let mut got_legacy = None;
-            while addr != NONE_ADDRESS {
-                match old.get(addr).unwrap() {
-                    legacy::RecordRef::Resident(rec) => {
-                        let m = rec.meta();
-                        if rec.key() == &key && !m.invalid {
-                            got_legacy = (!m.tombstone).then(|| rec.read_value());
-                            break;
-                        }
-                        addr = rec.prev();
-                    }
-                    legacy::RecordRef::OnDisk => panic!("nothing was evicted"),
-                }
-            }
-
             let expected_value = expected.map(u64::from);
             prop_assert_eq!(
                 got_arena.as_ref().and_then(|v| v.as_u64()), expected_value,
                 "arena diverges from model at key {}", k
-            );
-            prop_assert_eq!(
-                got_legacy.as_ref().and_then(|v| v.as_u64()), expected_value,
-                "legacy oracle diverges from model at key {}", k
             );
         }
     }

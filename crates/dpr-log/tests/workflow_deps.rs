@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use dpr_core::{SessionId, ShardId, Token, Version};
 use dpr_log::{ConsumerId, SharedLog};
-use dpr_metadata::{MetadataStore, SimulatedSqlStore};
+use dpr_metadata::{MetadataStore, PartitionedSqlStore};
 use dpr_storage::{MemBlobStore, MemLogDevice};
 use libdpr::{DprClientSession, DprFinder, ExactFinder, StateObject};
 use std::sync::Arc;
@@ -30,7 +30,7 @@ fn pump(finder: &dyn DprFinder, so: &SharedLog, deps: Vec<Token>) {
 
 #[test]
 fn downstream_output_cannot_commit_before_upstream_input() {
-    let meta = Arc::new(SimulatedSqlStore::new());
+    let meta = Arc::new(PartitionedSqlStore::new(8));
     meta.register_worker(ShardId(0)).unwrap();
     meta.register_worker(ShardId(1)).unwrap();
     let finder = ExactFinder::new(meta.clone());

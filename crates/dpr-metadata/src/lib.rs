@@ -2,8 +2,8 @@
 //!
 //! The fault-tolerant shared metadata store that DPR deployments coordinate
 //! through (§3.3, §5.3). The paper uses an Azure SQL database; this crate
-//! provides [`SimulatedSqlStore`], a linearizable in-process table store with
-//! injected per-statement latency, exposing exactly the state the paper
+//! provides [`PartitionedSqlStore`], a linearizable in-process table store
+//! with injected per-statement latency, exposing exactly the state the paper
 //! keeps there:
 //!
 //! * the **DPR table** mapping each worker to its latest persisted version —
@@ -18,9 +18,11 @@
 //! * the **ownership table** mapping virtual partitions to workers, with
 //!   leases (§5.3).
 //!
-//! All mutation goes through one logical lock, mirroring the serializable
-//! ACID database the paper assumes; latency is charged *outside* the lock so
-//! concurrent callers model independent round trips to a remote database.
+//! Tables are sharded into independently locked partitions (see
+//! [`partitioned`] for how cut atomicity and transactional batches survive
+//! that), mirroring the serializable ACID database the paper assumes;
+//! latency is charged *outside* the locks so concurrent callers model
+//! independent round trips to a remote database.
 
 #![warn(missing_docs)]
 
@@ -33,4 +35,4 @@ pub mod store;
 pub use ownership::{OwnershipEntry, OwnershipTable, Partitioner, VirtualPartition};
 pub use partitioned::PartitionedSqlStore;
 pub use recovery::RecoveryState;
-pub use store::{Cut, MetadataStore, SimulatedSqlStore};
+pub use store::{Cut, MetadataStore};

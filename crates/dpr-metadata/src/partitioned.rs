@@ -1,9 +1,13 @@
-//! Partitioned metadata store: [`SimulatedSqlStore`](crate::SimulatedSqlStore)'s single
-//! `Mutex<Tables>` sharded into independently locked partitions.
+//! The simulated fault-tolerant SQL metadata store, sharded into
+//! independently locked partitions.
+//!
+//! The paper's deployment keeps this state in Azure SQL; the store is
+//! assumed fault-tolerant (as in the paper), so it has no crash mode, and an
+//! optional injected per-statement latency models the network round trip.
 //!
 //! The paper's §6 scalability argument requires the metadata plane to stay
 //! off the critical path as shard counts grow; a single mutex over every
-//! table serializes all DPR-table writes, graph inserts, and cut reads
+//! table would serialize all DPR-table writes, graph inserts, and cut reads
 //! behind one cache line. [`PartitionedSqlStore`] keys the DPR table, the
 //! precedence graph, and the published cut by `shard % partitions`, so
 //! reports from disjoint shard groups touch disjoint locks (the same move
@@ -23,7 +27,7 @@
 //!   ([`MetadataStore::update_persisted_versions`],
 //!   [`MetadataStore::add_graph_versions`]) lock every touched partition in
 //!   ascending index order (deadlock-free), validate, then apply — an abort
-//!   leaves no partition modified, exactly like the monolithic store.
+//!   leaves no partition modified.
 //! * **Conservative aggregates.** `min`/`max`/`persisted_versions` scan
 //!   partitions one lock at a time. Because persisted versions are
 //!   monotone, a racing writer can only *raise* rows after the scan passed
@@ -34,11 +38,12 @@
 //!   `begin_recovery`'s frozen cut mutually exclusive with cut publication
 //!   (no cut can land between the freeze and the halt).
 //!
-//! Statement accounting: like the monolithic store, one *charged* statement
-//! per logical operation (a batch is one round trip no matter how many
-//! partitions it touches). Per-partition touch counters
+//! Statement accounting: one *charged* statement per logical operation (a
+//! batch is one round trip no matter how many partitions it touches).
+//! Per-partition touch counters
 //! ([`PartitionedSqlStore::partition_statement_counts`]) additionally
-//! record how evenly load spreads — the `meta_scaling` bench reports both.
+//! record how evenly load spreads — the benchmark reports both, as
+//! `metadata.statements_per_version` and `metadata.partition_imbalance`.
 
 use crate::recovery::RecoveryState;
 use crate::store::{Cut, MetadataStore};
@@ -85,13 +90,8 @@ struct Control {
     recovery_cuts: BTreeMap<WorldLine, Cut>,
 }
 
-/// Partitioned in-process metadata store (see module docs).
-///
-/// Implements [`MetadataStore`] with identical semantics to
-/// [`SimulatedSqlStore`]; the finders and cluster are oblivious to which one
-/// they run against.
-///
-/// [`SimulatedSqlStore`]: crate::store::SimulatedSqlStore
+/// Partitioned in-process metadata store (see module docs): linearizable
+/// tables behind [`MetadataStore`], with per-statement latency injection.
 pub struct PartitionedSqlStore {
     partitions: Box<[Partition]>,
     control: Mutex<Control>,
@@ -134,19 +134,19 @@ impl PartitionedSqlStore {
         self.partitions.len()
     }
 
-    /// Total charged statements — same semantics as
-    /// [`SimulatedSqlStore::statement_count`]: batched operations count as
-    /// one statement regardless of row or partition count.
-    ///
-    /// [`SimulatedSqlStore::statement_count`]:
-    ///     crate::store::SimulatedSqlStore::statement_count
+    /// Total statements executed so far — the metadata write/read volume.
+    /// Batched operations ([`MetadataStore::update_persisted_versions`],
+    /// [`MetadataStore::add_graph_versions`]) count as **one** statement
+    /// regardless of row or partition count, which is exactly the saving
+    /// they exist to provide.
     #[must_use]
     pub fn statement_count(&self) -> u64 {
         self.statements.load(Ordering::Relaxed)
     }
 
     /// Per-partition touch counts (how many logical statements reached each
-    /// partition) — the load-balance signal for the `meta_scaling` bench.
+    /// partition) — the load-balance signal behind the benchmark's
+    /// `metadata.partition_imbalance`.
     #[must_use]
     pub fn partition_statement_counts(&self) -> Vec<u64> {
         self.partitions
@@ -281,6 +281,8 @@ impl MetadataStore for PartitionedSqlStore {
         if updates.is_empty() {
             return Ok(());
         }
+        // One multi-row `UPDATE ... FROM (VALUES ...)`: a single round trip
+        // no matter how many rows ride in it.
         self.charge();
         let touched = self.touched_partitions(updates.iter().map(|&(s, _)| s));
         let mut guards = self.lock_ascending(&touched);
@@ -409,6 +411,7 @@ impl MetadataStore for PartitionedSqlStore {
         // odd (or across the bump) retry, so no reader ever observes a mix
         // of this cut and the previous one.
         self.cut_seq.fetch_add(1, Ordering::AcqRel);
+        // The cut never regresses: a later cut dominates per-shard.
         let mut by_partition: BTreeMap<usize, Vec<(ShardId, Version)>> = BTreeMap::new();
         for (shard, v) in cut {
             by_partition
@@ -532,113 +535,230 @@ mod tests {
         Token::new(shard(sh), Version(v))
     }
 
+    /// Run a store-semantics test against one partition (every row behind
+    /// one lock) and against four (the test's shards spread over several).
+    fn at_1_and_4_partitions(test: impl Fn(PartitionedSqlStore)) {
+        for partitions in [1, 4] {
+            test(PartitionedSqlStore::new(partitions));
+        }
+    }
+
     #[test]
     fn routes_shards_across_partitions_and_aggregates() {
-        let s = PartitionedSqlStore::new(4);
-        for i in 0..8 {
-            s.register_worker(shard(i)).unwrap();
-        }
-        for i in 0..8 {
-            s.update_persisted_version(shard(i), Version(u64::from(i) + 1))
+        at_1_and_4_partitions(|s| {
+            for i in 0..8 {
+                s.register_worker(shard(i)).unwrap();
+            }
+            for i in 0..8 {
+                s.update_persisted_version(shard(i), Version(u64::from(i) + 1))
+                    .unwrap();
+            }
+            assert_eq!(s.min_persisted_version().unwrap(), Some(Version(1)));
+            assert_eq!(s.max_persisted_version().unwrap(), Some(Version(8)));
+            assert_eq!(s.persisted_versions().unwrap().len(), 8);
+            assert_eq!(s.members().unwrap().len(), 8);
+            // Every partition saw some of the traffic.
+            let counts = s.partition_statement_counts();
+            assert_eq!(counts.len(), s.partition_count());
+            assert!(counts.iter().all(|&c| c > 0), "unbalanced: {counts:?}");
+        });
+    }
+
+    #[test]
+    fn persisted_version_never_regresses() {
+        at_1_and_4_partitions(|s| {
+            s.register_worker(shard(0)).unwrap();
+            s.update_persisted_version(shard(0), Version(9)).unwrap();
+            s.update_persisted_version(shard(0), Version(4)).unwrap();
+            assert_eq!(s.min_persisted_version().unwrap(), Some(Version(9)));
+        });
+    }
+
+    #[test]
+    fn update_unregistered_worker_fails() {
+        at_1_and_4_partitions(|s| {
+            assert!(s.update_persisted_version(shard(9), Version(1)).is_err());
+        });
+    }
+
+    #[test]
+    fn batched_update_is_one_statement() {
+        at_1_and_4_partitions(|s| {
+            s.register_worker(shard(0)).unwrap();
+            s.register_worker(shard(1)).unwrap();
+            s.register_worker(shard(2)).unwrap();
+            let before = s.statement_count();
+            s.update_persisted_versions(&[
+                (shard(0), Version(4)),
+                (shard(1), Version(7)),
+                (shard(2), Version(5)),
+            ])
+            .unwrap();
+            assert_eq!(s.statement_count() - before, 1, "one round trip, 3 rows");
+            assert_eq!(s.max_persisted_version().unwrap(), Some(Version(7)));
+            assert_eq!(s.min_persisted_version().unwrap(), Some(Version(4)));
+            // Still monotone per row.
+            s.update_persisted_versions(&[(shard(1), Version(2))])
                 .unwrap();
-        }
-        assert_eq!(s.min_persisted_version().unwrap(), Some(Version(1)));
-        assert_eq!(s.max_persisted_version().unwrap(), Some(Version(8)));
-        assert_eq!(s.persisted_versions().unwrap().len(), 8);
-        assert_eq!(s.members().unwrap().len(), 8);
-        // Every partition saw some of the traffic.
-        let counts = s.partition_statement_counts();
-        assert_eq!(counts.len(), 4);
-        assert!(counts.iter().all(|&c| c > 0), "unbalanced: {counts:?}");
+            assert_eq!(s.max_persisted_version().unwrap(), Some(Version(7)));
+        });
     }
 
     #[test]
-    fn batched_update_is_one_statement_across_partitions() {
-        let s = PartitionedSqlStore::new(4);
-        s.register_worker(shard(0)).unwrap();
-        s.register_worker(shard(1)).unwrap();
-        s.register_worker(shard(2)).unwrap();
-        let before = s.statement_count();
-        s.update_persisted_versions(&[
-            (shard(0), Version(4)),
-            (shard(1), Version(7)),
-            (shard(2), Version(2)),
-        ])
-        .unwrap();
-        assert_eq!(s.statement_count() - before, 1, "one round trip, 3 rows");
-        assert_eq!(s.max_persisted_version().unwrap(), Some(Version(7)));
+    fn batched_update_aborts_atomically_on_unregistered_shard() {
+        at_1_and_4_partitions(|s| {
+            s.register_worker(shard(0)).unwrap();
+            s.register_worker(shard(1)).unwrap();
+            // At four partitions shard 9 routes to partition 1 — a different
+            // partition from shard 0.
+            assert!(s
+                .update_persisted_versions(&[(shard(0), Version(4)), (shard(9), Version(1))])
+                .is_err());
+            // The whole transaction rolled back: shard 0 untouched.
+            assert_eq!(s.min_persisted_version().unwrap(), Some(Version::ZERO));
+            assert_eq!(s.max_persisted_version().unwrap(), Some(Version::ZERO));
+        });
     }
 
     #[test]
-    fn batched_update_aborts_atomically_across_partitions() {
-        let s = PartitionedSqlStore::new(4);
-        s.register_worker(shard(0)).unwrap();
-        s.register_worker(shard(1)).unwrap();
-        // shard 9 routes to partition 1 — a different partition from shard 0.
-        assert!(s
-            .update_persisted_versions(&[(shard(0), Version(4)), (shard(9), Version(1))])
-            .is_err());
-        assert_eq!(s.min_persisted_version().unwrap(), Some(Version::ZERO));
-        assert_eq!(s.max_persisted_version().unwrap(), Some(Version::ZERO));
-    }
-
-    #[test]
-    fn batched_graph_insert_spans_partitions() {
-        let s = PartitionedSqlStore::new(3);
-        let before = s.statement_count();
-        s.add_graph_versions(vec![
-            (token(0, 1), vec![]),
-            (token(1, 1), vec![token(0, 1)]),
-            (token(5, 2), vec![token(1, 1)]),
-        ])
-        .unwrap();
-        assert_eq!(s.statement_count() - before, 1);
-        let snap = s.graph_snapshot().unwrap();
-        assert_eq!(snap.len(), 3);
-        // Snapshot is token-sorted regardless of partition layout.
-        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn prune_respects_cut_across_partitions() {
-        let s = PartitionedSqlStore::new(2);
-        s.add_graph_version(token(0, 1), vec![]).unwrap();
-        s.add_graph_version(token(0, 2), vec![token(1, 1)]).unwrap();
-        s.add_graph_version(token(1, 1), vec![]).unwrap();
-        let cut = Cut::from([(shard(0), Version(1)), (shard(1), Version(1))]);
-        s.prune_graph_below(&cut).unwrap();
-        let g = s.graph_snapshot().unwrap();
-        assert_eq!(g.len(), 1);
-        assert_eq!(g[0].0, token(0, 2));
-    }
-
-    #[test]
-    fn cut_updates_are_monotone_and_recovery_halts_progress() {
-        let s = PartitionedSqlStore::new(2);
-        s.register_worker(shard(0)).unwrap();
-        s.register_worker(shard(1)).unwrap();
-        s.update_cut_atomically(Cut::from([(shard(0), Version(4)), (shard(1), Version(3))]))
+    fn batched_graph_insert_is_one_statement() {
+        at_1_and_4_partitions(|s| {
+            let before = s.statement_count();
+            s.add_graph_versions(vec![
+                (token(0, 1), vec![]),
+                (token(1, 1), vec![token(0, 1)]),
+                (token(5, 2), vec![token(1, 1)]),
+            ])
             .unwrap();
-        s.update_cut_atomically(Cut::from([(shard(0), Version(2))]))
-            .unwrap();
-        assert_eq!(s.read_cut().unwrap()[&shard(0)], Version(4));
+            assert_eq!(s.statement_count() - before, 1);
+            let snap = s.graph_snapshot().unwrap();
+            assert_eq!(snap.len(), 3);
+            // Snapshot is token-sorted regardless of partition layout.
+            assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
+            // Empty batches are free.
+            let before = s.statement_count();
+            s.add_graph_versions(Vec::new()).unwrap();
+            s.update_persisted_versions(&[]).unwrap();
+            assert_eq!(s.statement_count(), before);
+        });
+    }
 
-        let rec = s.begin_recovery().unwrap();
-        assert_eq!(rec.world_line, WorldLine(1));
-        assert_eq!(
-            rec.cut,
-            Cut::from([(shard(0), Version(4)), (shard(1), Version(3))])
-        );
-        assert!(matches!(
-            s.update_cut_atomically(Cut::new()),
-            Err(DprError::Recovering)
-        ));
-        s.report_rollback_complete(shard(0)).unwrap();
-        s.report_rollback_complete(shard(1)).unwrap();
-        assert!(s.recovery_in_progress().unwrap().is_none());
-        s.update_cut_atomically(Cut::from([(shard(0), Version(9))]))
-            .unwrap();
-        assert_eq!(s.recovery_cut(rec.world_line).unwrap(), Some(rec.cut));
+    #[test]
+    fn graph_prune_respects_cut() {
+        at_1_and_4_partitions(|s| {
+            s.add_graph_version(token(0, 1), vec![]).unwrap();
+            s.add_graph_version(token(0, 2), vec![token(1, 1)]).unwrap();
+            s.add_graph_version(token(1, 1), vec![]).unwrap();
+            let cut = Cut::from([(shard(0), Version(1)), (shard(1), Version(1))]);
+            s.prune_graph_below(&cut).unwrap();
+            let g = s.graph_snapshot().unwrap();
+            assert_eq!(g.len(), 1);
+            assert_eq!(g[0].0, token(0, 2));
+        });
+    }
+
+    #[test]
+    fn telemetry_frontier_is_uncharged() {
+        at_1_and_4_partitions(|s| {
+            s.register_worker(shard(0)).unwrap();
+            s.update_persisted_version(shard(0), Version(5)).unwrap();
+            s.update_cut_atomically(Cut::from([(shard(0), Version(3))]))
+                .unwrap();
+            let before = s.statement_count();
+            let (vmax, cut) = s.telemetry_frontier().unwrap();
+            assert_eq!(s.statement_count(), before, "telemetry reads are free");
+            assert_eq!(vmax, Some(Version(5)));
+            assert_eq!(cut[&shard(0)], Version(3));
+        });
+    }
+
+    #[test]
+    fn cut_updates_are_monotone() {
+        at_1_and_4_partitions(|s| {
+            s.register_worker(shard(0)).unwrap();
+            s.register_worker(shard(1)).unwrap();
+            s.update_cut_atomically(Cut::from([(shard(0), Version(4)), (shard(1), Version(3))]))
+                .unwrap();
+            s.update_cut_atomically(Cut::from([(shard(0), Version(2))]))
+                .unwrap();
+            assert_eq!(
+                s.read_cut().unwrap(),
+                Cut::from([(shard(0), Version(4)), (shard(1), Version(3))])
+            );
+        });
+    }
+
+    #[test]
+    fn recovery_halts_cut_progress_and_resumes() {
+        at_1_and_4_partitions(|s| {
+            s.register_worker(shard(0)).unwrap();
+            s.register_worker(shard(1)).unwrap();
+            let published = Cut::from([(shard(0), Version(4)), (shard(1), Version(3))]);
+            s.update_cut_atomically(published.clone()).unwrap();
+            let rec = s.begin_recovery().unwrap();
+            assert_eq!(rec.world_line, WorldLine(1));
+            assert_eq!(rec.pending.len(), 2);
+            assert_eq!(rec.cut, published, "recovery freezes the whole cut");
+            assert!(matches!(
+                s.update_cut_atomically(Cut::new()),
+                Err(DprError::Recovering)
+            ));
+            let st = s.report_rollback_complete(shard(0)).unwrap();
+            assert!(!st.complete());
+            let st = s.report_rollback_complete(shard(1)).unwrap();
+            assert!(st.complete());
+            assert!(s.recovery_in_progress().unwrap().is_none());
+            s.update_cut_atomically(Cut::from([(shard(0), Version(5))]))
+                .unwrap();
+        });
+    }
+
+    #[test]
+    fn recovery_cut_is_retained_per_world_line() {
+        at_1_and_4_partitions(|s| {
+            s.register_worker(shard(0)).unwrap();
+            s.update_cut_atomically(Cut::from([(shard(0), Version(4))]))
+                .unwrap();
+            assert_eq!(s.recovery_cut(WorldLine(0)).unwrap(), None);
+            let rec = s.begin_recovery().unwrap();
+            s.report_rollback_complete(shard(0)).unwrap();
+            // The cut advances again after recovery...
+            s.update_cut_atomically(Cut::from([(shard(0), Version(9))]))
+                .unwrap();
+            // ...but the transition's frozen cut stays pinned at the rollback
+            // target, so late-recovering clients can still compute a sound
+            // surviving prefix.
+            assert_eq!(
+                s.recovery_cut(rec.world_line).unwrap(),
+                Some(Cut::from([(shard(0), Version(4))]))
+            );
+        });
+    }
+
+    #[test]
+    fn nested_failure_bumps_world_line_again() {
+        at_1_and_4_partitions(|s| {
+            s.register_worker(shard(0)).unwrap();
+            let r1 = s.begin_recovery().unwrap();
+            // Second failure while the first recovery is still pending.
+            let r2 = s.begin_recovery().unwrap();
+            assert_eq!(r2.world_line, r1.world_line.next());
+            assert_eq!(r2.pending.len(), 1);
+        });
+    }
+
+    #[test]
+    fn membership_add_remove() {
+        at_1_and_4_partitions(|s| {
+            s.register_worker(shard(0)).unwrap();
+            s.register_worker(shard(1)).unwrap();
+            assert_eq!(s.members().unwrap().len(), 2);
+            s.remove_worker(shard(0)).unwrap();
+            assert_eq!(s.members().unwrap(), vec![shard(1)]);
+            // min over the remaining member only
+            s.update_persisted_version(shard(1), Version(2)).unwrap();
+            assert_eq!(s.min_persisted_version().unwrap(), Some(Version(2)));
+        });
     }
 
     /// The seqlock property: readers racing a writer that publishes cuts
@@ -679,30 +799,5 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-    }
-
-    #[test]
-    fn telemetry_frontier_is_uncharged() {
-        let s = PartitionedSqlStore::new(4);
-        s.register_worker(shard(0)).unwrap();
-        s.update_persisted_version(shard(0), Version(5)).unwrap();
-        s.update_cut_atomically(Cut::from([(shard(0), Version(3))]))
-            .unwrap();
-        let before = s.statement_count();
-        let (vmax, cut) = s.telemetry_frontier().unwrap();
-        assert_eq!(s.statement_count(), before, "telemetry reads are free");
-        assert_eq!(vmax, Some(Version(5)));
-        assert_eq!(cut[&shard(0)], Version(3));
-    }
-
-    #[test]
-    fn single_partition_degenerates_to_monolithic_behaviour() {
-        let s = PartitionedSqlStore::new(1);
-        s.register_worker(shard(0)).unwrap();
-        s.register_worker(shard(7)).unwrap();
-        s.update_persisted_versions(&[(shard(0), Version(2)), (shard(7), Version(6))])
-            .unwrap();
-        assert_eq!(s.min_persisted_version().unwrap(), Some(Version(2)));
-        assert_eq!(s.partition_statement_counts().len(), 1);
     }
 }

@@ -1,11 +1,9 @@
-//! The simulated fault-tolerant SQL metadata store.
+//! The metadata-store interface: the [`MetadataStore`] trait and the [`Cut`]
+//! type. [`PartitionedSqlStore`](crate::PartitionedSqlStore) implements it.
 
 use crate::recovery::RecoveryState;
-use dpr_core::{DprError, Result, ShardId, Token, Version, WorldLine};
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use dpr_core::{Result, ShardId, Token, Version, WorldLine};
+use std::collections::BTreeMap;
 
 /// A DPR cut: one committed version per shard (Definition 3.1).
 ///
@@ -39,14 +37,8 @@ pub trait MetadataStore: Send + Sync {
     /// apply every `(shard, version)` row in **one** statement (one simulated
     /// round trip) instead of one per row — the §6/§3.4 metadata-write
     /// bottleneck fix. Transactional: if any shard is unregistered, no row is
-    /// applied. The default implementation falls back to one statement per
-    /// row for stores without multi-row updates.
-    fn update_persisted_versions(&self, updates: &[(ShardId, Version)]) -> Result<()> {
-        for &(shard, version) in updates {
-            self.update_persisted_version(shard, version)?;
-        }
-        Ok(())
-    }
+    /// applied.
+    fn update_persisted_versions(&self, updates: &[(ShardId, Version)]) -> Result<()>;
 
     /// `SELECT min(persistedVersion) FROM dpr` — `None` when the table is
     /// empty.
@@ -65,14 +57,8 @@ pub trait MetadataStore: Send + Sync {
     fn add_graph_version(&self, token: Token, deps: Vec<Token>) -> Result<()>;
 
     /// Group-committed form of [`MetadataStore::add_graph_version`]: insert
-    /// every vertex in one statement. The default implementation falls back
-    /// to one statement per vertex.
-    fn add_graph_versions(&self, entries: Vec<(Token, Vec<Token>)>) -> Result<()> {
-        for (token, deps) in entries {
-            self.add_graph_version(token, deps)?;
-        }
-        Ok(())
-    }
+    /// every vertex in one statement.
+    fn add_graph_versions(&self, entries: Vec<(Token, Vec<Token>)>) -> Result<()>;
 
     /// Snapshot of the persisted precedence graph.
     fn graph_snapshot(&self) -> Result<Vec<(Token, Vec<Token>)>>;
@@ -94,12 +80,8 @@ pub trait MetadataStore: Send + Sync {
     ///
     /// The `statements/version` metric is the headline protocol-cost number
     /// (§6); observability reads that merely *watch* the protocol must not
-    /// inflate it. The default implementation falls back to the charged
-    /// reads for foreign stores; both built-in stores override it with an
-    /// uncharged path.
-    fn telemetry_frontier(&self) -> Result<(Option<Version>, Cut)> {
-        Ok((self.max_persisted_version()?, self.read_cut()?))
-    }
+    /// inflate it.
+    fn telemetry_frontier(&self) -> Result<(Option<Version>, Cut)>;
 
     // ---- world-line / recovery ----------------------------------------------------
 
@@ -130,441 +112,4 @@ pub trait MetadataStore: Send + Sync {
     /// frozen cut of every transition it crosses, not by the cut it reads
     /// after recovery completes (see `SessionHandle::recover`).
     fn recovery_cut(&self, world_line: WorldLine) -> Result<Option<Cut>>;
-}
-
-#[derive(Default)]
-struct Tables {
-    dpr: BTreeMap<ShardId, Version>,
-    graph: BTreeMap<Token, Vec<Token>>,
-    cut: Cut,
-    world_line: WorldLine,
-    recovery: Option<RecoveryState>,
-    /// World-line → the cut frozen by the recovery that created it. Grows
-    /// one entry per failure, so it stays tiny.
-    recovery_cuts: BTreeMap<WorldLine, Cut>,
-}
-
-/// In-process linearizable table store with per-statement latency injection.
-///
-/// The paper's deployment keeps this state in Azure SQL; a single mutex over
-/// the tables gives the same serializable semantics, and the optional
-/// injected latency models the network round trip. The store itself is
-/// assumed fault-tolerant (as in the paper), so it has no crash mode.
-pub struct SimulatedSqlStore {
-    tables: Mutex<Tables>,
-    latency: Duration,
-    statements: AtomicU64,
-}
-
-impl SimulatedSqlStore {
-    /// Store with no injected latency (unit tests).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_latency(Duration::ZERO)
-    }
-
-    /// Store charging `latency` per statement.
-    #[must_use]
-    pub fn with_latency(latency: Duration) -> Self {
-        SimulatedSqlStore {
-            tables: Mutex::new(Tables::default()),
-            latency,
-            statements: AtomicU64::new(0),
-        }
-    }
-
-    /// Total statements executed so far — the metadata write/read volume.
-    /// Batched operations ([`MetadataStore::update_persisted_versions`],
-    /// [`MetadataStore::add_graph_versions`]) count as **one** statement
-    /// regardless of row count, which is exactly the saving they exist to
-    /// provide.
-    #[must_use]
-    pub fn statement_count(&self) -> u64 {
-        self.statements.load(Ordering::Relaxed)
-    }
-
-    fn charge(&self) {
-        self.statements.fetch_add(1, Ordering::Relaxed);
-        crate::metrics::statements().inc();
-        if !self.latency.is_zero() {
-            let timer = crate::metrics::statement_latency().start_timer();
-            std::thread::sleep(self.latency);
-            drop(timer);
-        }
-    }
-}
-
-impl Default for SimulatedSqlStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MetadataStore for SimulatedSqlStore {
-    fn register_worker(&self, shard: ShardId) -> Result<()> {
-        self.charge();
-        let mut t = self.tables.lock();
-        t.dpr.entry(shard).or_insert(Version::ZERO);
-        t.cut.entry(shard).or_insert(Version::ZERO);
-        crate::metrics::dpr_table_rows().set(t.dpr.len() as i64);
-        Ok(())
-    }
-
-    fn remove_worker(&self, shard: ShardId) -> Result<()> {
-        self.charge();
-        let mut t = self.tables.lock();
-        t.dpr.remove(&shard);
-        t.cut.remove(&shard);
-        crate::metrics::dpr_table_rows().set(t.dpr.len() as i64);
-        Ok(())
-    }
-
-    fn members(&self) -> Result<Vec<ShardId>> {
-        self.charge();
-        Ok(self.tables.lock().dpr.keys().copied().collect())
-    }
-
-    fn update_persisted_version(&self, shard: ShardId, version: Version) -> Result<()> {
-        self.charge();
-        let mut t = self.tables.lock();
-        match t.dpr.get_mut(&shard) {
-            Some(v) => {
-                *v = (*v).max(version);
-                Ok(())
-            }
-            None => Err(DprError::Metadata(format!("{shard} not registered"))),
-        }
-    }
-
-    fn update_persisted_versions(&self, updates: &[(ShardId, Version)]) -> Result<()> {
-        if updates.is_empty() {
-            return Ok(());
-        }
-        // One multi-row `UPDATE ... FROM (VALUES ...)`: a single round trip
-        // no matter how many rows ride in it.
-        self.charge();
-        let mut t = self.tables.lock();
-        if let Some(&(missing, _)) = updates.iter().find(|(s, _)| !t.dpr.contains_key(s)) {
-            // Transaction aborts: no row applied.
-            return Err(DprError::Metadata(format!("{missing} not registered")));
-        }
-        for &(shard, version) in updates {
-            let v = t.dpr.get_mut(&shard).expect("checked above");
-            *v = (*v).max(version);
-        }
-        Ok(())
-    }
-
-    fn min_persisted_version(&self) -> Result<Option<Version>> {
-        self.charge();
-        Ok(self.tables.lock().dpr.values().min().copied())
-    }
-
-    fn max_persisted_version(&self) -> Result<Option<Version>> {
-        self.charge();
-        Ok(self.tables.lock().dpr.values().max().copied())
-    }
-
-    fn persisted_versions(&self) -> Result<Cut> {
-        self.charge();
-        Ok(self.tables.lock().dpr.clone())
-    }
-
-    fn add_graph_version(&self, token: Token, deps: Vec<Token>) -> Result<()> {
-        self.charge();
-        let mut t = self.tables.lock();
-        t.graph.insert(token, deps);
-        crate::metrics::graph_rows().set(t.graph.len() as i64);
-        Ok(())
-    }
-
-    fn add_graph_versions(&self, entries: Vec<(Token, Vec<Token>)>) -> Result<()> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        // One multi-row INSERT.
-        self.charge();
-        let mut t = self.tables.lock();
-        for (token, deps) in entries {
-            t.graph.insert(token, deps);
-        }
-        crate::metrics::graph_rows().set(t.graph.len() as i64);
-        Ok(())
-    }
-
-    fn graph_snapshot(&self) -> Result<Vec<(Token, Vec<Token>)>> {
-        self.charge();
-        Ok(self
-            .tables
-            .lock()
-            .graph
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect())
-    }
-
-    fn prune_graph_below(&self, cut: &Cut) -> Result<()> {
-        self.charge();
-        let mut t = self.tables.lock();
-        t.graph.retain(|token, _| {
-            cut.get(&token.shard)
-                .is_none_or(|&committed| token.version > committed)
-        });
-        crate::metrics::graph_rows().set(t.graph.len() as i64);
-        Ok(())
-    }
-
-    fn update_cut_atomically(&self, cut: Cut) -> Result<()> {
-        self.charge();
-        let mut t = self.tables.lock();
-        if t.recovery.is_some() {
-            return Err(DprError::Recovering);
-        }
-        // The cut never regresses: a later cut dominates per-shard.
-        for (shard, v) in cut {
-            let entry = t.cut.entry(shard).or_insert(Version::ZERO);
-            *entry = (*entry).max(v);
-        }
-        Ok(())
-    }
-
-    fn read_cut(&self) -> Result<Cut> {
-        self.charge();
-        Ok(self.tables.lock().cut.clone())
-    }
-
-    fn telemetry_frontier(&self) -> Result<(Option<Version>, Cut)> {
-        // Telemetry-only: no charge, no injected latency — this read does
-        // not model a protocol round trip.
-        let t = self.tables.lock();
-        Ok((t.dpr.values().max().copied(), t.cut.clone()))
-    }
-
-    fn world_line(&self) -> Result<WorldLine> {
-        self.charge();
-        Ok(self.tables.lock().world_line)
-    }
-
-    fn begin_recovery(&self) -> Result<RecoveryState> {
-        self.charge();
-        let mut t = self.tables.lock();
-        t.world_line = t.world_line.next();
-        let state = RecoveryState {
-            world_line: t.world_line,
-            cut: t.cut.clone(),
-            pending: t.dpr.keys().copied().collect::<BTreeSet<_>>(),
-        };
-        t.recovery = Some(state.clone());
-        let frozen = state.cut.clone();
-        t.recovery_cuts.insert(state.world_line, frozen);
-        Ok(state)
-    }
-
-    fn report_rollback_complete(&self, shard: ShardId) -> Result<RecoveryState> {
-        self.charge();
-        let mut t = self.tables.lock();
-        let Some(rec) = t.recovery.as_mut() else {
-            return Err(DprError::Metadata("no recovery in progress".into()));
-        };
-        rec.pending.remove(&shard);
-        let state = rec.clone();
-        if state.complete() {
-            t.recovery = None;
-        }
-        Ok(state)
-    }
-
-    fn recovery_in_progress(&self) -> Result<Option<RecoveryState>> {
-        self.charge();
-        Ok(self.tables.lock().recovery.clone())
-    }
-
-    fn recovery_cut(&self, world_line: WorldLine) -> Result<Option<Cut>> {
-        self.charge();
-        Ok(self.tables.lock().recovery_cuts.get(&world_line).cloned())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn shard(i: u32) -> ShardId {
-        ShardId(i)
-    }
-
-    #[test]
-    fn dpr_table_min_max() {
-        let s = SimulatedSqlStore::new();
-        s.register_worker(shard(0)).unwrap();
-        s.register_worker(shard(1)).unwrap();
-        s.update_persisted_version(shard(0), Version(3)).unwrap();
-        s.update_persisted_version(shard(1), Version(5)).unwrap();
-        assert_eq!(s.min_persisted_version().unwrap(), Some(Version(3)));
-        assert_eq!(s.max_persisted_version().unwrap(), Some(Version(5)));
-    }
-
-    #[test]
-    fn persisted_version_never_regresses() {
-        let s = SimulatedSqlStore::new();
-        s.register_worker(shard(0)).unwrap();
-        s.update_persisted_version(shard(0), Version(9)).unwrap();
-        s.update_persisted_version(shard(0), Version(4)).unwrap();
-        assert_eq!(s.min_persisted_version().unwrap(), Some(Version(9)));
-    }
-
-    #[test]
-    fn update_unregistered_worker_fails() {
-        let s = SimulatedSqlStore::new();
-        assert!(s.update_persisted_version(shard(9), Version(1)).is_err());
-    }
-
-    #[test]
-    fn batched_update_is_one_statement() {
-        let s = SimulatedSqlStore::new();
-        s.register_worker(shard(0)).unwrap();
-        s.register_worker(shard(1)).unwrap();
-        let before = s.statement_count();
-        s.update_persisted_versions(&[(shard(0), Version(4)), (shard(1), Version(7))])
-            .unwrap();
-        assert_eq!(s.statement_count() - before, 1, "one round trip for 2 rows");
-        assert_eq!(s.max_persisted_version().unwrap(), Some(Version(7)));
-        assert_eq!(s.min_persisted_version().unwrap(), Some(Version(4)));
-        // Still monotone per row.
-        s.update_persisted_versions(&[(shard(1), Version(2))])
-            .unwrap();
-        assert_eq!(s.max_persisted_version().unwrap(), Some(Version(7)));
-    }
-
-    #[test]
-    fn batched_update_aborts_atomically_on_unregistered_shard() {
-        let s = SimulatedSqlStore::new();
-        s.register_worker(shard(0)).unwrap();
-        assert!(s
-            .update_persisted_versions(&[(shard(0), Version(4)), (shard(9), Version(1))])
-            .is_err());
-        // The whole transaction rolled back: shard 0 untouched.
-        assert_eq!(s.min_persisted_version().unwrap(), Some(Version::ZERO));
-    }
-
-    #[test]
-    fn batched_graph_insert_is_one_statement() {
-        let s = SimulatedSqlStore::new();
-        let t = |sh: u32, v: u64| Token::new(shard(sh), Version(v));
-        let before = s.statement_count();
-        s.add_graph_versions(vec![(t(0, 1), vec![]), (t(1, 1), vec![t(0, 1)])])
-            .unwrap();
-        assert_eq!(s.statement_count() - before, 1);
-        assert_eq!(s.graph_snapshot().unwrap().len(), 2);
-        // Empty batches are free.
-        let before = s.statement_count();
-        s.add_graph_versions(Vec::new()).unwrap();
-        s.update_persisted_versions(&[]).unwrap();
-        assert_eq!(s.statement_count(), before);
-    }
-
-    #[test]
-    fn telemetry_frontier_is_uncharged() {
-        let s = SimulatedSqlStore::new();
-        s.register_worker(shard(0)).unwrap();
-        s.update_persisted_version(shard(0), Version(5)).unwrap();
-        s.update_cut_atomically(Cut::from([(shard(0), Version(3))]))
-            .unwrap();
-        let before = s.statement_count();
-        let (vmax, cut) = s.telemetry_frontier().unwrap();
-        assert_eq!(s.statement_count(), before, "telemetry reads are free");
-        assert_eq!(vmax, Some(Version(5)));
-        assert_eq!(cut[&shard(0)], Version(3));
-    }
-
-    #[test]
-    fn cut_updates_are_monotone() {
-        let s = SimulatedSqlStore::new();
-        s.register_worker(shard(0)).unwrap();
-        s.update_cut_atomically(Cut::from([(shard(0), Version(4))]))
-            .unwrap();
-        s.update_cut_atomically(Cut::from([(shard(0), Version(2))]))
-            .unwrap();
-        assert_eq!(s.read_cut().unwrap()[&shard(0)], Version(4));
-    }
-
-    #[test]
-    fn recovery_halts_cut_progress_and_resumes() {
-        let s = SimulatedSqlStore::new();
-        s.register_worker(shard(0)).unwrap();
-        s.register_worker(shard(1)).unwrap();
-        let rec = s.begin_recovery().unwrap();
-        assert_eq!(rec.world_line, WorldLine(1));
-        assert_eq!(rec.pending.len(), 2);
-        assert!(matches!(
-            s.update_cut_atomically(Cut::new()),
-            Err(DprError::Recovering)
-        ));
-        let st = s.report_rollback_complete(shard(0)).unwrap();
-        assert!(!st.complete());
-        let st = s.report_rollback_complete(shard(1)).unwrap();
-        assert!(st.complete());
-        assert!(s.recovery_in_progress().unwrap().is_none());
-        s.update_cut_atomically(Cut::from([(shard(0), Version(1))]))
-            .unwrap();
-    }
-
-    #[test]
-    fn recovery_cut_is_retained_per_world_line() {
-        let s = SimulatedSqlStore::new();
-        s.register_worker(shard(0)).unwrap();
-        s.update_cut_atomically(Cut::from([(shard(0), Version(4))]))
-            .unwrap();
-        assert_eq!(s.recovery_cut(WorldLine(0)).unwrap(), None);
-        let rec = s.begin_recovery().unwrap();
-        s.report_rollback_complete(shard(0)).unwrap();
-        // The cut advances again after recovery...
-        s.update_cut_atomically(Cut::from([(shard(0), Version(9))]))
-            .unwrap();
-        // ...but the transition's frozen cut stays pinned at the rollback
-        // target, so late-recovering clients can still compute a sound
-        // surviving prefix.
-        assert_eq!(
-            s.recovery_cut(rec.world_line).unwrap(),
-            Some(Cut::from([(shard(0), Version(4))]))
-        );
-    }
-
-    #[test]
-    fn nested_failure_bumps_world_line_again() {
-        let s = SimulatedSqlStore::new();
-        s.register_worker(shard(0)).unwrap();
-        let r1 = s.begin_recovery().unwrap();
-        // Second failure while the first recovery is still pending.
-        let r2 = s.begin_recovery().unwrap();
-        assert_eq!(r2.world_line, r1.world_line.next());
-        assert_eq!(r2.pending.len(), 1);
-    }
-
-    #[test]
-    fn graph_prune_respects_cut() {
-        let s = SimulatedSqlStore::new();
-        let t = |sh: u32, v: u64| Token::new(shard(sh), Version(v));
-        s.add_graph_version(t(0, 1), vec![]).unwrap();
-        s.add_graph_version(t(0, 2), vec![t(1, 1)]).unwrap();
-        s.add_graph_version(t(1, 1), vec![]).unwrap();
-        let cut = Cut::from([(shard(0), Version(1)), (shard(1), Version(1))]);
-        s.prune_graph_below(&cut).unwrap();
-        let g = s.graph_snapshot().unwrap();
-        assert_eq!(g.len(), 1);
-        assert_eq!(g[0].0, t(0, 2));
-    }
-
-    #[test]
-    fn membership_add_remove() {
-        let s = SimulatedSqlStore::new();
-        s.register_worker(shard(0)).unwrap();
-        s.register_worker(shard(1)).unwrap();
-        assert_eq!(s.members().unwrap().len(), 2);
-        s.remove_worker(shard(0)).unwrap();
-        assert_eq!(s.members().unwrap(), vec![shard(1)]);
-        // min over the remaining member only
-        s.update_persisted_version(shard(1), Version(2)).unwrap();
-        assert_eq!(s.min_persisted_version().unwrap(), Some(Version(2)));
-    }
 }

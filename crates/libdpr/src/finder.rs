@@ -18,7 +18,6 @@ use dpr_core::{Result, ShardId, Token, Version};
 use dpr_metadata::{Cut, MetadataStore};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Record the cut lag (`Vmax - min(Vsafe)`, the §3.4 fast-forward
@@ -102,8 +101,9 @@ fn max_versions_per_shard(reports: &[(Token, Vec<Token>)]) -> Vec<(ShardId, Vers
 /// the ceiling (a crashed coordinator, §3.4), so their dependency sets
 /// cannot be trusted. Pass an empty ceiling for the uncapped closure.
 ///
-/// This is the reference ("full recompute") algorithm — the property-test
-/// oracle that [`CutEngine`] in [`CutEngineMode::Delta`] must agree with.
+/// Run over the complete reported history this is the reference algorithm —
+/// the property-test oracle that [`CutEngine`], which runs it over the
+/// pending subgraph only, must agree with.
 #[must_use]
 pub fn compute_closure_cut_capped(
     graph: &BTreeMap<Token, Vec<Token>>,
@@ -166,24 +166,11 @@ pub fn compute_closure_cut_capped(
     }
 }
 
-/// How a [`CutEngine`] computes cuts.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CutEngineMode {
-    /// Incremental delta closure (the default): the engine keeps only the
-    /// *pending* subgraph — tokens above the last committed cut — and runs
-    /// the lowering fixpoint over it in place, with **zero full-graph
-    /// clones** on the refresh hot path. Work per refresh is bounded by the
-    /// cut lag, not by history.
-    #[default]
-    Delta,
-    /// Full recompute over the complete reported history: the engine never
-    /// prunes its graph and clones it for every pass (the legacy cost
-    /// model). Retained behind this flag as the property-test **oracle**
-    /// the delta engine must agree with, and as the bench baseline.
-    FullRecompute,
-}
-
-/// The shared cut-computation core of [`ExactFinder`] and [`HybridFinder`].
+/// The shared cut-computation core of [`ExactFinder`] and [`HybridFinder`]:
+/// an incremental delta closure. The engine keeps only the *pending*
+/// subgraph — tokens above the last committed cut — and runs the lowering
+/// fixpoint over it in place, so work per refresh is bounded by the cut
+/// lag, not by history.
 ///
 /// Two structural properties matter beyond raw speed:
 ///
@@ -208,35 +195,20 @@ pub enum CutEngineMode {
 ///   instead of raising the cut edge by edge. `tests/cut_properties.rs`
 ///   checks the equivalence against [`compute_closure_cut_capped`] over
 ///   random graphs, prune interleavings, and lost-ceiling caps.
+#[derive(Default)]
 pub struct CutEngine {
-    mode: CutEngineMode,
     /// Incoming reports; appended by the report hot path without ever
     /// contending with a running closure pass.
     mailbox: Mutex<Vec<(Token, Vec<Token>)>>,
-    /// The closure graph: pending-only in [`CutEngineMode::Delta`], the
-    /// complete history in [`CutEngineMode::FullRecompute`].
+    /// The closure graph: tokens not yet covered by a published cut.
     graph: Mutex<BTreeMap<Token, Vec<Token>>>,
-    /// Whole-graph clones performed by compute passes — always `0` in
-    /// [`CutEngineMode::Delta`]; the `meta_scaling` bench asserts that.
-    clones: AtomicU64,
 }
 
 impl CutEngine {
     /// An empty engine.
     #[must_use]
-    pub fn new(mode: CutEngineMode) -> Self {
-        CutEngine {
-            mode,
-            mailbox: Mutex::new(Vec::new()),
-            graph: Mutex::new(BTreeMap::new()),
-            clones: AtomicU64::new(0),
-        }
-    }
-
-    /// The engine's compute mode.
-    #[must_use]
-    pub fn mode(&self) -> CutEngineMode {
-        self.mode
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Enqueue one commit report.
@@ -270,17 +242,7 @@ impl CutEngine {
             }
         }
         crate::metrics::delta_pending_tokens().set(graph.len() as i64);
-        match self.mode {
-            CutEngineMode::Delta => compute_closure_cut_capped(&graph, floor, lost_ceiling),
-            CutEngineMode::FullRecompute => {
-                // Legacy cost model: snapshot the whole graph, compute on
-                // the clone.
-                self.clones.fetch_add(1, Ordering::Relaxed);
-                let snapshot = graph.clone();
-                drop(graph);
-                compute_closure_cut_capped(&snapshot, floor, lost_ceiling)
-            }
-        }
+        compute_closure_cut_capped(&graph, floor, lost_ceiling)
     }
 
     /// Acknowledge a **published** cut: drop graph tokens at or below it.
@@ -288,9 +250,6 @@ impl CutEngine {
     /// makes every later floor dominate them — see the type docs); callers
     /// must skip this when `update_cut_atomically` fails.
     pub fn commit(&self, cut: &Cut) {
-        if self.mode == CutEngineMode::FullRecompute {
-            return; // the oracle keeps the complete history
-        }
         let mut graph = self.graph.lock();
         graph.retain(|t, _| cut.get(&t.shard).copied().unwrap_or(Version::ZERO) < t.version);
         crate::metrics::delta_pending_tokens().set(graph.len() as i64);
@@ -303,19 +262,11 @@ impl CutEngine {
         crate::metrics::delta_pending_tokens().set(0);
     }
 
-    /// Tokens currently held (graph + undrained mailbox) — the delta
-    /// engine's working-set size, bounded by cut lag in
-    /// [`CutEngineMode::Delta`].
+    /// Tokens currently held (graph + undrained mailbox) — the engine's
+    /// working-set size, bounded by cut lag.
     #[must_use]
     pub fn pending_len(&self) -> usize {
         self.graph.lock().len() + self.mailbox.lock().len()
-    }
-
-    /// Whole-graph clones performed so far (refresh hot-path cost witness:
-    /// [`CutEngineMode::Delta`] never clones).
-    #[must_use]
-    pub fn full_graph_clones(&self) -> u64 {
-        self.clones.load(Ordering::Relaxed)
     }
 }
 
@@ -326,16 +277,9 @@ pub struct ExactFinder {
 }
 
 impl ExactFinder {
-    /// Finder over the shared metadata store, with the incremental
-    /// delta-closure engine.
+    /// Finder over the shared metadata store.
     pub fn new(meta: Arc<dyn MetadataStore>) -> Self {
-        Self::with_mode(meta, CutEngineMode::Delta)
-    }
-
-    /// Finder with an explicit [`CutEngineMode`] (tests and benches pick
-    /// [`CutEngineMode::FullRecompute`] as the oracle/baseline).
-    pub fn with_mode(meta: Arc<dyn MetadataStore>, mode: CutEngineMode) -> Self {
-        let engine = CutEngine::new(mode);
+        let engine = CutEngine::new();
         // One durable snapshot at construction seeds the in-memory mirror;
         // afterwards the refresh path never re-reads the graph table.
         if let Ok(snapshot) = meta.graph_snapshot() {
@@ -405,11 +349,11 @@ impl DprFinder for ExactFinder {
 ///
 /// ```
 /// use libdpr::{ApproximateFinder, DprFinder};
-/// use dpr_metadata::{MetadataStore, SimulatedSqlStore};
+/// use dpr_metadata::{MetadataStore, PartitionedSqlStore};
 /// use dpr_core::{ShardId, Token, Version};
 /// use std::sync::Arc;
 ///
-/// let meta = Arc::new(SimulatedSqlStore::new());
+/// let meta = Arc::new(PartitionedSqlStore::new(8));
 /// meta.register_worker(ShardId(0)).unwrap();
 /// meta.register_worker(ShardId(1)).unwrap();
 /// let finder = ApproximateFinder::new(meta);
@@ -505,22 +449,16 @@ pub struct HybridFinder {
 }
 
 impl HybridFinder {
-    /// Finder over the shared metadata store, with the incremental
-    /// delta-closure engine. A freshly constructed coordinator treats
-    /// everything already persisted as possibly-lost (it has no graph for
-    /// it), so a restarted coordinator is safe by construction.
+    /// Finder over the shared metadata store. A freshly constructed
+    /// coordinator treats everything already persisted as possibly-lost (it
+    /// has no graph for it), so a restarted coordinator is safe by
+    /// construction.
     pub fn new(meta: Arc<dyn MetadataStore>) -> Self {
-        Self::with_mode(meta, CutEngineMode::Delta)
-    }
-
-    /// Finder with an explicit [`CutEngineMode`] (tests and benches pick
-    /// [`CutEngineMode::FullRecompute`] as the oracle/baseline).
-    pub fn with_mode(meta: Arc<dyn MetadataStore>, mode: CutEngineMode) -> Self {
         let lost_ceiling = meta.persisted_versions().unwrap_or_default();
         HybridFinder {
             approx: ApproximateFinder::new(meta.clone()),
             meta,
-            engine: CutEngine::new(mode),
+            engine: CutEngine::new(),
             lost_ceiling: Mutex::new(lost_ceiling),
         }
     }
@@ -533,18 +471,11 @@ impl HybridFinder {
         *self.lost_ceiling.lock() = self.meta.persisted_versions().unwrap_or_default();
     }
 
-    /// Tokens the delta engine currently holds (graph + mailbox) — exposed
-    /// for the `meta_scaling` bench's working-set report.
+    /// Tokens the delta engine currently holds (graph + mailbox): its
+    /// working set.
     #[must_use]
     pub fn pending_tokens(&self) -> usize {
         self.engine.pending_len()
-    }
-
-    /// Whole-graph clones the engine has performed (see
-    /// [`CutEngine::full_graph_clones`]).
-    #[must_use]
-    pub fn full_graph_clones(&self) -> u64 {
-        self.engine.full_graph_clones()
     }
 }
 
@@ -636,14 +567,14 @@ pub fn cut_is_closed(graph: &BTreeMap<Token, Vec<Token>>, cut: &Cut) -> bool {
 mod tests {
     use super::*;
     use dpr_core::ShardId;
-    use dpr_metadata::SimulatedSqlStore;
+    use dpr_metadata::PartitionedSqlStore;
 
     fn t(s: u32, v: u64) -> Token {
         Token::new(ShardId(s), Version(v))
     }
 
-    fn setup(shards: u32) -> (Arc<SimulatedSqlStore>, Vec<ShardId>) {
-        let meta = Arc::new(SimulatedSqlStore::new());
+    fn setup(shards: u32) -> (Arc<PartitionedSqlStore>, Vec<ShardId>) {
+        let meta = Arc::new(PartitionedSqlStore::new(8));
         let ids: Vec<ShardId> = (0..shards).map(ShardId).collect();
         for &s in &ids {
             meta.register_worker(s).unwrap();
@@ -788,7 +719,7 @@ mod tests {
             (t(1, 1), vec![t(0, 1)]),
             (t(0, 2), vec![t(1, 1)]),
         ];
-        type MakeFinder = fn(Arc<SimulatedSqlStore>) -> Box<dyn DprFinder>;
+        type MakeFinder = fn(Arc<PartitionedSqlStore>) -> Box<dyn DprFinder>;
         // (constructor, expected shard-0 cut: Approximate stays at Vmin=1,
         // the graph-bearing finders reach the exact 2).
         let make: [(MakeFinder, Version); 3] = [
@@ -887,11 +818,12 @@ mod tests {
         );
     }
 
-    /// Delta and full-recompute engines publish identical cuts across
-    /// report → refresh → report → refresh cycles (the unit-sized version
-    /// of the property test in tests/cut_properties.rs).
+    /// The finder's delta engine publishes the cut the reference algorithm
+    /// computes over the complete history, across report → refresh → report
+    /// → refresh cycles (the unit-sized version of the property test in
+    /// tests/cut_properties.rs).
     #[test]
-    fn delta_and_full_recompute_modes_agree() {
+    fn delta_finder_agrees_with_full_history_oracle() {
         let rounds: [Vec<(Token, Vec<Token>)>; 3] = [
             vec![(t(0, 1), vec![]), (t(1, 1), vec![t(0, 1)])],
             // Mutually dependent same-version pair: only the lowering
@@ -899,19 +831,26 @@ mod tests {
             vec![(t(0, 2), vec![t(1, 2)]), (t(1, 2), vec![t(0, 2)])],
             vec![(t(0, 3), vec![t(1, 2)])],
         ];
-        let (meta_d, _) = setup(2);
-        let delta = HybridFinder::with_mode(meta_d, CutEngineMode::Delta);
-        let (meta_f, _) = setup(2);
-        let full = HybridFinder::with_mode(meta_f, CutEngineMode::FullRecompute);
+        let (meta, ids) = setup(2);
+        let finder = HybridFinder::new(meta.clone());
+        let mut history: BTreeMap<Token, Vec<Token>> = BTreeMap::new();
         for round in rounds {
-            delta.report_commits(round.clone()).unwrap();
-            full.report_commits(round).unwrap();
-            delta.refresh().unwrap();
-            full.refresh().unwrap();
-            assert_eq!(delta.current_cut().unwrap(), full.current_cut().unwrap());
+            history.extend(round.iter().cloned());
+            finder.report_commits(round).unwrap();
+            // The floor `refresh` starts from: the published cut joined
+            // with Vmin on every member. No ceiling: no crash happened.
+            let vmin = meta.min_persisted_version().unwrap().unwrap();
+            let mut floor = meta.read_cut().unwrap();
+            for s in &ids {
+                let e = floor.entry(*s).or_insert(Version::ZERO);
+                *e = (*e).max(vmin);
+            }
+            let oracle = compute_closure_cut_capped(&history, &floor, &Cut::new());
+            finder.refresh().unwrap();
+            assert_eq!(finder.current_cut().unwrap(), oracle);
         }
-        // The delta engine pruned what it published; the oracle keeps all.
-        assert_eq!(delta.pending_tokens(), 0);
+        // The delta engine pruned what it published; the history keeps all.
+        assert_eq!(finder.pending_tokens(), 0);
     }
 
     /// The engine never loses a report that races a refresh: a token
@@ -919,7 +858,7 @@ mod tests {
     /// into the next pass and is closure-checked there.
     #[test]
     fn mailbox_report_during_refresh_is_not_lost() {
-        let engine = CutEngine::new(CutEngineMode::Delta);
+        let engine = CutEngine::new();
         engine.ingest_one(t(0, 1), vec![]);
         let floor = Cut::new();
         let cut = engine.compute(&floor, &Cut::new());

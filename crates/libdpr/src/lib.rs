@@ -31,9 +31,7 @@ pub mod state_object;
 
 pub use client::{DprClientSession, SessionStatus};
 pub use dpr_metadata::Cut;
-pub use finder::{
-    ApproximateFinder, CutEngine, CutEngineMode, DprFinder, ExactFinder, HybridFinder,
-};
+pub use finder::{ApproximateFinder, CutEngine, DprFinder, ExactFinder, HybridFinder};
 pub use header::{BatchHeader, BatchReply};
 pub use server::{BatchDisposition, DprServer};
 pub use state_object::{CommitDescriptor, StateObject};

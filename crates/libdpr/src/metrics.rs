@@ -75,8 +75,7 @@ metric_fn!(
 
 metric_fn!(
     /// Tokens held by the delta-closure engine's pending graph, sampled at
-    /// each compute/commit. Bounded by cut lag in delta mode; grows with
-    /// history in full-recompute (oracle) mode.
+    /// each compute/commit. Bounded by cut lag.
     pub(crate) fn delta_pending_tokens() -> Gauge =
         ("dpr_finder_delta_pending_tokens", Count,
          "Tokens in the cut engine's pending closure graph (delta working set)")

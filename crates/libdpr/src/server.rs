@@ -464,7 +464,7 @@ mod tests {
     use crate::finder::ApproximateFinder;
     use crate::state_object::CommitDescriptor;
     use dpr_core::SessionId;
-    use dpr_metadata::{MetadataStore, SimulatedSqlStore};
+    use dpr_metadata::{MetadataStore, PartitionedSqlStore};
     use std::sync::Arc;
 
     /// Minimal StateObject mock.
@@ -609,7 +609,7 @@ mod tests {
 
     #[test]
     fn pump_commits_reports_accumulated_deps() {
-        let meta = Arc::new(SimulatedSqlStore::new());
+        let meta = Arc::new(PartitionedSqlStore::new(8));
         meta.register_worker(ShardId(0)).unwrap();
         meta.register_worker(ShardId(1)).unwrap();
         let finder = ApproximateFinder::new(meta.clone());

@@ -17,7 +17,7 @@
 //! over the union of all reported edges and that no report is ever lost.
 
 use dpr_core::{ShardId, Token, Version};
-use dpr_metadata::{Cut, MetadataStore, SimulatedSqlStore};
+use dpr_metadata::{Cut, MetadataStore, PartitionedSqlStore};
 use libdpr::audit::{self, AuditSink};
 use libdpr::finder::cut_is_closed;
 use libdpr::{DprFinder, ExactFinder, HybridFinder};
@@ -131,8 +131,8 @@ fn race(finder: Arc<dyn DprFinder>) {
     }
 }
 
-fn meta() -> Arc<SimulatedSqlStore> {
-    let meta = Arc::new(SimulatedSqlStore::new());
+fn meta() -> Arc<PartitionedSqlStore> {
+    let meta = Arc::new(PartitionedSqlStore::new(8));
     for s in 0..SHARDS {
         meta.register_worker(ShardId(s)).unwrap();
     }

@@ -16,7 +16,7 @@
 //!   [`libdpr::finder::cut_is_closed`].
 
 use dpr_core::{Result, SessionId, ShardId, Token, Version, WorldLine};
-use dpr_metadata::{MetadataStore, SimulatedSqlStore};
+use dpr_metadata::{MetadataStore, PartitionedSqlStore};
 use libdpr::finder::cut_is_closed;
 use libdpr::{BatchHeader, CommitDescriptor, DprFinder, DprServer, ExactFinder, StateObject};
 use parking_lot::Mutex;
@@ -129,7 +129,7 @@ fn seal_one(so: &StressSo, inflight: &[AtomicU64]) -> u64 {
 
 #[test]
 fn concurrent_record_and_pump_lose_nothing() {
-    let meta = Arc::new(SimulatedSqlStore::new());
+    let meta = Arc::new(PartitionedSqlStore::new(8));
     meta.register_worker(ShardId(0)).unwrap();
     for s in 1..=DEP_SHARDS {
         meta.register_worker(ShardId(s)).unwrap();
