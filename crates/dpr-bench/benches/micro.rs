@@ -15,25 +15,27 @@ use std::time::Duration;
 fn bench_index(c: &mut Criterion) {
     let mut g = c.benchmark_group("hash-index");
     g.throughput(Throughput::Elements(1));
-    let idx = HashIndex::new(1 << 16);
+    let epoch = Arc::new(LightEpoch::new(8));
+    let idx = HashIndex::new(Arc::clone(&epoch), 1 << 16);
+    let guard = epoch.protect();
     for i in 0..10_000u64 {
         let k = Key::from_u64(i);
-        let head = idx.head(&k);
-        let _ = idx.try_publish(&k, head, i);
+        let head = idx.head(&guard, &k);
+        let _ = idx.try_publish(&guard, &k, head, i);
     }
     let mut i = 0u64;
     g.bench_function("publish", |b| {
         b.iter(|| {
             let k = Key::from_u64(i % 10_000);
-            let head = idx.head(&k);
-            let _ = idx.try_publish(black_box(&k), head, i);
+            let head = idx.head(&guard, &k);
+            let _ = idx.try_publish(&guard, black_box(&k), head, i);
             i += 1;
         })
     });
     g.bench_function("lookup", |b| {
         b.iter(|| {
             let k = Key::from_u64(i % 10_000);
-            black_box(idx.head(&k));
+            black_box(idx.head(&guard, &k));
             i += 1;
         })
     });

@@ -13,7 +13,6 @@ use std::time::Duration;
 fn store() -> Arc<FasterKv> {
     FasterKv::new(
         FasterConfig {
-            index_buckets: 1 << 16,
             memory_budget_records: 1 << 24,
             auto_maintenance: true,
             ..FasterConfig::default()

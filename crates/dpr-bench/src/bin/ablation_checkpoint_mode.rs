@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 fn run(mode: CheckpointMode, keys: u64, duration: Duration) -> (f64, f64) {
     let kv = FasterKv::new(
         FasterConfig {
-            index_buckets: 1 << 16,
             memory_budget_records: 1 << 24,
             auto_maintenance: true,
             checkpoint_mode: mode,

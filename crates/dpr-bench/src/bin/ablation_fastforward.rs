@@ -30,7 +30,6 @@ fn build_worker(
 ) -> Arc<Worker> {
     let kv = FasterKv::new(
         FasterConfig {
-            index_buckets: 1 << 12,
             memory_budget_records: 1 << 22,
             auto_maintenance: true,
             ..FasterConfig::default()

@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 fn run(strict: bool, keys: u64, duration: Duration) -> (f64, u64) {
     let kv = FasterKv::new(
         FasterConfig {
-            index_buckets: 1 << 16,
             memory_budget_records: 0, // floor: 2 pages — heavy eviction
             auto_maintenance: true,
             checkpoint_mode: CheckpointMode::FoldOver,

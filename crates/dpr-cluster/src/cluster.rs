@@ -54,8 +54,6 @@ pub struct ClusterConfig {
     pub executors_per_worker: usize,
     /// FASTER memory budget (records) per shard.
     pub memory_budget_records: usize,
-    /// FASTER index buckets per shard.
-    pub index_buckets: usize,
     /// How often the finder service recomputes the cut.
     pub finder_interval: Duration,
     /// Per-op ownership validation.
@@ -89,7 +87,6 @@ impl Default for ClusterConfig {
             recoverability: RecoverabilityLevel::Dpr,
             executors_per_worker: 2,
             memory_budget_records: 1 << 22,
-            index_buckets: 1 << 16,
             finder_interval: Duration::from_millis(5),
             validate_ownership: true,
             extra_proxy_hop: false,
@@ -503,7 +500,6 @@ fn build_store(config: &ClusterConfig, shard: ShardId) -> Result<Arc<dyn ShardSt
             let blobs = Arc::new(MemBlobStore::with_latency(config.storage.latency()));
             let kv = dpr_faster::FasterKv::new(
                 dpr_faster::FasterConfig {
-                    index_buckets: config.index_buckets,
                     memory_budget_records: config.memory_budget_records,
                     auto_maintenance: true,
                     // Without checkpoints the log is "entirely mutable and we

@@ -216,7 +216,6 @@ mod tests {
     fn shard() -> FasterShard {
         let kv = FasterKv::new(
             FasterConfig {
-                index_buckets: 1 << 10,
                 memory_budget_records: 1 << 20,
                 auto_maintenance: true,
                 ..FasterConfig::default()

@@ -114,9 +114,16 @@ impl LightEpoch {
         for off in 0..n {
             let i = (start + off) % n;
             let slot = &self.slots[i].0;
+            // A reclaimer unlinks an object (SeqCst store), bumps, and
+            // frees it once `safe_epoch` finds no older slot. This publish,
+            // `refresh`'s and the scan's loads are SeqCst as well, so a
+            // scan that misses this slot precedes it in the single order
+            // of those accesses, and with it the unlinking store precedes
+            // this thread's later SeqCst loads: they cannot return the
+            // object the scan let go.
             if slot.load(Ordering::Relaxed) == UNPROTECTED
                 && slot
-                    .compare_exchange(UNPROTECTED, e, Ordering::AcqRel, Ordering::Relaxed)
+                    .compare_exchange(UNPROTECTED, e, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
             {
                 self.try_drain();
@@ -133,7 +140,7 @@ impl LightEpoch {
     /// actions. Threads in long-running loops call this periodically.
     pub fn refresh(&self, guard: &EpochGuard<'_>) {
         let e = self.current.load(Ordering::Acquire);
-        self.slots[guard.slot].0.store(e, Ordering::Release);
+        self.slots[guard.slot].0.store(e, Ordering::SeqCst);
         self.try_drain();
     }
 
@@ -176,7 +183,7 @@ impl LightEpoch {
     pub fn safe_epoch(&self) -> u64 {
         let mut min = self.current.load(Ordering::Acquire);
         for slot in self.slots.iter() {
-            let v = slot.0.load(Ordering::Acquire);
+            let v = slot.0.load(Ordering::SeqCst);
             if v != UNPROTECTED && v <= min {
                 min = v - 1;
             }
@@ -225,6 +232,14 @@ impl EpochGuard<'_> {
     /// Refresh this guard's published epoch to the current global epoch.
     pub fn refresh(&self) {
         self.epoch.refresh(self);
+    }
+
+    /// Whether this guard was taken on `epoch`. A structure that defers
+    /// reclamation to `epoch` checks this on the guards its callers pass
+    /// as proof of protection.
+    #[must_use]
+    pub fn protects(&self, epoch: &LightEpoch) -> bool {
+        std::ptr::eq(self.epoch, epoch)
     }
 }
 

@@ -42,10 +42,14 @@ pub struct CheckpointManifest {
     /// longer linear after a post-crash rebase or GC truncation.
     #[serde(default)]
     pub device_scan_base: u64,
-    /// Bucket count of the hash index at checkpoint time. Recovery sizes
-    /// the rebuilt index identically, so bucket assignment (and therefore
-    /// chain membership) is stable across restarts. Zero (older
-    /// manifests) means "use the configured bucket count".
+    /// Number of chain identities of the hash index (`2^b`: records whose
+    /// keys share the top `b` hash bits form one `prev` chain). Recovery
+    /// gives the rebuilt index at least as many, because a larger count only
+    /// splits these chains while a smaller one would join chains no `prev`
+    /// link connects. Zero: the manifest comes from a build that chained
+    /// records by a bucket count of low hash bits (formats 1 and 2, JSON),
+    /// whose links are of no use to this index — recovery then re-appends
+    /// the live records into a fresh log.
     #[serde(default)]
     pub index_buckets: u64,
     /// Durable segment map `(start_address, device_offset, len)` covering
@@ -59,9 +63,12 @@ pub struct CheckpointManifest {
 
 /// Magic prefix of the binary manifest encoding ("DPRM" + format version).
 /// Format 2 appends `index_buckets` and the durable segment map; format 1
-/// blobs decode with those fields defaulted.
+/// blobs decode with those fields defaulted. Format 3 has the layout of
+/// format 2; the number says `index_buckets` counts chain identities of
+/// upper hash bits, where format 2 counted buckets of low hash bits, which
+/// decodes as zero (see [`CheckpointManifest::index_buckets`]).
 const MANIFEST_MAGIC: u32 = 0x4450_524D;
-const MANIFEST_FORMAT: u16 = 2;
+const MANIFEST_FORMAT: u16 = 3;
 
 thread_local! {
     /// Reusable encode buffer: checkpoints complete on the worker tick
@@ -213,6 +220,9 @@ impl CheckpointManifest {
         let (mut index_buckets, mut segments) = (0, Vec::new());
         if format >= 2 {
             index_buckets = r.u64()?;
+            if format == 2 {
+                index_buckets = 0;
+            }
             let nsegs = r.u32()? as usize;
             segments.reserve(nsegs.min(1024));
             for _ in 0..nsegs {
@@ -250,8 +260,10 @@ impl CheckpointManifest {
                 let m = if data.len() >= 4 && data[..4] == MANIFEST_MAGIC.to_le_bytes() {
                     Self::decode(&data)?
                 } else {
-                    serde_json::from_slice(&data)
-                        .map_err(|e| DprError::Storage(format!("manifest decode: {e}")))?
+                    let mut m: Self = serde_json::from_slice(&data)
+                        .map_err(|e| DprError::Storage(format!("manifest decode: {e}")))?;
+                    m.index_buckets = 0;
+                    m
                 };
                 Ok(Some(m))
             }
@@ -353,6 +365,25 @@ mod tests {
         buf[4..6].copy_from_slice(&1u16.to_le_bytes());
         let back = CheckpointManifest::decode(&buf).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn format_two_bucket_counts_decode_as_unknown_chains() {
+        // The parent build's blob: same layout, format word 2, and a count
+        // of low-hash-bit buckets where format 3 counts identities.
+        let m = manifest(5);
+        let mut buf = Vec::new();
+        m.encode_into(&mut buf);
+        buf[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let back = CheckpointManifest::decode(&buf).unwrap();
+        assert_eq!(back.index_buckets, 0);
+        assert_eq!(
+            back,
+            CheckpointManifest {
+                index_buckets: 0,
+                ..m
+            }
+        );
     }
 
     #[test]

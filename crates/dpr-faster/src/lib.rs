@@ -5,8 +5,9 @@
 //!
 //! Architecture, following the paper and the FASTER/CPR lineage it cites:
 //!
-//! * a **hash index** of lock-free buckets mapping key hashes to the head of
-//!   a per-bucket chain of records ([`index`]);
+//! * a lock-free **hash index** that grows with the keyspace, mapping the
+//!   upper bits of a key's hash to the head of a chain of records
+//!   ([`index`]);
 //! * a **HybridLog** of records identified by monotonically increasing
 //!   logical addresses, spanning a mutable in-memory region (in-place
 //!   updates), a read-only in-memory region (read-copy-update), and stable

@@ -74,6 +74,9 @@ const DIR_CHUNKS: usize = 8192;
 /// Read granularity for device-side scans.
 const SCAN_CHUNK: usize = 4 * PAGE_SIZE;
 
+/// First read of a cold record: header, key and value of a small record.
+const COLD_BLOCK: usize = 64;
+
 /// Frames kept on the reuse freelist before falling back to `dealloc`.
 const FREELIST_CAP: usize = 64;
 
@@ -110,12 +113,14 @@ struct Segment {
     len: u64,
 }
 
-/// Reused serialization scratch for [`RecordLog::flush_until`] (one
-/// flusher at a time; the mutex is the flush lock).
+/// Reused scratch for [`RecordLog::flush_until`] (one flusher at a time;
+/// the mutex is the flush lock).
 #[derive(Default)]
 struct FlushScratch {
-    buf: Vec<u8>,
-    val: Vec<u8>,
+    /// The device image of the page being flushed; never more than one page.
+    page: Vec<u8>,
+    /// Where the flush in progress put each page on the device.
+    runs: Vec<Segment>,
 }
 
 /// Outcome of resolving a logical address under an epoch guard.
@@ -171,7 +176,7 @@ pub struct RecordLog {
     unflushed_limit: AtomicU64,
     /// Target resident bytes for [`RecordLog::maybe_evict`].
     memory_budget: u64,
-    epoch: LightEpoch,
+    epoch: Arc<LightEpoch>,
     device: Arc<dyn LogDevice>,
     segments: RwLock<Vec<Segment>>,
     flush_state: Mutex<FlushScratch>,
@@ -193,7 +198,7 @@ impl RecordLog {
             flushed: AtomicU64::new(0),
             unflushed_limit: AtomicU64::new(u64::MAX),
             memory_budget: memory_budget_bytes.max(2 * PAGE_BYTES),
-            epoch: LightEpoch::new(256),
+            epoch: Arc::new(LightEpoch::new(256)),
             device,
             segments: RwLock::new(Vec::new()),
             flush_state: Mutex::new(FlushScratch::default()),
@@ -257,6 +262,12 @@ impl RecordLog {
     /// chain walk; drop it before blocking or calling eviction.
     pub fn protect(&self) -> EpochGuard<'_> {
         self.epoch.protect_hinted(epoch_hint())
+    }
+
+    /// The epoch behind [`RecordLog::protect`], for structures that are
+    /// read under the same guards and reclaim through it (the hash index).
+    pub fn epoch(&self) -> &Arc<LightEpoch> {
+        &self.epoch
     }
 
     // ------------------------------------------------------------------
@@ -512,80 +523,96 @@ impl RecordLog {
     // Flush / device
     // ------------------------------------------------------------------
 
-    /// Flush `[flushed, min(until, tail))` to the device and advance the
-    /// durable frontier. Values are captured through the record seqlock,
-    /// so concurrent in-place updates are never torn on the device.
+    /// Flush the records of `[flushed, min(until, tail))` to the device and
+    /// advance the durable frontier, which only ever rests on a record
+    /// boundary: a record that would cross `until` waits for the next call.
+    /// Values are captured through the record seqlock, so concurrent in-place
+    /// updates are never torn on the device.
+    ///
+    /// The range streams to the device a page at a time through a one-page
+    /// scratch, and one `flush` at the end makes it durable.
     pub fn flush_until(&self, until: u64) -> Result<u64> {
         let mut st = self.flush_state.lock();
         let start = self.flushed.load(Ordering::Acquire);
         let until = until.min(self.tail());
-        if until <= start {
-            return Ok(start);
-        }
-        let FlushScratch { buf, val } = &mut *st;
-        buf.clear();
+        let FlushScratch { page, runs } = &mut *st;
+        runs.clear();
         let mut addr = start;
         let mut backoff = Backoff::new();
-        while addr < until {
+        let mut crossing = false;
+        while addr < until && !crossing {
+            page.clear();
+            let run_start = addr;
+            let stop = until.min((addr / PAGE_BYTES + 1) * PAGE_BYTES);
             let frame = self.frame_wait(addr / PAGE_BYTES);
-            let off = (addr % PAGE_BYTES) as usize;
-            #[allow(clippy::cast_ptr_alignment)]
-            let meta = unsafe { (*(frame.add(off) as *const AtomicU64)).load(Ordering::Acquire) };
-            if meta == 0 {
-                // Reserved but not yet written — the appender is between
-                // its tail CAS and its header store.
-                backoff.snooze();
-                continue;
+            while addr < stop {
+                // SAFETY: `addr` is a parse boundary (8-aligned) inside the
+                // frame of a page at or above `flushed`, which eviction
+                // cannot reclaim while this flush holds the flush lock.
+                let base = unsafe { frame.add((addr % PAGE_BYTES) as usize) };
+                #[allow(clippy::cast_ptr_alignment)]
+                let meta = unsafe { (*(base as *const AtomicU64)).load(Ordering::Acquire) };
+                if meta == 0 {
+                    // Reserved but not yet written — the appender is between
+                    // its tail CAS and its header store.
+                    backoff.snooze();
+                    continue;
+                }
+                backoff.reset();
+                let at = page.len();
+                match header_kind(meta) {
+                    HeaderKind::Pad(len) => {
+                        if addr + len as u64 > until {
+                            crossing = true;
+                            break;
+                        }
+                        page.resize(at + len, 0);
+                        page[at..at + 8].copy_from_slice(&pack_pad(len).to_le_bytes());
+                        addr += len as u64;
+                    }
+                    HeaderKind::Record => {
+                        // SAFETY: a nonzero non-pad header word is a READY
+                        // record header, and the frame stays mapped (above).
+                        let view = unsafe { RecordView::from_raw(base, addr) };
+                        let len = view.footprint();
+                        if addr + len as u64 > until {
+                            crossing = true;
+                            break;
+                        }
+                        page.resize(at + len, 0);
+                        view.serialize_into(&mut page[at..]);
+                        addr += len as u64;
+                    }
+                }
             }
-            backoff.reset();
-            match header_kind(meta) {
-                HeaderKind::Pad(len) => {
-                    buf.extend_from_slice(&pack_pad(len).to_le_bytes());
-                    buf.resize(buf.len() + (len - 8), 0);
-                    addr += len as u64;
-                }
-                HeaderKind::Record => {
-                    let view = unsafe { RecordView::from_raw(frame.add(off), addr) };
-                    let key = view.key_bytes();
-                    let (key_len, val_cap) = (view.key_len(), view.val_cap());
-                    view.read_value_into(val);
-                    // Re-load meta *after* the value capture so a racing
-                    // invalidation is not lost on the device copy.
-                    #[allow(clippy::cast_ptr_alignment)]
-                    let meta =
-                        unsafe { (*(frame.add(off) as *const AtomicU64)).load(Ordering::Acquire) };
-                    buf.extend_from_slice(&meta.to_le_bytes());
-                    buf.extend_from_slice(&view.prev().to_le_bytes());
-                    buf.extend_from_slice(&(key_len as u32).to_le_bytes());
-                    buf.extend_from_slice(&(val_cap as u32).to_le_bytes());
-                    buf.extend_from_slice(&(val.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(&0u32.to_le_bytes());
-                    buf.extend_from_slice(key);
-                    buf.resize(buf.len() + (pad8(key_len) - key_len), 0);
-                    buf.extend_from_slice(val);
-                    buf.resize(buf.len() + (val_cap - val.len()), 0);
-                    addr += record_footprint(key_len, val_cap) as u64;
-                }
+            if addr > run_start {
+                runs.push(Segment {
+                    start: run_start,
+                    dev: self.device.append(page)?,
+                    len: addr - run_start,
+                });
             }
         }
-        debug_assert_eq!(addr, until);
-        let dev = self.device.append(buf)?;
+        if addr == start {
+            return Ok(start);
+        }
         self.device.flush()?;
         {
+            // Published only now: a failed flush is retried from `start`.
             let mut segs = self.segments.write();
-            match segs.last_mut() {
-                Some(last) if last.start + last.len == start && last.dev + last.len == dev => {
-                    last.len += until - start;
+            for run in runs.drain(..) {
+                match segs.last_mut() {
+                    Some(last)
+                        if last.start + last.len == run.start && last.dev + last.len == run.dev =>
+                    {
+                        last.len += run.len;
+                    }
+                    _ => segs.push(run),
                 }
-                _ => segs.push(Segment {
-                    start,
-                    dev,
-                    len: until - start,
-                }),
             }
         }
-        self.flushed.fetch_max(until, Ordering::AcqRel);
-        Ok(until)
+        self.flushed.fetch_max(addr, Ordering::AcqRel);
+        Ok(addr)
     }
 
     /// Device offset for `addr`, plus the end address of its segment.
@@ -629,36 +656,40 @@ impl RecordLog {
         self.read_from_device_with_len(addr).map(|(r, _)| r)
     }
 
+    /// One device read for a record of up to [`COLD_BLOCK`] bytes (the
+    /// paper's 8-byte key and value make 48), a second one for the rest of
+    /// a larger record.
     fn read_from_device_with_len(&self, addr: u64) -> Result<(Record, usize)> {
-        let (dev, _) = self
+        let (dev, seg_end) = self
             .device_span(addr)
             .ok_or_else(|| DprError::Invalid(format!("address {addr} is not on the device")))?;
-        let mut hdr = [0u8; HEADER_LEN];
-        read_exact(self.device.as_ref(), dev, &mut hdr)?;
-        let meta = u64::from_le_bytes(hdr[0..8].try_into().unwrap());
+        let corrupt = || DprError::Storage(format!("corrupt record at device address {addr}"));
+        let mut block = [0u8; COLD_BLOCK];
+        // A record never leaves its segment; the bytes after it may.
+        let have = (COLD_BLOCK as u64).min(seg_end - addr) as usize;
+        if have < HEADER_LEN {
+            return Err(corrupt());
+        }
+        read_exact(self.device.as_ref(), dev, &mut block[..have])?;
+        let meta = u64::from_le_bytes(block[0..8].try_into().unwrap());
         if matches!(header_kind(meta), HeaderKind::Pad(_)) {
             return Err(DprError::Invalid(format!(
                 "device address {addr} points at page padding"
             )));
         }
-        let key_len = u32::from_le_bytes(hdr[16..20].try_into().unwrap()) as usize;
-        let val_cap = u32::from_le_bytes(hdr[20..24].try_into().unwrap()) as usize;
+        let key_len = u32::from_le_bytes(block[16..20].try_into().unwrap()) as usize;
+        let val_cap = u32::from_le_bytes(block[20..24].try_into().unwrap()) as usize;
         let total = record_footprint(key_len, val_cap);
         if total > MAX_RECORD_LEN {
-            return Err(DprError::Storage(format!(
-                "corrupt record header at device address {addr}"
-            )));
+            return Err(corrupt());
+        }
+        if total <= have {
+            return Record::decode(&block[..total], addr).ok_or_else(corrupt);
         }
         let mut buf = vec![0u8; total];
-        buf[..HEADER_LEN].copy_from_slice(&hdr);
-        read_exact(
-            self.device.as_ref(),
-            dev + HEADER_LEN as u64,
-            &mut buf[HEADER_LEN..],
-        )?;
-        let (rec, len) = Record::decode(&buf, addr)
-            .ok_or_else(|| DprError::Storage(format!("corrupt record at device address {addr}")))?;
-        Ok((rec, len))
+        buf[..have].copy_from_slice(&block[..have]);
+        read_exact(self.device.as_ref(), dev + have as u64, &mut buf[have..])?;
+        Record::decode(&buf, addr).ok_or_else(corrupt)
     }
 
     // ------------------------------------------------------------------
@@ -1185,6 +1216,35 @@ mod tests {
                     GetOutcome::Resident(_)
                 ));
             }
+        }
+    }
+
+    #[test]
+    fn flush_rests_on_record_boundaries_and_streams_pages() {
+        let log = new_log();
+        // Records of three sizes over several pages, the largest beyond the
+        // block a cold read fetches first.
+        let value = |i: u64| {
+            Value(bytes::Bytes::from(vec![
+                i as u8;
+                [8, 40, 3000][i as usize % 3]
+            ]))
+        };
+        let addrs: Vec<u64> = (0..400u64)
+            .map(|i| log.append(&key(i), &value(i), Version(1), false, NONE_ADDRESS))
+            .collect();
+        // A target inside a record: the frontier stops before that record.
+        let mid = addrs[200] + 16;
+        log.advance_read_only(mid);
+        assert_eq!(log.flush_until(mid).unwrap(), addrs[200]);
+        assert_eq!(log.flushed(), addrs[200]);
+        let sealed = log.seal_to_tail();
+        assert_eq!(log.flush_until(sealed).unwrap(), sealed);
+        assert!(log.evict_to(sealed) > PAGE_BYTES);
+        for (i, &a) in addrs.iter().enumerate().filter(|(_, &a)| a < log.head()) {
+            let rec = log.read_from_device(a).unwrap();
+            assert_eq!(rec.key(), &key(i as u64));
+            assert_eq!(rec.read_value(), value(i as u64));
         }
     }
 

@@ -78,10 +78,31 @@ metric_fn!(
 );
 
 metric_fn!(
-    /// Hash-chain hops per index lookup (bucket pressure).
+    /// Hash-chain hops per index lookup, sampled while telemetry is enabled.
     pub(crate) fn index_chain_len() -> Histogram =
         ("dpr_faster_index_chain_len", Count,
-         "Records traversed per hash-chain walk; high tails mean the bucket count is too small")
+         "Records traversed per hash-chain walk (recorded while telemetry is enabled)")
+);
+
+metric_fn!(
+    /// Chain identities that have an entry, over every index in the process.
+    pub(crate) fn index_entries() -> Gauge =
+        ("dpr_faster_index_entries", Count,
+         "Hash-index entries (chains) in use, all stores; moves in steps of 256 per store")
+);
+
+metric_fn!(
+    /// Table slots allocated, over every index in the process.
+    pub(crate) fn index_slots() -> Gauge =
+        ("dpr_faster_index_slots", Count,
+         "Hash-index slots allocated (8 bytes each), all stores")
+);
+
+metric_fn!(
+    /// Table doublings.
+    pub(crate) fn index_grows() -> Counter =
+        ("dpr_faster_index_grows_total", Count,
+         "Hash-index doublings (each freezes and rehashes one table)")
 );
 
 /// Record a CPR state-machine transition into the span ring.

@@ -239,27 +239,45 @@ impl<'a> RecordView<'a> {
         }
     }
 
-    /// Copy the current value bytes into `out` (cleared first), through the
-    /// seqlock. Used by the flusher to serialize without tearing.
-    pub(crate) fn read_value_into(&self, out: &mut Vec<u8>) {
-        let vbase = unsafe { self.base.add(HEADER_LEN + pad8(self.key_len())) };
+    /// Write this record's device image into `dst`: `footprint()` zeroed
+    /// bytes. The value goes through the seqlock, so the flusher never
+    /// writes a torn one; the meta word is read after it, so an invalidation
+    /// racing the capture is not lost on the device copy.
+    pub(crate) fn serialize_into(&self, dst: &mut [u8]) {
+        let (key_len, val_cap) = (self.key_len(), self.val_cap());
+        let key_end = HEADER_LEN + pad8(key_len);
+        debug_assert_eq!(dst.len(), key_end + val_cap);
+        // SAFETY: the key and its zero padding follow the header inside the
+        // record's footprint and never change after creation.
+        dst[HEADER_LEN..key_end].copy_from_slice(unsafe {
+            std::slice::from_raw_parts(self.base.add(HEADER_LEN), pad8(key_len))
+        });
+        // SAFETY: the value region follows the key inside the footprint.
+        let vbase = unsafe { self.base.add(key_end) };
         let vseq = self.vseq_atom();
         let mut backoff = dpr_core::Backoff::new();
-        loop {
+        let val_len = loop {
             let s1 = vseq.load(Ordering::Acquire);
             if s1 & 1 == 0 {
-                let len = self.val_len_atom().load(Ordering::Acquire) as usize;
-                out.clear();
-                out.extend_from_slice(unsafe {
-                    std::slice::from_raw_parts(vbase, len.min(self.val_cap()))
-                });
+                let len = (self.val_len_atom().load(Ordering::Acquire) as usize).min(val_cap);
+                // SAFETY: `len <= val_cap` bytes of the value region; a
+                // concurrent writer is detected by the vseq re-check.
+                dst[key_end..key_end + len]
+                    .copy_from_slice(unsafe { std::slice::from_raw_parts(vbase, len) });
                 std::sync::atomic::fence(Ordering::Acquire);
                 if vseq.load(Ordering::Relaxed) == s1 {
-                    return;
+                    break len;
                 }
             }
             backoff.snooze();
-        }
+        };
+        // A discarded attempt may have copied a longer value.
+        dst[key_end + val_len..].fill(0);
+        dst[0..8].copy_from_slice(&self.meta_atom().load(Ordering::Acquire).to_le_bytes());
+        dst[8..16].copy_from_slice(&self.prev().to_le_bytes());
+        dst[16..20].copy_from_slice(&(key_len as u32).to_le_bytes());
+        dst[20..24].copy_from_slice(&(val_cap as u32).to_le_bytes());
+        dst[24..28].copy_from_slice(&(val_len as u32).to_le_bytes());
     }
 
     /// Try to replace the value in place. Fails (returns `false`) if the new

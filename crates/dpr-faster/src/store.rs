@@ -42,12 +42,10 @@ const RECORD_BYTES_ESTIMATE: u64 = 64;
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct FasterConfig {
-    /// Minimum hash-index buckets (rounded up to a power of two). A
-    /// recovered store reuses the bucket count persisted in the manifest
-    /// so chain membership is stable across restarts.
-    pub index_buckets: usize,
     /// Records kept resident before eviction to the device begins
-    /// (converted to arena bytes at 64 bytes per record).
+    /// (converted to arena bytes at 64 bytes per record). The hash index
+    /// takes its number of chains from it, two per record
+    /// ([`HashIndex::identities_for`]).
     pub memory_budget_records: usize,
     /// Spawn a background maintenance thread that drives flushes, purges and
     /// state-machine progress. Disable for deterministic unit tests that
@@ -73,7 +71,7 @@ pub struct FasterConfig {
     pub simulated_read_latency: Option<Duration>,
     /// Threads used by the recovery index rebuild. The durable scan is
     /// partitioned by page range (pages are self-contained parse units)
-    /// and each thread races its records into the buckets with a
+    /// and each thread races its records into the index with a
     /// last-writer-wins-by-address publish, so any thread count produces
     /// the same index as the sequential scan.
     pub recovery_rebuild_threads: usize,
@@ -82,7 +80,6 @@ pub struct FasterConfig {
 impl Default for FasterConfig {
     fn default() -> Self {
         FasterConfig {
-            index_buckets: 1 << 16,
             memory_budget_records: 1 << 22,
             auto_maintenance: true,
             checkpoint_mode: dpr_core::CheckpointMode::FoldOver,
@@ -226,12 +223,26 @@ impl FasterKv {
         device: Arc<dyn LogDevice>,
         blobs: Arc<dyn BlobStore>,
     ) -> Arc<FasterKv> {
+        let identities = HashIndex::identities_for(config.memory_budget_records);
+        Self::with_identities(config, device, blobs, identities)
+    }
+
+    /// [`FasterKv::new`] with the number of hash chains given instead of
+    /// derived from the memory budget: tests use a handful, so that keys
+    /// share chains and walks pass records of other keys.
+    pub(crate) fn with_identities(
+        config: FasterConfig,
+        device: Arc<dyn LogDevice>,
+        blobs: Arc<dyn BlobStore>,
+        identities: u64,
+    ) -> Arc<FasterKv> {
+        let log = RecordLog::new(
+            device,
+            config.memory_budget_records as u64 * RECORD_BYTES_ESTIMATE,
+        );
         let kv = Arc::new(FasterKv {
-            index: HashIndex::new(config.index_buckets),
-            log: RecordLog::new(
-                device,
-                config.memory_budget_records as u64 * RECORD_BYTES_ESTIMATE,
-            ),
+            index: HashIndex::new(Arc::clone(log.epoch()), identities),
+            log,
             blobs,
             global: GlobalState::new(),
             machine: Mutex::new(None),
@@ -271,45 +282,70 @@ impl FasterKv {
             Some(m) => (m.version, m.until_address, m.purged.clone()),
             None => (Version::ZERO, 0, Vec::new()),
         };
-        // Reuse the persisted bucket count (when present) so bucket
-        // assignment — and therefore hash-chain membership — is identical
-        // to the pre-crash incarnation.
-        let buckets = manifest
-            .as_ref()
-            .map(|m| m.index_buckets as usize)
-            .filter(|&b| b > 0)
-            .unwrap_or(config.index_buckets);
-        let index = HashIndex::new(buckets);
         let budget_bytes = config.memory_budget_records as u64 * RECORD_BYTES_ESTIMATE;
-        let (log, recovery_boundary) =
-            match manifest.as_ref().and_then(|m| m.snapshot_blob.as_deref()) {
-                Some(snapshot) => {
-                    // Snapshot checkpoint: rebuild from the full state
-                    // image; the log prefix (possibly garbage-collected) is
-                    // dead, and future flushes land after the current device
-                    // tail (the segment map records their real offsets).
-                    let log = RecordLog::new(device, budget_bytes);
-                    for (key, value) in Self::read_snapshot(blobs.as_ref(), snapshot)? {
-                        let prev = index.head(&key);
-                        let addr = log.append(&key, &value, version, false, prev);
-                        index.set_head(&key, addr);
-                    }
-                    (log, 0)
+        let identities = HashIndex::identities_for(config.memory_budget_records);
+        // Records recovery must not resurrect: rolled back, or in flight but
+        // uncommitted at the crash.
+        let dead = |_addr: u64, m: &RecordMeta| {
+            m.invalid
+                || m.version > version
+                || purged
+                    .iter()
+                    .any(|&(lo, hi)| m.version > lo && m.version <= hi)
+        };
+        // Where the durable log prefix sits on the device (older manifests
+        // carry a single linear base instead of the segment spans).
+        let spans = match manifest.as_ref() {
+            Some(m) if !m.segments.is_empty() => m.segments.clone(),
+            Some(m) => vec![(0, m.device_scan_base, until)],
+            None => vec![(0, 0, until)],
+        };
+        // The state to re-append into a fresh log, when the durable log
+        // cannot be adopted as it is.
+        let reappend = match manifest.as_ref() {
+            // Snapshot checkpoint: the full state image is the state; the
+            // log prefix (possibly garbage-collected) is dead.
+            Some(CheckpointManifest {
+                snapshot_blob: Some(snapshot),
+                ..
+            }) => Some(Self::read_snapshot(blobs.as_ref(), snapshot)?),
+            // Fold-over checkpoint of a build that chained records by other
+            // hash bits: its `prev` links do not connect the records of one
+            // of our chains, so only the records themselves are kept.
+            Some(m) if m.index_buckets == 0 && until > 0 => {
+                let old = RecordLog::recover(Arc::clone(&device), budget_bytes, until, &spans)?;
+                Some(Self::live_pairs(&old, &dead)?)
+            }
+            _ => None,
+        };
+        let (log, index, recovery_boundary) = match reappend {
+            Some(pairs) => {
+                // Future flushes land after the current device tail (the
+                // segment map records their real offsets).
+                let log = RecordLog::new(device, budget_bytes);
+                let index = HashIndex::new(Arc::clone(log.epoch()), identities);
+                for (key, value) in pairs {
+                    let guard = log.protect();
+                    let prev = index.head(&guard, &key);
+                    let addr = log.append(&key, &value, version, false, prev);
+                    index.publish_max(&guard, &key, addr);
                 }
-                None => {
-                    // Fold-over checkpoint: the durable log prefix IS the
-                    // state. Map it back through the persisted segment spans
-                    // (older manifests carry a single linear base instead).
-                    let spans = match manifest.as_ref() {
-                        Some(m) if !m.segments.is_empty() => m.segments.clone(),
-                        Some(m) => vec![(0, m.device_scan_base, until)],
-                        None => vec![(0, 0, until)],
-                    };
-                    let log = RecordLog::recover(device, budget_bytes, until, &spans)?;
-                    Self::rebuild_index(&config, &index, &log, version, &purged)?;
-                    (log, until)
-                }
-            };
+                (log, index, 0)
+            }
+            None => {
+                // Fold-over checkpoint: the durable log prefix IS the state,
+                // `prev` links included. They connect the chains of the
+                // identity count in the manifest; a larger count only splits
+                // those chains, so a walk still passes every record of its
+                // own, while a smaller one would merge chains that no link
+                // joins. Hence never fewer than the manifest says.
+                let chained = manifest.as_ref().map_or(0, |m| m.index_buckets);
+                let log = RecordLog::recover(device, budget_bytes, until, &spans)?;
+                let index = HashIndex::new(Arc::clone(log.epoch()), identities.max(chained));
+                Self::rebuild_index(&config, &index, &log, &dead)?;
+                (log, index, until)
+            }
+        };
         let global = GlobalState::new();
         global.store(SystemState {
             phase: Phase::Rest,
@@ -357,19 +393,21 @@ impl FasterKv {
     /// thread publishes its records with [`HashIndex::publish_max`]
     /// (last-writer-wins by address), which commutes across threads and
     /// therefore yields exactly the heads a sequential scan-and-publish
-    /// would produce. `prev` pointers need no relinking: they were
-    /// serialized with the records.
+    /// would produce, however the table grows meanwhile. `prev` pointers
+    /// need no relinking: they were serialized with the records.
     fn rebuild_index(
         config: &FasterConfig,
         index: &HashIndex,
         log: &RecordLog,
-        max_version: Version,
-        purged: &[(Version, Version)],
+        dead: &(dyn Fn(u64, &RecordMeta) -> bool + Sync),
     ) -> Result<()> {
         let until = log.tail();
         if until == 0 {
             return Ok(());
         }
+        // Sized once, for a log of distinct keys; one of many versions per
+        // key gets more slots than it needs, within the index's bound.
+        index.reserve(&log.protect(), until / RECORD_BYTES_ESTIMATE);
         let pages = until.div_ceil(PAGE_BYTES);
         let threads = (config.recovery_rebuild_threads.max(1) as u64).min(pages);
         let pages_per = pages.div_ceil(threads);
@@ -382,15 +420,12 @@ impl FasterKv {
                     continue;
                 }
                 handles.push(s.spawn(move || {
+                    // One guard for the whole range: nothing waits on this
+                    // epoch during recovery.
+                    let guard = log.protect();
                     log.scan_range(from, to, &mut |rec| {
-                        let m = rec.meta();
-                        let dead = m.invalid
-                            || m.version > max_version
-                            || purged
-                                .iter()
-                                .any(|&(lo, hi)| m.version > lo && m.version <= hi);
-                        if !dead {
-                            index.publish_max(rec.key(), rec.address());
+                        if !dead(rec.address(), &rec.meta()) {
+                            index.publish_max(&guard, rec.key(), rec.address());
                         }
                         Ok(())
                     })
@@ -546,7 +581,7 @@ impl FasterKv {
         guard: &'g EpochGuard<'_>,
         key: &Key,
     ) -> Result<std::result::Result<Option<RecordView<'g>>, u64>> {
-        let mut addr = self.index.head(key);
+        let mut addr = self.index.head(guard, key);
         let mut hops = 0u64;
         let out = loop {
             if addr == NONE_ADDRESS {
@@ -570,7 +605,9 @@ impl FasterKv {
                 GetOutcome::NotReady => unreachable!("get_ready resolved NotReady"),
             }
         };
-        self.index.observe_chain_len(hops);
+        if dpr_telemetry::enabled() {
+            crate::metrics::index_chain_len().record(hops);
+        }
         Ok(out)
     }
 
@@ -659,11 +696,11 @@ impl FasterKv {
         tombstone: bool,
     ) -> u64 {
         let guard = self.log.protect();
-        let mut expected = self.index.head(key);
+        let mut expected = self.index.head(&guard, key);
         'fresh: loop {
             let addr = self.log.append(key, value, version, tombstone, expected);
             loop {
-                match self.index.try_publish(key, expected, addr) {
+                match self.index.try_publish(&guard, key, expected, addr) {
                     Ok(()) => return addr,
                     Err(observed) => {
                         expected = observed;
@@ -871,9 +908,9 @@ impl FasterKv {
     fn rcu_publish(&self, key: &Key, value: Value, version: Version) -> Result<bool> {
         Self::check_record_size(key, &value)?;
         let guard = self.log.protect();
-        let expected = self.index.head(key);
+        let expected = self.index.head(&guard, key);
         let addr = self.log.append(key, &value, version, false, expected);
-        match self.index.try_publish(key, expected, addr) {
+        match self.index.try_publish(&guard, key, expected, addr) {
             Ok(()) => Ok(true),
             Err(_) => {
                 if let Ok(GetOutcome::Resident(view)) = self.log.get(&guard, addr) {
@@ -1225,7 +1262,7 @@ impl FasterKv {
                             .first()
                             .map(|&(start, dev, _)| dev.saturating_sub(start))
                             .unwrap_or(0),
-                        index_buckets: self.index.buckets() as u64,
+                        index_buckets: self.index.identities(),
                         segments,
                     };
                     if manifest.write_to(self.blobs.as_ref()).is_ok() {
@@ -1312,10 +1349,21 @@ impl FasterKv {
     /// or below `max_version` (snapshot checkpoints capture the state as of
     /// the committing version).
     pub fn scan_live_upto(&self, max_version: Version) -> Result<Vec<(Key, Value)>> {
+        Self::live_pairs(&self.log, &|addr, m| {
+            m.version > max_version || self.is_dead(addr, m)
+        })
+    }
+
+    /// The newest value per key among the records of `log` that `dead` does
+    /// not rule out, tombstoned keys left out. Relies on no chain.
+    fn live_pairs(
+        log: &RecordLog,
+        dead: &dyn Fn(u64, &RecordMeta) -> bool,
+    ) -> Result<Vec<(Key, Value)>> {
         let mut newest: HashMap<Key, (u64, Option<Value>)> = HashMap::new();
-        self.log.scan_range(0, self.log.tail(), &mut |rec| {
+        log.scan_range(0, log.tail(), &mut |rec| {
             let m = rec.meta();
-            if m.version > max_version || self.is_dead(rec.address(), &m) {
+            if dead(rec.address(), &m) {
                 return Ok(());
             }
             let value = if m.tombstone {
@@ -1486,5 +1534,101 @@ impl FasterKv {
 impl Drop for FasterKv {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Stores of 16 hash chains, so that every chain is shared by several
+    //! keys and each walk passes records of other keys — the path a store
+    //! of budget-derived size takes only for the few keys that collide.
+
+    use super::*;
+    use dpr_storage::{MemBlobStore, MemLogDevice};
+
+    const CHAINS: u64 = 16;
+    /// Two versions of them fill more than one page, so one can be evicted.
+    const KEYS: u64 = 1000;
+
+    fn config() -> FasterConfig {
+        FasterConfig {
+            memory_budget_records: 0,
+            auto_maintenance: false,
+            ..FasterConfig::default()
+        }
+    }
+
+    fn read(kv: &Arc<FasterKv>, k: u64) -> Option<u64> {
+        kv.get(&Key::from_u64(k)).unwrap().and_then(|v| v.as_u64())
+    }
+
+    #[test]
+    fn rollback_travels_back_past_records_of_other_keys() {
+        let kv = FasterKv::with_identities(
+            config(),
+            Arc::new(MemLogDevice::null()),
+            Arc::new(MemBlobStore::new()),
+            CHAINS,
+        );
+        assert_eq!(kv.index.identities(), CHAINS);
+        let s = kv.start_session(SessionId(1));
+        for k in 0..KEYS {
+            s.upsert(Key::from_u64(k), Value::from_u64(k)).unwrap();
+        }
+        s.delete(Key::from_u64(7)).unwrap();
+        kv.request_checkpoint(None);
+        assert!(kv.wait_for_durable(Version(1), Duration::from_secs(10)));
+        // Version 2, rolled back below: every chain now starts with sixty
+        // invalid records of assorted keys.
+        for k in 0..KEYS {
+            s.upsert(Key::from_u64(k), Value::from_u64(k + 1000))
+                .unwrap();
+        }
+        s.upsert(Key::from_u64(7), Value::from_u64(7)).unwrap();
+        assert_eq!(read(&kv, 3), Some(1003));
+        kv.restore_sync(Version(1), Duration::from_secs(10))
+            .unwrap();
+        for k in 0..KEYS {
+            assert_eq!(read(&kv, k), (k != 7).then_some(k), "key {k}");
+        }
+        assert_eq!(kv.index.entries(), CHAINS);
+        // The same walks through the device.
+        kv.request_checkpoint(None);
+        assert!(kv.wait_for_durable(kv.current_version(), Duration::from_secs(10)));
+        assert!(kv.force_evict() > 0);
+        for k in 0..KEYS {
+            assert_eq!(read(&kv, k), (k != 7).then_some(k), "evicted key {k}");
+        }
+    }
+
+    #[test]
+    fn recovery_splits_shared_chains_and_still_finds_every_key() {
+        let device = Arc::new(MemLogDevice::null());
+        let blobs = Arc::new(MemBlobStore::new());
+        {
+            let kv = FasterKv::with_identities(config(), device.clone(), blobs.clone(), CHAINS);
+            let s = kv.start_session(SessionId(1));
+            for round in 0..3u64 {
+                for k in 0..KEYS {
+                    s.upsert(Key::from_u64(k), Value::from_u64(k + round))
+                        .unwrap();
+                }
+            }
+            s.delete(Key::from_u64(7)).unwrap();
+            kv.request_checkpoint(None);
+            assert!(kv.wait_for_durable(Version(1), Duration::from_secs(10)));
+            // Lost with the crash.
+            s.upsert(Key::from_u64(3), Value::from_u64(9999)).unwrap();
+        }
+        device.crash();
+        // The manifest says 16 chains; the budget asks for 4096. Each of
+        // those is part of one of the 16, whose links it inherits.
+        let kv = FasterKv::recover(config(), device, blobs, None).unwrap();
+        assert_eq!(kv.recovered_manifest().unwrap().index_buckets, CHAINS);
+        assert_eq!(kv.index.identities(), HashIndex::identities_for(0));
+        assert!(kv.index.entries() > CHAINS);
+        for k in 0..KEYS {
+            assert_eq!(read(&kv, k), (k != 7).then_some(k + 2), "key {k}");
+        }
     }
 }

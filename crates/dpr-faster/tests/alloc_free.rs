@@ -55,7 +55,6 @@ fn my_allocs() -> u64 {
 fn store() -> Arc<FasterKv> {
     FasterKv::new(
         FasterConfig {
-            index_buckets: 1 << 12,
             auto_maintenance: false,
             ..FasterConfig::default()
         },

@@ -64,7 +64,8 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..120)
     ) {
         let arena = RecordLog::new(Arc::new(MemLogDevice::null()), 1 << 22);
-        let index = HashIndex::new(256);
+        // 16 chains for 24 keys: walks pass records of other keys.
+        let index = HashIndex::new(Arc::clone(arena.epoch()), 16);
         let mut writes: HashMap<u8, Vec<(u64, Option<u16>)>> = HashMap::new();
         let mut purged: Vec<(u64, u64)> = Vec::new();
         let mut version = 1u64;
@@ -75,9 +76,10 @@ proptest! {
             let value = Value::from_u64(u64::from(v.unwrap_or(0)));
             let tomb = v.is_none();
             // Arena: append with prev = current chain head, publish.
-            let prev = index.head(&key);
+            let guard = arena.protect();
+            let prev = index.head(&guard, &key);
             let addr = arena.append(&key, &value, Version(version), tomb, prev);
-            index.set_head(&key, addr);
+            index.try_publish(&guard, &key, prev, addr).unwrap();
             writes.entry(k).or_default().push((version, v));
         };
 
@@ -102,7 +104,7 @@ proptest! {
 
             // Arena: travel back the chain past invalidated records.
             let guard = arena.protect();
-            let mut addr = index.head(&key);
+            let mut addr = index.head(&guard, &key);
             let mut got_arena = None;
             while addr != NONE_ADDRESS {
                 match arena.get_ready(&guard, addr).unwrap() {

@@ -9,7 +9,6 @@ use std::time::Duration;
 
 fn snapshot_config() -> FasterConfig {
     FasterConfig {
-        index_buckets: 1 << 10,
         memory_budget_records: 1 << 20,
         auto_maintenance: false,
         checkpoint_mode: CheckpointMode::Snapshot,
@@ -137,7 +136,6 @@ fn gc_refuses_foldover_checkpoints_and_future_versions() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
-        index_buckets: 1 << 10,
         memory_budget_records: 1 << 20,
         auto_maintenance: false,
         checkpoint_mode: CheckpointMode::FoldOver,
@@ -162,7 +160,6 @@ fn strict_cpr_never_returns_pending() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
-        index_buckets: 1 << 10,
         memory_budget_records: 0, // tiny: floor 2 pages
         auto_maintenance: false,
         checkpoint_mode: CheckpointMode::FoldOver,

@@ -11,7 +11,6 @@ use std::time::Duration;
 fn store() -> Arc<FasterKv> {
     FasterKv::new(
         FasterConfig {
-            index_buckets: 1 << 10,
             memory_budget_records: 1 << 22,
             auto_maintenance: true,
             ..FasterConfig::default()
@@ -110,7 +109,6 @@ fn racing_sessions_get_consistent_commit_points() {
     let blobs = Arc::new(MemBlobStore::new());
     let kv = FasterKv::new(
         FasterConfig {
-            index_buckets: 1 << 10,
             memory_budget_records: 1 << 22,
             auto_maintenance: true,
             ..FasterConfig::default()
@@ -146,7 +144,6 @@ fn racing_sessions_get_consistent_commit_points() {
     device.crash();
     let kv = FasterKv::recover(
         FasterConfig {
-            index_buckets: 1 << 10,
             memory_budget_records: 1 << 22,
             auto_maintenance: false,
             ..FasterConfig::default()

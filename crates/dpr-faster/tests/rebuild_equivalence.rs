@@ -1,8 +1,10 @@
 //! Recovery-rebuild equivalence: recovering the same durable log with a
 //! single-threaded index rebuild and with a heavily parallel one must
 //! produce byte-identical observable state. The parallel rebuild races
-//! page-partitioned scans into the buckets with last-writer-wins-by-address
-//! publishes, so the outcome must be independent of the thread count.
+//! page-partitioned scans into the index with last-writer-wins-by-address
+//! publishes, and the index doubles under them as chains appear (6,000 keys
+//! take it from 512 slots to 16,384), so the outcome must be independent of
+//! the thread count and of where the doublings fall.
 
 use dpr_core::{Key, SessionId, Value, Version};
 use dpr_faster::{FasterConfig, FasterKv};
@@ -13,12 +15,13 @@ use std::time::Duration;
 
 fn config(rebuild_threads: usize) -> FasterConfig {
     FasterConfig {
-        index_buckets: 1 << 10,
         auto_maintenance: false,
         recovery_rebuild_threads: rebuild_threads,
         ..FasterConfig::default()
     }
 }
+
+const KEYS: u64 = 6000;
 
 #[test]
 fn parallel_rebuild_equals_sequential_rebuild() {
@@ -30,28 +33,28 @@ fn parallel_rebuild_equals_sequential_rebuild() {
         let s = kv.start_session(SessionId(1));
         // Several generations of overwrites and deletes across two
         // checkpointed versions, so chains have depth and the log spans
-        // multiple pages.
-        for i in 0..4000u64 {
-            s.upsert(Key::from_u64(i % 1500), Value::from_u64(i))
+        // enough pages (17) to give each of eight threads its own.
+        for i in 0..16_000u64 {
+            s.upsert(Key::from_u64(i % KEYS), Value::from_u64(i))
                 .unwrap();
-            expected.insert(i % 1500, i);
+            expected.insert(i % KEYS, i);
         }
         for i in 0..200u64 {
-            s.delete(Key::from_u64(i * 7 % 1500)).unwrap();
-            expected.remove(&(i * 7 % 1500));
+            s.delete(Key::from_u64(i * 7 % KEYS)).unwrap();
+            expected.remove(&(i * 7 % KEYS));
         }
         kv.request_checkpoint(None);
         assert!(kv.wait_for_durable(Version(1), Duration::from_secs(10)));
-        for i in 0..2000u64 {
-            s.upsert(Key::from_u64(i % 900), Value::from_u64(i + 10_000))
+        for i in 0..8000u64 {
+            s.upsert(Key::from_u64(i % 3600), Value::from_u64(i + 100_000))
                 .unwrap();
-            expected.insert(i % 900, i + 10_000);
+            expected.insert(i % 3600, i + 100_000);
         }
         kv.request_checkpoint(None);
         assert!(kv.wait_for_durable(Version(2), Duration::from_secs(10)));
     }
 
-    // (log tail, sorted scan_live pairs, point reads for keys 0..1500)
+    // (log tail, sorted scan_live pairs, point reads for every key)
     type Observed = (u64, Vec<(u64, u64)>, Vec<(u64, Option<u64>)>);
     let observe = |threads: usize| -> Observed {
         let kv = FasterKv::recover(config(threads), device.clone(), blobs.clone(), None).unwrap();
@@ -62,7 +65,7 @@ fn parallel_rebuild_equals_sequential_rebuild() {
             .map(|(k, v)| (k.as_u64().unwrap(), v.as_u64().unwrap()))
             .collect();
         live.sort_unstable();
-        let gets: Vec<(u64, Option<u64>)> = (0..1500u64)
+        let gets: Vec<(u64, Option<u64>)> = (0..KEYS)
             .map(|k| {
                 (
                     k,

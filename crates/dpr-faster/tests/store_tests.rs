@@ -9,7 +9,6 @@ use std::time::Duration;
 
 fn manual_config() -> FasterConfig {
     FasterConfig {
-        index_buckets: 1 << 10,
         memory_budget_records: 1 << 20,
         auto_maintenance: false,
         ..FasterConfig::default()
@@ -253,7 +252,6 @@ fn pending_read_resolves_from_device_after_eviction() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
-        index_buckets: 1 << 10,
         memory_budget_records: 0, // floor is 2 pages = 8192 records
         auto_maintenance: false,
         ..FasterConfig::default()
@@ -299,7 +297,6 @@ fn commit_point_exceptions_include_outstanding_pendings() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
-        index_buckets: 1 << 10,
         memory_budget_records: 0,
         auto_maintenance: false,
         ..FasterConfig::default()
@@ -340,7 +337,6 @@ fn concurrent_sessions_with_checkpoints_under_load() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
-        index_buckets: 1 << 12,
         memory_budget_records: 1 << 22,
         auto_maintenance: true,
         ..FasterConfig::default()

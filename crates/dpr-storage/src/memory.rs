@@ -76,9 +76,20 @@ impl MemLogDevice {
 
     fn ensure_pages(&self, end: u64) {
         let need = (end as usize).div_ceil(PAGE_SIZE);
+        // Nearly every append lands in pages that exist: check under the
+        // read lock, which readers and other appenders share.
+        if self.pages.read().len() >= need {
+            return;
+        }
         let mut pages = self.pages.write();
         while pages.len() < need {
-            pages.push(Box::new([0u8; PAGE_SIZE]));
+            // Zeroed on the heap; `Box::new([0u8; PAGE_SIZE])` builds the
+            // megabyte on the stack first in unoptimised builds.
+            let page: Box<[u8; PAGE_SIZE]> = vec![0u8; PAGE_SIZE]
+                .into_boxed_slice()
+                .try_into()
+                .expect("a PAGE_SIZE vector");
+            pages.push(page);
         }
     }
 }

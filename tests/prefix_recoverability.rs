@@ -52,7 +52,6 @@ proptest! {
         let device = Arc::new(MemLogDevice::null());
         let blobs = Arc::new(MemBlobStore::new());
         let config = FasterConfig {
-            index_buckets: 1 << 8,
             memory_budget_records: 1 << 20,
             auto_maintenance: false,
             ..FasterConfig::default()
@@ -112,7 +111,6 @@ proptest! {
         let device = Arc::new(MemLogDevice::null());
         let blobs = Arc::new(MemBlobStore::new());
         let config = FasterConfig {
-            index_buckets: 1 << 8,
             memory_budget_records: 1 << 20,
             auto_maintenance: false,
             ..FasterConfig::default()

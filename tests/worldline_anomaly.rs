@@ -19,7 +19,6 @@ use std::time::Duration;
 fn shard(id: u32) -> (FasterShard, DprServer) {
     let kv = FasterKv::new(
         FasterConfig {
-            index_buckets: 1 << 8,
             memory_budget_records: 1 << 20,
             auto_maintenance: true,
             ..FasterConfig::default()
