@@ -29,8 +29,12 @@
 //! 5. **Bounded cut lag** — per-shard `persisted − cut` stays under a
 //!    bound except while an injected stall / membership change legitimately
 //!    freezes the cut (the driver registers exemption windows).
+//! 6. **Monotone reports** — no commit report carries a dependency above
+//!    its own token's version (§3.2: "no version ever depends on a larger
+//!    version"), so the shadow graph is exactly the graph the servers
+//!    reported.
 //!
-//! Exactly-once session replay (invariant 6) is driven by the ledger in
+//! Exactly-once session replay (invariant 7) is driven by the ledger in
 //! [`crate::driver`], which reports violations here via
 //! [`InvariantChecker::report_violation`].
 
@@ -179,21 +183,20 @@ impl InvariantChecker {
         };
 
         let mut s = self.state.lock();
-        for (token, mut deps) in commits {
+        for (token, deps) in commits {
+            // Invariant 6: the §3.2 lower-bound discipline as the servers
+            // report it. Checked on every report, stragglers included.
+            for d in deps.iter().filter(|d| d.version > token.version) {
+                s.record(format!(
+                    "reported dependency above its token: shard {} v{} depends on shard {} v{}",
+                    token.shard.0, token.version.0, d.shard.0, d.version.0
+                ));
+            }
             let stale = s
                 .stale_floor
                 .get(&token.shard)
                 .is_some_and(|&f| token.version <= f);
             if !stale {
-                // The server's reported dependency set is an
-                // over-approximation: the max-per-shard rider drained with
-                // a checkpoint group rides its *lowest* version, so it can
-                // carry dependencies of batches that executed above this
-                // token (see `DprServer::pump_commits`). Real dependencies
-                // obey `dep.version <= token.version` (the version
-                // lower-bound discipline of §3.2), and that is the subset
-                // min-based cuts guarantee closure for — keep only it.
-                deps.retain(|d| d.version <= token.version);
                 s.graph.insert(token, deps);
             }
         }

@@ -180,7 +180,8 @@ impl ChaosReport {
         s.push_str(&format!(
             "  \"invariants\": {{\"checks\": {}, \"violations\": {}, \"catalog\": \
              [\"cut_monotonicity\", \"downward_closure\", \"prefix_recoverability\", \
-             \"recovery_completeness\", \"bounded_cut_lag\", \"exactly_once_replay\"], \
+             \"recovery_completeness\", \"bounded_cut_lag\", \"monotone_reports\", \
+             \"exactly_once_replay\"], \
              \"violation_details\": [",
             self.checks, self.violation_count,
         ));

@@ -8,7 +8,7 @@
 //! unique id (§5.2).
 
 use crate::message::{ClusterOp, OpResult};
-use crate::worker::ShardStore;
+use crate::worker::{ShardStore, VersionSpan};
 use dpr_core::{Result, SessionId, ShardId, StripedMap, Value, Version};
 use dpr_faster::{FasterKv, OpOutcome, Session};
 use libdpr::{CommitDescriptor, StateObject};
@@ -80,22 +80,12 @@ impl FasterShard {
 }
 
 impl ShardStore for FasterShard {
-    fn execute_batch(
-        &self,
-        session_id: SessionId,
-        ops: &[ClusterOp],
-    ) -> Result<(Vec<OpResult>, Version)> {
-        let mut results = Vec::with_capacity(ops.len());
-        let version = self.execute_batch_into(session_id, ops, &mut results)?;
-        Ok((results, version))
-    }
-
     fn execute_batch_into(
         &self,
         session_id: SessionId,
         ops: &[ClusterOp],
         out: &mut Vec<OpResult>,
-    ) -> Result<Version> {
+    ) -> Result<VersionSpan> {
         let base = out.len();
         let session = self.checkout(session_id);
         let run = (|| {
@@ -105,7 +95,14 @@ impl ShardStore for FasterShard {
             // free in steady state.
             out.resize(base + ops.len(), OpResult::Value(None));
             let mut pending: Vec<(u64, usize)> = Vec::new();
-            let mut version = Version::ZERO;
+            // Each operation refreshes the session, so a checkpoint that
+            // starts mid-batch splits it over two versions.
+            let mut span: Option<VersionSpan> = None;
+            let mut ran_in = |v: Version| {
+                let s = span.get_or_insert(VersionSpan::single(v));
+                s.lowest = s.lowest.min(v);
+                s.highest = s.highest.max(v);
+            };
             for (i, op) in ops.iter().enumerate() {
                 let outcome = match op {
                     ClusterOp::Read(k) => session.read(k)?,
@@ -119,11 +116,11 @@ impl ShardStore for FasterShard {
                     OpOutcome::Read {
                         value, version: v, ..
                     } => {
-                        version = version.max(v);
+                        ran_in(v);
                         out[base + i] = OpResult::Value(value);
                     }
                     OpOutcome::Mutated { version: v, .. } => {
-                        version = version.max(v);
+                        ran_in(v);
                         out[base + i] = OpResult::Done;
                     }
                     OpOutcome::Pending(t) => pending.push((t.serial, i)),
@@ -136,7 +133,7 @@ impl ShardStore for FasterShard {
                 for c in completed {
                     if let Some(&(_, idx)) = pending.iter().find(|(serial, _)| *serial == c.serial)
                     {
-                        version = version.max(c.version);
+                        ran_in(c.version);
                         out[base + idx] = match &ops[idx] {
                             ClusterOp::Read(_) => OpResult::Value(c.value.clone()),
                             _ => OpResult::Done,
@@ -144,10 +141,7 @@ impl ShardStore for FasterShard {
                     }
                 }
             }
-            if version == Version::ZERO {
-                version = self.kv.current_version();
-            }
-            Ok(version)
+            Ok(span.unwrap_or_else(|| VersionSpan::single(self.kv.current_version())))
         })();
         self.checkin(session_id, session);
         if run.is_err() {

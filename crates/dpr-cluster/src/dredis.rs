@@ -10,7 +10,7 @@
 //! completion, and `Restore()` restarts the instance from a snapshot.
 
 use crate::message::{ClusterOp, OpResult};
-use crate::worker::ShardStore;
+use crate::worker::{ShardStore, VersionSpan};
 use dpr_core::{Result, SessionId, ShardId, Version};
 use dpr_redis::{Command, RedisStore, Reply, SaveId};
 use libdpr::{CommitDescriptor, StateObject};
@@ -53,22 +53,12 @@ impl RedisShard {
 }
 
 impl ShardStore for RedisShard {
-    fn execute_batch(
-        &self,
-        session: SessionId,
-        ops: &[ClusterOp],
-    ) -> Result<(Vec<OpResult>, Version)> {
-        let mut results = Vec::with_capacity(ops.len());
-        let version = self.execute_batch_into(session, ops, &mut results)?;
-        Ok((results, version))
-    }
-
     fn execute_batch_into(
         &self,
         _session: SessionId,
         ops: &[ClusterOp],
         out: &mut Vec<OpResult>,
-    ) -> Result<Version> {
+    ) -> Result<VersionSpan> {
         // The batch latch: exclusive access to the single-threaded store for
         // the whole batch, so every op executes in one version.
         let base = out.len();
@@ -90,7 +80,7 @@ impl ShardStore for RedisShard {
                 }
             }
         }
-        Ok(version)
+        Ok(VersionSpan::single(version))
     }
 
     fn scan_live(&self) -> Result<Vec<(dpr_core::Key, dpr_core::Value)>> {

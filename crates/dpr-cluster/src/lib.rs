@@ -42,4 +42,4 @@ pub use message::{ClusterOp, OpResult};
 pub use net::{NetServer, NetServerConfig};
 pub use tcp::{Completed, CompletedRef, PipelinedClient, TcpClient};
 pub use transport::{EndpointId, LinkFault, SimNetwork};
-pub use worker::{ShardStore, Worker};
+pub use worker::{ShardStore, VersionSpan, Worker};

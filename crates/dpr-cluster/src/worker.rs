@@ -12,32 +12,56 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
+/// The lowest and highest version the operations of one batch executed in.
+/// A store whose sessions pick up a checkpoint between operations (CPR, §5)
+/// runs the operations before the boundary in `v` and the rest in `v + 1`;
+/// a store that latches a batch into one version has `lowest == highest`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VersionSpan {
+    /// Where the batch's dependencies are recorded: every version from here
+    /// up holds an operation that rests on them (a version rests on its
+    /// predecessors), and no lower one does.
+    pub lowest: Version,
+    /// What the reply carries: the session depends on all of the batch.
+    pub highest: Version,
+}
+
+impl VersionSpan {
+    /// A batch that executed entirely in `version`.
+    #[must_use]
+    pub fn single(version: Version) -> VersionSpan {
+        VersionSpan {
+            lowest: version,
+            highest: version,
+        }
+    }
+}
+
 /// A cache-store shard as the worker drives it: the libDPR
 /// [`StateObject`] plus batch execution.
 pub trait ShardStore: StateObject {
     /// Execute a batch of operations for `session`, returning per-op results
-    /// and the version the batch executed in.
+    /// and the version a reply to the batch carries (the highest an
+    /// operation executed in).
     fn execute_batch(
         &self,
         session: SessionId,
         ops: &[ClusterOp],
-    ) -> Result<(Vec<OpResult>, Version)>;
+    ) -> Result<(Vec<OpResult>, Version)> {
+        let mut results = Vec::with_capacity(ops.len());
+        let span = self.execute_batch_into(session, ops, &mut results)?;
+        Ok((results, span.highest))
+    }
 
-    /// Like [`ShardStore::execute_batch`] but appends results to a
-    /// caller-provided buffer, so steady-state callers (the network plane)
-    /// can reuse one allocation across batches. The default delegates to
-    /// [`ShardStore::execute_batch`]; hot stores override it to write
-    /// results in place.
+    /// Execute a batch, appending results to a caller-provided buffer, so
+    /// steady-state callers (the network plane) can reuse one allocation
+    /// across batches. Returns the versions the operations executed in.
     fn execute_batch_into(
         &self,
         session: SessionId,
         ops: &[ClusterOp],
         out: &mut Vec<OpResult>,
-    ) -> Result<Version> {
-        let (results, version) = self.execute_batch(session, ops)?;
-        out.extend(results);
-        Ok(version)
-    }
+    ) -> Result<VersionSpan>;
 
     /// Snapshot the live key/value pairs (key migration, §5.3).
     fn scan_live(&self) -> Result<Vec<(dpr_core::Key, dpr_core::Value)>>;
@@ -291,16 +315,24 @@ impl Worker {
                 }
             }
         }
-        let version = self
+        // Held from before the batch executes until its dependencies are
+        // recorded, so the commit pump cannot report a version the batch
+        // executes in without them.
+        let gate = self.config.dpr_enabled.then(|| self.server.enter());
+        let executed = self
             .store
             .execute_batch_into(header.session, ops, results)?;
+        if let Some(gate) = gate {
+            // At the lowest version: a batch in flight at a checkpoint runs
+            // its first operations in `v` and the rest in `v + 1`, and the
+            // report of `v` must carry what those first operations rest on.
+            gate.record(header, executed.lowest);
+        }
+        let version = executed.highest;
         self.executed_ops
             .fetch_add(ops.len() as u64, Ordering::Relaxed);
         crate::metrics::batches().inc();
         crate::metrics::batch_ops().record(ops.len() as u64);
-        if self.config.dpr_enabled {
-            self.server.record_batch(header, version);
-        }
         if self.config.sync_commit {
             // Synchronous recoverability: group-commit and wait (§7.6),
             // backing off spin → yield → short sleep so waiting batches do
@@ -485,7 +517,7 @@ impl Worker {
         }
         let target = rec.cut.get(&self.shard).copied().unwrap_or(Version::ZERO);
         if self.store.restore(target).is_ok() {
-            self.server.on_restore(target);
+            self.server.on_restore();
             self.server.set_world_line(rec.world_line);
             // Cached replies carry the old world-line; never replay them
             // into the new one. Same for the lease caches: ownership may

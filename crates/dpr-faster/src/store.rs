@@ -1451,17 +1451,18 @@ impl FasterKv {
         Ok(out)
     }
 
-    /// Garbage-collect durable log space below the checkpoint of `version`
-    /// (which must be covered by the DPR cut — "D-FASTER only
-    /// garbage-collects FASTER log entries that are in the DPR guarantee",
-    /// §5.5).
+    /// Garbage-collect durable state the DPR cut has moved past: `version`
+    /// must be covered by the cut — "D-FASTER only garbage-collects FASTER
+    /// log entries that are in the DPR guarantee", §5.5.
     ///
-    /// Only *snapshot* checkpoints make the log prefix redundant: a
+    /// Recovery at the cut uses the newest manifest at or below it
+    /// ([`CheckpointManifest::latest`]), so that one and everything above
+    /// it are kept and the older manifests deleted, in either checkpoint
+    /// mode. The log is truncated only below a *snapshot* checkpoint: a
     /// fold-over checkpoint's state IS the log, so truncating below it would
     /// lose live records that were never overwritten. Records below the
-    /// boundary must also already be evicted from memory. Manifests older
-    /// than `version` are deleted (no longer restorable). Returns the record
-    /// address the durable log now starts at, or `None` if there was nothing
+    /// boundary must also already be evicted from memory. Returns the record
+    /// address the durable log now starts at, or `None` if no log space was
     /// safe to collect.
     pub fn collect_garbage(&self, version: Version) -> Result<Option<u64>> {
         if version > self.durable_version() {
@@ -1470,9 +1471,15 @@ impl FasterKv {
                 self.durable_version()
             )));
         }
-        let Some(manifest) = CheckpointManifest::read_from(self.blobs.as_ref(), version)? else {
+        let Some(manifest) = CheckpointManifest::latest(self.blobs.as_ref(), Some(version))? else {
             return Ok(None);
         };
+        let kept = CheckpointManifest::blob_name(manifest.version);
+        for name in self.blobs.list("chkpt-")? {
+            if name < kept {
+                let _ = self.blobs.delete(&name);
+            }
+        }
         if manifest.snapshot_blob.is_none() {
             // Fold-over: the log prefix is the only copy of live records.
             return Ok(None);
@@ -1482,16 +1489,6 @@ impl FasterKv {
             return Ok(None);
         }
         self.log.truncate_device_below(manifest.until_address)?;
-        // Older manifests reference truncated data; drop them.
-        for name in self.blobs.list("chkpt-")? {
-            let v: u64 = name
-                .trim_start_matches("chkpt-")
-                .parse()
-                .unwrap_or(u64::MAX);
-            if v < version.0 {
-                let _ = self.blobs.delete(&name);
-            }
-        }
         Ok(Some(manifest.until_address))
     }
 

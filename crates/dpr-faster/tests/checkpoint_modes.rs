@@ -3,7 +3,7 @@
 
 use dpr_core::{CheckpointMode, Key, SessionId, Value, Version};
 use dpr_faster::{FasterConfig, FasterKv, OpOutcome};
-use dpr_storage::{MemBlobStore, MemLogDevice};
+use dpr_storage::{BlobStore, MemBlobStore, MemLogDevice};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -153,6 +153,42 @@ fn gc_refuses_foldover_checkpoints_and_future_versions() {
     assert_eq!(kv.collect_garbage(Version(1)).unwrap(), None);
     // GC beyond the durable version is an error.
     assert!(kv.collect_garbage(Version(9)).is_err());
+}
+
+#[test]
+fn gc_prunes_foldover_manifests_below_the_cut() {
+    let device = Arc::new(MemLogDevice::null());
+    let blobs = Arc::new(MemBlobStore::new());
+    let config = FasterConfig {
+        checkpoint_mode: CheckpointMode::FoldOver,
+        ..snapshot_config()
+    };
+    let (checkpoints, cut) = (200u64, 150u64);
+    {
+        let kv = FasterKv::new(config.clone(), device.clone(), blobs.clone());
+        let s = kv.start_session(SessionId(1));
+        for v in 1..=checkpoints {
+            s.upsert(Key::from_u64(v % 16), Value::from_u64(v)).unwrap();
+            kv.request_checkpoint(None);
+            assert!(kv.wait_for_durable(Version(v), Duration::from_secs(10)));
+        }
+        assert_eq!(blobs.list("chkpt-").unwrap().len() as u64, checkpoints);
+        // The log is never truncated below a fold-over checkpoint...
+        assert_eq!(kv.collect_garbage(Version(cut)).unwrap(), None);
+    }
+    // ...but the manifests no recovery can ask for any more are gone: the
+    // cut's own and the ones above it remain.
+    let left = blobs.list("chkpt-").unwrap();
+    assert_eq!(left.len() as u64, checkpoints - cut + 1);
+    assert_eq!(left[0], format!("chkpt-{cut:020}"));
+    device.crash();
+    let kv = FasterKv::recover(config, device, blobs, Some(Version(cut))).unwrap();
+    assert_eq!(kv.durable_version(), Version(cut));
+    // The cut's own write is there, the later ones to that key are not.
+    assert_eq!(
+        kv.get(&Key::from_u64(cut % 16)).unwrap().unwrap().as_u64(),
+        Some(cut)
+    );
 }
 
 #[test]

@@ -33,5 +33,5 @@ pub use client::{DprClientSession, SessionStatus};
 pub use dpr_metadata::Cut;
 pub use finder::{ApproximateFinder, CutEngine, DprFinder, ExactFinder, HybridFinder};
 pub use header::{BatchHeader, BatchReply};
-pub use server::{BatchDisposition, DprServer};
+pub use server::{BatchDisposition, DprServer, GateGuard};
 pub use state_object::{CommitDescriptor, StateObject};

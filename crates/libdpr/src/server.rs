@@ -3,9 +3,10 @@
 //! `libDPR is invoked before and after each request batch is processed`: the
 //! *before* hook ([`DprServer::validate`]) checks world-lines and the
 //! version lower bound (triggering a commit when a client is ahead, the
-//! §3.2 progress rule); the *after* hook ([`DprServer::record_batch`] +
-//! [`DprServer::make_reply`]) accumulates dependency edges for the version
-//! the batch executed in and builds the reply header.
+//! §3.2 progress rule); the *after* hook ([`GateGuard::record`], on the
+//! guard [`DprServer::enter`] hands out before the batch executes)
+//! accumulates dependency edges for the version the batch executed in and
+//! [`DprServer::make_reply`] builds the reply header.
 //!
 //! ## Scalability (§6: "implemented scalably")
 //!
@@ -13,22 +14,36 @@
 //! cluster throughput. Dependency accumulation is therefore striped and
 //! lock-free on the write side:
 //!
-//! * [`DprServer::record_batch`] publishes into one of N cache-padded
-//!   *stripes*, selected by a per-thread index, using only atomic
-//!   compare-and-swap / `fetch_max` — no locks, no allocation.
-//! * Each stripe keeps only the **max version per dependent shard**.
+//! * A record publishes into one of N cache-padded *stripes*, selected by a
+//!   per-thread index, using only atomic compare-and-swap / `fetch_max` — no
+//!   locks, no allocation.
+//! * Each stripe keeps a small ring of **generations**, one per open
+//!   executed version (a shard has the flushing, the executing and the next
+//!   version open at once; the ring holds one more). A generation is
+//!   claimed by tagging it with the version and freed by the drain that
+//!   reports that version, so a version's dependencies are never mixed with
+//!   a later version's.
+//! * A generation keeps only the **max version per dependent shard**.
 //!   Prefix semantics make this lossless for safety: a cut that admits a
 //!   token `(s, v)` admits every `(s, v' ≤ v)`, so the largest dependency
-//!   per shard subsumes all smaller ones (and the whole accumulator stays a
-//!   few cache lines regardless of batch volume).
+//!   per shard subsumes all smaller ones (and a generation stays a few
+//!   cache lines regardless of batch volume).
 //! * The drain side ([`DprServer::pump_commits`], [`DprServer::on_restore`])
 //!   is guarded by a [`LightEpoch`]: the drainer bumps the epoch and waits
 //!   for in-flight writers to pass, so writers never block on the drain
 //!   (they only ever touch their own stripe's atomics).
-//! * A drain attaches the merged dependency set to the **lowest** version
-//!   being reported. This is conservative but safe: if the cut admits any
-//!   higher version of this shard it also admits the lowest one, so the
-//!   merged dependencies are always enforced.
+//! * A worker holds its [`GateGuard`] from before the batch executes until
+//!   its dependencies are recorded. A version's commit descriptor appears
+//!   only after every batch executing in it has returned, and the drain
+//!   quiesces after taking the descriptors, so no version is reported
+//!   between a batch's execution in it and the recording of that batch's
+//!   dependencies. A batch whose operations straddle a checkpoint records
+//!   at the lowest version it touched: the higher one rests on the lower.
+//! * A drain reports every version `v` with the dependencies of the
+//!   generations tagged at or below `v` that no earlier report carried, and
+//!   nothing else: no reported dependency was recorded at a version above
+//!   its token, which keeps the reported graph monotone (§3.2) and lets the
+//!   exact finder's closure close at every checkpoint.
 //!
 //! Queued commit reports leave the drain as **one** grouped
 //! [`DprFinder::report_commits`] call — O(1) metadata round trips per pump
@@ -37,6 +52,7 @@
 use crate::finder::DprFinder;
 use crate::header::{BatchHeader, BatchReply};
 use crate::state_object::StateObject;
+use dpr_core::epoch::EpochGuard;
 use dpr_core::{Backoff, DprError, LightEpoch, Result, ShardId, Token, Version, WorldLine};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -47,11 +63,22 @@ use std::time::{Duration, Instant};
 /// beyond this spill to the stripe's locked side map).
 const STRIPE_SLOTS: usize = 32;
 
+/// Generations per stripe: the flushing, the executing and the next version,
+/// plus one (versions open beyond that spill to the locked side map).
+const GENERATIONS: usize = 4;
+
+/// Tag of a generation no version holds.
+const FREE: u64 = u64::MAX;
+
+/// Drain bound that takes every generation: the largest tag a version can
+/// have.
+const EVERY_VERSION: Version = Version(FREE - 1);
+
 /// Default stripe count (power of two). Executor threads map onto stripes by
 /// a per-thread index, so this bounds hot-path sharing, not correctness.
 const DEFAULT_STRIPES: usize = 16;
 
-/// Epoch-table capacity: max threads concurrently inside `record_batch`.
+/// Epoch-table capacity: max threads concurrently inside the gate.
 const MAX_GATE_THREADS: usize = 256;
 
 /// What to do with an incoming batch.
@@ -79,112 +106,175 @@ fn gate_thread_id() -> usize {
     GATE_THREAD_ID.with(|id| *id)
 }
 
-/// One cache-padded dependency accumulator.
+/// One cache-padded dependency accumulator: a directory of dependent shards
+/// and, per *generation* (one open executed version), the max dependency
+/// version on each of them.
 ///
 /// `keys[i]` is `0` (empty) or `shard.0 + 1`; once claimed, a key is never
-/// removed, so `vers[i]` is owned by exactly one dependent shard for the
-/// stripe's lifetime and plain `fetch_max` / `swap` suffice — a dependency
-/// published concurrently with a drain lands either in this drain or the
-/// next, never nowhere.
-#[repr(align(128))]
+/// removed, so slot `i` of every generation is owned by exactly one
+/// dependent shard for the stripe's lifetime.
+///
+/// `tags[g]` is [`FREE`] or the executed version that claimed generation
+/// `g`. Only a drain frees a generation, after quiescing, and only once the
+/// version is being reported — when no batch can still execute in it — so
+/// between claim and free `vers[g]` belongs to that one version and plain
+/// `fetch_max` / `swap` suffice. The tags sit together, ahead of the
+/// directory, so finding a batch's generation reads one cache line.
+#[repr(C, align(128))]
 struct Stripe {
-    keys: [AtomicU64; STRIPE_SLOTS],
-    vers: [AtomicU64; STRIPE_SLOTS],
-    /// Rare path: more distinct dependent shards than slots.
-    overflow: Mutex<BTreeMap<ShardId, Version>>,
+    tags: [AtomicU64; GENERATIONS],
     /// Telemetry only: micros-since-server-start (+1; 0 = unset) of the
-    /// first batch recorded since the last drain, for commit latency.
-    first_exec_us: AtomicU64,
+    /// first batch recorded in each generation, for commit latency.
+    first_exec_us: [AtomicU64; GENERATIONS],
+    keys: [AtomicU64; STRIPE_SLOTS],
+    vers: [[AtomicU64; STRIPE_SLOTS]; GENERATIONS],
+    /// Rare path: more distinct dependent shards than slots, or more open
+    /// versions than generations. `(executed version, dependent shard)` to
+    /// the max dependency version.
+    spill: Mutex<BTreeMap<(Version, ShardId), Version>>,
 }
 
 impl Stripe {
     fn new() -> Stripe {
         Stripe {
+            tags: std::array::from_fn(|_| AtomicU64::new(FREE)),
+            first_exec_us: std::array::from_fn(|_| AtomicU64::new(0)),
             keys: std::array::from_fn(|_| AtomicU64::new(0)),
-            vers: std::array::from_fn(|_| AtomicU64::new(0)),
-            overflow: Mutex::new(BTreeMap::new()),
-            first_exec_us: AtomicU64::new(0),
+            vers: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
+            spill: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Lock-free max-merge of one dependency into this stripe.
-    fn note_dep(&self, shard: ShardId, version: Version) {
+    /// The generation holding `executed`, claiming a free one if none does.
+    /// `None`: every generation is held by another open version.
+    fn generation_for(&self, executed: Version) -> Option<usize> {
+        // Consecutive versions start their probe at consecutive generations,
+        // so in steady state the first tag read is the batch's own.
+        let ring = || (0..GENERATIONS).map(|i| (executed.0 as usize + i) % GENERATIONS);
+        ring()
+            .find(|&g| self.tags[g].load(Ordering::Acquire) == executed.0)
+            .or_else(|| {
+                ring().find(|&g| {
+                    match self.tags[g].compare_exchange(
+                        FREE,
+                        executed.0,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    ) {
+                        Ok(_) => true,
+                        // Another thread of this stripe claimed it for the
+                        // same version.
+                        Err(actual) => actual == executed.0,
+                    }
+                })
+            })
+    }
+
+    /// The slot owned by `shard`, claiming an empty one on first sight.
+    /// `None`: every slot is owned by some other shard.
+    fn slot_for(&self, shard: ShardId) -> Option<usize> {
         let key = u64::from(shard.0) + 1;
         // Cheap multiplicative hash so consecutive shard ids spread out.
         let mut idx = (shard.0 as usize).wrapping_mul(0x9E37_79B1) & (STRIPE_SLOTS - 1);
         for _ in 0..STRIPE_SLOTS {
             match self.keys[idx].load(Ordering::Acquire) {
-                k if k == key => {
-                    self.vers[idx].fetch_max(version.0, Ordering::AcqRel);
-                    return;
-                }
-                0 => {
-                    match self.keys[idx].compare_exchange(
-                        0,
-                        key,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => {
-                            self.vers[idx].fetch_max(version.0, Ordering::AcqRel);
-                            return;
-                        }
-                        Err(actual) if actual == key => {
-                            // Another thread registered the same shard first.
-                            self.vers[idx].fetch_max(version.0, Ordering::AcqRel);
-                            return;
-                        }
-                        Err(_) => { /* claimed for a different shard — probe on */ }
-                    }
-                }
+                k if k == key => return Some(idx),
+                0 => match self.keys[idx].compare_exchange(
+                    0,
+                    key,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                ) {
+                    Ok(_) => return Some(idx),
+                    // Another thread registered the same shard first.
+                    Err(actual) if actual == key => return Some(idx),
+                    Err(_) => { /* claimed for a different shard — probe on */ }
+                },
                 _ => {}
             }
             idx = (idx + 1) & (STRIPE_SLOTS - 1);
         }
-        // Every slot owned by some other shard: spill (bounded lock, rare).
-        crate::metrics::gate_dep_spills().inc();
-        let mut of = self.overflow.lock();
-        let e = of.entry(shard).or_insert(Version::ZERO);
+        None
+    }
+
+    /// Max-merge one dependency of a batch executed at `executed`:
+    /// lock-free into `generation` when the shard has a slot, else into the
+    /// locked spill map (bounded lock, rare).
+    fn note_dep(
+        &self,
+        generation: Option<usize>,
+        executed: Version,
+        shard: ShardId,
+        version: Version,
+    ) {
+        if let Some(g) = generation {
+            if let Some(slot) = self.slot_for(shard) {
+                self.vers[g][slot].fetch_max(version.0, Ordering::AcqRel);
+                return;
+            }
+            crate::metrics::gate_dep_spills().inc();
+        }
+        let mut spill = self.spill.lock();
+        let e = spill.entry((executed, shard)).or_insert(Version::ZERO);
         *e = (*e).max(version);
     }
 
-    /// Take (and reset) this stripe's accumulated deps, appending raw
-    /// `(shard, version)` pairs to `pairs` (the caller max-merges). Caller
-    /// must have quiesced in-flight writers via the epoch.
-    fn drain_into(&self, pairs: &mut Vec<(ShardId, Version)>) {
-        for i in 0..STRIPE_SLOTS {
-            let k = self.keys[i].load(Ordering::Acquire);
-            if k == 0 {
+    /// Take (and free) everything recorded at executed versions up to
+    /// `upto`, appending raw entries to `out` (the caller max-merges).
+    /// Caller must have quiesced in-flight writers via the epoch.
+    fn drain_into(&self, upto: Version, out: &mut DrainScratch) {
+        for (g, tag) in self.tags.iter().enumerate() {
+            let executed = Version(tag.load(Ordering::Acquire));
+            if executed.0 == FREE || executed > upto {
                 continue;
             }
-            let v = self.vers[i].swap(0, Ordering::AcqRel);
-            if v > 0 {
-                pairs.push((ShardId((k - 1) as u32), Version(v)));
+            for (key, ver) in self.keys.iter().zip(&self.vers[g]) {
+                let v = ver.swap(0, Ordering::AcqRel);
+                if v > 0 {
+                    let shard = ShardId((key.load(Ordering::Acquire) - 1) as u32);
+                    out.deps.push((executed, shard, Version(v)));
+                }
             }
+            let first_exec_us = self.first_exec_us[g].swap(0, Ordering::AcqRel);
+            if first_exec_us > 0 {
+                out.first_exec_us.push((executed, first_exec_us));
+            }
+            // Emptied above; the next claimer's acquire sees it so.
+            tag.store(FREE, Ordering::Release);
         }
-        let spilled = std::mem::take(&mut *self.overflow.lock());
-        for (shard, v) in spilled {
-            pairs.push((shard, v));
+        let mut spill = self.spill.lock();
+        if spill.first_key_value().is_some_and(|(k, _)| k.0 <= upto) {
+            let kept = spill.split_off(&(upto.next(), ShardId(0)));
+            let taken = std::mem::replace(&mut *spill, kept);
+            out.deps.extend(
+                taken
+                    .into_iter()
+                    .map(|((executed, shard), v)| (executed, shard, v)),
+            );
         }
     }
 
     /// Non-destructive read of the accumulated deps (tests/diagnostics).
-    fn peek_into(&self, merged: &mut BTreeMap<ShardId, Version>) {
-        for i in 0..STRIPE_SLOTS {
-            let k = self.keys[i].load(Ordering::Acquire);
-            if k == 0 {
+    fn peek_into(&self, merged: &mut BTreeMap<(Version, ShardId), Version>) {
+        let mut merge = |executed: Version, shard: ShardId, v: Version| {
+            let e = merged.entry((executed, shard)).or_insert(Version::ZERO);
+            *e = (*e).max(v);
+        };
+        for (g, tag) in self.tags.iter().enumerate() {
+            let tag = tag.load(Ordering::Acquire);
+            if tag == FREE {
                 continue;
             }
-            let v = self.vers[i].load(Ordering::Acquire);
-            if v > 0 {
-                let shard = ShardId((k - 1) as u32);
-                let e = merged.entry(shard).or_insert(Version::ZERO);
-                *e = (*e).max(Version(v));
+            for (key, ver) in self.keys.iter().zip(&self.vers[g]) {
+                let v = ver.load(Ordering::Acquire);
+                if v > 0 {
+                    let shard = ShardId((key.load(Ordering::Acquire) - 1) as u32);
+                    merge(Version(tag), shard, Version(v));
+                }
             }
         }
-        for (&shard, &v) in self.overflow.lock().iter() {
-            let e = merged.entry(shard).or_insert(Version::ZERO);
-            *e = (*e).max(v);
+        for (&(executed, shard), &v) in self.spill.lock().iter() {
+            merge(executed, shard, v);
         }
     }
 }
@@ -194,27 +284,71 @@ impl Stripe {
 /// vectors handed off to the finder — no per-pump map churn.
 #[derive(Default)]
 struct DrainScratch {
-    /// Raw `(shard, version)` pairs drained from the stripes.
-    pairs: Vec<(ShardId, Version)>,
-    /// Max-merged dependency tokens built from `pairs`.
-    tokens: Vec<Token>,
+    /// Raw `(executed version, dependent shard, dependency version)`
+    /// entries drained from the stripes; `pump_commits` rewrites the first
+    /// field to the reported version the entry rides.
+    deps: Vec<(Version, ShardId, Version)>,
+    /// Telemetry only: `(executed version, first-execution micros)`, the
+    /// first field rewritten likewise.
+    first_exec_us: Vec<(Version, u64)>,
 }
 
 /// Per-shard server-side DPR state.
 pub struct DprServer {
     shard: ShardId,
     world_line: AtomicU64,
-    /// Striped lock-free dependency accumulator (max version per dependent
-    /// shard, per stripe).
+    /// Striped lock-free dependency accumulator (per stripe and open
+    /// executed version, max version per dependent shard).
     stripes: Box<[Stripe]>,
     /// Protects the drain: writers publish under an epoch guard; drains
     /// bump-and-wait so they observe no mid-flight writer.
     epoch: LightEpoch,
     /// Serializes drains against each other (pump vs. restore) — never
-    /// touched by `record_batch` — and holds the drain's reusable scratch.
+    /// touched by a record — and holds the drain's reusable scratch.
     drain: Mutex<DrainScratch>,
     /// Timestamp base for the lock-free commit-latency tracking.
     started: Instant,
+}
+
+/// A thread's pass through the gate: it keeps the drain from reporting the
+/// version a batch executes in until that batch's dependencies are
+/// recorded. Take it ([`DprServer::enter`]) once the batch is admitted and
+/// before it executes; [`GateGuard::record`] ends the pass.
+pub struct GateGuard<'a> {
+    server: &'a DprServer,
+    stripe: &'a Stripe,
+    _epoch: EpochGuard<'a>,
+}
+
+impl GateGuard<'_> {
+    /// The *after* hook: record the batch's dependency edges against the
+    /// version it executed in — the lowest, for a batch whose operations
+    /// straddle a checkpoint, so that no version holding one of them is
+    /// reported without the edges.
+    ///
+    /// Lock-free and, outside the spill paths, allocation-free: a handful
+    /// of atomic max-merges into this thread's stripe, in the generation
+    /// tagged `executed_version`.
+    pub fn record(self, header: &BatchHeader, executed_version: Version) {
+        let generation = self.stripe.generation_for(executed_version);
+        match generation {
+            Some(g) => {
+                let first_exec_us = &self.stripe.first_exec_us[g];
+                if dpr_telemetry::enabled() && first_exec_us.load(Ordering::Relaxed) == 0 {
+                    let now = self.server.started.elapsed().as_micros() as u64 + 1;
+                    let _ =
+                        first_exec_us.compare_exchange(0, now, Ordering::AcqRel, Ordering::Relaxed);
+                }
+            }
+            None => crate::metrics::gate_generation_spills().inc(),
+        }
+        for d in &header.deps {
+            if d.shard != self.server.shard && d.version > Version::ZERO {
+                self.stripe
+                    .note_dep(generation, executed_version, d.shard, d.version);
+            }
+        }
+    }
 }
 
 impl DprServer {
@@ -316,31 +450,27 @@ impl DprServer {
         }
     }
 
-    /// The *after* hook: record the batch's dependency edges against the
-    /// version it executed in.
-    ///
-    /// Lock-free: an epoch guard plus a handful of atomic max-merges into
-    /// this thread's stripe. `executed_version` no longer keys the storage —
-    /// prefix compression (see the module docs) attaches dependencies to the
-    /// lowest version of the next drain, which is always at or below the
-    /// executing version.
-    pub fn record_batch(&self, header: &BatchHeader, executed_version: Version) {
+    /// Enter the gate for one batch (see [`GateGuard`]): call after
+    /// [`DprServer::validate`] admits the batch and before it executes, and
+    /// do not wait on the commit pipeline while holding the guard — the
+    /// drain waits for it.
+    #[must_use]
+    pub fn enter(&self) -> GateGuard<'_> {
         let tid = gate_thread_id();
-        let _guard = self.epoch.protect_hinted(tid);
-        let stripe = &self.stripes[tid & (self.stripes.len() - 1)];
-        if dpr_telemetry::enabled() && stripe.first_exec_us.load(Ordering::Relaxed) == 0 {
-            let now = self.started.elapsed().as_micros() as u64 + 1;
-            let _ =
-                stripe
-                    .first_exec_us
-                    .compare_exchange(0, now, Ordering::AcqRel, Ordering::Relaxed);
+        GateGuard {
+            server: self,
+            stripe: &self.stripes[tid & (self.stripes.len() - 1)],
+            _epoch: self.epoch.protect_hinted(tid),
         }
-        let _ = executed_version;
-        for d in &header.deps {
-            if d.shard != self.shard && d.version > Version::ZERO {
-                stripe.note_dep(d.shard, d.version);
-            }
-        }
+    }
+
+    /// Enter the gate only to record: for tests and probes, whose batches
+    /// do not execute concurrently with the drain that reports
+    /// `executed_version`. A store adapter must hold [`DprServer::enter`]'s
+    /// guard across execution instead, or that drain can overtake it.
+    #[doc(hidden)]
+    pub fn record_batch(&self, header: &BatchHeader, executed_version: Version) {
+        self.enter().record(header, executed_version);
     }
 
     /// Build the reply header for a batch executed at `version`.
@@ -355,45 +485,32 @@ impl DprServer {
         }
     }
 
-    /// Quiesce in-flight writers, then take everything the stripes have
-    /// accumulated into the drain scratch: the max-merged dependency
-    /// tokens land in `scratch.tokens`, and the earliest first-execution
-    /// timestamp (telemetry) is returned. Resets both stripe sides.
-    fn quiesce_and_drain(&self, scratch: &mut DrainScratch) -> Option<u64> {
+    /// Quiesce in-flight writers, then take everything recorded at executed
+    /// versions up to `upto` into the drain scratch, freeing those
+    /// generations.
+    fn quiesce_and_drain(&self, upto: Version, scratch: &mut DrainScratch) {
         // Writers protected at the pre-bump epoch may still be publishing
-        // into stripes; wait them out. New writers (post-bump) may land
-        // concurrently — their deps go to this drain or the next, either is
-        // safe. The drainer waits on writers; writers never wait on it.
+        // into stripes; wait them out. Writers entering after the bump
+        // execute in versions the caller is not draining (see the module
+        // docs) and touch other generations. The drainer waits on writers;
+        // writers never wait on it.
         self.epoch.quiesce();
-        scratch.pairs.clear();
-        scratch.tokens.clear();
-        let mut earliest: Option<u64> = None;
+        scratch.deps.clear();
+        scratch.first_exec_us.clear();
         for stripe in self.stripes.iter() {
-            stripe.drain_into(&mut scratch.pairs);
-            let t = stripe.first_exec_us.swap(0, Ordering::AcqRel);
-            if t > 0 {
-                earliest = Some(earliest.map_or(t, |e| e.min(t)));
-            }
+            stripe.drain_into(upto, scratch);
         }
-        scratch.pairs.sort_unstable_by_key(|&(s, _)| s);
-        for &(s, v) in &scratch.pairs {
-            match scratch.tokens.last_mut() {
-                Some(t) if t.shard == s => t.version = t.version.max(v),
-                _ => scratch.tokens.push(Token::new(s, v)),
-            }
-        }
-        scratch.pairs.clear();
-        earliest
     }
 
-    /// Drain completed local commits to the finder, attaching accumulated
-    /// dependencies. Call periodically (background thread). Returns the
-    /// versions reported.
+    /// Drain completed local commits to the finder, each with the
+    /// dependencies recorded at its own version. Call periodically
+    /// (background thread). Returns the versions reported.
     ///
     /// All queued commits leave as **one** [`DprFinder::report_commits`]
-    /// group; the merged dependency set rides on the lowest version (safe —
-    /// prefix cuts admitting any reported version admit the lowest, so the
-    /// dependencies stay enforced).
+    /// group. An entry recorded at executed version `e` rides the lowest
+    /// reported version at or above `e` — its own version whenever that
+    /// version is in the group, which is always the case for a batch
+    /// executed under a [`GateGuard`].
     pub fn pump_commits(
         &self,
         so: &dyn StateObject,
@@ -405,26 +522,48 @@ impl DprServer {
         }
         let mut scratch = self.drain.lock();
         commits.sort_by_key(|d| d.version);
-        let first_exec_us = self.quiesce_and_drain(&mut scratch);
-        // The finder takes ownership of the deps; hand over the merged
-        // tokens and let the scratch vector refill next pump.
-        let mut dep_tokens = Some(std::mem::take(&mut scratch.tokens));
+        let upto = commits[commits.len() - 1].version;
+        self.quiesce_and_drain(upto, &mut scratch);
+        // Each entry rides the lowest reported version at or above the one
+        // it was recorded at.
+        let rides =
+            |executed: Version| commits[commits.partition_point(|c| c.version < executed)].version;
+        for d in &mut scratch.deps {
+            d.0 = rides(d.0);
+        }
+        for f in &mut scratch.first_exec_us {
+            f.0 = rides(f.0);
+        }
+        scratch.deps.sort_unstable_by_key(|&(v, s, _)| (v, s));
+        let mut deps = scratch.deps.iter().peekable();
         let reports: Vec<(Token, Vec<Token>)> = commits
             .iter()
             .map(|desc| {
-                let deps = dep_tokens.take().unwrap_or_default();
-                (Token::new(self.shard, desc.version), deps)
+                let mut tokens: Vec<Token> = Vec::new();
+                while let Some(&(_, s, v)) = deps.next_if(|d| d.0 == desc.version) {
+                    match tokens.last_mut() {
+                        Some(t) if t.shard == s => t.version = t.version.max(v),
+                        _ => tokens.push(Token::new(s, v)),
+                    }
+                }
+                (Token::new(self.shard, desc.version), tokens)
             })
             .collect();
         finder.report_commits(reports)?;
         crate::metrics::commit_reports().add(commits.len() as u64);
         if dpr_telemetry::enabled() {
-            if let Some(us) = first_exec_us {
-                // Every version sealed by this drain has reached its commit
-                // point: record how long it trailed its first execution.
-                let elapsed = (self.started.elapsed().as_micros() as u64 + 1).saturating_sub(us);
-                for _ in &commits {
-                    crate::metrics::commit_latency().record(elapsed);
+            // Every version sealed by this drain has reached its commit
+            // point: record how long it trailed its first execution.
+            let now = self.started.elapsed().as_micros() as u64 + 1;
+            for desc in &commits {
+                let first = scratch
+                    .first_exec_us
+                    .iter()
+                    .filter(|&&(v, _)| v == desc.version)
+                    .map(|&(_, us)| us)
+                    .min();
+                if let Some(us) = first {
+                    crate::metrics::commit_latency().record(now.saturating_sub(us));
                 }
             }
         }
@@ -434,27 +573,31 @@ impl DprServer {
     /// Discard accumulated dependency state after a restore.
     ///
     /// Everything still pending belongs to versions above the guaranteed cut
-    /// (versions at or below it were reported — and their dependencies
-    /// drained — before the cut could include them), so the whole
-    /// accumulator is dropped. `v_safe` is kept for interface clarity and
-    /// debug assertions at call sites.
-    pub fn on_restore(&self, v_safe: Version) {
-        let _ = v_safe;
+    /// (versions at or below it were reported — and their generations
+    /// drained — before the cut could include them), so every generation is
+    /// dropped.
+    pub fn on_restore(&self) {
         let mut scratch = self.drain.lock();
-        let _ = self.quiesce_and_drain(&mut scratch);
-        scratch.tokens.clear();
+        self.quiesce_and_drain(EVERY_VERSION, &mut scratch);
     }
 
     /// Snapshot of the accumulated (max-per-shard compressed) dependency
-    /// tokens awaiting the next drain — diagnostics and tests; does not
-    /// drain.
+    /// tokens per open executed version, lowest version first —
+    /// diagnostics and tests; does not drain.
     #[must_use]
-    pub fn pending_deps(&self) -> Vec<Token> {
-        let mut merged: BTreeMap<ShardId, Version> = BTreeMap::new();
+    pub fn pending_deps(&self) -> Vec<(Version, Vec<Token>)> {
+        let mut merged: BTreeMap<(Version, ShardId), Version> = BTreeMap::new();
         for stripe in self.stripes.iter() {
             stripe.peek_into(&mut merged);
         }
-        merged.into_iter().map(|(s, v)| Token::new(s, v)).collect()
+        let mut out: Vec<(Version, Vec<Token>)> = Vec::new();
+        for ((executed, shard), v) in merged {
+            match out.last_mut() {
+                Some((e, tokens)) if *e == executed => tokens.push(Token::new(shard, v)),
+                _ => out.push((executed, vec![Token::new(shard, v)])),
+            }
+        }
+        out
     }
 }
 
@@ -643,11 +786,14 @@ mod tests {
             Version(1),
         );
         let pending = server.pending_deps();
-        assert_eq!(pending, vec![Token::new(ShardId(2), Version(1))]);
+        assert_eq!(
+            pending,
+            vec![(Version(1), vec![Token::new(ShardId(2), Version(1))])]
+        );
     }
 
     #[test]
-    fn deps_compress_to_max_version_per_shard() {
+    fn deps_compress_to_max_version_per_shard_and_executed_version() {
         let server = DprServer::new(ShardId(0));
         for v in [3u64, 7, 5] {
             server.record_batch(
@@ -659,36 +805,130 @@ mod tests {
             &header(0, 0, vec![Token::new(ShardId(2), Version(4))]),
             Version(2),
         );
-        let pending = server.pending_deps();
         assert_eq!(
-            pending,
+            server.pending_deps(),
             vec![
-                Token::new(ShardId(1), Version(7)),
-                Token::new(ShardId(2), Version(4)),
+                (Version(1), vec![Token::new(ShardId(1), Version(7))]),
+                (Version(2), vec![Token::new(ShardId(2), Version(4))]),
             ],
-            "only the max per dependent shard is kept"
+            "only the max per dependent shard is kept, per executed version"
         );
     }
 
     #[test]
-    fn grouped_pump_attaches_deps_to_lowest_version() {
+    fn each_version_reports_only_its_own_deps() {
         let server = DprServer::new(ShardId(0));
         let so = MockSo::new(0);
         let finder = CapturingFinder::default();
+        // Batches of v1 and of v2 are recorded before v1 is pumped.
+        server.record_batch(
+            &header(0, 0, vec![Token::new(ShardId(1), Version(1))]),
+            Version(1),
+        );
         server.record_batch(
             &header(0, 0, vec![Token::new(ShardId(1), Version(2))]),
+            Version(2),
+        );
+        so.complete_commit();
+        assert_eq!(server.pump_commits(&so, &finder).unwrap(), vec![Version(1)]);
+        assert_eq!(
+            *finder.reports.lock(),
+            vec![(
+                Token::new(ShardId(0), Version(1)),
+                vec![Token::new(ShardId(1), Version(1))]
+            )],
+            "v1's report carries none of v2's dependencies"
+        );
+        assert_eq!(
+            server.pending_deps(),
+            vec![(Version(2), vec![Token::new(ShardId(1), Version(2))])],
+            "v2's stay open until v2 is reported"
+        );
+        // v2 and an empty v3 in one group: each with its own set.
+        so.complete_commit();
+        so.complete_commit();
+        assert_eq!(
+            server.pump_commits(&so, &finder).unwrap(),
+            vec![Version(2), Version(3)]
+        );
+        let reports = finder.reports.lock();
+        assert_eq!(reports.len(), 3);
+        assert_eq!(
+            reports[1],
+            (
+                Token::new(ShardId(0), Version(2)),
+                vec![Token::new(ShardId(1), Version(2))]
+            )
+        );
+        assert_eq!(reports[2], (Token::new(ShardId(0), Version(3)), vec![]));
+        assert!(server.pending_deps().is_empty());
+    }
+
+    #[test]
+    fn late_record_rides_the_next_reported_version() {
+        // A record for a version that was already reported (no guard held
+        // across execution) is not lost: the next report carries it.
+        let server = DprServer::new(ShardId(0));
+        let so = MockSo::new(0);
+        let finder = CapturingFinder::default();
+        so.complete_commit();
+        server.pump_commits(&so, &finder).unwrap();
+        server.record_batch(
+            &header(0, 0, vec![Token::new(ShardId(1), Version(1))]),
             Version(1),
         );
         so.complete_commit();
         so.complete_commit();
-        let reported = server.pump_commits(&so, &finder).unwrap();
-        assert_eq!(reported, vec![Version(1), Version(2)]);
+        server.pump_commits(&so, &finder).unwrap();
         let reports = finder.reports.lock();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].0, Token::new(ShardId(0), Version(1)));
-        assert_eq!(reports[0].1, vec![Token::new(ShardId(1), Version(2))]);
-        assert_eq!(reports[1].0, Token::new(ShardId(0), Version(2)));
-        assert!(reports[1].1.is_empty(), "merged deps ride the lowest token");
+        assert_eq!(
+            reports[1],
+            (
+                Token::new(ShardId(0), Version(2)),
+                vec![Token::new(ShardId(1), Version(1))]
+            )
+        );
+        assert!(reports[2].1.is_empty());
+    }
+
+    #[test]
+    fn more_open_versions_than_generations_spill_losslessly() {
+        // A single stripe, five versions open at once: the fifth finds the
+        // ring full and goes through the locked map.
+        let server = DprServer::with_stripes(ShardId(0), 1);
+        let so = MockSo::new(0);
+        let finder = CapturingFinder::default();
+        let open = GENERATIONS as u64 + 1;
+        for v in 1..=open {
+            server.record_batch(
+                &header(0, 0, vec![Token::new(ShardId(1), Version(v))]),
+                Version(v),
+            );
+        }
+        assert_eq!(server.pending_deps().len(), open as usize);
+        for _ in 0..open {
+            so.complete_commit();
+        }
+        server.pump_commits(&so, &finder).unwrap();
+        let reports = finder.reports.lock().clone();
+        assert_eq!(reports.len(), open as usize);
+        for (i, (token, deps)) in reports.iter().enumerate() {
+            let v = Version(i as u64 + 1);
+            assert_eq!(*token, Token::new(ShardId(0), v));
+            assert_eq!(*deps, vec![Token::new(ShardId(1), v)]);
+        }
+        // The ring wraps: freed generations serve the next versions.
+        for v in open + 1..=2 * open {
+            server.record_batch(
+                &header(0, 0, vec![Token::new(ShardId(2), Version(v))]),
+                Version(v),
+            );
+        }
+        let pending = server.pending_deps();
+        assert_eq!(pending.len(), open as usize);
+        for (v, deps) in pending {
+            assert_eq!(deps, vec![Token::new(ShardId(2), v)]);
+        }
     }
 
     #[test]
@@ -703,34 +943,42 @@ mod tests {
             );
         }
         let pending = server.pending_deps();
-        assert_eq!(pending.len(), n as usize, "no dependency dropped on spill");
-        for t in pending {
+        assert_eq!(pending.len(), 1);
+        let (executed, deps) = &pending[0];
+        assert_eq!(*executed, Version(1));
+        assert_eq!(deps.len(), n as usize, "no dependency dropped on spill");
+        for t in deps {
             assert_eq!(t.version.0, u64::from(t.shard.0));
         }
     }
 
     #[test]
-    fn restore_discards_pending_dependency_state() {
-        let server = DprServer::new(ShardId(0));
+    fn restore_clears_every_generation() {
+        // Five open versions: four generations and the spill map.
+        let server = DprServer::with_stripes(ShardId(0), 1);
         for v in 1..=5u64 {
             server.record_batch(
                 &header(0, 0, vec![Token::new(ShardId(1), Version(v))]),
                 Version(v),
             );
         }
-        server.on_restore(Version(2));
+        server.on_restore();
         // Anything pending belonged to versions above the guaranteed cut
         // (committed versions drained at report time), so the accumulator
         // empties entirely.
         assert!(server.pending_deps().is_empty());
-        // The gate keeps working after the restore.
-        server.record_batch(
-            &header(0, 0, vec![Token::new(ShardId(1), Version(9))]),
-            Version(3),
-        );
-        assert_eq!(
-            server.pending_deps(),
-            vec![Token::new(ShardId(1), Version(9))]
-        );
+        // The gate keeps working after the restore, with the whole ring
+        // free again.
+        for v in 6..=9u64 {
+            server.record_batch(
+                &header(0, 0, vec![Token::new(ShardId(1), Version(v))]),
+                Version(v),
+            );
+        }
+        let pending = server.pending_deps();
+        assert_eq!(pending.len(), GENERATIONS);
+        for (v, deps) in pending {
+            assert_eq!(deps, vec![Token::new(ShardId(1), v)]);
+        }
     }
 }

@@ -6,9 +6,14 @@
 use dpr::core::{ShardId, Token, Version};
 use dpr::metadata::{MetadataStore, PartitionedSqlStore};
 use dpr::protocol::finder::{compute_closure_cut_capped, cut_is_closed};
-use dpr::protocol::{ApproximateFinder, Cut, CutEngine, DprFinder, ExactFinder, HybridFinder};
+use dpr::protocol::{
+    ApproximateFinder, BatchHeader, CommitDescriptor, Cut, CutEngine, DprFinder, DprServer,
+    ExactFinder, HybridFinder, StateObject,
+};
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const SHARDS: u32 = 4;
@@ -56,6 +61,63 @@ fn replay(
         finder.report_commit(token, deps).unwrap();
     }
     graph
+}
+
+/// One step of a shard's life as its gate sees it.
+#[derive(Debug, Clone)]
+enum GateStep {
+    /// A batch executes in the shard's current version with a dependency on
+    /// `on` at `version` (clamped to the executing version, as the §3.2
+    /// lower bound guarantees).
+    Record { shard: u32, on: u32, version: u64 },
+    /// The shard seals its current version and moves to the next.
+    Seal { shard: u32 },
+    /// The shard's commit pump runs.
+    Pump { shard: u32 },
+}
+
+fn gate_step_strategy() -> impl Strategy<Value = GateStep> {
+    prop_oneof![
+        4 => (0..SHARDS, 0..SHARDS, 1..20u64)
+            .prop_map(|(shard, on, version)| GateStep::Record { shard, on, version }),
+        2 => (0..SHARDS).prop_map(|shard| GateStep::Seal { shard }),
+        1 => (0..SHARDS).prop_map(|shard| GateStep::Pump { shard }),
+    ]
+}
+
+/// A shard whose versions the test seals by hand.
+struct SealedByHand {
+    shard: ShardId,
+    current: AtomicU64,
+    sealed: Mutex<Vec<CommitDescriptor>>,
+}
+
+impl SealedByHand {
+    fn seal(&self) {
+        let version = Version(self.current.fetch_add(1, Ordering::SeqCst));
+        self.sealed.lock().push(CommitDescriptor { version });
+    }
+}
+
+impl StateObject for SealedByHand {
+    fn shard(&self) -> ShardId {
+        self.shard
+    }
+    fn current_version(&self) -> Version {
+        Version(self.current.load(Ordering::SeqCst))
+    }
+    fn durable_version(&self) -> Version {
+        Version(self.current.load(Ordering::SeqCst) - 1)
+    }
+    fn request_commit(&self, _target: Option<Version>) -> bool {
+        false
+    }
+    fn take_commits(&self) -> Vec<CommitDescriptor> {
+        std::mem::take(&mut *self.sealed.lock())
+    }
+    fn restore(&self, _version: Version) -> dpr::core::Result<()> {
+        Ok(())
+    }
 }
 
 fn setup() -> Arc<PartitionedSqlStore> {
@@ -209,6 +271,89 @@ proptest! {
                 cut[&ShardId(s)],
                 versions[s as usize]
             );
+        }
+    }
+
+    #[test]
+    fn graphs_reported_through_the_gate_are_monotone(
+        steps in prop::collection::vec(gate_step_strategy(), 1..120)
+    ) {
+        // Whatever the interleaving of batches, seals and pumps, a real
+        // `DprServer` reports every version with dependencies at or below
+        // it — the graphs of the property above are the ones the gate
+        // produces — and so everything reported commits once every shard
+        // has caught up.
+        let meta = setup();
+        let finder = ExactFinder::new(meta.clone());
+        let shards: Vec<(DprServer, SealedByHand)> = (0..SHARDS)
+            .map(|s| {
+                (
+                    DprServer::new(ShardId(s)),
+                    SealedByHand {
+                        shard: ShardId(s),
+                        current: AtomicU64::new(1),
+                        sealed: Mutex::new(Vec::new()),
+                    },
+                )
+            })
+            .collect();
+        let mut recorded: Vec<(Token, Token)> = Vec::new();
+        for step in &steps {
+            match *step {
+                GateStep::Record { shard, on, version } => {
+                    let (server, so) = &shards[shard as usize];
+                    let executed = so.current_version();
+                    let dep = Token::new(ShardId(on), Version(version.min(executed.0)));
+                    let header = BatchHeader {
+                        session: dpr::core::SessionId(1),
+                        world_line: dpr::core::WorldLine::INITIAL,
+                        version_lower_bound: dep.version,
+                        deps: vec![dep],
+                        first_serial: 0,
+                        op_count: 1,
+                    };
+                    server.record_batch(&header, executed);
+                    if on != shard {
+                        recorded.push((Token::new(ShardId(shard), executed), dep));
+                    }
+                }
+                GateStep::Seal { shard } => shards[shard as usize].1.seal(),
+                GateStep::Pump { shard } => {
+                    let (server, so) = &shards[shard as usize];
+                    server.pump_commits(so, &finder).unwrap();
+                }
+            }
+        }
+        // Every shard seals up to the highest version anybody reached, and
+        // reports.
+        let top = shards.iter().map(|(_, so)| so.current_version().0).max().unwrap();
+        for (server, so) in &shards {
+            while so.current_version().0 <= top {
+                so.seal();
+            }
+            server.pump_commits(so, &finder).unwrap();
+            prop_assert!(server.pending_deps().is_empty());
+        }
+        let graph: BTreeMap<Token, Vec<Token>> =
+            meta.graph_snapshot().unwrap().into_iter().collect();
+        for (token, deps) in &graph {
+            for d in deps {
+                prop_assert!(
+                    d.version <= token.version,
+                    "{token:?} reported with {d:?}, above its own version"
+                );
+            }
+        }
+        for (token, dep) in &recorded {
+            prop_assert!(
+                graph[token].iter().any(|d| d.shard == dep.shard && d.version >= dep.version),
+                "{dep:?} recorded at {token:?} was not reported with it"
+            );
+        }
+        finder.refresh().unwrap();
+        let cut = finder.current_cut().unwrap();
+        for s in 0..SHARDS {
+            prop_assert_eq!(cut[&ShardId(s)], Version(top));
         }
     }
 

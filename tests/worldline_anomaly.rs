@@ -64,7 +64,7 @@ fn straggler_shard_rejects_post_recovery_operations() {
     // Failure detected: the cluster manager assigns world-line 1. Shard A
     // restores immediately; shard B is a straggler, still on world-line 0.
     shard_a.restore(Version::ZERO).unwrap();
-    server_a.on_restore(Version::ZERO);
+    server_a.on_restore();
     server_a.set_world_line(WorldLine(1));
 
     // The client learns about the failure from A and recovers.
@@ -89,7 +89,7 @@ fn straggler_shard_rejects_post_recovery_operations() {
     // B finally restores and catches up; the client's op now executes and
     // can never be erased by that recovery.
     shard_b.restore(Version::ZERO).unwrap();
-    server_b.on_restore(Version::ZERO);
+    server_b.on_restore();
     server_b.set_world_line(WorldLine(1));
     match server_b.validate(&hb, &shard_b) {
         BatchDisposition::Execute => {}
