@@ -126,10 +126,7 @@ fn main() {
     let server = dpr_cluster::NetServer::start(
         cluster.workers().to_vec(),
         listener,
-        dpr_cluster::NetServerConfig {
-            io_threads: 1,
-            ..dpr_cluster::NetServerConfig::default()
-        },
+        dpr_cluster::NetServerConfig { io_threads: 1 },
     )
     .unwrap();
     let addr = server.local_addr();

@@ -12,7 +12,7 @@
 //!
 //! Two network planes serve the same protocol code: the in-process message
 //! bus with configurable one-way latency ([`transport`], for simulation and
-//! chaos testing), and the real TCP plane ([`net`] server, [`tcp`] clients,
+//! chaos testing), and the real TCP plane ([`net`] server, [`tcp`] client,
 //! [`wire`] codec — specified byte-by-byte in `docs/NETWORK.md`).
 
 #![warn(missing_docs)]
@@ -40,6 +40,6 @@ pub use lease::{CutLease, OwnershipLease};
 pub use manager::ClusterManager;
 pub use message::{ClusterOp, OpResult};
 pub use net::{NetServer, NetServerConfig};
-pub use tcp::{Completed, CompletedRef, PipelinedClient, TcpClient};
+pub use tcp::{CompletedRef, PipelinedClient};
 pub use transport::{EndpointId, LinkFault, SimNetwork};
 pub use worker::{ShardStore, VersionSpan, Worker};

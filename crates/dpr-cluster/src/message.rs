@@ -2,10 +2,9 @@
 
 use dpr_core::{Key, Result, Value};
 use libdpr::{BatchHeader, BatchReply};
-use serde::{Deserialize, Serialize};
 
 /// One operation as submitted by an application.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterOp {
     /// Point read.
     Read(Key),
@@ -31,7 +30,7 @@ impl ClusterOp {
 }
 
 /// Result of one completed op.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpResult {
     /// Read result.
     Value(Option<Value>),

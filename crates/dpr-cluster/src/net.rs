@@ -6,8 +6,7 @@
 //! connections and pumps them in a readiness loop (read → parse frames →
 //! execute → queue responses → flush). Requests are routed to workers by
 //! the frame header's `shard` field, so thousands of client connections
-//! fan in to a handful of threads — replacing the old one-thread-per-
-//! connection blocking stub in [`crate::tcp`].
+//! fan in to a handful of threads.
 //!
 //! Frames on one connection are processed strictly in arrival order and
 //! responses to them are queued in completion order, which for the inline
@@ -24,7 +23,8 @@
 //!   set-up and recycled on close.
 //! * A `Request` body is copied once from the read buffer into a pooled
 //!   shared buffer and frozen into a [`bytes::Bytes`] view; op keys and
-//!   values are zero-copy slices of it ([`wire::decode_request_body`]).
+//!   values are zero-copy slices of it
+//!   ([`wire::decode_request_body_into`]).
 //! * Ops and results decode into per-thread reusable buffers
 //!   (`IoScratch`), execution appends results in place
 //!   ([`Worker::execute_local_into`]), and the response is encoded
@@ -61,9 +61,10 @@ pub struct NetServerConfig {
     /// thread-per-core; default is the host's parallelism capped at 4 so
     /// test clusters with several in-process servers do not oversubscribe.
     pub io_threads: usize,
-    /// Socket read chunk size.
-    pub read_chunk: usize,
 }
+
+/// Socket read chunk size.
+const READ_CHUNK: usize = 64 << 10;
 
 impl Default for NetServerConfig {
     fn default() -> Self {
@@ -72,7 +73,6 @@ impl Default for NetServerConfig {
             .unwrap_or(1);
         NetServerConfig {
             io_threads: cores.min(4),
-            read_chunk: 64 << 10,
         }
     }
 }
@@ -104,9 +104,9 @@ struct IoScratch {
 }
 
 impl IoScratch {
-    fn new(read_chunk: usize) -> IoScratch {
+    fn new() -> IoScratch {
         IoScratch {
-            read: BufferPool::global().acquire_scratch(read_chunk),
+            read: BufferPool::global().acquire_scratch(READ_CHUNK),
             ops: Vec::new(),
             results: Vec::new(),
             header: BatchHeader {
@@ -483,10 +483,9 @@ fn io_loop(
     rx: &crossbeam::channel::Receiver<TcpStream>,
     ctx: &Arc<ServerCtx>,
     stop: &Arc<AtomicBool>,
-    cfg: &NetServerConfig,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = IoScratch::new(cfg.read_chunk);
+    let mut scratch = IoScratch::new();
     let mut backoff = dpr_core::Backoff::new();
     loop {
         let mut progressed = false;
@@ -508,7 +507,7 @@ fn io_loop(
             return;
         }
         for conn in &mut conns {
-            progressed |= conn.fill(cfg.read_chunk, &mut scratch.read);
+            progressed |= conn.fill(READ_CHUNK, &mut scratch.read);
             progressed |= drain_frames(conn, ctx, &mut scratch);
             progressed |= conn.flush();
         }
@@ -542,18 +541,7 @@ impl NetServer {
         listener: TcpListener,
         config: NetServerConfig,
     ) -> Result<NetServer> {
-        Self::start_with_stop(workers, listener, config, Arc::new(AtomicBool::new(false)))
-    }
-
-    /// [`NetServer::start`] with an externally owned stop flag (the
-    /// [`crate::tcp::serve_worker`] compatibility shim shares one flag
-    /// across several servers).
-    pub fn start_with_stop(
-        workers: Vec<Arc<Worker>>,
-        listener: TcpListener,
-        config: NetServerConfig,
-        stop: Arc<AtomicBool>,
-    ) -> Result<NetServer> {
+        let stop = Arc::new(AtomicBool::new(false));
         if workers.is_empty() {
             return Err(DprError::Invalid(
                 "NetServer needs at least one worker".into(),
@@ -576,11 +564,10 @@ impl NetServer {
             senders.push(tx);
             let ctx = ctx.clone();
             let stop = stop.clone();
-            let cfg = config.clone();
             io.push(
                 std::thread::Builder::new()
                     .name(format!("dpr-net-io-{i}"))
-                    .spawn(move || io_loop(&rx, &ctx, &stop, &cfg))
+                    .spawn(move || io_loop(&rx, &ctx, &stop))
                     .expect("spawn net io thread"),
             );
         }

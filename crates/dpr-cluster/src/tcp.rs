@@ -1,81 +1,34 @@
-//! TCP clients for the real network plane, plus the single-worker serving
-//! shim kept for compatibility.
+//! The TCP client of the real network plane.
 //!
 //! The server side lives in [`crate::net`] (non-blocking fan-in
-//! [`NetServer`]); the byte-level contract lives in [`crate::wire`] and is
-//! specified in `docs/NETWORK.md`. This module provides the two client
-//! shapes:
+//! [`crate::NetServer`]); the byte-level contract lives in [`crate::wire`]
+//! and is specified in `docs/NETWORK.md`.
 //!
-//! * [`TcpClient`] — synchronous request/response, one batch at a time,
-//!   with a configurable read deadline. The simplest correct client; used
-//!   by the integration tests and as the worked example in the docs.
-//! * [`PipelinedClient`] — one connection, many batches in flight
-//!   (windowing is the caller's policy), duplicate-safe retransmission and
-//!   reconnect-with-epoch-bump. This is the client the benchmark's TCP
-//!   workloads drive, and its request/response path is allocation-free in steady
-//!   state: frames encode into recycled buffers that double as the
-//!   retransmission record, receive buffers are pooled, and response
-//!   bodies land in pooled shared buffers whose values are zero-copy
-//!   views ([`bytes::Bytes`]).
+//! [`PipelinedClient`] is one connection with many batches in flight
+//! (windowing is the caller's policy), duplicate-safe retransmission and
+//! reconnect-with-epoch-bump. It is the client the benchmark's TCP workloads
+//! drive, and its request/response path is allocation-free in steady state:
+//! frames encode into recycled buffers that double as the retransmission
+//! record, receive buffers are pooled, and response bodies land in pooled
+//! shared buffers whose values are zero-copy views ([`bytes::Bytes`]).
 
 use crate::message::{ClusterOp, OpResult};
-use crate::net::{NetServer, NetServerConfig};
-use crate::wire::{
-    self, CutResponse, Frame, FrameKind, Hello, HelloAck, ProtoError, ProtoErrorCode,
-};
-use crate::worker::Worker;
+use crate::wire::{self, CutResponse, FrameKind, Hello, HelloAck, ProtoError, ProtoErrorCode};
 use bytes::Bytes;
 use dpr_core::{BufferPool, DprError, Result, ScratchLease, ShardId, WorldLine};
 use libdpr::{BatchHeader, DprClientSession};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-pub use crate::wire::{WireRequest, WireResponse};
-
-/// Default read deadline for synchronous calls: long enough for a worker
-/// mid-checkpoint, short enough that a hung worker surfaces as a typed
-/// [`DprError::Timeout`] instead of blocking the client forever.
-pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// A server that accepts a connection but never answers the handshake
+/// surfaces as a typed [`DprError::Timeout`] after this long.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Encoded-request buffers a [`PipelinedClient`] keeps for reuse once their
 /// batch completes.
 const SPARE_BUFFERS: usize = 256;
-
-/// Serve one `worker` on `listener` until `stop` is set.
-///
-/// Compatibility shim over [`NetServer`]: the returned handle joins the
-/// server's acceptor and I/O threads before finishing, so — unlike the old
-/// blocking stub — setting `stop` and joining the handle leaks nothing,
-/// and closing the listener (from the OS side) also winds the server down.
-pub fn serve_worker(
-    worker: Arc<Worker>,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    let name = format!("tcp-worker-{}", worker.shard().0);
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            let cfg = NetServerConfig {
-                io_threads: 1,
-                ..NetServerConfig::default()
-            };
-            match NetServer::start_with_stop(vec![worker], listener, cfg, stop.clone()) {
-                Ok(server) => {
-                    while !stop.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    server.shutdown();
-                }
-                Err(_) => stop.store(true, Ordering::Release),
-            }
-        })
-        .expect("spawn tcp server")
-}
 
 /// One framed connection with pooled receive and encode buffers.
 struct FramedConn {
@@ -118,22 +71,9 @@ impl FramedConn {
         Ok(())
     }
 
-    /// Pop the next complete frame from the buffer, if any (owned-`Frame`
-    /// tier, used by the synchronous client).
-    fn pop_frame(&mut self) -> Result<Option<Frame>> {
-        match wire::decode_frame(&self.rd)? {
-            Some((frame, used)) => {
-                self.rd.drain(..used);
-                Ok(Some(frame))
-            }
-            None => Ok(None),
-        }
-    }
-
     /// Pop the next complete frame, lifting its body into a pooled shared
     /// buffer: result values decoded from it are zero-copy views, and the
-    /// buffer recycles when they drop. The allocation-free twin of
-    /// [`FramedConn::pop_frame`].
+    /// buffer recycles when they drop.
     fn pop_frame_pooled(&mut self) -> Result<Option<(wire::FrameHeader, Bytes)>> {
         let header = match wire::decode_header(&self.rd)? {
             Some(h) => h,
@@ -149,31 +89,6 @@ impl FramedConn {
         let body = lease.freeze(body.len());
         self.rd.drain(..total);
         Ok(Some((header, body)))
-    }
-
-    /// Blocking frame read with a deadline. [`DprError::Timeout`] once the
-    /// deadline passes without a complete frame.
-    fn recv_deadline(&mut self, deadline: Instant) -> Result<Frame> {
-        loop {
-            if let Some(frame) = self.pop_frame()? {
-                return Ok(frame);
-            }
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(DprError::Timeout)?;
-            self.stream
-                .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
-            let mut chunk = [0u8; 16 << 10];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(DprError::Closed),
-                Ok(n) => self.rd.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
     }
 
     /// Read whatever is available without exceeding `wait`.
@@ -212,22 +127,26 @@ impl FramedConn {
     }
 
     /// Run the handshake on a fresh connection.
-    fn handshake(
-        &mut self,
-        session: &DprClientSession,
-        epoch: u32,
-        deadline: Instant,
-    ) -> Result<HelloAck> {
+    fn handshake(&mut self, session: &DprClientSession, epoch: u32) -> Result<HelloAck> {
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         let hello = Hello {
             session: session.id(),
             epoch,
             world_line: session.world_line(),
         };
         self.send_with(|out| hello.encode(out))?;
-        let frame = self.recv_deadline(deadline)?;
-        match frame.kind {
+        let (header, body) = loop {
+            if let Some(frame) = self.pop_frame_pooled()? {
+                break frame;
+            }
+            let remaining = deadline
+                .checked_duration_since(Instant::now())
+                .ok_or(DprError::Timeout)?;
+            self.recv_available(remaining)?;
+        };
+        match header.kind {
             FrameKind::HelloAck => {
-                let ack = HelloAck::from_frame(&frame)?;
+                let ack = HelloAck::from_body(&body)?;
                 if ack.epoch != epoch {
                     return Err(DprError::Invalid(format!(
                         "handshake echoed epoch {} != {epoch}",
@@ -236,170 +155,8 @@ impl FramedConn {
                 }
                 Ok(ack)
             }
-            FrameKind::Error => Err(ProtoError::from_frame(&frame)?.to_dpr_error()),
+            FrameKind::Error => Err(ProtoError::from_body(&body)?.to_dpr_error()),
             k => Err(DprError::Invalid(format!("expected HelloAck, got {k:?}"))),
-        }
-    }
-}
-
-/// A synchronous TCP client multiplexing one [`DprClientSession`] over the
-/// network plane: one connection per distinct server address, one batch in
-/// flight at a time.
-pub struct TcpClient {
-    session: DprClientSession,
-    epoch: u32,
-    read_timeout: Duration,
-    /// Distinct server connections.
-    conns: Vec<FramedConn>,
-    /// Shard → index into `conns`.
-    routes: HashMap<ShardId, usize>,
-}
-
-impl TcpClient {
-    /// Connect to each shard's server and run the session handshake.
-    /// Shards sharing an address share one connection (the fan-in server
-    /// hosts many shards behind one listener).
-    pub fn connect(
-        session: DprClientSession,
-        addrs: &HashMap<ShardId, SocketAddr>,
-    ) -> Result<TcpClient> {
-        let mut client = TcpClient {
-            session,
-            epoch: 1,
-            read_timeout: DEFAULT_READ_TIMEOUT,
-            conns: Vec::new(),
-            routes: HashMap::new(),
-        };
-        let deadline = Instant::now() + client.read_timeout;
-        let mut by_addr: HashMap<SocketAddr, usize> = HashMap::new();
-        for (&shard, &addr) in addrs {
-            let idx = match by_addr.get(&addr) {
-                Some(&idx) => idx,
-                None => {
-                    let mut conn = FramedConn::dial(addr)?;
-                    conn.handshake(&client.session, client.epoch, deadline)?;
-                    client.conns.push(conn);
-                    let idx = client.conns.len() - 1;
-                    by_addr.insert(addr, idx);
-                    idx
-                }
-            };
-            client.routes.insert(shard, idx);
-        }
-        Ok(client)
-    }
-
-    /// Replace the read deadline applied to every synchronous call
-    /// (default [`DEFAULT_READ_TIMEOUT`]). A hung worker then surfaces as
-    /// [`DprError::Timeout`] instead of blocking forever.
-    pub fn set_read_timeout(&mut self, timeout: Duration) {
-        self.read_timeout = timeout;
-    }
-
-    /// The underlying DPR session (commit tracking, failure handling).
-    pub fn session_mut(&mut self) -> &mut DprClientSession {
-        &mut self.session
-    }
-
-    /// Tear down every connection and dial again with a bumped epoch —
-    /// the reconnect path after a network failure or server restart.
-    /// In-flight state is per-call in this client, so nothing is replayed.
-    pub fn reconnect(&mut self) -> Result<()> {
-        self.epoch += 1;
-        let deadline = Instant::now() + self.read_timeout;
-        for conn in &mut self.conns {
-            let mut fresh = FramedConn::dial(conn.addr)?;
-            fresh.handshake(&self.session, self.epoch, deadline)?;
-            fresh.next_seq = conn.next_seq;
-            *conn = fresh;
-        }
-        Ok(())
-    }
-
-    fn conn_for(&mut self, shard: ShardId) -> Result<&mut FramedConn> {
-        let idx = *self
-            .routes
-            .get(&shard)
-            .ok_or_else(|| DprError::Invalid(format!("no connection to {shard}")))?;
-        Ok(&mut self.conns[idx])
-    }
-
-    /// Execute a batch on `shard` synchronously over the wire.
-    ///
-    /// Returns [`DprError::Timeout`] if no response arrives within the
-    /// configured read deadline; the connection is then left with the
-    /// orphaned response still pending, so callers should
-    /// [`TcpClient::reconnect`] before reusing the session.
-    pub fn execute(&mut self, shard: ShardId, ops: Vec<ClusterOp>) -> Result<Vec<OpResult>> {
-        let header = self.session.begin_batch(shard, ops.len() as u32)?;
-        let deadline = Instant::now() + self.read_timeout;
-        let conn = self.conn_for(shard)?;
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.send_with(|out| wire::encode_request(out, shard, seq, &header, &ops))?;
-        loop {
-            let frame = conn.recv_deadline(deadline)?;
-            match frame.kind {
-                FrameKind::Response if frame.seq == seq => {
-                    let resp = WireResponse::from_frame(&frame)?;
-                    let (reply, results) = resp.outcome?;
-                    self.session.process_reply(&reply)?;
-                    return Ok(results);
-                }
-                // A stale response (e.g. from before a timeout) — skip.
-                FrameKind::Response => {}
-                FrameKind::Error => {
-                    return Err(ProtoError::from_frame(&frame)?.to_dpr_error());
-                }
-                FrameKind::Goodbye => return Err(DprError::Closed),
-                k => {
-                    return Err(DprError::Invalid(format!(
-                        "unexpected frame {k:?} awaiting response"
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Fetch the DPR cut over the wire and advance this session's
-    /// committed prefix, returning the new prefix length.
-    ///
-    /// Mirrors `SessionHandle::refresh_commit_safe`: the cut is applied
-    /// only while the server is still on this session's world-line.
-    pub fn refresh_commit_over_wire(&mut self) -> Result<u64> {
-        let deadline = Instant::now() + self.read_timeout;
-        let conn = self
-            .conns
-            .first_mut()
-            .ok_or_else(|| DprError::Invalid("client has no connections".into()))?;
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.send_with(|out| wire::encode_control(out, FrameKind::CutReq, seq))?;
-        loop {
-            let frame = conn.recv_deadline(deadline)?;
-            match frame.kind {
-                FrameKind::CutResp if frame.seq == seq => {
-                    let resp = CutResponse::from_frame(&frame)?;
-                    let mine = self.session.world_line();
-                    if resp.world_line != mine {
-                        return Err(DprError::WorldLineMismatch {
-                            requested: mine,
-                            current: resp.world_line,
-                        });
-                    }
-                    return Ok(self.session.refresh_commit(&resp.cut));
-                }
-                FrameKind::Response | FrameKind::CutResp => {}
-                FrameKind::Error => {
-                    return Err(ProtoError::from_frame(&frame)?.to_dpr_error());
-                }
-                FrameKind::Goodbye => return Err(DprError::Closed),
-                k => {
-                    return Err(DprError::Invalid(format!(
-                        "unexpected frame {k:?} awaiting cut"
-                    )))
-                }
-            }
         }
     }
 }
@@ -419,18 +176,6 @@ struct InflightBatch {
     world_line: WorldLine,
     issued_at: Instant,
     sent_at: Instant,
-}
-
-/// A completed batch surfaced by [`PipelinedClient::poll`].
-pub struct Completed {
-    /// The wire sequence number (as returned by [`PipelinedClient::issue`]).
-    pub seq: u64,
-    /// Serial of the first op in the batch.
-    pub first_serial: u64,
-    /// When the batch was first issued (for latency accounting).
-    pub issued_at: Instant,
-    /// Per-op results, or the batch's rejection.
-    pub result: Result<Vec<OpResult>>,
 }
 
 /// A completed batch surfaced by [`PipelinedClient::poll_each`] — results
@@ -465,7 +210,8 @@ pub struct PipelinedClient {
     header_scratch: BatchHeader,
     /// Reused results buffer for decoding responses.
     results_scratch: Vec<OpResult>,
-    /// World-line mismatch observed but not yet surfaced via poll.
+    /// World-line the cluster moved to underneath us. Idle polls report it
+    /// until the session's `handle_failure` has caught up with it.
     world_line_failure: Option<WorldLine>,
 }
 
@@ -473,7 +219,7 @@ impl PipelinedClient {
     /// Dial `addr` and run the session handshake.
     pub fn connect(session: DprClientSession, addr: SocketAddr) -> Result<PipelinedClient> {
         let mut conn = FramedConn::dial(addr)?;
-        let ack = conn.handshake(&session, 1, Instant::now() + DEFAULT_READ_TIMEOUT)?;
+        let ack = conn.handshake(&session, 1)?;
         let world_line = session.world_line();
         let id = session.id();
         Ok(PipelinedClient {
@@ -540,7 +286,7 @@ impl PipelinedClient {
     }
 
     /// Fire-and-forget cut query; the answer is applied to the session's
-    /// committed prefix inside [`PipelinedClient::poll`] when it arrives.
+    /// committed prefix inside [`PipelinedClient::poll_each`] when it arrives.
     pub fn request_cut(&mut self) -> Result<()> {
         let seq = self.conn.next_seq;
         self.conn.next_seq += 1;
@@ -558,28 +304,16 @@ impl PipelinedClient {
 
     /// Drain ready responses, waiting up to `wait` for bytes to arrive.
     ///
-    /// Returns completed batches (order of completion). A world-line
-    /// mismatch — the cluster failed and recovered underneath us — is
-    /// surfaced as [`DprError::WorldLineMismatch`] *after* the completions
-    /// that preceded it have been returned by earlier calls.
-    pub fn poll(&mut self, wait: Duration) -> Result<Vec<Completed>> {
-        let mut out = Vec::new();
-        self.poll_each(wait, |c| {
-            out.push(Completed {
-                seq: c.seq,
-                first_serial: c.first_serial,
-                issued_at: c.issued_at,
-                result: c.result.map(<[OpResult]>::to_vec),
-            });
-        })?;
-        Ok(out)
-    }
-
-    /// [`PipelinedClient::poll`] without the per-batch allocations: each
-    /// completion is handed to `f` as a [`CompletedRef`] whose results
-    /// borrow a reused decode buffer. Returns the number of completions
-    /// delivered. Semantics (cut handling, retryable protocol errors,
-    /// world-line failure surfacing) are identical to `poll`.
+    /// Each completion (in order of completion) is handed to `f` as a
+    /// [`CompletedRef`] whose results borrow a reused decode buffer, so the
+    /// steady state allocates nothing; returns the number delivered. A
+    /// `CutResp` advances the session's committed prefix; a retryable
+    /// protocol error leaves its batch in flight. A world-line mismatch —
+    /// the cluster failed and recovered underneath us — is surfaced as
+    /// [`DprError::WorldLineMismatch`] *after* the completions that preceded
+    /// it have been delivered by earlier calls, and on every idle call until
+    /// the caller has moved the session ([`PipelinedClient::session_mut`])
+    /// to the new world-line with `handle_failure`.
     pub fn poll_each(
         &mut self,
         wait: Duration,
@@ -658,10 +392,14 @@ impl PipelinedClient {
         }
         if delivered == 0 {
             if let Some(current) = self.world_line_failure {
-                return Err(DprError::WorldLineMismatch {
-                    requested: self.session.world_line(),
-                    current,
-                });
+                if self.session.world_line() < current {
+                    return Err(DprError::WorldLineMismatch {
+                        requested: self.session.world_line(),
+                        current,
+                    });
+                }
+                // The caller ran `handle_failure` on the session.
+                self.world_line_failure = None;
             }
         }
         Ok(delivered)
@@ -698,11 +436,7 @@ impl PipelinedClient {
     pub fn reconnect(&mut self) -> Result<()> {
         self.epoch += 1;
         let mut fresh = FramedConn::dial(self.conn.addr)?;
-        let ack = fresh.handshake(
-            &self.session,
-            self.epoch,
-            Instant::now() + DEFAULT_READ_TIMEOUT,
-        )?;
+        let ack = fresh.handshake(&self.session, self.epoch)?;
         fresh.next_seq = self.conn.next_seq;
         self.conn = fresh;
         self.shards = ack.shards;

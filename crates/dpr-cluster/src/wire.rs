@@ -1,35 +1,32 @@
 //! The binary wire protocol of the real network plane.
 //!
 //! Every byte that crosses a socket is specified in `docs/NETWORK.md`; this
-//! module is the reference codec. Keep the two in lockstep — the acceptance
-//! bar for the network plane is "a second implementation could interoperate
-//! from the document alone".
+//! module is the one codec and that document its reference —
+//! `tests/wire_format.rs` asserts a hand-assembled frame of each kind, copied
+//! from its tables, against the encoders here. Keep the two in lockstep: the
+//! bar is "a second implementation could interoperate from the document
+//! alone".
 //!
 //! Framing is a fixed 24-byte little-endian header (magic, protocol
 //! version, frame kind, flags, shard route, sequence number, body length)
 //! followed by a kind-specific body. Bodies use fixed-width little-endian
 //! integers and `u32`-length-prefixed byte strings — no varints, no
 //! self-describing envelope — so offsets are computable from the spec
-//! table. JSON (the old `tcp.rs` stub format) is gone from the wire.
+//! table.
 //!
-//! # Zero-copy hot path
+//! # One codec, no intermediate buffers
 //!
-//! The codec has two tiers:
-//!
-//! * **Owned tier** — [`Frame`] (body held as [`Bytes`]) with
-//!   [`decode_frame`] and the `to_frame` constructors. Simple, allocates
-//!   per frame; used by handshakes, tests, and as the reference
-//!   implementation the zero-copy tier is property-tested against.
-//! * **Zero-copy tier** — [`decode_header`] validates a header (including
-//!   the per-kind body-length bound — *before* anything is sliced or
-//!   copied), after which the caller hands the body to the `from_body`
-//!   parsers. [`WireRequest::from_body`] / [`WireResponse::from_body`]
-//!   take the body as a [`Bytes`] view (typically frozen from a pooled
-//!   `dpr_core::pool::SharedLease`) and cut keys/values out of it with
-//!   [`Bytes::slice`] — no per-op allocation. Encoding writes straight
-//!   into a caller-supplied buffer via [`begin_frame`] / [`end_frame`]
-//!   (the body length is back-patched), so no intermediate body `Vec` is
-//!   built either. Buffer-ownership rules live in `docs/NETWORK.md`.
+//! [`decode_header`] validates a header (including the per-kind body-length
+//! bound — *before* anything is sliced or copied), after which the caller
+//! hands the body to the kind's parser: [`decode_request_body_into`] and
+//! [`decode_response_body`] take the body as a [`Bytes`] view (typically
+//! frozen from a pooled `dpr_core::pool::SharedLease`), cut keys/values out
+//! of it with [`Bytes::slice`] and fill caller-owned buffers, so a warm
+//! decode allocates nothing; the small control bodies have `from_body`
+//! parsers. Encoding writes straight into a caller-supplied buffer via
+//! [`begin_frame`] / [`end_frame`] (the body length is back-patched), so no
+//! intermediate body `Vec` is built either. Buffer-ownership rules live in
+//! `docs/NETWORK.md` §9.
 
 use crate::message::{ClusterOp, OpResult};
 use bytes::Bytes;
@@ -146,45 +143,10 @@ impl FrameHeader {
     }
 }
 
-/// One frame: the parsed header plus the body bytes.
-///
-/// This is the *owned* tier of the codec — `body` is a cheaply cloneable
-/// [`Bytes`]. The zero-copy hot path never materialises a `Frame`; it
-/// parses straight from the connection buffer via [`decode_header`] +
-/// `from_body`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// Frame kind.
-    pub kind: FrameKind,
-    /// Shard route ([`NO_SHARD`] when not applicable).
-    pub shard: u32,
-    /// Client-assigned sequence number, echoed verbatim in the matching
-    /// [`FrameKind::Response`] / [`FrameKind::CutResp`] / [`FrameKind::Error`].
-    pub seq: u64,
-    /// Kind-specific body.
-    pub body: Bytes,
-}
-
-impl Frame {
-    /// Append the encoded frame to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let start = begin_frame(out, self.kind, self.shard, self.seq);
-        out.extend_from_slice(&self.body);
-        end_frame(out, start);
-    }
-
-    /// Total encoded length.
-    #[must_use]
-    pub fn encoded_len(&self) -> usize {
-        FRAME_HEADER_LEN + self.body.len()
-    }
-}
-
 /// Begin writing a frame directly into `out`: writes the header with a
 /// zero body length and returns the body-start offset to pass to
 /// [`end_frame`], which back-patches the real length. Between the two
-/// calls, append body bytes to `out` (e.g. with the `WireRequest` /
-/// `WireResponse` body writers). No intermediate body buffer is built.
+/// calls, append body bytes to `out`. No intermediate body buffer is built.
 #[must_use]
 pub fn begin_frame(out: &mut Vec<u8>, kind: FrameKind, shard: u32, seq: u64) -> usize {
     out.extend_from_slice(&MAGIC);
@@ -262,31 +224,6 @@ pub fn decode_header(buf: &[u8]) -> Result<Option<FrameHeader>> {
         seq,
         body_len,
     }))
-}
-
-/// Try to decode one frame from the front of `buf` (owned tier).
-///
-/// Returns `Ok(None)` when `buf` holds only a prefix of a frame (read more
-/// bytes), `Ok(Some((frame, consumed)))` on success, and `Err` on a
-/// malformed header — after which the stream is unrecoverable and the
-/// connection must be closed.
-pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>> {
-    let Some(h) = decode_header(buf)? else {
-        return Ok(None);
-    };
-    let total = h.frame_len();
-    if buf.len() < total {
-        return Ok(None);
-    }
-    Ok(Some((
-        Frame {
-            kind: h.kind,
-            shard: h.shard,
-            seq: h.seq,
-            body: Bytes::copy_from_slice(&buf[FRAME_HEADER_LEN..total]),
-        },
-        total,
-    )))
 }
 
 // ---------------------------------------------------------------------------
@@ -424,21 +361,6 @@ impl Hello {
         end_frame(out, start);
     }
 
-    /// Build the frame (Hello carries no shard route; `seq` 0 by convention).
-    #[must_use]
-    pub fn to_frame(&self) -> Frame {
-        let mut body = Vec::with_capacity(20);
-        put_u64(&mut body, self.session.0);
-        put_u32(&mut body, self.epoch);
-        put_u64(&mut body, self.world_line.0);
-        Frame {
-            kind: FrameKind::Hello,
-            shard: NO_SHARD,
-            seq: 0,
-            body: Bytes::from(body),
-        }
-    }
-
     /// Parse from a [`FrameKind::Hello`] body.
     pub fn from_body(body: &[u8]) -> Result<Hello> {
         let mut c = Cursor::new(body);
@@ -449,11 +371,6 @@ impl Hello {
         };
         c.finish()?;
         Ok(hello)
-    }
-
-    /// Parse from a [`FrameKind::Hello`] frame.
-    pub fn from_frame(f: &Frame) -> Result<Hello> {
-        Hello::from_body(&f.body)
     }
 }
 
@@ -483,18 +400,6 @@ impl HelloAck {
         end_frame(out, start);
     }
 
-    /// Build the frame.
-    #[must_use]
-    pub fn to_frame(&self) -> Frame {
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 16 + 4 * self.shards.len());
-        self.encode(&mut out);
-        let (frame, used) = decode_frame(&out)
-            .expect("self-encoded HelloAck decodes")
-            .expect("complete frame");
-        debug_assert_eq!(used, out.len());
-        frame
-    }
-
     /// Parse from a [`FrameKind::HelloAck`] body.
     pub fn from_body(body: &[u8]) -> Result<HelloAck> {
         let mut c = Cursor::new(body);
@@ -515,32 +420,11 @@ impl HelloAck {
             shards,
         })
     }
-
-    /// Parse from a [`FrameKind::HelloAck`] frame.
-    pub fn from_frame(f: &Frame) -> Result<HelloAck> {
-        HelloAck::from_body(&f.body)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Requests and responses
 // ---------------------------------------------------------------------------
-
-/// One request over the wire (body of a [`FrameKind::Request`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireRequest {
-    /// DPR header (piggybacked protocol state, §3.2).
-    pub header: BatchHeader,
-    /// Operation bodies.
-    pub ops: Vec<ClusterOp>,
-}
-
-/// One response over the wire (body of a [`FrameKind::Response`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireResponse {
-    /// The reply and results, or the protocol rejection.
-    pub outcome: std::result::Result<(BatchReply, Vec<OpResult>), DprError>,
-}
 
 fn put_header(out: &mut Vec<u8>, h: &BatchHeader) {
     put_u64(out, h.session.0);
@@ -555,22 +439,7 @@ fn put_header(out: &mut Vec<u8>, h: &BatchHeader) {
     }
 }
 
-fn get_header(c: &mut Cursor<'_>) -> Result<BatchHeader> {
-    let mut h = BatchHeader {
-        session: SessionId(0),
-        world_line: WorldLine(0),
-        version_lower_bound: Version(0),
-        deps: Vec::new(),
-        first_serial: 0,
-        op_count: 0,
-    };
-    get_header_into(c, &mut h)?;
-    Ok(h)
-}
-
-/// Decode a batch header into `h`, reusing its `deps` allocation. The
-/// steady-state twin of [`get_header`] for callers that keep a header
-/// scratch across frames.
+/// Decode a batch header into `h`, reusing its `deps` allocation.
 fn get_header_into(c: &mut Cursor<'_>, h: &mut BatchHeader) -> Result<()> {
     h.session = SessionId(c.u64()?);
     h.world_line = WorldLine(c.u64()?);
@@ -742,8 +611,7 @@ fn get_dpr_error(c: &mut Cursor<'_>) -> Result<DprError> {
 }
 
 /// Append an encoded [`FrameKind::Request`] frame directly to `out` —
-/// header, batch header, and ops, with no intermediate body buffer. The
-/// allocation-free twin of [`WireRequest::to_frame`].
+/// header, batch header, and ops, with no intermediate body buffer.
 pub fn encode_request(
     out: &mut Vec<u8>,
     shard: ShardId,
@@ -760,20 +628,10 @@ pub fn encode_request(
     end_frame(out, start);
 }
 
-/// Decode a [`FrameKind::Request`] body into a caller-provided ops buffer
-/// (appended), returning the batch header. Keys and values are sliced out
-/// of `body` zero-copy; reusing `ops` across frames makes the steady-state
-/// decode allocation-free.
-pub fn decode_request_body(body: &Bytes, ops: &mut Vec<ClusterOp>) -> Result<BatchHeader> {
-    let mut c = Cursor::new(body);
-    let header = get_header(&mut c)?;
-    decode_ops(c, body, ops)?;
-    Ok(header)
-}
-
-/// Like [`decode_request_body`], but also reuses the caller's header
-/// (including its `deps` vector) — the fully allocation-free decode used by
-/// the server's per-connection scratch.
+/// Decode a [`FrameKind::Request`] body into the caller's header (its `deps`
+/// vector is reused) and ops buffer (appended). Keys and values are sliced
+/// out of `body` zero-copy (small ones inline; larger ones share `body`'s
+/// backing allocation), so with warm buffers the decode allocates nothing.
 pub fn decode_request_body_into(
     body: &Bytes,
     ops: &mut Vec<ClusterOp>,
@@ -796,38 +654,9 @@ fn decode_ops(mut c: Cursor<'_>, body: &Bytes, ops: &mut Vec<ClusterOp>) -> Resu
     c.finish()
 }
 
-impl WireRequest {
-    /// Build the frame, routed to `shard` with correlation id `seq`.
-    #[must_use]
-    pub fn to_frame(&self, shard: ShardId, seq: u64) -> Frame {
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 64 + 16 * self.ops.len());
-        encode_request(&mut out, shard, seq, &self.header, &self.ops);
-        let (frame, used) = decode_frame(&out)
-            .expect("self-encoded request decodes")
-            .expect("complete frame");
-        debug_assert_eq!(used, out.len());
-        frame
-    }
-
-    /// Parse from a [`FrameKind::Request`] body, slicing keys and values
-    /// out of `body` zero-copy (small ones inline; larger ones share
-    /// `body`'s backing allocation).
-    pub fn from_body(body: &Bytes) -> Result<WireRequest> {
-        let mut ops = Vec::new();
-        let header = decode_request_body(body, &mut ops)?;
-        Ok(WireRequest { header, ops })
-    }
-
-    /// Parse from a [`FrameKind::Request`] frame.
-    pub fn from_frame(f: &Frame) -> Result<WireRequest> {
-        WireRequest::from_body(&f.body)
-    }
-}
-
 /// Append an encoded [`FrameKind::Response`] frame directly to `out` with
-/// no intermediate body buffer. The allocation-free twin of
-/// [`WireResponse::to_frame`]: the server borrows the reply and results it
-/// just computed instead of moving them into a `WireResponse`.
+/// no intermediate body buffer: the server borrows the reply and results it
+/// just computed.
 pub fn encode_response(
     out: &mut Vec<u8>,
     shard: u32,
@@ -852,58 +681,9 @@ pub fn encode_response(
     end_frame(out, start);
 }
 
-impl WireResponse {
-    /// Build the frame, echoing the request's `shard` and `seq`.
-    #[must_use]
-    pub fn to_frame(&self, shard: u32, seq: u64) -> Frame {
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 64);
-        let borrowed = match &self.outcome {
-            Ok((reply, results)) => Ok((reply, results.as_slice())),
-            Err(e) => Err(e),
-        };
-        encode_response(&mut out, shard, seq, borrowed);
-        let (frame, used) = decode_frame(&out)
-            .expect("self-encoded response decodes")
-            .expect("complete frame");
-        debug_assert_eq!(used, out.len());
-        frame
-    }
-
-    /// Parse from a [`FrameKind::Response`] body, slicing result values
-    /// out of `body` zero-copy.
-    pub fn from_body(body: &Bytes) -> Result<WireResponse> {
-        let mut c = Cursor::new(body);
-        let outcome = match c.u8()? {
-            0 => {
-                let reply = get_reply(&mut c)?;
-                let n = c.u32()? as usize;
-                if n > MAX_OPS {
-                    return Err(DprError::Invalid(format!("absurd result count {n}")));
-                }
-                let mut results = Vec::with_capacity(n);
-                for _ in 0..n {
-                    results.push(get_op_result(&mut c, body)?);
-                }
-                Ok((reply, results))
-            }
-            1 => Err(get_dpr_error(&mut c)?),
-            t => return Err(DprError::Invalid(format!("unknown outcome tag {t}"))),
-        };
-        c.finish()?;
-        Ok(WireResponse { outcome })
-    }
-
-    /// Parse from a [`FrameKind::Response`] frame.
-    pub fn from_frame(f: &Frame) -> Result<WireResponse> {
-        WireResponse::from_body(&f.body)
-    }
-}
-
-/// Parse a [`FrameKind::Response`] body into a caller-owned results buffer
-/// — the zero-copy counterpart of [`WireResponse::from_body`] for the
-/// pipelined client's steady state: result values are sliced out of `body`
-/// and appended to `results`, so a reused buffer makes decoding
-/// allocation-free.
+/// Parse a [`FrameKind::Response`] body into a caller-owned results buffer:
+/// result values are sliced out of `body` and appended to `results`, so a
+/// reused buffer makes decoding allocation-free.
 ///
 /// Returns `Ok(Ok(reply))` for a successful batch (results appended) or
 /// `Ok(Err(e))` for a batch-level rejection (nothing appended).
@@ -953,23 +733,6 @@ pub struct CutResponse {
 }
 
 impl CutResponse {
-    /// Append the encoded frame to `out` (no intermediate body buffer).
-    pub fn encode(&self, out: &mut Vec<u8>, seq: u64) {
-        encode_cut_response(out, seq, self.world_line, &self.cut);
-    }
-
-    /// Build the frame, echoing the [`FrameKind::CutReq`]'s `seq`.
-    #[must_use]
-    pub fn to_frame(&self, seq: u64) -> Frame {
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 16 + 12 * self.cut.len());
-        self.encode(&mut out, seq);
-        let (frame, used) = decode_frame(&out)
-            .expect("self-encoded cut decodes")
-            .expect("complete frame");
-        debug_assert_eq!(used, out.len());
-        frame
-    }
-
     /// Parse from a [`FrameKind::CutResp`] body.
     pub fn from_body(body: &[u8]) -> Result<CutResponse> {
         let mut c = Cursor::new(body);
@@ -987,16 +750,11 @@ impl CutResponse {
         c.finish()?;
         Ok(CutResponse { world_line, cut })
     }
-
-    /// Parse from a [`FrameKind::CutResp`] frame.
-    pub fn from_frame(f: &Frame) -> Result<CutResponse> {
-        CutResponse::from_body(&f.body)
-    }
 }
 
 /// Append an encoded [`FrameKind::CutResp`] frame to `out` from borrowed
-/// parts — the allocation-free twin of [`CutResponse::encode`], used by the
-/// server to serve its cached cut without cloning it per request.
+/// parts: the server serves its cached cut without cloning it per request
+/// (the client parses it with [`CutResponse::from_body`]).
 pub fn encode_cut_response(out: &mut Vec<u8>, seq: u64, world_line: WorldLine, cut: &Cut) {
     let start = begin_frame(out, FrameKind::CutResp, NO_SHARD, seq);
     put_u64(out, world_line.0);
@@ -1014,7 +772,7 @@ pub fn encode_cut_response(out: &mut Vec<u8>, seq: u64, world_line: WorldLine, c
 
 /// Codes carried by [`FrameKind::Error`] frames — rejections of the *frame
 /// stream itself*, as opposed to batch outcomes (which travel as
-/// [`WireResponse`] errors).
+/// [`FrameKind::Response`] errors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum ProtoErrorCode {
@@ -1080,18 +838,6 @@ impl ProtoError {
         end_frame(out, start);
     }
 
-    /// Build the frame, echoing the offending frame's `seq` when known.
-    #[must_use]
-    pub fn to_frame(&self, seq: u64) -> Frame {
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 8 + self.detail.len());
-        self.encode(&mut out, seq);
-        let (frame, used) = decode_frame(&out)
-            .expect("self-encoded error decodes")
-            .expect("complete frame");
-        debug_assert_eq!(used, out.len());
-        frame
-    }
-
     /// Parse from a [`FrameKind::Error`] body.
     pub fn from_body(body: &[u8]) -> Result<ProtoError> {
         let mut c = Cursor::new(body);
@@ -1101,11 +847,6 @@ impl ProtoError {
         let detail = c.string()?;
         c.finish()?;
         Ok(ProtoError { code, detail })
-    }
-
-    /// Parse from a [`FrameKind::Error`] frame.
-    pub fn from_frame(f: &Frame) -> Result<ProtoError> {
-        ProtoError::from_body(&f.body)
     }
 
     /// The [`DprError`] a client surfaces for this protocol rejection.
@@ -1126,144 +867,35 @@ pub fn encode_control(out: &mut Vec<u8>, kind: FrameKind, seq: u64) {
     end_frame(out, start);
 }
 
-/// An empty-bodied frame of the given kind (`CutReq`, `Goodbye`).
-#[must_use]
-pub fn control_frame(kind: FrameKind, seq: u64) -> Frame {
-    Frame {
-        kind,
-        shard: NO_SHARD,
-        seq,
-        body: Bytes::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_request() -> WireRequest {
-        WireRequest {
-            header: BatchHeader {
-                session: SessionId(7),
-                world_line: WorldLine(2),
-                version_lower_bound: Version(40),
-                deps: vec![Token::new(ShardId(1), Version(39))],
-                first_serial: 1000,
-                op_count: 2,
-            },
-            ops: vec![
-                ClusterOp::Read(Key::from_u64(1)),
-                ClusterOp::Upsert(Key::from_u64(2), Value::from_u64(9)),
-            ],
-        }
-    }
-
-    #[test]
-    fn request_round_trips() {
-        let req = sample_request();
-        let frame = req.to_frame(ShardId(3), 42);
+    fn sample_request() -> Vec<u8> {
+        let header = BatchHeader {
+            session: SessionId(7),
+            world_line: WorldLine(2),
+            version_lower_bound: Version(40),
+            deps: vec![Token::new(ShardId(1), Version(39))],
+            first_serial: 1000,
+            op_count: 1,
+        };
+        let ops = [ClusterOp::Upsert(Key::from_u64(2), Value::from_u64(9))];
         let mut buf = Vec::new();
-        frame.encode_into(&mut buf);
-        let (decoded, used) = decode_frame(&buf).unwrap().unwrap();
-        assert_eq!(used, buf.len());
-        assert_eq!(decoded.kind, FrameKind::Request);
-        assert_eq!(decoded.shard, 3);
-        assert_eq!(decoded.seq, 42);
-        assert_eq!(WireRequest::from_frame(&decoded).unwrap(), req);
-    }
-
-    #[test]
-    fn direct_encode_matches_owned_encode() {
-        // begin_frame/end_frame + body writers must be byte-identical to
-        // the owned `to_frame().encode_into()` path.
-        let req = sample_request();
-        let mut owned = Vec::new();
-        req.to_frame(ShardId(3), 42).encode_into(&mut owned);
-        let mut direct = Vec::new();
-        encode_request(&mut direct, ShardId(3), 42, &req.header, &req.ops);
-        assert_eq!(owned, direct);
-
-        let resp = WireResponse {
-            outcome: Ok((
-                BatchReply {
-                    shard: ShardId(3),
-                    world_line: WorldLine(2),
-                    version: Version(41),
-                    first_serial: 1000,
-                    op_count: 2,
-                },
-                vec![OpResult::Value(Some(Value::from_u64(5))), OpResult::Done],
-            )),
-        };
-        let mut owned = Vec::new();
-        resp.to_frame(3, 42).encode_into(&mut owned);
-        let mut direct = Vec::new();
-        let outcome = match &resp.outcome {
-            Ok((r, rs)) => Ok((r, rs.as_slice())),
-            Err(e) => Err(e),
-        };
-        encode_response(&mut direct, 3, 42, outcome);
-        assert_eq!(owned, direct);
-    }
-
-    #[test]
-    fn zero_copy_decode_slices_share_large_bodies() {
-        // A value longer than the inline threshold must come back as a
-        // view into the body's backing allocation, not a copy.
-        let big_value = Value(Bytes::from(vec![0xAB; 100]));
-        let req = WireRequest {
-            header: BatchHeader {
-                session: SessionId(1),
-                world_line: WorldLine(1),
-                version_lower_bound: Version(0),
-                deps: vec![],
-                first_serial: 0,
-                op_count: 1,
-            },
-            ops: vec![ClusterOp::Upsert(Key::from_u64(1), big_value)],
-        };
-        let mut buf = Vec::new();
-        encode_request(&mut buf, ShardId(0), 1, &req.header, &req.ops);
-        let h = decode_header(&buf).unwrap().unwrap();
-        let body = Bytes::copy_from_slice(&buf[FRAME_HEADER_LEN..h.frame_len()]);
-        let decoded = WireRequest::from_body(&body).unwrap();
-        let ClusterOp::Upsert(_, v) = &decoded.ops[0] else {
-            panic!("expected upsert");
-        };
-        let body_range =
-            body.as_slice().as_ptr() as usize..body.as_slice().as_ptr() as usize + body.len();
-        let v_ptr = v.0.as_slice().as_ptr() as usize;
-        assert!(
-            body_range.contains(&v_ptr),
-            "decoded value must point into the body buffer"
-        );
-        assert_eq!(&v.0[..], &[0xAB; 100][..]);
-    }
-
-    #[test]
-    fn partial_buffers_ask_for_more() {
-        let mut buf = Vec::new();
-        sample_request()
-            .to_frame(ShardId(0), 1)
-            .encode_into(&mut buf);
-        for cut in 0..buf.len() {
-            assert!(decode_frame(&buf[..cut]).unwrap().is_none(), "cut={cut}");
-        }
+        encode_request(&mut buf, ShardId(3), 42, &header, &ops);
+        buf
     }
 
     #[test]
     fn bad_magic_and_version_are_rejected() {
         let mut buf = Vec::new();
-        control_frame(FrameKind::CutReq, 5).encode_into(&mut buf);
-        let mut bad = buf.clone();
-        bad[0] = b'X';
-        assert!(decode_frame(&bad).is_err());
-        let mut bad = buf.clone();
-        bad[4] = 99;
-        assert!(decode_frame(&bad).is_err());
-        let mut bad = buf;
-        bad[6] = 1; // nonzero flags
-        assert!(decode_frame(&bad).is_err());
+        encode_control(&mut buf, FrameKind::CutReq, 5);
+        // Magic, version, and (nonzero) flags.
+        for (at, byte) in [(0, b'X'), (4, 99), (6, 1)] {
+            let mut bad = buf.clone();
+            bad[at] = byte;
+            assert!(decode_header(&bad).is_err(), "byte {at}");
+        }
     }
 
     #[test]
@@ -1272,7 +904,7 @@ mod tests {
         // rejected from the header alone — even though the declared body
         // bytes are not present in the buffer at all.
         let mut buf = Vec::new();
-        control_frame(FrameKind::CutReq, 5).encode_into(&mut buf);
+        encode_control(&mut buf, FrameKind::CutReq, 5);
         buf[20..24].copy_from_slice(&64u32.to_le_bytes()); // claim 64-byte body
         assert!(
             decode_header(&buf).is_err(),
@@ -1290,44 +922,6 @@ mod tests {
         assert!(decode_header(&buf).is_err(), "oversize Hello rejected");
 
         // In-bounds headers still pass.
-        let mut buf = Vec::new();
-        sample_request()
-            .to_frame(ShardId(0), 1)
-            .encode_into(&mut buf);
-        assert!(decode_header(&buf).unwrap().is_some());
-    }
-
-    #[test]
-    fn error_outcomes_round_trip() {
-        let cases = vec![
-            DprError::WorldLineMismatch {
-                requested: WorldLine(1),
-                current: WorldLine(2),
-            },
-            DprError::NotOwner { shard: ShardId(4) },
-            DprError::Recovering,
-            DprError::Timeout,
-            DprError::Invalid("nope".into()),
-        ];
-        for e in cases {
-            let resp = WireResponse {
-                outcome: Err(e.clone()),
-            };
-            let frame = resp.to_frame(0, 9);
-            assert_eq!(WireResponse::from_frame(&frame).unwrap().outcome, Err(e));
-        }
-    }
-
-    #[test]
-    fn cut_round_trips() {
-        let mut cut = Cut::new();
-        cut.insert(ShardId(0), Version(5));
-        cut.insert(ShardId(9), Version(1));
-        let resp = CutResponse {
-            world_line: WorldLine(3),
-            cut,
-        };
-        let frame = resp.to_frame(77);
-        assert_eq!(CutResponse::from_frame(&frame).unwrap(), resp);
+        assert!(decode_header(&sample_request()).unwrap().is_some());
     }
 }

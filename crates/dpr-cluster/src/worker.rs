@@ -137,8 +137,9 @@ enum DedupeEntry {
     Done(BatchReply, Vec<OpResult>),
 }
 
-/// Bounded FIFO cache of recent batch replies, keyed by the client-unique
-/// `(session, first_serial)` pair.
+/// Bounded cache of recent batch replies, keyed by the client-unique
+/// `(session, first_serial)` pair. `order` runs from the entry nobody has
+/// asked about for longest to the most recently inserted or hit one.
 #[derive(Default)]
 struct DedupeCache {
     entries: std::collections::HashMap<(SessionId, u64), DedupeEntry>,
@@ -147,6 +148,45 @@ struct DedupeCache {
     /// fresh outcome reuses one, so a full window caches replies without
     /// a per-batch allocation.
     spare: Vec<Vec<OpResult>>,
+}
+
+impl DedupeCache {
+    /// See [`Worker::dedupe_check`]. A fresh key is inserted as `Executing`
+    /// and the entries beyond `window` age out from the front of `order`.
+    /// A duplicate moves its entry to the back, so a batch whose client is
+    /// still retransmitting it stays cached while the session's other slots
+    /// keep inserting; only entries nobody has asked about for a whole
+    /// window age out (the bound that remains: `docs/NETWORK.md` §6).
+    #[allow(clippy::option_option)]
+    fn check(
+        &mut self,
+        key: (SessionId, u64),
+        window: usize,
+    ) -> Option<Option<(BatchReply, Vec<OpResult>)>> {
+        let Some(entry) = self.entries.get(&key) else {
+            self.entries.insert(key, DedupeEntry::Executing);
+            self.order.push_back(key);
+            while self.order.len() > window {
+                if let Some(old) = self.order.pop_front() {
+                    if let Some(DedupeEntry::Done(_, buf)) = self.entries.remove(&old) {
+                        if self.spare.len() < DEDUPE_SPARE_BUFFERS {
+                            self.spare.push(buf);
+                        }
+                    }
+                }
+            }
+            return None;
+        };
+        let replay = match entry {
+            DedupeEntry::Executing => None,
+            DedupeEntry::Done(reply, results) => Some((reply.clone(), results.clone())),
+        };
+        if let Some(at) = self.order.iter().position(|k| k == &key) {
+            self.order.remove(at);
+            self.order.push_back(key);
+        }
+        Some(replay)
+    }
 }
 
 /// Cap on recycled result buffers per dedupe stripe.
@@ -181,8 +221,8 @@ pub struct Worker {
     /// the rolled-back world-line forces clients to rebuild their sessions
     /// anyway).
     dedupe: Box<[DedupeStripe]>,
-    /// FIFO window per dedupe stripe (`config.dedupe_window` split across
-    /// the stripes).
+    /// Window per dedupe stripe (`config.dedupe_window` split across the
+    /// stripes).
     dedupe_stripe_window: usize,
     /// TTL + world-line-fenced `(world_line, cut)` cache served to `CutReq`
     /// frames, so commit polling from many clients does not clone the cut
@@ -410,43 +450,15 @@ impl Worker {
         &self,
         header: &BatchHeader,
     ) -> Option<Option<(BatchReply, Vec<OpResult>)>> {
-        let key = (header.session, header.first_serial);
-        let mut cache = self.dedupe_stripe(header.session).lock();
-        match cache.entries.get(&key) {
-            Some(DedupeEntry::Executing) => Some(None),
-            Some(DedupeEntry::Done(reply, results)) => Some(Some((reply.clone(), results.clone()))),
-            None => {
-                cache.entries.insert(key, DedupeEntry::Executing);
-                cache.order.push_back(key);
-                while cache.order.len() > self.dedupe_stripe_window {
-                    if let Some(old) = cache.order.pop_front() {
-                        if let Some(DedupeEntry::Done(_, buf)) = cache.entries.remove(&old) {
-                            if cache.spare.len() < DEDUPE_SPARE_BUFFERS {
-                                cache.spare.push(buf);
-                            }
-                        }
-                    }
-                }
-                None
-            }
-        }
+        self.dedupe_stripe(header.session).lock().check(
+            (header.session, header.first_serial),
+            self.dedupe_stripe_window,
+        )
     }
 
     /// Record the outcome of a fresh batch: successes are cached for
     /// replay; failures clear the in-flight marker so a retry re-executes.
-    pub(crate) fn dedupe_record(
-        &self,
-        header: &BatchHeader,
-        outcome: &Result<(BatchReply, Vec<OpResult>)>,
-    ) {
-        match outcome {
-            Ok((reply, results)) => self.dedupe_record_parts(header, Ok((reply, results))),
-            Err(e) => self.dedupe_record_parts(header, Err(e)),
-        }
-    }
-
-    /// [`Worker::dedupe_record`] over borrowed parts, for callers that keep
-    /// results in a reusable buffer instead of an owned tuple.
+    /// Borrowed parts, so callers may keep results in a reusable buffer.
     pub(crate) fn dedupe_record_parts(
         &self,
         header: &BatchHeader,
@@ -588,7 +600,10 @@ fn handle_request(w: &Arc<Worker>, req: RequestMsg) {
     }
     let outcome = w.execute_local(&header, &ops);
     if dedupe {
-        w.dedupe_record(&header, &outcome);
+        let parts = outcome
+            .as_ref()
+            .map(|(reply, results)| (reply, &results[..]));
+        w.dedupe_record_parts(&header, parts);
     }
     let _ = w.net.send(
         reply_to,
@@ -618,5 +633,56 @@ fn control_loop(worker: &Weak<Worker>) {
 impl Drop for Worker {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(serial: u64) -> (SessionId, u64) {
+        (SessionId(1), serial)
+    }
+
+    /// Admit `serial` as a fresh batch and record its reply.
+    fn execute(cache: &mut DedupeCache, serial: u64) {
+        assert!(cache.check(key(serial), 4).is_none(), "{serial} is fresh");
+        let reply = BatchReply {
+            shard: ShardId(0),
+            world_line: WorldLine(1),
+            version: Version(1),
+            first_serial: serial,
+            op_count: 1,
+        };
+        let done = DedupeEntry::Done(reply, vec![OpResult::Done]);
+        cache.entries.insert(key(serial), done);
+    }
+
+    /// The unit-level twin of
+    /// `cluster_tests::a_retransmitted_batch_outlives_a_stripe_window_of_fresh_batches`.
+    #[test]
+    fn a_duplicate_hit_keeps_its_entry_past_a_window_of_insertions() {
+        let mut cache = DedupeCache::default();
+        for serial in 0..4 {
+            execute(&mut cache, serial);
+        }
+        // Two rounds of: the stalled batch is retransmitted, then three
+        // fresh ones arrive. Six insertions into a window of four.
+        for round in 0..2 {
+            let replayed = cache.check(key(0), 4);
+            assert!(matches!(replayed, Some(Some(_))), "round {round}: replayed");
+            for serial in 0..3 {
+                execute(&mut cache, 4 + 3 * round + serial);
+            }
+        }
+        let stalled = cache.entries.get(&key(0));
+        assert!(matches!(stalled, Some(DedupeEntry::Done(..))));
+        // Entries nobody asks about still age out, the hit one included.
+        assert!(!cache.entries.contains_key(&key(1)));
+        for serial in 10..14 {
+            execute(&mut cache, serial);
+        }
+        assert!(!cache.entries.contains_key(&key(0)));
+        assert_eq!((cache.order.len(), cache.entries.len()), (4, 4));
     }
 }

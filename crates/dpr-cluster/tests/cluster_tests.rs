@@ -397,6 +397,67 @@ fn lossy_links_with_dedupe_apply_increments_exactly_once() {
 }
 
 #[test]
+fn a_retransmitted_batch_outlives_a_stripe_window_of_fresh_batches() {
+    // The window pressure of the lossy-link test without its dice: every
+    // reply to one `Incr` is dropped on purpose while its session keeps
+    // retransmitting it and pushes fresh batches through the same worker
+    // and dedupe stripe, more of them than any stripe's share of the window
+    // (64 here, split over 1 to 16 stripes). Each retransmission must be
+    // answered from the cache; a second execution shows in the next read.
+    const ROUNDS: u64 = 22;
+    const FRESH_PER_ROUND: u64 = 3; // below the smallest stripe share, 64 / 16
+    let mut config = base_config(ClusterKind::DFaster, 2);
+    config.dedupe_window = 64;
+    let cluster = Cluster::start(config).unwrap();
+    let net = cluster.network();
+    let mut session = cluster.open_session().unwrap();
+    let key = Key::from_u64(77);
+    let drop_all = LinkFault {
+        drop_rate: 1.0,
+        ..LinkFault::default()
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+
+    for round in 0..ROUNDS {
+        // Send the `Incr` (again) with the link to the session cut, and
+        // wait until the worker's reply to it has been dropped.
+        net.set_link_fault(session.endpoint(), drop_all);
+        let dropped = net.dropped_count();
+        if round == 0 {
+            session.issue(vec![ClusterOp::Incr(key.clone())]).unwrap();
+        } else {
+            assert_eq!(session.resend_stalled(Duration::ZERO).unwrap(), 1);
+        }
+        while net.dropped_count() == dropped {
+            assert!(Instant::now() < deadline, "the worker never replied");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        net.clear_link_fault(session.endpoint());
+        // Reads of the same key: the same shard, so the same dedupe cache.
+        for _ in 0..FRESH_PER_ROUND {
+            let done = session.stats().completed;
+            session.issue(vec![ClusterOp::Read(key.clone())]).unwrap();
+            while session.stats().completed == done {
+                assert!(Instant::now() < deadline, "a read never completed");
+                session.poll(true, Duration::from_millis(100)).unwrap();
+            }
+        }
+        for (_, result) in session.take_results() {
+            let once = OpResult::Value(Some(Value::from_u64(1)));
+            assert_eq!(result, once, "round {round}: the Incr executed again");
+        }
+    }
+
+    // The link has healed: `execute` waits for the `Incr` too, which the
+    // next retransmission gets answered, from the cache.
+    assert_eq!(session.resend_stalled(Duration::ZERO).unwrap(), 1);
+    let results = session.execute(vec![ClusterOp::Read(key)]).unwrap();
+    assert_eq!(results[0], OpResult::Value(Some(Value::from_u64(1))));
+    assert_eq!(cluster.total_executed(), 2 + ROUNDS * FRESH_PER_ROUND);
+    cluster.shutdown();
+}
+
+#[test]
 fn nested_failures_are_handled_as_sequential_recoveries() {
     let mut config = base_config(ClusterKind::DFaster, 2);
     config.checkpoint_interval = Some(Duration::from_millis(10));

@@ -1,19 +1,16 @@
 //! The real network plane: fan-in server, pipelined clients, reconnect
 //! dedupe, and wire-level robustness (docs/NETWORK.md).
 
-use dpr_cluster::wire::{
-    self, Frame, FrameKind, Hello, ProtoError, ProtoErrorCode, WireRequest, WireResponse,
-};
+use bytes::Bytes;
+use dpr_cluster::wire::{self, FrameHeader, FrameKind, Hello, ProtoError, ProtoErrorCode};
 use dpr_cluster::{
     Cluster, ClusterConfig, ClusterOp, NetServer, NetServerConfig, OpResult, PipelinedClient,
-    TcpClient,
 };
 use dpr_core::{DprError, Key, SessionId, ShardId, Token, Value, Version, WorldLine};
-use libdpr::{BatchHeader, DprClientSession};
+use libdpr::{BatchHeader, BatchReply, DprClientSession};
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// A cluster with every worker served through one fan-in NetServer.
@@ -30,53 +27,161 @@ fn net_cluster(shards: usize, dedupe_window: usize) -> (Cluster, NetServer) {
     let server = NetServer::start(
         cluster.workers().to_vec(),
         listener,
-        NetServerConfig {
-            io_threads: 2,
-            ..NetServerConfig::default()
-        },
+        NetServerConfig { io_threads: 2 },
     )
     .unwrap();
     (cluster, server)
 }
 
+fn connect(session: u64, addr: SocketAddr) -> PipelinedClient {
+    PipelinedClient::connect(DprClientSession::new(SessionId(session)), addr).unwrap()
+}
+
+/// Deliver what has arrived within 5 ms; every completion must be a success.
+fn poll_ok(client: &mut PipelinedClient) -> u64 {
+    client
+        .poll_each(Duration::from_millis(5), |done| {
+            done.result.unwrap();
+        })
+        .unwrap() as u64
+}
+
+/// Issue one batch and wait for its outcome — one batch in flight, the shape
+/// a scenario reads best in (callers after throughput keep a window).
+fn execute(
+    client: &mut PipelinedClient,
+    shard: ShardId,
+    ops: &[ClusterOp],
+) -> Result<Vec<OpResult>, DprError> {
+    let seq = client.issue(shard, ops)?;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut outcome = None;
+    while outcome.is_none() {
+        assert!(Instant::now() < deadline, "no response to batch {seq}");
+        client.poll_each(Duration::from_millis(5), |c| {
+            if c.seq == seq {
+                outcome = Some(c.result.map(<[OpResult]>::to_vec));
+            }
+        })?;
+    }
+    outcome.expect("loop exits on an outcome")
+}
+
+fn upsert(k: u64, v: u64) -> [ClusterOp; 1] {
+    [ClusterOp::Upsert(Key::from_u64(k), Value::from_u64(v))]
+}
+
+fn read(k: u64) -> [ClusterOp; 1] {
+    [ClusterOp::Read(Key::from_u64(k))]
+}
+
+/// Write `n` keys and read them back, routing the way the cluster does.
+fn write_then_read(cluster: &Cluster, client: &mut PipelinedClient, n: u64) {
+    for i in 0..n {
+        let shard = cluster.owner_of(&Key::from_u64(i)).unwrap();
+        let results = execute(client, shard, &upsert(i, i * 2)).unwrap();
+        assert_eq!(results, vec![OpResult::Done]);
+    }
+    for i in 0..n {
+        let shard = cluster.owner_of(&Key::from_u64(i)).unwrap();
+        let results = execute(client, shard, &read(i)).unwrap();
+        assert_eq!(results, vec![OpResult::Value(Some(Value::from_u64(i * 2)))]);
+    }
+}
+
 #[test]
 fn fan_in_server_routes_shards_over_one_connection() {
     let (cluster, server) = net_cluster(3, 0);
-    let addr = server.local_addr();
-    let addrs: HashMap<ShardId, _> = cluster
-        .workers()
-        .iter()
-        .map(|w| (w.shard(), addr))
-        .collect();
-    let mut client = TcpClient::connect(DprClientSession::new(SessionId(500)), &addrs).unwrap();
+    let mut client = connect(500, server.local_addr());
+    assert_eq!(client.shards().len(), 3, "handshake advertises shards");
+    write_then_read(&cluster, &mut client, 60);
 
-    for i in 0..60u64 {
-        let key = Key::from_u64(i);
-        let shard = cluster.owner_of(&key).unwrap();
-        let results = client
-            .execute(shard, vec![ClusterOp::Upsert(key, Value::from_u64(i))])
-            .unwrap();
-        assert_eq!(results, vec![OpResult::Done]);
-    }
-    for i in 0..60u64 {
-        let key = Key::from_u64(i);
-        let shard = cluster.owner_of(&key).unwrap();
-        let results = client.execute(shard, vec![ClusterOp::Read(key)]).unwrap();
-        assert_eq!(results, vec![OpResult::Value(Some(Value::from_u64(i)))]);
-    }
     // Commit tracking entirely over the wire: no side channel to the
     // metadata store.
     let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match client.refresh_commit_over_wire() {
-            Ok(prefix) if prefix >= 120 => break,
-            Ok(_) | Err(DprError::Timeout) => {}
-            Err(e) => panic!("cut fetch failed: {e}"),
-        }
+    while client.session_mut().committed_prefix() < 120 {
         assert!(Instant::now() < deadline, "commits must arrive over wire");
-        std::thread::sleep(Duration::from_millis(5));
+        client.request_cut().unwrap();
+        client.poll_each(Duration::from_millis(5), |_| {}).unwrap();
     }
     assert_eq!(client.session_mut().committed_count(), 120);
+
+    server.shutdown();
+    cluster.shutdown();
+}
+
+#[test]
+fn commits_reach_socket_sessions_through_the_clusters_cut() {
+    let (cluster, server) = net_cluster(2, 0);
+    let mut client = connect(100, server.local_addr());
+    write_then_read(&cluster, &mut client, 50);
+
+    // Commits propagate through the same cut as bus clients.
+    let cut_source = cluster.cut_source();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client.session_mut().refresh_commit(&cut_source()) < 100 {
+        assert!(Instant::now() < deadline, "commits must arrive");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(client.session_mut().committed_count(), 100);
+
+    server.shutdown();
+    cluster.shutdown();
+}
+
+#[test]
+fn socket_client_observes_failures_via_world_line() {
+    let (cluster, server) = net_cluster(2, 0);
+    let mut client = connect(101, server.local_addr());
+    let shard = cluster.owner_of(&Key::from_u64(1)).unwrap();
+    execute(&mut client, shard, &upsert(1, 1)).unwrap();
+
+    // Two failures on one connection: each is reported with the world-line
+    // the cluster is on now, and each time the connection goes on.
+    for round in 1..=2u64 {
+        cluster.inject_failure().unwrap();
+        cluster.wait_recovered(Duration::from_secs(10)).unwrap();
+        let wl = cluster.metadata().world_line().unwrap();
+        assert_eq!(wl, WorldLine(round));
+
+        // The first post-failure batch is rejected with a world-line
+        // mismatch — same protocol error as on the bus — and idle polls
+        // keep reporting it.
+        let err = execute(&mut client, shard, &read(1));
+        assert!(
+            matches!(err, Err(DprError::WorldLineMismatch { current, .. }) if current == wl),
+            "round {round}: got {err:?}"
+        );
+        let idle = client.poll_each(Duration::from_millis(1), |_| {});
+        assert!(
+            matches!(idle, Err(DprError::WorldLineMismatch { current, .. }) if current == wl),
+            "round {round}: got {idle:?}"
+        );
+        // Recover the session: idle polls are quiet again and the same
+        // connection carries the next batch.
+        let cut = cluster.metadata().read_cut().unwrap();
+        client.session_mut().handle_failure(wl, &cut);
+        let idle = client.poll_each(Duration::from_millis(1), |_| {});
+        assert!(matches!(idle, Ok(0)), "round {round}: got {idle:?}");
+        let results = execute(&mut client, shard, &read(1)).unwrap();
+        assert!(matches!(results[0], OpResult::Value(_)));
+    }
+
+    server.shutdown();
+    cluster.shutdown();
+}
+
+#[test]
+fn mixed_bus_and_socket_clients_share_one_cluster() {
+    let (cluster, server) = net_cluster(2, 0);
+    // A bus client writes...
+    let mut bus = cluster.open_session().unwrap();
+    bus.execute(upsert(7, 77).to_vec()).unwrap();
+    // ...and a socket client reads it (linearizable single-owner routing).
+    let mut tcp = connect(102, server.local_addr());
+    let shard = cluster.owner_of(&Key::from_u64(7)).unwrap();
+    let results = execute(&mut tcp, shard, &read(7)).unwrap();
+    assert_eq!(results[0], OpResult::Value(Some(Value::from_u64(77))));
 
     server.shutdown();
     cluster.shutdown();
@@ -90,12 +195,8 @@ fn pipelined_sessions_keep_many_batches_in_flight() {
     const BATCHES: u64 = 40;
 
     let mut clients: Vec<PipelinedClient> = (0..SESSIONS)
-        .map(|i| {
-            PipelinedClient::connect(DprClientSession::new(SessionId(600 + i as u64)), addr)
-                .unwrap()
-        })
+        .map(|i| connect(600 + i as u64, addr))
         .collect();
-    assert_eq!(clients[0].shards().len(), 2, "handshake advertises shards");
 
     // Issue a full window on every session before reading anything: the
     // server must sustain many batches in flight per connection.
@@ -106,17 +207,12 @@ fn pipelined_sessions_keep_many_batches_in_flight() {
         assert!(Instant::now() < deadline, "pipelined run stalled");
         for (i, client) in clients.iter_mut().enumerate() {
             while issued[i] < BATCHES && client.inflight() < 8 {
-                let key = Key::from_u64(i as u64 * 1000 + issued[i]);
-                let shard = cluster.owner_of(&key).unwrap();
-                client
-                    .issue(shard, &[ClusterOp::Upsert(key, Value::from_u64(issued[i]))])
-                    .unwrap();
+                let k = i as u64 * 1000 + issued[i];
+                let shard = cluster.owner_of(&Key::from_u64(k)).unwrap();
+                client.issue(shard, &upsert(k, issued[i])).unwrap();
                 issued[i] += 1;
             }
-            for done in client.poll(Duration::from_millis(5)).unwrap() {
-                done.result.unwrap();
-                completed[i] += 1;
-            }
+            completed[i] += poll_ok(client);
         }
     }
     for (i, client) in clients.iter_mut().enumerate() {
@@ -134,13 +230,11 @@ fn reconnect_with_epoch_bump_is_exactly_once() {
     // Dedupe window on: the server replays cached replies for batches it
     // already executed, so a retransmit after reconnect cannot double-apply.
     let (cluster, server) = net_cluster(1, 256);
-    let addr = server.local_addr();
     let shard = cluster.workers()[0].shard();
-    let mut client = PipelinedClient::connect(DprClientSession::new(SessionId(700)), addr).unwrap();
+    let mut client = connect(700, server.local_addr());
 
     let key = Key::from_u64(42);
-    const INCRS: u64 = 20;
-    let mut completed = 0u64;
+    const INCRS: usize = 20;
     for _ in 0..INCRS {
         client
             .issue(shard, &[ClusterOp::Incr(key.clone())])
@@ -149,28 +243,23 @@ fn reconnect_with_epoch_bump_is_exactly_once() {
     // Let some execute, then force a reconnect with everything unacked
     // from the client's point of view.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while completed < INCRS / 2 && Instant::now() < deadline {
-        completed += client.poll(Duration::from_millis(5)).unwrap().len() as u64;
+    while client.inflight() > INCRS / 2 && Instant::now() < deadline {
+        poll_ok(&mut client);
     }
     client.reconnect().unwrap(); // retransmits all inflight batches
     let deadline = Instant::now() + Duration::from_secs(20);
-    while completed < INCRS {
+    while client.inflight() > 0 {
         assert!(Instant::now() < deadline, "reconnected run stalled");
-        completed += client.poll(Duration::from_millis(5)).unwrap().len() as u64;
+        poll_ok(&mut client);
         client.retransmit_stalled(Duration::from_secs(2)).unwrap();
     }
 
     // Every increment applied exactly once despite the retransmissions.
-    let read_seq = client.issue(shard, &[ClusterOp::Read(key)]).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let value = loop {
-        assert!(Instant::now() < deadline, "final read stalled");
-        let done = client.poll(Duration::from_millis(5)).unwrap();
-        if let Some(c) = done.into_iter().find(|c| c.seq == read_seq) {
-            break c.result.unwrap();
-        }
-    };
-    assert_eq!(value, vec![OpResult::Value(Some(Value::from_u64(INCRS)))]);
+    let value = execute(&mut client, shard, &[ClusterOp::Read(key)]).unwrap();
+    assert_eq!(
+        value,
+        vec![OpResult::Value(Some(Value::from_u64(INCRS as u64)))]
+    );
 
     server.shutdown();
     cluster.shutdown();
@@ -180,35 +269,27 @@ fn reconnect_with_epoch_bump_is_exactly_once() {
 fn stale_epoch_connections_are_fenced() {
     let (cluster, server) = net_cluster(1, 0);
     let addr = server.local_addr();
-    let session = SessionId(800);
+    let hello = |epoch| {
+        let mut buf = Vec::new();
+        Hello {
+            session: SessionId(800),
+            epoch,
+            world_line: WorldLine(1),
+        }
+        .encode(&mut buf);
+        buf
+    };
 
     // Epoch 3 accepted...
     let mut s1 = TcpStream::connect(addr).unwrap();
-    let hello = Hello {
-        session,
-        epoch: 3,
-        world_line: WorldLine(1),
-    };
-    let mut buf = Vec::new();
-    hello.to_frame().encode_into(&mut buf);
-    s1.write_all(&buf).unwrap();
-    let frame = read_one_frame(&mut s1);
-    assert_eq!(frame.kind, FrameKind::HelloAck);
+    s1.write_all(&hello(3)).unwrap();
+    let (header, _) = read_one_frame(&mut s1);
+    assert_eq!(header.kind, FrameKind::HelloAck);
 
     // ...so epoch 2 for the same session is a zombie and must be rejected.
     let mut s2 = TcpStream::connect(addr).unwrap();
-    let stale = Hello {
-        session,
-        epoch: 2,
-        world_line: WorldLine(1),
-    };
-    let mut buf = Vec::new();
-    stale.to_frame().encode_into(&mut buf);
-    s2.write_all(&buf).unwrap();
-    let frame = read_one_frame(&mut s2);
-    assert_eq!(frame.kind, FrameKind::Error);
-    let err = ProtoError::from_frame(&frame).unwrap();
-    assert_eq!(err.code, ProtoErrorCode::StaleEpoch);
+    s2.write_all(&hello(2)).unwrap();
+    assert_eq!(read_error(&mut s2), ProtoErrorCode::StaleEpoch);
 
     server.shutdown();
     cluster.shutdown();
@@ -221,8 +302,7 @@ fn malformed_frames_are_rejected_and_other_conns_survive() {
     let shard = cluster.workers()[0].shard();
 
     // A healthy client...
-    let addrs: HashMap<ShardId, _> = [(shard, addr)].into_iter().collect();
-    let mut healthy = TcpClient::connect(DprClientSession::new(SessionId(900)), &addrs).unwrap();
+    let mut healthy = connect(900, addr);
 
     // ...and a vandal sending garbage magic (long enough to cover a full
     // frame header — shorter garbage just looks like a partial frame).
@@ -230,12 +310,7 @@ fn malformed_frames_are_rejected_and_other_conns_survive() {
     vandal
         .write_all(b"GET / HTTP/1.1\r\nHost: example.com\r\n\r\n")
         .unwrap();
-    let frame = read_one_frame(&mut vandal);
-    assert_eq!(frame.kind, FrameKind::Error);
-    assert_eq!(
-        ProtoError::from_frame(&frame).unwrap().code,
-        ProtoErrorCode::BadFrame
-    );
+    assert_eq!(read_error(&mut vandal), ProtoErrorCode::BadFrame);
     // The server closes the poisoned connection.
     let mut rest = Vec::new();
     vandal.read_to_end(&mut rest).unwrap();
@@ -243,50 +318,31 @@ fn malformed_frames_are_rejected_and_other_conns_survive() {
     // Unknown frame kind is equally fatal for that connection.
     let mut vandal = TcpStream::connect(addr).unwrap();
     let mut buf = Vec::new();
-    wire::control_frame(FrameKind::CutReq, 1).encode_into(&mut buf);
+    wire::encode_control(&mut buf, FrameKind::CutReq, 1);
     buf[5] = 200; // out-of-range kind byte
     vandal.write_all(&buf).unwrap();
-    let frame = read_one_frame(&mut vandal);
-    assert_eq!(frame.kind, FrameKind::Error);
+    read_error(&mut vandal);
 
     // A request before Hello is a handshake violation.
     let mut early = TcpStream::connect(addr).unwrap();
-    let req = WireRequest {
-        header: BatchHeader {
-            session: SessionId(901),
-            world_line: WorldLine(1),
-            version_lower_bound: Version(0),
-            deps: vec![],
-            first_serial: 0,
-            op_count: 1,
-        },
-        ops: vec![ClusterOp::Read(Key::from_u64(1))],
+    let header = BatchHeader {
+        session: SessionId(901),
+        op_count: 1,
+        ..empty_header()
     };
     let mut buf = Vec::new();
-    req.to_frame(shard, 7).encode_into(&mut buf);
+    wire::encode_request(&mut buf, shard, 7, &header, &read(1));
     early.write_all(&buf).unwrap();
-    let frame = read_one_frame(&mut early);
-    assert_eq!(frame.kind, FrameKind::Error);
-    assert_eq!(
-        ProtoError::from_frame(&frame).unwrap().code,
-        ProtoErrorCode::HandshakeRequired
-    );
+    assert_eq!(read_error(&mut early), ProtoErrorCode::HandshakeRequired);
 
     // A truncated frame (half a body, then disconnect) must not wedge the
     // server: just drop the socket mid-frame.
     let mut trunc = TcpStream::connect(addr).unwrap();
-    let mut buf = Vec::new();
-    req.to_frame(shard, 8).encode_into(&mut buf);
     trunc.write_all(&buf[..buf.len() / 2]).unwrap();
     drop(trunc);
 
     // Through all of it the healthy connection keeps working.
-    let results = healthy
-        .execute(
-            shard,
-            vec![ClusterOp::Upsert(Key::from_u64(5), Value::from_u64(55))],
-        )
-        .unwrap();
+    let results = execute(&mut healthy, shard, &upsert(5, 55)).unwrap();
     assert_eq!(results, vec![OpResult::Done]);
 
     server.shutdown();
@@ -296,84 +352,19 @@ fn malformed_frames_are_rejected_and_other_conns_survive() {
 #[test]
 fn unknown_shard_rejection_keeps_connection_open() {
     let (cluster, server) = net_cluster(1, 0);
-    let addr = server.local_addr();
     let shard = cluster.workers()[0].shard();
-    let mut client = PipelinedClient::connect(DprClientSession::new(SessionId(910)), addr).unwrap();
+    let mut client = connect(910, server.local_addr());
 
     // Route to a shard the server does not host: per the spec this is a
     // recoverable Error frame, not a connection teardown...
-    let bogus = ShardId(99);
-    client
-        .issue(bogus, &[ClusterOp::Read(Key::from_u64(1))])
-        .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let err = loop {
-        assert!(Instant::now() < deadline, "rejection never arrived");
-        match client.poll(Duration::from_millis(50)) {
-            Ok(done) if done.is_empty() => continue,
-            Ok(_) => panic!("bogus shard must not complete"),
-            Err(e) => break e,
-        }
-    };
-    assert!(matches!(err, DprError::Invalid(_)), "got {err:?}");
+    let err = execute(&mut client, ShardId(99), &read(1));
+    assert!(matches!(err, Err(DprError::Invalid(_))), "got {err:?}");
 
     // ...so the same connection still serves real traffic.
-    client
-        .issue(shard, &[ClusterOp::Read(Key::from_u64(1))])
-        .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        assert!(Instant::now() < deadline);
-        let done = client.poll(Duration::from_millis(10)).unwrap();
-        if !done.is_empty() {
-            done.into_iter().next().unwrap().result.unwrap();
-            break;
-        }
-    }
+    execute(&mut client, shard, &read(1)).unwrap();
 
     server.shutdown();
     cluster.shutdown();
-}
-
-#[test]
-fn tcp_client_execute_times_out_against_hung_worker() {
-    // End-to-end: a server that acks the handshake but never answers
-    // requests. TcpClient::execute must return DprError::Timeout within
-    // the configured deadline.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let hold = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        // Read the Hello, send the ack, then go silent.
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 1024];
-        let hello = loop {
-            let n = stream.read(&mut chunk).unwrap();
-            buf.extend_from_slice(&chunk[..n]);
-            if let Some((frame, _)) = wire::decode_frame(&buf).unwrap() {
-                break Hello::from_frame(&frame).unwrap();
-            }
-        };
-        let ack = wire::HelloAck {
-            epoch: hello.epoch,
-            world_line: hello.world_line,
-            shards: vec![ShardId(0)],
-        };
-        let mut out = Vec::new();
-        ack.to_frame().encode_into(&mut out);
-        stream.write_all(&out).unwrap();
-        std::thread::sleep(Duration::from_secs(10));
-    });
-
-    let addrs: HashMap<ShardId, _> = [(ShardId(0), addr)].into_iter().collect();
-    let mut client = TcpClient::connect(DprClientSession::new(SessionId(930)), &addrs).unwrap();
-    client.set_read_timeout(Duration::from_millis(300));
-    let start = Instant::now();
-    let err = client.execute(ShardId(0), vec![ClusterOp::Read(Key::from_u64(1))]);
-    assert!(matches!(err, Err(DprError::Timeout)), "got {err:?}");
-    assert!(start.elapsed() < Duration::from_secs(5));
-    drop(client);
-    drop(hold); // detached sleeper; the test does not wait out its nap
 }
 
 // ---------------------------------------------------------------------------
@@ -381,13 +372,18 @@ fn tcp_client_execute_times_out_against_hung_worker() {
 // ---------------------------------------------------------------------------
 
 fn arb_key() -> impl Strategy<Value = Key> {
-    (0u64..1 << 20).prop_map(Key::from_u64)
+    // Cover inline (≤ 24 B) and shared (> 24 B) representations.
+    prop::collection::vec(0..255u8, 1..64).prop_map(|b| Key(Bytes::copy_from_slice(&b)))
+}
+
+fn arb_value() -> impl Strategy<Value = Value> {
+    prop::collection::vec(0..255u8, 0..64).prop_map(|b| Value(Bytes::copy_from_slice(&b)))
 }
 
 fn arb_op() -> impl Strategy<Value = ClusterOp> {
     prop_oneof![
         arb_key().prop_map(ClusterOp::Read),
-        (arb_key(), 0u64..u64::MAX).prop_map(|(k, v)| ClusterOp::Upsert(k, Value::from_u64(v))),
+        (arb_key(), arb_value()).prop_map(|(k, v)| ClusterOp::Upsert(k, v)),
         arb_key().prop_map(ClusterOp::Incr),
         arb_key().prop_map(ClusterOp::Delete),
     ]
@@ -396,10 +392,10 @@ fn arb_op() -> impl Strategy<Value = ClusterOp> {
 fn arb_header() -> impl Strategy<Value = BatchHeader> {
     // The vendored proptest stub supports tuples up to arity 4, so nest.
     (
-        (0u64..1 << 30, 1u64..1 << 16, 0u64..1 << 40),
+        (0u64..u64::MAX, 1u64..1 << 16, 0u64..1 << 40),
         (
             prop::collection::vec((0u32..64, 0u64..1 << 40), 0..6),
-            0u64..1 << 40,
+            0u64..u64::MAX,
             0u32..1 << 10,
         ),
     )
@@ -416,6 +412,39 @@ fn arb_header() -> impl Strategy<Value = BatchHeader> {
         })
 }
 
+fn arb_error() -> impl Strategy<Value = DprError> {
+    prop_oneof![
+        (1..10u64, 1..10u64).prop_map(|(a, b)| DprError::WorldLineMismatch {
+            requested: WorldLine(a),
+            current: WorldLine(b),
+        }),
+        (0..64u32).prop_map(|s| DprError::NotOwner { shard: ShardId(s) }),
+        Just(DprError::Recovering),
+        Just(DprError::Timeout),
+        (0..1000u32).prop_map(|n| DprError::Invalid(format!("bad {n}"))),
+    ]
+}
+
+fn empty_header() -> BatchHeader {
+    BatchHeader {
+        session: SessionId(0),
+        world_line: WorldLine(0),
+        version_lower_bound: Version(0),
+        deps: Vec::new(),
+        first_serial: 0,
+        op_count: 0,
+    }
+}
+
+/// The complete frame at the front of `buf`: its header and its body.
+fn split_frame(buf: &[u8]) -> (FrameHeader, Bytes) {
+    let h = wire::decode_header(buf).unwrap().expect("whole header");
+    (
+        h,
+        Bytes::copy_from_slice(&buf[wire::FRAME_HEADER_LEN..h.frame_len()]),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -429,26 +458,28 @@ proptest! {
         shard in 0u32..128,
         seq in 0u64..u64::MAX,
     ) {
-        let req = WireRequest { header, ops };
-        let frame = req.to_frame(ShardId(shard), seq);
         let mut buf = Vec::new();
-        frame.encode_into(&mut buf);
+        wire::encode_request(&mut buf, ShardId(shard), seq, &header, &ops);
         // Prefixes never decode, never error.
-        for cut in [0, 1, wire::FRAME_HEADER_LEN - 1, buf.len().saturating_sub(1)] {
-            let cut = cut.min(buf.len() - 1);
-            prop_assert!(wire::decode_frame(&buf[..cut]).unwrap().is_none());
+        for cut in 0..buf.len() {
+            match wire::decode_header(&buf[..cut]).unwrap() {
+                None => prop_assert!(cut < wire::FRAME_HEADER_LEN),
+                Some(h) => prop_assert!(h.frame_len() > cut),
+            }
         }
         // Two frames back to back decode in order.
         let mut twice = buf.clone();
         twice.extend_from_slice(&buf);
-        let (first, used) = wire::decode_frame(&twice).unwrap().unwrap();
-        let (second, used2) = wire::decode_frame(&twice[used..]).unwrap().unwrap();
-        prop_assert_eq!(used, used2);
-        prop_assert_eq!(&first, &second);
-        prop_assert_eq!(first.seq, seq);
-        prop_assert_eq!(first.shard, shard);
-        let decoded = WireRequest::from_frame(&first).unwrap();
-        prop_assert_eq!(decoded, req);
+        let (first, body) = split_frame(&twice);
+        let (second, body2) = split_frame(&twice[first.frame_len()..]);
+        prop_assert_eq!(first.frame_len() * 2, twice.len());
+        prop_assert_eq!(first, second);
+        prop_assert_eq!(&body, &body2);
+        prop_assert_eq!((first.kind, first.shard, first.seq), (FrameKind::Request, shard, seq));
+        let (mut got_header, mut got_ops) = (empty_header(), Vec::new());
+        wire::decode_request_body_into(&body, &mut got_ops, &mut got_header).unwrap();
+        prop_assert_eq!(got_header, header);
+        prop_assert_eq!(got_ops, ops);
     }
 
     /// Response outcomes — results of every shape and every error variant —
@@ -456,81 +487,85 @@ proptest! {
     #[test]
     fn response_frames_round_trip(
         shard in 0u32..128,
-        wl in 1u64..1 << 16,
-        version in 0u64..1 << 40,
-        first in 0u64..1 << 40,
+        (wl, version, first) in (1u64..1 << 16, 0u64..1 << 40, 0u64..u64::MAX),
         results in prop::collection::vec(prop_oneof![
             Just(OpResult::Done),
             Just(OpResult::Value(None)),
-            (0u64..u64::MAX).prop_map(|v| OpResult::Value(Some(Value::from_u64(v)))),
+            arb_value().prop_map(|v| OpResult::Value(Some(v))),
         ], 0..12),
-        err_pick in 0usize..5,
+        err in arb_error(),
     ) {
-        let reply = libdpr::BatchReply {
+        let reply = BatchReply {
             shard: ShardId(shard),
             world_line: WorldLine(wl),
             version: Version(version),
             first_serial: first,
             op_count: results.len() as u32,
         };
-        let ok = WireResponse { outcome: Ok((reply, results)) };
-        let frame = ok.to_frame(shard, 3);
-        prop_assert_eq!(WireResponse::from_frame(&frame).unwrap(), ok);
+        let mut buf = Vec::new();
+        wire::encode_response(&mut buf, shard, 3, Ok((&reply, &results)));
+        let (h, body) = split_frame(&buf);
+        prop_assert_eq!((h.kind, h.shard, h.seq, h.frame_len()), (FrameKind::Response, shard, 3, buf.len()));
+        let mut got = Vec::new();
+        prop_assert_eq!(wire::decode_response_body(&body, &mut got).unwrap(), Ok(reply));
+        prop_assert_eq!(got, results);
 
-        let errs = [
-            DprError::WorldLineMismatch { requested: WorldLine(wl), current: WorldLine(wl + 1) },
-            DprError::NotOwner { shard: ShardId(shard) },
-            DprError::Recovering,
-            DprError::Timeout,
-            DprError::Invalid("bad".into()),
-        ];
-        let e = errs[err_pick].clone();
-        let resp = WireResponse { outcome: Err(e) };
-        let frame = resp.to_frame(shard, 4);
-        prop_assert_eq!(WireResponse::from_frame(&frame).unwrap(), resp);
+        buf.clear();
+        wire::encode_response(&mut buf, shard, 4, Err(&err));
+        let (_, body) = split_frame(&buf);
+        let mut got = Vec::new();
+        prop_assert_eq!(wire::decode_response_body(&body, &mut got).unwrap(), Err(err));
+        prop_assert!(got.is_empty());
     }
 
     /// Corrupting any single header byte of a valid frame never panics:
     /// the decoder either rejects it, asks for more bytes, or returns a
-    /// (different) well-formed frame — importantly it never reads out of
-    /// bounds or wraps lengths.
+    /// (different) well-formed header whose body then parses or is rejected
+    /// — importantly it never reads out of bounds or wraps lengths.
     #[test]
     fn corrupted_headers_never_panic(
         byte in 0usize..wire::FRAME_HEADER_LEN,
         val in 0u32..256,
     ) {
-        let req = WireRequest {
-            header: BatchHeader {
-                session: SessionId(1),
-                world_line: WorldLine(1),
-                version_lower_bound: Version(0),
-                deps: vec![],
-                first_serial: 0,
-                op_count: 1,
-            },
-            ops: vec![ClusterOp::Read(Key::from_u64(9))],
-        };
         let mut buf = Vec::new();
-        req.to_frame(ShardId(0), 1).encode_into(&mut buf);
+        wire::encode_request(&mut buf, ShardId(0), 1, &empty_header(), &read(9));
         buf[byte] = val as u8;
-        let _ = wire::decode_frame(&buf); // must not panic
+        if let Ok(Some(h)) = wire::decode_header(&buf) {
+            if h.frame_len() <= buf.len() {
+                let (_, body) = split_frame(&buf);
+                let _ = wire::decode_request_body_into(&body, &mut Vec::new(), &mut empty_header());
+                let _ = wire::decode_response_body(&body, &mut Vec::new());
+                let _ = Hello::from_body(&body);
+                let _ = wire::HelloAck::from_body(&body);
+                let _ = wire::CutResponse::from_body(&body);
+                let _ = ProtoError::from_body(&body);
+            }
+        }
     }
 }
 
 /// Read exactly one frame from a blocking socket (test helper).
-fn read_one_frame(stream: &mut TcpStream) -> Frame {
+fn read_one_frame(stream: &mut TcpStream) -> (FrameHeader, Bytes) {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
-        if let Some((frame, used)) = wire::decode_frame(&buf).unwrap() {
-            assert!(used <= buf.len());
-            return frame;
+        if let Some(h) = wire::decode_header(&buf).unwrap() {
+            if h.frame_len() <= buf.len() {
+                return split_frame(&buf);
+            }
         }
         let n = stream.read(&mut chunk).expect("peer closed before frame");
         assert!(n > 0, "peer closed before frame");
         buf.extend_from_slice(&chunk[..n]);
     }
+}
+
+/// Read one frame, which must be an `Error`, and return its code.
+fn read_error(stream: &mut TcpStream) -> ProtoErrorCode {
+    let (header, body) = read_one_frame(stream);
+    assert_eq!(header.kind, FrameKind::Error);
+    ProtoError::from_body(&body).unwrap().code
 }

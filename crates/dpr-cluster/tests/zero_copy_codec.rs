@@ -1,24 +1,17 @@
 //! Zero-copy wire codec acceptance tests.
 //!
-//! Two claims are checked here:
-//!
-//! 1. **Allocation-freedom**: steady-state encode (request + response) and
-//!    request decode perform *zero* heap allocations per frame once
-//!    buffers are warm, measured by a per-thread counting allocator (so
-//!    concurrently running tests cannot pollute the count).
-//! 2. **Equivalence**: the direct (pooled-buffer) encoders/decoders are
-//!    byte- and value-identical to the owned `Frame`/`Vec` codec tier,
-//!    over randomized batches covering inline (≤ 24 B) and shared (> 24 B)
-//!    key/value sizes.
+//! **Allocation-freedom**: steady-state encode (request + response) and
+//! request decode perform *zero* heap allocations per frame once buffers are
+//! warm, measured by a per-thread counting allocator (so concurrently running
+//! tests cannot pollute the count). That the bytes are the specified ones is
+//! checked by the golden vectors of the root `tests/wire_format.rs`; that
+//! they round-trip, by the property tests of `net_plane_tests.rs`.
 
 use bytes::Bytes;
-use dpr_cluster::wire::{
-    self, Frame, FrameKind, ProtoError, ProtoErrorCode, WireRequest, WireResponse,
-};
+use dpr_cluster::wire;
 use dpr_cluster::{ClusterOp, OpResult};
-use dpr_core::{BufferPool, DprError, Key, SessionId, ShardId, Token, Value, Version, WorldLine};
+use dpr_core::{BufferPool, Key, SessionId, ShardId, Value, Version, WorldLine};
 use libdpr::{BatchHeader, BatchReply};
-use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -85,7 +78,7 @@ fn request_response_cycle(
     enc: &mut Vec<u8>,
     resp: &mut Vec<u8>,
     ops: &[ClusterOp],
-    decoded: &mut Vec<ClusterOp>,
+    (decoded, decoded_header): &mut (Vec<ClusterOp>, BatchHeader),
     results: &[OpResult],
     serial: u64,
 ) -> usize {
@@ -100,8 +93,8 @@ fn request_response_cycle(
     let body = lease.freeze(body_bytes.len());
 
     decoded.clear();
-    let got = wire::decode_request_body(&body, decoded).expect("decode request");
-    assert_eq!(got.first_serial, serial);
+    wire::decode_request_body_into(&body, decoded, decoded_header).expect("decode request");
+    assert_eq!(decoded_header.first_serial, serial);
 
     let reply = BatchReply {
         shard: ShardId(3),
@@ -134,7 +127,7 @@ fn steady_state_frame_cycle_allocates_nothing() {
     ];
     let mut enc: Vec<u8> = Vec::with_capacity(8 << 10);
     let mut resp: Vec<u8> = Vec::with_capacity(8 << 10);
-    let mut decoded: Vec<ClusterOp> = Vec::with_capacity(16);
+    let mut decoded = (Vec::with_capacity(16), steady_header(0, 0));
 
     // Warm-up: pool stripes, scratch growth, telemetry registration.
     for i in 0..64 {
@@ -172,7 +165,7 @@ fn large_values_stay_zero_copy_views_of_the_pooled_body() {
     let body = lease.freeze(body_bytes.len());
 
     let mut decoded = Vec::new();
-    wire::decode_request_body(&body, &mut decoded).unwrap();
+    wire::decode_request_body_into(&body, &mut decoded, &mut steady_header(0, 0)).unwrap();
     let ClusterOp::Upsert(_, v) = &decoded[0] else {
         panic!("expected upsert");
     };
@@ -182,197 +175,4 @@ fn large_values_stay_zero_copy_views_of_the_pooled_body() {
         body_range.contains(&value_range.start),
         "decoded value must point into the pooled frame body"
     );
-}
-
-// ---------------------------------------------------------------------------
-// Equivalence with the owned codec tier
-// ---------------------------------------------------------------------------
-
-fn key_strategy() -> impl Strategy<Value = Key> {
-    // Cover inline (≤ 24 B) and shared (> 24 B) representations.
-    prop::collection::vec(0..255u8, 1..64).prop_map(|b| Key(Bytes::copy_from_slice(&b)))
-}
-
-fn value_strategy() -> impl Strategy<Value = Value> {
-    prop::collection::vec(0..255u8, 0..64).prop_map(|b| Value(Bytes::copy_from_slice(&b)))
-}
-
-fn op_strategy() -> impl Strategy<Value = ClusterOp> {
-    prop_oneof![
-        key_strategy().prop_map(ClusterOp::Read),
-        (key_strategy(), value_strategy()).prop_map(|(k, v)| ClusterOp::Upsert(k, v)),
-        key_strategy().prop_map(ClusterOp::Incr),
-        key_strategy().prop_map(ClusterOp::Delete),
-    ]
-}
-
-fn header_strategy() -> impl Strategy<Value = BatchHeader> {
-    (
-        (0..u64::MAX, 1..10u64, 0..100u64),
-        prop::collection::vec((0..16u32, 1..1000u64), 0..4),
-        (0..u64::MAX, 0..256u32),
-    )
-        .prop_map(
-            |((session, wl, lb), deps, (first_serial, op_count))| BatchHeader {
-                session: SessionId(session),
-                world_line: WorldLine(wl),
-                version_lower_bound: Version(lb),
-                deps: deps
-                    .into_iter()
-                    .map(|(s, v)| Token::new(ShardId(s), Version(v)))
-                    .collect(),
-                first_serial,
-                op_count,
-            },
-        )
-}
-
-fn result_strategy() -> impl Strategy<Value = OpResult> {
-    prop_oneof![
-        Just(OpResult::Done),
-        Just(OpResult::Value(None)),
-        value_strategy().prop_map(|v| OpResult::Value(Some(v))),
-    ]
-}
-
-fn string_strategy(max_len: usize) -> impl Strategy<Value = String> {
-    prop::collection::vec(32..127u8, 0..max_len)
-        .prop_map(|b| b.into_iter().map(char::from).collect())
-}
-
-fn error_strategy() -> impl Strategy<Value = DprError> {
-    prop_oneof![
-        (1..10u64, 1..10u64).prop_map(|(a, b)| DprError::WorldLineMismatch {
-            requested: WorldLine(a),
-            current: WorldLine(b),
-        }),
-        Just(DprError::Recovering),
-        Just(DprError::Closed),
-        Just(DprError::Timeout),
-        string_strategy(40).prop_map(DprError::Invalid),
-        string_strategy(40).prop_map(DprError::Storage),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn direct_request_encode_matches_owned_codec(
-        header in header_strategy(),
-        ops in prop::collection::vec(op_strategy(), 0..32),
-        shard in 0..64u32,
-        seq in 0..u64::MAX,
-    ) {
-        // Direct encoder vs owned to_frame + encode_into: identical bytes.
-        let mut direct = Vec::new();
-        wire::encode_request(&mut direct, ShardId(shard), seq, &header, &ops);
-        let owned = WireRequest { header: header.clone(), ops: ops.clone() };
-        let mut via_frame = Vec::new();
-        owned.to_frame(ShardId(shard), seq).encode_into(&mut via_frame);
-        prop_assert_eq!(&direct, &via_frame);
-
-        // Owned decode vs pooled zero-copy decode: identical values.
-        let (frame, used) = wire::decode_frame(&direct).unwrap().expect("complete");
-        prop_assert_eq!(used, direct.len());
-        let owned_decoded = WireRequest::from_frame(&frame).unwrap();
-
-        let h = wire::decode_header(&direct).unwrap().expect("complete");
-        let body_bytes = &direct[wire::FRAME_HEADER_LEN..h.frame_len()];
-        let mut lease = BufferPool::global().acquire_shared(body_bytes.len().max(1));
-        lease.data_mut()[..body_bytes.len()].copy_from_slice(body_bytes);
-        let body = lease.freeze(body_bytes.len());
-        let mut pooled_ops = Vec::new();
-        let pooled_header = wire::decode_request_body(&body, &mut pooled_ops).unwrap();
-
-        prop_assert_eq!(h.kind, FrameKind::Request);
-        prop_assert_eq!(h.shard, shard);
-        prop_assert_eq!(h.seq, seq);
-        prop_assert_eq!(&pooled_header, &owned_decoded.header);
-        prop_assert_eq!(&pooled_ops, &owned_decoded.ops);
-        prop_assert_eq!(&pooled_header, &header);
-        prop_assert_eq!(&pooled_ops, &ops);
-    }
-
-    #[test]
-    fn direct_response_encode_matches_owned_codec(
-        reply_version in 1..1000u64,
-        first_serial in 0..u64::MAX,
-        results in prop::collection::vec(result_strategy(), 0..32),
-        shard in 0..64u32,
-        seq in 0..u64::MAX,
-    ) {
-        let reply = BatchReply {
-            shard: ShardId(shard),
-            world_line: WorldLine(1),
-            version: Version(reply_version),
-            first_serial,
-            op_count: results.len() as u32,
-        };
-        let mut direct = Vec::new();
-        wire::encode_response(&mut direct, shard, seq, Ok((&reply, &results)));
-        let owned = WireResponse { outcome: Ok((reply.clone(), results.clone())) };
-        let mut via_frame = Vec::new();
-        owned.to_frame(shard, seq).encode_into(&mut via_frame);
-        prop_assert_eq!(&direct, &via_frame);
-
-        // Pooled zero-copy decode round-trips the outcome.
-        let h = wire::decode_header(&direct).unwrap().expect("complete");
-        let body_bytes = &direct[wire::FRAME_HEADER_LEN..h.frame_len()];
-        let mut lease = BufferPool::global().acquire_shared(body_bytes.len().max(1));
-        lease.data_mut()[..body_bytes.len()].copy_from_slice(body_bytes);
-        let body = lease.freeze(body_bytes.len());
-        let decoded = WireResponse::from_body(&body).unwrap();
-        let (dreply, dresults) = decoded.outcome.expect("ok outcome");
-        prop_assert_eq!(&dreply, &reply);
-        prop_assert_eq!(&dresults, &results);
-    }
-
-    #[test]
-    fn error_response_encode_matches_owned_codec(
-        err in error_strategy(),
-        shard in 0..64u32,
-        seq in 0..u64::MAX,
-    ) {
-        let mut direct = Vec::new();
-        wire::encode_response(&mut direct, shard, seq, Err(&err));
-        let owned = WireResponse { outcome: Err(err) };
-        let mut via_frame = Vec::new();
-        owned.to_frame(shard, seq).encode_into(&mut via_frame);
-        prop_assert_eq!(&direct, &via_frame);
-
-        let (frame, _) = wire::decode_frame(&direct).unwrap().expect("complete");
-        let decoded = WireResponse::from_frame(&frame).unwrap();
-        prop_assert!(decoded.outcome.is_err());
-    }
-
-    #[test]
-    fn proto_error_and_control_frames_match_owned_codec(
-        code_idx in 0..7usize,
-        detail in string_strategy(60),
-        seq in 0..u64::MAX,
-    ) {
-        let codes = [
-            ProtoErrorCode::UnsupportedVersion,
-            ProtoErrorCode::BadFrame,
-            ProtoErrorCode::HandshakeRequired,
-            ProtoErrorCode::StaleEpoch,
-            ProtoErrorCode::UnknownShard,
-            ProtoErrorCode::DuplicateInFlight,
-            ProtoErrorCode::Shutdown,
-        ];
-        let err = ProtoError { code: codes[code_idx], detail };
-        let mut direct = Vec::new();
-        err.encode(&mut direct, seq);
-        let mut via_frame = Vec::new();
-        err.to_frame(seq).encode_into(&mut via_frame);
-        prop_assert_eq!(&direct, &via_frame);
-
-        let mut ctl = Vec::new();
-        wire::encode_control(&mut ctl, FrameKind::CutReq, seq);
-        let mut ctl_frame = Vec::new();
-        Frame { kind: FrameKind::CutReq, shard: wire::NO_SHARD, seq, body: Bytes::new() }
-            .encode_into(&mut ctl_frame);
-        prop_assert_eq!(&ctl, &ctl_frame);
-    }
 }

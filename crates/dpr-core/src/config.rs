@@ -1,9 +1,7 @@
 //! Shared configuration enums.
 
-use serde::{Deserialize, Serialize};
-
 /// Which DPR-cut-finding algorithm to run (§3.3–3.4, Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DprFinderMode {
     /// Persist the full precedence graph; a coordinator computes maximal
     /// transitive closures. Exact but write-heavy.
@@ -19,7 +17,7 @@ pub enum DprFinderMode {
 }
 
 /// Recoverability levels compared in §7.6 (Fig. 19).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoverabilityLevel {
     /// Not recoverable on failure; no checkpoint/log work at all.
     None,
@@ -48,7 +46,7 @@ impl RecoverabilityLevel {
 }
 
 /// How a FASTER-style shard captures a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointMode {
     /// Fold-over: mark the mutable region read-only and flush the log tail
     /// (the mode used in the paper's evaluation, §7.1).

@@ -1,7 +1,6 @@
 //! Unified error type for the workspace.
 
 use crate::version::{SessionId, ShardId, Version, WorldLine};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Convenience alias used across the workspace.
@@ -14,7 +13,7 @@ pub type Result<T> = std::result::Result<T, DprError>;
 /// failure happened and the client must compute its surviving prefix (§4.2),
 /// and [`DprError::RolledBack`] is what a session surfaces to the application
 /// together with the exact prefix that survived (§2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DprError {
     /// The request's world-line does not match the shard's.
     ///

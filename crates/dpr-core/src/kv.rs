@@ -5,7 +5,6 @@
 //! arbitrary byte strings for generality.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -14,7 +13,7 @@ use std::hash::{Hash, Hasher};
 /// Keys hash with a strong-enough 64-bit mix (SplitMix64 over FxHash-style
 /// folding) so that hash-partitioning across shards and hash-index bucket
 /// selection are both well distributed even for sequential integer keys.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key(pub Bytes);
 
 impl Key {
@@ -104,7 +103,7 @@ impl fmt::Display for Key {
 }
 
 /// A value stored against a key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Value(pub Bytes);
 
 impl Value {

@@ -3,14 +3,13 @@
 //! These are deliberately small `Copy` newtypes so they can be embedded in
 //! wire headers, record headers, and atomics without indirection.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one shard (`StateObject`) in the cluster.
 ///
 /// In the paper's running example (Fig. 2) these are the objects `A`, `B`,
 /// `C`. Shard ids are dense small integers assigned by the cluster manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub u32);
 
 impl fmt::Display for ShardId {
@@ -26,9 +25,7 @@ impl fmt::Display for ShardId {
 /// executed it, and a `Commit()` call seals the current version. Version 0 is
 /// reserved for "nothing committed"; the first operations execute in
 /// version 1.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Version(pub u64);
 
 impl Version {
@@ -80,9 +77,7 @@ impl From<u64> for Version {
 /// trajectory the system state is evolving along. Clients append their
 /// world-line to every request and shards execute a request only if the
 /// world-lines match.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct WorldLine(pub u64);
 
 impl WorldLine {
@@ -108,7 +103,7 @@ impl fmt::Display for WorldLine {
 /// `Restore(token)` returns the shard to the state captured by the token. A
 /// set of tokens, one per shard, forms a DPR-cut when closed under the
 /// dependency relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Token {
     /// Which shard this token belongs to.
     pub shard: ShardId,
@@ -136,7 +131,7 @@ impl fmt::Display for Token {
 /// sessions are "identified by a globally unique id" (§5.2); when a session
 /// operates on a worker, the worker creates a corresponding local session
 /// with the same id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub u64);
 
 impl fmt::Display for SessionId {
@@ -178,13 +173,5 @@ mod tests {
         assert_ne!(a, Token::new(ShardId(1), Version(3)));
         assert_ne!(a, Token::new(ShardId(2), Version(2)));
         assert_eq!(a, Token::new(ShardId(1), Version(2)));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = Token::new(ShardId(3), Version(9));
-        let s = serde_json::to_string(&t).unwrap();
-        let back: Token = serde_json::from_str(&s).unwrap();
-        assert_eq!(t, back);
     }
 }

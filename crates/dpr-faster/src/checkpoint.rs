@@ -1,8 +1,12 @@
 //! Checkpoint manifests and per-session commit points.
+//!
+//! A manifest is the "lightweight metadata-only" record of one checkpoint
+//! (§5.5). It has one encoding, the hand-written binary `DPRM` format below
+//! (magic, format word, fixed-width little-endian fields, length-prefixed
+//! collections); a blob that does not decode as it is a storage error.
 
 use dpr_core::{DprError, Result, SessionId, Version};
 use dpr_storage::BlobStore;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Where a session's prefix stood when a version was sealed.
@@ -11,7 +15,7 @@ use std::collections::BTreeMap;
 /// operations with serial below `serial`, *except* those listed in
 /// `exceptions`" — the PENDING operations that had been issued but not yet
 /// resolved when the version boundary passed (Fig. 7's missing op 11).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CommitPoint {
     /// Exclusive upper bound of committed serial numbers.
     pub serial: u64,
@@ -21,7 +25,7 @@ pub struct CommitPoint {
 }
 
 /// Durable description of one checkpoint, stored in the blob store.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointManifest {
     /// Version this checkpoint commits.
     pub version: Version,
@@ -34,30 +38,26 @@ pub struct CheckpointManifest {
     pub commit_points: BTreeMap<SessionId, CommitPoint>,
     /// For snapshot-mode checkpoints: the blob holding the full state image
     /// (fold-over checkpoints recover from the log instead).
-    #[serde(default)]
     pub snapshot_blob: Option<String>,
     /// Device offset at which this log incarnation's address 0 begins.
     /// Kept for manifests written by older builds; superseded by
     /// `segments` (format 2), which describes device mappings that are no
     /// longer linear after a post-crash rebase or GC truncation.
-    #[serde(default)]
     pub device_scan_base: u64,
     /// Number of chain identities of the hash index (`2^b`: records whose
     /// keys share the top `b` hash bits form one `prev` chain). Recovery
     /// gives the rebuilt index at least as many, because a larger count only
     /// splits these chains while a smaller one would join chains no `prev`
     /// link connects. Zero: the manifest comes from a build that chained
-    /// records by a bucket count of low hash bits (formats 1 and 2, JSON),
+    /// records by a bucket count of low hash bits (formats 1 and 2),
     /// whose links are of no use to this index — recovery then re-appends
     /// the live records into a fresh log.
-    #[serde(default)]
     pub index_buckets: u64,
     /// Durable segment map `(start_address, device_offset, len)` covering
     /// `[0, until_address)` — what [`crate::RecordLog::recover`]
     /// rebuilds the device mapping from. Empty in older manifests, which
     /// recovery treats as the single linear span
     /// `(0, device_scan_base, until_address)`.
-    #[serde(default)]
     pub segments: Vec<(u64, u64, u64)>,
 }
 
@@ -72,9 +72,9 @@ const MANIFEST_FORMAT: u16 = 3;
 
 thread_local! {
     /// Reusable encode buffer: checkpoints complete on the worker tick
-    /// thread at a steady cadence, and serde_json's per-write allocation
-    /// churn showed up as the largest *background* allocation source in
-    /// allocation profiles (see `dpr-bench --bin allocstacks`).
+    /// thread at a steady cadence, and a buffer per write showed up as the
+    /// largest *background* allocation source in allocation profiles (see
+    /// `dpr-bench --bin allocstacks`).
     static ENCODE_SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -251,24 +251,16 @@ impl CheckpointManifest {
         })
     }
 
-    /// Load the manifest for `version`, if present. Blobs written by older
-    /// builds (JSON) are still readable: anything without the binary magic
-    /// falls back to the serde decoder.
+    /// Load the manifest for `version`, if present.
+    ///
+    /// # Errors
+    /// [`DprError::Storage`] when the blob is not a `DPRM` manifest of a
+    /// known format, or is cut short.
     pub fn read_from(blobs: &dyn BlobStore, version: Version) -> Result<Option<Self>> {
-        match blobs.get(&Self::blob_name(version))? {
-            Some(data) => {
-                let m = if data.len() >= 4 && data[..4] == MANIFEST_MAGIC.to_le_bytes() {
-                    Self::decode(&data)?
-                } else {
-                    let mut m: Self = serde_json::from_slice(&data)
-                        .map_err(|e| DprError::Storage(format!("manifest decode: {e}")))?;
-                    m.index_buckets = 0;
-                    m
-                };
-                Ok(Some(m))
-            }
-            None => Ok(None),
-        }
+        blobs
+            .get(&Self::blob_name(version))?
+            .map(|data| Self::decode(&data))
+            .transpose()
     }
 
     /// The latest manifest at or below `at_most` (used by `Restore`).
@@ -384,6 +376,42 @@ mod tests {
                 ..m
             }
         );
+    }
+
+    #[test]
+    fn cut_short_corrupted_or_foreign_blobs_are_storage_errors() {
+        let mut m = manifest(5);
+        m.snapshot_blob = Some("snap-5".into());
+        let mut buf = Vec::new();
+        m.encode_into(&mut buf);
+        assert_eq!(CheckpointManifest::decode(&buf).unwrap(), m);
+        let rejected =
+            |bytes: &[u8]| matches!(CheckpointManifest::decode(bytes), Err(DprError::Storage(_)));
+        for len in 0..buf.len() {
+            assert!(rejected(&buf[..len]), "prefix of {len} bytes");
+        }
+        // Magic and format word are refused; past them a flipped byte may
+        // still decode (to another manifest) but never panics, and a forged
+        // count runs into the end of the blob instead of allocating for it.
+        for at in 0..buf.len() {
+            let mut bad = buf.clone();
+            bad[at] ^= 0xFF;
+            assert!(rejected(&bad) || at >= 6, "byte {at} flipped");
+        }
+        // The JSON text older builds wrote has no magic.
+        let blobs = MemBlobStore::new();
+        let json = br#"{"version":5,"until_address":500,"purged":[],"commit_points":{}}"#;
+        blobs
+            .put(&CheckpointManifest::blob_name(Version(5)), json)
+            .unwrap();
+        assert!(matches!(
+            CheckpointManifest::read_from(&blobs, Version(5)),
+            Err(DprError::Storage(_))
+        ));
+        assert!(matches!(
+            CheckpointManifest::latest(&blobs, None),
+            Err(DprError::Storage(_))
+        ));
     }
 
     #[test]

@@ -19,13 +19,12 @@ use dpr_core::{DprError, Result, ShardId, Version};
 use dpr_storage::{BlobStore, LogDevice};
 use libdpr::{CommitDescriptor, StateObject};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A consumer group identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConsumerId(pub u64);
 
 /// One log entry.
@@ -39,7 +38,11 @@ pub struct Entry {
     pub payload: Bytes,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
+/// Durable description of one sealed version, stored in the blob store:
+/// [`MANIFEST_HEADER`], then fixed-width little-endian fields (`version u64
+/// | until_offset u64 | count u32 | (consumer u64, offset u64) × count`),
+/// and nothing after them.
+#[derive(Debug, PartialEq, Eq)]
 struct LogManifest {
     version: Version,
     /// One past the last entry offset included in this version.
@@ -48,9 +51,51 @@ struct LogManifest {
     consumers: BTreeMap<ConsumerId, u64>,
 }
 
+/// Leading bytes of a manifest blob: the magic, then format 1 as a `u16`.
+const MANIFEST_HEADER: [u8; 6] = *b"DPRL\x01\x00";
+/// Bytes before the consumer entries.
+const MANIFEST_FIXED: usize = MANIFEST_HEADER.len() + 8 + 8 + 4;
+
 impl LogManifest {
     fn blob_name(version: Version) -> String {
         format!("log-chkpt-{:020}", version.0)
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(MANIFEST_FIXED + 16 * self.consumers.len());
+        out.extend_from_slice(&MANIFEST_HEADER);
+        out.extend_from_slice(&self.version.0.to_le_bytes());
+        out.extend_from_slice(&self.until_offset.to_le_bytes());
+        out.extend_from_slice(&(self.consumers.len() as u32).to_le_bytes());
+        for (consumer, offset) in &self.consumers {
+            out.extend_from_slice(&consumer.0.to_le_bytes());
+            out.extend_from_slice(&offset.to_le_bytes());
+        }
+        out
+    }
+
+    /// Anything but a whole manifest of the known format is a storage
+    /// error. The declared count is checked against the bytes present
+    /// before an entry is read, so a forged one allocates nothing.
+    fn decode(buf: &[u8]) -> Result<LogManifest> {
+        let bad = |what: &str| DprError::Storage(format!("log manifest decode: {what}"));
+        if buf.len() < MANIFEST_FIXED || !buf.starts_with(&MANIFEST_HEADER) {
+            return Err(bad("cut short, or not a format-1 log manifest"));
+        }
+        let fields = &buf[MANIFEST_HEADER.len()..];
+        let u64_at = |at: usize| u64::from_le_bytes(fields[at..at + 8].try_into().unwrap());
+        let count = u32::from_le_bytes(fields[16..20].try_into().unwrap()) as usize;
+        if count.checked_mul(16) != Some(fields.len() - 20) {
+            return Err(bad("length does not match the consumer count"));
+        }
+        Ok(LogManifest {
+            version: Version(u64_at(0)),
+            until_offset: u64_at(8),
+            consumers: (0..count)
+                .map(|i| 20 + 16 * i)
+                .map(|at| (ConsumerId(u64_at(at)), u64_at(at + 8)))
+                .collect(),
+        })
     }
 }
 
@@ -241,12 +286,9 @@ impl SharedLog {
                 until_offset: until,
                 consumers: consumers.clone(),
             };
-            let Ok(data) = serde_json::to_vec(&manifest) else {
-                continue;
-            };
             if self
                 .blobs
-                .put(&LogManifest::blob_name(version), &data)
+                .put(&LogManifest::blob_name(version), &manifest.encode())
                 .is_ok()
             {
                 self.durable_version.fetch_max(version.0, Ordering::AcqRel);
@@ -277,10 +319,7 @@ impl SharedLog {
                 let data = blobs
                     .get(name)?
                     .ok_or_else(|| DprError::Storage(format!("missing blob {name}")))?;
-                manifest = Some(
-                    serde_json::from_slice(&data)
-                        .map_err(|e| DprError::Storage(format!("manifest decode: {e}")))?,
-                );
+                manifest = Some(LogManifest::decode(&data)?);
                 break;
             }
         }
@@ -387,8 +426,7 @@ impl StateObject for SharedLog {
                     version,
                 },
             )?;
-            serde_json::from_slice(&data)
-                .map_err(|e| DprError::Storage(format!("manifest decode: {e}")))?
+            LogManifest::decode(&data)?
         };
         let mut inner = self.inner.lock();
         inner.entries.truncate(boundary.until_offset as usize);
@@ -568,5 +606,46 @@ mod tests {
         let log = SharedLog::recover(ShardId(0), device, blobs, None).unwrap();
         assert!(log.is_empty());
         assert_eq!(log.durable_version(), Version::ZERO);
+    }
+
+    #[test]
+    fn manifest_decode_rejects_every_prefix_and_header_flip() {
+        let manifest = LogManifest {
+            version: Version(7),
+            until_offset: 40,
+            consumers: BTreeMap::from([(ConsumerId(1), 12), (ConsumerId(9), 40)]),
+        };
+        let buf = manifest.encode();
+        assert_eq!(LogManifest::decode(&buf).unwrap(), manifest);
+        let rejected =
+            |bytes: &[u8]| matches!(LogManifest::decode(bytes), Err(DprError::Storage(_)));
+        for len in 0..buf.len() {
+            assert!(rejected(&buf[..len]), "prefix of {len} bytes");
+        }
+        // Magic and format word, then the consumer count: a forged count
+        // disagrees with the bytes present and is refused before any entry
+        // is read.
+        for at in (0..6).chain(22..26) {
+            let mut bad = buf.clone();
+            bad[at] ^= 0xFF;
+            assert!(rejected(&bad), "byte {at} flipped");
+        }
+    }
+
+    #[test]
+    fn json_manifests_of_older_builds_are_storage_errors() {
+        let json = br#"{"version":1,"until_offset":1,"consumers":{"9":1}}"#;
+        let (log, device, blobs) = log();
+        log.enqueue(payload(1));
+        log.request_commit(None);
+        log.take_commits();
+        blobs
+            .put(&LogManifest::blob_name(Version(1)), json)
+            .unwrap();
+        assert!(matches!(log.restore(Version(1)), Err(DprError::Storage(_))));
+        assert!(matches!(
+            SharedLog::recover(ShardId(0), device, blobs, None),
+            Err(DprError::Storage(_))
+        ));
     }
 }

@@ -8,14 +8,13 @@
 
 use dpr_core::{Clock, DprError, Key, Result, ShardId};
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// A virtual partition id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtualPartition(pub u32);
 
 /// How keys map to virtual partitions.
@@ -32,7 +31,7 @@ pub struct VirtualPartition(pub u32);
 /// let h = Partitioner::Hash { partitions: 8 };
 /// assert!(h.partition_of(&Key::from_u64(150)).0 < 8);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Partitioner {
     /// `hash(key) % partitions`.
     Hash {
@@ -77,7 +76,7 @@ impl Partitioner {
 }
 
 /// One row of the ownership table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OwnershipEntry {
     /// Current owner; `None` mid-transfer.
     pub owner: Option<ShardId>,

@@ -2,7 +2,6 @@
 
 use crate::store::Cut;
 use dpr_core::{ShardId, WorldLine};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// State of an in-flight cluster recovery.
@@ -12,7 +11,7 @@ use std::collections::BTreeSet;
 /// workers that have not yet reported rollback completion. DPR progress is
 /// halted while this exists (§4.1: "temporarily halting DPR progress ...
 /// resuming progress only after all workers have reported back").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryState {
     /// The world-line the cluster is moving to.
     pub world_line: WorldLine,

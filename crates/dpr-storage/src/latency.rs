@@ -7,11 +7,10 @@
 //! complete than local SSD", and a DPR checkpoint on cloud storage taking
 //! ~50 ms on average, §7.2 "Sensitivity to Storage Latency").
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Named storage profiles matching the paper's three backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageProfile {
     /// Completes every I/O instantaneously but exercises all code paths —
     /// the theoretical upper bound for the recoverability model (§7.2).
@@ -58,7 +57,7 @@ impl StorageProfile {
 ///
 /// Buffered writes are free (they land in the device cache); durability is
 /// paid at flush time, which is where the checkpoint critical path sits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Fixed cost per flush call (seek/replication round trip).
     pub flush_fixed: Duration,

@@ -12,7 +12,5 @@ pub mod workload;
 pub mod zipf;
 
 pub use stats::{LatencyHistogram, ThroughputSeries};
-pub use workload::{
-    BatchPlan, KeyDistribution, PlannedKind, PlannedOp, WorkloadGen, WorkloadOp, WorkloadSpec,
-};
+pub use workload::{KeyDistribution, WorkloadGen, WorkloadOp, WorkloadSpec};
 pub use zipf::Zipfian;

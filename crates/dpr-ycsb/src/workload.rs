@@ -3,7 +3,7 @@
 use crate::zipf::Zipfian;
 use dpr_core::{Key, Value};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 /// Key access distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -218,123 +218,6 @@ impl WorkloadGen {
     pub fn next_batch(&mut self, n: usize) -> Vec<WorkloadOp> {
         (0..n).map(|_| self.next_op()).collect()
     }
-
-    /// Refill `plan` with `n` operations, reusing its buffers — the
-    /// allocation-free twin of [`WorkloadGen::next_batch`].
-    ///
-    /// Generation is split into structure-of-arrays passes instead of
-    /// interleaved per-op draws: one pass rolls the op mix, one bulk-fills
-    /// the randomness for the key draws (uniform keyspaces fill the whole
-    /// batch with a single `rng.fill`), and one resolves key ids. Keys stay
-    /// as raw `u64` ids so callers can materialise them into their own op
-    /// types (this crate does not know the cluster's op enum) without
-    /// copying; with small keys inlined by `dpr_core::Key`, the whole
-    /// request path stays allocation-free.
-    pub fn fill_plan(&mut self, plan: &mut BatchPlan, n: usize) {
-        plan.slots.clear();
-        plan.slots.reserve(n);
-        // Pass 1: the op mix.
-        for _ in 0..n {
-            let roll: f64 = self.rng.gen();
-            let kind = if roll < self.spec.read_fraction {
-                PlannedKind::Read
-            } else if roll < self.spec.read_fraction + self.spec.rmw_fraction {
-                PlannedKind::Rmw
-            } else {
-                PlannedKind::Update
-            };
-            plan.slots.push(PlannedOp {
-                kind,
-                key_id: 0,
-                counter: 0,
-            });
-        }
-        // Pass 2: key ids. Uniform keyspaces draw their randomness in one
-        // bulk fill; skewed ones fall back to per-slot draws.
-        let uniform = matches!(self.spec.distribution, KeyDistribution::Uniform);
-        if uniform {
-            plan.raw.clear();
-            plan.raw.resize(n * 8, 0);
-            self.rng.fill_bytes(plan.raw.as_mut_slice());
-        }
-        for (i, slot) in plan.slots.iter_mut().enumerate() {
-            if slot.kind == PlannedKind::Update && self.spec.distribution == KeyDistribution::Latest
-            {
-                // Latest-distribution writes are INSERTS at the frontier.
-                slot.key_id = self.frontier;
-                self.frontier += 1;
-            } else if uniform {
-                let raw = u64::from_le_bytes(plan.raw[i * 8..i * 8 + 8].try_into().unwrap());
-                slot.key_id = raw % self.spec.keys;
-            } else {
-                slot.key_id = self.next_key_id();
-            }
-            if slot.kind == PlannedKind::Update {
-                self.counter += 1;
-                slot.counter = self.counter;
-            }
-        }
-    }
-}
-
-/// Kind of a planned operation (see [`BatchPlan`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlannedKind {
-    /// Point read.
-    Read,
-    /// Blind update (payload derives from the slot's `counter`).
-    Update,
-    /// Read-modify-write (increment).
-    Rmw,
-}
-
-/// One slot of a [`BatchPlan`]: the op's kind plus its raw key id, not yet
-/// materialised into a key type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannedOp {
-    /// What to do.
-    pub kind: PlannedKind,
-    /// Key id in `[0, keys)` (or a frontier insert for `Latest`).
-    pub key_id: u64,
-    /// Monotonic per-generator counter, non-zero for updates; the
-    /// conventional payload is its big-endian encoding.
-    pub counter: u64,
-}
-
-/// A reusable batch of planned operations, refilled in bulk by
-/// [`WorkloadGen::fill_plan`]. Holding one per client thread makes op
-/// generation allocation-free in steady state.
-#[derive(Default)]
-pub struct BatchPlan {
-    slots: Vec<PlannedOp>,
-    /// Bulk-randomness scratch for uniform key draws.
-    raw: Vec<u8>,
-}
-
-impl BatchPlan {
-    /// An empty plan.
-    #[must_use]
-    pub fn new() -> Self {
-        BatchPlan::default()
-    }
-
-    /// Number of planned ops.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the plan is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The planned ops.
-    #[must_use]
-    pub fn ops(&self) -> &[PlannedOp] {
-        &self.slots
-    }
 }
 
 #[cfg(test)]
@@ -442,62 +325,5 @@ mod tests {
     fn batches_have_requested_size() {
         let mut g = WorkloadGen::new(WorkloadSpec::ycsb_b(100, KeyDistribution::Uniform), 3);
         assert_eq!(g.next_batch(64).len(), 64);
-    }
-    #[test]
-    fn fill_plan_reuses_buffers_and_matches_mix() {
-        let mut g = WorkloadGen::new(WorkloadSpec::ycsb_a(1000, KeyDistribution::Uniform), 7);
-        let mut plan = BatchPlan::new();
-        let (mut reads, mut updates) = (0u64, 0u64);
-        for _ in 0..100 {
-            g.fill_plan(&mut plan, 100);
-            assert_eq!(plan.len(), 100);
-            for op in plan.ops() {
-                assert!(op.key_id < 1000);
-                match op.kind {
-                    PlannedKind::Read => {
-                        reads += 1;
-                        assert_eq!(op.counter, 0);
-                    }
-                    PlannedKind::Update => {
-                        updates += 1;
-                        assert!(op.counter > 0, "updates carry a payload counter");
-                    }
-                    PlannedKind::Rmw => {}
-                }
-            }
-        }
-        let frac = reads as f64 / (reads + updates) as f64;
-        assert!((frac - 0.5).abs() < 0.03, "50:50 mix, got {frac}");
-    }
-
-    #[test]
-    fn fill_plan_is_deterministic_per_seed() {
-        let spec = WorkloadSpec::ycsb_b(512, KeyDistribution::Zipfian { theta: 0.99 });
-        let mut a = WorkloadGen::new(spec.clone(), 11);
-        let mut b = WorkloadGen::new(spec, 11);
-        let (mut pa, mut pb) = (BatchPlan::new(), BatchPlan::new());
-        for _ in 0..10 {
-            a.fill_plan(&mut pa, 64);
-            b.fill_plan(&mut pb, 64);
-            assert_eq!(pa.ops(), pb.ops());
-        }
-    }
-
-    #[test]
-    fn fill_plan_latest_inserts_at_frontier() {
-        let mut g = WorkloadGen::new(WorkloadSpec::ycsb_d(1000), 3);
-        let mut plan = BatchPlan::new();
-        g.fill_plan(&mut plan, 2000);
-        let mut frontier = 1000u64;
-        for op in plan.ops() {
-            match op.kind {
-                PlannedKind::Update => {
-                    assert_eq!(op.key_id, frontier, "insert at frontier");
-                    frontier += 1;
-                }
-                _ => assert!(op.key_id < frontier, "reads hit existing keys"),
-            }
-        }
-        assert_eq!(g.frontier(), frontier);
     }
 }

@@ -5,10 +5,9 @@
 //! and the reply carries back what the client needs to track commit status.
 
 use dpr_core::{SessionId, Token, Version, WorldLine};
-use serde::{Deserialize, Serialize};
 
 /// Header attached to every request batch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchHeader {
     /// Issuing session.
     pub session: SessionId,
@@ -28,7 +27,7 @@ pub struct BatchHeader {
 }
 
 /// Header attached to every reply batch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchReply {
     /// Replying shard.
     pub shard: dpr_core::ShardId,
@@ -43,35 +42,4 @@ pub struct BatchReply {
     pub first_serial: u64,
     /// Number of ops covered.
     pub op_count: u32,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dpr_core::ShardId;
-
-    #[test]
-    fn headers_serialize() {
-        let h = BatchHeader {
-            session: SessionId(1),
-            world_line: WorldLine(2),
-            version_lower_bound: Version(3),
-            deps: vec![Token::new(ShardId(0), Version(1))],
-            first_serial: 100,
-            op_count: 16,
-        };
-        let s = serde_json::to_string(&h).unwrap();
-        let back: BatchHeader = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, h);
-        let r = BatchReply {
-            shard: ShardId(4),
-            world_line: WorldLine(2),
-            version: Version(5),
-            first_serial: 100,
-            op_count: 16,
-        };
-        let s = serde_json::to_string(&r).unwrap();
-        let back: BatchReply = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, r);
-    }
 }

@@ -36,6 +36,15 @@ fi
 # The full workspace: every crate's suites.
 step cargo test --workspace -q
 
+# No crate serializes through serde: every byte format has one hand-written
+# codec. The stand-ins under third_party/ are for benchmark/ only.
+echo
+echo "==> no serde in the crates' manifests"
+if grep -l serde crates/*/Cargo.toml Cargo.toml; then
+    echo "serde is back in the manifests listed above" >&2
+    exit 1
+fi
+
 if cargo fmt --version >/dev/null 2>&1; then
     step cargo fmt --check
 else
