@@ -7,17 +7,17 @@
 //! churn with key migration. Every round must finish with **zero**
 //! invariant violations; the process exits nonzero otherwise.
 //!
-//! Flags (each with an env fallback):
+//! Flags:
 //!
-//! | flag         | env                | default           |
-//! |--------------|--------------------|-------------------|
-//! | `--seed N`   | `DPR_CHAOS_SEED`   | 0xD15EA5E         |
-//! | `--secs S`   | `DPR_CHAOS_SECS`   | 4                 |
-//! | `--events N` | `DPR_CHAOS_EVENTS` | 8                 |
-//! | `--shards N` | `DPR_CHAOS_SHARDS` | 3                 |
-//! | `--clients N`| `DPR_CHAOS_CLIENTS`| 2                 |
-//! | `--rounds N` | `DPR_CHAOS_ROUNDS` | 3                 |
-//! | `--out PATH` | `DPR_CHAOS_JSON`   | `BENCH_chaos.json`|
+//! | flag         | default           |
+//! |--------------|-------------------|
+//! | `--seed N`   | 0xD15EA5E         |
+//! | `--secs S`   | 4                 |
+//! | `--events N` | 8                 |
+//! | `--shards N` | 3                 |
+//! | `--clients N`| 2                 |
+//! | `--rounds N` | 3                 |
+//! | `--out PATH` | `BENCH_chaos.json`|
 //!
 //! Round `i` uses seed `seed + i`, so a campaign covers several distinct
 //! schedules while staying fully reproducible.
@@ -25,15 +25,13 @@
 use dpr_chaos::{ChaosConfig, ChaosReport};
 use std::time::Duration;
 
-fn arg_or_env(args: &[String], flag: &str, env: &str) -> Option<String> {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        return args.get(pos + 1).cloned();
-    }
-    std::env::var(env).ok()
+fn arg(args: &[String], flag: &str) -> Option<String> {
+    let pos = args.iter().position(|a| a == flag)?;
+    args.get(pos + 1).cloned()
 }
 
-fn num(args: &[String], flag: &str, env: &str, default: u64) -> u64 {
-    arg_or_env(args, flag, env)
+fn num(args: &[String], flag: &str, default: u64) -> u64 {
+    arg(args, flag)
         .and_then(|s| {
             let s = s.trim();
             match s.strip_prefix("0x") {
@@ -46,14 +44,13 @@ fn num(args: &[String], flag: &str, env: &str, default: u64) -> u64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed = num(&args, "--seed", "DPR_CHAOS_SEED", 0xD15EA5E);
-    let secs = num(&args, "--secs", "DPR_CHAOS_SECS", 4);
-    let events = num(&args, "--events", "DPR_CHAOS_EVENTS", 8) as usize;
-    let shards = num(&args, "--shards", "DPR_CHAOS_SHARDS", 3) as usize;
-    let clients = num(&args, "--clients", "DPR_CHAOS_CLIENTS", 2) as usize;
-    let rounds = num(&args, "--rounds", "DPR_CHAOS_ROUNDS", 3) as usize;
-    let out = arg_or_env(&args, "--out", "DPR_CHAOS_JSON")
-        .unwrap_or_else(|| "BENCH_chaos.json".to_string());
+    let seed = num(&args, "--seed", 0xD15EA5E);
+    let secs = num(&args, "--secs", 4);
+    let events = num(&args, "--events", 8) as usize;
+    let shards = num(&args, "--shards", 3) as usize;
+    let clients = num(&args, "--clients", 2) as usize;
+    let rounds = num(&args, "--rounds", 3) as usize;
+    let out = arg(&args, "--out").unwrap_or_else(|| "BENCH_chaos.json".to_string());
 
     let mut reports: Vec<ChaosReport> = Vec::with_capacity(rounds);
     for round in 0..rounds {

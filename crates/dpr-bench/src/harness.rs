@@ -52,8 +52,6 @@ pub struct RunStats {
     pub completed: u64,
     /// Ops known committed by the end of the run.
     pub committed: u64,
-    /// Ops aborted by failures.
-    pub aborted: u64,
     /// Wall-clock duration.
     pub duration: Duration,
     /// Operation completion latency.
@@ -67,12 +65,6 @@ impl RunStats {
     #[must_use]
     pub fn mops(&self) -> f64 {
         self.completed as f64 / self.duration.as_secs_f64() / 1e6
-    }
-
-    /// Throughput in op/s.
-    #[must_use]
-    pub fn ops_per_sec(&self) -> f64 {
-        self.completed as f64 / self.duration.as_secs_f64()
     }
 }
 
@@ -112,9 +104,10 @@ impl ClientState {
     fn next_batch(&mut self, batch: usize) -> Vec<ClusterOp> {
         let mut ops = Vec::with_capacity(batch);
         for _ in 0..batch {
-            let op = if let Some(pool) = &self.local_pool {
+            let mut op = self.gen.next_op();
+            if let Some(pool) = &self.local_pool {
                 // Classify local vs global, then draw the key accordingly
-                // (§7.3's methodology).
+                // (§7.3's methodology), preserving the read/update mix.
                 self.rng_state = self
                     .rng_state
                     .wrapping_mul(6364136223846793005)
@@ -123,18 +116,13 @@ impl ClientState {
                 if roll < self.local_fraction && !pool.is_empty() {
                     let idx = (self.rng_state >> 17) as usize % pool.len();
                     let key = Key::from_u64(pool[idx]);
-                    // Preserve the read/update mix.
-                    match self.gen.next_op() {
+                    op = match op {
                         WorkloadOp::Read(_) => WorkloadOp::Read(key),
                         WorkloadOp::Update(_, v) => WorkloadOp::Update(key, v),
                         WorkloadOp::Rmw(_) => WorkloadOp::Rmw(key),
-                    }
-                } else {
-                    self.gen.next_op()
+                    };
                 }
-            } else {
-                self.gen.next_op()
-            };
+            }
             ops.push(op_to_cluster(op));
         }
         ops
@@ -173,11 +161,22 @@ pub fn run_workload(cluster: &Cluster, params: &BenchParams) -> RunStats {
             let cut_source = &cut_source;
             handles.push(scope.spawn(move || client_loop(&mut state, &params, start, cut_source)));
         }
-        let results: Vec<RunStats> = handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect();
-        merge(results, start.elapsed())
+        let mut total = RunStats {
+            completed: 0,
+            committed: 0,
+            duration: Duration::ZERO,
+            op_latency: LatencyHistogram::new(),
+            commit_latency: LatencyHistogram::new(),
+        };
+        for handle in handles {
+            let client = handle.join().expect("client thread");
+            total.completed += client.completed;
+            total.committed += client.committed;
+            total.op_latency.merge(&client.op_latency);
+            total.commit_latency.merge(&client.commit_latency);
+        }
+        total.duration = start.elapsed();
+        total
     })
 }
 
@@ -226,13 +225,10 @@ fn client_loop(
             let cut = cut_source();
             let prefix = state.session.refresh_commit(&cut);
             let now = Instant::now();
-            while let Some(&(serial, t)) = state.commit_queue.front() {
-                if serial < prefix {
-                    commit_latency.record(now - t);
-                    state.commit_queue.pop_front();
-                } else {
-                    break;
-                }
+            let queue = &mut state.commit_queue;
+            let committed = queue.partition_point(|(serial, _)| *serial < prefix);
+            for (_, t) in queue.drain(..committed) {
+                commit_latency.record(now - t);
             }
         }
     }
@@ -243,59 +239,33 @@ fn client_loop(
     RunStats {
         completed: stats.completed,
         committed: stats.committed,
-        aborted: stats.aborted,
         duration: params.duration,
         op_latency,
         commit_latency,
     }
 }
 
-fn merge(results: Vec<RunStats>, elapsed: Duration) -> RunStats {
-    let mut out = RunStats {
-        completed: 0,
-        committed: 0,
-        aborted: 0,
-        duration: elapsed,
-        op_latency: LatencyHistogram::new(),
-        commit_latency: LatencyHistogram::new(),
-    };
-    for r in results {
-        out.completed += r.completed;
-        out.committed += r.committed;
-        out.aborted += r.aborted;
-        out.op_latency.merge(&r.op_latency);
-        out.commit_latency.merge(&r.commit_latency);
-    }
-    out
-}
-
 /// The Fig. 16 experiment: run for `total`, injecting failures at the given
 /// offsets, and return 250 ms-bucketed series of completed, committed and
-/// aborted operations.
+/// aborted operations, in that order.
 pub fn run_with_failures(
     cluster: &Cluster,
     params: &BenchParams,
     failures_at: &[Duration],
     total: Duration,
-) -> (ThroughputSeries, ThroughputSeries, ThroughputSeries) {
-    let bucket = Duration::from_millis(250);
+) -> [ThroughputSeries; 3] {
+    let series = || [(); 3].map(|()| ThroughputSeries::new(Duration::from_millis(250)));
     let start = Instant::now();
     let cut_source = cluster.cut_source();
 
     std::thread::scope(|scope| {
         // Failure injector.
-        let injector = {
-            let failures: Vec<Duration> = failures_at.to_vec();
-            scope.spawn(move || {
-                for at in failures {
-                    let now = start.elapsed();
-                    if at > now {
-                        std::thread::sleep(at - now);
-                    }
-                    let _ = cluster.inject_failure();
-                }
-            })
-        };
+        scope.spawn(move || {
+            for &at in failures_at {
+                std::thread::sleep(at.saturating_sub(start.elapsed()));
+                let _ = cluster.inject_failure();
+            }
+        });
         let mut clients = Vec::new();
         for c in 0..params.clients {
             let mut session = cluster.open_session().expect("session");
@@ -303,9 +273,7 @@ pub fn run_with_failures(
             let params = params.clone();
             let cut_source = &cut_source;
             clients.push(scope.spawn(move || {
-                let mut completed = ThroughputSeries::new(bucket);
-                let mut committed = ThroughputSeries::new(bucket);
-                let mut aborted = ThroughputSeries::new(bucket);
+                let [mut completed, mut committed, mut aborted] = series();
                 let mut last_committed = 0u64;
                 let mut last_aborted = 0u64;
                 let deadline = start + total;
@@ -341,36 +309,26 @@ pub fn run_with_failures(
                         last_committed = stats.committed;
                     }
                 }
-                (completed, committed, aborted)
+                [completed, committed, aborted]
             }));
         }
-        let mut completed = ThroughputSeries::new(bucket);
-        let mut committed = ThroughputSeries::new(bucket);
-        let mut aborted = ThroughputSeries::new(bucket);
-        for c in clients {
-            let (cp, cm, ab) = c.join().expect("client");
-            completed.merge(&cp);
-            committed.merge(&cm);
-            aborted.merge(&ab);
+        let mut merged = series();
+        for client in clients {
+            let of_client = client.join().expect("client");
+            for (sum, part) in merged.iter_mut().zip(&of_client) {
+                sum.merge(part);
+            }
         }
-        injector.join().expect("injector");
-        (completed, committed, aborted)
+        merged
     })
 }
 
 /// Pre-load the keyspace so reads hit existing records.
 pub fn preload(cluster: &Cluster, keys: u64) {
     let mut session = cluster.open_session().expect("loader session");
-    let mut batch = Vec::with_capacity(256);
-    for k in 0..keys {
-        batch.push(ClusterOp::Upsert(Key::from_u64(k), Value::from_u64(k)));
-        if batch.len() == 256 {
-            session
-                .execute(std::mem::take(&mut batch))
-                .expect("preload");
-        }
-    }
-    if !batch.is_empty() {
+    let upsert = |k| ClusterOp::Upsert(Key::from_u64(k), Value::from_u64(k));
+    for first in (0..keys).step_by(256) {
+        let batch = (first..keys.min(first + 256)).map(upsert).collect();
         session.execute(batch).expect("preload");
     }
 }

@@ -1,8 +1,10 @@
 //! # dpr-bench
 //!
-//! The benchmark harness that regenerates every figure of the paper's
-//! evaluation (§7). Each `fig*` binary prints the rows/series of the
-//! corresponding figure; `all_figures` runs the whole suite.
+//! The harness that regenerates the paper's evaluation (§7). One binary,
+//! `figures`, holds every figure and ablation as a table of points and runs
+//! them through [`harness`]; `chaos` runs the fault campaign, `allocprobe` /
+//! `allocstacks` count allocations, and `benches/` holds the criterion
+//! microbenchmarks of the substrates nothing else times.
 //!
 //! Absolute numbers are laptop-scale (the paper used 8×16-vCPU VMs); what
 //! the harness preserves is the *shape* of each result — who wins, by what
@@ -14,31 +16,6 @@
 pub mod harness;
 pub mod util;
 
-pub use harness::{run_with_failures, run_workload, BenchParams, RunStats};
-
-use std::time::Duration;
-
-/// Benchmark duration scaling: `DPR_BENCH_SECS` overrides the per-point
-/// measurement window (default 2 s).
-#[must_use]
-pub fn point_duration() -> Duration {
-    std::env::var("DPR_BENCH_SECS")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map_or(Duration::from_secs(2), Duration::from_secs_f64)
-}
-
-/// Keyspace scaling: `DPR_BENCH_KEYS` overrides the number of distinct keys
-/// (default 100k; the paper uses 250M on a 128-vCPU cluster).
-#[must_use]
-pub fn keyspace() -> u64 {
-    std::env::var("DPR_BENCH_KEYS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100_000)
-        .max(1)
-}
-
 /// Guard returned by [`metrics_dump`]; prints the telemetry report when the
 /// benchmark exits (on drop).
 pub struct MetricsDump {
@@ -48,8 +25,8 @@ pub struct MetricsDump {
 impl Drop for MetricsDump {
     fn drop(&mut self) {
         let registry = dpr_telemetry::global();
-        // Rows go to stdout like the result rows, prefixed so downstream
-        // parsers of the key=value format can skip them.
+        // To stderr: stdout carries only result rows, so it can be
+        // redirected into `figures_output.txt` with the report on.
         eprintln!("\n== telemetry ==");
         if self.prometheus {
             eprint!("{}", registry.render_prometheus());
@@ -59,28 +36,15 @@ impl Drop for MetricsDump {
     }
 }
 
-/// The harness's `--metrics` dump hook.
+/// The `figures --metrics[=prometheus]` hook.
 ///
-/// When the binary was invoked with `--metrics` (or `--metrics=prometheus`,
-/// or with `DPR_BENCH_METRICS` set to `1`/`table`/`prometheus`), turn
-/// telemetry on ([`dpr_telemetry::set_enabled`]) and return a guard that
-/// prints the full metric table — commit latency, checkpoint phase timings,
-/// cut lag, and the protocol-event log — to stderr when dropped. Returns
-/// `None`, leaving telemetry off, when not requested. See
+/// Turns telemetry on ([`dpr_telemetry::set_enabled`]) and returns a guard
+/// that prints the full metric table — commit latency, checkpoint phase
+/// timings, cut lag, and the protocol-event log — to stderr when dropped,
+/// in the Prometheus exposition format when `prometheus` is set. See
 /// `docs/OBSERVABILITY.md` for the metric catalog and a worked example.
 #[must_use]
-pub fn metrics_dump() -> Option<MetricsDump> {
-    let mode = std::env::args()
-        .find_map(|a| match a.as_str() {
-            "--metrics" => Some("table".to_string()),
-            _ => a.strip_prefix("--metrics=").map(str::to_string),
-        })
-        .or_else(|| std::env::var("DPR_BENCH_METRICS").ok())?;
-    if mode == "0" || mode.is_empty() {
-        return None;
-    }
+pub fn metrics_dump(prometheus: bool) -> MetricsDump {
     dpr_telemetry::set_enabled(true);
-    Some(MetricsDump {
-        prometheus: mode.starts_with("prom"),
-    })
+    MetricsDump { prometheus }
 }

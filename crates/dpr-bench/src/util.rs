@@ -1,20 +1,6 @@
-//! Small helpers shared by the figure binaries.
+//! Small helpers of the `figures` binary: the row format and its units.
 
 use std::time::Duration;
-
-/// Parse an env var as a comma-separated u64 list, with a default.
-#[must_use]
-pub fn env_list(name: &str, default: &[u64]) -> Vec<u64> {
-    std::env::var(name)
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect::<Vec<u64>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| default.to_vec())
-}
 
 /// Print one result row in the harness's stable key=value format.
 pub fn row(figure: &str, fields: &[(&str, String)]) {
@@ -34,19 +20,14 @@ pub fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
-/// Standard percentile set reported for latency distributions.
-pub const PERCENTILES: &[f64] = &[10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9];
-
-/// Field label for one of [`PERCENTILES`].
-#[must_use]
-pub fn percentile_label(p: f64) -> &'static str {
-    match (p * 10.0) as u32 {
-        100 => "p10_ms",
-        250 => "p25_ms",
-        500 => "p50_ms",
-        750 => "p75_ms",
-        900 => "p90_ms",
-        990 => "p99_ms",
-        _ => "p999_ms",
-    }
-}
+/// Standard percentile set reported for latency distributions, each with
+/// its field key.
+pub const PERCENTILES: &[(f64, &str)] = &[
+    (10.0, "p10_ms"),
+    (25.0, "p25_ms"),
+    (50.0, "p50_ms"),
+    (75.0, "p75_ms"),
+    (90.0, "p90_ms"),
+    (99.0, "p99_ms"),
+    (99.9, "p999_ms"),
+];

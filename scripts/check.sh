@@ -3,8 +3,8 @@
 #
 #   scripts/check.sh --quick   build + tier-1 tests only (fast inner loop)
 #   scripts/check.sh           the full gate: workspace tests, lints,
-#                              docs, chaos smoke, and the benchmark's
-#                              schema smoke
+#                              docs, chaos and figures smokes, and the
+#                              benchmark's schema smoke
 #
 # Fully offline — dependencies are vendored as stubs under third_party/
 # (see third_party/README.md), so no registry or network access is needed.
@@ -45,6 +45,14 @@ if grep -l serde crates/*/Cargo.toml Cargo.toml; then
     exit 1
 fi
 
+# One figure harness, steered by flags: no environment knobs in dpr-bench.
+echo
+echo "==> no env::var under crates/dpr-bench/src"
+if grep -rn 'env::var' crates/dpr-bench/src; then
+    echo "an environment knob is back in dpr-bench (lines above)" >&2
+    exit 1
+fi
+
 if cargo fmt --version >/dev/null 2>&1; then
     step cargo fmt --check
 else
@@ -74,6 +82,24 @@ echo
 echo "==> chaos smoke (1 round, seed 42, 2s)"
 cargo run --release -q -p dpr-bench --bin chaos -- \
     --seed 42 --rounds 1 --secs 2 --out target/BENCH_chaos.smoke.json
+
+# Figures smoke: the one step that executes figure code. A table-driven
+# figure and an ablation at a tenth of the default window (Fig. 12 keeps its
+# 2 s floor), the row counts checked against the table; an unknown name
+# must be refused.
+echo
+echo "==> figures smoke (fig12 + ablation-finder, 0.2 s a point, 2000 keys)"
+cargo run --release -q -p dpr-bench --bin figures -- \
+    fig12 ablation-finder --secs 0.2 --keys 2000 > target/figures.smoke.txt
+rows() { grep -c "^$1"$'\t' target/figures.smoke.txt || true; }
+if [[ "$(rows figures-meta) $(rows fig12) $(rows ablation-finder)" != "1 4 3" ]]; then
+    echo "figures smoke: want 1 figures-meta, 4 fig12, 3 ablation-finder rows" >&2
+    exit 1
+fi
+if cargo run --release -q -p dpr-bench --bin figures -- fig20 2>/dev/null; then
+    echo "figures accepted the unknown name fig20" >&2
+    exit 1
+fi
 
 # The benchmark (benchmark/, BENCHMARK.json) is a package of its own outside
 # the workspace, so nothing above compiles it: this step is what catches a
