@@ -25,32 +25,70 @@
 use dpr_chaos::{ChaosConfig, ChaosReport};
 use std::time::Duration;
 
-fn arg(args: &[String], flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.get(pos + 1).cloned()
+const USAGE: &str = "usage: chaos [--seed N] [--secs S] [--events N] [--shards N] \
+                     [--clients N] [--rounds N] [--out PATH]";
+
+/// The campaign a command line asks for.
+struct Campaign {
+    seed: u64,
+    secs: u64,
+    events: usize,
+    shards: usize,
+    clients: usize,
+    rounds: usize,
+    out: String,
 }
 
-fn num(args: &[String], flag: &str, default: u64) -> u64 {
-    arg(args, flag)
-        .and_then(|s| {
-            let s = s.trim();
-            match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
+/// An unknown flag, a flag without a value and a value that is not a number
+/// are refused, not defaulted.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Campaign, String> {
+    let mut c = Campaign {
+        seed: 0xD15EA5E,
+        secs: 4,
+        events: 8,
+        shards: 3,
+        clients: 2,
+        rounds: 3,
+        out: "BENCH_chaos.json".to_string(),
+    };
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+        let mut num = || {
+            let value = value()?;
+            let parsed = match value.strip_prefix("0x") {
+                Some(hex) => u64::from_str_radix(hex, 16),
+                None => value.parse(),
+            };
+            parsed.map_err(|_| format!("{flag} takes a number, not `{value}`"))
+        };
+        match flag.as_str() {
+            "--seed" => c.seed = num()?,
+            "--secs" => c.secs = num()?,
+            "--events" => c.events = num()? as usize,
+            "--shards" => c.shards = num()? as usize,
+            "--clients" => c.clients = num()? as usize,
+            "--rounds" => c.rounds = num()? as usize,
+            "--out" => c.out = value()?,
+            _ => return Err(format!("unknown flag `{flag}`")),
+        }
+    }
+    Ok(c)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = num(&args, "--seed", 0xD15EA5E);
-    let secs = num(&args, "--secs", 4);
-    let events = num(&args, "--events", 8) as usize;
-    let shards = num(&args, "--shards", 3) as usize;
-    let clients = num(&args, "--clients", 2) as usize;
-    let rounds = num(&args, "--rounds", 3) as usize;
-    let out = arg(&args, "--out").unwrap_or_else(|| "BENCH_chaos.json".to_string());
+    let Campaign {
+        seed,
+        secs,
+        events,
+        shards,
+        clients,
+        rounds,
+        out,
+    } = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("chaos: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     let mut reports: Vec<ChaosReport> = Vec::with_capacity(rounds);
     for round in 0..rounds {

@@ -614,6 +614,7 @@ fn fastforward_run(fast_forward: bool, o: &Opts) -> Result<(f64, LatencyHistogra
     let mut hist = LatencyHistogram::new();
     let mut issued = 0u64;
     let mut commit_queue: VecDeque<(u64, Instant)> = VecDeque::new();
+    let mut results = Vec::new();
     let start = Instant::now();
     while start.elapsed() < o.long_window() {
         let header = session.begin_batch(ShardId(0), 16)?;
@@ -622,7 +623,8 @@ fn fastforward_run(fast_forward: bool, o: &Opts) -> Result<(f64, LatencyHistogra
             .map(|i| ClusterOp::Upsert(key(i), Value::from_u64(i)))
             .collect();
         let now = Instant::now();
-        let (reply, _) = w0.execute_local(&header, &ops)?;
+        results.clear();
+        let reply = w0.execute_local_into(&header, &ops, &mut results)?;
         session.process_reply(&reply)?;
         let serials = header.first_serial..header.first_serial + 16;
         commit_queue.extend(serials.map(|serial| (serial, now)));

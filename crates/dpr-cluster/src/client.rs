@@ -1,18 +1,25 @@
 //! Client-side session handle: routing, batching, windowing, commit
 //! tracking, and failure recovery.
 //!
-//! A [`SessionHandle`] owns one [`DprClientSession`] and knows how to reach
-//! every worker: remote shards through the bus, and — in co-located mode —
-//! the local worker by direct call, which is the "local execution" fast
-//! path of §5.2 (no network, completes on the calling thread).
+//! A [`SessionHandle`] is the session core (`session.rs`: in-flight table,
+//! reply handling, retransmission — the code a socket client runs too) over
+//! the bus link, plus what belongs to a cluster session and to neither
+//! plane: it knows who owns each key, reaches remote shards through the bus
+//! and — in co-located mode — the local worker by direct call, which is the
+//! "local execution" fast path of §5.2 (no frame, completes on the calling
+//! thread), re-routes what an ownership change bounced, collects results,
+//! and recovers against the metadata store.
 
-use crate::message::{ClusterOp, Message, OpResult, RequestMsg};
-use crate::transport::{EndpointId, SimNetwork};
+use crate::message::{ClusterOp, OpResult};
+use crate::session::{Link, PipelinedClient};
+use crate::transport::{BusFrame, EndpointId, SimNetwork};
+use crate::wire;
 use crate::worker::Worker;
+use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use dpr_core::{DprError, Result, SessionId, ShardId, Version, WorldLine};
 use dpr_metadata::{Cut, MetadataStore, OwnershipTable};
-use libdpr::{BatchHeader, DprClientSession, SessionStatus};
+use libdpr::DprClientSession;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,57 +35,79 @@ pub struct SessionStats {
     pub aborted: u64,
 }
 
-struct InflightBatch {
-    shard: ShardId,
-    header: BatchHeader,
-    ops: Vec<ClusterOp>,
-    /// Last transmission time, for stall-triggered retransmission
-    /// ([`SessionHandle::resend_stalled`]).
-    sent_at: Instant,
+type WorkerEndpoints = Arc<parking_lot::RwLock<HashMap<ShardId, EndpointId>>>;
+
+/// The bus as a [`Link`]: this session's endpoint and inbox, and where each
+/// shard's worker (or the proxy in front of it) listens. There is no
+/// handshake: the endpoint is the connection.
+pub(crate) struct BusLink {
+    net: Arc<SimNetwork>,
+    endpoint: EndpointId,
+    inbox: Receiver<BusFrame>,
+    workers: WorkerEndpoints,
+}
+
+impl Link for BusLink {
+    fn send(&mut self, frame: &[u8]) -> Result<()> {
+        let shard = wire::decode_header(frame)?.map_or(wire::NO_SHARD, |h| h.shard);
+        let to = self.workers.read().get(&ShardId(shard)).copied();
+        let to = to.ok_or_else(|| DprError::Invalid(format!("no worker for shard {shard}")))?;
+        let frame = BusFrame {
+            from: self.endpoint,
+            bytes: Bytes::copy_from_slice(frame),
+        };
+        self.net.send(to, frame)
+    }
+
+    fn recv(&mut self, wait: Duration, rd: &mut Vec<u8>) -> Result<()> {
+        let first = if wait.is_zero() {
+            self.inbox.try_recv().ok()
+        } else {
+            self.inbox.recv_timeout(wait).ok()
+        };
+        let rest = std::iter::from_fn(|| self.inbox.try_recv().ok());
+        for frame in first.into_iter().chain(rest) {
+            rd.extend_from_slice(&frame.bytes);
+        }
+        Ok(())
+    }
 }
 
 /// A client session on a DPR cluster.
 pub struct SessionHandle {
-    dpr: DprClientSession,
-    net: Arc<SimNetwork>,
-    endpoint: EndpointId,
-    inbox: Receiver<Message>,
+    core: PipelinedClient<BusLink>,
     ownership: Arc<OwnershipTable>,
     meta: Arc<dyn MetadataStore>,
-    workers: Arc<parking_lot::RwLock<HashMap<ShardId, EndpointId>>>,
     /// Co-located worker, if any: batches for its shard bypass the network.
     local: Option<Arc<Worker>>,
-    inflight: HashMap<u64, InflightBatch>,
-    inflight_ops: u64,
     completed_ops: u64,
-    /// Results from the most recent synchronous execute.
+    /// Results of completed ops not yet taken, by serial.
     last_results: Vec<(u64, OpResult)>,
 }
 
 impl SessionHandle {
     /// Internal constructor — use `Cluster::open_session`.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: SessionId,
         world_line: WorldLine,
         net: Arc<SimNetwork>,
         ownership: Arc<OwnershipTable>,
         meta: Arc<dyn MetadataStore>,
-        workers: Arc<parking_lot::RwLock<HashMap<ShardId, EndpointId>>>,
+        workers: WorkerEndpoints,
         local: Option<Arc<Worker>>,
     ) -> Self {
         let (endpoint, inbox) = net.register();
-        SessionHandle {
-            dpr: DprClientSession::on_world_line(id, world_line),
+        let link = BusLink {
             net,
             endpoint,
             inbox,
+            workers,
+        };
+        SessionHandle {
+            core: PipelinedClient::new(DprClientSession::on_world_line(id, world_line), link),
             ownership,
             meta,
-            workers,
             local,
-            inflight: HashMap::new(),
-            inflight_ops: 0,
             completed_ops: 0,
             last_results: Vec::new(),
         }
@@ -87,7 +116,7 @@ impl SessionHandle {
     /// Session id.
     #[must_use]
     pub fn id(&self) -> SessionId {
-        self.dpr.id()
+        self.core.session().id()
     }
 
     /// This session's bus endpoint (chaos harness: install reply-dropping
@@ -95,7 +124,7 @@ impl SessionHandle {
     /// the resend/dedupe path).
     #[must_use]
     pub fn endpoint(&self) -> EndpointId {
-        self.endpoint
+        self.core.link.endpoint
     }
 
     /// Current counters.
@@ -103,15 +132,15 @@ impl SessionHandle {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             completed: self.completed_ops,
-            committed: self.dpr.committed_count(),
-            aborted: self.dpr.aborted(),
+            committed: self.core.session().committed_count(),
+            aborted: self.core.session().aborted(),
         }
     }
 
     /// Ops issued but with no reply yet.
     #[must_use]
     pub fn inflight_ops(&self) -> u64 {
-        self.inflight_ops
+        self.core.inflight_ops()
     }
 
     /// Issue a batch of operations without waiting for completion. Ops are
@@ -132,191 +161,82 @@ impl SessionHandle {
             entry.1.push(idx);
         }
         for (shard, (group, indices)) in groups {
-            let header = self.dpr.begin_batch(shard, group.len() as u32)?;
+            let first_serial = self.core.session().issued();
             for (pos, idx) in indices.into_iter().enumerate() {
-                serials[idx] = header.first_serial + pos as u64;
+                serials[idx] = first_serial + pos as u64;
             }
-            self.dispatch(shard, header, group)?;
+            self.dispatch(shard, None, &group)?;
         }
         Ok(serials)
     }
 
-    fn dispatch(&mut self, shard: ShardId, header: BatchHeader, ops: Vec<ClusterOp>) -> Result<()> {
-        if let Some(local) = self.local.clone() {
-            if local.shard() == shard {
-                // Co-located fast path: execute synchronously in-thread.
-                match local.execute_local(&header, &ops) {
-                    Ok((reply, results)) => {
-                        self.dpr.process_reply(&reply)?;
-                        self.completed_ops += u64::from(reply.op_count);
-                        for (i, r) in results.into_iter().enumerate() {
-                            self.last_results.push((header.first_serial + i as u64, r));
-                        }
-                        return Ok(());
-                    }
-                    Err(DprError::WorldLineMismatch { current, .. }) => {
-                        // Surface failure exactly like a remote rejection.
-                        let _ = self.dpr.process_reply(&libdpr::BatchReply {
-                            shard,
-                            world_line: current,
-                            version: Version::ZERO,
-                            first_serial: header.first_serial,
-                            op_count: header.op_count,
-                        });
-                        return Err(DprError::WorldLineMismatch {
-                            requested: header.world_line,
-                            current,
-                        });
-                    }
-                    Err(e) => return Err(e),
+    /// Send `ops` to `shard` as one batch: a fresh one, or with `rebatch` a
+    /// re-route under the serials they already hold, starting there.
+    fn dispatch(&mut self, shard: ShardId, rebatch: Option<u64>, ops: &[ClusterOp]) -> Result<()> {
+        let Some(local) = self.local.as_ref().filter(|w| w.shard() == shard) else {
+            return self.core.issue_as(shard, rebatch, ops).map(|_| ());
+        };
+        // Co-located fast path: execute synchronously in-thread, no frame.
+        let session = self.core.session_mut();
+        let header = match rebatch {
+            Some(serial) => session.rebatch_header(shard, serial, ops.len() as u32),
+            None => session.begin_batch(shard, ops.len() as u32)?,
+        };
+        let mut results = Vec::with_capacity(ops.len());
+        match local.execute_local_into(&header, ops, &mut results) {
+            Ok(reply) => {
+                session.process_reply(&reply)?;
+                self.completed_ops += u64::from(reply.op_count);
+                let serials = header.first_serial..;
+                self.last_results.extend(serials.zip(results));
+                Ok(())
+            }
+            Err(e) => {
+                if let DprError::WorldLineMismatch { current, .. } = e {
+                    // Surface failure exactly like a remote rejection.
+                    self.core.world_line_moved(current);
                 }
+                Err(e)
             }
         }
-        let endpoint = *self
-            .workers
-            .read()
-            .get(&shard)
-            .ok_or_else(|| DprError::Invalid(format!("no worker for {shard}")))?;
-        self.inflight_ops += u64::from(header.op_count);
-        self.inflight.insert(
-            header.first_serial,
-            InflightBatch {
-                shard,
-                header: header.clone(),
-                ops: ops.clone(),
-                sent_at: Instant::now(),
-            },
-        );
-        self.net.send(
-            endpoint,
-            Message::Request(RequestMsg {
-                reply_to: self.endpoint,
-                header,
-                ops,
-            }),
-        )
     }
 
-    /// Drain available replies. With `block`, waits up to `timeout` for at
-    /// least one reply if any ops are in flight. Returns the number of ops
+    /// Drain available replies. With `block`, waits up to `timeout` for
+    /// replies to arrive if any ops are in flight. Returns the number of ops
     /// completed by this call.
     ///
-    /// On a world-line mismatch (failure detected), returns
-    /// [`DprError::WorldLineMismatch`]; call [`SessionHandle::recover`].
+    /// Once a world-line mismatch has been seen (failure detected), returns
+    /// [`DprError::WorldLineMismatch`] until [`SessionHandle::recover`] has
+    /// run.
     pub fn poll(&mut self, block: bool, timeout: Duration) -> Result<u64> {
+        let wait = if block && self.core.inflight_ops() > 0 {
+            timeout
+        } else {
+            Duration::ZERO
+        };
         let mut completed = 0u64;
-        let mut failure: Option<DprError> = None;
-        let deadline = Instant::now() + timeout;
-        loop {
-            let msg = if block && completed == 0 && self.inflight_ops > 0 && failure.is_none() {
-                match self.inbox.recv_deadline(deadline) {
-                    Ok(m) => m,
-                    Err(_) => break,
-                }
-            } else {
-                match self.inbox.try_recv() {
-                    Ok(m) => m,
-                    Err(_) => break,
-                }
-            };
-            let Message::Response(resp) = msg else {
-                continue;
-            };
-            match resp.outcome {
-                Ok((reply, results)) => {
-                    if self.inflight.remove(&resp.first_serial).is_none() {
-                        // Duplicate reply: a retransmitted batch answered
-                        // from the server's dedupe cache after the original
-                        // reply already completed it. Already accounted for.
-                        continue;
-                    }
-                    self.inflight_ops -= u64::from(resp.op_count);
-                    match self.dpr.process_reply(&reply) {
-                        Ok(()) => {
-                            completed += u64::from(resp.op_count);
-                            self.completed_ops += u64::from(resp.op_count);
-                            for (i, r) in results.into_iter().enumerate() {
-                                self.last_results.push((resp.first_serial + i as u64, r));
-                            }
-                        }
-                        Err(e @ DprError::WorldLineMismatch { .. }) => failure = Some(e),
-                        Err(_) => {}
-                    }
-                }
-                Err(DprError::WorldLineMismatch { current, .. }) => {
-                    // Rejected batch: the cluster moved world-lines.
-                    if self.inflight.remove(&resp.first_serial).is_none() {
-                        continue; // duplicate reply, see above
-                    }
-                    self.inflight_ops -= u64::from(resp.op_count);
-                    let _ = self.dpr.process_reply(&libdpr::BatchReply {
-                        shard: ShardId(u32::MAX),
-                        world_line: current,
-                        version: Version::ZERO,
-                        first_serial: resp.first_serial,
-                        op_count: resp.op_count,
-                    });
-                    failure = Some(DprError::WorldLineMismatch {
-                        requested: self.dpr.world_line(),
-                        current,
-                    });
-                }
-                Err(DprError::Recovering) => {
-                    // Shard mid-recovery: resend the batch unchanged. The
-                    // shard may have been *removed* by membership churn
-                    // while this reply was in flight — then its endpoint is
-                    // gone and the ops must be re-routed to the new owners
-                    // instead.
-                    let endpoint = self
-                        .inflight
-                        .get(&resp.first_serial)
-                        .and_then(|b| self.workers.read().get(&b.shard).copied());
-                    match endpoint {
-                        Some(endpoint) => {
-                            if let Some(batch) = self.inflight.get_mut(&resp.first_serial) {
-                                batch.sent_at = Instant::now();
-                                let _ = self.net.send(
-                                    endpoint,
-                                    Message::Request(RequestMsg {
-                                        reply_to: self.endpoint,
-                                        header: batch.header.clone(),
-                                        ops: batch.ops.clone(),
-                                    }),
-                                );
-                            }
-                        }
-                        None => {
-                            if let Some(batch) = self.inflight.remove(&resp.first_serial) {
-                                self.inflight_ops -= u64::from(resp.op_count);
-                                self.reroute(batch)?;
-                            }
-                        }
-                    }
-                }
-                Err(DprError::NotOwner { .. }) => {
-                    // Ownership moved (§5.3): re-resolve each op's owner and
-                    // re-route as single-op batches with their original
-                    // serials. Retries with backoff while the partition is
-                    // mid-transfer (temporarily un-owned).
-                    if let Some(batch) = self.inflight.remove(&resp.first_serial) {
-                        self.inflight_ops -= u64::from(resp.op_count);
-                        self.reroute(batch)?;
-                    }
-                }
-                Err(_) => {
-                    // Other rejections: drop the batch; the serial hole
-                    // resolves at the next failure handling or is retried by
-                    // the application.
-                    if self.inflight.remove(&resp.first_serial).is_some() {
-                        self.inflight_ops -= u64::from(resp.op_count);
-                    }
-                }
+        let mut failure = None;
+        // Request frames of batches an ownership change bounced (§5.3).
+        let mut bounced = Vec::new();
+        let results = &mut self.last_results;
+        let polled = self.core.poll_each(wait, |done| match done.result {
+            Ok(ops) => {
+                completed += ops.len() as u64;
+                results.extend((done.first_serial..).zip(ops.iter().cloned()));
             }
+            Err(DprError::NotOwner { .. }) => bounced.push(done.request.to_vec()),
+            Err(e @ DprError::WorldLineMismatch { .. }) => failure = Some(e),
+            // Other rejections: the batch is dropped; its serial hole
+            // resolves at the next failure handling or is retried by the
+            // application.
+            Err(_) => {}
+        });
+        self.completed_ops += completed;
+        for frame in bounced {
+            self.reroute(&frame)?;
         }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(completed),
-        }
+        polled?;
+        failure.map_or(Ok(completed), Err)
     }
 
     /// Resolve the owner of `key`, retrying while its partition is
@@ -334,57 +254,36 @@ impl SessionHandle {
         )))
     }
 
-    /// Re-route a rejected batch op-by-op after an ownership change.
-    fn reroute(&mut self, batch: InflightBatch) -> Result<()> {
-        for (i, op) in batch.ops.into_iter().enumerate() {
-            let serial = batch.header.first_serial + i as u64;
+    /// Re-route the ops of an encoded `Request` frame one by one, each under
+    /// its original serial, to whoever owns its key now (§5.3).
+    fn reroute(&mut self, frame: &[u8]) -> Result<()> {
+        let body = Bytes::copy_from_slice(&frame[wire::FRAME_HEADER_LEN..]);
+        let mut header = self.core.session().rebatch_header(ShardId(0), 0, 0);
+        let mut ops = Vec::new();
+        wire::decode_request_body_into(&body, &mut ops, &mut header)?;
+        for (serial, op) in (header.first_serial..).zip(ops) {
             let shard = self.resolve_owner(op.key())?;
-            let header = self.dpr.rebatch_header(shard, serial, 1);
-            self.dispatch(shard, header, vec![op])?;
+            self.dispatch(shard, Some(serial), &[op])?;
         }
         Ok(())
     }
 
     /// Retransmit every in-flight batch whose reply has been outstanding
     /// for at least `older_than` — the request or its reply may have been
-    /// dropped by a lossy link. Retransmitting non-idempotent ops is safe
-    /// only when workers run duplicate suppression
-    /// ([`crate::ClusterConfig::dedupe_window`] > 0). Batches whose
-    /// worker endpoint disappeared (membership churn) are re-routed by
-    /// current ownership instead. Returns the number of batches resent.
+    /// dropped by a lossy link, or the shard was mid-recovery when it
+    /// arrived. Retransmitting non-idempotent ops is safe only when workers
+    /// run duplicate suppression (a [`crate::ClusterConfig::dedupe_window`]
+    /// above 0). Batches whose worker endpoint disappeared (membership
+    /// churn) are re-routed by current ownership instead. Returns the number
+    /// of batches resent.
     pub fn resend_stalled(&mut self, older_than: Duration) -> Result<usize> {
-        let now = Instant::now();
-        let stalled: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, b)| now.duration_since(b.sent_at) >= older_than)
-            .map(|(&serial, _)| serial)
-            .collect();
-        let mut resent = 0usize;
-        for serial in stalled {
-            let Some(batch) = self.inflight.get_mut(&serial) else {
-                continue;
-            };
-            let endpoint = self.workers.read().get(&batch.shard).copied();
-            match endpoint {
-                Some(ep) => {
-                    batch.sent_at = now;
-                    let msg = Message::Request(RequestMsg {
-                        reply_to: self.endpoint,
-                        header: batch.header.clone(),
-                        ops: batch.ops.clone(),
-                    });
-                    let _ = self.net.send(ep, msg);
-                }
-                None => {
-                    let batch = self.inflight.remove(&serial).expect("checked above");
-                    self.inflight_ops -= u64::from(batch.header.op_count);
-                    self.reroute(batch)?;
-                }
-            }
-            resent += 1;
+        let workers = self.core.link.workers.clone();
+        let gone = |shard| !workers.read().contains_key(&shard);
+        let (resent, departed) = self.core.retransmit_stalled_unless(older_than, gone)?;
+        for frame in &departed {
+            self.reroute(frame)?;
         }
-        Ok(resent)
+        Ok(resent + departed.len())
     }
 
     /// Take the results accumulated by completed ops (serial, result),
@@ -401,7 +300,7 @@ impl SessionHandle {
         self.take_results();
         let serials = self.issue(ops)?;
         let deadline = Instant::now() + Duration::from_secs(10);
-        while self.inflight_ops > 0 {
+        while self.core.inflight_ops() > 0 {
             self.poll(true, Duration::from_millis(100))?;
             if Instant::now() > deadline {
                 return Err(DprError::Timeout);
@@ -428,7 +327,7 @@ impl SessionHandle {
     /// from the metadata store, prefer
     /// [`SessionHandle::refresh_commit_safe`].
     pub fn refresh_commit(&mut self, cut: &Cut) -> u64 {
-        self.dpr.refresh_commit(cut)
+        self.core.session_mut().refresh_commit(cut)
     }
 
     /// Read the current cut from the metadata store and advance the
@@ -442,14 +341,14 @@ impl SessionHandle {
     pub fn refresh_commit_safe(&mut self) -> Result<u64> {
         let cut = self.meta.read_cut()?;
         let current = self.meta.world_line()?;
-        let mine = self.dpr.world_line();
+        let mine = self.core.session().world_line();
         if current != mine {
             return Err(DprError::WorldLineMismatch {
                 requested: mine,
                 current,
             });
         }
-        Ok(self.dpr.refresh_commit(&cut))
+        Ok(self.core.session_mut().refresh_commit(&cut))
     }
 
     /// Wait until every issued op is committed per the cut source `read`.
@@ -462,7 +361,8 @@ impl SessionHandle {
         loop {
             let _ = self.poll(false, Duration::ZERO);
             let cut = read_cut();
-            if self.dpr.refresh_commit(&cut) >= self.dpr.issued() {
+            let session = self.core.session_mut();
+            if session.refresh_commit(&cut) >= session.issued() {
                 return Ok(());
             }
             if Instant::now() > deadline {
@@ -497,7 +397,7 @@ impl SessionHandle {
         // the rollback *purged*. Cap each shard's entry by the cut frozen at
         // every world-line transition this session is crossing — only
         // operations below all of those survived.
-        let prev = self.dpr.world_line();
+        let prev = self.core.session().world_line();
         for w in (prev.0 + 1)..=world_line.0 {
             if let Some(frozen) = self.meta.recovery_cut(WorldLine(w))? {
                 for (shard, v) in cut.iter_mut() {
@@ -508,21 +408,53 @@ impl SessionHandle {
                 }
             }
         }
-        // Drain stale replies.
-        while self.inbox.try_recv().is_ok() {}
-        self.inflight.clear();
-        self.inflight_ops = 0;
-        let survived = match self.dpr.status() {
-            SessionStatus::NeedsRecovery { .. } | SessionStatus::Active => {
-                self.dpr.handle_failure(world_line, &cut)
-            }
-        };
-        Ok(survived)
+        // What was in flight is resolved by the recovery; late replies to
+        // it are discarded as duplicates.
+        self.core.abandon_inflight();
+        Ok(self.core.session_mut().handle_failure(world_line, &cut))
     }
 
     /// The session's current world-line.
     #[must_use]
     pub fn world_line(&self) -> WorldLine {
-        self.dpr.world_line()
+        self.core.session().world_line()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpr_core::{Key, Value};
+
+    /// The bus carries the format `docs/NETWORK.md` specifies: what the core
+    /// encodes reaches the endpoint its shard maps to byte for byte, with
+    /// the sender's address on it. (What a worker's endpoint answers is
+    /// checked against the document in `tests/wire_format.rs`.)
+    #[test]
+    fn the_bus_link_delivers_wire_frames_untouched() {
+        let net = SimNetwork::new(Duration::ZERO);
+        let (worker, worker_inbox) = net.register(); // stands in for shard 3
+        let (endpoint, inbox) = net.register();
+        let link = BusLink {
+            net,
+            endpoint,
+            inbox,
+            workers: Arc::new(parking_lot::RwLock::new([(ShardId(3), worker)].into())),
+        };
+        let mut core = PipelinedClient::new(DprClientSession::new(SessionId(7)), link);
+        let ops = [
+            ClusterOp::Upsert(Key::from_u64(1), Value::from_u64(2)),
+            ClusterOp::Read(Key::from_u64(1)),
+        ];
+        let seq = core.issue(ShardId(3), &ops).unwrap();
+        let header = DprClientSession::new(SessionId(7)).begin_batch(ShardId(3), 2);
+        let mut want = Vec::new();
+        wire::encode_request(&mut want, ShardId(3), seq, &header.unwrap(), &ops);
+        let got = worker_inbox.try_recv().unwrap();
+        assert_eq!((got.from, &got.bytes[..]), (endpoint, &want[..]));
+        assert!(
+            core.issue(ShardId(4), &ops).is_err(),
+            "no endpoint, no send"
+        );
     }
 }

@@ -50,8 +50,6 @@ pub struct ClusterConfig {
     pub metadata_latency: Duration,
     /// Recoverability level (§7.6).
     pub recoverability: RecoverabilityLevel,
-    /// Executor threads per worker.
-    pub executors_per_worker: usize,
     /// FASTER memory budget (records) per shard.
     pub memory_budget_records: usize,
     /// How often the finder service recomputes the cut.
@@ -85,7 +83,6 @@ impl Default for ClusterConfig {
             network_latency: Duration::ZERO,
             metadata_latency: Duration::ZERO,
             recoverability: RecoverabilityLevel::Dpr,
-            executors_per_worker: 2,
             memory_budget_records: 1 << 22,
             finder_interval: Duration::from_millis(5),
             validate_ownership: true,
@@ -99,6 +96,10 @@ impl Default for ClusterConfig {
 /// Lock partitions of the cluster's metadata store: enough that DPR-table
 /// writes from many shards stop serialising on one table lock.
 const META_STORE_PARTITIONS: usize = 8;
+
+/// Executor threads per D-FASTER worker (a D-Redis store is single-threaded
+/// and gets one).
+const EXECUTORS_PER_WORKER: usize = 2;
 
 /// A running cluster.
 pub struct Cluster {
@@ -137,56 +138,30 @@ impl Cluster {
             DprFinderMode::Hybrid => Arc::new(HybridFinder::new(meta.clone())),
         };
 
-        let worker_config = WorkerConfig {
-            checkpoint_interval: match config.recoverability {
-                RecoverabilityLevel::None | RecoverabilityLevel::Synchronous => None,
-                _ => config.checkpoint_interval,
-            },
-            dpr_enabled: config.recoverability == RecoverabilityLevel::Dpr,
-            sync_commit: config.recoverability == RecoverabilityLevel::Synchronous
-                && config.kind == ClusterKind::DFaster,
-            executors: match config.kind {
-                ClusterKind::DFaster => config.executors_per_worker,
-                // The store is single-threaded anyway.
-                ClusterKind::DRedis => 1,
-            },
-            validate_ownership: config.validate_ownership,
-            fast_forward: true,
-            dedupe_window: config.dedupe_window,
+        let mut cluster = Cluster {
+            manager: ClusterManager::new(meta.clone()),
+            config,
+            net,
+            meta,
+            ownership,
+            finder,
+            workers: Vec::new(),
+            worker_endpoints: Arc::default(),
+            cut_cache: Arc::default(),
+            next_session: AtomicU64::new(1),
+            shutdown: Arc::default(),
         };
-
-        let mut workers = Vec::with_capacity(config.shards);
-        let mut endpoints = HashMap::new();
-        for i in 0..config.shards {
-            let shard = ShardId(i as u32);
-            let store = build_store(&config, shard)?;
-            let worker = Worker::start(
-                shard,
-                store,
-                net.clone(),
-                ownership.clone(),
-                meta.clone(),
-                finder.clone(),
-                worker_config.clone(),
-            )?;
-            let public_endpoint = if config.extra_proxy_hop {
-                crate::proxy::start_proxy(&net, worker.endpoint())
-            } else {
-                worker.endpoint()
-            };
-            endpoints.insert(shard, public_endpoint);
-            workers.push(worker);
+        for i in 0..cluster.config.shards {
+            cluster.start_worker(ShardId(i as u32))?;
         }
-        let shard_ids: Vec<ShardId> = workers.iter().map(|w| w.shard()).collect();
-        ownership.assign_round_robin(&shard_ids);
+        let shard_ids: Vec<ShardId> = cluster.workers.iter().map(|w| w.shard()).collect();
+        cluster.ownership.assign_round_robin(&shard_ids);
 
-        let cut_cache = Arc::new(RwLock::new(Cut::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        if config.recoverability == RecoverabilityLevel::Dpr {
-            let finder_weak: Weak<dyn DprFinder> = Arc::downgrade(&finder);
-            let cache = cut_cache.clone();
-            let stop = shutdown.clone();
-            let interval = config.finder_interval;
+        if cluster.config.recoverability == RecoverabilityLevel::Dpr {
+            let finder_weak: Weak<dyn DprFinder> = Arc::downgrade(&cluster.finder);
+            let cache = cluster.cut_cache.clone();
+            let stop = cluster.shutdown.clone();
+            let interval = cluster.config.finder_interval;
             std::thread::Builder::new()
                 .name("dpr-finder".into())
                 .spawn(move || loop {
@@ -205,20 +180,47 @@ impl Cluster {
                 })
                 .expect("spawn finder service");
         }
+        Ok(cluster)
+    }
 
-        Ok(Cluster {
-            manager: ClusterManager::new(meta.clone()),
-            config,
-            net,
-            meta,
-            ownership,
-            finder,
-            workers,
-            worker_endpoints: Arc::new(RwLock::new(endpoints)),
-            cut_cache,
-            next_session: AtomicU64::new(1),
-            shutdown,
-        })
+    /// Build, start and publish the worker of `shard`: its store and knobs
+    /// per the cluster configuration, and the endpoint clients reach it at
+    /// (the worker's own, or that of the proxy hop in front of it).
+    fn start_worker(&mut self, shard: ShardId) -> Result<()> {
+        let config = &self.config;
+        let worker_config = WorkerConfig {
+            checkpoint_interval: match config.recoverability {
+                RecoverabilityLevel::None | RecoverabilityLevel::Synchronous => None,
+                _ => config.checkpoint_interval,
+            },
+            dpr_enabled: config.recoverability == RecoverabilityLevel::Dpr,
+            sync_commit: config.recoverability == RecoverabilityLevel::Synchronous
+                && config.kind == ClusterKind::DFaster,
+            executors: match config.kind {
+                ClusterKind::DFaster => EXECUTORS_PER_WORKER,
+                ClusterKind::DRedis => 1,
+            },
+            validate_ownership: config.validate_ownership,
+            fast_forward: true,
+            dedupe_window: config.dedupe_window,
+        };
+        let worker = Worker::start(
+            shard,
+            build_store(config, shard)?,
+            self.net.clone(),
+            self.ownership.clone(),
+            self.meta.clone(),
+            self.finder.clone(),
+            worker_config,
+        )?;
+        let public_endpoint = if config.extra_proxy_hop {
+            crate::proxy::start_proxy(&self.net, worker.endpoint())
+        } else {
+            worker.endpoint()
+        };
+        self.worker_endpoints.write().insert(shard, public_endpoint);
+        self.workers.push(worker);
+        Ok(())
     }
 
     /// Open a client session (dedicated-client mode).
@@ -386,39 +388,7 @@ impl Cluster {
     pub fn add_worker(&mut self) -> Result<ShardId> {
         let new_idx = self.workers.len();
         let shard = ShardId(new_idx as u32);
-        let store = build_store(&self.config, shard)?;
-        let worker_config = crate::worker::WorkerConfig {
-            checkpoint_interval: match self.config.recoverability {
-                RecoverabilityLevel::None | RecoverabilityLevel::Synchronous => None,
-                _ => self.config.checkpoint_interval,
-            },
-            dpr_enabled: self.config.recoverability == RecoverabilityLevel::Dpr,
-            sync_commit: self.config.recoverability == RecoverabilityLevel::Synchronous
-                && self.config.kind == ClusterKind::DFaster,
-            executors: match self.config.kind {
-                ClusterKind::DFaster => self.config.executors_per_worker,
-                ClusterKind::DRedis => 1,
-            },
-            validate_ownership: self.config.validate_ownership,
-            fast_forward: true,
-            dedupe_window: self.config.dedupe_window,
-        };
-        let worker = Worker::start(
-            shard,
-            store,
-            self.net.clone(),
-            self.ownership.clone(),
-            self.meta.clone(),
-            self.finder.clone(),
-            worker_config,
-        )?;
-        let public = if self.config.extra_proxy_hop {
-            crate::proxy::start_proxy(&self.net, worker.endpoint())
-        } else {
-            worker.endpoint()
-        };
-        self.worker_endpoints.write().insert(shard, public);
-        self.workers.push(worker);
+        self.start_worker(shard)?;
         // Rebalance: every partition that hashes to the new worker under
         // round-robin over the new count moves to it.
         let partitions = self.config.partitions;

@@ -10,10 +10,12 @@
 //! membership, recovery state) and the client-piggybacked headers — no
 //! worker-to-worker traffic, as in the paper.
 //!
-//! Two network planes serve the same protocol code: the in-process message
-//! bus with configurable one-way latency ([`transport`], for simulation and
-//! chaos testing), and the real TCP plane ([`net`] server, [`tcp`] client,
-//! [`wire`] codec — specified byte-by-byte in `docs/NETWORK.md`).
+//! One protocol path runs over two links: the [`wire`] codec (specified
+//! byte-by-byte in `docs/NETWORK.md`), the worker's request path and the
+//! client's session core are shared, and only how frames move differs — the
+//! in-process message bus with configurable one-way latency ([`transport`],
+//! for simulation and chaos testing; [`SessionHandle`]) or real sockets
+//! ([`net`] server, [`tcp`] client).
 
 #![warn(missing_docs)]
 
@@ -27,6 +29,7 @@ pub mod message;
 mod metrics;
 pub mod net;
 pub mod proxy;
+mod session;
 pub mod tcp;
 pub mod transport;
 pub mod wire;
@@ -40,6 +43,6 @@ pub use lease::{CutLease, OwnershipLease};
 pub use manager::ClusterManager;
 pub use message::{ClusterOp, OpResult};
 pub use net::{NetServer, NetServerConfig};
-pub use tcp::{CompletedRef, PipelinedClient};
-pub use transport::{EndpointId, LinkFault, SimNetwork};
+pub use session::{CompletedRef, PipelinedClient};
+pub use transport::{BusFrame, EndpointId, LinkFault, SimNetwork};
 pub use worker::{ShardStore, VersionSpan, Worker};

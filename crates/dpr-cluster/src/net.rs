@@ -25,9 +25,10 @@
 //!   shared buffer and frozen into a [`bytes::Bytes`] view; op keys and
 //!   values are zero-copy slices of it
 //!   ([`wire::decode_request_body_into`]).
-//! * Ops and results decode into per-thread reusable buffers
-//!   (`IoScratch`), execution appends results in place
-//!   ([`Worker::execute_local_into`]), and the response is encoded
+//! * The request path itself is the worker's
+//!   (`Worker::serve_request`, shared with the bus executors): ops and
+//!   results decode into the thread's reusable `RequestScratch`,
+//!   execution appends results in place, and the response is encoded
 //!   straight into the connection write buffer ([`wire::encode_response`])
 //!   with a back-patched length — no intermediate frame or body `Vec`.
 //! * The per-session epoch fence is a cache-padded [`StripedMap`], so
@@ -40,13 +41,11 @@
 //! [`ScratchLease`]: dpr_core::ScratchLease
 //! [`StripedMap`]: dpr_core::StripedMap
 
-use crate::message::{ClusterOp, OpResult};
 use crate::metrics;
 use crate::wire::{self, FrameKind, Hello, HelloAck, ProtoError, ProtoErrorCode};
-use crate::worker::Worker;
+use crate::worker::{RequestScratch, Worker};
 use bytes::Bytes;
 use dpr_core::{BufferPool, DprError, Result, ScratchLease, SessionId, ShardId, StripedMap};
-use libdpr::BatchHeader;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -90,33 +89,19 @@ struct ServerCtx {
     epochs: StripedMap<SessionId, u32>,
 }
 
-/// Per-I/O-thread reusable buffers: one read chunk plus decode/execute
+/// Per-I/O-thread reusable buffers: one read chunk plus the request path's
 /// scratch, so a steady-state request allocates nothing on this thread.
 struct IoScratch {
     /// Socket read staging (pooled).
     read: ScratchLease,
-    /// Decoded ops of the frame being handled.
-    ops: Vec<ClusterOp>,
-    /// Results of the batch being executed.
-    results: Vec<OpResult>,
-    /// Decoded batch header (its `deps` vector is reused across frames).
-    header: BatchHeader,
+    request: RequestScratch,
 }
 
 impl IoScratch {
     fn new() -> IoScratch {
         IoScratch {
             read: BufferPool::global().acquire_scratch(READ_CHUNK),
-            ops: Vec::new(),
-            results: Vec::new(),
-            header: BatchHeader {
-                session: SessionId(0),
-                world_line: dpr_core::WorldLine(0),
-                version_lower_bound: dpr_core::Version(0),
-                deps: Vec::new(),
-                first_serial: 0,
-                op_count: 0,
-            },
+            request: RequestScratch::new(),
         }
     }
 }
@@ -224,12 +209,18 @@ impl Conn {
     /// Send a protocol error; close the connection unless the code is
     /// recoverable.
     fn proto_error(&mut self, code: ProtoErrorCode, seq: u64, detail: impl Into<String>) {
-        metrics::net_frame_rejects().inc();
         let err = ProtoError {
             code,
             detail: detail.into(),
         };
         self.queue_with(|wr| err.encode(wr, seq));
+        self.rejected(code);
+    }
+
+    /// Account for an `Error` frame just queued; an unrecoverable one closes
+    /// the connection once it is flushed.
+    fn rejected(&mut self, code: ProtoErrorCode) {
+        metrics::net_frame_rejects().inc();
         if !code.recoverable() {
             self.open = false;
         }
@@ -319,10 +310,9 @@ fn drain_frames(conn: &mut Conn, ctx: &ServerCtx, scratch: &mut IoScratch) -> bo
         metrics::net_frames_rx().inc();
         metrics::net_frame_bytes().record(total as u64);
         // Release the previous frame's zero-copy views before acquiring the
-        // next pooled body: while `scratch.ops` still borrows the old buffer
+        // next pooled body: while the decoded ops still borrow the old buffer
         // the pool sees it busy and must evict + allocate instead of reusing.
-        scratch.ops.clear();
-        scratch.results.clear();
+        scratch.request.clear();
         let parsed = parse_frame(
             &header,
             &conn.rd[consumed + wire::FRAME_HEADER_LEN..consumed + total],
@@ -407,8 +397,8 @@ fn apply_frame(conn: &mut Conn, ctx: &ServerCtx, parsed: ParsedFrame, scratch: &
     }
 }
 
-/// The request hot path: zero-copy decode into reused buffers, in-place
-/// execution, direct response encode. No heap allocation in steady state.
+/// Route a `Request` frame to its shard's worker, whose request path
+/// answers it straight into the connection's write buffer.
 fn handle_request(
     conn: &mut Conn,
     ctx: &ServerCtx,
@@ -433,49 +423,10 @@ fn handle_request(
         );
         return;
     };
-    scratch.ops.clear();
-    if let Err(e) = wire::decode_request_body_into(body, &mut scratch.ops, &mut scratch.header) {
-        conn.proto_error(ProtoErrorCode::BadFrame, seq, e.to_string());
-        return;
-    }
-    let header = &scratch.header;
-    if worker.dedupe_enabled() {
-        match worker.dedupe_check(header) {
-            // First delivery still executing (its connection died
-            // mid-batch, or raced this one): the client retries.
-            Some(None) => {
-                conn.proto_error(
-                    ProtoErrorCode::DuplicateInFlight,
-                    seq,
-                    "batch already executing",
-                );
-                return;
-            }
-            Some(Some((reply, results))) => {
-                conn.queue_with(|wr| {
-                    wire::encode_response(wr, shard, seq, Ok((&reply, &results)));
-                });
-                return;
-            }
-            None => {}
-        }
-    }
-    scratch.results.clear();
-    match worker.execute_local_into(header, &scratch.ops, &mut scratch.results) {
-        Ok(reply) => {
-            if worker.dedupe_enabled() {
-                worker.dedupe_record_parts(header, Ok((&reply, &scratch.results)));
-            }
-            conn.queue_with(|wr| {
-                wire::encode_response(wr, shard, seq, Ok((&reply, &scratch.results)));
-            });
-        }
-        Err(e) => {
-            if worker.dedupe_enabled() {
-                worker.dedupe_record_parts(header, Err(&e));
-            }
-            conn.queue_with(|wr| wire::encode_response(wr, shard, seq, Err(&e)));
-        }
+    let mut refused = None;
+    conn.queue_with(|wr| refused = worker.serve_request(seq, body, &mut scratch.request, wr));
+    if let Some(code) = refused {
+        conn.rejected(code);
     }
 }
 

@@ -1,0 +1,512 @@
+//! The client half of the protocol, written once for both planes.
+//!
+//! [`PipelinedClient`] drives one [`DprClientSession`] over a [`Link`]: it
+//! stamps and encodes batches ([`crate::wire`]), keeps every unanswered one
+//! in an in-flight table keyed by the frame's `seq` (the record *is* the
+//! encoded frame, so a retransmission rewrites the identical bytes), matches
+//! answers to it, feeds replies to the session and discards duplicates.
+//! What differs between a socket and the simulated bus is how bytes move,
+//! the link's two methods: over [`crate::tcp::TcpLink`] this is the client
+//! the benchmark's TCP workloads drive, over the bus link it is the inside
+//! of a [`crate::SessionHandle`]. One reply policy on both
+//! (`docs/NETWORK.md` §6–§7; [`PipelinedClient::poll_each`]), and nothing
+//! allocated per batch in steady state: frames encode into recycled
+//! buffers, the receive buffer is pooled, and response bodies land in
+//! pooled shared buffers whose values are zero-copy views.
+
+use crate::message::{ClusterOp, OpResult};
+use crate::wire::{self, CutResponse, FrameHeader, FrameKind, ProtoError, ProtoErrorCode};
+use bytes::Bytes;
+use dpr_core::{BufferPool, DprError, Result, ScratchLease, ShardId, Version, WorldLine};
+use libdpr::{BatchHeader, BatchReply, DprClientSession, SessionStatus};
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
+
+/// Encoded-request buffers a core keeps for reuse once their batch completes.
+const SPARE_BUFFERS: usize = 256;
+
+/// How encoded frames reach the server side and come back.
+pub(crate) trait Link {
+    /// Write one encoded frame; its header's `shard` says where it goes.
+    fn send(&mut self, frame: &[u8]) -> Result<()>;
+
+    /// Append whatever arrives within `wait` to `rd`. A zero `wait` takes
+    /// what is already there and never blocks.
+    fn recv(&mut self, wait: Duration, rd: &mut Vec<u8>) -> Result<()>;
+}
+
+/// Pop the next complete frame off the front of `rd`, lifting its body into a
+/// pooled shared buffer: values decoded from it are zero-copy views, and the
+/// buffer recycles when they drop.
+pub(crate) fn pop_frame(rd: &mut Vec<u8>) -> Result<Option<(FrameHeader, Bytes)>> {
+    let Some(header) = wire::decode_header(rd)? else {
+        return Ok(None);
+    };
+    let total = header.frame_len();
+    if rd.len() < total {
+        return Ok(None);
+    }
+    let body = &rd[wire::FRAME_HEADER_LEN..total];
+    let mut lease = BufferPool::global().acquire_shared(body.len());
+    lease.data_mut()[..body.len()].copy_from_slice(body);
+    let body = lease.freeze(body.len());
+    rd.drain(..total);
+    Ok(Some((header, body)))
+}
+
+/// One batch awaiting its response.
+///
+/// Holds the *encoded frame bytes* — which double as the retransmission
+/// record, so retries rewrite the identical frame without re-encoding —
+/// plus the scalar header facts the completion path needs. The buffer is
+/// recycled into the core's spare list when the batch completes.
+struct InflightBatch {
+    /// The encoded `Request` frame, exactly as first sent.
+    bytes: Vec<u8>,
+    shard: ShardId,
+    first_serial: u64,
+    op_count: u32,
+    issued_at: Instant,
+    sent_at: Instant,
+}
+
+/// A completed batch surfaced by [`PipelinedClient::poll_each`] —
+/// results borrow the client's reused decode scratch, so the steady-state
+/// completion path allocates nothing.
+pub struct CompletedRef<'a> {
+    /// The wire sequence number (as returned by [`PipelinedClient::issue`]).
+    pub seq: u64,
+    /// Serial of the first op in the batch.
+    pub first_serial: u64,
+    /// When the batch was first issued (for latency accounting).
+    pub issued_at: Instant,
+    /// The encoded `Request` frame this answers: a caller that must send a
+    /// rejected batch elsewhere decodes its ops back out of it.
+    pub request: &'a [u8],
+    /// Per-op results, or the batch's rejection.
+    pub result: std::result::Result<&'a [OpResult], DprError>,
+}
+
+/// A pipelined client session over one link to the server side: many
+/// batches in flight, explicit polling, duplicate-safe retransmission. The
+/// windowing policy (how many batches to keep in flight) belongs to the
+/// caller — typically the benchmark's generator. Without a type argument it
+/// is the TCP client ([`PipelinedClient::connect`]).
+pub struct PipelinedClient<L = crate::tcp::TcpLink> {
+    session: DprClientSession,
+    pub(crate) link: L,
+    /// Received-but-unparsed bytes (pooled).
+    rd: ScratchLease,
+    next_seq: u64,
+    inflight: HashMap<u64, InflightBatch>,
+    /// Sum of `op_count` over `inflight`.
+    inflight_ops: u64,
+    /// Recycled encode buffers from completed batches.
+    spare: Vec<Vec<u8>>,
+    /// Reused header for issuing (deps vector rebuilt in place).
+    header_scratch: BatchHeader,
+    /// Reused results buffer for decoding responses.
+    results_scratch: Vec<OpResult>,
+}
+
+#[allow(private_bounds)] // `Link` is sealed: the two links are this crate's
+impl<L: Link> PipelinedClient<L> {
+    pub(crate) fn new(session: DprClientSession, link: L) -> PipelinedClient<L> {
+        PipelinedClient {
+            header_scratch: session.rebatch_header(ShardId(0), 0, 0),
+            session,
+            link,
+            rd: BufferPool::global().acquire_scratch(16 << 10),
+            next_seq: 1,
+            inflight: HashMap::new(),
+            inflight_ops: 0,
+            spare: Vec::new(),
+            results_scratch: Vec::new(),
+        }
+    }
+
+    pub(crate) fn session(&self) -> &DprClientSession {
+        &self.session
+    }
+
+    /// The underlying DPR session.
+    pub fn session_mut(&mut self) -> &mut DprClientSession {
+        &mut self.session
+    }
+
+    /// Batches issued but not yet completed.
+    #[must_use]
+    pub fn inflight(&self) -> usize {
+        self.inflight.len()
+    }
+
+    /// Ops in those batches.
+    pub(crate) fn inflight_ops(&self) -> u64 {
+        self.inflight_ops
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    fn recycle(&mut self, mut bytes: Vec<u8>) {
+        if self.spare.len() < SPARE_BUFFERS {
+            bytes.clear();
+            self.spare.push(bytes);
+        }
+    }
+
+    /// Issue one batch without waiting; returns its wire sequence number.
+    ///
+    /// The ops are encoded straight into a recycled buffer (kept as the
+    /// retransmission record until the batch completes), so callers can
+    /// reuse their own op buffers across calls — steady state allocates
+    /// nothing.
+    pub fn issue(&mut self, shard: ShardId, ops: &[ClusterOp]) -> Result<u64> {
+        self.issue_as(shard, None, ops)
+    }
+
+    /// [`PipelinedClient::issue`], or with `rebatch` a re-send of ops under
+    /// the serials they already hold, starting there (a re-route after an
+    /// ownership change).
+    pub(crate) fn issue_as(
+        &mut self,
+        shard: ShardId,
+        rebatch: Option<u64>,
+        ops: &[ClusterOp],
+    ) -> Result<u64> {
+        let op_count = ops.len() as u32;
+        match rebatch {
+            Some(serial) => {
+                self.header_scratch = self.session.rebatch_header(shard, serial, op_count)
+            }
+            None => self
+                .session
+                .begin_batch_into(shard, op_count, &mut self.header_scratch)?,
+        }
+        let seq = self.take_seq();
+        let header = &self.header_scratch;
+        let mut bytes = self.spare.pop().unwrap_or_default();
+        wire::encode_request(&mut bytes, shard, seq, header, ops);
+        let now = Instant::now();
+        let record = InflightBatch {
+            bytes,
+            shard,
+            first_serial: header.first_serial,
+            op_count,
+            issued_at: now,
+            sent_at: now,
+        };
+        // In the table before the write: a send the link refuses leaves a
+        // batch that holds serials, and the stall scan owns it from here.
+        let sent = self.link.send(&record.bytes);
+        self.inflight_ops += u64::from(op_count);
+        self.inflight.insert(seq, record);
+        sent.map(|()| seq)
+    }
+
+    /// Fire-and-forget cut query; the answer is applied to the session's
+    /// committed prefix inside [`PipelinedClient::poll_each`] when it arrives.
+    pub fn request_cut(&mut self) -> Result<()> {
+        let seq = self.take_seq();
+        let mut frame = self.spare.pop().unwrap_or_default();
+        wire::encode_control(&mut frame, FrameKind::CutReq, seq);
+        let sent = self.link.send(&frame);
+        self.recycle(frame);
+        sent
+    }
+
+    fn remove(&mut self, seq: u64) -> Option<InflightBatch> {
+        let batch = self.inflight.remove(&seq)?;
+        self.inflight_ops -= u64::from(batch.op_count);
+        Some(batch)
+    }
+
+    /// Drain ready responses, waiting up to `wait` for bytes to arrive; a
+    /// zero `wait` takes what has already arrived and never blocks.
+    ///
+    /// Each completion (in order of completion) is handed to `f` as a
+    /// [`CompletedRef`] whose results borrow a reused decode buffer, so the
+    /// steady state allocates nothing; returns the number delivered. A
+    /// `Response` to a batch no longer in flight is a duplicate and dropped;
+    /// a `CutResp` advances the session's committed prefix; a batch the
+    /// server cannot take yet (`Error(DuplicateInFlight)`, a `Recovering`
+    /// rejection) stays in flight for
+    /// [`PipelinedClient::retransmit_stalled`]; any other rejection
+    /// completes its batch with that error. A world-line mismatch — the
+    /// cluster failed and recovered underneath us — also moves the session
+    /// to `NeedsRecovery`, and is then returned by every idle call until the
+    /// caller has moved the session ([`PipelinedClient::session_mut`]) to
+    /// the new world-line with `handle_failure`.
+    pub fn poll_each(
+        &mut self,
+        wait: Duration,
+        mut f: impl FnMut(CompletedRef<'_>),
+    ) -> Result<usize> {
+        self.link.recv(wait, &mut self.rd)?;
+        let mut delivered = 0usize;
+        while let Some((header, body)) = pop_frame(&mut self.rd)? {
+            match header.kind {
+                FrameKind::Response => {
+                    // Scratch is moved out so the borrow handed to `f`
+                    // cannot alias the core while it runs.
+                    let mut results = std::mem::take(&mut self.results_scratch);
+                    results.clear();
+                    let completed = match wire::decode_response_body(&body, &mut results) {
+                        Ok(outcome) => self.complete(header.seq, outcome),
+                        Err(e) => {
+                            self.results_scratch = results;
+                            return Err(e);
+                        }
+                    };
+                    if let Some((batch, verdict)) = completed {
+                        f(CompletedRef {
+                            seq: header.seq,
+                            first_serial: batch.first_serial,
+                            issued_at: batch.issued_at,
+                            request: &batch.bytes,
+                            result: verdict.map(|()| results.as_slice()),
+                        });
+                        delivered += 1;
+                        self.recycle(batch.bytes);
+                    }
+                    self.results_scratch = results;
+                }
+                FrameKind::CutResp => {
+                    let resp = CutResponse::from_body(&body)?;
+                    if resp.world_line == self.session.world_line() {
+                        self.session.refresh_commit(&resp.cut);
+                    }
+                }
+                FrameKind::Error => {
+                    let err = ProtoError::from_body(&body)?;
+                    // Retryable: the batch stays in flight and will be
+                    // retransmitted by `retransmit_stalled`.
+                    if err.code != ProtoErrorCode::DuplicateInFlight {
+                        return Err(err.to_dpr_error());
+                    }
+                }
+                FrameKind::Goodbye => return Err(DprError::Closed),
+                k => {
+                    return Err(DprError::Invalid(format!(
+                        "unexpected frame {k:?} at a client"
+                    )))
+                }
+            }
+        }
+        match self.session.status() {
+            SessionStatus::NeedsRecovery { new_world_line } if delivered == 0 => {
+                Err(DprError::WorldLineMismatch {
+                    requested: self.session.world_line(),
+                    current: new_world_line,
+                })
+            }
+            _ => Ok(delivered),
+        }
+    }
+
+    /// Apply the answer to batch `seq`: `None` when it completes nothing (a
+    /// duplicate answer, or a refusal that leaves the batch in flight), else
+    /// the batch taken out of the table and what its caller is told.
+    fn complete(
+        &mut self,
+        seq: u64,
+        outcome: std::result::Result<BatchReply, DprError>,
+    ) -> Option<(InflightBatch, std::result::Result<(), DprError>)> {
+        if matches!(outcome, Err(DprError::Recovering)) {
+            return None; // server mid-recovery: not executed, retry later
+        }
+        let batch = self.remove(seq)?;
+        let verdict = match outcome {
+            Ok(reply) => self.session.process_reply(&reply),
+            Err(e) => {
+                if let DprError::WorldLineMismatch { current, .. } = e {
+                    self.world_line_moved(current);
+                }
+                Err(e)
+            }
+        };
+        Some((batch, verdict))
+    }
+
+    /// A world-line rejection carries no reply header: tell the session
+    /// itself that the cluster is on `current` now.
+    pub(crate) fn world_line_moved(&mut self, current: WorldLine) {
+        if current > self.session.world_line() {
+            let _ = self.session.process_reply(&BatchReply {
+                shard: ShardId(u32::MAX),
+                world_line: current,
+                version: Version::ZERO,
+                first_serial: 0,
+                op_count: 0,
+            });
+        }
+    }
+
+    /// Retransmit every batch whose response has been outstanding for at
+    /// least `older_than`. Safe for non-idempotent ops only when the
+    /// server runs duplicate suppression (`dedupe_window > 0`); see
+    /// `docs/NETWORK.md` §6. Returns the number retransmitted.
+    ///
+    /// Resends are the stored frame bytes verbatim — same seq, same
+    /// serials — which is what makes them safe to dedupe server-side.
+    pub fn retransmit_stalled(&mut self, older_than: Duration) -> Result<usize> {
+        let resent = self.retransmit_stalled_unless(older_than, |_| false)?;
+        Ok(resent.0)
+    }
+
+    /// [`PipelinedClient::retransmit_stalled`], except that a stalled batch
+    /// addressed to a shard `gone` says nobody answers for any more is taken
+    /// out of the table instead; returns how many were resent, and the
+    /// frames of those taken.
+    pub(crate) fn retransmit_stalled_unless(
+        &mut self,
+        older_than: Duration,
+        gone: impl Fn(ShardId) -> bool,
+    ) -> Result<(usize, Vec<Vec<u8>>)> {
+        let now = Instant::now();
+        let stalled: Vec<u64> = self
+            .inflight
+            .iter()
+            .filter(|(_, b)| now.duration_since(b.sent_at) >= older_than)
+            .map(|(&seq, _)| seq)
+            .collect();
+        let mut taken = Vec::new();
+        for &seq in &stalled {
+            let batch = self.inflight.get_mut(&seq).expect("collected above");
+            if gone(batch.shard) {
+                taken.extend(self.remove(seq).map(|batch| batch.bytes));
+            } else {
+                batch.sent_at = now;
+                self.link.send(&batch.bytes)?;
+            }
+        }
+        Ok((stalled.len() - taken.len(), taken))
+    }
+
+    /// Forget every in-flight batch (the session's recovery resolves their
+    /// serials); late answers to them are discarded as duplicates.
+    pub(crate) fn abandon_inflight(&mut self) {
+        self.inflight.clear();
+        self.inflight_ops = 0;
+    }
+
+    /// Carry on over a fresh link: unparsed bytes of the old one are dropped
+    /// and every in-flight batch is retransmitted.
+    pub(crate) fn relink(&mut self, link: L) -> Result<()> {
+        self.link = link;
+        self.rd.clear();
+        self.retransmit_stalled(Duration::ZERO).map(|_| ())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpr_core::{Key, SessionId, Value};
+
+    /// A link that keeps what is written and delivers what the test queues.
+    #[derive(Default)]
+    struct Scripted {
+        sent: Vec<Vec<u8>>,
+        arriving: Vec<u8>,
+    }
+
+    impl Link for Scripted {
+        fn send(&mut self, frame: &[u8]) -> Result<()> {
+            self.sent.push(frame.to_vec());
+            Ok(())
+        }
+
+        fn recv(&mut self, _wait: Duration, rd: &mut Vec<u8>) -> Result<()> {
+            rd.append(&mut self.arriving);
+            Ok(())
+        }
+    }
+
+    const SHARD: ShardId = ShardId(3);
+
+    type Core = PipelinedClient<Scripted>;
+
+    /// Queue the shard's answer to batch `seq` (first serial `seq - 1`).
+    fn answer(core: &mut Core, seq: u64, world_line: u64, outcome: Option<DprError>) {
+        let reply = BatchReply {
+            shard: SHARD,
+            world_line: WorldLine(world_line),
+            version: Version(1),
+            first_serial: seq - 1,
+            op_count: 1,
+        };
+        let outcome = outcome
+            .as_ref()
+            .map_or(Ok((&reply, &[OpResult::Done][..])), Err);
+        wire::encode_response(&mut core.link.arriving, SHARD.0, seq, outcome);
+    }
+
+    /// Poll once; the seqs completed, each with whether it succeeded.
+    fn poll(core: &mut Core) -> Result<Vec<(u64, bool)>> {
+        let mut done = Vec::new();
+        core.poll_each(Duration::ZERO, |c| done.push((c.seq, c.result.is_ok())))?;
+        Ok(done)
+    }
+
+    #[test]
+    fn one_reply_policy_over_a_scripted_link() {
+        let mut core = Core::new(DprClientSession::new(SessionId(7)), Scripted::default());
+        let ops = [ClusterOp::Upsert(Key::from_u64(1), Value::from_u64(2))];
+        for _ in 0..4 {
+            core.issue(SHARD, &ops).unwrap();
+        }
+        // What the link is handed is the documented frame, byte for byte.
+        let header = DprClientSession::new(SessionId(7))
+            .begin_batch(SHARD, 1)
+            .unwrap();
+        let mut want = Vec::new();
+        wire::encode_request(&mut want, SHARD, 1, &header, &ops);
+        assert_eq!(core.link.sent[0], want);
+
+        // Out of order, and one of them twice: the second copy is discarded.
+        answer(&mut core, 3, 0, None);
+        answer(&mut core, 1, 0, None);
+        answer(&mut core, 3, 0, None);
+        assert_eq!(poll(&mut core).unwrap(), [(3, true), (1, true)]);
+        assert_eq!((core.inflight(), core.inflight_ops()), (2, 2));
+
+        // "Not now" twice over, and no answer at all: everything stays in
+        // flight, and the stall scan rewrites the stored bytes verbatim.
+        answer(&mut core, 2, 0, Some(DprError::Recovering));
+        let busy = ProtoError {
+            code: ProtoErrorCode::DuplicateInFlight,
+            detail: String::new(),
+        };
+        busy.encode(&mut core.link.arriving, 2);
+        assert_eq!(poll(&mut core).unwrap(), []);
+        assert_eq!(core.inflight(), 2);
+        let first = std::mem::take(&mut core.link.sent);
+        assert_eq!(core.retransmit_stalled(Duration::ZERO).unwrap(), 2);
+        core.link.sent.sort(); // by seq: the frames agree up to that field
+        assert_eq!(core.link.sent, [first[1].clone(), first[3].clone()]);
+
+        // A world-line rejection completes its batch, flips the session, and
+        // idle polls repeat it until the session has handled the failure.
+        let moved = DprError::WorldLineMismatch {
+            requested: WorldLine(0),
+            current: WorldLine(1),
+        };
+        answer(&mut core, 2, 0, Some(moved.clone()));
+        assert_eq!(poll(&mut core).unwrap(), [(2, false)]);
+        let needs = SessionStatus::NeedsRecovery {
+            new_world_line: WorldLine(1),
+        };
+        assert_eq!(core.session().status(), needs);
+        assert_eq!(poll(&mut core), Err(moved.clone()));
+        assert_eq!(poll(&mut core), Err(moved));
+        assert!(core.issue(SHARD, &ops).is_err(), "no issue before recovery");
+        core.session_mut()
+            .handle_failure(WorldLine(1), &Default::default());
+        assert_eq!(poll(&mut core).unwrap(), []);
+        // The batch never answered is still the stall scan's to resend.
+        assert_eq!(core.retransmit_stalled(Duration::ZERO).unwrap(), 1);
+    }
+}

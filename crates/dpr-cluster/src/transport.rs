@@ -1,10 +1,12 @@
 //! The in-process message bus with configurable one-way latency.
 //!
 //! Stand-in for the paper's TCP + accelerated networking (see DESIGN.md):
-//! endpoints register an inbox; `send` either delivers immediately
-//! (zero-latency configuration) or schedules delivery through a delay-heap
-//! pump thread. Per-message delivery cost is what makes client batching
-//! (`b`) and windowing (`w`) matter, reproducing the trade-offs of Fig. 13.
+//! it carries what a socket carries, encoded [`crate::wire`] frames, each
+//! with the endpoint that sent it ([`BusFrame`]). Endpoints register an
+//! inbox; `send` either delivers immediately (zero-latency configuration)
+//! or schedules delivery through a delay-heap pump thread. Per-message
+//! delivery cost is what makes client batching (`b`) and windowing (`w`)
+//! matter, reproducing the trade-offs of Fig. 13.
 //!
 //! # Fault injection
 //!
@@ -19,7 +21,7 @@
 //! seeded via [`SimNetwork::set_fault_seed`] so chaos schedules replay
 //! identically for a given seed.
 
-use crate::message::Message;
+use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dpr_core::{DprError, Result};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -32,6 +34,17 @@ use std::time::{Duration, Instant};
 /// Address of a worker or client on the bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EndpointId(pub u64);
+
+/// One message on the bus: an encoded [`crate::wire`] frame, byte for byte
+/// what a socket would carry, and the endpoint that sent it. The sender's
+/// address is the bus's stand-in for a connection: answers go back to it.
+#[derive(Debug, Clone)]
+pub struct BusFrame {
+    /// Where an answer to this frame goes.
+    pub from: EndpointId,
+    /// The frame: header and body as `docs/NETWORK.md` lays them out.
+    pub bytes: Bytes,
+}
 
 /// Fault applied to every message addressed to one endpoint.
 ///
@@ -63,7 +76,7 @@ struct Delayed {
     deliver_at: Instant,
     seq: u64,
     to: EndpointId,
-    msg: Message,
+    msg: BusFrame,
 }
 
 impl PartialEq for Delayed {
@@ -88,7 +101,7 @@ struct PumpState {
     /// Active per-destination faults; absent entry = healthy link.
     faults: HashMap<EndpointId, LinkFault>,
     /// Messages held behind partitioned links, in send order.
-    parked: HashMap<EndpointId, VecDeque<Message>>,
+    parked: HashMap<EndpointId, VecDeque<BusFrame>>,
     /// Latest scheduled delivery per destination; later sends never
     /// schedule before this, which is what preserves per-link FIFO when a
     /// fault's delay shrinks or clears mid-stream.
@@ -112,7 +125,7 @@ impl PumpState {
 /// The bus.
 pub struct SimNetwork {
     latency: Duration,
-    endpoints: RwLock<HashMap<EndpointId, Sender<Message>>>,
+    endpoints: RwLock<HashMap<EndpointId, Sender<BusFrame>>>,
     pump: Mutex<PumpState>,
     pump_wake: Condvar,
     seq: AtomicU64,
@@ -175,7 +188,7 @@ impl SimNetwork {
     }
 
     /// Allocate a fresh endpoint and its inbox.
-    pub fn register(&self) -> (EndpointId, Receiver<Message>) {
+    pub fn register(&self) -> (EndpointId, Receiver<BusFrame>) {
         let id = EndpointId(self.next_endpoint.fetch_add(1, Ordering::AcqRel));
         let (tx, rx) = unbounded();
         self.endpoints.write().insert(id, tx);
@@ -184,7 +197,7 @@ impl SimNetwork {
 
     /// Send `msg` to `to`, subject to the configured latency and any
     /// installed [`LinkFault`] for the destination.
-    pub fn send(&self, to: EndpointId, msg: Message) -> Result<()> {
+    pub fn send(&self, to: EndpointId, msg: BusFrame) -> Result<()> {
         if self.shutdown.load(Ordering::Acquire) {
             return Err(DprError::Closed);
         }
@@ -213,7 +226,7 @@ impl SimNetwork {
     /// Queue `msg` for delivery to `to` after `delay`, never ahead of an
     /// earlier message to the same destination (per-link FIFO). Caller
     /// holds the pump lock.
-    fn schedule(&self, pump: &mut PumpState, to: EndpointId, msg: Message, delay: Duration) {
+    fn schedule(&self, pump: &mut PumpState, to: EndpointId, msg: BusFrame, delay: Duration) {
         let mut deliver_at = Instant::now() + delay;
         if let Some(&floor) = pump.fifo_floor.get(&to) {
             deliver_at = deliver_at.max(floor);
@@ -285,7 +298,7 @@ impl SimNetwork {
         }
     }
 
-    fn deliver(&self, to: EndpointId, msg: Message) -> Result<()> {
+    fn deliver(&self, to: EndpointId, msg: BusFrame) -> Result<()> {
         let endpoints = self.endpoints.read();
         match endpoints.get(&to) {
             Some(tx) => tx.send(msg).map_err(|_| DprError::Closed),
@@ -339,26 +352,28 @@ impl SimNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Message, ResponseMsg};
+    use crate::wire;
 
-    fn response(first_serial: u64) -> Message {
-        Message::Response(ResponseMsg {
-            session: None,
-            first_serial,
-            op_count: 1,
-            outcome: Err(DprError::Timeout),
-        })
+    /// A control frame numbered through its `seq`.
+    fn numbered(seq: u64) -> BusFrame {
+        let mut bytes = Vec::new();
+        wire::encode_control(&mut bytes, wire::FrameKind::CutReq, seq);
+        BusFrame {
+            from: EndpointId(u64::MAX),
+            bytes: bytes.into(),
+        }
+    }
+
+    fn seq_of(frame: &BusFrame) -> u64 {
+        wire::decode_header(&frame.bytes).unwrap().unwrap().seq
     }
 
     #[test]
     fn zero_latency_delivers_synchronously() {
         let net = SimNetwork::new(Duration::ZERO);
         let (id, rx) = net.register();
-        net.send(id, response(7)).unwrap();
-        match rx.try_recv().unwrap() {
-            Message::Response(r) => assert_eq!(r.first_serial, 7),
-            Message::Request(_) => panic!("wrong message"),
-        }
+        net.send(id, numbered(7)).unwrap();
+        assert_eq!(seq_of(&rx.try_recv().unwrap()), 7);
     }
 
     #[test]
@@ -366,7 +381,7 @@ mod tests {
         let net = SimNetwork::new(Duration::from_millis(20));
         let (id, rx) = net.register();
         let start = Instant::now();
-        net.send(id, response(1)).unwrap();
+        net.send(id, numbered(1)).unwrap();
         assert!(rx.try_recv().is_err(), "not delivered immediately");
         let _ = rx.recv_timeout(Duration::from_millis(500)).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(18));
@@ -377,27 +392,22 @@ mod tests {
         let net = SimNetwork::new(Duration::from_millis(5));
         let (id, rx) = net.register();
         for i in 0..10 {
-            net.send(id, response(i)).unwrap();
+            net.send(id, numbered(i)).unwrap();
         }
         for i in 0..10 {
-            match rx.recv_timeout(Duration::from_millis(500)).unwrap() {
-                Message::Response(r) => assert_eq!(r.first_serial, i),
-                Message::Request(_) => panic!("wrong message"),
-            }
+            let frame = rx.recv_timeout(Duration::from_millis(500)).unwrap();
+            assert_eq!(seq_of(&frame), i);
         }
     }
 
     #[test]
     fn unknown_endpoint_errors() {
         let net = SimNetwork::new(Duration::ZERO);
-        assert!(net.send(EndpointId(99), response(0)).is_err());
+        assert!(net.send(EndpointId(99), numbered(0)).is_err());
     }
 
-    fn recv_serial(rx: &Receiver<Message>) -> u64 {
-        match rx.recv_timeout(Duration::from_millis(2000)).unwrap() {
-            Message::Response(r) => r.first_serial,
-            Message::Request(_) => panic!("wrong message"),
-        }
+    fn recv_serial(rx: &Receiver<BusFrame>) -> u64 {
+        seq_of(&rx.recv_timeout(Duration::from_millis(2000)).unwrap())
     }
 
     #[test]
@@ -412,7 +422,7 @@ mod tests {
             },
         );
         let start = Instant::now();
-        net.send(id, response(1)).unwrap();
+        net.send(id, numbered(1)).unwrap();
         let _ = rx.recv_timeout(Duration::from_millis(2000)).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(25));
     }
@@ -429,7 +439,7 @@ mod tests {
             },
         );
         for i in 0..5 {
-            net.send(id, response(i)).unwrap();
+            net.send(id, numbered(i)).unwrap();
         }
         assert!(
             rx.recv_timeout(Duration::from_millis(50)).is_err(),
@@ -456,7 +466,7 @@ mod tests {
                     },
                 );
                 for i in 0..64 {
-                    net.send(id, response(i)).unwrap();
+                    net.send(id, numbered(i)).unwrap();
                 }
                 // Drain whatever survived; exact set must match per seed.
                 let mut survived = 0u64;
@@ -484,9 +494,9 @@ mod tests {
                 ..LinkFault::default()
             },
         );
-        net.send(id, response(0)).unwrap();
+        net.send(id, numbered(0)).unwrap();
         net.clear_link_fault(id);
-        net.send(id, response(1)).unwrap();
+        net.send(id, numbered(1)).unwrap();
         assert_eq!(recv_serial(&rx), 0);
         assert_eq!(recv_serial(&rx), 1);
     }
@@ -502,8 +512,8 @@ mod tests {
                 ..LinkFault::default()
             },
         );
-        net.send(id, response(0)).unwrap();
+        net.send(id, numbered(0)).unwrap();
         net.shutdown();
-        assert!(net.send(id, response(1)).is_err(), "closed after shutdown");
+        assert!(net.send(id, numbered(1)).is_err(), "closed after shutdown");
     }
 }

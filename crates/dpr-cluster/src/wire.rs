@@ -170,6 +170,15 @@ pub fn end_frame(out: &mut [u8], body_start: usize) {
     out[body_start - 4..body_start].copy_from_slice(&body_len.to_le_bytes());
 }
 
+/// Overwrite the `seq` of an encoded frame in place — what a forwarding
+/// proxy does to keep its own numbering on each side of the hop.
+///
+/// # Panics
+/// If `frame` is shorter than a frame header.
+pub fn set_seq(frame: &mut [u8], seq: u64) {
+    frame[12..20].copy_from_slice(&seq.to_le_bytes());
+}
+
 /// Validate and decode one frame *header* from the front of `buf`.
 ///
 /// Returns `Ok(None)` when fewer than [`FRAME_HEADER_LEN`] bytes are

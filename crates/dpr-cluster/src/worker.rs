@@ -2,8 +2,10 @@
 //! checkpointing, commit pumping, and recovery participation.
 
 use crate::lease::{CutLease, OwnershipLease};
-use crate::message::{ClusterOp, Message, OpResult, RequestMsg, ResponseMsg};
-use crate::transport::{EndpointId, SimNetwork};
+use crate::message::{ClusterOp, OpResult};
+use crate::transport::{BusFrame, EndpointId, SimNetwork};
+use crate::wire::{self, FrameKind, ProtoError, ProtoErrorCode};
+use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use dpr_core::{DprError, Result, SessionId, ShardId, Version, WorldLine};
 use dpr_metadata::{MetadataStore, OwnershipTable};
@@ -130,8 +132,8 @@ impl Default for WorkerConfig {
 
 /// State of one remembered batch in the duplicate-suppression cache.
 enum DedupeEntry {
-    /// The first copy is still executing; drop duplicates (its reply is
-    /// already on the way, and the client retries again if it is lost).
+    /// The first copy is still executing; a duplicate is answered
+    /// `Error(DuplicateInFlight)` and the client retries.
     Executing,
     /// Completed; replay this reply on duplicate delivery.
     Done(BatchReply, Vec<OpResult>),
@@ -197,6 +199,41 @@ const DEDUPE_SPARE_BUFFERS: usize = 32;
 /// global lock (§6's "implemented scalably", applied to session state).
 #[repr(align(128))]
 struct DedupeStripe(parking_lot::Mutex<DedupeCache>);
+
+/// Decode and execute buffers of the request path, one per serving thread
+/// (a socket I/O thread or a bus executor) and reused across frames, so a
+/// warm request allocates nothing. The ops are zero-copy views of the frame
+/// body they were decoded from: [`RequestScratch::clear`] them before the
+/// next pooled body is acquired (`docs/NETWORK.md` §9).
+pub(crate) struct RequestScratch {
+    ops: Vec<ClusterOp>,
+    results: Vec<OpResult>,
+    /// Its `deps` vector is reused across frames.
+    header: BatchHeader,
+}
+
+impl RequestScratch {
+    pub(crate) fn new() -> RequestScratch {
+        RequestScratch {
+            ops: Vec::new(),
+            results: Vec::new(),
+            header: BatchHeader {
+                session: SessionId(0),
+                world_line: WorldLine(0),
+                version_lower_bound: Version::ZERO,
+                deps: Vec::new(),
+                first_serial: 0,
+                op_count: 0,
+            },
+        }
+    }
+
+    /// Drop the views of the last frame's body.
+    pub(crate) fn clear(&mut self) {
+        self.ops.clear();
+        self.results.clear();
+    }
+}
 
 /// One shard worker.
 pub struct Worker {
@@ -324,22 +361,10 @@ impl Worker {
         &self.store
     }
 
-    /// Execute a batch on the calling thread — the path used both by
-    /// executor threads for remote requests and directly by co-located
-    /// applications (§5.2's local execution).
-    pub fn execute_local(
-        &self,
-        header: &BatchHeader,
-        ops: &[ClusterOp],
-    ) -> Result<(BatchReply, Vec<OpResult>)> {
-        let mut results = Vec::with_capacity(ops.len());
-        let reply = self.execute_local_into(header, ops, &mut results)?;
-        Ok((reply, results))
-    }
-
-    /// [`Worker::execute_local`] with a caller-provided results buffer —
-    /// the network plane's steady-state path reuses one buffer across
-    /// batches so a request allocates nothing here. Results are appended.
+    /// Execute a batch on the calling thread: the inside of the request path
+    /// (`serve_request`) and what a co-located application calls directly
+    /// (§5.2's local execution). Results are appended to the
+    /// caller's buffer, which a steady-state caller reuses across batches.
     pub fn execute_local_into(
         &self,
         header: &BatchHeader,
@@ -414,12 +439,6 @@ impl Worker {
         &self.dedupe[(h as usize) % self.dedupe.len()].0
     }
 
-    /// Whether duplicate suppression is enabled for remote batches.
-    #[must_use]
-    pub(crate) fn dedupe_enabled(&self) -> bool {
-        self.config.dedupe_window > 0
-    }
-
     /// Current DPR cut and world-line straight from the metadata store —
     /// what the network plane serves for `CutReq` frames so remote clients
     /// can track commits without a side channel.
@@ -441,15 +460,11 @@ impl Worker {
             .get(self.server.world_line(), || self.read_cut())
     }
 
-    /// Duplicate check for a remote batch. `None` means fresh (caller
+    /// Duplicate check for a remote batch. `None` means fresh (the caller
     /// executes and records the outcome); `Some(None)` means a copy is
-    /// already executing (drop the duplicate); `Some(Some(_))` replays
-    /// the cached reply.
+    /// still executing; `Some(Some(_))` replays the cached reply.
     #[allow(clippy::option_option)]
-    pub(crate) fn dedupe_check(
-        &self,
-        header: &BatchHeader,
-    ) -> Option<Option<(BatchReply, Vec<OpResult>)>> {
+    fn dedupe_check(&self, header: &BatchHeader) -> Option<Option<(BatchReply, Vec<OpResult>)>> {
         self.dedupe_stripe(header.session).lock().check(
             (header.session, header.first_serial),
             self.dedupe_stripe_window,
@@ -458,8 +473,8 @@ impl Worker {
 
     /// Record the outcome of a fresh batch: successes are cached for
     /// replay; failures clear the in-flight marker so a retry re-executes.
-    /// Borrowed parts, so callers may keep results in a reusable buffer.
-    pub(crate) fn dedupe_record_parts(
+    /// Borrowed parts: the results stay in the caller's reusable buffer.
+    fn dedupe_record_parts(
         &self,
         header: &BatchHeader,
         outcome: std::result::Result<(&BatchReply, &[OpResult]), &DprError>,
@@ -482,6 +497,80 @@ impl Worker {
                 }
             }
         }
+    }
+
+    /// The request path, the same on both planes: answer the `Request`
+    /// frame `seq` carrying `body` by appending one frame to `out`. Decode
+    /// into `scratch`, duplicate check, execute, record the outcome for
+    /// duplicates to come, encode: a `Response` with the batch's outcome,
+    /// or `Error(DuplicateInFlight)` while an earlier copy still executes,
+    /// or `Error(BadFrame)` for a body that does not parse. Returns the code
+    /// of an `Error` answer, for the link's own policy (a socket closes on
+    /// an unrecoverable one). Nothing is allocated once the buffers are warm.
+    pub(crate) fn serve_request(
+        &self,
+        seq: u64,
+        body: &Bytes,
+        scratch: &mut RequestScratch,
+        out: &mut Vec<u8>,
+    ) -> Option<ProtoErrorCode> {
+        let refuse = |out: &mut Vec<u8>, code, detail: String| {
+            ProtoError { code, detail }.encode(out, seq);
+            Some(code)
+        };
+        scratch.clear();
+        let RequestScratch {
+            ops,
+            results,
+            header,
+        } = scratch;
+        if let Err(e) = wire::decode_request_body_into(body, ops, header) {
+            return refuse(out, ProtoErrorCode::BadFrame, e.to_string());
+        }
+        let dedupe = self.config.dedupe_window > 0;
+        if dedupe {
+            match self.dedupe_check(header) {
+                // Its connection died mid-batch, or a retransmission raced
+                // the first copy: the client retries.
+                Some(None) => {
+                    let detail = "batch already executing".into();
+                    return refuse(out, ProtoErrorCode::DuplicateInFlight, detail);
+                }
+                Some(Some((reply, cached))) => {
+                    wire::encode_response(out, self.shard.0, seq, Ok((&reply, &cached)));
+                    return None;
+                }
+                None => {}
+            }
+        }
+        let outcome = self.execute_local_into(header, ops, results);
+        let outcome = outcome.as_ref().map(|reply| (reply, &results[..]));
+        if dedupe {
+            self.dedupe_record_parts(header, outcome);
+        }
+        wire::encode_response(out, self.shard.0, seq, outcome);
+        None
+    }
+
+    /// The bus side of the request path. An endpoint is its own connection:
+    /// there is no handshake, a `Request` frame is served and any other
+    /// kind, or bytes that are no frame, answered `Error(BadFrame)`.
+    fn serve_frame(&self, frame: &Bytes, scratch: &mut RequestScratch, out: &mut Vec<u8>) {
+        let (seq, detail) = match wire::decode_header(frame) {
+            Ok(Some(h)) if h.frame_len() != frame.len() => {
+                (h.seq, "frame length differs from its header's".into())
+            }
+            Ok(Some(h)) if h.kind == FrameKind::Request => {
+                let body = frame.slice(wire::FRAME_HEADER_LEN..frame.len());
+                self.serve_request(h.seq, &body, scratch, out);
+                return;
+            }
+            Ok(Some(h)) => (h.seq, format!("{:?} frame at a worker endpoint", h.kind)),
+            Ok(None) => (0, "truncated frame header".into()),
+            Err(e) => (0, e.to_string()),
+        };
+        let code = ProtoErrorCode::BadFrame;
+        ProtoError { code, detail }.encode(out, seq);
     }
 
     fn control_tick(&self, last_checkpoint: &mut Instant, poll_counter: &mut u32) {
@@ -550,8 +639,10 @@ impl Worker {
     }
 }
 
-fn executor_loop(worker: &Weak<Worker>, inbox: &Receiver<Message>) {
+fn executor_loop(worker: &Weak<Worker>, inbox: &Receiver<BusFrame>) {
     let mut recv_count = 0u32;
+    let mut scratch = RequestScratch::new();
+    let mut out = Vec::new();
     loop {
         let Some(w) = worker.upgrade() else { return };
         if w.shutdown.load(Ordering::Acquire) {
@@ -564,56 +655,16 @@ fn executor_loop(worker: &Weak<Worker>, inbox: &Receiver<Message>) {
             crate::metrics::worker_inbox_depth().set(inbox.len() as i64);
         }
         recv_count = recv_count.wrapping_add(1);
-        match inbox.recv_timeout(Duration::from_millis(20)) {
-            Ok(Message::Request(req)) => handle_request(&w, req),
-            Ok(Message::Response(_)) => { /* workers do not expect responses */ }
-            Err(_) => {}
+        if let Ok(frame) = inbox.recv_timeout(Duration::from_millis(20)) {
+            out.clear();
+            w.serve_frame(&frame.bytes, &mut scratch, &mut out);
+            let answer = BusFrame {
+                from: w.endpoint,
+                bytes: Bytes::copy_from_slice(&out),
+            };
+            let _ = w.net.send(frame.from, answer);
         }
     }
-}
-
-fn handle_request(w: &Arc<Worker>, req: RequestMsg) {
-    let RequestMsg {
-        reply_to,
-        header,
-        ops,
-    } = req;
-    let dedupe = w.config.dedupe_window > 0;
-    if dedupe {
-        match w.dedupe_check(&header) {
-            // First copy still executing; its reply is on the way.
-            Some(None) => return,
-            Some(Some(cached)) => {
-                let _ = w.net.send(
-                    reply_to,
-                    Message::Response(ResponseMsg {
-                        session: Some(header.session),
-                        first_serial: header.first_serial,
-                        op_count: header.op_count,
-                        outcome: Ok(cached),
-                    }),
-                );
-                return;
-            }
-            None => {}
-        }
-    }
-    let outcome = w.execute_local(&header, &ops);
-    if dedupe {
-        let parts = outcome
-            .as_ref()
-            .map(|(reply, results)| (reply, &results[..]));
-        w.dedupe_record_parts(&header, parts);
-    }
-    let _ = w.net.send(
-        reply_to,
-        Message::Response(ResponseMsg {
-            session: Some(header.session),
-            first_serial: header.first_serial,
-            op_count: header.op_count,
-            outcome,
-        }),
-    );
 }
 
 fn control_loop(worker: &Weak<Worker>) {

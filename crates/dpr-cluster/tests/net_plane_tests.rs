@@ -4,7 +4,8 @@
 use bytes::Bytes;
 use dpr_cluster::wire::{self, FrameHeader, FrameKind, Hello, ProtoError, ProtoErrorCode};
 use dpr_cluster::{
-    Cluster, ClusterConfig, ClusterOp, NetServer, NetServerConfig, OpResult, PipelinedClient,
+    BusFrame, Cluster, ClusterConfig, ClusterOp, NetServer, NetServerConfig, OpResult,
+    PipelinedClient,
 };
 use dpr_core::{DprError, Key, SessionId, ShardId, Token, Value, Version, WorldLine};
 use libdpr::{BatchHeader, BatchReply, DprClientSession};
@@ -173,7 +174,7 @@ fn socket_client_observes_failures_via_world_line() {
 
 #[test]
 fn mixed_bus_and_socket_clients_share_one_cluster() {
-    let (cluster, server) = net_cluster(2, 0);
+    let (cluster, server) = net_cluster(2, 256);
     // A bus client writes...
     let mut bus = cluster.open_session().unwrap();
     bus.execute(upsert(7, 77).to_vec()).unwrap();
@@ -182,6 +183,52 @@ fn mixed_bus_and_socket_clients_share_one_cluster() {
     let shard = cluster.owner_of(&Key::from_u64(7)).unwrap();
     let results = execute(&mut tcp, shard, &read(7)).unwrap();
     assert_eq!(results[0], OpResult::Value(Some(Value::from_u64(77))));
+
+    // One request path under both: an `Incr` batch runs once, and the same
+    // frame retransmitted over either plane is answered from the one cache.
+    let header = BatchHeader {
+        session: SessionId(103),
+        op_count: 1,
+        ..empty_header()
+    };
+    let mut incr = Vec::new();
+    wire::encode_request(
+        &mut incr,
+        shard,
+        9,
+        &header,
+        &[ClusterOp::Incr(Key::from_u64(7))],
+    );
+    let (me, inbox) = cluster.network().register();
+    let worker = cluster.worker_endpoint(shard.0 as usize).unwrap();
+    let over_bus = || {
+        let frame = BusFrame {
+            from: me,
+            bytes: incr.clone().into(),
+        };
+        cluster.network().send(worker, frame).unwrap();
+        let answer = inbox.recv_timeout(Duration::from_secs(10)).unwrap();
+        split_frame(&answer.bytes)
+    };
+    let (first, executed) = (over_bus(), cluster.total_executed());
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut hello = Vec::new();
+    Hello {
+        session: header.session,
+        epoch: 1,
+        world_line: header.world_line,
+    }
+    .encode(&mut hello);
+    raw.write_all(&hello).unwrap();
+    assert_eq!(read_one_frame(&mut raw).0.kind, FrameKind::HelloAck);
+    raw.write_all(&incr).unwrap();
+    for again in [over_bus(), read_one_frame(&mut raw)] {
+        assert_eq!((again.0.kind, again.0.seq), (FrameKind::Response, 9));
+        assert_eq!(again, first, "replayed, not recomputed");
+    }
+    assert_eq!(cluster.total_executed(), executed, "nothing ran twice");
+    let results = execute(&mut tcp, shard, &read(7)).unwrap();
+    assert_eq!(results[0], OpResult::Value(Some(Value::from_u64(78))));
 
     server.shutdown();
     cluster.shutdown();
@@ -220,6 +267,33 @@ fn pipelined_sessions_keep_many_batches_in_flight() {
         assert_eq!(client.inflight(), 0);
         assert_eq!(client.session_mut().issued(), BATCHES);
     }
+
+    server.shutdown();
+    cluster.shutdown();
+}
+
+#[test]
+fn a_zero_wait_poll_never_blocks() {
+    let (cluster, server) = net_cluster(1, 0);
+    let mut client = connect(650, server.local_addr());
+    // An idle connection: nothing arrives, and the answer to the cut query
+    // sent half-way (a blocking write in between) completes no batch.
+    let start = Instant::now();
+    for i in 0..200 {
+        if i == 100 {
+            client.request_cut().unwrap();
+        }
+        assert_eq!(client.poll_each(Duration::ZERO, |_| {}).unwrap(), 0);
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "zero waits blocked: {took:?}"
+    );
+    // A positive wait still waits, and bytes that arrive end it early.
+    client.request_cut().unwrap();
+    client.poll_each(Duration::from_secs(5), |_| {}).unwrap();
+    assert!(start.elapsed() < Duration::from_secs(2));
 
     server.shutdown();
     cluster.shutdown();

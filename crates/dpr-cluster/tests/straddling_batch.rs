@@ -71,8 +71,8 @@ struct CapturingFinder {
 }
 
 impl DprFinder for CapturingFinder {
-    fn report_commit(&self, token: Token, deps: Vec<Token>) -> Result<()> {
-        self.reports.lock().push((token, deps));
+    fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
+        self.reports.lock().extend(reports);
         Ok(())
     }
     fn refresh(&self) -> Result<()> {

@@ -6,8 +6,8 @@
 //! parked == sent), and shut down without deadlocking even with messages
 //! parked behind a partition.
 
-use dpr_cluster::message::{Message, ResponseMsg};
-use dpr_cluster::{EndpointId, LinkFault, SimNetwork};
+use dpr_cluster::wire::{self, FrameKind};
+use dpr_cluster::{BusFrame, EndpointId, LinkFault, SimNetwork};
 use dpr_core::DprError;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -36,20 +36,18 @@ fn action_strategy() -> impl Strategy<Value = FaultAction> {
     ]
 }
 
-fn numbered(serial: u64) -> Message {
-    Message::Response(ResponseMsg {
-        session: None,
-        first_serial: serial,
-        op_count: 1,
-        outcome: Err(DprError::Timeout),
-    })
+/// A control frame numbered through its `seq`.
+fn numbered(serial: u64) -> BusFrame {
+    let mut bytes = Vec::new();
+    wire::encode_control(&mut bytes, FrameKind::CutReq, serial);
+    BusFrame {
+        from: EndpointId(u64::MAX),
+        bytes: bytes.into(),
+    }
 }
 
-fn serial_of(msg: &Message) -> u64 {
-    match msg {
-        Message::Response(r) => r.first_serial,
-        Message::Request(_) => panic!("unexpected request"),
-    }
+fn serial_of(frame: &BusFrame) -> u64 {
+    wire::decode_header(&frame.bytes).unwrap().unwrap().seq
 }
 
 proptest! {

@@ -263,20 +263,6 @@ impl MetadataStore for PartitionedSqlStore {
         Ok(members)
     }
 
-    fn update_persisted_version(&self, shard: ShardId, version: Version) -> Result<()> {
-        self.charge();
-        let p = self.part_of(shard);
-        self.touch(p);
-        let mut t = self.partitions[p].tables.lock();
-        match t.dpr.get_mut(&shard) {
-            Some(v) => {
-                *v = (*v).max(version);
-                Ok(())
-            }
-            None => Err(DprError::Metadata(format!("{shard} not registered"))),
-        }
-    }
-
     fn update_persisted_versions(&self, updates: &[(ShardId, Version)]) -> Result<()> {
         if updates.is_empty() {
             return Ok(());
@@ -337,19 +323,6 @@ impl MetadataStore for PartitionedSqlStore {
             }
         }
         Ok(cut)
-    }
-
-    fn add_graph_version(&self, token: Token, deps: Vec<Token>) -> Result<()> {
-        self.charge();
-        let p = self.part_of(token.shard);
-        self.touch(p);
-        let mut t = self.partitions[p].tables.lock();
-        if t.graph.insert(token, deps).is_none() {
-            self.graph_rows.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(t);
-        crate::metrics::graph_rows().set(self.graph_rows.load(Ordering::Relaxed));
-        Ok(())
     }
 
     fn add_graph_versions(&self, entries: Vec<(Token, Vec<Token>)>) -> Result<()> {

@@ -30,14 +30,16 @@ pub trait MetadataStore: Send + Sync {
     /// Current membership.
     fn members(&self) -> Result<Vec<ShardId>>;
 
-    /// `UPDATE dpr SET persistedVersion = v WHERE id = shard`.
-    fn update_persisted_version(&self, shard: ShardId, version: Version) -> Result<()>;
+    /// `UPDATE dpr SET persistedVersion = v WHERE id = shard`: a group of
+    /// one row.
+    fn update_persisted_version(&self, shard: ShardId, version: Version) -> Result<()> {
+        self.update_persisted_versions(&[(shard, version)])
+    }
 
-    /// Group-committed form of [`MetadataStore::update_persisted_version`]:
-    /// apply every `(shard, version)` row in **one** statement (one simulated
-    /// round trip) instead of one per row — the §6/§3.4 metadata-write
-    /// bottleneck fix. Transactional: if any shard is unregistered, no row is
-    /// applied.
+    /// Raise the persisted version of every `(shard, version)` row in
+    /// **one** statement (one simulated round trip) instead of one per row —
+    /// the §6/§3.4 metadata-write bottleneck fix. Transactional: if any shard
+    /// is unregistered, no row is applied.
     fn update_persisted_versions(&self, updates: &[(ShardId, Version)]) -> Result<()>;
 
     /// `SELECT min(persistedVersion) FROM dpr` — `None` when the table is
@@ -53,11 +55,13 @@ pub trait MetadataStore: Send + Sync {
 
     // ---- precedence graph (exact algorithm) -------------------------------------
 
-    /// Persist a committed version and its dependency edges.
-    fn add_graph_version(&self, token: Token, deps: Vec<Token>) -> Result<()>;
+    /// Persist a committed version and its dependency edges: a group of one.
+    fn add_graph_version(&self, token: Token, deps: Vec<Token>) -> Result<()> {
+        self.add_graph_versions(vec![(token, deps)])
+    }
 
-    /// Group-committed form of [`MetadataStore::add_graph_version`]: insert
-    /// every vertex in one statement.
+    /// Persist committed versions and their dependency edges, every vertex
+    /// in one statement.
     fn add_graph_versions(&self, entries: Vec<(Token, Vec<Token>)>) -> Result<()>;
 
     /// Snapshot of the persisted precedence graph.

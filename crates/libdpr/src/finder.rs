@@ -47,22 +47,18 @@ fn observe_cut_lag(meta: &dyn MetadataStore) {
 /// periodic [`DprFinder::refresh`] advances the durable cut; clients and
 /// workers read it with [`DprFinder::current_cut`].
 pub trait DprFinder: Send + Sync {
-    /// Report a locally committed version and its cross-shard dependencies.
-    fn report_commit(&self, token: Token, deps: Vec<Token>) -> Result<()>;
+    /// Report a locally committed version and its cross-shard dependencies:
+    /// a group of one.
+    fn report_commit(&self, token: Token, deps: Vec<Token>) -> Result<()> {
+        self.report_commits(vec![(token, deps)])
+    }
 
     /// Report a *group* of locally committed versions in one shot.
     ///
     /// This is the batched-metadata half of the scalable gate (§6): when the
     /// server drain has several sealed versions queued, reporting them
     /// together costs O(1) metadata round trips instead of one per version.
-    /// The default implementation falls back to per-commit reporting for
-    /// finders without a batched path.
-    fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
-        for (token, deps) in reports {
-            self.report_commit(token, deps)?;
-        }
-        Ok(())
-    }
+    fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()>;
 
     /// Recompute and persist the DPR cut (the coordinator pass). A no-op
     /// while cluster recovery has progress halted.
@@ -290,17 +286,6 @@ impl ExactFinder {
 }
 
 impl DprFinder for ExactFinder {
-    fn report_commit(&self, token: Token, deps: Vec<Token>) -> Result<()> {
-        // Also maintain the DPR table so Vmax and membership stay accurate.
-        crate::metrics::graph_dep_tokens().add(deps.len() as u64);
-        crate::audit::commit_reported(token, &deps);
-        self.meta
-            .update_persisted_version(token.shard, token.version)?;
-        self.meta.add_graph_version(token, deps.clone())?;
-        self.engine.ingest_one(token, deps);
-        Ok(())
-    }
-
     fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
         if reports.is_empty() {
             return Ok(());
@@ -311,7 +296,8 @@ impl DprFinder for ExactFinder {
                 crate::audit::commit_reported(*token, deps);
             }
         }
-        // One DPR-table statement (max version per shard) + one graph insert.
+        // One DPR-table statement (max version per shard, which also keeps
+        // Vmax and membership accurate) + one graph insert.
         self.meta
             .update_persisted_versions(&max_versions_per_shard(&reports))?;
         self.meta.add_graph_versions(reports.clone())?;
@@ -386,19 +372,13 @@ impl ApproximateFinder {
 }
 
 impl DprFinder for ApproximateFinder {
-    fn report_commit(&self, token: Token, deps: Vec<Token>) -> Result<()> {
-        // Dependency information is discarded — monotonicity makes Vmin
-        // safe — but the audit tap still sees it so the chaos checker can
-        // verify the published cut is closed under the *real* dependencies.
-        crate::audit::commit_reported(token, &deps);
-        self.meta
-            .update_persisted_version(token.shard, token.version)
-    }
-
     fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
         if reports.is_empty() {
             return Ok(());
         }
+        // Dependency information is discarded — monotonicity makes Vmin
+        // safe — but the audit tap still sees it so the chaos checker can
+        // verify the published cut is closed under the *real* dependencies.
         if crate::audit::enabled() {
             for (token, deps) in &reports {
                 crate::audit::commit_reported(*token, deps);
@@ -480,17 +460,6 @@ impl HybridFinder {
 }
 
 impl DprFinder for HybridFinder {
-    fn report_commit(&self, token: Token, deps: Vec<Token>) -> Result<()> {
-        // In-memory graph only, but the write volume is still the signal the
-        // hybrid exists to reduce durably (§3.4).
-        crate::metrics::graph_dep_tokens().add(deps.len() as u64);
-        crate::audit::commit_reported(token, &deps);
-        self.meta
-            .update_persisted_version(token.shard, token.version)?;
-        self.engine.ingest_one(token, deps);
-        Ok(())
-    }
-
     fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
         if reports.is_empty() {
             return Ok(());
@@ -501,7 +470,9 @@ impl DprFinder for HybridFinder {
                 crate::audit::commit_reported(*token, deps);
             }
         }
-        // One durable statement for the whole group; the graph is in-memory.
+        // One durable statement for the whole group; the graph is in-memory,
+        // but its write volume (counted above) is still the signal the
+        // hybrid exists to reduce durably (§3.4).
         self.meta
             .update_persisted_versions(&max_versions_per_shard(&reports))?;
         self.engine.ingest(reports);

@@ -130,10 +130,6 @@ struct CapturingFinder {
 }
 
 impl DprFinder for CapturingFinder {
-    fn report_commit(&self, token: Token, deps: Vec<Token>) -> Result<()> {
-        self.reports.lock().push((token, deps.clone()));
-        self.inner.report_commit(token, deps)
-    }
     fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
         self.reports.lock().extend(reports.clone());
         self.inner.report_commits(reports)

@@ -77,11 +77,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # with the online invariant checker (crates/dpr-chaos; docs/PROTOCOL.md
 # §10). Exits nonzero on any invariant violation. The checked-in
 # BENCH_chaos.json comes from a full default-length campaign; the smoke
-# writes to the target directory instead.
+# writes to the target directory instead. A mistyped flag must be refused,
+# not run as the default campaign.
 echo
 echo "==> chaos smoke (1 round, seed 42, 2s)"
 cargo run --release -q -p dpr-bench --bin chaos -- \
     --seed 42 --rounds 1 --secs 2 --out target/BENCH_chaos.smoke.json
+if cargo run --release -q -p dpr-bench --bin chaos -- --sed 42 2>/dev/null; then
+    echo "chaos accepted the unknown flag --sed" >&2
+    exit 1
+fi
 
 # Figures smoke: the one step that executes figure code. A table-driven
 # figure and an ablation at a tenth of the default window (Fig. 12 keeps its

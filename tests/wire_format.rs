@@ -8,10 +8,11 @@ use bytes::Bytes;
 use dpr::cluster::wire::{
     self, CutResponse, FrameKind, Hello, HelloAck, ProtoError, ProtoErrorCode, NO_SHARD,
 };
-use dpr::cluster::{ClusterOp, OpResult};
+use dpr::cluster::{BusFrame, Cluster, ClusterConfig, ClusterOp, OpResult};
 use dpr::core::{DprError, Key, SessionId, ShardId, Token, Value, Version, WorldLine};
 use dpr::metadata::Cut;
 use dpr::protocol::{BatchHeader, BatchReply};
+use std::time::Duration;
 
 /// Bytes from hex fields; `xx*n` repeats a byte `n` times.
 fn hex(fields: &[&str]) -> Vec<u8> {
@@ -319,4 +320,76 @@ fn error_and_goodbye_frames() {
     let mut got = Vec::new();
     wire::encode_control(&mut got, FrameKind::Goodbye, 0);
     check(&got, &want, FrameKind::Goodbye, NO_SHARD, 0);
+}
+
+/// §8: the simulated bus carries these same frames. A hand-assembled
+/// `Request` sent to a worker's endpoint is answered with a `Response` that
+/// decodes, and any other kind with `Error(BadFrame)`; there is no handshake.
+#[test]
+fn a_worker_endpoint_on_the_bus_speaks_the_documented_format() {
+    let cluster = Cluster::start(ClusterConfig {
+        shards: 1,
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let (me, inbox) = cluster.network().register();
+    let ask = |bytes: Vec<u8>| {
+        let frame = BusFrame {
+            from: me,
+            bytes: bytes.into(),
+        };
+        let worker = cluster.worker_endpoint(0).unwrap();
+        cluster.network().send(worker, frame).unwrap();
+        let answer = inbox.recv_timeout(Duration::from_secs(10)).unwrap().bytes;
+        let header = wire::decode_header(&answer).unwrap().expect("whole header");
+        assert_eq!(header.frame_len(), answer.len(), "one whole frame");
+        (header, answer.slice(wire::FRAME_HEADER_LEN..answer.len()))
+    };
+
+    let request = frame(
+        "03",
+        "00 00 00 00",
+        "09 00*7",
+        "40 00 00 00",
+        &[
+            "07 00*7 00*8 00*8", // session, world_line, version_lower_bound
+            "00*8 02 00 00 00",  // first_serial, op_count
+            "00 00 00 00",       // no deps
+            "02 00 00 00",       // two ops
+            "01 02 00 00 00 6b 31 02 00 00 00 76 31", // Upsert "k1" -> "v1"
+            "00 02 00 00 00 6b 31", // Read "k1"
+        ],
+    );
+    let (header, body) = ask(request.clone());
+    assert_eq!(
+        (header.kind, header.shard, header.seq),
+        (FrameKind::Response, 0, 9)
+    );
+    let mut results = Vec::new();
+    let reply = wire::decode_response_body(&body, &mut results)
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        (reply.shard, reply.first_serial, reply.op_count),
+        (ShardId(0), 0, 2)
+    );
+    assert_eq!(
+        results,
+        [OpResult::Done, OpResult::Value(Some(Value::from("v1")))]
+    );
+
+    // Not a `Request`, and a `Request` cut short: refused, `seq` echoed.
+    let mut cut_req = Vec::new();
+    wire::encode_control(&mut cut_req, FrameKind::CutReq, 11);
+    let mut short = request.clone();
+    short.truncate(60);
+    for (bad, seq) in [(cut_req, 11), (short, 9)] {
+        let (header, body) = ask(bad);
+        assert_eq!((header.kind, header.seq), (FrameKind::Error, seq));
+        assert_eq!(
+            ProtoError::from_body(&body).unwrap().code,
+            ProtoErrorCode::BadFrame
+        );
+    }
+    cluster.shutdown();
 }
