@@ -28,6 +28,8 @@ fn count_one() {
     GLOBAL_ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
 }
 
+// SAFETY: every method delegates to `System` with its arguments untouched;
+// the counting touches a const-initialised thread-local and an atomic only.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();

@@ -76,6 +76,8 @@ fn on_alloc() {
 
 struct SamplingAlloc;
 
+// SAFETY: every method delegates to `System` with its arguments untouched;
+// the sampling hook's own allocations re-enter behind the `IN_HOOK` guard.
 unsafe impl GlobalAlloc for SamplingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         on_alloc();

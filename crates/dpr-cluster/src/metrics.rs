@@ -87,6 +87,24 @@ metric_fn!(
 );
 
 metric_fn!(
+    /// Frame bodies a `wire::FrameReader` copied into the allocation it
+    /// already held (the name is the retired buffer pool's; the benchmark
+    /// reads it).
+    pub(crate) fn pool_hits() -> Counter =
+        ("dpr_pool_hits_total", Count,
+         "Frame bodies served from the reader's recycled allocation")
+);
+
+metric_fn!(
+    /// Frame bodies a `wire::FrameReader` had to allocate for: its first,
+    /// one larger than any before, or one asked for while a view of the
+    /// previous body was still alive.
+    pub(crate) fn pool_misses() -> Counter =
+        ("dpr_pool_misses_total", Count,
+         "Frame bodies served from a fresh allocation")
+);
+
+metric_fn!(
     /// Ownership-lease cache refills: the worker re-snapshotted the shared
     /// ownership table (epoch moved, lease expired, or explicit invalidate).
     pub(crate) fn lease_refills() -> Counter =

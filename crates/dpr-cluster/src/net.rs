@@ -16,14 +16,15 @@
 //!
 //! # Steady-state allocation discipline
 //!
-//! The request path is allocation-free in steady state:
+//! The request path is allocation-free in steady state, and every buffer on
+//! it has one owner:
 //!
-//! * Connection read/write buffers and the per-thread read chunk are
-//!   pooled [`ScratchLease`]s (`dpr_core::pool`), acquired at connection
-//!   set-up and recycled on close.
-//! * A `Request` body is copied once from the read buffer into a pooled
-//!   shared buffer and frozen into a [`bytes::Bytes`] view; op keys and
-//!   values are zero-copy slices of it
+//! * A connection lives and dies on one I/O thread, and owns its
+//!   [`wire::FrameReader`] (received bytes and the one recycled body) and
+//!   its write buffer, a plain `Vec<u8>`; the thread owns the read chunk.
+//! * A frame's body is copied once from the received bytes into the
+//!   reader's body allocation and handed out as a [`bytes::Bytes`] view; op
+//!   keys and values are zero-copy slices of it
 //!   ([`wire::decode_request_body_into`]).
 //! * The request path itself is the worker's
 //!   (`Worker::serve_request`, shared with the bus executors): ops and
@@ -36,16 +37,16 @@
 //!
 //! The full wire contract (byte layout, handshake, dedupe across
 //! reconnect, failure modes) is specified in `docs/NETWORK.md`, including
-//! the buffer-ownership rules for pooled bodies.
+//! who owns which buffer (§9).
 //!
-//! [`ScratchLease`]: dpr_core::ScratchLease
 //! [`StripedMap`]: dpr_core::StripedMap
 
 use crate::metrics;
-use crate::wire::{self, FrameKind, Hello, HelloAck, ProtoError, ProtoErrorCode};
+use crate::wire::{self, FrameHeader, FrameKind, FrameReader, Hello, HelloAck};
+use crate::wire::{ProtoError, ProtoErrorCode};
 use crate::worker::{RequestScratch, Worker};
 use bytes::Bytes;
-use dpr_core::{BufferPool, DprError, Result, ScratchLease, SessionId, ShardId, StripedMap};
+use dpr_core::{DprError, Result, SessionId, ShardId, StripedMap};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -92,27 +93,18 @@ struct ServerCtx {
 /// Per-I/O-thread reusable buffers: one read chunk plus the request path's
 /// scratch, so a steady-state request allocates nothing on this thread.
 struct IoScratch {
-    /// Socket read staging (pooled).
-    read: ScratchLease,
+    /// Socket read staging.
+    read: Vec<u8>,
     request: RequestScratch,
-}
-
-impl IoScratch {
-    fn new() -> IoScratch {
-        IoScratch {
-            read: BufferPool::global().acquire_scratch(READ_CHUNK),
-            request: RequestScratch::new(),
-        }
-    }
 }
 
 /// One client connection owned by an I/O thread.
 struct Conn {
     stream: TcpStream,
-    /// Received-but-unparsed bytes (pooled).
-    rd: ScratchLease,
-    /// Encoded-but-unsent bytes (`wr[wr_pos..]` is pending; pooled).
-    wr: ScratchLease,
+    /// Received bytes, split into frames.
+    rd: FrameReader,
+    /// Encoded-but-unsent bytes (`wr[wr_pos..]` is pending).
+    wr: Vec<u8>,
     wr_pos: usize,
     /// Set by a successful `Hello`.
     session: Option<(SessionId, u32)>,
@@ -121,11 +113,10 @@ struct Conn {
 
 impl Conn {
     fn new(stream: TcpStream) -> Conn {
-        let pool = BufferPool::global();
         Conn {
             stream,
-            rd: pool.acquire_scratch(4 << 10),
-            wr: pool.acquire_scratch(4 << 10),
+            rd: FrameReader::default(),
+            wr: Vec::new(),
             wr_pos: 0,
             session: None,
             open: true,
@@ -175,12 +166,13 @@ impl Conn {
         progressed
     }
 
-    /// Read whatever the socket has ready. Returns whether bytes arrived.
-    fn fill(&mut self, chunk: usize, scratch: &mut Vec<u8>) -> bool {
+    /// Read whatever the socket has ready, a `chunk` at a time. Returns
+    /// whether bytes arrived.
+    fn fill(&mut self, chunk: &mut [u8]) -> bool {
         let mut progressed = false;
+        let rd = self.rd.buffer();
         loop {
-            scratch.resize(chunk, 0);
-            match self.stream.read(scratch) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     // EOF: peer closed. Remaining parsed frames still get
                     // handled; a dangling partial frame is simply dropped
@@ -189,9 +181,9 @@ impl Conn {
                     break;
                 }
                 Ok(n) => {
-                    self.rd.extend_from_slice(&scratch[..n]);
+                    rd.extend_from_slice(&chunk[..n]);
                     progressed = true;
-                    if n < chunk {
+                    if n < chunk.len() {
                         break;
                     }
                 }
@@ -227,75 +219,17 @@ impl Conn {
     }
 }
 
-/// One frame lifted out of the read buffer into owned (pool-backed) form,
-/// so the connection can be mutated while it is handled.
-enum ParsedFrame {
-    Hello(Hello),
-    /// Body copied once into a pooled shared buffer; ops will be zero-copy
-    /// slices of it.
-    Request {
-        shard: u32,
-        seq: u64,
-        body: Bytes,
-    },
-    CutReq {
-        seq: u64,
-    },
-    Goodbye,
-    /// A server-only kind arrived at the server.
-    ServerOnly {
-        kind: FrameKind,
-        seq: u64,
-    },
-    /// The header was fine but the body failed to parse.
-    Malformed {
-        seq: u64,
-        detail: String,
-    },
-}
-
-/// Lift one frame's body out of the read buffer. Borrows `body` only for
-/// the duration of the copy/parse, returning owned data.
-fn parse_frame(h: &wire::FrameHeader, body: &[u8]) -> ParsedFrame {
-    match h.kind {
-        FrameKind::Hello => match Hello::from_body(body) {
-            Ok(hello) => ParsedFrame::Hello(hello),
-            Err(e) => ParsedFrame::Malformed {
-                seq: h.seq,
-                detail: e.to_string(),
-            },
-        },
-        FrameKind::Request => {
-            // One copy, read buffer → pooled shared buffer. Everything
-            // downstream (keys, values handed to the shard) is a zero-copy
-            // view of this allocation; it recycles when the views drop.
-            let mut lease = BufferPool::global().acquire_shared(body.len());
-            lease.data_mut()[..body.len()].copy_from_slice(body);
-            ParsedFrame::Request {
-                shard: h.shard,
-                seq: h.seq,
-                body: lease.freeze(body.len()),
-            }
-        }
-        FrameKind::CutReq => ParsedFrame::CutReq { seq: h.seq },
-        FrameKind::Goodbye => ParsedFrame::Goodbye,
-        FrameKind::HelloAck | FrameKind::Response | FrameKind::CutResp | FrameKind::Error => {
-            ParsedFrame::ServerOnly {
-                kind: h.kind,
-                seq: h.seq,
-            }
-        }
-    }
-}
-
-/// Parse and handle every complete frame in `conn.rd`. Returns whether any
-/// frame was handled.
+/// Handle every complete frame the connection has received. Returns whether
+/// any frame was handled.
 fn drain_frames(conn: &mut Conn, ctx: &ServerCtx, scratch: &mut IoScratch) -> bool {
-    let mut consumed = 0usize;
     let mut progressed = false;
     loop {
-        let header = match wire::decode_header(&conn.rd[consumed..]) {
-            Ok(Some(h)) => h,
+        // Drop the last frame's zero-copy views before asking for the next
+        // one: while decoded ops still view the reader's body it cannot be
+        // reused, and the next frame pays for a fresh allocation.
+        scratch.request.clear();
+        let (header, body) = match conn.rd.next_frame() {
+            Ok(Some(frame)) => frame,
             Ok(None) => break,
             Err(e) => {
                 // Malformed header: the stream cannot be resynchronised.
@@ -303,36 +237,31 @@ fn drain_frames(conn: &mut Conn, ctx: &ServerCtx, scratch: &mut IoScratch) -> bo
                 break;
             }
         };
-        let total = header.frame_len();
-        if conn.rd.len() - consumed < total {
-            break;
-        }
         metrics::net_frames_rx().inc();
-        metrics::net_frame_bytes().record(total as u64);
-        // Release the previous frame's zero-copy views before acquiring the
-        // next pooled body: while the decoded ops still borrow the old buffer
-        // the pool sees it busy and must evict + allocate instead of reusing.
-        scratch.request.clear();
-        let parsed = parse_frame(
-            &header,
-            &conn.rd[consumed + wire::FRAME_HEADER_LEN..consumed + total],
-        );
-        consumed += total;
+        metrics::net_frame_bytes().record(header.frame_len() as u64);
         progressed = true;
-        apply_frame(conn, ctx, parsed, scratch);
+        apply_frame(conn, ctx, &header, &body, scratch);
         if !conn.open {
             break;
         }
     }
-    if consumed > 0 {
-        conn.rd.drain(..consumed);
-    }
     progressed
 }
 
-fn apply_frame(conn: &mut Conn, ctx: &ServerCtx, parsed: ParsedFrame, scratch: &mut IoScratch) {
-    match parsed {
-        ParsedFrame::Hello(hello) => {
+fn apply_frame(
+    conn: &mut Conn,
+    ctx: &ServerCtx,
+    header: &FrameHeader,
+    body: &Bytes,
+    scratch: &mut IoScratch,
+) {
+    let seq = header.seq;
+    match header.kind {
+        FrameKind::Hello => {
+            let hello = match Hello::from_body(body) {
+                Ok(hello) => hello,
+                Err(e) => return conn.proto_error(ProtoErrorCode::BadFrame, seq, e.to_string()),
+            };
             {
                 let mut epochs = ctx.epochs.lock_for(&hello.session);
                 let latest = epochs.entry(hello.session).or_insert(0);
@@ -361,10 +290,8 @@ fn apply_frame(conn: &mut Conn, ctx: &ServerCtx, parsed: ParsedFrame, scratch: &
             };
             conn.queue_with(|wr| ack.encode(wr));
         }
-        ParsedFrame::Request { shard, seq, body } => {
-            handle_request(conn, ctx, shard, seq, &body, scratch);
-        }
-        ParsedFrame::CutReq { seq } => {
+        FrameKind::Request => handle_request(conn, ctx, header.shard, seq, body, scratch),
+        FrameKind::CutReq => {
             let outcome = ctx
                 .workers
                 .values()
@@ -381,18 +308,18 @@ fn apply_frame(conn: &mut Conn, ctx: &ServerCtx, parsed: ParsedFrame, scratch: &
                 }
             }
         }
-        ParsedFrame::Goodbye => {
+        FrameKind::Goodbye => {
             conn.open = false;
         }
-        ParsedFrame::ServerOnly { kind, seq } => {
+        kind @ (FrameKind::HelloAck
+        | FrameKind::Response
+        | FrameKind::CutResp
+        | FrameKind::Error) => {
             conn.proto_error(
                 ProtoErrorCode::BadFrame,
                 seq,
                 format!("client sent server-only frame {kind:?}"),
             );
-        }
-        ParsedFrame::Malformed { seq, detail } => {
-            conn.proto_error(ProtoErrorCode::BadFrame, seq, detail);
         }
     }
 }
@@ -436,7 +363,10 @@ fn io_loop(
     stop: &Arc<AtomicBool>,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = IoScratch::new();
+    let mut scratch = IoScratch {
+        read: vec![0; READ_CHUNK],
+        request: RequestScratch::new(),
+    };
     let mut backoff = dpr_core::Backoff::new();
     loop {
         let mut progressed = false;
@@ -458,7 +388,7 @@ fn io_loop(
             return;
         }
         for conn in &mut conns {
-            progressed |= conn.fill(READ_CHUNK, &mut scratch.read);
+            progressed |= conn.fill(&mut scratch.read);
             progressed |= drain_frames(conn, ctx, &mut scratch);
             progressed |= conn.flush();
         }
@@ -470,6 +400,30 @@ fn io_loop(
         } else {
             backoff.snooze();
         }
+    }
+}
+
+/// How long the acceptor waits before it calls `accept` again after the
+/// error `e`, or `None` when there is no point. `accept(2)` reports three
+/// kinds of error through one return value, and only the last is a reason to
+/// end every session of the process.
+fn retry_accept_after(e: &std::io::Error) -> Option<Duration> {
+    use std::io::ErrorKind as Kind;
+    // Linux errno values `std` has no `ErrorKind` for.
+    const EBADF: i32 = 9;
+    const ENOTSOCK: i32 = 88;
+    match (e.kind(), e.raw_os_error()) {
+        // The connection being accepted, or the moment: a client that reset
+        // before it was accepted, a signal. The next one may be waiting.
+        (Kind::ConnectionAborted | Kind::Interrupted, _) => Some(Duration::ZERO),
+        // The listener itself: closed, not listening, not a socket.
+        (Kind::InvalidInput, _) | (_, Some(EBADF | ENOTSOCK)) => None,
+        // Nothing to accept yet; out of descriptors, buffers or memory for
+        // now (`EMFILE`, `ENFILE`, `ENOBUFS`, `ENOMEM`); a network error
+        // pending on the new socket (`ENETDOWN`, `EPROTO`, `EHOSTUNREACH`,
+        // ...), which Linux hands to `accept`; or one not known here, which
+        // must not spin.
+        _ => Some(Duration::from_millis(1)),
     }
 }
 
@@ -538,16 +492,16 @@ impl NetServer {
                                 let _ = senders[next % senders.len()].send(stream);
                                 next = next.wrapping_add(1);
                             }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            // Listener gone (closed or errored): stop the
-                            // whole server rather than leaking a dead
-                            // acceptor — I/O threads observe the flag too.
-                            Err(_) => {
-                                stop.store(true, Ordering::Release);
-                                return;
-                            }
+                            Err(e) => match retry_accept_after(&e) {
+                                Some(wait) => std::thread::sleep(wait),
+                                // Stop the whole server rather than leaking
+                                // a dead acceptor — I/O threads observe the
+                                // flag too.
+                                None => {
+                                    stop.store(true, Ordering::Release);
+                                    return;
+                                }
+                            },
                         }
                     }
                 })
@@ -584,5 +538,35 @@ impl NetServer {
 impl Drop for NetServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_an_unusable_listener_stops_the_acceptor() {
+        let (now, later) = (Some(Duration::ZERO), Some(Duration::from_millis(1)));
+        // Linux errno values, in the order of the comment above each row.
+        let verdicts = [
+            // ECONNABORTED, EINTR
+            (now, &[103, 4][..]),
+            // EAGAIN; ENOMEM, ENFILE, EMFILE, ENOBUFS; the pending network
+            // errors ENETDOWN, EPROTO, ENOPROTOOPT, EHOSTDOWN, ENONET,
+            // EHOSTUNREACH, EOPNOTSUPP, ENETUNREACH; EPERM (a firewall)
+            (
+                later,
+                &[11, 12, 23, 24, 105, 100, 71, 92, 112, 64, 113, 95, 101, 1],
+            ),
+            // EBADF, EINVAL, ENOTSOCK
+            (None, &[9, 22, 88]),
+        ];
+        for (want, errnos) in verdicts {
+            for &errno in errnos {
+                let e = std::io::Error::from_raw_os_error(errno);
+                assert_eq!(retry_accept_after(&e), want, "errno {errno}: {e}");
+            }
+        }
     }
 }

@@ -11,13 +11,12 @@
 //! of a [`crate::SessionHandle`]. One reply policy on both
 //! (`docs/NETWORK.md` §6–§7; [`PipelinedClient::poll_each`]), and nothing
 //! allocated per batch in steady state: frames encode into recycled
-//! buffers, the receive buffer is pooled, and response bodies land in
-//! pooled shared buffers whose values are zero-copy views.
+//! buffers, and the session's [`FrameReader`] hands out response bodies as
+//! views of the one allocation it reuses.
 
 use crate::message::{ClusterOp, OpResult};
-use crate::wire::{self, CutResponse, FrameHeader, FrameKind, ProtoError, ProtoErrorCode};
-use bytes::Bytes;
-use dpr_core::{BufferPool, DprError, Result, ScratchLease, ShardId, Version, WorldLine};
+use crate::wire::{self, CutResponse, FrameKind, FrameReader, ProtoError, ProtoErrorCode};
+use dpr_core::{DprError, Result, ShardId, Version, WorldLine};
 use libdpr::{BatchHeader, BatchReply, DprClientSession, SessionStatus};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -33,25 +32,6 @@ pub(crate) trait Link {
     /// Append whatever arrives within `wait` to `rd`. A zero `wait` takes
     /// what is already there and never blocks.
     fn recv(&mut self, wait: Duration, rd: &mut Vec<u8>) -> Result<()>;
-}
-
-/// Pop the next complete frame off the front of `rd`, lifting its body into a
-/// pooled shared buffer: values decoded from it are zero-copy views, and the
-/// buffer recycles when they drop.
-pub(crate) fn pop_frame(rd: &mut Vec<u8>) -> Result<Option<(FrameHeader, Bytes)>> {
-    let Some(header) = wire::decode_header(rd)? else {
-        return Ok(None);
-    };
-    let total = header.frame_len();
-    if rd.len() < total {
-        return Ok(None);
-    }
-    let body = &rd[wire::FRAME_HEADER_LEN..total];
-    let mut lease = BufferPool::global().acquire_shared(body.len());
-    lease.data_mut()[..body.len()].copy_from_slice(body);
-    let body = lease.freeze(body.len());
-    rd.drain(..total);
-    Ok(Some((header, body)))
 }
 
 /// One batch awaiting its response.
@@ -95,8 +75,8 @@ pub struct CompletedRef<'a> {
 pub struct PipelinedClient<L = crate::tcp::TcpLink> {
     session: DprClientSession,
     pub(crate) link: L,
-    /// Received-but-unparsed bytes (pooled).
-    rd: ScratchLease,
+    /// Received bytes, split into frames.
+    rd: FrameReader,
     next_seq: u64,
     inflight: HashMap<u64, InflightBatch>,
     /// Sum of `op_count` over `inflight`.
@@ -116,7 +96,7 @@ impl<L: Link> PipelinedClient<L> {
             header_scratch: session.rebatch_header(ShardId(0), 0, 0),
             session,
             link,
-            rd: BufferPool::global().acquire_scratch(16 << 10),
+            rd: FrameReader::default(),
             next_seq: 1,
             inflight: HashMap::new(),
             inflight_ops: 0,
@@ -244,15 +224,20 @@ impl<L: Link> PipelinedClient<L> {
         wait: Duration,
         mut f: impl FnMut(CompletedRef<'_>),
     ) -> Result<usize> {
-        self.link.recv(wait, &mut self.rd)?;
+        self.link.recv(wait, self.rd.buffer())?;
         let mut delivered = 0usize;
-        while let Some((header, body)) = pop_frame(&mut self.rd)? {
+        loop {
+            // The last body's views go before the next body is asked for, or
+            // the reader cannot reuse its allocation (`docs/NETWORK.md` §9).
+            self.results_scratch.clear();
+            let Some((header, body)) = self.rd.next_frame()? else {
+                break;
+            };
             match header.kind {
                 FrameKind::Response => {
                     // Scratch is moved out so the borrow handed to `f`
                     // cannot alias the core while it runs.
                     let mut results = std::mem::take(&mut self.results_scratch);
-                    results.clear();
                     let completed = match wire::decode_response_body(&body, &mut results) {
                         Ok(outcome) => self.complete(header.seq, outcome),
                         Err(e) => {
@@ -396,7 +381,7 @@ impl<L: Link> PipelinedClient<L> {
     /// and every in-flight batch is retransmitted.
     pub(crate) fn relink(&mut self, link: L) -> Result<()> {
         self.link = link;
-        self.rd.clear();
+        self.rd = FrameReader::default();
         self.retransmit_stalled(Duration::ZERO).map(|_| ())
     }
 }

@@ -8,8 +8,8 @@
 //! socket needs: dial, handshake, read timing, and reconnect with an epoch
 //! bump.
 
-use crate::session::{pop_frame, Link};
-use crate::wire::{FrameKind, Hello, HelloAck, ProtoError};
+use crate::session::Link;
+use crate::wire::{FrameKind, FrameReader, Hello, HelloAck, ProtoError};
 use dpr_core::{DprError, Result, ShardId};
 use libdpr::DprClientSession;
 use std::io::{Read, Write};
@@ -56,15 +56,15 @@ impl TcpLink {
         }
         .encode(&mut buf);
         link.send(&buf)?;
-        buf.clear();
+        let mut rd = FrameReader::default();
         let (header, body) = loop {
-            if let Some(frame) = pop_frame(&mut buf)? {
+            if let Some(frame) = rd.next_frame()? {
                 break frame;
             }
             let remaining = deadline
                 .checked_duration_since(Instant::now())
                 .ok_or(DprError::Timeout)?;
-            link.recv(remaining, &mut buf)?;
+            link.recv(remaining, rd.buffer())?;
         };
         match header.kind {
             FrameKind::HelloAck => {

@@ -16,12 +16,13 @@
 //!
 //! # One codec, no intermediate buffers
 //!
-//! [`decode_header`] validates a header (including the per-kind body-length
-//! bound — *before* anything is sliced or copied), after which the caller
-//! hands the body to the kind's parser: [`decode_request_body_into`] and
-//! [`decode_response_body`] take the body as a [`Bytes`] view (typically
-//! frozen from a pooled `dpr_core::pool::SharedLease`), cut keys/values out
-//! of it with [`Bytes::slice`] and fill caller-owned buffers, so a warm
+//! [`FrameReader`] splits a connection's byte stream into frames — the one
+//! splitter, for both ends of a socket and for a bus session. It validates
+//! each header with [`decode_header`] (including the per-kind body-length
+//! bound — *before* anything is sliced or copied) and hands out the body as a
+//! [`Bytes`] view of the one allocation it recycles, for the kind's parser:
+//! [`decode_request_body_into`] and [`decode_response_body`] cut keys/values
+//! out of it with [`Bytes::slice`] and fill caller-owned buffers, so a warm
 //! decode allocates nothing; the small control bodies have `from_body`
 //! parsers. Encoding writes straight into a caller-supplied buffer via
 //! [`begin_frame`] / [`end_frame`] (the body length is back-patched), so no
@@ -29,10 +30,12 @@
 //! `docs/NETWORK.md` §9.
 
 use crate::message::{ClusterOp, OpResult};
+use crate::metrics;
 use bytes::Bytes;
 use dpr_core::{DprError, Key, Result, SessionId, ShardId, Token, Value, Version, WorldLine};
 use dpr_metadata::Cut;
 use libdpr::{BatchHeader, BatchReply};
+use std::sync::Arc;
 
 /// Leading magic of every frame: the ASCII bytes `D P R 1`.
 pub const MAGIC: [u8; 4] = *b"DPR1";
@@ -233,6 +236,73 @@ pub fn decode_header(buf: &[u8]) -> Result<Option<FrameHeader>> {
         seq,
         body_len,
     }))
+}
+
+/// Smallest body allocation a [`FrameReader`] makes, so that frames whose
+/// sizes differ by a few bytes (the paper's 8-byte keys and values, §7.1,
+/// make bodies of ~150 B) are all served from the same one.
+const MIN_BODY_ALLOC: usize = 1 << 10;
+
+/// Splits one connection's received bytes into frames.
+///
+/// The reader owns the bytes its link appends ([`FrameReader::buffer`]), a
+/// cursor into them, and **one** body allocation. [`FrameReader::next_frame`]
+/// copies a frame's body into that allocation and returns a view of it, so
+/// keys and values decoded from the body are zero-copy; when the views of the
+/// previous frame are gone by then — the one rule of `docs/NETWORK.md` §9 —
+/// the allocation is reused and a warm frame allocates nothing. A new reader
+/// ([`Default`]) has nothing buffered.
+#[derive(Default)]
+pub struct FrameReader {
+    /// Received bytes; `buf[pos..]` is not yet handed out.
+    buf: Vec<u8>,
+    pos: usize,
+    /// The last frame's body, reused once nothing else views it.
+    body: Arc<[u8]>,
+}
+
+impl FrameReader {
+    /// Where the link appends what it received. The frames already handed out
+    /// are dropped from the front here: once per read, not once per frame.
+    pub fn buffer(&mut self) -> &mut Vec<u8> {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        &mut self.buf
+    }
+
+    /// The next complete frame, or `None` until more bytes arrive. The header
+    /// is checked by [`decode_header`] as soon as it is whole, so a forged
+    /// length is refused before its body is waited for.
+    ///
+    /// # Errors
+    /// On a malformed header: the stream cannot be resynchronised, and the
+    /// connection must be closed.
+    pub fn next_frame(&mut self) -> Result<Option<(FrameHeader, Bytes)>> {
+        let rest = &self.buf[self.pos..];
+        let Some(header) = decode_header(rest)? else {
+            return Ok(None);
+        };
+        let Some(body) = rest.get(FRAME_HEADER_LEN..header.frame_len()) else {
+            return Ok(None);
+        };
+        match Arc::get_mut(&mut self.body).filter(|b| b.len() >= body.len()) {
+            Some(recycled) => {
+                recycled[..body.len()].copy_from_slice(body);
+                metrics::pool_hits().inc();
+            }
+            // Too small, or a view of the last frame is still alive (a large
+            // value a shard kept): that allocation frees with its last view.
+            None => {
+                let mut fresh = vec![0u8; body.len().next_power_of_two().max(MIN_BODY_ALLOC)];
+                fresh[..body.len()].copy_from_slice(body);
+                self.body = Arc::from(fresh);
+                metrics::pool_misses().inc();
+            }
+        }
+        self.pos += header.frame_len();
+        let body = Bytes::from_shared(self.body.clone(), 0..header.body_len);
+        Ok(Some((header, body)))
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ struct DedupeStripe(parking_lot::Mutex<DedupeCache>);
 /// (a socket I/O thread or a bus executor) and reused across frames, so a
 /// warm request allocates nothing. The ops are zero-copy views of the frame
 /// body they were decoded from: [`RequestScratch::clear`] them before the
-/// next pooled body is acquired (`docs/NETWORK.md` §9).
+/// connection's reader is asked for the next frame (`docs/NETWORK.md` §9).
 pub(crate) struct RequestScratch {
     ops: Vec<ClusterOp>,
     results: Vec<OpResult>,

@@ -23,7 +23,6 @@ pub mod config;
 pub mod epoch;
 pub mod error;
 pub mod kv;
-pub mod pool;
 pub mod stripe;
 pub mod version;
 
@@ -33,6 +32,5 @@ pub use config::{CheckpointMode, DprFinderMode, RecoverabilityLevel};
 pub use epoch::LightEpoch;
 pub use error::{DprError, Result};
 pub use kv::{Key, Value};
-pub use pool::{BufferPool, ScratchLease, SharedLease};
 pub use stripe::StripedMap;
 pub use version::{SessionId, ShardId, Token, Version, WorldLine};

@@ -297,11 +297,15 @@ impl RecordLog {
                 Ok(_) => ptr = raw,
                 Err(winner) => {
                     // Lost the install race; free ours.
+                    // SAFETY: `raw` is the `Box::into_raw` above and, its CAS
+                    // having failed, was never visible to another thread.
                     drop(unsafe { Box::from_raw(raw) });
                     ptr = winner;
                 }
             }
         }
+        // SAFETY: a chunk installed in `dir` is freed only by `Drop`, which
+        // has `&mut self`, so it outlives `&self`; `within < CHUNK_PAGES`.
         unsafe { &(*ptr)[within] }
     }
 
@@ -310,9 +314,13 @@ impl RecordLog {
             let p = raw as *mut u8;
             // Frames must come back zero-filled: a zero header word is
             // the "not yet written" sentinel.
+            // SAFETY: a frame on the free list is a whole `frame_layout()`
+            // allocation that `evict_to` unlinked from its slot after
+            // `quiesce()`, and this pop made it ours alone.
             unsafe { std::ptr::write_bytes(p, 0, PAGE_SIZE) };
             return p;
         }
+        // SAFETY: `frame_layout()` has a nonzero size.
         let p = unsafe { alloc_zeroed(frame_layout()) };
         assert!(!p.is_null(), "arena frame allocation failed");
         p
@@ -324,6 +332,9 @@ impl RecordLog {
             free.push(p as usize);
         } else {
             drop(free);
+            // SAFETY: `p` is an `alloc_frame` allocation (this layout) that
+            // `evict_to` swapped out of its slot after `quiesce()`: no slot
+            // and no guarded reader holds it.
             unsafe { dealloc(p, frame_layout()) };
         }
     }
@@ -411,6 +422,12 @@ impl RecordLog {
             }
         }
         let frame = self.frame_wait(start / PAGE_BYTES);
+        // SAFETY: the tail CAS above reserved `[start, start + footprint)`
+        // for this record alone, inside one page (the pad rule) and 8-aligned
+        // (footprints and pads are multiples of 8); frames are installed
+        // zeroed and each byte is written once. The frame cannot be evicted
+        // yet: eviction stops at `flushed`, and the flusher waits for this
+        // record's header word.
         unsafe {
             write_record(
                 frame.add((start % PAGE_BYTES) as usize),
@@ -433,7 +450,11 @@ impl RecordLog {
     fn write_pad(&self, addr: u64, len: usize) {
         debug_assert!(len >= 8 && len.is_multiple_of(8));
         let frame = self.frame_wait(addr / PAGE_BYTES);
+        // SAFETY: `addr` is the old tail: 8-aligned, inside the installed
+        // frame of its page (above), in the range the caller's tail CAS
+        // reserved, and at or above `flushed`, where nothing is evicted.
         let p = unsafe { frame.add((addr % PAGE_BYTES) as usize) };
+        // SAFETY: as above; header words are only ever accessed atomically.
         unsafe { (*(p as *const AtomicU64)).store(pack_pad(len), Ordering::Release) };
     }
 
@@ -469,13 +490,23 @@ impl RecordLog {
         match slot.state.load(Ordering::Acquire) {
             P_RESIDENT => {
                 let frame = slot.buf.load(Ordering::Acquire);
+                // SAFETY: the caller holds an epoch guard and the page read
+                // RESIDENT under it: `evict_to` frees a frame only after
+                // flipping that state and a `quiesce()` that waits for the
+                // guard. The offset is inside the page.
                 let base = unsafe { frame.add((addr % PAGE_BYTES) as usize) };
+                // SAFETY: the frame stays mapped (above). Callers pass only
+                // addresses `append` returned or a scan stepped to: 8-aligned
+                // header positions, whose first word is only accessed
+                // atomically.
                 let meta = unsafe { (*(base as *const AtomicU64)).load(Ordering::Acquire) };
                 if meta == 0 {
                     return Parse::NotReady;
                 }
                 match header_kind(meta) {
                     HeaderKind::Pad(len) => Parse::Pad(len),
+                    // SAFETY: a nonzero non-pad header word is a READY record
+                    // header, 8-aligned, in a frame mapped while `'g` lives.
                     HeaderKind::Record => Parse::Rec(unsafe { RecordView::from_raw(base, addr) }),
                 }
             }
@@ -550,6 +581,7 @@ impl RecordLog {
                 // frame of a page at or above `flushed`, which eviction
                 // cannot reclaim while this flush holds the flush lock.
                 let base = unsafe { frame.add((addr % PAGE_BYTES) as usize) };
+                // SAFETY: as above; header words are only accessed atomically.
                 #[allow(clippy::cast_ptr_alignment)]
                 let meta = unsafe { (*(base as *const AtomicU64)).load(Ordering::Acquire) };
                 if meta == 0 {
@@ -1013,6 +1045,8 @@ impl RecordLog {
             slot.state.store(P_RESIDENT, Ordering::Release);
             let pstart = page * PAGE_BYTES;
             let n = (until - pstart).min(PAGE_BYTES) as usize;
+            // SAFETY: `frame` is a fresh `PAGE_SIZE` allocation, `n` is at
+            // most that, and the log under recovery is not shared yet.
             let dst = unsafe { std::slice::from_raw_parts_mut(frame, n) };
             // A page may cross a segment rebase boundary; read each piece
             // through the span map.
@@ -1070,15 +1104,21 @@ impl Drop for RecordLog {
             if ptr.is_null() {
                 continue;
             }
+            // SAFETY: `slot` installed it from `Box::into_raw`; with
+            // `&mut self` no `&PageSlot` into it is left.
             let chunk = unsafe { Box::from_raw(ptr) };
             for slot in chunk.iter() {
                 let buf = slot.buf.load(Ordering::Acquire);
                 if !buf.is_null() {
+                    // SAFETY: a slot's non-null `buf` is an `alloc_frame`
+                    // allocation that only the slot still points at.
                     unsafe { dealloc(buf, frame_layout()) };
                 }
             }
         }
         for raw in self.free_frames.lock().drain(..) {
+            // SAFETY: the free list holds `alloc_frame` allocations that no
+            // slot points at (`release_frame`).
             unsafe { dealloc(raw as *mut u8, frame_layout()) };
         }
     }

@@ -128,6 +128,7 @@ pub struct RecordView<'a> {
 // SAFETY: a view is a read-mostly window onto atomically-maintained record
 // bytes; all mutation goes through atomics or the vseq seqlock.
 unsafe impl Send for RecordView<'_> {}
+// SAFETY: as for `Send`: shared access goes through the same atomics.
 unsafe impl Sync for RecordView<'_> {}
 
 #[allow(clippy::cast_ptr_alignment)] // frames are page-aligned; all offsets are 8-aligned
@@ -146,26 +147,38 @@ impl<'a> RecordView<'a> {
     }
 
     fn meta_atom(&self) -> &AtomicU64 {
+        // SAFETY: `from_raw`'s contract: a READY header, 8-aligned, in a frame
+        // mapped for `'a`; this field is only ever accessed atomically.
         unsafe { &*(self.base as *const AtomicU64) }
     }
 
     fn prev_atom(&self) -> &AtomicU64 {
+        // SAFETY: `from_raw`'s contract: a READY header, 8-aligned, in a frame
+        // mapped for `'a`; this field is only ever accessed atomically.
         unsafe { &*(self.base.add(8) as *const AtomicU64) }
     }
 
     fn val_len_atom(&self) -> &AtomicU32 {
+        // SAFETY: `from_raw`'s contract: a READY header, 8-aligned, in a frame
+        // mapped for `'a`; this field is only ever accessed atomically.
         unsafe { &*(self.base.add(24) as *const AtomicU32) }
     }
 
     fn vseq_atom(&self) -> &AtomicU32 {
+        // SAFETY: `from_raw`'s contract: a READY header, 8-aligned, in a frame
+        // mapped for `'a`; this field is only ever accessed atomically.
         unsafe { &*(self.base.add(28) as *const AtomicU32) }
     }
 
     pub(crate) fn key_len(&self) -> usize {
+        // SAFETY: `from_raw`'s contract; the field is at an 8-aligned offset
+        // inside the header and never changes after creation.
         unsafe { u32::from_le_bytes(*(self.base.add(16) as *const [u8; 4])) as usize }
     }
 
     pub(crate) fn val_cap(&self) -> usize {
+        // SAFETY: `from_raw`'s contract; the field is at an 8-aligned offset
+        // inside the header and never changes after creation.
         unsafe { u32::from_le_bytes(*(self.base.add(20) as *const [u8; 4])) as usize }
     }
 
@@ -207,6 +220,8 @@ impl<'a> RecordView<'a> {
     /// The key bytes (immutable after creation).
     #[must_use]
     pub fn key_bytes(&self) -> &'a [u8] {
+        // SAFETY: `key_len` bytes follow the header inside the record's
+        // footprint, never change after creation, and stay mapped for `'a`.
         unsafe { std::slice::from_raw_parts(self.base.add(HEADER_LEN), self.key_len()) }
     }
 
@@ -221,6 +236,7 @@ impl<'a> RecordView<'a> {
     /// allocation.
     #[must_use]
     pub fn read_value(&self) -> Value {
+        // SAFETY: the value region follows the padded key inside the footprint.
         let vbase = unsafe { self.base.add(HEADER_LEN + pad8(self.key_len())) };
         let vseq = self.vseq_atom();
         let mut backoff = dpr_core::Backoff::new();
@@ -228,6 +244,9 @@ impl<'a> RecordView<'a> {
             let s1 = vseq.load(Ordering::Acquire);
             if s1 & 1 == 0 {
                 let len = self.val_len_atom().load(Ordering::Acquire) as usize;
+                // SAFETY: at most `val_cap` bytes of the value region. A
+                // writer holds `vseq` odd while it writes them, so a copy it
+                // tore is thrown away by the re-check below.
                 let bytes = unsafe { std::slice::from_raw_parts(vbase, len.min(self.val_cap())) };
                 let value = Value(bytes::Bytes::copy_from_slice(bytes));
                 std::sync::atomic::fence(Ordering::Acquire);
@@ -288,6 +307,8 @@ impl<'a> RecordView<'a> {
         if v.len() > self.val_cap() {
             return false;
         }
+        // SAFETY: `v.len() <= val_cap` bytes into the value region, with
+        // `vseq` odd: no other writer runs, and readers of these bytes retry.
         self.with_value_lock(|| unsafe {
             let vbase = self.base.add(HEADER_LEN + pad8(self.key_len())) as *mut u8;
             std::ptr::copy_nonoverlapping(v.as_bytes().as_ptr(), vbase, v.len());
@@ -303,13 +324,18 @@ impl<'a> RecordView<'a> {
         let mut wrote = false;
         self.with_value_lock(|| {
             // We hold the writer lock: the value cannot change under us.
+            // SAFETY: the value region follows the padded key inside the footprint.
             let vbase = unsafe { self.base.add(HEADER_LEN + pad8(self.key_len())) };
             let len = self.val_len_atom().load(Ordering::Acquire) as usize;
+            // SAFETY: at most `val_cap` bytes, which only the holder of the
+            // writer lock — this thread — may write.
             let old = Value(bytes::Bytes::copy_from_slice(unsafe {
                 std::slice::from_raw_parts(vbase, len.min(self.val_cap()))
             }));
             let new = f(&old);
             if new.len() <= self.val_cap() {
+                // SAFETY: `new.len() <= val_cap` bytes into the value region,
+                // with `vseq` odd: readers of these bytes retry.
                 unsafe {
                     std::ptr::copy_nonoverlapping(
                         new.as_bytes().as_ptr(),
@@ -535,6 +561,7 @@ mod tests {
         let cap = pad8(value.len());
         let total = record_footprint(key.len(), cap);
         let mut buf = vec![0u64; total / 8];
+        // SAFETY: `buf` is zeroed, 8-aligned, exactly the footprint, and ours.
         unsafe {
             write_record(
                 buf.as_mut_ptr().cast::<u8>(),
@@ -550,6 +577,7 @@ mod tests {
     }
 
     fn as_bytes(buf: &[u64]) -> &[u8] {
+        // SAFETY: the same memory, read as eight bytes per `u64`.
         unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), buf.len() * 8) }
     }
 
@@ -586,6 +614,7 @@ mod tests {
         let key = Key::from_u64(5);
         let value = Value::from_u64(50);
         let buf = write_to_buf(&key, &value, Version(3), false);
+        // SAFETY: `buf` holds a READY record, 8-aligned, and outlives the view.
         let view = unsafe { RecordView::from_raw(buf.as_ptr().cast::<u8>(), 0) };
         assert!(view.key_matches(&key));
         assert_eq!(view.read_value().as_u64(), Some(50));
@@ -605,6 +634,7 @@ mod tests {
     fn modify_value_is_atomic_read_modify_write() {
         let key = Key::from_u64(1);
         let buf = write_to_buf(&key, &Value::from_u64(0), Version(1), false);
+        // SAFETY: `buf` holds a READY record, 8-aligned, and outlives the view.
         let view = unsafe { RecordView::from_raw(buf.as_ptr().cast::<u8>(), 0) };
         std::thread::scope(|s| {
             for _ in 0..4 {

@@ -106,10 +106,10 @@ impl LogDevice for MemLogDevice {
             let page = off / PAGE_SIZE;
             let in_page = off % PAGE_SIZE;
             let n = rest.len().min(PAGE_SIZE - in_page);
-            // Safety of the unsynchronized write: each append owns a
-            // disjoint [addr, end) range reserved by the fetch_add above, so
-            // concurrent appends never alias. We go through a raw pointer to
-            // express that disjointness.
+            // SAFETY: each append owns a disjoint `[addr, end)` range
+            // reserved by the `fetch_add` above, so concurrent appends never
+            // alias; `ensure_pages(end)` allocated every page of it, and
+            // `in_page + n <= PAGE_SIZE`.
             unsafe {
                 let dst = pages[page].as_ptr() as *mut u8;
                 std::ptr::copy_nonoverlapping(rest.as_ptr(), dst.add(in_page), n);

@@ -2,9 +2,10 @@
 # Pre-PR gate: everything a change must pass before it ships.
 #
 #   scripts/check.sh --quick   build + tier-1 tests only (fast inner loop)
-#   scripts/check.sh           the full gate: workspace tests, lints,
-#                              docs, chaos and figures smokes, and the
-#                              benchmark's schema smoke
+#   scripts/check.sh           the full gate: workspace tests, manifest
+#                              and unsafe-comment lints, docs, chaos and
+#                              figures smokes, and the benchmark's schema
+#                              smoke
 #
 # Fully offline — dependencies are vendored as stubs under third_party/
 # (see third_party/README.md), so no registry or network access is needed.
@@ -45,6 +46,23 @@ if grep -l serde crates/*/Cargo.toml Cargo.toml; then
     exit 1
 fi
 
+# A manifest names what its crate uses: every name under [dependencies] or
+# [dev-dependencies] must occur, as a word, somewhere in the crate's sources.
+echo
+echo "==> no declared dependency that its crate never names"
+unused=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]") }
+                      on && /^[a-z]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        if ! grep -rqsw "${dep//-/_}" "$dir"/{src,tests,benches,examples}; then
+            echo "$manifest declares $dep and never names it" >&2
+            unused=1
+        fi
+    done
+done
+[[ "$unused" == 0 ]] || exit 1
+
 # One figure harness, steered by flags: no environment knobs in dpr-bench.
 echo
 echo "==> no env::var under crates/dpr-bench/src"
@@ -62,8 +80,9 @@ fi
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo
-    echo "==> cargo clippy --workspace --all-targets (warnings denied)"
-    cargo clippy --workspace --all-targets -- -D warnings
+    echo "==> cargo clippy --workspace --all-targets (warnings and unexplained unsafe denied)"
+    cargo clippy --workspace --all-targets -- -D warnings \
+        -D clippy::undocumented_unsafe_blocks
 else
     echo
     echo "==> cargo clippy SKIPPED (clippy not installed)"
