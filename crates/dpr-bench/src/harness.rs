@@ -256,7 +256,6 @@ pub fn run_with_failures(
 ) -> [ThroughputSeries; 3] {
     let series = || [(); 3].map(|()| ThroughputSeries::new(Duration::from_millis(250)));
     let start = Instant::now();
-    let cut_source = cluster.cut_source();
 
     std::thread::scope(|scope| {
         // Failure injector.
@@ -271,7 +270,6 @@ pub fn run_with_failures(
             let mut session = cluster.open_session().expect("session");
             let mut gen = WorkloadGen::new(params.spec.clone(), c as u64 + 1);
             let params = params.clone();
-            let cut_source = &cut_source;
             clients.push(scope.spawn(move || {
                 let [mut completed, mut committed, mut aborted] = series();
                 let mut last_committed = 0u64;
@@ -301,8 +299,10 @@ pub fn run_with_failures(
                         }
                     }
                     session.take_results().clear();
-                    let cut = cut_source();
-                    session.refresh_commit(&cut);
+                    // World-line-checked: this loop lives across recoveries,
+                    // and a cut read after one it has not noticed yet covers
+                    // post-rollback versions that alias purged ones.
+                    let _ = session.refresh_commit_safe();
                     let stats = session.stats();
                     if stats.committed > last_committed {
                         committed.record_at(start.elapsed(), stats.committed - last_committed);

@@ -11,6 +11,7 @@
 //! factor, and where crossovers fall. See EXPERIMENTS.md for the
 //! paper-vs-measured comparison.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;

@@ -13,6 +13,7 @@
 //!
 //! Replication is disabled, exactly as in the paper's configuration.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dpr_core::{Key, Result, Value};

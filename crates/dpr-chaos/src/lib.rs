@@ -17,6 +17,7 @@
 //! `BENCH_chaos.json`; `docs/PROTOCOL.md` §"Chaos harness" maps each
 //! checked invariant to its assertion site.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checker;

@@ -1,118 +1,19 @@
-//! Worker-side lease caching of ownership and the published cut.
+//! The worker-side lease on the published cut.
 //!
-//! With the metadata plane partitioned (see `dpr-metadata::partitioned`),
-//! the remaining shared hot spot on the worker request path is the
-//! ownership table: every operation validated ownership against the shared
-//! `RwLock` table, a cross-worker cache-line handshake per op. The two
-//! caches here move both reads worker-local and bound their staleness with
-//! explicit fences (documented in `docs/PROTOCOL.md` §11):
-//!
-//! * [`OwnershipLease`] — a per-worker snapshot of the ownership table.
-//!   The fast path is one atomic epoch load plus a lookup in a
-//!   worker-local map (uncontended). The table bumps its epoch inside
-//!   every ownership *change* (assignment, renounce, claim), so a stale
-//!   cache is detected before the next operation is accepted: a renounce's
-//!   bump is precisely what fences the old owner during migration. Lease
-//!   renewals do not bump the epoch — an expired-looking cached lease
-//!   triggers a refill instead, which picks up the renewal.
-//! * [`CutLease`] — the TTL cut cache serving `CutReq` polling, upgraded
-//!   with a world-line fence: a cached cut is only served while its
-//!   world-line matches the worker's, and recovery invalidates it
-//!   outright, so a rolled-back worker can never hand out a cut from the
-//!   abandoned world-line even within the TTL window.
+//! A `CutReq` is answered on an I/O thread, and reading the cut and the
+//! world-line from the metadata store costs two statements, each with the
+//! store's injected round trip. [`CutLease`] bounds that to one read per TTL
+//! per worker however many clients poll, and bounds what its staleness can
+//! do with a world-line fence (`docs/PROTOCOL.md` §11): a cached cut is
+//! served only while its world-line is the worker's, and recovery drops it
+//! outright, so a rolled-back worker never hands out a cut of the abandoned
+//! world-line, even within the TTL.
 
-use dpr_core::{Clock, Key, Result, ShardId, WorldLine};
-use dpr_metadata::{Cut, OwnershipEntry, OwnershipTable, VirtualPartition};
-use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use dpr_core::{Result, WorldLine};
+use dpr_metadata::Cut;
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A worker's lease-guarded local view of the ownership table.
-pub struct OwnershipLease {
-    table: Arc<OwnershipTable>,
-    shard: ShardId,
-    clock: Arc<dyn Clock>,
-    cached: RwLock<CachedView>,
-}
-
-struct CachedView {
-    /// Set by [`OwnershipLease::invalidate`]; forces a refill regardless of
-    /// epoch (used on recovery, where staleness tolerance is zero).
-    dirty: bool,
-    /// The table epoch this view was snapshotted at.
-    epoch: u64,
-    owners: BTreeMap<VirtualPartition, OwnershipEntry>,
-}
-
-impl OwnershipLease {
-    /// A lease cache for `shard` over the shared table. Starts dirty, so
-    /// the first validation snapshots the table.
-    pub fn new(table: Arc<OwnershipTable>, shard: ShardId) -> Self {
-        let clock = table.clock();
-        OwnershipLease {
-            table,
-            shard,
-            clock,
-            cached: RwLock::new(CachedView {
-                dirty: true,
-                epoch: 0,
-                owners: BTreeMap::new(),
-            }),
-        }
-    }
-
-    /// Validate that this worker owns `key` under a live lease — the
-    /// per-operation check of §5.3, served from the local view.
-    ///
-    /// Fast path: one atomic epoch load + one local map lookup. The view
-    /// is refilled from the table only when the epoch moved (ownership
-    /// changed somewhere), the view was explicitly invalidated, or the
-    /// cached lease looks expired (renewals don't bump the epoch).
-    pub fn validate(&self, key: &Key) -> bool {
-        let vp = self.table.partitioner().partition_of(key);
-        let now = self.clock.now_nanos();
-        let table_epoch = self.table.epoch();
-        {
-            let c = self.cached.read();
-            if !c.dirty && c.epoch == table_epoch {
-                match c.owners.get(&vp) {
-                    Some(e) if e.owner == Some(self.shard) => {
-                        if e.lease_until_nanos >= now {
-                            return true;
-                        }
-                        // Expired in the cache, but the lease may have been
-                        // renewed in the table — refill and re-judge.
-                    }
-                    // Under a current epoch, "not ours" is authoritative:
-                    // assignment changes always bump the epoch.
-                    _ => return false,
-                }
-            }
-        }
-        self.refill();
-        let c = self.cached.read();
-        match c.owners.get(&vp) {
-            Some(e) => e.owner == Some(self.shard) && e.lease_until_nanos >= now,
-            None => false,
-        }
-    }
-
-    /// Force the next validation to re-snapshot the table (recovery).
-    pub fn invalidate(&self) {
-        self.cached.write().dirty = true;
-        crate::metrics::lease_invalidations().inc();
-    }
-
-    fn refill(&self) {
-        crate::metrics::lease_refills().inc();
-        let (epoch, owners) = self.table.snapshot();
-        let mut c = self.cached.write();
-        c.epoch = epoch;
-        c.owners = owners;
-        c.dirty = false;
-    }
-}
 
 /// World-line-fenced, TTL-bounded cache of `(world_line, cut)`.
 pub struct CutLease {
@@ -169,85 +70,7 @@ impl CutLease {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpr_core::{DprError, SimClock, Version};
-    use dpr_metadata::Partitioner;
-
-    fn table(partitions: u32, lease: Duration) -> (Arc<OwnershipTable>, SimClock) {
-        let clock = SimClock::new();
-        let t = Arc::new(OwnershipTable::new(
-            Partitioner::Hash { partitions },
-            Arc::new(clock.clone()),
-            lease,
-        ));
-        (t, clock)
-    }
-
-    #[test]
-    fn cached_validation_matches_table_validation() {
-        let (t, _) = table(16, Duration::from_secs(10));
-        t.assign_round_robin(&[ShardId(0), ShardId(1)]);
-        let lease0 = OwnershipLease::new(t.clone(), ShardId(0));
-        let lease1 = OwnershipLease::new(t.clone(), ShardId(1));
-        for k in 0..200u64 {
-            let key = Key::from_u64(k);
-            assert_eq!(lease0.validate(&key), t.validate(ShardId(0), &key));
-            assert_eq!(lease1.validate(&key), t.validate(ShardId(1), &key));
-        }
-    }
-
-    /// The migration fence: a renounce bumps the epoch, so the old owner's
-    /// cached lease rejects the very next operation — no write can slip
-    /// through on a stale cached view.
-    #[test]
-    fn renounce_fences_the_old_owners_cache() {
-        let (t, _) = table(4, Duration::from_secs(10));
-        t.assign_round_robin(&[ShardId(0)]);
-        let lease = OwnershipLease::new(t.clone(), ShardId(0));
-        // Find a key in partition 2 and warm the cache with it.
-        let key = (0..1000u64)
-            .map(Key::from_u64)
-            .find(|k| t.partitioner().partition_of(k) == VirtualPartition(2))
-            .expect("some key hashes to partition 2");
-        assert!(lease.validate(&key));
-        t.renounce(VirtualPartition(2), ShardId(0)).unwrap();
-        assert!(!lease.validate(&key), "stale cache fenced by epoch bump");
-        // After the transfer completes, the new owner's cache sees it.
-        t.claim(VirtualPartition(2), ShardId(1)).unwrap();
-        let lease1 = OwnershipLease::new(t.clone(), ShardId(1));
-        assert!(lease1.validate(&key));
-        assert!(!lease.validate(&key), "old owner still fenced");
-    }
-
-    /// Lease renewal does not bump the epoch; the cache picks it up via a
-    /// refill when its cached expiry passes.
-    #[test]
-    fn renewal_is_picked_up_without_epoch_change() {
-        let (t, clock) = table(4, Duration::from_secs(10));
-        t.assign_round_robin(&[ShardId(0)]);
-        let lease = OwnershipLease::new(t.clone(), ShardId(0));
-        let key = Key::from_u64(7);
-        assert!(lease.validate(&key));
-        let epoch = t.epoch();
-        clock.advance(Duration::from_secs(11)); // past the original lease
-        t.renew_leases(ShardId(0));
-        assert_eq!(t.epoch(), epoch, "renewal must not bump the epoch");
-        assert!(lease.validate(&key), "refill observed the renewal");
-        // Without renewal, expiry is honoured.
-        clock.advance(Duration::from_secs(11));
-        assert!(!lease.validate(&key), "expired lease rejected");
-    }
-
-    #[test]
-    fn invalidate_forces_refill() {
-        let (t, _) = table(4, Duration::from_secs(10));
-        t.assign_round_robin(&[ShardId(0)]);
-        let lease = OwnershipLease::new(t.clone(), ShardId(0));
-        let key = Key::from_u64(3);
-        assert!(lease.validate(&key));
-        lease.invalidate();
-        // Still valid — but only because the refill re-read the table.
-        assert!(lease.validate(&key));
-    }
+    use dpr_core::{DprError, ShardId, Version};
 
     #[test]
     fn cut_lease_serves_within_ttl_and_fences_on_world_line() {

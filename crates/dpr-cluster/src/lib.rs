@@ -17,6 +17,7 @@
 //! for simulation and chaos testing; [`SessionHandle`]) or real sockets
 //! ([`net`] server, [`tcp`] client).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
@@ -39,7 +40,7 @@ pub use client::{SessionHandle, SessionStats};
 pub use cluster::{Cluster, ClusterConfig, ClusterKind};
 pub use dfaster::FasterShard;
 pub use dredis::RedisShard;
-pub use lease::{CutLease, OwnershipLease};
+pub use lease::CutLease;
 pub use manager::ClusterManager;
 pub use message::{ClusterOp, OpResult};
 pub use net::{NetServer, NetServerConfig};

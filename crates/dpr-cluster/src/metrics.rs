@@ -105,19 +105,11 @@ metric_fn!(
 );
 
 metric_fn!(
-    /// Ownership-lease cache refills: the worker re-snapshotted the shared
-    /// ownership table (epoch moved, lease expired, or explicit invalidate).
-    pub(crate) fn lease_refills() -> Counter =
-        ("dpr_cluster_lease_refills_total", Count,
-         "Worker ownership-lease cache refills from the shared table")
-);
-
-metric_fn!(
-    /// Explicit lease-cache invalidations (ownership or cut), driven by
-    /// recovery and membership changes.
+    /// Cut-lease invalidations: a worker rolled back and dropped its cached
+    /// cut of the abandoned world-line.
     pub(crate) fn lease_invalidations() -> Counter =
         ("dpr_cluster_lease_invalidations_total", Count,
-         "Explicit worker lease-cache invalidations (recovery, membership change)")
+         "Worker cut-lease invalidations (one per worker rollback)")
 );
 
 metric_fn!(

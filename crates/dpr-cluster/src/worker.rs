@@ -1,7 +1,7 @@
 //! Shard workers: batch execution + libDPR server hooks + background
 //! checkpointing, commit pumping, and recovery participation.
 
-use crate::lease::{CutLease, OwnershipLease};
+use crate::lease::CutLease;
 use crate::message::{ClusterOp, OpResult};
 use crate::transport::{BusFrame, EndpointId, SimNetwork};
 use crate::wire::{self, FrameKind, ProtoError, ProtoErrorCode};
@@ -104,7 +104,7 @@ pub struct WorkerConfig {
     pub sync_commit: bool,
     /// Executor threads consuming the request inbox.
     pub executors: usize,
-    /// Validate key ownership per operation (§5.3).
+    /// Validate key ownership per batch (§5.3).
     pub validate_ownership: bool,
     /// Fast-forward lagging checkpoints to the cluster `Vmax` (§3.4).
     pub fast_forward: bool,
@@ -243,10 +243,6 @@ pub struct Worker {
     net: Arc<SimNetwork>,
     endpoint: EndpointId,
     ownership: Arc<OwnershipTable>,
-    /// Worker-local lease cache over `ownership` — the per-op validation
-    /// path reads this (one epoch load + local lookup) instead of taking
-    /// the shared table's lock per operation (§5.3 at scale).
-    ownership_lease: OwnershipLease,
     meta: Arc<dyn MetadataStore>,
     finder: Arc<dyn DprFinder>,
     config: WorkerConfig,
@@ -300,7 +296,6 @@ impl Worker {
             server: Arc::new(DprServer::new(shard)),
             net,
             endpoint,
-            ownership_lease: OwnershipLease::new(ownership.clone(), shard),
             ownership,
             meta,
             finder,
@@ -374,10 +369,9 @@ impl Worker {
         self.server
             .validate_blocking(header, self.store.as_ref(), Duration::from_secs(10))?;
         if self.config.validate_ownership {
-            for op in ops {
-                if !self.ownership_lease.validate(op.key()) {
-                    return Err(DprError::NotOwner { shard: self.shard });
-                }
+            let keys = ops.iter().map(ClusterOp::key);
+            if !self.ownership.validate_all(self.shard, keys) {
+                return Err(DprError::NotOwner { shard: self.shard });
             }
         }
         // Held from before the batch executes until its dependencies are
@@ -621,11 +615,9 @@ impl Worker {
             self.server.on_restore();
             self.server.set_world_line(rec.world_line);
             // Cached replies carry the old world-line; never replay them
-            // into the new one. Same for the lease caches: ownership may
-            // have been reassigned around the failure, and the cached cut
-            // belongs to the abandoned world-line.
+            // into the new one. Same for the cached cut: it belongs to the
+            // abandoned world-line.
             self.simulate_crash_restart();
-            self.ownership_lease.invalidate();
             self.cut_lease.invalidate();
             crate::metrics::worker_rollbacks().inc();
             dpr_telemetry::global().span("dpr-cluster", "worker_rollback", || {

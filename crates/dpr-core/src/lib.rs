@@ -15,6 +15,7 @@
 //! * [`SessionId`] identifies a client session, the unit of dependency
 //!   tracking.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod backoff;

@@ -39,36 +39,24 @@ pub struct CheckpointManifest {
     /// For snapshot-mode checkpoints: the blob holding the full state image
     /// (fold-over checkpoints recover from the log instead).
     pub snapshot_blob: Option<String>,
-    /// Device offset at which this log incarnation's address 0 begins.
-    /// Kept for manifests written by older builds; superseded by
-    /// `segments` (format 2), which describes device mappings that are no
-    /// longer linear after a post-crash rebase or GC truncation.
-    pub device_scan_base: u64,
     /// Number of chain identities of the hash index (`2^b`: records whose
     /// keys share the top `b` hash bits form one `prev` chain). Recovery
     /// gives the rebuilt index at least as many, because a larger count only
     /// splits these chains while a smaller one would join chains no `prev`
-    /// link connects. Zero: the manifest comes from a build that chained
-    /// records by a bucket count of low hash bits (formats 1 and 2),
-    /// whose links are of no use to this index — recovery then re-appends
-    /// the live records into a fresh log.
+    /// link connects.
     pub index_buckets: u64,
     /// Durable segment map `(start_address, device_offset, len)` covering
     /// `[0, until_address)` — what [`crate::RecordLog::recover`]
-    /// rebuilds the device mapping from. Empty in older manifests, which
-    /// recovery treats as the single linear span
-    /// `(0, device_scan_base, until_address)`.
+    /// rebuilds the device mapping from, which is not linear after a
+    /// post-crash rebase or GC truncation.
     pub segments: Vec<(u64, u64, u64)>,
 }
 
-/// Magic prefix of the binary manifest encoding ("DPRM" + format version).
-/// Format 2 appends `index_buckets` and the durable segment map; format 1
-/// blobs decode with those fields defaulted. Format 3 has the layout of
-/// format 2; the number says `index_buckets` counts chain identities of
-/// upper hash bits, where format 2 counted buckets of low hash bits, which
-/// decodes as zero (see [`CheckpointManifest::index_buckets`]).
+/// Magic prefix of the binary manifest encoding ("DPRM" + format word).
+/// Format 4 is the only layout there is: no build of this repository wrote
+/// 1–3 to anything that is still at rest, and any other word is refused.
 const MANIFEST_MAGIC: u32 = 0x4450_524D;
-const MANIFEST_FORMAT: u16 = 3;
+const MANIFEST_FORMAT: u16 = 4;
 
 thread_local! {
     /// Reusable encode buffer: checkpoints complete on the worker tick
@@ -135,7 +123,6 @@ impl CheckpointManifest {
         put_u16(out, MANIFEST_FORMAT);
         put_u64(out, self.version.0);
         put_u64(out, self.until_address);
-        put_u64(out, self.device_scan_base);
         match &self.snapshot_blob {
             Some(name) => {
                 out.push(1);
@@ -158,8 +145,6 @@ impl CheckpointManifest {
                 put_u64(out, e);
             }
         }
-        // Format 2 additions (appended so a format-1 decoder layout maps
-        // onto a prefix of the format-2 layout).
         put_u64(out, self.index_buckets);
         put_u32(out, self.segments.len() as u32);
         for &(start, dev, len) in &self.segments {
@@ -175,14 +160,13 @@ impl CheckpointManifest {
             return Err(DprError::Storage("manifest decode: bad magic".into()));
         }
         let format = r.u16()?;
-        if !(1..=MANIFEST_FORMAT).contains(&format) {
+        if format != MANIFEST_FORMAT {
             return Err(DprError::Storage(format!(
                 "manifest decode: unknown format {format}"
             )));
         }
         let version = Version(r.u64()?);
         let until_address = r.u64()?;
-        let device_scan_base = r.u64()?;
         let snapshot_blob = match r.take(1)?[0] {
             0 => None,
             1 => {
@@ -217,17 +201,11 @@ impl CheckpointManifest {
             }
             commit_points.insert(session, CommitPoint { serial, exceptions });
         }
-        let (mut index_buckets, mut segments) = (0, Vec::new());
-        if format >= 2 {
-            index_buckets = r.u64()?;
-            if format == 2 {
-                index_buckets = 0;
-            }
-            let nsegs = r.u32()? as usize;
-            segments.reserve(nsegs.min(1024));
-            for _ in 0..nsegs {
-                segments.push((r.u64()?, r.u64()?, r.u64()?));
-            }
+        let index_buckets = r.u64()?;
+        let nsegs = r.u32()? as usize;
+        let mut segments = Vec::with_capacity(nsegs.min(1024));
+        for _ in 0..nsegs {
+            segments.push((r.u64()?, r.u64()?, r.u64()?));
         }
         Ok(CheckpointManifest {
             version,
@@ -235,7 +213,6 @@ impl CheckpointManifest {
             purged,
             commit_points,
             snapshot_blob,
-            device_scan_base,
             index_buckets,
             segments,
         })
@@ -297,7 +274,6 @@ mod tests {
                 },
             )]),
             snapshot_blob: None,
-            device_scan_base: 0,
             index_buckets: 1 << 10,
             segments: vec![(0, 0, v * 100)],
         }
@@ -343,42 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn format_one_blobs_decode_with_defaulted_fields() {
-        // A format-1 blob is a format-2 blob minus the appended fields;
-        // craft one by encoding with empty format-2 fields, truncating
-        // them (u64 index_buckets + u32 segment count = 12 bytes), and
-        // patching the format word back to 1.
-        let mut m = manifest(5);
-        m.index_buckets = 0;
-        m.segments = Vec::new();
-        let mut buf = Vec::new();
-        m.encode_into(&mut buf);
-        buf.truncate(buf.len() - 12);
-        buf[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let back = CheckpointManifest::decode(&buf).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn format_two_bucket_counts_decode_as_unknown_chains() {
-        // The parent build's blob: same layout, format word 2, and a count
-        // of low-hash-bit buckets where format 3 counts identities.
-        let m = manifest(5);
-        let mut buf = Vec::new();
-        m.encode_into(&mut buf);
-        buf[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let back = CheckpointManifest::decode(&buf).unwrap();
-        assert_eq!(back.index_buckets, 0);
-        assert_eq!(
-            back,
-            CheckpointManifest {
-                index_buckets: 0,
-                ..m
-            }
-        );
-    }
-
-    #[test]
     fn cut_short_corrupted_or_foreign_blobs_are_storage_errors() {
         let mut m = manifest(5);
         m.snapshot_blob = Some("snap-5".into());
@@ -397,6 +337,12 @@ mod tests {
             let mut bad = buf.clone();
             bad[at] ^= 0xFF;
             assert!(rejected(&bad) || at >= 6, "byte {at} flipped");
+        }
+        // The layouts older builds numbered 1 to 3, and a word from the future.
+        for word in [0u16, 1, 2, 3, MANIFEST_FORMAT + 1] {
+            let mut old = buf.clone();
+            old[4..6].copy_from_slice(&word.to_le_bytes());
+            assert!(rejected(&old), "format word {word}");
         }
         // The JSON text older builds wrote has no magic.
         let blobs = MemBlobStore::new();

@@ -293,38 +293,16 @@ impl FasterKv {
                     .iter()
                     .any(|&(lo, hi)| m.version > lo && m.version <= hi)
         };
-        // Where the durable log prefix sits on the device (older manifests
-        // carry a single linear base instead of the segment spans).
-        let spans = match manifest.as_ref() {
-            Some(m) if !m.segments.is_empty() => m.segments.clone(),
-            Some(m) => vec![(0, m.device_scan_base, until)],
-            None => vec![(0, 0, until)],
-        };
-        // The state to re-append into a fresh log, when the durable log
-        // cannot be adopted as it is.
-        let reappend = match manifest.as_ref() {
-            // Snapshot checkpoint: the full state image is the state; the
-            // log prefix (possibly garbage-collected) is dead.
-            Some(CheckpointManifest {
-                snapshot_blob: Some(snapshot),
-                ..
-            }) => Some(Self::read_snapshot(blobs.as_ref(), snapshot)?),
-            // Fold-over checkpoint of a build that chained records by other
-            // hash bits: its `prev` links do not connect the records of one
-            // of our chains, so only the records themselves are kept.
-            Some(m) if m.index_buckets == 0 && until > 0 => {
-                let old = RecordLog::recover(Arc::clone(&device), budget_bytes, until, &spans)?;
-                Some(Self::live_pairs(&old, &dead)?)
-            }
-            _ => None,
-        };
-        let (log, index, recovery_boundary) = match reappend {
-            Some(pairs) => {
-                // Future flushes land after the current device tail (the
-                // segment map records their real offsets).
+        let snapshot = manifest.as_ref().and_then(|m| m.snapshot_blob.as_ref());
+        let (log, index, recovery_boundary) = match snapshot {
+            Some(snapshot) => {
+                // Snapshot checkpoint: the full state image is the state; the
+                // log prefix (possibly garbage-collected) is dead. Re-append
+                // it into a fresh log, whose flushes land after the current
+                // device tail (the segment map records their real offsets).
                 let log = RecordLog::new(device, budget_bytes);
                 let index = HashIndex::new(Arc::clone(log.epoch()), identities);
-                for (key, value) in pairs {
+                for (key, value) in Self::read_snapshot(blobs.as_ref(), snapshot)? {
                     let guard = log.protect();
                     let prev = index.head(&guard, &key);
                     let addr = log.append(&key, &value, version, false, prev);
@@ -339,8 +317,10 @@ impl FasterKv {
                 // those chains, so a walk still passes every record of its
                 // own, while a smaller one would merge chains that no link
                 // joins. Hence never fewer than the manifest says.
-                let chained = manifest.as_ref().map_or(0, |m| m.index_buckets);
-                let log = RecordLog::recover(device, budget_bytes, until, &spans)?;
+                let (chained, spans) = manifest
+                    .as_ref()
+                    .map_or((0, &[][..]), |m| (m.index_buckets, &m.segments));
+                let log = RecordLog::recover(device, budget_bytes, until, spans)?;
                 let index = HashIndex::new(Arc::clone(log.epoch()), identities.max(chained));
                 Self::rebuild_index(&config, &index, &log, &dead)?;
                 (log, index, until)
@@ -1251,19 +1231,14 @@ impl FasterKv {
                     for (id, cp) in self.departed.lock().iter() {
                         points.entry(*id).or_insert_with(|| cp.clone());
                     }
-                    let segments = self.log.segment_spans_until(until);
                     let manifest = CheckpointManifest {
                         version: commit_version,
                         until_address: until,
                         purged: self.purged.read().clone(),
                         commit_points: points,
                         snapshot_blob,
-                        device_scan_base: segments
-                            .first()
-                            .map(|&(start, dev, _)| dev.saturating_sub(start))
-                            .unwrap_or(0),
                         index_buckets: self.index.identities(),
-                        segments,
+                        segments: self.log.segment_spans_until(until),
                     };
                     if manifest.write_to(self.blobs.as_ref()).is_ok() {
                         self.durable_version
@@ -1349,21 +1324,10 @@ impl FasterKv {
     /// or below `max_version` (snapshot checkpoints capture the state as of
     /// the committing version).
     pub fn scan_live_upto(&self, max_version: Version) -> Result<Vec<(Key, Value)>> {
-        Self::live_pairs(&self.log, &|addr, m| {
-            m.version > max_version || self.is_dead(addr, m)
-        })
-    }
-
-    /// The newest value per key among the records of `log` that `dead` does
-    /// not rule out, tombstoned keys left out. Relies on no chain.
-    fn live_pairs(
-        log: &RecordLog,
-        dead: &dyn Fn(u64, &RecordMeta) -> bool,
-    ) -> Result<Vec<(Key, Value)>> {
         let mut newest: HashMap<Key, (u64, Option<Value>)> = HashMap::new();
-        log.scan_range(0, log.tail(), &mut |rec| {
+        self.log.scan_range(0, self.log.tail(), &mut |rec| {
             let m = rec.meta();
-            if dead(rec.address(), &m) {
+            if m.version > max_version || self.is_dead(rec.address(), &m) {
                 return Ok(());
             }
             let value = if m.tombstone {

@@ -12,6 +12,7 @@
 //! uncommitted entry is itself uncommitted, and rolls back with it —
 //! exactly the dependency Example 2 relies on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use bytes::Bytes;

@@ -18,12 +18,12 @@
 //! * the **ownership table** mapping virtual partitions to workers, with
 //!   leases (§5.3).
 //!
-//! Tables are sharded into independently locked partitions (see
-//! [`partitioned`] for how cut atomicity and transactional batches survive
-//! that), mirroring the serializable ACID database the paper assumes;
-//! latency is charged *outside* the locks so concurrent callers model
-//! independent round trips to a remote database.
+//! The tables sit behind one lock (see [`partitioned`]), which is what makes
+//! them the serializable ACID database the paper assumes; latency is charged
+//! *outside* the lock so concurrent callers model independent round trips to
+//! a remote database.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod metrics;

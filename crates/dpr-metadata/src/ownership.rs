@@ -2,14 +2,13 @@
 //!
 //! It is unrealistic to track ownership per key, so keys map to *virtual
 //! partitions* (hash- or range-based, both supported per the paper) and the
-//! ownership table maps partitions to workers. Workers validate ownership
-//! against a local view and guard staleness with leases; transfers renounce
+//! ownership table maps partitions to workers. Workers validate each batch
+//! against the table and guard staleness with leases; transfers renounce
 //! first, leaving the partition briefly un-owned while clients retry.
 
 use dpr_core::{Clock, DprError, Key, Result, ShardId};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -86,22 +85,14 @@ pub struct OwnershipEntry {
 
 /// The ownership table, shared between workers and clients.
 ///
-/// Workers cache a local view; in this in-process reproduction the "cache"
-/// is the shared table itself, and lease checks model the staleness guard.
+/// In this in-process reproduction a worker's "local view" is the shared
+/// table itself, read once per batch ([`OwnershipTable::validate_all`]);
+/// lease checks model the staleness guard.
 pub struct OwnershipTable {
     partitioner: Partitioner,
     entries: RwLock<BTreeMap<VirtualPartition, OwnershipEntry>>,
     clock: Arc<dyn Clock>,
     lease: Duration,
-    /// Assignment epoch: bumped on every ownership *change* (assignment,
-    /// renounce, claim) but **not** on lease renewal. Worker-side caches
-    /// ([`dpr-cluster`'s `OwnershipLease`]) compare one atomic load against
-    /// their cached epoch to detect a stale view; the bump happens inside
-    /// the write-locked section, so a snapshot taken under the read lock is
-    /// always consistent with the epoch it reads.
-    ///
-    /// [`dpr-cluster`'s `OwnershipLease`]: OwnershipTable::snapshot
-    epoch: AtomicU64,
 }
 
 impl OwnershipTable {
@@ -112,7 +103,6 @@ impl OwnershipTable {
             entries: RwLock::new(BTreeMap::new()),
             clock,
             lease,
-            epoch: AtomicU64::new(0),
         }
     }
 
@@ -120,30 +110,6 @@ impl OwnershipTable {
     #[must_use]
     pub fn partitioner(&self) -> &Partitioner {
         &self.partitioner
-    }
-
-    /// The table's clock (shared with worker-side lease caches so lease
-    /// expiry is judged on the same timeline).
-    #[must_use]
-    pub fn clock(&self) -> Arc<dyn Clock> {
-        self.clock.clone()
-    }
-
-    /// Current assignment epoch (see the field docs). One relaxed-cost
-    /// atomic load — the per-operation staleness probe for cached views.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Consistent `(epoch, entries)` snapshot for worker-side lease caches.
-    /// Taken under the read lock, which excludes every epoch-bumping writer,
-    /// so the entries always correspond to the returned epoch.
-    #[must_use]
-    pub fn snapshot(&self) -> (u64, BTreeMap<VirtualPartition, OwnershipEntry>) {
-        let entries = self.entries.read();
-        let epoch = self.epoch.load(Ordering::Acquire);
-        (epoch, entries.clone())
     }
 
     /// Assign every partition round-robin across `workers` — the initial
@@ -161,8 +127,6 @@ impl OwnershipTable {
                 },
             );
         }
-        // Ownership changed: fence every cached view.
-        self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     /// The owner of `key`, if the partition is owned and the lease is live.
@@ -180,15 +144,28 @@ impl OwnershipTable {
         }
     }
 
-    /// Validate that `shard` owns `key` under a live lease — the check every
-    /// worker performs before executing an operation (§5.3).
+    /// Validate that `shard` owns `key` under a live lease (§5.3).
     pub fn validate(&self, shard: ShardId, key: &Key) -> bool {
-        let vp = self.partitioner.partition_of(key);
+        self.validate_all(shard, std::iter::once(key))
+    }
+
+    /// Validate that `shard` owns every one of `keys` under a live lease —
+    /// the check a worker performs before executing a batch (§5.3). One read
+    /// lock and one clock read for the batch, which is admitted whole or not
+    /// at all: a `renounce` or `claim` lands before it or after it, never
+    /// between two of its operations.
+    pub fn validate_all<'a>(
+        &self,
+        shard: ShardId,
+        keys: impl IntoIterator<Item = &'a Key>,
+    ) -> bool {
         let entries = self.entries.read();
-        match entries.get(&vp) {
-            Some(e) => e.owner == Some(shard) && e.lease_until_nanos >= self.clock.now_nanos(),
-            None => false,
-        }
+        let now = self.clock.now_nanos();
+        keys.into_iter().all(|key| {
+            entries
+                .get(&self.partitioner.partition_of(key))
+                .is_some_and(|e| e.owner == Some(shard) && e.lease_until_nanos >= now)
+        })
     }
 
     /// Renew the lease on every partition owned by `shard`.
@@ -215,11 +192,9 @@ impl OwnershipTable {
                 "{old_owner} does not own {vp:?}"
             )));
         }
+        // What fences the old owner: its next batch reads the table after
+        // this write and is refused.
         e.owner = None;
-        // The epoch bump is what fences the old owner's cached lease: its
-        // next validation sees the new epoch and refills before it can
-        // accept another operation for this partition.
-        self.epoch.fetch_add(1, Ordering::AcqRel);
         Ok(())
     }
 
@@ -235,7 +210,6 @@ impl OwnershipTable {
         }
         e.owner = Some(new_owner);
         e.lease_until_nanos = now + self.lease.as_nanos() as u64;
-        self.epoch.fetch_add(1, Ordering::AcqRel);
         Ok(())
     }
 
@@ -305,37 +279,67 @@ mod tests {
     fn validate_fails_after_lease_expiry_until_renewed() {
         let (t, clock) = table(4);
         t.assign_round_robin(&[ShardId(0)]);
-        let key = Key::from_u64(1);
-        assert!(t.validate(ShardId(0), &key));
+        let batch = [Key::from_u64(1), Key::from_u64(7)];
+        let valid = || {
+            (
+                t.validate(ShardId(0), &batch[0]),
+                t.validate_all(ShardId(0), &batch),
+            )
+        };
+        assert_eq!(valid(), (true, true));
         clock.advance(Duration::from_secs(11));
-        assert!(!t.validate(ShardId(0), &key), "lease expired");
+        assert_eq!(valid(), (false, false), "lease expired");
         t.renew_leases(ShardId(0));
-        assert!(t.validate(ShardId(0), &key));
+        assert_eq!(valid(), (true, true));
+    }
+
+    /// A key of partition `vp`.
+    fn key_in(t: &OwnershipTable, vp: u32) -> Key {
+        (0..1000u64)
+            .map(Key::from_u64)
+            .find(|k| t.partitioner().partition_of(k) == VirtualPartition(vp))
+            .expect("some key hashes to the partition")
     }
 
     #[test]
-    fn epoch_bumps_on_assignment_changes_but_not_renewal() {
-        let (t, clock) = table(4);
-        let e0 = t.epoch();
+    fn validate_all_agrees_with_validate_key_by_key() {
+        let (t, _) = table(16);
+        t.assign_round_robin(&[ShardId(0), ShardId(1)]);
+        let keys: Vec<Key> = (0..200u64).map(Key::from_u64).collect();
+        for shard in [ShardId(0), ShardId(1)] {
+            let (own, foreign): (Vec<&Key>, Vec<&Key>) =
+                keys.iter().partition(|k| t.owner_of(k).unwrap() == shard);
+            assert!(!own.is_empty() && !foreign.is_empty());
+            assert!(own.iter().all(|k| t.validate(shard, k)));
+            assert!(t.validate_all(shard, own.iter().copied()));
+            assert!(t.validate_all(shard, []), "an empty batch is admitted");
+            for k in foreign {
+                assert!(!t.validate(shard, k));
+                // One foreign key, wherever it sits, refuses the whole batch.
+                assert!(!t.validate_all(shard, own.iter().copied().chain([k])));
+                assert!(!t.validate_all(shard, [k].into_iter().chain(own.iter().copied())));
+            }
+        }
+    }
+
+    /// The migration fence: once `renounce` returns, the old owner's very
+    /// next batch is refused, and after `claim` only the new owner's passes.
+    #[test]
+    fn renounce_refuses_the_next_batch_and_claim_admits_the_new_owner_only() {
+        let (t, _) = table(4);
         t.assign_round_robin(&[ShardId(0)]);
-        let e1 = t.epoch();
-        assert!(e1 > e0, "assignment bumps the epoch");
-        clock.advance(Duration::from_secs(1));
-        t.renew_leases(ShardId(0));
-        assert_eq!(t.epoch(), e1, "renewal must NOT fence cached views");
+        let batch = [key_in(&t, 1), key_in(&t, 2), key_in(&t, 3)];
+        assert!(t.validate_all(ShardId(0), &batch));
         t.renounce(VirtualPartition(2), ShardId(0)).unwrap();
-        let e2 = t.epoch();
-        assert!(e2 > e1, "renounce fences the old owner");
+        assert!(!t.validate_all(ShardId(0), &batch), "un-owned mid-transfer");
+        assert!(!t.validate_all(ShardId(1), &batch[1..2]));
         t.claim(VirtualPartition(2), ShardId(1)).unwrap();
-        assert!(t.epoch() > e2, "claim fences again");
-        // Snapshot is consistent with its epoch.
-        let (epoch, entries) = t.snapshot();
-        assert_eq!(epoch, t.epoch());
-        assert_eq!(
-            entries[&VirtualPartition(2)].owner,
-            Some(ShardId(1)),
-            "snapshot reflects the post-claim assignment"
+        assert!(t.validate_all(ShardId(1), &batch[1..2]));
+        assert!(
+            !t.validate_all(ShardId(0), &batch),
+            "old owner still fenced"
         );
+        assert!(t.validate_all(ShardId(0), [&batch[0], &batch[2]]));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! * `Restore()` is implemented by restarting the instance from a snapshot
 //!   (§6: "Restore() is implemented by restarting the Redis instance").
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod command;

@@ -20,6 +20,7 @@
 //! discards everything beyond the durable frontier — exactly what power loss
 //! does to a buffered device.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blob;

@@ -11,7 +11,8 @@ const PAGE_SIZE: usize = 1 << 20;
 
 /// An in-memory [`LogDevice`].
 ///
-/// Data lives in 1 MiB pages; `flush` charges the configured
+/// Data lives in 1 MiB pages, each behind its own lock (`append` holds it
+/// exclusively for its copy, `read` shares it); `flush` charges the configured
 /// [`LatencyModel`] for the dirty span and advances the durable frontier;
 /// [`MemLogDevice::crash`] discards the volatile suffix, modeling power loss
 /// on a buffered device.
@@ -26,7 +27,8 @@ const PAGE_SIZE: usize = 1 << 20;
 /// assert_eq!(dev.crash(), 7, "restart at the durable frontier");
 /// ```
 pub struct MemLogDevice {
-    pages: RwLock<Vec<Box<[u8; PAGE_SIZE]>>>,
+    /// The outer lock covers only the vector's growth.
+    pages: RwLock<Vec<RwLock<Box<[u8]>>>>,
     tail: AtomicU64,
     durable: AtomicU64,
     truncated: AtomicU64,
@@ -83,13 +85,7 @@ impl MemLogDevice {
         }
         let mut pages = self.pages.write();
         while pages.len() < need {
-            // Zeroed on the heap; `Box::new([0u8; PAGE_SIZE])` builds the
-            // megabyte on the stack first in unoptimised builds.
-            let page: Box<[u8; PAGE_SIZE]> = vec![0u8; PAGE_SIZE]
-                .into_boxed_slice()
-                .try_into()
-                .expect("a PAGE_SIZE vector");
-            pages.push(page);
+            pages.push(RwLock::new(vec![0u8; PAGE_SIZE].into_boxed_slice()));
         }
     }
 }
@@ -106,14 +102,7 @@ impl LogDevice for MemLogDevice {
             let page = off / PAGE_SIZE;
             let in_page = off % PAGE_SIZE;
             let n = rest.len().min(PAGE_SIZE - in_page);
-            // SAFETY: each append owns a disjoint `[addr, end)` range
-            // reserved by the `fetch_add` above, so concurrent appends never
-            // alias; `ensure_pages(end)` allocated every page of it, and
-            // `in_page + n <= PAGE_SIZE`.
-            unsafe {
-                let dst = pages[page].as_ptr() as *mut u8;
-                std::ptr::copy_nonoverlapping(rest.as_ptr(), dst.add(in_page), n);
-            }
+            pages[page].write()[in_page..in_page + n].copy_from_slice(&rest[..n]);
             off += n;
             rest = &rest[n..];
         }
@@ -136,7 +125,7 @@ impl LogDevice for MemLogDevice {
             let page = off / PAGE_SIZE;
             let in_page = off % PAGE_SIZE;
             let n = (avail - done).min(PAGE_SIZE - in_page);
-            buf[done..done + n].copy_from_slice(&pages[page][in_page..in_page + n]);
+            buf[done..done + n].copy_from_slice(&pages[page].read()[in_page..in_page + n]);
             off += n;
             done += n;
         }
@@ -258,5 +247,33 @@ mod tests {
             }
         }
         assert_eq!(dev.tail(), 8 * 200 * 64);
+    }
+
+    /// Below an address `append` has returned a reader sees the whole
+    /// record, while other records are being copied into the same page.
+    #[test]
+    fn a_reader_racing_appenders_on_one_page_sees_whole_records() {
+        const RECORDS: usize = 1000;
+        let dev = MemLogDevice::null();
+        let (returned, appended) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            for t in 1..=4u8 {
+                let (dev, returned) = (&dev, returned.clone());
+                s.spawn(move || {
+                    for _ in 0..RECORDS {
+                        let addr = dev.append(&[t; 64]).unwrap();
+                        returned.send((t, addr)).unwrap();
+                    }
+                });
+            }
+            drop(returned);
+            for (t, addr) in appended {
+                let mut buf = [0u8; 64];
+                read_exact(&dev, addr, &mut buf).unwrap();
+                assert!(buf.iter().all(|&b| b == t), "record torn at {addr}");
+            }
+        });
+        assert_eq!(dev.tail() as usize, 4 * RECORDS * 64);
+        assert!(dev.tail() as usize <= PAGE_SIZE, "one page");
     }
 }

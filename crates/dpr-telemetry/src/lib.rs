@@ -47,6 +47,7 @@
 //! The full catalog of metrics the workspace registers, with units and
 //! paper cross-references, lives in `docs/OBSERVABILITY.md`.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod metric;

@@ -5,6 +5,7 @@
 //! algorithm, as in the YCSB core generators), read/blind-update mixes
 //! (`R:BU` in the paper's notation), and latency/throughput recorders.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod stats;

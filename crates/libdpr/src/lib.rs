@@ -19,6 +19,7 @@
 //!   approximate (min persisted version with `Vmax` fast-forward), and the
 //!   hybrid of both.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

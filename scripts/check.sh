@@ -2,10 +2,10 @@
 # Pre-PR gate: everything a change must pass before it ships.
 #
 #   scripts/check.sh --quick   build + tier-1 tests only (fast inner loop)
-#   scripts/check.sh           the full gate: workspace tests, manifest
-#                              and unsafe-comment lints, docs, chaos and
-#                              figures smokes, and the benchmark's schema
-#                              smoke
+#   scripts/check.sh           the full gate: workspace tests, manifest,
+#                              forbid-unsafe and unsafe-comment lints, docs,
+#                              chaos and figures smokes, and the benchmark's
+#                              schema smoke
 #
 # Fully offline — dependencies are vendored as stubs under third_party/
 # (see third_party/README.md), so no registry or network access is needed.
@@ -62,6 +62,19 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     done
 done
 [[ "$unused" == 0 ]] || exit 1
+
+# The compiler confines `unsafe` to dpr-faster: every other library crate,
+# and the facade, forbids it. (Integration tests and the allocation-probe
+# binaries are crates of their own and keep their `GlobalAlloc` impls.)
+echo
+echo "==> #![forbid(unsafe_code)] in every lib.rs but dpr-faster's"
+for lib in src/lib.rs crates/*/src/lib.rs; do
+    if [[ "$lib" != crates/dpr-faster/src/lib.rs ]] &&
+        ! grep -q '^#!\[forbid(unsafe_code)\]' "$lib"; then
+        echo "$lib does not forbid unsafe code" >&2
+        exit 1
+    fi
+done
 
 # One figure harness, steered by flags: no environment knobs in dpr-bench.
 echo

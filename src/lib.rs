@@ -54,6 +54,8 @@
 //! | [`ycsb`] | workload generation and measurement |
 //! | [`telemetry`] | metrics/span layer (see `docs/OBSERVABILITY.md`) |
 
+#![forbid(unsafe_code)]
+
 pub use dpr_cassandra as cassandra;
 pub use dpr_core as core;
 pub use dpr_faster as faster;
