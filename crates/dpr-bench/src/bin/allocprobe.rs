@@ -83,6 +83,7 @@ fn run_case(cluster: &Cluster, write: bool, rounds: u64) -> f64 {
                 version_lower_bound: dpr_core::Version(1),
                 deps: Vec::new(),
                 first_serial: serial,
+                acked_below: serial,
                 op_count: BATCH as u32,
             };
             serial += BATCH;

@@ -37,6 +37,14 @@ pub struct SessionStats {
 
 type WorkerEndpoints = Arc<parking_lot::RwLock<HashMap<ShardId, EndpointId>>>;
 
+/// The ops of one [`SessionHandle::issue`] call bound for one shard, and
+/// where in the call each came from.
+struct Group {
+    shard: ShardId,
+    ops: Vec<ClusterOp>,
+    positions: Vec<usize>,
+}
+
 /// The bus as a [`Link`]: this session's endpoint and inbox, and where each
 /// shard's worker (or the proxy in front of it) listens. There is no
 /// handshake: the endpoint is the connection.
@@ -83,6 +91,10 @@ pub struct SessionHandle {
     completed_ops: u64,
     /// Results of completed ops not yet taken, by serial.
     last_results: Vec<(u64, OpResult)>,
+    /// Buffers of `issue` and of the co-located call, kept between calls:
+    /// one group per shard seen so far (a handful), and a batch's results.
+    groups: Vec<Group>,
+    local_results: Vec<OpResult>,
 }
 
 impl SessionHandle {
@@ -110,6 +122,8 @@ impl SessionHandle {
             local,
             completed_ops: 0,
             last_results: Vec::new(),
+            groups: Vec::new(),
+            local_results: Vec::new(),
         }
     }
 
@@ -150,24 +164,60 @@ impl SessionHandle {
     /// Returns the serial number assigned to each input op (grouping means
     /// serials are not in input order).
     pub fn issue(&mut self, ops: Vec<ClusterOp>) -> Result<Vec<u64>> {
+        let Some(first) = ops.first() else {
+            return Ok(Vec::new());
+        };
+        let shard = self.resolve_owner(first.key())?;
+        let mut mixed_from = ops.len();
+        for (idx, op) in ops.iter().enumerate().skip(1) {
+            if self.resolve_owner(op.key())? != shard {
+                mixed_from = idx;
+                break;
+            }
+        }
+        if mixed_from == ops.len() {
+            // One owner (a co-located session's every batch): the batch is
+            // the caller's vector, as it stands.
+            let first_serial = self.core.session().issued();
+            self.dispatch(shard, None, &ops)?;
+            return Ok((first_serial..first_serial + ops.len() as u64).collect());
+        }
         // Group ops by owner, preserving intra-shard order and remembering
         // where each op came from.
         let mut serials = vec![0u64; ops.len()];
-        let mut groups: HashMap<ShardId, (Vec<ClusterOp>, Vec<usize>)> = HashMap::new();
+        let mut groups = std::mem::take(&mut self.groups);
         for (idx, op) in ops.into_iter().enumerate() {
-            let shard = self.resolve_owner(op.key())?;
-            let entry = groups.entry(shard).or_default();
-            entry.0.push(op);
-            entry.1.push(idx);
+            let owner = if idx < mixed_from {
+                shard
+            } else {
+                self.resolve_owner(op.key())?
+            };
+            let at = groups.iter().position(|g| g.shard == owner);
+            let at = at.unwrap_or_else(|| {
+                groups.push(Group {
+                    shard: owner,
+                    ops: Vec::new(),
+                    positions: Vec::new(),
+                });
+                groups.len() - 1
+            });
+            groups[at].ops.push(op);
+            groups[at].positions.push(idx);
         }
-        for (shard, (group, indices)) in groups {
-            let first_serial = self.core.session().issued();
-            for (pos, idx) in indices.into_iter().enumerate() {
-                serials[idx] = first_serial + pos as u64;
+        let mut sent = Ok(());
+        for group in &mut groups {
+            if sent.is_ok() && !group.ops.is_empty() {
+                let first_serial = self.core.session().issued();
+                for (pos, &idx) in group.positions.iter().enumerate() {
+                    serials[idx] = first_serial + pos as u64;
+                }
+                sent = self.dispatch(group.shard, None, &group.ops);
             }
-            self.dispatch(shard, None, &group)?;
+            group.ops.clear();
+            group.positions.clear();
         }
-        Ok(serials)
+        self.groups = groups;
+        sent.map(|()| serials)
     }
 
     /// Send `ops` to `shard` as one batch: a fresh one, or with `rebatch` a
@@ -182,13 +232,14 @@ impl SessionHandle {
             Some(serial) => session.rebatch_header(shard, serial, ops.len() as u32),
             None => session.begin_batch(shard, ops.len() as u32)?,
         };
-        let mut results = Vec::with_capacity(ops.len());
-        match local.execute_local_into(&header, ops, &mut results) {
+        let results = &mut self.local_results;
+        results.clear();
+        match local.execute_local_into(&header, ops, results) {
             Ok(reply) => {
                 session.process_reply(&reply)?;
                 self.completed_ops += u64::from(reply.op_count);
                 let serials = header.first_serial..;
-                self.last_results.extend(serials.zip(results));
+                self.last_results.extend(serials.zip(results.drain(..)));
                 Ok(())
             }
             Err(e) => {

@@ -64,10 +64,11 @@ pub struct ClusterConfig {
     /// speed throughput-relevant via append backpressure (§7.2's
     /// "thrashing" regime). `None` = unbounded.
     pub unflushed_limit_records: Option<u64>,
-    /// Per-worker duplicate-suppression window for retransmitted batches
-    /// (see [`crate::worker::WorkerConfig::dedupe_window`]); `0` disables
-    /// it. The chaos harness enables it so client retransmission over
-    /// lossy links stays exactly-once.
+    /// The most unacknowledged batches each worker remembers, over all
+    /// sessions, so that a retransmitted batch is answered again and not
+    /// executed again (see [`crate::worker::WorkerConfig::dedupe_window`]);
+    /// `0` disables it. Set it wherever clients retransmit: the chaos
+    /// harness does, so that loss on a link stays exactly-once.
     pub dedupe_window: usize,
 }
 

@@ -22,6 +22,7 @@
 
 pub mod client;
 pub mod cluster;
+mod dedupe;
 pub mod dfaster;
 pub mod dredis;
 pub mod lease;

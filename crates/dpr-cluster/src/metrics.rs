@@ -113,6 +113,37 @@ metric_fn!(
 );
 
 metric_fn!(
+    /// Batches the workers' reply caches remember: admitted, and not yet
+    /// acknowledged by their session. Each cache moves it when its own count
+    /// crosses a multiple of 16, so a request in steady state touches no
+    /// shared counter for it.
+    pub(crate) fn dedupe_entries() -> Gauge =
+        ("dpr_cluster_dedupe_entries", Count,
+         "Unacknowledged batches held in worker reply caches (moves in steps of 16 per worker)")
+);
+
+metric_fn!(
+    /// Duplicate deliveries answered from a reply cache instead of executed.
+    pub(crate) fn dedupe_replays() -> Counter =
+        ("dpr_cluster_dedupe_replays_total", Count,
+         "Retransmitted batches answered from a worker reply cache")
+);
+
+metric_fn!(
+    /// Sessions a reply cache forgot whole to stay within `dedupe_window`.
+    pub(crate) fn dedupe_sessions_evicted() -> Counter =
+        ("dpr_cluster_dedupe_sessions_evicted_total", Count,
+         "Least recently heard sessions dropped from a full worker reply cache")
+);
+
+metric_fn!(
+    /// Batches refused because their session alone filled the window.
+    pub(crate) fn dedupe_refused() -> Counter =
+        ("dpr_cluster_dedupe_refused_total", Count,
+         "Batches refused (retryable) because their session alone fills dedupe_window")
+);
+
+metric_fn!(
     /// Cluster recoveries completed (§4.1).
     pub(crate) fn recoveries() -> Counter =
         ("dpr_cluster_recoveries_total", Count,

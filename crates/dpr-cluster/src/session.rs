@@ -4,7 +4,9 @@
 //! stamps and encodes batches ([`crate::wire`]), keeps every unanswered one
 //! in an in-flight table keyed by the frame's `seq` (the record *is* the
 //! encoded frame, so a retransmission rewrites the identical bytes), matches
-//! answers to it, feeds replies to the session and discards duplicates.
+//! answers to it, feeds replies to the session and discards duplicates. Each
+//! batch carries the acknowledgement the server's reply cache is emptied by:
+//! the lowest first serial in that table (`docs/NETWORK.md` §6).
 //! What differs between a socket and the simulated bus is how bytes move,
 //! the link's two methods: over [`crate::tcp::TcpLink`] this is the client
 //! the benchmark's TCP workloads drive, over the bus link it is the inside
@@ -18,7 +20,8 @@ use crate::message::{ClusterOp, OpResult};
 use crate::wire::{self, CutResponse, FrameKind, FrameReader, ProtoError, ProtoErrorCode};
 use dpr_core::{DprError, Result, ShardId, Version, WorldLine};
 use libdpr::{BatchHeader, BatchReply, DprClientSession, SessionStatus};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::time::{Duration, Instant};
 
 /// Encoded-request buffers a core keeps for reuse once their batch completes.
@@ -81,6 +84,10 @@ pub struct PipelinedClient<L = crate::tcp::TcpLink> {
     inflight: HashMap<u64, InflightBatch>,
     /// Sum of `op_count` over `inflight`.
     inflight_ops: u64,
+    /// `(first_serial, seq)` of every batch issued, lowest serial on top; an
+    /// answered batch's pair stays until it surfaces or the heap is swept
+    /// (see [`PipelinedClient::lowest_unanswered`]).
+    by_serial: BinaryHeap<Reverse<(u64, u64)>>,
     /// Recycled encode buffers from completed batches.
     spare: Vec<Vec<u8>>,
     /// Reused header for issuing (deps vector rebuilt in place).
@@ -100,6 +107,7 @@ impl<L: Link> PipelinedClient<L> {
             next_seq: 1,
             inflight: HashMap::new(),
             inflight_ops: 0,
+            by_serial: BinaryHeap::new(),
             spare: Vec::new(),
             results_scratch: Vec::new(),
         }
@@ -137,6 +145,19 @@ impl<L: Link> PipelinedClient<L> {
         }
     }
 
+    /// The lowest first serial in the in-flight table, found without a scan
+    /// of it: pairs of answered batches are popped off the heap as they
+    /// surface, one or two an issue in steady state.
+    fn lowest_unanswered(&mut self) -> Option<u64> {
+        while let Some(&Reverse((serial, seq))) = self.by_serial.peek() {
+            if self.inflight.contains_key(&seq) {
+                return Some(serial);
+            }
+            self.by_serial.pop();
+        }
+        None
+    }
+
     /// Issue one batch without waiting; returns its wire sequence number.
     ///
     /// The ops are encoded straight into a recycled buffer (kept as the
@@ -166,14 +187,19 @@ impl<L: Link> PipelinedClient<L> {
                 .begin_batch_into(shard, op_count, &mut self.header_scratch)?,
         }
         let seq = self.take_seq();
-        let header = &self.header_scratch;
+        // The minimum over the table with this batch in it, taken anew at
+        // every issue: a re-routed batch comes back under its old serial and
+        // pulls the acknowledgement down again.
+        let first_serial = self.header_scratch.first_serial;
+        let lowest = self.lowest_unanswered();
+        self.header_scratch.acked_below = lowest.map_or(first_serial, |s| s.min(first_serial));
         let mut bytes = self.spare.pop().unwrap_or_default();
-        wire::encode_request(&mut bytes, shard, seq, header, ops);
+        wire::encode_request(&mut bytes, shard, seq, &self.header_scratch, ops);
         let now = Instant::now();
         let record = InflightBatch {
             bytes,
             shard,
-            first_serial: header.first_serial,
+            first_serial,
             op_count,
             issued_at: now,
             sent_at: now,
@@ -183,6 +209,15 @@ impl<L: Link> PipelinedClient<L> {
         let sent = self.link.send(&record.bytes);
         self.inflight_ops += u64::from(op_count);
         self.inflight.insert(seq, record);
+        self.by_serial.push(Reverse((first_serial, seq)));
+        if self.by_serial.len() > 2 * self.inflight.len() + 64 {
+            // One batch stuck below a stream of answered ones, whose pairs
+            // therefore never surface: sweep them, at a cost per issue that
+            // stays constant.
+            let inflight = &self.inflight;
+            self.by_serial
+                .retain(|&Reverse((_, seq))| inflight.contains_key(&seq));
+        }
         sent.map(|()| seq)
     }
 
@@ -375,6 +410,7 @@ impl<L: Link> PipelinedClient<L> {
     pub(crate) fn abandon_inflight(&mut self) {
         self.inflight.clear();
         self.inflight_ops = 0;
+        self.by_serial.clear();
     }
 
     /// Carry on over a fresh link: unparsed bytes of the old one are dropped
@@ -493,5 +529,112 @@ mod tests {
         assert_eq!(poll(&mut core).unwrap(), []);
         // The batch never answered is still the stall scan's to resend.
         assert_eq!(core.retransmit_stalled(Duration::ZERO).unwrap(), 1);
+    }
+
+    /// `acked_below` as each issued frame carries it, against a model of the
+    /// in-flight table, over seeded schedules of loss, reordered and repeated
+    /// answers, `NotOwner` re-routes and `taken` batches: it is the lowest
+    /// first serial in flight at that issue, the issued batch included, so
+    /// never above an unanswered batch, and it comes back down when a batch
+    /// re-enters under its old serial.
+    #[test]
+    fn acked_below_is_the_lowest_unanswered_serial_at_every_issue() {
+        const OTHER: ShardId = ShardId(4);
+        let one = [ClusterOp::Incr(Key::from_u64(1))];
+        let op = &one[0];
+        // Issue (fresh, or under `rebatch`) and check the frame just sent.
+        fn issue(
+            core: &mut Core,
+            model: &mut Vec<(u64, u64, u32, ShardId)>,
+            shard: ShardId,
+            rebatch: Option<u64>,
+            ops: &[ClusterOp],
+        ) {
+            let seq = core.issue_as(shard, rebatch, ops).unwrap();
+            let frame = core.link.sent.last().unwrap();
+            let body = bytes::Bytes::copy_from_slice(&frame[wire::FRAME_HEADER_LEN..]);
+            let mut header = core.session().rebatch_header(shard, 0, 0);
+            wire::decode_request_body_into(&body, &mut Vec::new(), &mut header).unwrap();
+            model.push((seq, header.first_serial, header.op_count, shard));
+            let lowest = model.iter().map(|b| b.1).min().unwrap();
+            assert_eq!(header.acked_below, lowest, "seq {seq}, in flight {model:?}");
+            assert_eq!(core.inflight(), model.len());
+            assert_eq!(rebatch.unwrap_or(header.first_serial), header.first_serial);
+        }
+        for seed in 1..=20u64 {
+            let mut core = Core::new(DprClientSession::new(SessionId(seed)), Scripted::default());
+            let mut model: Vec<(u64, u64, u32, ShardId)> = Vec::new();
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut draw = |n: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % n as u64) as usize
+            };
+            for _ in 0..600 {
+                let pick = draw(model.len().max(1));
+                match draw(10) {
+                    0..=3 => {
+                        let ops = vec![op.clone(); 1 + draw(3)];
+                        let shard = [SHARD, OTHER][draw(2)];
+                        issue(&mut core, &mut model, shard, None, &ops);
+                    }
+                    // Answered, in any order; some answers arrive twice.
+                    4..=5 if !model.is_empty() => {
+                        let (seq, first_serial, op_count, shard) = model.swap_remove(pick);
+                        let reply = BatchReply {
+                            shard,
+                            world_line: WorldLine(0),
+                            version: Version(1),
+                            first_serial,
+                            op_count,
+                        };
+                        let results = vec![OpResult::Done; op_count as usize];
+                        for _ in 0..1 + draw(2) {
+                            let outcome = Ok((&reply, &results[..]));
+                            wire::encode_response(&mut core.link.arriving, shard.0, seq, outcome);
+                        }
+                        assert_eq!(poll(&mut core).unwrap(), [(seq, true)]);
+                    }
+                    // Bounced (§5.3): re-routed op by op under the old
+                    // serials, maybe after a fresh batch has gone out.
+                    6 if !model.is_empty() => {
+                        let (seq, first_serial, op_count, shard) = model.swap_remove(pick);
+                        let bounced = DprError::NotOwner { shard };
+                        wire::encode_response(&mut core.link.arriving, shard.0, seq, Err(&bounced));
+                        assert_eq!(poll(&mut core).unwrap(), [(seq, false)]);
+                        if draw(2) == 0 {
+                            issue(&mut core, &mut model, shard, None, &one);
+                        }
+                        for serial in first_serial..first_serial + u64::from(op_count) {
+                            issue(&mut core, &mut model, OTHER, Some(serial), &one);
+                        }
+                    }
+                    // Its worker left: taken out of the table, sent elsewhere.
+                    7 => {
+                        let gone = [SHARD, OTHER][draw(2)];
+                        let (_, taken) = core
+                            .retransmit_stalled_unless(Duration::ZERO, |s| s == gone)
+                            .unwrap();
+                        let (left, stay): (Vec<_>, Vec<_>) =
+                            model.iter().partition(|b| b.3 == gone);
+                        assert_eq!(taken.len(), left.len());
+                        model = stay;
+                        let to = if gone == SHARD { OTHER } else { SHARD };
+                        for (_, first_serial, op_count, _) in left {
+                            let ops = vec![op.clone(); op_count as usize];
+                            issue(&mut core, &mut model, to, Some(first_serial), &ops);
+                        }
+                    }
+                    // Lost: nothing arrives, and the stall scan resends.
+                    _ => {
+                        core.retransmit_stalled(Duration::ZERO).unwrap();
+                        assert_eq!(poll(&mut core).unwrap(), []);
+                    }
+                }
+            }
+            // The heap of issued pairs stays within a constant of the table.
+            assert!(core.by_serial.len() <= 2 * model.len() + 65);
+        }
     }
 }

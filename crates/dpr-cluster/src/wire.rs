@@ -42,7 +42,7 @@ pub const MAGIC: [u8; 4] = *b"DPR1";
 
 /// Protocol version carried in byte 4 of the header. Peers MUST reject
 /// frames with any other value (see [`ProtoErrorCode::UnsupportedVersion`]).
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Fixed frame-header length in bytes.
 pub const FRAME_HEADER_LEN: usize = 24;
@@ -510,6 +510,7 @@ fn put_header(out: &mut Vec<u8>, h: &BatchHeader) {
     put_u64(out, h.world_line.0);
     put_u64(out, h.version_lower_bound.0);
     put_u64(out, h.first_serial);
+    put_u64(out, h.acked_below);
     put_u32(out, h.op_count);
     put_u32(out, h.deps.len() as u32);
     for t in &h.deps {
@@ -524,6 +525,14 @@ fn get_header_into(c: &mut Cursor<'_>, h: &mut BatchHeader) -> Result<()> {
     h.world_line = WorldLine(c.u64()?);
     h.version_lower_bound = Version(c.u64()?);
     h.first_serial = c.u64()?;
+    h.acked_below = c.u64()?;
+    if h.acked_below > h.first_serial {
+        // The batch that carries it is itself unanswered.
+        return Err(DprError::Invalid(format!(
+            "acknowledgement {} above the batch's first serial {}",
+            h.acked_below, h.first_serial
+        )));
+    }
     h.op_count = c.u32()?;
     let ndeps = c.u32()? as usize;
     if ndeps > MAX_DEPS {
@@ -957,6 +966,7 @@ mod tests {
             version_lower_bound: Version(40),
             deps: vec![Token::new(ShardId(1), Version(39))],
             first_serial: 1000,
+            acked_below: 992,
             op_count: 1,
         };
         let ops = [ClusterOp::Upsert(Key::from_u64(2), Value::from_u64(9))];

@@ -1,6 +1,7 @@
 //! Shard workers: batch execution + libDPR server hooks + background
 //! checkpointing, commit pumping, and recovery participation.
 
+use crate::dedupe::{Admit, ReplyCache};
 use crate::lease::CutLease;
 use crate::message::{ClusterOp, OpResult};
 use crate::transport::{BusFrame, EndpointId, SimNetwork};
@@ -108,11 +109,15 @@ pub struct WorkerConfig {
     pub validate_ownership: bool,
     /// Fast-forward lagging checkpoints to the cluster `Vmax` (§3.4).
     pub fast_forward: bool,
-    /// Remember the replies of the last `dedupe_window` remote batches
-    /// per worker and replay them on duplicate delivery instead of
-    /// re-executing, keeping non-idempotent ops exactly-once when clients
-    /// retransmit over lossy links. `0` (the default) disables the cache;
-    /// the chaos harness enables it alongside client retransmission.
+    /// The most batches, over all sessions, whose replies this worker
+    /// remembers so that a retransmitted batch is answered again and not
+    /// executed again. A reply is remembered until its session acknowledges
+    /// it (`BatchHeader::acked_below`), so a live session needs room for
+    /// what it has unanswered and no more; at the bound the session heard
+    /// from least recently is forgotten whole, and a session that fills it
+    /// alone is refused until it acknowledges (`docs/NETWORK.md` §6). `0`
+    /// (the default) disables the cache; turn it on wherever clients
+    /// retransmit.
     pub dedupe_window: usize,
 }
 
@@ -129,76 +134,6 @@ impl Default for WorkerConfig {
         }
     }
 }
-
-/// State of one remembered batch in the duplicate-suppression cache.
-enum DedupeEntry {
-    /// The first copy is still executing; a duplicate is answered
-    /// `Error(DuplicateInFlight)` and the client retries.
-    Executing,
-    /// Completed; replay this reply on duplicate delivery.
-    Done(BatchReply, Vec<OpResult>),
-}
-
-/// Bounded cache of recent batch replies, keyed by the client-unique
-/// `(session, first_serial)` pair. `order` runs from the entry nobody has
-/// asked about for longest to the most recently inserted or hit one.
-#[derive(Default)]
-struct DedupeCache {
-    entries: std::collections::HashMap<(SessionId, u64), DedupeEntry>,
-    order: std::collections::VecDeque<(SessionId, u64)>,
-    /// Result buffers reclaimed from evicted `Done` entries; recording a
-    /// fresh outcome reuses one, so a full window caches replies without
-    /// a per-batch allocation.
-    spare: Vec<Vec<OpResult>>,
-}
-
-impl DedupeCache {
-    /// See [`Worker::dedupe_check`]. A fresh key is inserted as `Executing`
-    /// and the entries beyond `window` age out from the front of `order`.
-    /// A duplicate moves its entry to the back, so a batch whose client is
-    /// still retransmitting it stays cached while the session's other slots
-    /// keep inserting; only entries nobody has asked about for a whole
-    /// window age out (the bound that remains: `docs/NETWORK.md` §6).
-    #[allow(clippy::option_option)]
-    fn check(
-        &mut self,
-        key: (SessionId, u64),
-        window: usize,
-    ) -> Option<Option<(BatchReply, Vec<OpResult>)>> {
-        let Some(entry) = self.entries.get(&key) else {
-            self.entries.insert(key, DedupeEntry::Executing);
-            self.order.push_back(key);
-            while self.order.len() > window {
-                if let Some(old) = self.order.pop_front() {
-                    if let Some(DedupeEntry::Done(_, buf)) = self.entries.remove(&old) {
-                        if self.spare.len() < DEDUPE_SPARE_BUFFERS {
-                            self.spare.push(buf);
-                        }
-                    }
-                }
-            }
-            return None;
-        };
-        let replay = match entry {
-            DedupeEntry::Executing => None,
-            DedupeEntry::Done(reply, results) => Some((reply.clone(), results.clone())),
-        };
-        if let Some(at) = self.order.iter().position(|k| k == &key) {
-            self.order.remove(at);
-            self.order.push_back(key);
-        }
-        Some(replay)
-    }
-}
-
-/// Cap on recycled result buffers per dedupe stripe.
-const DEDUPE_SPARE_BUFFERS: usize = 32;
-
-/// One cache-padded dedupe stripe. The cache is sharded by session so
-/// concurrent sessions on different I/O threads stop serialising on one
-/// global lock (§6's "implemented scalably", applied to session state).
-#[repr(align(128))]
-struct DedupeStripe(parking_lot::Mutex<DedupeCache>);
 
 /// Decode and execute buffers of the request path, one per serving thread
 /// (a socket I/O thread or a bus executor) and reused across frames, so a
@@ -223,6 +158,7 @@ impl RequestScratch {
                 version_lower_bound: Version::ZERO,
                 deps: Vec::new(),
                 first_serial: 0,
+                acked_below: 0,
                 op_count: 0,
             },
         }
@@ -249,14 +185,11 @@ pub struct Worker {
     shutdown: AtomicBool,
     /// Operations executed (all sessions) — worker-side throughput counter.
     executed_ops: AtomicU64,
-    /// Duplicate suppression for retransmitted remote batches, striped by
-    /// session (volatile: a crash-restart clears it, which is safe because
-    /// the rolled-back world-line forces clients to rebuild their sessions
-    /// anyway).
-    dedupe: Box<[DedupeStripe]>,
-    /// Window per dedupe stripe (`config.dedupe_window` split across the
-    /// stripes).
-    dedupe_stripe_window: usize,
+    /// Duplicate suppression for retransmitted remote batches; `None` at a
+    /// `dedupe_window` of 0 (volatile: a crash-restart clears it, which is
+    /// safe because the rolled-back world-line forces clients to rebuild
+    /// their sessions anyway).
+    dedupe: Option<ReplyCache>,
     /// TTL + world-line-fenced `(world_line, cut)` cache served to `CutReq`
     /// frames, so commit polling from many clients does not clone the cut
     /// out of the metadata store per request. Staleness is bounded by
@@ -284,12 +217,7 @@ impl Worker {
     ) -> Result<Arc<Worker>> {
         let (endpoint, inbox) = net.register();
         meta.register_worker(shard)?;
-        let stripes = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .next_power_of_two()
-            .min(16);
-        let dedupe_stripe_window = config.dedupe_window.div_ceil(stripes).max(1);
+        let dedupe = (config.dedupe_window > 0).then(|| ReplyCache::new(config.dedupe_window));
         let worker = Arc::new(Worker {
             shard,
             store,
@@ -302,10 +230,7 @@ impl Worker {
             config,
             shutdown: AtomicBool::new(false),
             executed_ops: AtomicU64::new(0),
-            dedupe: (0..stripes)
-                .map(|_| DedupeStripe(parking_lot::Mutex::new(DedupeCache::default())))
-                .collect(),
-            dedupe_stripe_window,
+            dedupe,
             cut_lease: CutLease::new(CUT_CACHE_TTL),
         });
         for i in 0..worker.config.executors.max(1) {
@@ -418,19 +343,9 @@ impl Worker {
     /// (chaos harness, via [`crate::Cluster::inject_failure_at`]): durable
     /// state survives, the duplicate-suppression cache does not.
     pub fn simulate_crash_restart(&self) {
-        for stripe in &self.dedupe {
-            let mut cache = stripe.0.lock();
-            cache.entries.clear();
-            cache.order.clear();
+        if let Some(cache) = &self.dedupe {
+            cache.clear();
         }
-    }
-
-    /// The dedupe stripe owning `session` (sessions map to stripes by a
-    /// SplitMix-style hash so consecutive ids spread out).
-    fn dedupe_stripe(&self, session: SessionId) -> &parking_lot::Mutex<DedupeCache> {
-        let mut h = session.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        &self.dedupe[(h as usize) % self.dedupe.len()].0
     }
 
     /// Current DPR cut and world-line straight from the metadata store —
@@ -454,53 +369,15 @@ impl Worker {
             .get(self.server.world_line(), || self.read_cut())
     }
 
-    /// Duplicate check for a remote batch. `None` means fresh (the caller
-    /// executes and records the outcome); `Some(None)` means a copy is
-    /// still executing; `Some(Some(_))` replays the cached reply.
-    #[allow(clippy::option_option)]
-    fn dedupe_check(&self, header: &BatchHeader) -> Option<Option<(BatchReply, Vec<OpResult>)>> {
-        self.dedupe_stripe(header.session).lock().check(
-            (header.session, header.first_serial),
-            self.dedupe_stripe_window,
-        )
-    }
-
-    /// Record the outcome of a fresh batch: successes are cached for
-    /// replay; failures clear the in-flight marker so a retry re-executes.
-    /// Borrowed parts: the results stay in the caller's reusable buffer.
-    fn dedupe_record_parts(
-        &self,
-        header: &BatchHeader,
-        outcome: std::result::Result<(&BatchReply, &[OpResult]), &DprError>,
-    ) {
-        let key = (header.session, header.first_serial);
-        let mut cache = self.dedupe_stripe(header.session).lock();
-        match outcome {
-            Ok((reply, results)) => {
-                let mut buf = cache.spare.pop().unwrap_or_default();
-                buf.clear();
-                buf.extend_from_slice(results);
-                if let Some(entry) = cache.entries.get_mut(&key) {
-                    *entry = DedupeEntry::Done(reply.clone(), buf);
-                }
-            }
-            Err(_) => {
-                if matches!(cache.entries.get(&key), Some(DedupeEntry::Executing)) {
-                    cache.entries.remove(&key);
-                    cache.order.retain(|k| k != &key);
-                }
-            }
-        }
-    }
-
     /// The request path, the same on both planes: answer the `Request`
     /// frame `seq` carrying `body` by appending one frame to `out`. Decode
-    /// into `scratch`, duplicate check, execute, record the outcome for
-    /// duplicates to come, encode: a `Response` with the batch's outcome,
-    /// or `Error(DuplicateInFlight)` while an earlier copy still executes,
-    /// or `Error(BadFrame)` for a body that does not parse. Returns the code
-    /// of an `Error` answer, for the link's own policy (a socket closes on
-    /// an unrecoverable one). Nothing is allocated once the buffers are warm.
+    /// into `scratch`, duplicate check, execute, encode, keep the encoded
+    /// answer for duplicates to come: a `Response` with the batch's outcome,
+    /// or `Error(DuplicateInFlight)` while an earlier copy still executes or
+    /// while the session alone fills the reply cache, or `Error(BadFrame)`
+    /// for a body that does not parse. Returns the code of an `Error`
+    /// answer, for the link's own policy (a socket closes on an
+    /// unrecoverable one). Nothing is allocated once the buffers are warm.
     pub(crate) fn serve_request(
         &self,
         seq: u64,
@@ -508,7 +385,8 @@ impl Worker {
         scratch: &mut RequestScratch,
         out: &mut Vec<u8>,
     ) -> Option<ProtoErrorCode> {
-        let refuse = |out: &mut Vec<u8>, code, detail: String| {
+        let refuse = |out: &mut Vec<u8>, code, detail: &str| {
+            let detail = detail.into();
             ProtoError { code, detail }.encode(out, seq);
             Some(code)
         };
@@ -519,30 +397,29 @@ impl Worker {
             header,
         } = scratch;
         if let Err(e) = wire::decode_request_body_into(body, ops, header) {
-            return refuse(out, ProtoErrorCode::BadFrame, e.to_string());
+            return refuse(out, ProtoErrorCode::BadFrame, &e.to_string());
         }
-        let dedupe = self.config.dedupe_window > 0;
-        if dedupe {
-            match self.dedupe_check(header) {
-                // Its connection died mid-batch, or a retransmission raced
-                // the first copy: the client retries.
-                Some(None) => {
-                    let detail = "batch already executing".into();
-                    return refuse(out, ProtoErrorCode::DuplicateInFlight, detail);
-                }
-                Some(Some((reply, cached))) => {
-                    wire::encode_response(out, self.shard.0, seq, Ok((&reply, &cached)));
-                    return None;
-                }
-                None => {}
+        let start = out.len();
+        let busy = ProtoErrorCode::DuplicateInFlight;
+        // An empty batch has no effect to repeat, and no serial of its own to
+        // be remembered by: the next batch starts where it does.
+        let cache = self.dedupe.as_ref().filter(|_| header.op_count > 0);
+        match cache.map(|c| c.admit(header, seq, out)) {
+            None | Some(Admit::Fresh) => {}
+            Some(Admit::Replayed) => return None,
+            // Its connection died mid-batch, or a retransmission raced the
+            // first copy: the client retries.
+            Some(Admit::Executing) => return refuse(out, busy, "batch already executing"),
+            Some(Admit::Refused) => {
+                return refuse(out, busy, "the session alone fills dedupe_window")
             }
         }
         let outcome = self.execute_local_into(header, ops, results);
         let outcome = outcome.as_ref().map(|reply| (reply, &results[..]));
-        if dedupe {
-            self.dedupe_record_parts(header, outcome);
-        }
         wire::encode_response(out, self.shard.0, seq, outcome);
+        if let Some(cache) = cache {
+            cache.record(header, outcome.is_ok().then(|| &out[start..]));
+        }
         None
     }
 
@@ -676,56 +553,5 @@ fn control_loop(worker: &Weak<Worker>) {
 impl Drop for Worker {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn key(serial: u64) -> (SessionId, u64) {
-        (SessionId(1), serial)
-    }
-
-    /// Admit `serial` as a fresh batch and record its reply.
-    fn execute(cache: &mut DedupeCache, serial: u64) {
-        assert!(cache.check(key(serial), 4).is_none(), "{serial} is fresh");
-        let reply = BatchReply {
-            shard: ShardId(0),
-            world_line: WorldLine(1),
-            version: Version(1),
-            first_serial: serial,
-            op_count: 1,
-        };
-        let done = DedupeEntry::Done(reply, vec![OpResult::Done]);
-        cache.entries.insert(key(serial), done);
-    }
-
-    /// The unit-level twin of
-    /// `cluster_tests::a_retransmitted_batch_outlives_a_stripe_window_of_fresh_batches`.
-    #[test]
-    fn a_duplicate_hit_keeps_its_entry_past_a_window_of_insertions() {
-        let mut cache = DedupeCache::default();
-        for serial in 0..4 {
-            execute(&mut cache, serial);
-        }
-        // Two rounds of: the stalled batch is retransmitted, then three
-        // fresh ones arrive. Six insertions into a window of four.
-        for round in 0..2 {
-            let replayed = cache.check(key(0), 4);
-            assert!(matches!(replayed, Some(Some(_))), "round {round}: replayed");
-            for serial in 0..3 {
-                execute(&mut cache, 4 + 3 * round + serial);
-            }
-        }
-        let stalled = cache.entries.get(&key(0));
-        assert!(matches!(stalled, Some(DedupeEntry::Done(..))));
-        // Entries nobody asks about still age out, the hit one included.
-        assert!(!cache.entries.contains_key(&key(1)));
-        for serial in 10..14 {
-            execute(&mut cache, serial);
-        }
-        assert!(!cache.entries.contains_key(&key(0)));
-        assert_eq!((cache.order.len(), cache.entries.len()), (4, 4));
     }
 }

@@ -397,25 +397,33 @@ fn lossy_links_with_dedupe_apply_increments_exactly_once() {
 }
 
 #[test]
-fn a_retransmitted_batch_outlives_a_stripe_window_of_fresh_batches() {
-    // The window pressure of the lossy-link test without its dice: every
-    // reply to one `Incr` is dropped on purpose while its session keeps
-    // retransmitting it and pushes fresh batches through the same worker
-    // and dedupe stripe, more of them than any stripe's share of the window
-    // (64 here, split over 1 to 16 stripes). Each retransmission must be
-    // answered from the cache; a second execution shows in the next read.
-    const ROUNDS: u64 = 22;
-    const FRESH_PER_ROUND: u64 = 3; // below the smallest stripe share, 64 / 16
+fn a_retransmitted_batch_outlives_ten_windows_of_fresh_batches() {
+    // The pressure of the lossy-link test without its dice: every reply to
+    // one `Incr` is dropped on purpose while its session keeps
+    // retransmitting it, and ten times `dedupe_window` fresh batches pass
+    // through the same worker meanwhile. A count does not push the `Incr`
+    // out: its session has not acknowledged it. Its own fresh batches are
+    // remembered with it (the `Incr` is its lowest unanswered serial, so it
+    // acknowledges none of them) and stay under the window; the bulk comes
+    // from a second session, which acknowledges each batch with the next.
+    // Each retransmission must be answered from the cache; a second
+    // execution shows in the next read.
+    const WINDOW: u64 = 64;
+    const ROUNDS: u64 = 16;
+    const OWN_PER_ROUND: u64 = 3; // 48 in all, below the window
+    const OTHER_PER_ROUND: u64 = 10 * WINDOW / ROUNDS;
     let mut config = base_config(ClusterKind::DFaster, 2);
-    config.dedupe_window = 64;
+    config.dedupe_window = WINDOW as usize;
     let cluster = Cluster::start(config).unwrap();
     let net = cluster.network();
     let mut session = cluster.open_session().unwrap();
+    let mut other = cluster.open_session().unwrap();
     let key = Key::from_u64(77);
     let drop_all = LinkFault {
         drop_rate: 1.0,
         ..LinkFault::default()
     };
+    let once = OpResult::Value(Some(Value::from_u64(1)));
     let deadline = Instant::now() + Duration::from_secs(30);
 
     for round in 0..ROUNDS {
@@ -433,8 +441,8 @@ fn a_retransmitted_batch_outlives_a_stripe_window_of_fresh_batches() {
             std::thread::sleep(Duration::from_millis(1));
         }
         net.clear_link_fault(session.endpoint());
-        // Reads of the same key: the same shard, so the same dedupe cache.
-        for _ in 0..FRESH_PER_ROUND {
+        // Reads of the same key: the same shard, so the same reply cache.
+        for _ in 0..OWN_PER_ROUND {
             let done = session.stats().completed;
             session.issue(vec![ClusterOp::Read(key.clone())]).unwrap();
             while session.stats().completed == done {
@@ -443,8 +451,11 @@ fn a_retransmitted_batch_outlives_a_stripe_window_of_fresh_batches() {
             }
         }
         for (_, result) in session.take_results() {
-            let once = OpResult::Value(Some(Value::from_u64(1)));
             assert_eq!(result, once, "round {round}: the Incr executed again");
+        }
+        for _ in 0..OTHER_PER_ROUND {
+            let seen = other.execute(vec![ClusterOp::Read(key.clone())]).unwrap();
+            assert_eq!(seen[0], once, "round {round}: the Incr executed again");
         }
     }
 
@@ -452,8 +463,10 @@ fn a_retransmitted_batch_outlives_a_stripe_window_of_fresh_batches() {
     // next retransmission gets answered, from the cache.
     assert_eq!(session.resend_stalled(Duration::ZERO).unwrap(), 1);
     let results = session.execute(vec![ClusterOp::Read(key)]).unwrap();
-    assert_eq!(results[0], OpResult::Value(Some(Value::from_u64(1))));
-    assert_eq!(cluster.total_executed(), 2 + ROUNDS * FRESH_PER_ROUND);
+    assert_eq!(results[0], once);
+    let fresh = ROUNDS * (OWN_PER_ROUND + OTHER_PER_ROUND);
+    assert!(fresh > 10 * WINDOW);
+    assert_eq!(cluster.total_executed(), 2 + fresh);
     cluster.shutdown();
 }
 

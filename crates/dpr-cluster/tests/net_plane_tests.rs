@@ -201,16 +201,30 @@ fn mixed_bus_and_socket_clients_share_one_cluster() {
     );
     let (me, inbox) = cluster.network().register();
     let worker = cluster.worker_endpoint(shard.0 as usize).unwrap();
-    let over_bus = || {
+    let over_bus = |frame: &Vec<u8>| {
         let frame = BusFrame {
             from: me,
-            bytes: incr.clone().into(),
+            bytes: frame.clone().into(),
         };
         cluster.network().send(worker, frame).unwrap();
         let answer = inbox.recv_timeout(Duration::from_secs(10)).unwrap();
         split_frame(&answer.bytes)
     };
-    let (first, executed) = (over_bus(), cluster.total_executed());
+    // An empty batch takes no serial and leaves nothing to remember: it must
+    // not pass for the `Incr` that starts where it does.
+    let mut empty = Vec::new();
+    let nothing = BatchHeader {
+        op_count: 0,
+        ..header.clone()
+    };
+    wire::encode_request(&mut empty, shard, 8, &nothing, &[]);
+    assert_eq!(over_bus(&empty).0.seq, 8);
+    let (first, executed) = (over_bus(&incr), cluster.total_executed());
+    let mut results = Vec::new();
+    wire::decode_response_body(&first.1, &mut results)
+        .unwrap()
+        .unwrap();
+    assert_eq!(results, [OpResult::Done]);
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     let mut hello = Vec::new();
     Hello {
@@ -222,7 +236,7 @@ fn mixed_bus_and_socket_clients_share_one_cluster() {
     raw.write_all(&hello).unwrap();
     assert_eq!(read_one_frame(&mut raw).0.kind, FrameKind::HelloAck);
     raw.write_all(&incr).unwrap();
-    for again in [over_bus(), read_one_frame(&mut raw)] {
+    for again in [over_bus(&incr), read_one_frame(&mut raw)] {
         assert_eq!((again.0.kind, again.0.seq), (FrameKind::Response, 9));
         assert_eq!(again, first, "replayed, not recomputed");
     }
@@ -482,6 +496,7 @@ fn arb_header() -> impl Strategy<Value = BatchHeader> {
                 .map(|(s, v)| Token::new(ShardId(s), Version(v)))
                 .collect(),
             first_serial: first,
+            acked_below: first.saturating_sub(vlb),
             op_count: count,
         })
 }
@@ -506,6 +521,7 @@ fn empty_header() -> BatchHeader {
         version_lower_bound: Version(0),
         deps: Vec::new(),
         first_serial: 0,
+        acked_below: 0,
         op_count: 0,
     }
 }

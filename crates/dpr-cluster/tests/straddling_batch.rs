@@ -146,6 +146,7 @@ fn straddling_batch_reports_deps_with_its_lowest_version() {
             version_lower_bound: Version::ZERO,
             deps: vec![Token::new(OTHER, Version(label))],
             first_serial: (label - 1) * OPS,
+            acked_below: 0,
             op_count: OPS as u32,
         };
         results.clear();

@@ -55,6 +55,7 @@ fn valid_frames() -> Vec<Vec<u8>> {
     ];
     frame(&|out| wire::encode_request(out, shard, 42, &header, &ops));
     header.deps = vec![Token::new(ShardId(1), version); 3];
+    header.acked_below = 996; // a flipped bit can put it past `first_serial`
     frame(&|out| wire::encode_request(out, shard, 43, &header, &[]));
     let big = [ClusterOp::Upsert(Key::from_u64(5), value(3000))];
     frame(&|out| wire::encode_request(out, shard, 44, &header, &big));

@@ -71,6 +71,7 @@ fn steady_header(session: u64, first_serial: u64) -> BatchHeader {
         // cross-shard deps pay one Vec per batch on decode, by design.)
         deps: Vec::new(),
         first_serial,
+        acked_below: first_serial,
         op_count: 4,
     }
 }

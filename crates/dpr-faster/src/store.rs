@@ -553,15 +553,18 @@ impl FasterKv {
             || (addr < self.recovery_boundary && m.version > self.recovered_version)
     }
 
-    /// Walk the in-memory chain for `key` under `guard`: the newest live
-    /// resident record as a borrowed view (`Ok(Some)`), a miss (`Ok(None)`),
-    /// or the address where the chain left memory (`Err(addr)`).
+    /// Walk the in-memory chain for `key` under `guard`, from `head`, the
+    /// chain head the caller read from the index under the same guard: the
+    /// newest live resident record as a borrowed view (`Ok(Some)`), a miss
+    /// (`Ok(None)`), or the address where the chain left memory
+    /// (`Err(addr)`).
     fn find_resident_view<'g>(
         &'g self,
         guard: &'g EpochGuard<'_>,
         key: &Key,
+        head: u64,
     ) -> Result<std::result::Result<Option<RecordView<'g>>, u64>> {
-        let mut addr = self.index.head(guard, key);
+        let mut addr = head;
         let mut hops = 0u64;
         let out = loop {
             if addr == NONE_ADDRESS {
@@ -595,7 +598,8 @@ impl FasterKv {
     /// disk handoff address). Tombstones read as `None`.
     fn find_resident(&self, key: &Key) -> Result<Find> {
         let guard = self.log.protect();
-        Ok(match self.find_resident_view(&guard, key)? {
+        let head = self.index.head(&guard, key);
+        Ok(match self.find_resident_view(&guard, key, head)? {
             Ok(None) => Find::Found { value: None },
             Ok(Some(view)) => Find::Found {
                 value: if view.meta().tombstone {
@@ -666,25 +670,27 @@ impl FasterKv {
     }
 
     /// Append a record and publish it at the head of `key`'s chain,
-    /// retrying the CAS as needed. The caller has validated the record
-    /// size. Returns the published address.
+    /// retrying the CAS as needed, under the caller's `guard` and starting
+    /// from `expected`, the chain head the caller read under it: an
+    /// operation takes one guard and probes the index once. The caller has
+    /// validated the record size. Returns the published address.
     fn append_and_publish(
         &self,
+        guard: &EpochGuard<'_>,
         key: &Key,
         value: &Value,
         version: Version,
         tombstone: bool,
+        mut expected: u64,
     ) -> u64 {
-        let guard = self.log.protect();
-        let mut expected = self.index.head(&guard, key);
         'fresh: loop {
             let addr = self.log.append(key, value, version, tombstone, expected);
             loop {
-                match self.index.try_publish(&guard, key, expected, addr) {
+                match self.index.try_publish(guard, key, expected, addr) {
                     Ok(()) => return addr,
                     Err(observed) => {
                         expected = observed;
-                        match self.log.get(&guard, addr) {
+                        match self.log.get(guard, addr) {
                             Ok(GetOutcome::Resident(view)) => view.set_prev(observed),
                             _ => {
                                 // The unpublished record was flushed and
@@ -766,19 +772,19 @@ impl FasterKv {
         let serial = core.next_serial;
         core.next_serial += 1;
         // Try in-place against the newest resident record for this key;
-        // otherwise append (blind upserts never need the disk).
-        {
-            let guard = self.log.protect();
-            if let Ok(Some(view)) = self.find_resident_view(&guard, &key)? {
-                let m = view.meta();
-                if self.in_place_ok(&view, &m, version) && view.try_write_value(&value) {
-                    return Ok(OpOutcome::Mutated { version, serial });
-                }
-                // Capacity exceeded or CPR forbids in-place: fall through
-                // to an append.
+        // otherwise append (blind upserts never need the disk), onto the
+        // head the walk started from.
+        let guard = self.log.protect();
+        let head = self.index.head(&guard, &key);
+        if let Ok(Some(view)) = self.find_resident_view(&guard, &key, head)? {
+            let m = view.meta();
+            if self.in_place_ok(&view, &m, version) && view.try_write_value(&value) {
+                return Ok(OpOutcome::Mutated { version, serial });
             }
+            // Capacity exceeded or CPR forbids in-place: fall through to an
+            // append.
         }
-        self.append_and_publish(&key, &value, version, false);
+        self.append_and_publish(&guard, &key, &value, version, false, head);
         Ok(OpOutcome::Mutated { version, serial })
     }
 
@@ -788,7 +794,10 @@ impl FasterKv {
         let version = core.observed.version;
         let serial = core.next_serial;
         core.next_serial += 1;
-        self.append_and_publish(&key, &Value(bytes::Bytes::new()), version, true);
+        let guard = self.log.protect();
+        let head = self.index.head(&guard, &key);
+        let tombstone = Value(bytes::Bytes::new());
+        self.append_and_publish(&guard, &key, &tombstone, version, true, head);
         Ok(OpOutcome::Mutated { version, serial })
     }
 
@@ -850,7 +859,8 @@ impl FasterKv {
     fn rmw_attempt(&self, key: &Key, f: &RmwFn, version: Version) -> Result<Option<()>> {
         loop {
             let guard = self.log.protect();
-            match self.find_resident_view(&guard, key)? {
+            let head = self.index.head(&guard, key);
+            match self.find_resident_view(&guard, key, head)? {
                 Ok(Some(view)) => {
                     let m = view.meta();
                     if self.in_place_ok(&view, &m, version) && view.try_modify_value(|v| f(Some(v)))

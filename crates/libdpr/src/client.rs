@@ -160,6 +160,7 @@ impl DprClientSession {
             version_lower_bound: self.version_clock,
             deps: Vec::new(),
             first_serial: 0,
+            acked_below: 0,
             op_count,
         };
         self.begin_batch_into(shard, op_count, &mut header)?;
@@ -195,6 +196,10 @@ impl DprClientSession {
                 .map(|(s, v)| Token::new(*s, *v)),
         );
         header.first_serial = self.next_serial;
+        // What the session knows without its caller's in-flight table: a
+        // resolved serial is answered, or aborted with notice. A pipelined
+        // caller overwrites it with its lowest unanswered serial.
+        header.acked_below = self.committed_prefix;
         header.op_count = op_count;
         self.next_serial += u64::from(op_count);
         Ok(())
@@ -216,6 +221,7 @@ impl DprClientSession {
             version_lower_bound: self.version_clock,
             deps,
             first_serial,
+            acked_below: self.committed_prefix.min(first_serial),
             op_count,
         }
     }

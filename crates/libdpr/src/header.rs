@@ -22,6 +22,11 @@ pub struct BatchHeader {
     pub deps: Vec<Token>,
     /// Serial number of the first operation in the batch.
     pub first_serial: u64,
+    /// The acknowledgement: the session's lowest unanswered serial. The
+    /// client has an answer for every batch that ends at or below it and
+    /// asks for none of them again, so a shard may forget their replies.
+    /// Never above `first_serial`: the batch that carries it is unanswered.
+    pub acked_below: u64,
     /// Number of operations in the batch.
     pub op_count: u32,
 }

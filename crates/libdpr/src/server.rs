@@ -697,6 +697,7 @@ mod tests {
             version_lower_bound: Version(lb),
             deps,
             first_serial: 0,
+            acked_below: 0,
             op_count: 1,
         }
     }

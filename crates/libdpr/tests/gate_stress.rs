@@ -152,6 +152,7 @@ fn header(deps: Vec<Token>) -> BatchHeader {
         version_lower_bound: Version::ZERO,
         deps,
         first_serial: 0,
+        acked_below: 0,
         op_count: 1,
     }
 }

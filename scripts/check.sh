@@ -2,10 +2,11 @@
 # Pre-PR gate: everything a change must pass before it ships.
 #
 #   scripts/check.sh --quick   build + tier-1 tests only (fast inner loop)
-#   scripts/check.sh           the full gate: workspace tests, manifest,
-#                              forbid-unsafe and unsafe-comment lints, docs,
-#                              chaos and figures smokes, and the benchmark's
-#                              schema smoke
+#   scripts/check.sh           the full gate: workspace tests, the lossy-link
+#                              exactly-once guard, manifest, forbid-unsafe
+#                              and unsafe-comment lints, docs, chaos and
+#                              figures smokes, and the benchmark's schema
+#                              smoke
 #
 # Fully offline — dependencies are vendored as stubs under third_party/
 # (see third_party/README.md), so no registry or network access is needed.
@@ -36,6 +37,19 @@ fi
 
 # The full workspace: every crate's suites.
 step cargo test --workspace -q
+
+# Exactly-once under loss is a guarantee (docs/NETWORK.md §6), so its test is
+# a guard: 30 % loss each way, non-idempotent ops, 20 runs in release, and
+# the first failure stops the gate.
+echo
+echo "==> lossy-link exactly-once guard (20 runs, release)"
+for run in $(seq 20); do
+    cargo test --release -q -p dpr-cluster --test cluster_tests \
+        lossy_links_with_dedupe_apply_increments_exactly_once >/dev/null || {
+        echo "lossy-link run $run of 20 failed" >&2
+        exit 1
+    }
+done
 
 # No crate serializes through serde: every byte format has one hand-written
 # codec. The stand-ins under third_party/ are for benchmark/ only.

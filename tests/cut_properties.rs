@@ -310,6 +310,7 @@ proptest! {
                         version_lower_bound: dep.version,
                         deps: vec![dep],
                         first_serial: 0,
+                        acked_below: 0,
                         op_count: 1,
                     };
                     server.record_batch(&header, executed);

@@ -29,7 +29,7 @@ fn hex(fields: &[&str]) -> Vec<u8> {
 fn frame(kind: &str, shard: &str, seq: &str, body_len: &str, body: &[&str]) -> Vec<u8> {
     let mut out = hex(&[
         "44 50 52 31", // magic "DPR1"
-        "01",          // version
+        "02",          // version
         kind,
         "00 00", // flags
         shard,
@@ -109,6 +109,7 @@ fn request_frame_with_inline_and_shared_keys_and_values() {
         version_lower_bound: Version(40),
         deps: vec![Token::new(ShardId(1), Version(39))],
         first_serial: 1000,
+        acked_below: 992,
         op_count: 4,
     };
     // 30- and 40-byte strings are above the 24-byte inline cap of `Bytes`.
@@ -125,12 +126,13 @@ fn request_frame_with_inline_and_shared_keys_and_values() {
         "03",
         "03 00 00 00",
         "2a 00*7",
-        "9d 00 00 00",
+        "a5 00 00 00",
         &[
             "07 00*7",                 // session
             "02 00*7",                 // world_line
             "28 00*7",                 // version_lower_bound
             "e8 03 00*6",              // first_serial
+            "e0 03 00*6",              // acked_below
             "04 00 00 00",             // op_count
             "01 00 00 00",             // dep_count
             "01 00 00 00 27 00*7",     // dep (shard 1, version 39)
@@ -152,6 +154,7 @@ fn request_frame_with_inline_and_shared_keys_and_values() {
         version_lower_bound: Version(0),
         deps: vec![Token::new(ShardId(9), Version(9))],
         first_serial: 0,
+        acked_below: 0,
         op_count: 0,
     };
     let mut decoded_ops = Vec::new();
@@ -350,14 +353,14 @@ fn a_worker_endpoint_on_the_bus_speaks_the_documented_format() {
         "03",
         "00 00 00 00",
         "09 00*7",
-        "40 00 00 00",
+        "48 00 00 00",
         &[
-            "07 00*7 00*8 00*8", // session, world_line, version_lower_bound
-            "00*8 02 00 00 00",  // first_serial, op_count
-            "00 00 00 00",       // no deps
-            "02 00 00 00",       // two ops
+            "07 00*7 00*8 00*8",     // session, world_line, version_lower_bound
+            "00*8 00*8 02 00 00 00", // first_serial, acked_below, op_count
+            "00 00 00 00",           // no deps
+            "02 00 00 00",           // two ops
             "01 02 00 00 00 6b 31 02 00 00 00 76 31", // Upsert "k1" -> "v1"
-            "00 02 00 00 00 6b 31", // Read "k1"
+            "00 02 00 00 00 6b 31",  // Read "k1"
         ],
     );
     let (header, body) = ask(request.clone());
@@ -378,12 +381,15 @@ fn a_worker_endpoint_on_the_bus_speaks_the_documented_format() {
         [OpResult::Done, OpResult::Value(Some(Value::from("v1")))]
     );
 
-    // Not a `Request`, and a `Request` cut short: refused, `seq` echoed.
+    // Not a `Request`, a `Request` cut short, and one that acknowledges past
+    // its own first serial (§3): refused, `seq` echoed.
     let mut cut_req = Vec::new();
     wire::encode_control(&mut cut_req, FrameKind::CutReq, 11);
     let mut short = request.clone();
     short.truncate(60);
-    for (bad, seq) in [(cut_req, 11), (short, 9)] {
+    let mut overacked = request.clone();
+    overacked[wire::FRAME_HEADER_LEN + 32] = 1; // acked_below 1, first_serial 0
+    for (bad, seq) in [(cut_req, 11), (short, 9), (overacked, 9)] {
         let (header, body) = ask(bad);
         assert_eq!((header.kind, header.seq), (FrameKind::Error, seq));
         assert_eq!(
