@@ -53,10 +53,13 @@ pub struct CheckpointManifest {
 }
 
 /// Magic prefix of the binary manifest encoding ("DPRM" + format word).
-/// Format 4 is the only layout there is: no build of this repository wrote
-/// 1–3 to anything that is still at rest, and any other word is refused.
+/// Format 5 is the only layout there is, and it also names the layout of
+/// the log the manifest points into: 5 is the 16-byte record header
+/// ([`crate::record`]), where 4 was a manifest of the same bytes over a log
+/// of 32-byte headers. No build of this repository wrote 1–4 to anything
+/// that is still at rest, and any other word is refused.
 const MANIFEST_MAGIC: u32 = 0x4450_524D;
-const MANIFEST_FORMAT: u16 = 4;
+const MANIFEST_FORMAT: u16 = 5;
 
 thread_local! {
     /// Reusable encode buffer: checkpoints complete on the worker tick
@@ -338,8 +341,10 @@ mod tests {
             bad[at] ^= 0xFF;
             assert!(rejected(&bad) || at >= 6, "byte {at} flipped");
         }
-        // The layouts older builds numbered 1 to 3, and a word from the future.
-        for word in [0u16, 1, 2, 3, MANIFEST_FORMAT + 1] {
+        // The layouts older builds numbered 1 to 4 (4: these bytes over a log
+        // of 32-byte record headers), and a word from the future.
+        assert_eq!(MANIFEST_FORMAT, 5);
+        for word in [0u16, 1, 2, 3, 4, MANIFEST_FORMAT + 1] {
             let mut old = buf.clone();
             old[4..6].copy_from_slice(&word.to_le_bytes());
             assert!(rejected(&old), "format word {word}");

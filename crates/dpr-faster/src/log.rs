@@ -44,8 +44,9 @@
 //! record, so a page being appended to can never reach the evictor.
 
 use crate::record::{
-    header_kind, pack_pad, pad8, record_footprint, write_record, HeaderKind, Record, RecordView,
-    HEADER_LEN, NONE_ADDRESS,
+    header_footprint, header_kind, new_header, pack_pad, parse_header, record_footprint,
+    write_record, Header, HeaderKind, Record, RecordView, HEADER_LEN, MAX_ADDRESS, MAX_KEY_LEN,
+    MAX_VAL_CAP, NONE_ADDRESS,
 };
 use dpr_core::epoch::EpochGuard;
 use dpr_core::{Backoff, DprError, Key, LightEpoch, Result, Value, Version};
@@ -70,6 +71,13 @@ const CHUNK_PAGES: usize = 128;
 /// Directory slots; `CHUNK_PAGES * DIR_CHUNKS * PAGE_SIZE` = 64 GiB of
 /// log address space per log instance.
 const DIR_CHUNKS: usize = 8192;
+
+// What a record header can describe covers what this log can hold: any
+// key and value of a record that fits a page, and any address below the end
+// of the directory.
+const _: () = assert!(MAX_RECORD_LEN - HEADER_LEN <= MAX_KEY_LEN);
+const _: () = assert!(MAX_RECORD_LEN - HEADER_LEN <= MAX_VAL_CAP);
+const _: () = assert!((CHUNK_PAGES * DIR_CHUNKS) as u64 * PAGE_BYTES - 8 <= MAX_ADDRESS);
 
 /// Read granularity for device-side scans.
 const SCAN_CHUNK: usize = 4 * PAGE_SIZE;
@@ -143,10 +151,19 @@ pub enum GetOutcome<'g> {
 }
 
 enum Parse<'g> {
-    Rec(RecordView<'g>),
+    /// A record and its footprint, which ends inside the page.
+    Rec(RecordView<'g>, usize),
     Pad(usize),
     NotReady,
     OnDisk,
+    /// Not a header an appender wrote, one whose record would leave its
+    /// page, or nothing at all below the flushed frontier: memory adopted
+    /// from a damaged device, or an address a damaged `prev` named.
+    Corrupt,
+}
+
+fn corrupt_at(addr: u64) -> DprError {
+    DprError::Storage(format!("corrupt record at log address {addr}"))
 }
 
 /// A per-thread stable hint for epoch slot acquisition.
@@ -382,8 +399,9 @@ impl RecordLog {
     /// The caller links the record into its hash chain afterwards
     /// (`prev` is stamped into the header here; publication is the
     /// index CAS). Values larger than [`MAX_RECORD_LEN`] minus header
-    /// and key must be rejected by the caller; this method panics on
-    /// oversized records.
+    /// and key, and versions above [`crate::record::MAX_VERSION`], must be
+    /// rejected by the caller; this method panics on them, before it
+    /// reserves anything.
     pub fn append(
         &self,
         key: &Key,
@@ -392,12 +410,12 @@ impl RecordLog {
         tombstone: bool,
         prev: u64,
     ) -> u64 {
-        let val_cap = pad8(value.len());
-        let footprint = record_footprint(key.len(), val_cap);
+        let footprint = record_footprint(key.len(), value.len());
         assert!(
             footprint <= MAX_RECORD_LEN,
             "record footprint {footprint} exceeds page size {MAX_RECORD_LEN}"
         );
+        let header = new_header(key.len(), value.len(), version, tombstone, prev);
         self.backpressure(footprint as u64);
         let fp = footprint as u64;
         let start;
@@ -429,15 +447,7 @@ impl RecordLog {
         // yet: eviction stops at `flushed`, and the flusher waits for this
         // record's header word.
         unsafe {
-            write_record(
-                frame.add((start % PAGE_BYTES) as usize),
-                key,
-                value,
-                val_cap,
-                version,
-                tombstone,
-                prev,
-            );
+            write_record(frame.add((start % PAGE_BYTES) as usize), header, key, value);
         }
         start
     }
@@ -490,24 +500,43 @@ impl RecordLog {
         match slot.state.load(Ordering::Acquire) {
             P_RESIDENT => {
                 let frame = slot.buf.load(Ordering::Acquire);
+                let off = (addr % PAGE_BYTES) as usize;
                 // SAFETY: the caller holds an epoch guard and the page read
                 // RESIDENT under it: `evict_to` frees a frame only after
                 // flipping that state and a `quiesce()` that waits for the
                 // guard. The offset is inside the page.
-                let base = unsafe { frame.add((addr % PAGE_BYTES) as usize) };
+                let base = unsafe { frame.add(off) };
                 // SAFETY: the frame stays mapped (above). Callers pass only
-                // addresses `append` returned or a scan stepped to: 8-aligned
-                // header positions, whose first word is only accessed
-                // atomically.
+                // 8-aligned addresses (`get` checks; a scan steps by multiples
+                // of 8), so the word is inside it; header words are only
+                // accessed atomically.
                 let meta = unsafe { (*(base as *const AtomicU64)).load(Ordering::Acquire) };
                 if meta == 0 {
-                    return Parse::NotReady;
+                    // A flush waits for every header below the frontier it
+                    // publishes, so only above it is a zero word an appender
+                    // still at work.
+                    return if addr < self.flushed.load(Ordering::Acquire) {
+                        Parse::Corrupt
+                    } else {
+                        Parse::NotReady
+                    };
                 }
                 match header_kind(meta) {
-                    HeaderKind::Pad(len) => Parse::Pad(len),
-                    // SAFETY: a nonzero non-pad header word is a READY record
-                    // header, 8-aligned, in a frame mapped while `'g` lives.
-                    HeaderKind::Record => Parse::Rec(unsafe { RecordView::from_raw(base, addr) }),
+                    Some(HeaderKind::Pad(len)) => Parse::Pad(len),
+                    Some(HeaderKind::Record) if off + HEADER_LEN <= PAGE_SIZE => {
+                        // SAFETY: the second header word is inside the frame
+                        // (the guard above), 8-aligned like the first.
+                        let link =
+                            unsafe { (*(base.add(8) as *const AtomicU64)).load(Ordering::Relaxed) };
+                        let footprint = header_footprint(meta, link);
+                        if off + footprint > PAGE_SIZE {
+                            return Parse::Corrupt;
+                        }
+                        // SAFETY: a record header, 8-aligned, whose footprint
+                        // ends inside a frame mapped while `'g` lives.
+                        Parse::Rec(unsafe { RecordView::from_raw(base, addr) }, footprint)
+                    }
+                    _ => Parse::Corrupt,
                 }
             }
             // Reserved past the current frontier of an installing page.
@@ -521,18 +550,19 @@ impl RecordLog {
     /// [`GetOutcome::NotReady`] for the reserved-but-unwritten window
     /// rather than conflating it with corruption.
     pub fn get<'g>(&'g self, guard: &'g EpochGuard<'_>, addr: u64) -> Result<GetOutcome<'g>> {
-        if addr == NONE_ADDRESS || addr >= self.tail() {
+        if addr == NONE_ADDRESS || addr >= self.tail() || !addr.is_multiple_of(8) {
             return Err(DprError::Invalid(format!(
                 "log address {addr} out of range"
             )));
         }
         match self.parse_at(guard, addr) {
-            Parse::Rec(v) => Ok(GetOutcome::Resident(v)),
+            Parse::Rec(v, _) => Ok(GetOutcome::Resident(v)),
             Parse::Pad(_) => Err(DprError::Invalid(format!(
                 "log address {addr} points at page padding"
             ))),
             Parse::NotReady => Ok(GetOutcome::NotReady),
             Parse::OnDisk => Ok(GetOutcome::OnDisk),
+            Parse::Corrupt => Err(corrupt_at(addr)),
         }
     }
 
@@ -592,7 +622,7 @@ impl RecordLog {
                 }
                 backoff.reset();
                 let at = page.len();
-                match header_kind(meta) {
+                match header_kind(meta).ok_or_else(|| corrupt_at(addr))? {
                     HeaderKind::Pad(len) => {
                         if addr + len as u64 > until {
                             crossing = true;
@@ -603,8 +633,9 @@ impl RecordLog {
                         addr += len as u64;
                     }
                     HeaderKind::Record => {
-                        // SAFETY: a nonzero non-pad header word is a READY
-                        // record header, and the frame stays mapped (above).
+                        // SAFETY: a READY record header at or above `flushed`
+                        // is one `append` wrote, whole and inside its page,
+                        // and the frame stays mapped (above).
                         let view = unsafe { RecordView::from_raw(base, addr) };
                         let len = view.footprint();
                         if addr + len as u64 > until {
@@ -689,39 +720,36 @@ impl RecordLog {
     }
 
     /// One device read for a record of up to [`COLD_BLOCK`] bytes (the
-    /// paper's 8-byte key and value make 48), a second one for the rest of
+    /// paper's 8-byte key and value make 32), a second one for the rest of
     /// a larger record.
     fn read_from_device_with_len(&self, addr: u64) -> Result<(Record, usize)> {
         let (dev, seg_end) = self
             .device_span(addr)
             .ok_or_else(|| DprError::Invalid(format!("address {addr} is not on the device")))?;
-        let corrupt = || DprError::Storage(format!("corrupt record at device address {addr}"));
+        let corrupt = || corrupt_at(addr);
         let mut block = [0u8; COLD_BLOCK];
         // A record never leaves its segment; the bytes after it may.
         let have = (COLD_BLOCK as u64).min(seg_end - addr) as usize;
-        if have < HEADER_LEN {
-            return Err(corrupt());
-        }
         read_exact(self.device.as_ref(), dev, &mut block[..have])?;
-        let meta = u64::from_le_bytes(block[0..8].try_into().unwrap());
-        if matches!(header_kind(meta), HeaderKind::Pad(_)) {
-            return Err(DprError::Invalid(format!(
-                "device address {addr} points at page padding"
-            )));
-        }
-        let key_len = u32::from_le_bytes(block[16..20].try_into().unwrap()) as usize;
-        let val_cap = u32::from_le_bytes(block[20..24].try_into().unwrap()) as usize;
-        let total = record_footprint(key_len, val_cap);
+        let header = match parse_header(&block[..have]).ok_or_else(corrupt)? {
+            Header::Record(header) => header,
+            Header::Pad(_) => {
+                return Err(DprError::Invalid(format!(
+                    "device address {addr} points at page padding"
+                )))
+            }
+        };
+        let total = header.footprint();
         if total > MAX_RECORD_LEN {
             return Err(corrupt());
         }
         if total <= have {
-            return Record::decode(&block[..total], addr).ok_or_else(corrupt);
+            return Record::from_parts(header, &block[..total], addr).ok_or_else(corrupt);
         }
         let mut buf = vec![0u8; total];
         buf[..have].copy_from_slice(&block[..have]);
         read_exact(self.device.as_ref(), dev + have as u64, &mut buf[have..])?;
-        Record::decode(&buf, addr).ok_or_else(corrupt)
+        Record::from_parts(header, &buf, addr).ok_or_else(corrupt)
     }
 
     // ------------------------------------------------------------------
@@ -797,13 +825,13 @@ impl RecordLog {
         let mut backoff = Backoff::new();
         while addr < tail {
             match self.parse_at(&guard, addr) {
-                Parse::Rec(v) => {
+                Parse::Rec(v, footprint) => {
                     let m = v.meta();
                     if !m.invalid && m.version > v_safe && m.version <= v_max {
                         v.invalidate();
                         purged += 1;
                     }
-                    addr += v.footprint() as u64;
+                    addr += footprint as u64;
                     backoff.reset();
                 }
                 Parse::Pad(len) => {
@@ -811,6 +839,9 @@ impl RecordLog {
                     backoff.reset();
                 }
                 Parse::NotReady => backoff.snooze(),
+                // Invalidation in place only saves reads the version check
+                // they make themselves (`FasterKv::is_dead`).
+                Parse::Corrupt => return purged,
                 Parse::OnDisk => {
                     // Concurrent eviction passed us; skip to the head.
                     let h = self.head();
@@ -883,10 +914,9 @@ impl RecordLog {
         let mut backoff = Backoff::new();
         while addr < to {
             match self.parse_at(&guard, addr) {
-                Parse::Rec(v) => {
-                    let fp = v.footprint() as u64;
+                Parse::Rec(v, footprint) => {
                     f(v.to_owned_record())?;
-                    addr += fp;
+                    addr += footprint as u64;
                     backoff.reset();
                 }
                 Parse::Pad(len) => {
@@ -894,6 +924,7 @@ impl RecordLog {
                     backoff.reset();
                 }
                 Parse::NotReady => backoff.snooze(),
+                Parse::Corrupt => return Err(corrupt_at(addr)),
                 Parse::OnDisk => {
                     let (rec, len) = self.read_from_device_with_len(addr)?;
                     f(rec)?;
@@ -961,7 +992,9 @@ impl RecordLog {
             }};
         }
         while addr < end {
-            if !ensure!(addr, HEADER_LEN) {
+            // A pad may be all that is left of the range, and is one word.
+            let head = (end - addr).min(HEADER_LEN as u64);
+            if !ensure!(addr, head) {
                 // Truncated (or unflushed) gap: skip to the next segment.
                 match self.next_segment_start(addr) {
                     Some(next) if next < end => {
@@ -971,29 +1004,22 @@ impl RecordLog {
                     _ => return Ok(end.max(addr)),
                 }
             }
+            let corrupt = || corrupt_at(addr);
             let at = (addr - win_start) as usize;
-            let meta = u64::from_le_bytes(win[at..at + 8].try_into().unwrap());
-            if meta == 0 {
-                return Err(DprError::Storage(format!(
-                    "unexpected hole at device-resident address {addr}"
-                )));
-            }
-            if let HeaderKind::Pad(len) = header_kind(meta) {
-                addr += len as u64;
-                continue;
-            }
-            let key_len = u32::from_le_bytes(win[at + 16..at + 20].try_into().unwrap()) as usize;
-            let val_cap = u32::from_le_bytes(win[at + 20..at + 24].try_into().unwrap()) as usize;
-            let total = record_footprint(key_len, val_cap);
+            let header = match parse_header(&win[at..at + head as usize]).ok_or_else(corrupt)? {
+                Header::Pad(len) => {
+                    addr += len as u64;
+                    continue;
+                }
+                Header::Record(header) => header,
+            };
+            let total = header.footprint();
             if total > MAX_RECORD_LEN || !ensure!(addr, total) {
-                return Err(DprError::Storage(format!(
-                    "corrupt record at device-resident address {addr}"
-                )));
+                return Err(corrupt());
             }
             let at = (addr - win_start) as usize;
-            let (rec, len) = Record::decode(&win[at..at + total], addr).ok_or_else(|| {
-                DprError::Storage(format!("corrupt record at device-resident address {addr}"))
-            })?;
+            let (rec, len) =
+                Record::from_parts(header, &win[at..at + total], addr).ok_or_else(corrupt)?;
             f(rec)?;
             addr += len as u64;
         }
@@ -1061,6 +1087,21 @@ impl RecordLog {
                 let chunk = ((n - off) as u64).min(seg_end - addr) as usize;
                 read_exact(log.device.as_ref(), dev, &mut dst[off..off + chunk])?;
                 off += chunk;
+            }
+            // Resident records are trusted where they lie (`parse_at` checks
+            // a header, not what follows it), so what the device returned is
+            // checked here, where it enters memory: whole records and pads,
+            // none with a writer in flight, ending where the bytes end.
+            let mut off = 0usize;
+            while off < n {
+                off += match parse_header(&dst[off..]) {
+                    Some(Header::Pad(len)) => len,
+                    Some(Header::Record(header)) => header.footprint(),
+                    None => return Err(corrupt_at(pstart + off as u64)),
+                };
+            }
+            if off != n {
+                return Err(corrupt_at(pstart + n as u64));
             }
         }
         Ok(log)
@@ -1203,7 +1244,7 @@ mod tests {
             }
         }
         // The pad region is not a valid record address.
-        let pad_addr = a0 + record_footprint(8, pad8(40_000)) as u64;
+        let pad_addr = a0 + record_footprint(8, 40_000) as u64;
         assert!(log.get(&guard, pad_addr).is_err());
     }
 
@@ -1232,7 +1273,7 @@ mod tests {
     fn flush_evict_and_read_back() {
         let log = RecordLog::new(Arc::new(MemLogDevice::null()), 1 << 22);
         let mut addrs = Vec::new();
-        for i in 0..2000u64 {
+        for i in 0..3000u64 {
             addrs.push(log.append(&key(i), &val(i), Version(2), false, NONE_ADDRESS));
         }
         let sealed = log.seal_to_tail();
@@ -1291,7 +1332,7 @@ mod tests {
     #[test]
     fn eviction_clamped_to_flush_and_read_only() {
         let log = new_log();
-        for i in 0..2000u64 {
+        for i in 0..3000u64 {
             log.append(&key(i), &val(i), Version(1), false, NONE_ADDRESS);
         }
         // Nothing flushed: eviction is a no-op.
@@ -1391,7 +1432,7 @@ mod tests {
     #[test]
     fn scan_range_covers_device_and_resident() {
         let log = new_log();
-        let n = 3000u64;
+        let n = 6000u64;
         for i in 0..n {
             log.append(&key(i), &val(i), Version(1), i % 11 == 0, NONE_ADDRESS);
         }
@@ -1418,9 +1459,9 @@ mod tests {
     #[test]
     fn recover_round_trip() {
         let device = Arc::new(MemLogDevice::null());
-        // ~48 bytes per record: enough to span several pages, so the
+        // 32 bytes per record: enough to span several pages, so the
         // 2-page recovery budget leaves a non-trivial on-device prefix.
-        let n = 6000u64;
+        let n = 9000u64;
         let (until, addrs) = {
             let log = RecordLog::new(Arc::clone(&device) as Arc<dyn LogDevice>, 1 << 22);
             let mut addrs = Vec::new();
@@ -1506,8 +1547,8 @@ mod tests {
     #[test]
     fn truncate_device_below_drops_prefix() {
         let log = new_log();
-        // ~48 bytes per record: cover well past the 3-page cut point.
-        for i in 0..6000u64 {
+        // 32 bytes per record: cover well past the 3-page cut point.
+        for i in 0..9000u64 {
             log.append(&key(i), &val(i), Version(1), false, NONE_ADDRESS);
         }
         let sealed = log.seal_to_tail();

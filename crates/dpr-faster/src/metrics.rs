@@ -78,6 +78,34 @@ metric_fn!(
 );
 
 metric_fn!(
+    /// One past the last log byte reserved, over every store in the process.
+    pub(crate) fn log_tail_bytes() -> Gauge =
+        ("dpr_faster_log_tail_bytes", Bytes,
+         "Log bytes ever appended (the tail address), all stores; moved by FasterKv::tick")
+);
+
+metric_fn!(
+    /// Log bytes held in arena frames (`tail - head`).
+    pub(crate) fn log_resident_bytes() -> Gauge =
+        ("dpr_faster_log_resident_bytes", Bytes,
+         "Log bytes resident in arena frames (tail - head), all stores; moved by FasterKv::tick")
+);
+
+metric_fn!(
+    /// Log bytes below the durable frontier.
+    pub(crate) fn log_durable_bytes() -> Gauge =
+        ("dpr_faster_log_durable_bytes", Bytes,
+         "Log bytes flushed to the device (the flushed address), all stores; moved by FasterKv::tick")
+);
+
+metric_fn!(
+    /// Records whose value seqlock reached its terminal state.
+    pub(crate) fn record_seals() -> Counter =
+        ("dpr_faster_record_seals_total", Count,
+         "Records sealed: 4,095 in-place writes, or an RMW result of another size class")
+);
+
+metric_fn!(
     /// Hash-chain hops per index lookup, sampled while telemetry is enabled.
     pub(crate) fn index_chain_len() -> Histogram =
         ("dpr_faster_index_chain_len", Count,

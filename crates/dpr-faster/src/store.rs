@@ -15,7 +15,7 @@
 use crate::checkpoint::{CheckpointManifest, CommitPoint};
 use crate::index::HashIndex;
 use crate::log::{GetOutcome, RecordLog, MAX_RECORD_LEN, PAGE_SIZE};
-use crate::record::{pad8, record_footprint, RecordMeta, RecordView, NONE_ADDRESS};
+use crate::record::{record_footprint, RecordMeta, RecordView, MAX_VERSION, NONE_ADDRESS};
 use crate::session::{
     CompletedOp, OpOutcome, PendingKind, PendingOp, PendingToken, RmwFn, Session, SessionCore,
     SessionShared,
@@ -32,12 +32,17 @@ use std::time::Duration;
 
 const PAGE_BYTES: u64 = PAGE_SIZE as u64;
 
-/// Heuristic bytes-per-record used to convert the record-denominated
-/// config knobs (`memory_budget_records`, `unflushed_limit_records`) onto
-/// the byte-denominated arena log: a 32-byte header plus a small padded
-/// key and value. Keeping the knobs record-denominated preserves every
-/// existing config literal across the workspace.
+/// Bytes-per-record used to convert the record-denominated config knobs
+/// (`memory_budget_records`, `unflushed_limit_records`) onto the
+/// byte-denominated arena log: a budget of two records of the paper's size,
+/// or one with a key and value of 24 bytes. Keeping the knobs
+/// record-denominated preserves every existing config literal across the
+/// workspace.
 const RECORD_BYTES_ESTIMATE: u64 = 64;
+
+/// The smallest record of the paper's workloads (8-byte key and value): what
+/// bounds the number of records in a log of a given length.
+const PAPER_RECORD_BYTES: u64 = record_footprint(8, 8) as u64;
 
 /// Store configuration.
 #[derive(Debug, Clone)]
@@ -208,12 +213,22 @@ pub struct FasterKv {
     /// checkpoint machine parks in `WaitFlush` as if the flush device
     /// hung (see [`FasterKv::stall_checkpoints_for`]).
     checkpoint_stall: Mutex<Option<std::time::Instant>>,
+    /// What this store has last added to the process-wide log gauges: tail,
+    /// resident and durable bytes (see [`FasterKv::report_log_bytes`]).
+    log_reported: [AtomicU64; 3],
     shutdown: AtomicBool,
 }
 
 enum Find {
     Found { value: Option<Value> },
     OnDisk { addr: u64 },
+}
+
+/// Where a chain walk left memory: the head it started from and the first
+/// address below the resident region.
+struct LeftMemory {
+    head: u64,
+    addr: u64,
 }
 
 impl FasterKv {
@@ -257,6 +272,7 @@ impl FasterKv {
             recovered_version: Version::ZERO,
             departed: Mutex::new(BTreeMap::new()),
             checkpoint_stall: Mutex::new(None),
+            log_reported: Default::default(),
             shutdown: AtomicBool::new(false),
             config,
         });
@@ -279,6 +295,12 @@ impl FasterKv {
     ) -> Result<Arc<FasterKv>> {
         let manifest = CheckpointManifest::latest(blobs.as_ref(), at_most)?;
         let (version, until, purged) = match &manifest {
+            Some(m) if m.version >= MAX_VERSION => {
+                return Err(DprError::Storage(format!(
+                    "manifest of {}: no record header holds that version",
+                    m.version
+                )))
+            }
             Some(m) => (m.version, m.until_address, m.purged.clone()),
             None => (Version::ZERO, 0, Vec::new()),
         };
@@ -353,6 +375,7 @@ impl FasterKv {
             recovery_boundary,
             recovered_version: version,
             checkpoint_stall: Mutex::new(None),
+            log_reported: Default::default(),
             shutdown: AtomicBool::new(false),
             config,
         });
@@ -387,7 +410,7 @@ impl FasterKv {
         }
         // Sized once, for a log of distinct keys; one of many versions per
         // key gets more slots than it needs, within the index's bound.
-        index.reserve(&log.protect(), until / RECORD_BYTES_ESTIMATE);
+        index.reserve(&log.protect(), until / PAPER_RECORD_BYTES);
         let pages = until.div_ceil(PAGE_BYTES);
         let threads = (config.recovery_rebuild_threads.max(1) as u64).min(pages);
         let pages_per = pages.div_ceil(threads);
@@ -660,7 +683,7 @@ impl FasterKv {
     /// Reject records whose arena footprint exceeds a page before the log
     /// would panic on them.
     fn check_record_size(key: &Key, value: &Value) -> Result<()> {
-        let fp = record_footprint(key.len(), pad8(value.len()));
+        let fp = record_footprint(key.len(), value.len());
         if fp > MAX_RECORD_LEN {
             return Err(DprError::Invalid(format!(
                 "record footprint {fp} exceeds the {MAX_RECORD_LEN}-byte page limit"
@@ -813,8 +836,8 @@ impl FasterKv {
         let serial = core.next_serial;
         core.next_serial += 1;
         match self.rmw_attempt(&key, &f, version)? {
-            Some(()) => Ok(OpOutcome::Mutated { version, serial }),
-            None => {
+            None => Ok(OpOutcome::Mutated { version, serial }),
+            Some(_) => {
                 if self.config.strict_cpr {
                     self.charge_read();
                     self.resolve_rmw_from_disk(&key, &f, version)?;
@@ -836,69 +859,65 @@ impl FasterKv {
 
     /// Resolve an RMW whose chain leads to the device, synchronously.
     fn resolve_rmw_from_disk(&self, key: &Key, f: &RmwFn, version: Version) -> Result<()> {
-        loop {
-            match self.rmw_attempt(key, f, version)? {
-                Some(()) => return Ok(()),
-                None => {
-                    let addr = match self.find_resident(key)? {
-                        Find::OnDisk { addr } => addr,
-                        Find::Found { .. } => continue,
-                    };
-                    let old = self.find_from_disk(key, addr)?;
-                    let new = f(old.as_ref());
-                    if self.rcu_publish(key, new, version)? {
-                        return Ok(());
-                    }
-                }
+        while let Some(disk) = self.rmw_attempt(key, f, version)? {
+            let old = self.find_from_disk(key, disk.addr)?;
+            if self.rcu_publish(key, f(old.as_ref()), version, disk.head)? {
+                break;
             }
         }
+        Ok(())
     }
 
-    /// One RMW attempt against resident state; `None` means the chain went
+    /// One RMW attempt against resident state; `Some` means the chain went
     /// to disk and the op must go PENDING.
-    fn rmw_attempt(&self, key: &Key, f: &RmwFn, version: Version) -> Result<Option<()>> {
+    ///
+    /// A read-copy-update publishes only over the chain head its walk
+    /// started from, so no record of the key has been appended since the
+    /// value it copied was read; and where a session of this version could
+    /// still have written that value in place — the copy is made because the
+    /// result is of another size class — [`RecordView::try_modify_value`]
+    /// has sealed the record first. Nothing seals a record that is copied
+    /// because CPR forbids in place: a session one version ahead can still
+    /// copy a value a session of the record's own version is writing.
+    fn rmw_attempt(&self, key: &Key, f: &RmwFn, version: Version) -> Result<Option<LeftMemory>> {
         loop {
             let guard = self.log.protect();
             let head = self.index.head(&guard, key);
-            match self.find_resident_view(&guard, key, head)? {
+            let old = match self.find_resident_view(&guard, key, head)? {
                 Ok(Some(view)) => {
                     let m = view.meta();
                     if self.in_place_ok(&view, &m, version) && view.try_modify_value(|v| f(Some(v)))
                     {
-                        return Ok(Some(()));
+                        return Ok(None);
                     }
-                    // CPR forbids in-place (or the result outgrew the
-                    // record's capacity): read-copy-update.
-                    let old = if m.tombstone {
-                        None
-                    } else {
-                        Some(view.read_value())
-                    };
-                    let new = f(old.as_ref());
-                    drop(guard);
-                    if self.rcu_publish(key, new, version)? {
-                        return Ok(Some(()));
-                    }
-                    // Chain head changed under us; retry from the top.
+                    // CPR forbids in-place, or the record is sealed (by now
+                    // if not before: the result is of another size class):
+                    // read-copy-update.
+                    (!m.tombstone).then(|| view.read_value())
                 }
-                Ok(None) => {
-                    let new = f(None);
-                    drop(guard);
-                    if self.rcu_publish(key, new, version)? {
-                        return Ok(Some(()));
-                    }
-                }
-                Err(_disk_addr) => return Ok(None),
+                Ok(None) => None,
+                Err(addr) => return Ok(Some(LeftMemory { head, addr })),
+            };
+            drop(guard);
+            if self.rcu_publish(key, f(old.as_ref()), version, head)? {
+                return Ok(None);
             }
+            // Chain head changed under us; retry from the top.
         }
     }
 
-    /// Publish an RCU record if the chain head is unchanged; on failure the
-    /// orphaned record is invalidated in place and the caller retries.
-    fn rcu_publish(&self, key: &Key, value: Value, version: Version) -> Result<bool> {
+    /// Publish an RCU record if the chain head is still `expected`, the one
+    /// the caller's walk started from; on failure the orphaned record is
+    /// invalidated in place and the caller retries.
+    fn rcu_publish(
+        &self,
+        key: &Key,
+        value: Value,
+        version: Version,
+        expected: u64,
+    ) -> Result<bool> {
         Self::check_record_size(key, &value)?;
         let guard = self.log.protect();
-        let expected = self.index.head(&guard, key);
         let addr = self.log.append(key, &value, version, false, expected);
         match self.index.try_publish(&guard, key, expected, addr) {
             Ok(()) => Ok(true),
@@ -974,8 +993,12 @@ impl FasterKv {
     /// Request a checkpoint (the `Commit()` of the StateObject API). If
     /// `target` is given, operations fast-forward to at least that version
     /// afterwards (§3.4 `Vmax` catch-up). Returns false if a machine or
-    /// request is already queued.
+    /// request is already queued, or if `target` — another shard's word — is
+    /// a version no record header can hold.
     pub fn request_checkpoint(&self, target: Option<Version>) -> bool {
+        if target.is_some_and(|t| t >= MAX_VERSION) {
+            return false;
+        }
         // Check the machine first and drop its guard before touching the
         // request queue: `try_advance` acquires machine → requests, so
         // holding requests while waiting on machine would deadlock.
@@ -1020,6 +1043,29 @@ impl FasterKv {
     /// deterministic tests call it manually.
     pub fn tick(&self) {
         self.try_advance(true);
+        self.report_log_bytes([
+            self.log.tail(),
+            self.log.resident_bytes(),
+            self.log.flushed(),
+        ]);
+    }
+
+    /// Move the log gauges, which sum over every store in the process, by
+    /// what this store's tail, resident and durable bytes have changed since
+    /// it last reported them. Called from `tick`, so that an operation pays
+    /// nothing for them.
+    fn report_log_bytes(&self, now: [u64; 3]) {
+        let gauges = [
+            crate::metrics::log_tail_bytes(),
+            crate::metrics::log_resident_bytes(),
+            crate::metrics::log_durable_bytes(),
+        ];
+        for ((gauge, reported), now) in gauges.into_iter().zip(&self.log_reported).zip(now) {
+            let last = reported.swap(now, Ordering::Relaxed);
+            if now != last {
+                gauge.add(now as i64 - last as i64);
+            }
+        }
     }
 
     /// With a bounded volatile region, roll the read-only boundary and
@@ -1505,6 +1551,7 @@ impl FasterKv {
 impl Drop for FasterKv {
     fn drop(&mut self) {
         self.shutdown();
+        self.report_log_bytes([0; 3]);
     }
 }
 
@@ -1519,7 +1566,7 @@ mod tests {
 
     const CHAINS: u64 = 16;
     /// Two versions of them fill more than one page, so one can be evicted.
-    const KEYS: u64 = 1000;
+    const KEYS: u64 = 1500;
 
     fn config() -> FasterConfig {
         FasterConfig {
@@ -1549,7 +1596,7 @@ mod tests {
         s.delete(Key::from_u64(7)).unwrap();
         kv.request_checkpoint(None);
         assert!(kv.wait_for_durable(Version(1), Duration::from_secs(10)));
-        // Version 2, rolled back below: every chain now starts with sixty
+        // Version 2, rolled back below: every chain now starts with ninety
         // invalid records of assorted keys.
         for k in 0..KEYS {
             s.upsert(Key::from_u64(k), Value::from_u64(k + 1000))

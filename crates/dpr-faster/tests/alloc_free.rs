@@ -125,7 +125,7 @@ fn append_upserts_amortize_below_one_allocation_per_record() {
     let before = my_allocs();
     // Fresh keys: every one takes the append path (new arena offsets), but
     // only page-granularity structures allocate — frames, directory
-    // chunks — at one page per ~1300 records of this size.
+    // chunks — at one page per 2,048 records of this size.
     for i in N..2 * N {
         s.upsert(Key::from_u64(i), Value::from_u64(i)).unwrap();
     }

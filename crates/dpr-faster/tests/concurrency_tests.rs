@@ -55,6 +55,65 @@ fn rmw_increments_are_never_lost_across_threads_and_checkpoints() {
     );
 }
 
+/// An RMW whose result outgrows its record copies the value into a new one;
+/// an in-place RMW that lands on the old record between that copy's read and
+/// its publish would be lost under it. One session appends a byte to the
+/// value per RMW (every eighth leaves the record's size class), the other
+/// increments the value's first eight bytes, both in one version.
+#[test]
+fn an_rmw_that_outgrows_its_record_loses_no_concurrent_in_place_rmw() {
+    const GROWTHS: usize = 2_000;
+    const INCREMENTS: u64 = 400_000;
+    let kv = FasterKv::new(
+        FasterConfig {
+            auto_maintenance: false,
+            ..FasterConfig::default()
+        },
+        Arc::new(MemLogDevice::null()),
+        Arc::new(MemBlobStore::new()),
+    );
+    let key = Key::from_u64(0);
+    let counter = |v: &Value| u64::from_be_bytes(v.as_bytes()[..8].try_into().unwrap());
+    kv.start_session(SessionId(0))
+        .upsert(key.clone(), Value::from_u64(0))
+        .unwrap();
+    let both_started = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let session = kv.start_session(SessionId(1));
+            both_started.wait();
+            for _ in 0..GROWTHS {
+                session
+                    .rmw(key.clone(), |old| {
+                        let mut bytes = old.expect("written above").as_bytes().to_vec();
+                        bytes.push(0xAB);
+                        Value(bytes.into())
+                    })
+                    .unwrap();
+                std::thread::yield_now();
+            }
+        });
+        scope.spawn(|| {
+            let session = kv.start_session(SessionId(2));
+            both_started.wait();
+            for _ in 0..INCREMENTS {
+                session
+                    .rmw(key.clone(), move |old| {
+                        let mut bytes = old.expect("written above").as_bytes().to_vec();
+                        let next = counter(old.unwrap()) + 1;
+                        bytes[..8].copy_from_slice(&next.to_be_bytes());
+                        Value(bytes.into())
+                    })
+                    .unwrap();
+            }
+        });
+    });
+    let value = kv.get(&key).unwrap().unwrap();
+    assert_eq!(counter(&value), INCREMENTS, "increments lost");
+    assert_eq!(value.len(), 8 + GROWTHS, "appended bytes lost");
+    assert_eq!(kv.current_version(), Version(1), "one version throughout");
+}
+
 #[test]
 fn reads_of_a_monotone_counter_never_go_backwards() {
     // One writer increments a counter; one reader must observe a

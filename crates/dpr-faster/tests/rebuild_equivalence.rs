@@ -33,7 +33,7 @@ fn parallel_rebuild_equals_sequential_rebuild() {
         let s = kv.start_session(SessionId(1));
         // Several generations of overwrites and deletes across two
         // checkpointed versions, so chains have depth and the log spans
-        // enough pages (17) to give each of eight threads its own.
+        // enough pages (12) to give each of eight threads its own.
         for i in 0..16_000u64 {
             s.upsert(Key::from_u64(i % KEYS), Value::from_u64(i))
                 .unwrap();

@@ -252,7 +252,7 @@ fn pending_read_resolves_from_device_after_eviction() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
-        memory_budget_records: 0, // floor is 2 pages = 8192 records
+        memory_budget_records: 0, // floor is 2 pages = 4,096 records
         auto_maintenance: false,
         ..FasterConfig::default()
     };

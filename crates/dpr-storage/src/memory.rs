@@ -12,7 +12,8 @@ const PAGE_SIZE: usize = 1 << 20;
 /// An in-memory [`LogDevice`].
 ///
 /// Data lives in 1 MiB pages, each behind its own lock (`append` holds it
-/// exclusively for its copy, `read` shares it); `flush` charges the configured
+/// exclusively for its copy, `read` shares it), and a page wholly below the
+/// truncation point is freed; `flush` charges the configured
 /// [`LatencyModel`] for the dirty span and advances the durable frontier;
 /// [`MemLogDevice::crash`] discards the volatile suffix, modeling power loss
 /// on a buffered device.
@@ -27,7 +28,8 @@ const PAGE_SIZE: usize = 1 << 20;
 /// assert_eq!(dev.crash(), 7, "restart at the durable frontier");
 /// ```
 pub struct MemLogDevice {
-    /// The outer lock covers only the vector's growth.
+    /// The outer lock covers only the vector's growth. A page truncation
+    /// has freed is an empty slice, which no read reaches (`truncated`).
     pages: RwLock<Vec<RwLock<Box<[u8]>>>>,
     tail: AtomicU64,
     durable: AtomicU64,
@@ -102,7 +104,13 @@ impl LogDevice for MemLogDevice {
             let page = off / PAGE_SIZE;
             let in_page = off % PAGE_SIZE;
             let n = rest.len().min(PAGE_SIZE - in_page);
-            pages[page].write()[in_page..in_page + n].copy_from_slice(&rest[..n]);
+            let mut bytes = pages[page].write();
+            if bytes.is_empty() {
+                // Freed by a truncation at or past the tail of that time.
+                *bytes = vec![0u8; PAGE_SIZE].into_boxed_slice();
+            }
+            bytes[in_page..in_page + n].copy_from_slice(&rest[..n]);
+            drop(bytes);
             off += n;
             rest = &rest[n..];
         }
@@ -153,10 +161,14 @@ impl LogDevice for MemLogDevice {
     }
 
     fn truncate_before(&self, addr: u64) -> Result<()> {
-        self.truncated.fetch_max(addr, Ordering::SeqCst);
-        // Pages below the truncation point stay allocated in this simple
-        // implementation; a production device would recycle them. The
-        // HybridLog's in-memory circular buffer handles actual reuse.
+        let before = self.truncated.fetch_max(addr, Ordering::SeqCst);
+        // Every read checks `truncated` first, so the pages that now lie
+        // wholly below it hold bytes nobody can ask for: free them.
+        let pages = self.pages.read();
+        let whole = (addr as usize / PAGE_SIZE).min(pages.len());
+        for page in &pages[(before as usize / PAGE_SIZE).min(whole)..whole] {
+            *page.write() = Box::default();
+        }
         Ok(())
     }
 }
@@ -221,6 +233,44 @@ mod tests {
         let mut buf = [0u8; 2];
         assert!(dev.read(3, &mut buf).is_err());
         assert!(dev.read(5, &mut buf).is_ok());
+    }
+
+    #[test]
+    fn truncation_frees_the_pages_wholly_below_it() {
+        let dev = MemLogDevice::null();
+        let data: Vec<u8> = (0..3 * PAGE_SIZE + 100).map(|i| (i % 251) as u8).collect();
+        dev.append(&data).unwrap();
+        let allocated = |dev: &MemLogDevice| {
+            let pages = dev.pages.read();
+            pages
+                .iter()
+                .map(|p| !p.read().is_empty())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(allocated(&dev), [true; 4]);
+        // Inside the third page: two pages go, the third keeps its tail.
+        let cut = 2 * PAGE_SIZE + 10;
+        dev.truncate_before(cut as u64).unwrap();
+        assert_eq!(allocated(&dev), [false, false, true, true]);
+        let mut buf = [0u8; 64];
+        for below in [0, PAGE_SIZE - 1, 2 * PAGE_SIZE, cut - 1] {
+            assert!(dev.read(below as u64, &mut buf).is_err(), "read at {below}");
+        }
+        for above in [cut, 3 * PAGE_SIZE - 32, 3 * PAGE_SIZE + 36] {
+            read_exact(&dev, above as u64, &mut buf).unwrap();
+            assert_eq!(buf[..], data[above..above + 64], "read at {above}");
+        }
+        // A truncation past the tail frees the page the next append lands
+        // in, which allocates it again; a lower one afterwards does nothing.
+        let past = 4 * PAGE_SIZE + 8;
+        dev.truncate_before(past as u64).unwrap();
+        dev.truncate_before(5).unwrap();
+        assert_eq!(allocated(&dev), [false; 4]);
+        let at = dev.append(&vec![7u8; PAGE_SIZE]).unwrap();
+        assert_eq!(allocated(&dev), [false, false, false, true, true]);
+        assert!(dev.read(at, &mut buf).is_err());
+        read_exact(&dev, past as u64, &mut buf).unwrap();
+        assert_eq!(buf, [7u8; 64]);
     }
 
     #[test]

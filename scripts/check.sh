@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh --quick   build + tier-1 tests only (fast inner loop)
 #   scripts/check.sh           the full gate: workspace tests, the lossy-link
-#                              exactly-once guard, manifest, forbid-unsafe
+#                              exactly-once and outgrowing-RMW race guards,
+#                              manifest, forbid-unsafe
 #                              and unsafe-comment lints, docs, chaos and
 #                              figures smokes, and the benchmark's schema
 #                              smoke
@@ -47,6 +48,19 @@ for run in $(seq 20); do
     cargo test --release -q -p dpr-cluster --test cluster_tests \
         lossy_links_with_dedupe_apply_increments_exactly_once >/dev/null || {
         echo "lossy-link run $run of 20 failed" >&2
+        exit 1
+    }
+done
+
+# An RMW whose result outgrows its record must not lose the in-place RMWs
+# that race its copy (docs/PROTOCOL.md §5, the sealed record): exact counter
+# and exact length, 20 runs in release, the first failure stops the gate.
+echo
+echo "==> outgrowing-RMW race guard (20 runs, release)"
+for run in $(seq 20); do
+    cargo test --release -q -p dpr-faster --test concurrency_tests \
+        an_rmw_that_outgrows_its_record_loses_no_concurrent_in_place_rmw >/dev/null || {
+        echo "outgrowing-RMW run $run of 20 failed" >&2
         exit 1
     }
 done

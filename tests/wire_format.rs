@@ -14,16 +14,8 @@ use dpr::metadata::Cut;
 use dpr::protocol::{BatchHeader, BatchReply};
 use std::time::Duration;
 
-/// Bytes from hex fields; `xx*n` repeats a byte `n` times.
-fn hex(fields: &[&str]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for token in fields.iter().flat_map(|f| f.split_whitespace()) {
-        let (byte, times) = token.split_once('*').unwrap_or((token, "1"));
-        let byte = u8::from_str_radix(byte, 16).expect("hex byte");
-        out.extend(std::iter::repeat_n(byte, times.parse().expect("count")));
-    }
-    out
-}
+mod common;
+use common::hex;
 
 /// The §1 header around `body`.
 fn frame(kind: &str, shard: &str, seq: &str, body_len: &str, body: &[&str]) -> Vec<u8> {
