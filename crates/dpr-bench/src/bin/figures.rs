@@ -973,6 +973,7 @@ mod tests {
         let idle = || RunStats {
             completed: 0,
             committed: 0,
+            aborted: 0,
             duration: Duration::from_secs(1),
             op_latency: LatencyHistogram::new(),
             commit_latency: LatencyHistogram::new(),

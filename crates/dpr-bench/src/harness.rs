@@ -3,8 +3,7 @@
 //! and (for the recovery experiment) time-bucketed series.
 
 use dpr_cluster::{Cluster, ClusterOp, SessionHandle};
-use dpr_core::{Key, Value};
-use dpr_metadata::Cut;
+use dpr_core::{DprError, Key, Value};
 use dpr_ycsb::{LatencyHistogram, ThroughputSeries, WorkloadGen, WorkloadOp, WorkloadSpec};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -52,6 +51,9 @@ pub struct RunStats {
     pub completed: u64,
     /// Ops known committed by the end of the run.
     pub committed: u64,
+    /// Ops that completed and were then rolled back by a failure. What a
+    /// failure caught in flight never completed and is in neither count.
+    pub aborted: u64,
     /// Wall-clock duration.
     pub duration: Duration,
     /// Operation completion latency.
@@ -127,6 +129,26 @@ impl ClientState {
         }
         ops
     }
+
+    /// Recover the session after a failure: the queued operations below the
+    /// surviving prefix are committed, everything else issued so far is
+    /// gone. Returns how many of the gone had completed.
+    fn recover(&mut self, commit_latency: &mut LatencyHistogram) -> u64 {
+        let aborted_before = self.session.stats().aborted;
+        let Ok(survived) = self.session.recover(Duration::from_secs(10)) else {
+            return 0;
+        };
+        let now = Instant::now();
+        for (serial, t) in self.commit_queue.drain(..) {
+            if serial < survived {
+                commit_latency.record(now - t);
+            }
+        }
+        // No result was taken for these and none will be.
+        let never_completed = self.issue_times.len() as u64;
+        self.issue_times.clear();
+        self.session.stats().aborted - aborted_before - never_completed
+    }
 }
 
 /// Run the workload against `cluster` and gather statistics.
@@ -134,7 +156,6 @@ pub fn run_workload(cluster: &Cluster, params: &BenchParams) -> RunStats {
     let pools = params
         .colocate_local_fraction
         .map(|_| shard_key_pools(cluster, params.spec.keys));
-    let cut_source = cluster.cut_source();
     let start = Instant::now();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -158,12 +179,12 @@ pub fn run_workload(cluster: &Cluster, params: &BenchParams) -> RunStats {
                 rng_state: 0x9E3779B97F4A7C15 ^ (c as u64),
             };
             let params = params.clone();
-            let cut_source = &cut_source;
-            handles.push(scope.spawn(move || client_loop(&mut state, &params, start, cut_source)));
+            handles.push(scope.spawn(move || client_loop(&mut state, &params, start)));
         }
         let mut total = RunStats {
             completed: 0,
             committed: 0,
+            aborted: 0,
             duration: Duration::ZERO,
             op_latency: LatencyHistogram::new(),
             commit_latency: LatencyHistogram::new(),
@@ -172,6 +193,7 @@ pub fn run_workload(cluster: &Cluster, params: &BenchParams) -> RunStats {
             let client = handle.join().expect("client thread");
             total.completed += client.completed;
             total.committed += client.committed;
+            total.aborted += client.aborted;
             total.op_latency.merge(&client.op_latency);
             total.commit_latency.merge(&client.commit_latency);
         }
@@ -180,16 +202,15 @@ pub fn run_workload(cluster: &Cluster, params: &BenchParams) -> RunStats {
     })
 }
 
-fn client_loop(
-    state: &mut ClientState,
-    params: &BenchParams,
-    start: Instant,
-    cut_source: &(impl Fn() -> Cut + Send),
-) -> RunStats {
+fn client_loop(state: &mut ClientState, params: &BenchParams, start: Instant) -> RunStats {
     let deadline = start + params.duration;
     let mut op_latency = LatencyHistogram::new();
     let mut commit_latency = LatencyHistogram::new();
     let mut last_cut_check = Instant::now();
+    let mut aborted = 0u64;
+    // A failure shows as a world-line mismatch, from a reply or from the
+    // world-line-checked commit refresh: recover first, then go on.
+    let moved = |r: Result<u64, DprError>| matches!(r, Err(DprError::WorldLineMismatch { .. }));
     while Instant::now() < deadline {
         // Fill the window.
         while (state.session.inflight_ops() as usize) < params.window {
@@ -212,7 +233,7 @@ fn client_loop(
             }
         }
         // Drain replies.
-        let _ = state.session.poll(true, Duration::from_millis(10));
+        let mut failed = moved(state.session.poll(true, Duration::from_millis(10)));
         let now = Instant::now();
         for (serial, _) in state.session.take_results() {
             if let Some(t) = state.issue_times.remove(&serial) {
@@ -222,23 +243,31 @@ fn client_loop(
         // Track commits.
         if params.measure_commit && last_cut_check.elapsed() > Duration::from_millis(2) {
             last_cut_check = Instant::now();
-            let cut = cut_source();
-            let prefix = state.session.refresh_commit(&cut);
-            let now = Instant::now();
-            let queue = &mut state.commit_queue;
-            let committed = queue.partition_point(|(serial, _)| *serial < prefix);
-            for (_, t) in queue.drain(..committed) {
-                commit_latency.record(now - t);
+            match state.session.refresh_commit_safe() {
+                Ok(prefix) => {
+                    let now = Instant::now();
+                    let queue = &mut state.commit_queue;
+                    let committed = queue.partition_point(|(serial, _)| *serial < prefix);
+                    for (_, t) in queue.drain(..committed) {
+                        commit_latency.record(now - t);
+                    }
+                }
+                failure => failed |= moved(failure),
             }
+        }
+        if failed {
+            aborted += state.recover(&mut commit_latency);
         }
     }
     // Final committed accounting.
-    let cut = cut_source();
-    state.session.refresh_commit(&cut);
+    if moved(state.session.refresh_commit_safe()) {
+        aborted += state.recover(&mut commit_latency);
+    }
     let stats = state.session.stats();
     RunStats {
         completed: stats.completed,
         committed: stats.committed,
+        aborted,
         duration: params.duration,
         op_latency,
         commit_latency,
@@ -330,5 +359,53 @@ pub fn preload(cluster: &Cluster, keys: u64) {
     for first in (0..keys).step_by(256) {
         let batch = (first..keys.min(first + 256)).map(upsert).collect();
         session.execute(batch).expect("preload");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpr_cluster::ClusterConfig;
+
+    /// A failure in the middle of `run_workload`: the client loops recover
+    /// and go on, and no operation the rollback purged is counted committed.
+    #[test]
+    fn a_failure_mid_run_is_recovered_from_and_counted_once() {
+        let cluster = Cluster::start(ClusterConfig {
+            shards: 2,
+            checkpoint_interval: Some(Duration::from_millis(20)),
+            finder_interval: Duration::from_millis(2),
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        let spec = WorkloadSpec::ycsb_a(1000, dpr_ycsb::KeyDistribution::Uniform);
+        let mut params = BenchParams::new(spec);
+        params.window = 64;
+        params.batch = 8;
+        params.measure_commit = true;
+        params.duration = Duration::from_millis(600);
+        let (stats, executed_at_recovery) = std::thread::scope(|scope| {
+            let run = scope.spawn(|| run_workload(&cluster, &params));
+            std::thread::sleep(Duration::from_millis(200));
+            cluster.inject_failure().unwrap();
+            cluster.wait_recovered(Duration::from_secs(10)).unwrap();
+            let executed = cluster.total_executed();
+            (run.join().unwrap(), executed)
+        });
+        // A worker on the new world-line executes nothing of a session that
+        // has not recovered.
+        assert!(
+            cluster.total_executed() > executed_at_recovery,
+            "no client went on after the failure"
+        );
+        cluster.shutdown();
+        assert!(stats.aborted > 0, "the failure rolled nothing back");
+        assert!(
+            stats.committed <= stats.completed - stats.aborted,
+            "{} committed of {} completed, {} of them aborted",
+            stats.committed,
+            stats.completed,
+            stats.aborted
+        );
     }
 }

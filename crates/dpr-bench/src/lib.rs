@@ -2,9 +2,10 @@
 //!
 //! The harness that regenerates the paper's evaluation (§7). One binary,
 //! `figures`, holds every figure and ablation as a table of points and runs
-//! them through [`harness`]; `chaos` runs the fault campaign, `allocprobe` /
-//! `allocstacks` count allocations, and `benches/` holds the criterion
-//! microbenchmarks of the substrates nothing else times.
+//! them through [`harness`]; `chaos` runs the fault campaign and
+//! `allocstacks` attributes allocations to the stacks that made them. What
+//! a layer costs is timed by the benchmark's seeded layer probes
+//! (`benchmark/`), not here.
 //!
 //! Absolute numbers are laptop-scale (the paper used 8×16-vCPU VMs); what
 //! the harness preserves is the *shape* of each result — who wins, by what

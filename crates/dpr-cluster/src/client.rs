@@ -16,11 +16,11 @@ use crate::transport::{BusFrame, EndpointId, SimNetwork};
 use crate::wire;
 use crate::worker::Worker;
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 use dpr_core::{DprError, Result, SessionId, ShardId, Version, WorldLine};
 use dpr_metadata::{Cut, MetadataStore, OwnershipTable};
 use libdpr::DprClientSession;
 use std::collections::HashMap;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

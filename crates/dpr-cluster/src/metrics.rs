@@ -20,14 +20,6 @@ metric_fn!(
 );
 
 metric_fn!(
-    /// Depth of a worker's request inbox, sampled by executor threads every
-    /// ~64 receives (not per message — the gauge must not ride the hot path).
-    pub(crate) fn worker_inbox_depth() -> Gauge =
-        ("dpr_cluster_worker_inbox_depth", Count,
-         "Requests queued in a worker inbox (sampled every ~64 receives)")
-);
-
-metric_fn!(
     /// Messages queued in the simulated network's delay heap.
     pub(crate) fn net_inflight() -> Gauge =
         ("dpr_cluster_net_inflight", Count,

@@ -51,6 +51,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -357,11 +358,7 @@ fn handle_request(
     }
 }
 
-fn io_loop(
-    rx: &crossbeam::channel::Receiver<TcpStream>,
-    ctx: &Arc<ServerCtx>,
-    stop: &Arc<AtomicBool>,
-) {
+fn io_loop(rx: &Receiver<TcpStream>, ctx: &Arc<ServerCtx>, stop: &Arc<AtomicBool>) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = IoScratch {
         read: vec![0; READ_CHUNK],
@@ -465,7 +462,7 @@ impl NetServer {
         let mut senders = Vec::with_capacity(io_threads);
         let mut io = Vec::with_capacity(io_threads);
         for i in 0..io_threads {
-            let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
+            let (tx, rx) = channel::<TcpStream>();
             senders.push(tx);
             let ctx = ctx.clone();
             let stop = stop.clone();

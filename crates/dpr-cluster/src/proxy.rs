@@ -8,6 +8,7 @@
 use crate::transport::{BusFrame, EndpointId, SimNetwork};
 use crate::wire;
 use std::collections::HashMap;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,8 +32,8 @@ pub fn start_proxy(net: &Arc<SimNetwork>, target: EndpointId) -> EndpointId {
                 let Some(net) = net.upgrade() else { return };
                 let frame = match rx.recv_timeout(Duration::from_millis(50)) {
                     Ok(frame) => frame,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return,
                 };
                 let Ok(Some(header)) = wire::decode_header(&frame.bytes) else {
                     continue;

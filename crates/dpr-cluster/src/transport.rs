@@ -8,6 +8,16 @@
 //! delivery cost is what makes client batching (`b`) and windowing (`w`)
 //! matter, reproducing the trade-offs of Fig. 13.
 //!
+//! # Lanes
+//!
+//! An inbox has one consumer, as a connection has one I/O thread. An
+//! endpoint served by several threads ([`SimNetwork::register_lanes`], a
+//! worker's executors) has one inbox per thread, and a frame goes to the
+//! lane of its sender: `from` modulo the lane count, which deals senders
+//! registered one after another round-robin, the acceptor's rule of
+//! `net.rs`. So on the bus as on a socket, a sender's frames are served by
+//! one thread, in the order sent (`docs/NETWORK.md` §6).
+//!
 //! # Fault injection
 //!
 //! The chaos harness (`dpr-chaos`) perturbs individual links with
@@ -22,12 +32,12 @@
 //! identically for a given seed.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use dpr_core::{DprError, Result};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -125,7 +135,8 @@ impl PumpState {
 /// The bus.
 pub struct SimNetwork {
     latency: Duration,
-    endpoints: RwLock<HashMap<EndpointId, Sender<BusFrame>>>,
+    /// An endpoint's lanes, one inbox each; never empty.
+    endpoints: RwLock<HashMap<EndpointId, Vec<Sender<BusFrame>>>>,
     pump: Mutex<PumpState>,
     pump_wake: Condvar,
     seq: AtomicU64,
@@ -189,10 +200,18 @@ impl SimNetwork {
 
     /// Allocate a fresh endpoint and its inbox.
     pub fn register(&self) -> (EndpointId, Receiver<BusFrame>) {
+        let (id, mut lanes) = self.register_lanes(1);
+        (id, lanes.remove(0))
+    }
+
+    /// Allocate a fresh endpoint served by `lanes` threads (at least one),
+    /// with an inbox for each: every frame of one sender arrives on one of
+    /// them, in the order sent (see the module's *Lanes*).
+    pub fn register_lanes(&self, lanes: usize) -> (EndpointId, Vec<Receiver<BusFrame>>) {
         let id = EndpointId(self.next_endpoint.fetch_add(1, Ordering::AcqRel));
-        let (tx, rx) = unbounded();
-        self.endpoints.write().insert(id, tx);
-        (id, rx)
+        let (txs, rxs) = (0..lanes.max(1)).map(|_| channel()).unzip();
+        self.endpoints.write().insert(id, txs);
+        (id, rxs)
     }
 
     /// Send `msg` to `to`, subject to the configured latency and any
@@ -301,7 +320,10 @@ impl SimNetwork {
     fn deliver(&self, to: EndpointId, msg: BusFrame) -> Result<()> {
         let endpoints = self.endpoints.read();
         match endpoints.get(&to) {
-            Some(tx) => tx.send(msg).map_err(|_| DprError::Closed),
+            Some(lanes) => {
+                let lane = (msg.from.0 % lanes.len() as u64) as usize;
+                lanes[lane].send(msg).map_err(|_| DprError::Closed)
+            }
             None => Err(DprError::Invalid(format!("unknown endpoint {to:?}"))),
         }
     }

@@ -7,11 +7,11 @@ use crate::message::{ClusterOp, OpResult};
 use crate::transport::{BusFrame, EndpointId, SimNetwork};
 use crate::wire::{self, FrameKind, ProtoError, ProtoErrorCode};
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 use dpr_core::{DprError, Result, SessionId, ShardId, Version, WorldLine};
 use dpr_metadata::{MetadataStore, OwnershipTable};
 use libdpr::{BatchHeader, BatchReply, DprFinder, DprServer, StateObject};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -103,7 +103,9 @@ pub struct WorkerConfig {
     /// Make every batch wait for durability before replying (the
     /// synchronous recoverability level of §7.6).
     pub sync_commit: bool,
-    /// Executor threads consuming the request inbox.
+    /// Executor threads serving the worker's bus endpoint, each its own
+    /// lane of it: one sender's frames are all served by one of them, in
+    /// the order sent.
     pub executors: usize,
     /// Validate key ownership per batch (§5.3).
     pub validate_ownership: bool,
@@ -215,7 +217,7 @@ impl Worker {
         finder: Arc<dyn DprFinder>,
         config: WorkerConfig,
     ) -> Result<Arc<Worker>> {
-        let (endpoint, inbox) = net.register();
+        let (endpoint, lanes) = net.register_lanes(config.executors);
         meta.register_worker(shard)?;
         let dedupe = (config.dedupe_window > 0).then(|| ReplyCache::new(config.dedupe_window));
         let worker = Arc::new(Worker {
@@ -233,9 +235,8 @@ impl Worker {
             dedupe,
             cut_lease: CutLease::new(CUT_CACHE_TTL),
         });
-        for i in 0..worker.config.executors.max(1) {
+        for (i, rx) in lanes.into_iter().enumerate() {
             let weak = Arc::downgrade(&worker);
-            let rx = inbox.clone();
             std::thread::Builder::new()
                 .name(format!("worker-{}-exec-{i}", shard.0))
                 .spawn(move || executor_loop(&weak, &rx))
@@ -509,7 +510,6 @@ impl Worker {
 }
 
 fn executor_loop(worker: &Weak<Worker>, inbox: &Receiver<BusFrame>) {
-    let mut recv_count = 0u32;
     let mut scratch = RequestScratch::new();
     let mut out = Vec::new();
     loop {
@@ -517,13 +517,6 @@ fn executor_loop(worker: &Weak<Worker>, inbox: &Receiver<BusFrame>) {
         if w.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // Sample the gauge every ~64 receives: a telemetry store on every
-        // message would ride the per-request hot path for a signal that only
-        // needs trend resolution.
-        if recv_count.is_multiple_of(64) {
-            crate::metrics::worker_inbox_depth().set(inbox.len() as i64);
-        }
-        recv_count = recv_count.wrapping_add(1);
         if let Ok(frame) = inbox.recv_timeout(Duration::from_millis(20)) {
             out.clear();
             w.serve_frame(&frame.bytes, &mut scratch, &mut out);

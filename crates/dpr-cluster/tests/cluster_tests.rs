@@ -471,6 +471,37 @@ fn a_retransmitted_batch_outlives_ten_windows_of_fresh_batches() {
 }
 
 #[test]
+fn a_sessions_batches_are_served_in_the_order_sent() {
+    // The ordering rule of `docs/NETWORK.md` §6 on the bus: a sender's
+    // frames are served by one thread, in the order sent. One session keeps
+    // two batches in flight at a worker with two executors: a write, and
+    // right behind it a read of the same key. Were the two served by
+    // different executors, the read could run first and see the last
+    // round's value.
+    let cluster = Cluster::start(base_config(ClusterKind::DFaster, 1)).unwrap();
+    let mut session = cluster.open_session().unwrap();
+    let key = Key::from_u64(7);
+    const ROUNDS: u64 = 2000;
+    for round in 1..=ROUNDS {
+        let value = Value::from_u64(round);
+        session
+            .issue(vec![ClusterOp::Upsert(key.clone(), value.clone())])
+            .unwrap();
+        session.issue(vec![ClusterOp::Read(key.clone())]).unwrap();
+        while session.stats().completed < 2 * round {
+            session.poll(true, Duration::from_millis(100)).unwrap();
+        }
+        let results = session.take_results();
+        assert_eq!(
+            results[1].1,
+            OpResult::Value(Some(value)),
+            "round {round}: the read ran before the write sent ahead of it"
+        );
+    }
+    cluster.shutdown();
+}
+
+#[test]
 fn nested_failures_are_handled_as_sequential_recoveries() {
     let mut config = base_config(ClusterKind::DFaster, 2);
     config.checkpoint_interval = Some(Duration::from_millis(10));

@@ -4,12 +4,14 @@
 //! with sends, the simulated network must preserve per-link FIFO order of
 //! delivered messages, account for every message (delivered + dropped +
 //! parked == sent), and shut down without deadlocking even with messages
-//! parked behind a partition.
+//! parked behind a partition. At an endpoint with several lanes (a worker's
+//! executors) the same holds sender by sender: one sender, one lane.
 
 use dpr_cluster::wire::{self, FrameKind};
 use dpr_cluster::{BusFrame, EndpointId, LinkFault, SimNetwork};
 use dpr_core::DprError;
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 #[derive(Debug, Clone)]
@@ -38,12 +40,42 @@ fn action_strategy() -> impl Strategy<Value = FaultAction> {
 
 /// A control frame numbered through its `seq`.
 fn numbered(serial: u64) -> BusFrame {
+    numbered_from(EndpointId(u64::MAX), serial)
+}
+
+fn numbered_from(from: EndpointId, serial: u64) -> BusFrame {
     let mut bytes = Vec::new();
     wire::encode_control(&mut bytes, FrameKind::CutReq, serial);
     BusFrame {
-        from: EndpointId(u64::MAX),
+        from,
         bytes: bytes.into(),
     }
+}
+
+/// Put a fault action on the link to `id`; the number of frames to send if
+/// it is a burst instead.
+fn apply(net: &Arc<SimNetwork>, id: EndpointId, action: &FaultAction) -> u8 {
+    let fault = match action {
+        FaultAction::Slow(ms) => LinkFault {
+            extra_delay: Duration::from_millis(u64::from(*ms)),
+            ..LinkFault::default()
+        },
+        FaultAction::Lossy(pct) => LinkFault {
+            drop_rate: f64::from(*pct) / 100.0,
+            ..LinkFault::default()
+        },
+        FaultAction::Partition => LinkFault {
+            partitioned: true,
+            ..LinkFault::default()
+        },
+        FaultAction::Heal => {
+            net.clear_link_fault(id);
+            return 0;
+        }
+        FaultAction::SendBurst(n) => return *n,
+    };
+    net.set_link_fault(id, fault);
+    0
 }
 
 fn serial_of(frame: &BusFrame) -> u64 {
@@ -75,26 +107,9 @@ proptest! {
             for (i, schedule) in schedules.iter().enumerate() {
                 let Some(action) = schedule.get(step) else { continue };
                 let (id, _) = links[i];
-                match action {
-                    FaultAction::Slow(ms) => net.set_link_fault(id, LinkFault {
-                        extra_delay: Duration::from_millis(u64::from(*ms)),
-                        ..LinkFault::default()
-                    }),
-                    FaultAction::Lossy(pct) => net.set_link_fault(id, LinkFault {
-                        drop_rate: f64::from(*pct) / 100.0,
-                        ..LinkFault::default()
-                    }),
-                    FaultAction::Partition => net.set_link_fault(id, LinkFault {
-                        partitioned: true,
-                        ..LinkFault::default()
-                    }),
-                    FaultAction::Heal => net.clear_link_fault(id),
-                    FaultAction::SendBurst(n) => {
-                        for _ in 0..*n {
-                            net.send(id, numbered(sent[i])).unwrap();
-                            sent[i] += 1;
-                        }
-                    }
+                for _ in 0..apply(&net, id, action) {
+                    net.send(id, numbered(sent[i])).unwrap();
+                    sent[i] += 1;
                 }
             }
         }
@@ -122,6 +137,55 @@ proptest! {
         // Shutdown must complete promptly even right after heavy traffic.
         net.shutdown();
         prop_assert!(net.send(links[0].0, numbered(0)).is_err());
+    }
+
+    /// An endpoint with several lanes (a worker with several executors):
+    /// whatever the link to it goes through, the frames of one sender all
+    /// arrive on one lane, in the order sent, and two senders registered one
+    /// after the other (two sessions opened back to back) get different
+    /// lanes. This is the bus's half of the ordering rule of
+    /// `docs/NETWORK.md` §6.
+    #[test]
+    fn a_senders_frames_keep_one_lane_and_their_order_under_faults(
+        schedule in prop::collection::vec(action_strategy(), 1..32),
+        lanes in 2..4usize,
+        seed in 0..u64::MAX,
+    ) {
+        let net = SimNetwork::new(Duration::ZERO);
+        net.set_fault_seed(seed);
+        let (to, inboxes) = net.register_lanes(lanes);
+        let senders = [net.register().0, net.register().0];
+        let mut sent = [0u64; 2];
+        for (step, action) in schedule.iter().enumerate() {
+            // Bursts alternate between the senders, frame by frame.
+            for k in 0..usize::from(apply(&net, to, action)) {
+                let who = (step + k) % 2;
+                net.send(to, numbered_from(senders[who], sent[who])).unwrap();
+                sent[who] += 1;
+            }
+        }
+        net.clear_all_link_faults();
+        let mut lane_of = [None; 2];
+        let mut last = [None; 2];
+        let mut delivered = 0u64;
+        for (lane, rx) in inboxes.iter().enumerate() {
+            while let Ok(msg) = rx.recv_timeout(Duration::from_millis(200)) {
+                let who = senders.iter().position(|s| *s == msg.from).unwrap();
+                prop_assert_eq!(*lane_of[who].get_or_insert(lane), lane,
+                    "sender {} on two lanes", who);
+                let serial = serial_of(&msg);
+                prop_assert!(last[who].is_none_or(|prev| serial > prev),
+                    "sender {} delivered {} after {:?}", who, serial, last[who]);
+                prop_assert!(serial < sent[who]);
+                last[who] = Some(serial);
+                delivered += 1;
+            }
+        }
+        if let [Some(a), Some(b)] = lane_of {
+            prop_assert!(a != b, "consecutive senders share lane {}", a);
+        }
+        prop_assert_eq!(delivered + net.dropped_count(), sent[0] + sent[1]);
+        net.shutdown();
     }
 
     /// Shutdown with messages still parked behind a partition neither

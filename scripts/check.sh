@@ -3,11 +3,11 @@
 #
 #   scripts/check.sh --quick   build + tier-1 tests only (fast inner loop)
 #   scripts/check.sh           the full gate: workspace tests, the lossy-link
-#                              exactly-once and outgrowing-RMW race guards,
-#                              manifest, forbid-unsafe
-#                              and unsafe-comment lints, docs, chaos and
-#                              figures smokes, and the benchmark's schema
-#                              smoke
+#                              exactly-once, session-order and
+#                              outgrowing-RMW race guards, manifest,
+#                              third_party, size, forbid-unsafe and
+#                              unsafe-comment lints, docs, chaos and figures
+#                              smokes, and the benchmark's schema smoke
 #
 # Fully offline — dependencies are vendored as stubs under third_party/
 # (see third_party/README.md), so no registry or network access is needed.
@@ -39,31 +39,32 @@ fi
 # The full workspace: every crate's suites.
 step cargo test --workspace -q
 
-# Exactly-once under loss is a guarantee (docs/NETWORK.md §6), so its test is
-# a guard: 30 % loss each way, non-idempotent ops, 20 runs in release, and
+# A guarantee is guarded, not sampled: its test runs 20 times in release and
 # the first failure stops the gate.
-echo
-echo "==> lossy-link exactly-once guard (20 runs, release)"
-for run in $(seq 20); do
-    cargo test --release -q -p dpr-cluster --test cluster_tests \
-        lossy_links_with_dedupe_apply_increments_exactly_once >/dev/null || {
-        echo "lossy-link run $run of 20 failed" >&2
-        exit 1
-    }
-done
-
+guard() { # label, package, test target, test name
+    echo
+    echo "==> $1 guard (20 runs, release)"
+    for run in $(seq 20); do
+        cargo test --release -q -p "$2" --test "$3" "$4" >/dev/null || {
+            echo "$1 run $run of 20 failed" >&2
+            exit 1
+        }
+    done
+}
+# Exactly-once under loss (docs/NETWORK.md §6): 30 % loss each way,
+# non-idempotent ops.
+guard lossy-link-exactly-once dpr-cluster cluster_tests \
+    lossy_links_with_dedupe_apply_increments_exactly_once
+# The ordering rule that guarantee rests on (docs/NETWORK.md §6): a sender's
+# frames are served by one thread, in the order sent; a write and, right
+# behind it, a read of the same key, at a worker with two executors.
+guard session-order dpr-cluster cluster_tests \
+    a_sessions_batches_are_served_in_the_order_sent
 # An RMW whose result outgrows its record must not lose the in-place RMWs
 # that race its copy (docs/PROTOCOL.md §5, the sealed record): exact counter
-# and exact length, 20 runs in release, the first failure stops the gate.
-echo
-echo "==> outgrowing-RMW race guard (20 runs, release)"
-for run in $(seq 20); do
-    cargo test --release -q -p dpr-faster --test concurrency_tests \
-        an_rmw_that_outgrows_its_record_loses_no_concurrent_in_place_rmw >/dev/null || {
-        echo "outgrowing-RMW run $run of 20 failed" >&2
-        exit 1
-    }
-done
+# and exact length.
+guard outgrowing-RMW-race dpr-faster concurrency_tests \
+    an_rmw_that_outgrows_its_record_loses_no_concurrent_in_place_rmw
 
 # No crate serializes through serde: every byte format has one hand-written
 # codec. The stand-ins under third_party/ are for benchmark/ only.
@@ -83,17 +84,37 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     dir=$(dirname "$manifest")
     for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]") }
                       on && /^[a-z]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
-        if ! grep -rqsw "${dep//-/_}" "$dir"/{src,tests,benches,examples}; then
+        if ! grep -rqsw "${dep//-/_}" "$dir"/{src,tests,examples}; then
             echo "$manifest declares $dep and never names it" >&2
             unused=1
         fi
     done
 done
+# And a stand-in is there for someone: a directory under third_party/ that no
+# manifest takes (a crate's or the root package's `name.workspace = true`, or
+# a path from benchmark/) is dead code with a workspace member's standing.
+for dir in third_party/*/; do
+    name=$(basename "$dir")
+    if ! grep -qsE "^$name\.workspace *= *true" Cargo.toml crates/*/Cargo.toml &&
+        ! grep -qs "third_party/$name\"" crates/*/Cargo.toml benchmark/Cargo.toml; then
+        echo "third_party/$name: no manifest depends on it" >&2
+        unused=1
+    fi
+done
 [[ "$unused" == 0 ]] || exit 1
 
+# dpr-bench is a harness, not a second code base (ROADMAP item 7).
+echo
+echo "==> crates/dpr-bench is at most 2,100 lines of Rust"
+bench_lines=$(find crates/dpr-bench -name '*.rs' -print0 | xargs -0 cat | wc -l)
+if (( bench_lines > 2100 )); then
+    echo "crates/dpr-bench has $bench_lines lines of Rust" >&2
+    exit 1
+fi
+
 # The compiler confines `unsafe` to dpr-faster: every other library crate,
-# and the facade, forbids it. (Integration tests and the allocation-probe
-# binaries are crates of their own and keep their `GlobalAlloc` impls.)
+# and the facade, forbids it. (Integration tests and the `allocstacks`
+# binary are crates of their own and keep their `GlobalAlloc` impls.)
 echo
 echo "==> #![forbid(unsafe_code)] in every lib.rs but dpr-faster's"
 for lib in src/lib.rs crates/*/src/lib.rs; do
