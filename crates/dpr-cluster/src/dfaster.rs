@@ -161,6 +161,10 @@ impl ShardStore for FasterShard {
         Ok(())
     }
 
+    fn faster(&self) -> Option<&Arc<FasterKv>> {
+        Some(&self.kv)
+    }
+
     fn inject_commit_stall(&self, duration: std::time::Duration) {
         self.kv.stall_checkpoints_for(duration);
     }

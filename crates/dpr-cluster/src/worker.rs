@@ -76,6 +76,13 @@ pub trait ShardStore: StateObject {
         Ok(())
     }
 
+    /// The FASTER store behind this shard, if that is what it is: for
+    /// diagnostics and tests that look at its log (`FasterKv::log_begin`,
+    /// `FasterKv::compaction_totals`).
+    fn faster(&self) -> Option<&Arc<dpr_faster::FasterKv>> {
+        None
+    }
+
     /// Chaos fault point: delay in-flight and future checkpoint
     /// completion for `duration`, simulating a hung flush device.
     /// Default: stores without a checkpoint machine ignore it.
@@ -89,6 +96,12 @@ pub trait ShardStore: StateObject {
     /// phase would block. Default: no-op.
     fn clear_commit_stall(&self) {}
 }
+
+/// Control ticks (1 ms apart, plus what a tick takes) between two rounds of
+/// garbage collection: about twice a second. A round runs at most one
+/// copy-forward pass, on the control thread, so this is also how long a
+/// store's dead bytes can grow past the half that starts one.
+const GC_EVERY_TICKS: u32 = 512;
 
 /// Worker behavior knobs (these map onto the paper's experiment axes).
 #[derive(Debug, Clone)]
@@ -468,8 +481,11 @@ impl Worker {
             self.ownership.renew_leases(self.shard);
             self.check_recovery();
         }
-        if (*poll_counter).is_multiple_of(512) && self.config.dpr_enabled {
-            // GC durable log space the DPR cut has moved past (§5.5).
+        if (*poll_counter).is_multiple_of(GC_EVERY_TICKS) && self.config.dpr_enabled {
+            // GC what the DPR cut has moved past (§5.5): manifests, and the
+            // log prefix a copy-forward pass has emptied. A failure is
+            // counted where it happens (`dpr_faster_gc_errors_total`) and
+            // the next round tries again.
             if let Ok(cut) = self.finder.current_cut() {
                 if let Some(&v) = cut.get(&self.shard) {
                     let _ = self.store.collect_garbage(v);
@@ -531,7 +547,10 @@ fn executor_loop(worker: &Weak<Worker>, inbox: &Receiver<BusFrame>) {
 
 fn control_loop(worker: &Weak<Worker>) {
     let mut last_checkpoint = Instant::now();
-    let mut poll_counter = 0u32;
+    // The shards of one process collect garbage a quarter of a round apart:
+    // a pass is some 15 ms of one core, and two at once are two cores.
+    let shard = worker.upgrade().map_or(0, |w| w.shard.0);
+    let mut poll_counter = (shard % 4) * (GC_EVERY_TICKS / 4);
     loop {
         let Some(w) = worker.upgrade() else { return };
         if w.shutdown.load(Ordering::Acquire) {

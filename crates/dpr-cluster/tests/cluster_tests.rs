@@ -524,3 +524,69 @@ fn nested_failures_are_handled_as_sequential_recoveries() {
         .unwrap();
     cluster.shutdown();
 }
+
+/// A failure lands while a copy-forward pass waits for the cut on the victim
+/// and on a survivor: both roll back, which voids the passes (a record they
+/// skipped as superseded may be live again), and nothing of the prefixes they
+/// had marked is freed before new passes have copied what is live there.
+/// The session's surviving prefix reads back exactly, and the logs go on
+/// being shortened in the new world-line.
+#[test]
+fn a_failure_while_passes_are_pending_loses_nothing() {
+    const KEYS: u64 = 300;
+    let cluster = Cluster::start(base_config(ClusterKind::DFaster, 3)).unwrap();
+    let stores: Vec<_> = cluster.workers()[..2]
+        .iter()
+        .map(|w| w.store().faster().expect("a D-FASTER shard").clone())
+        .collect();
+    let mut session = cluster.open_session().unwrap();
+    // Op `i` writes `i` to key `i % KEYS`, one op a batch: each key is
+    // written once per checkpoint or so, every write an append, and the
+    // garbage outgrows the live records within a few versions.
+    let write = |session: &mut dpr_cluster::SessionHandle, i: u64| {
+        session.execute(vec![ClusterOp::Upsert(
+            Key::from_u64(i % KEYS),
+            Value::from_u64(i),
+        )])
+    };
+    let started = Instant::now();
+    let mut issued = 0;
+    while stores.iter().any(|kv| kv.pending_pass().is_none()) {
+        assert!(started.elapsed() < Duration::from_secs(30), "no pass");
+        write(&mut session, issued).unwrap();
+        issued += 1;
+    }
+    let freed_before: Vec<u64> = stores.iter().map(|kv| kv.log_begin()).collect();
+    cluster.inject_failure_at(0).unwrap();
+    cluster.wait_recovered(Duration::from_secs(10)).unwrap();
+    assert!(write(&mut session, issued).is_err(), "old world-line");
+    let survived = session.recover(Duration::from_secs(10)).unwrap();
+    assert!(survived <= issued);
+    // The newest write below the surviving prefix, key by key.
+    let expected = |k: u64, prefix: u64| (0..prefix).rev().find(|i| i % KEYS == k);
+    let read_back = |session: &mut dpr_cluster::SessionHandle, prefix: u64, what: &str| {
+        let reads = (0..KEYS).map(|k| ClusterOp::Read(Key::from_u64(k)));
+        let results = session.execute(reads.collect()).unwrap();
+        for (k, r) in results.iter().enumerate() {
+            let want = expected(k as u64, prefix).map(Value::from_u64);
+            assert_eq!(*r, OpResult::Value(want), "key {k} {what}");
+        }
+    };
+    read_back(&mut session, survived, "after the rollback");
+    // Two more rounds over every key, then until both logs have been
+    // truncated in the new world-line.
+    let mut next = survived.next_multiple_of(KEYS);
+    let resumed = next;
+    while next < resumed + 2 * KEYS
+        || stores
+            .iter()
+            .zip(&freed_before)
+            .any(|(kv, &before)| kv.log_begin() <= before)
+    {
+        assert!(started.elapsed() < Duration::from_secs(60), "no truncation");
+        write(&mut session, next).unwrap();
+        next += 1;
+    }
+    read_back(&mut session, next, "after the truncations");
+    cluster.shutdown();
+}

@@ -43,4 +43,4 @@ pub use log::{GetOutcome, RecordLog, MAX_RECORD_LEN, PAGE_SIZE};
 pub use record::{Record, RecordMeta, RecordView, NONE_ADDRESS};
 pub use session::{OpOutcome, PendingToken, Session};
 pub use state::{Phase, SystemState};
-pub use store::{CheckpointInfo, FasterConfig, FasterKv};
+pub use store::{CheckpointInfo, CompactionTotals, FasterConfig, FasterKv};

@@ -99,6 +99,48 @@ metric_fn!(
 );
 
 metric_fn!(
+    /// The address the log begins at.
+    pub(crate) fn log_begin_bytes() -> Gauge =
+        ("dpr_faster_log_begin_bytes", Bytes,
+         "Log bytes freed below begin (the begin address), all stores; moved by FasterKv::tick")
+);
+
+metric_fn!(
+    /// Bytes of superseded records above `begin`, as far as counted.
+    pub(crate) fn log_dead_bytes() -> Gauge =
+        ("dpr_faster_log_dead_bytes", Bytes,
+         "Bytes of records seen superseded and not yet freed, all stores; half of tail - begin starts a pass")
+);
+
+metric_fn!(
+    /// Copy-forward passes run.
+    pub(crate) fn compaction_passes() -> Counter =
+        ("dpr_faster_compaction_passes_total", Count,
+         "Copy-forward passes over the flushed, read-only log prefix")
+);
+
+metric_fn!(
+    /// Bytes the passes appended at the tail.
+    pub(crate) fn compaction_copied_bytes() -> Counter =
+        ("dpr_faster_compaction_copied_bytes_total", Bytes,
+         "Bytes of live records that copy-forward passes appended again at the tail")
+);
+
+metric_fn!(
+    /// Bytes freed below `begin`.
+    pub(crate) fn compaction_freed_bytes() -> Counter =
+        ("dpr_faster_compaction_freed_bytes_total", Bytes,
+         "Log bytes freed, from memory and device, once the cut covered the pass that emptied them")
+);
+
+metric_fn!(
+    /// `collect_garbage` calls that returned an error.
+    pub(crate) fn gc_errors() -> Counter =
+        ("dpr_faster_gc_errors_total", Count,
+         "collect_garbage calls that failed (a version above durable, a blob or device error)")
+);
+
+metric_fn!(
     /// Records whose value seqlock reached its terminal state.
     pub(crate) fn record_seals() -> Counter =
         ("dpr_faster_record_seals_total", Count,

@@ -628,6 +628,13 @@ impl Record {
         self.prev
     }
 
+    /// The log bytes a record of this key and value takes: the original's
+    /// footprint less the spare value capacity it may have had.
+    #[must_use]
+    pub fn footprint(&self) -> usize {
+        record_footprint(self.key.len(), self.value.len())
+    }
+
     /// Decode a record from serialized log bytes (the same layout as the
     /// in-memory arena). Returns the record and its total footprint, or
     /// `None` if `buf` is truncated or does not start with a READY record

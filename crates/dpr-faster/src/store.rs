@@ -15,7 +15,7 @@
 use crate::checkpoint::{CheckpointManifest, CommitPoint};
 use crate::index::HashIndex;
 use crate::log::{GetOutcome, RecordLog, MAX_RECORD_LEN, PAGE_SIZE};
-use crate::record::{record_footprint, RecordMeta, RecordView, MAX_VERSION, NONE_ADDRESS};
+use crate::record::{record_footprint, Record, RecordMeta, RecordView, MAX_VERSION, NONE_ADDRESS};
 use crate::session::{
     CompletedOp, OpOutcome, PendingKind, PendingOp, PendingToken, RmwFn, Session, SessionCore,
     SessionShared,
@@ -39,6 +39,19 @@ const PAGE_BYTES: u64 = PAGE_SIZE as u64;
 /// record-denominated preserves every existing config literal across the
 /// workspace.
 const RECORD_BYTES_ESTIMATE: u64 = 64;
+
+/// The most records one copy-forward pass looks at — scans, or passes on a
+/// liveness walk — before it ends at the next page boundary. It bounds how
+/// long one [`FasterKv::collect_garbage`] keeps its caller, a worker's
+/// control thread, which also pumps commits, to some 15 ms. A longer prefix
+/// takes several passes, one per call, each freed before the next begins.
+const PASS_VISITS: u64 = 1 << 16;
+
+/// What a record that a liveness walk reads from the device counts for in
+/// [`PASS_VISITS`]: a device read, a copy and two allocations where a
+/// resident record is a pointer (measured on `colo_store`, keyspace 4× memory:
+/// ~3 µs a record looked at against ~0.25 µs).
+const COLD_VISIT: u64 = 12;
 
 /// The smallest record of the paper's workloads (8-byte key and value): what
 /// bounds the number of records in a log of a given length.
@@ -152,6 +165,38 @@ impl MachineCtx {
     }
 }
 
+/// A copy-forward pass that has run and whose prefix is not freed yet.
+struct Pass {
+    /// The pass emptied `[begin, until)`: every record there is dead, a
+    /// tombstone, or has a copy above `until`.
+    until: u64,
+    /// The version current when the pass ended. No copy is of a later one,
+    /// and neither is any record the pass took for the newer one of a key.
+    version: Version,
+    /// Footprints of the records it copied.
+    copied: u64,
+    /// Rollbacks the store had seen when the pass began. One more and the
+    /// pass is void: a record it skipped as superseded may be live again.
+    rollbacks: usize,
+}
+
+/// What a store's copy-forward passes have done so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CompactionTotals {
+    /// Passes run.
+    pub passes: u64,
+    /// Footprints of the records the passes copied to the tail.
+    pub copied_bytes: u64,
+    /// Log bytes freed below `begin` once the cut covered a pass.
+    pub freed_bytes: u64,
+}
+
+#[derive(Default)]
+struct Compaction {
+    pending: Option<Pass>,
+    totals: CompactionTotals,
+}
+
 /// Version-boundary capture state, consulted by sessions as they cross.
 enum BoundaryKind {
     Checkpoint,
@@ -214,21 +259,64 @@ pub struct FasterKv {
     /// hung (see [`FasterKv::stall_checkpoints_for`]).
     checkpoint_stall: Mutex<Option<std::time::Instant>>,
     /// What this store has last added to the process-wide log gauges: tail,
-    /// resident and durable bytes (see [`FasterKv::report_log_bytes`]).
-    log_reported: [AtomicU64; 3],
+    /// resident, durable, begin and dead bytes (see
+    /// [`FasterKv::report_log_bytes`]).
+    log_reported: [AtomicU64; 5],
+    /// Footprints of the records above `begin` that the store has seen
+    /// superseded: by an append, a read-copy-update or a delete that found
+    /// the older record of its key. A statistic, and a lower bound: a blind
+    /// write to a key whose chain has left memory counts nothing. Half of
+    /// `tail - begin` starts a copy-forward pass.
+    dead_bytes: DeadBytes,
+    /// Held by the copy-forward pass from the moment it reads the current
+    /// version until its copy of that version is appended and published:
+    /// what a session's own lock is to its appends. The checkpoint machine
+    /// takes it before every transition, so a copy lies below the seal of
+    /// its version like any other record.
+    copy_gate: Mutex<()>,
+    /// Serializes [`FasterKv::collect_garbage`].
+    compaction: Mutex<Compaction>,
     shutdown: AtomicBool,
+}
+
+/// Written by every append that supersedes a record, so kept off the cache
+/// lines of the fields every operation reads.
+#[repr(align(128))]
+#[derive(Default)]
+struct DeadBytes(AtomicU64);
+
+/// Where a walk of a key's chain starts and where it may stop.
+#[derive(Clone, Copy)]
+struct Chain {
+    /// The chain head; a record of the walk's key is published over it.
+    head: u64,
+    /// Where the log began before `head` was read. Every record live then
+    /// lies at or above it, so a link that leads below it ends the walk.
+    floor: u64,
 }
 
 enum Find {
     Found { value: Option<Value> },
-    OnDisk { addr: u64 },
+    OnDisk(LeftMemory),
 }
 
-/// Where a chain walk left memory: the head it started from and the first
-/// address below the resident region.
+/// Where a chain walk left memory: the chain it is on and the first address
+/// below the resident region.
 struct LeftMemory {
-    head: u64,
+    chain: Chain,
     addr: u64,
+}
+
+/// How a chain walk below memory ended.
+enum Cold {
+    /// At the newest live record of the key: its footprint and its value
+    /// (`None`: a tombstone).
+    Found(usize, Option<Value>),
+    /// At the end of the chain: the key has no record.
+    Miss,
+    /// In a prefix freed since the walk began. What was live there has a
+    /// copy above, which a walk from the present chain head meets.
+    Freed,
 }
 
 impl FasterKv {
@@ -273,6 +361,9 @@ impl FasterKv {
             departed: Mutex::new(BTreeMap::new()),
             checkpoint_stall: Mutex::new(None),
             log_reported: Default::default(),
+            dead_bytes: DeadBytes::default(),
+            copy_gate: Mutex::new(()),
+            compaction: Mutex::new(Compaction::default()),
             shutdown: AtomicBool::new(false),
             config,
         });
@@ -376,6 +467,9 @@ impl FasterKv {
             recovered_version: version,
             checkpoint_stall: Mutex::new(None),
             log_reported: Default::default(),
+            dead_bytes: DeadBytes::default(),
+            copy_gate: Mutex::new(()),
+            compaction: Mutex::new(Compaction::default()),
             shutdown: AtomicBool::new(false),
             config,
         });
@@ -390,9 +484,10 @@ impl FasterKv {
 
     /// Rebuild the hash index from the recovered log in parallel.
     ///
-    /// The scan of `[0, until)` is partitioned by page range across
+    /// The scan of `[begin, until)` is partitioned by page range across
     /// `recovery_rebuild_threads` — records never straddle pages, so every
-    /// partition starts at a parse boundary and scans independently. Each
+    /// partition starts at a parse boundary (`begin` is one) and scans
+    /// independently. Each
     /// thread publishes its records with [`HashIndex::publish_max`]
     /// (last-writer-wins by address), which commutes across threads and
     /// therefore yields exactly the heads a sequential scan-and-publish
@@ -404,21 +499,22 @@ impl FasterKv {
         log: &RecordLog,
         dead: &(dyn Fn(u64, &RecordMeta) -> bool + Sync),
     ) -> Result<()> {
-        let until = log.tail();
-        if until == 0 {
+        let (begin, until) = (log.begin(), log.tail());
+        if until == begin {
             return Ok(());
         }
         // Sized once, for a log of distinct keys; one of many versions per
         // key gets more slots than it needs, within the index's bound.
-        index.reserve(&log.protect(), until / PAPER_RECORD_BYTES);
-        let pages = until.div_ceil(PAGE_BYTES);
+        index.reserve(&log.protect(), (until - begin) / PAPER_RECORD_BYTES);
+        let first_page = begin / PAGE_BYTES;
+        let pages = until.div_ceil(PAGE_BYTES) - first_page;
         let threads = (config.recovery_rebuild_threads.max(1) as u64).min(pages);
         let pages_per = pages.div_ceil(threads);
         std::thread::scope(|s| -> Result<()> {
             let mut handles = Vec::new();
             for t in 0..threads {
-                let from = (t * pages_per * PAGE_BYTES).min(until);
-                let to = ((t + 1) * pages_per * PAGE_BYTES).min(until);
+                let page = |n: u64| ((first_page + n * pages_per) * PAGE_BYTES).min(until);
+                let (from, to) = (page(t).max(begin), page(t + 1));
                 if from >= to {
                     continue;
                 }
@@ -547,6 +643,10 @@ impl FasterKv {
     /// True when every registered session has observed `target`, advancing
     /// idle sessions on their behalf.
     fn all_sessions_at(&self, target: SystemState) -> bool {
+        // A copy in flight is of the version it read under the gate.
+        if self.copy_gate.try_lock().is_none() {
+            return false;
+        }
         let sessions: Vec<Arc<SessionShared>> = self.sessions.read().values().cloned().collect();
         for s in sessions {
             let Some(mut core) = s.core.try_lock() else {
@@ -576,21 +676,32 @@ impl FasterKv {
             || (addr < self.recovery_boundary && m.version > self.recovered_version)
     }
 
-    /// Walk the in-memory chain for `key` under `guard`, from `head`, the
-    /// chain head the caller read from the index under the same guard: the
-    /// newest live resident record as a borrowed view (`Ok(Some)`), a miss
-    /// (`Ok(None)`), or the address where the chain left memory
-    /// (`Err(addr)`).
+    /// Where a walk for `key` under `guard` starts and may stop. The floor
+    /// is read first: a prefix freed after that had its live records copied
+    /// above it before the head was read, or the walk finds it gone and
+    /// starts again ([`Cold::Freed`]).
+    fn chain(&self, guard: &EpochGuard<'_>, key: &Key) -> Chain {
+        let floor = self.log.begin();
+        Chain {
+            head: self.index.head(guard, key),
+            floor,
+        }
+    }
+
+    /// Walk the in-memory part of `chain` for `key` under `guard`, the one
+    /// the chain was read under: the newest live resident record as a
+    /// borrowed view (`Ok(Some)`), a miss (`Ok(None)`), or the address where
+    /// the chain left memory (`Err(addr)`).
     fn find_resident_view<'g>(
         &'g self,
         guard: &'g EpochGuard<'_>,
         key: &Key,
-        head: u64,
+        chain: Chain,
     ) -> Result<std::result::Result<Option<RecordView<'g>>, u64>> {
-        let mut addr = head;
+        let mut addr = chain.head;
         let mut hops = 0u64;
         let out = loop {
-            if addr == NONE_ADDRESS {
+            if addr == NONE_ADDRESS || addr < chain.floor {
                 break Ok(None);
             }
             match self.log.get_ready(guard, addr)? {
@@ -621,8 +732,8 @@ impl FasterKv {
     /// disk handoff address). Tombstones read as `None`.
     fn find_resident(&self, key: &Key) -> Result<Find> {
         let guard = self.log.protect();
-        let head = self.index.head(&guard, key);
-        Ok(match self.find_resident_view(&guard, key, head)? {
+        let chain = self.chain(&guard, key);
+        Ok(match self.find_resident_view(&guard, key, chain)? {
             Ok(None) => Find::Found { value: None },
             Ok(Some(view)) => Find::Found {
                 value: if view.meta().tombstone {
@@ -631,16 +742,31 @@ impl FasterKv {
                     Some(view.read_value())
                 },
             },
-            Err(addr) => Find::OnDisk { addr },
+            Err(addr) => Find::OnDisk(LeftMemory { chain, addr }),
         })
+    }
+
+    /// The value of `key`, through memory and the device.
+    fn find(&self, key: &Key) -> Result<Option<Value>> {
+        loop {
+            match self.find_resident(key)? {
+                Find::Found { value } => return Ok(value),
+                Find::OnDisk(left) => match self.find_from_disk(key, &left)? {
+                    Cold::Found(_, value) => return Ok(value),
+                    Cold::Miss => return Ok(None),
+                    Cold::Freed => {}
+                },
+            }
+        }
     }
 
     /// Continue a chain walk below the in-memory region by reading records
     /// from the device.
-    fn find_from_disk(&self, key: &Key, mut addr: u64) -> Result<Option<Value>> {
+    fn find_from_disk(&self, key: &Key, left: &LeftMemory) -> Result<Cold> {
+        let mut addr = left.addr;
         loop {
-            if addr == NONE_ADDRESS {
-                return Ok(None);
+            if addr == NONE_ADDRESS || addr < left.chain.floor {
+                return Ok(Cold::Miss);
             }
             if addr >= self.log.head() {
                 // The walk climbed back into memory (possible when eviction
@@ -651,11 +777,8 @@ impl FasterKv {
                         if view.key_matches(key) {
                             let m = view.meta();
                             if !self.is_dead(addr, &m) {
-                                return Ok(if m.tombstone {
-                                    None
-                                } else {
-                                    Some(view.read_value())
-                                });
+                                let value = (!m.tombstone).then(|| view.read_value());
+                                return Ok(Cold::Found(view.footprint(), value));
                             }
                         }
                         addr = view.prev();
@@ -665,15 +788,16 @@ impl FasterKv {
                     GetOutcome::NotReady => unreachable!("get_ready resolved NotReady"),
                 }
             }
-            let rec = self.log.read_from_device(addr)?;
+            let rec = match self.log.read_from_device(addr) {
+                Ok(rec) => rec,
+                Err(_) if addr < self.log.begin() => return Ok(Cold::Freed),
+                Err(e) => return Err(e),
+            };
             if rec.key() == key {
                 let m = rec.meta();
                 if !self.is_dead(addr, &m) {
-                    return Ok(if m.tombstone {
-                        None
-                    } else {
-                        Some(rec.read_value())
-                    });
+                    let value = (!m.tombstone).then(|| rec.read_value());
+                    return Ok(Cold::Found(rec.footprint(), value));
                 }
             }
             addr = rec.prev();
@@ -690,6 +814,13 @@ impl FasterKv {
             )));
         }
         Ok(())
+    }
+
+    /// Count `bytes` of a record that a newer one of its key now hides.
+    fn count_dead(&self, bytes: usize) {
+        if bytes > 0 {
+            self.dead_bytes.0.fetch_add(bytes as u64, Ordering::Relaxed);
+        }
     }
 
     /// Append a record and publish it at the head of `key`'s chain,
@@ -755,13 +886,13 @@ impl FasterKv {
                 version,
                 serial,
             }),
-            Find::OnDisk { addr } => {
+            Find::OnDisk(left) => {
                 if self.config.strict_cpr {
                     // Strict CPR (§5.4): resolve the I/O inline so the
                     // serial order is exactly the completion order — paying
                     // a full I/O round trip per operation.
                     self.charge_read();
-                    let value = self.find_from_disk(key, addr)?;
+                    let value = self.find(key)?;
                     return Ok(OpOutcome::Read {
                         value,
                         version,
@@ -773,7 +904,7 @@ impl FasterKv {
                     PendingOp {
                         key: key.clone(),
                         kind: PendingKind::Read,
-                        addr,
+                        addr: left.addr,
                     },
                 );
                 crate::metrics::pending_ops().add(1);
@@ -798,16 +929,19 @@ impl FasterKv {
         // otherwise append (blind upserts never need the disk), onto the
         // head the walk started from.
         let guard = self.log.protect();
-        let head = self.index.head(&guard, &key);
-        if let Ok(Some(view)) = self.find_resident_view(&guard, &key, head)? {
+        let chain = self.chain(&guard, &key);
+        let mut superseded = 0;
+        if let Ok(Some(view)) = self.find_resident_view(&guard, &key, chain)? {
             let m = view.meta();
             if self.in_place_ok(&view, &m, version) && view.try_write_value(&value) {
                 return Ok(OpOutcome::Mutated { version, serial });
             }
             // Capacity exceeded or CPR forbids in-place: fall through to an
             // append.
+            superseded = view.footprint();
         }
-        self.append_and_publish(&guard, &key, &value, version, false, head);
+        self.append_and_publish(&guard, &key, &value, version, false, chain.head);
+        self.count_dead(superseded);
         Ok(OpOutcome::Mutated { version, serial })
     }
 
@@ -818,9 +952,16 @@ impl FasterKv {
         let serial = core.next_serial;
         core.next_serial += 1;
         let guard = self.log.protect();
-        let head = self.index.head(&guard, &key);
+        let chain = self.chain(&guard, &key);
+        // A tombstone is garbage from the start: the next pass over it
+        // copies neither it nor what it hides.
+        let mut superseded = record_footprint(key.len(), 0);
+        if let Ok(Some(view)) = self.find_resident_view(&guard, &key, chain)? {
+            superseded += view.footprint();
+        }
         let tombstone = Value(bytes::Bytes::new());
-        self.append_and_publish(&guard, &key, &tombstone, version, true, head);
+        self.append_and_publish(&guard, &key, &tombstone, version, true, chain.head);
+        self.count_dead(superseded);
         Ok(OpOutcome::Mutated { version, serial })
     }
 
@@ -859,9 +1000,13 @@ impl FasterKv {
 
     /// Resolve an RMW whose chain leads to the device, synchronously.
     fn resolve_rmw_from_disk(&self, key: &Key, f: &RmwFn, version: Version) -> Result<()> {
-        while let Some(disk) = self.rmw_attempt(key, f, version)? {
-            let old = self.find_from_disk(key, disk.addr)?;
-            if self.rcu_publish(key, f(old.as_ref()), version, disk.head)? {
+        while let Some(left) = self.rmw_attempt(key, f, version)? {
+            let (superseded, old) = match self.find_from_disk(key, &left)? {
+                Cold::Found(footprint, old) => (footprint, old),
+                Cold::Miss => (0, None),
+                Cold::Freed => continue,
+            };
+            if self.rcu_publish(key, f(old.as_ref()), version, left.chain.head, superseded)? {
                 break;
             }
         }
@@ -882,8 +1027,8 @@ impl FasterKv {
     fn rmw_attempt(&self, key: &Key, f: &RmwFn, version: Version) -> Result<Option<LeftMemory>> {
         loop {
             let guard = self.log.protect();
-            let head = self.index.head(&guard, key);
-            let old = match self.find_resident_view(&guard, key, head)? {
+            let chain = self.chain(&guard, key);
+            let (old, superseded) = match self.find_resident_view(&guard, key, chain)? {
                 Ok(Some(view)) => {
                     let m = view.meta();
                     if self.in_place_ok(&view, &m, version) && view.try_modify_value(|v| f(Some(v)))
@@ -893,13 +1038,14 @@ impl FasterKv {
                     // CPR forbids in-place, or the record is sealed (by now
                     // if not before: the result is of another size class):
                     // read-copy-update.
-                    (!m.tombstone).then(|| view.read_value())
+                    let old = (!m.tombstone).then(|| view.read_value());
+                    (old, view.footprint())
                 }
-                Ok(None) => None,
-                Err(addr) => return Ok(Some(LeftMemory { head, addr })),
+                Ok(None) => (None, 0),
+                Err(addr) => return Ok(Some(LeftMemory { chain, addr })),
             };
             drop(guard);
-            if self.rcu_publish(key, f(old.as_ref()), version, head)? {
+            if self.rcu_publish(key, f(old.as_ref()), version, chain.head, superseded)? {
                 return Ok(None);
             }
             // Chain head changed under us; retry from the top.
@@ -907,20 +1053,25 @@ impl FasterKv {
     }
 
     /// Publish an RCU record if the chain head is still `expected`, the one
-    /// the caller's walk started from; on failure the orphaned record is
-    /// invalidated in place and the caller retries.
+    /// the caller's walk started from, over a record of `superseded` bytes;
+    /// on failure the orphaned record is invalidated in place and the caller
+    /// retries.
     fn rcu_publish(
         &self,
         key: &Key,
         value: Value,
         version: Version,
         expected: u64,
+        superseded: usize,
     ) -> Result<bool> {
         Self::check_record_size(key, &value)?;
         let guard = self.log.protect();
         let addr = self.log.append(key, &value, version, false, expected);
         match self.index.try_publish(&guard, key, expected, addr) {
-            Ok(()) => Ok(true),
+            Ok(()) => {
+                self.count_dead(superseded);
+                Ok(true)
+            }
             Err(_) => {
                 if let Ok(GetOutcome::Resident(view)) = self.log.get(&guard, addr) {
                     view.invalidate();
@@ -962,10 +1113,7 @@ impl FasterKv {
                 PendingKind::Read => {
                     // Re-check memory first (the key may have been written
                     // since), then chase the chain through the device.
-                    let value = match self.find_resident(&op.key)? {
-                        Find::Found { value } => value,
-                        Find::OnDisk { addr } => self.find_from_disk(&op.key, addr)?,
-                    };
+                    let value = self.find(&op.key)?;
                     out.push(CompletedOp {
                         serial,
                         value,
@@ -1047,18 +1195,22 @@ impl FasterKv {
             self.log.tail(),
             self.log.resident_bytes(),
             self.log.flushed(),
+            self.log.begin(),
+            self.dead_bytes.0.load(Ordering::Relaxed),
         ]);
     }
 
     /// Move the log gauges, which sum over every store in the process, by
-    /// what this store's tail, resident and durable bytes have changed since
-    /// it last reported them. Called from `tick`, so that an operation pays
-    /// nothing for them.
-    fn report_log_bytes(&self, now: [u64; 3]) {
+    /// what this store's tail, resident, durable, begin and dead bytes have
+    /// changed since it last reported them. Called from `tick`, so that an
+    /// operation pays nothing for them.
+    fn report_log_bytes(&self, now: [u64; 5]) {
         let gauges = [
             crate::metrics::log_tail_bytes(),
             crate::metrics::log_resident_bytes(),
             crate::metrics::log_durable_bytes(),
+            crate::metrics::log_begin_bytes(),
+            crate::metrics::log_dead_bytes(),
         ];
         for ((gauge, reported), now) in gauges.into_iter().zip(&self.log_reported).zip(now) {
             let last = reported.swap(now, Ordering::Relaxed);
@@ -1363,10 +1515,7 @@ impl FasterKv {
     /// Direct read for tests/examples outside any session: walks memory and
     /// device, honoring tombstones and purges.
     pub fn get(self: &Arc<Self>, key: &Key) -> Result<Option<Value>> {
-        match self.find_resident(key)? {
-            Find::Found { value } => Ok(value),
-            Find::OnDisk { addr } => self.find_from_disk(key, addr),
-        }
+        self.find(key)
     }
 
     /// Scan the live state: the newest valid value per key, skipping
@@ -1381,7 +1530,8 @@ impl FasterKv {
     /// the committing version).
     pub fn scan_live_upto(&self, max_version: Version) -> Result<Vec<(Key, Value)>> {
         let mut newest: HashMap<Key, (u64, Option<Value>)> = HashMap::new();
-        self.log.scan_range(0, self.log.tail(), &mut |rec| {
+        let (begin, tail) = (self.log.begin(), self.log.tail());
+        self.log.scan_range(begin, tail, &mut |rec| {
             let m = rec.meta();
             if m.version > max_version || self.is_dead(rec.address(), &m) {
                 return Ok(());
@@ -1413,6 +1563,27 @@ impl FasterKv {
     #[must_use]
     pub fn log_tail(&self) -> u64 {
         self.log.tail()
+    }
+
+    /// The address the log begins at: everything below it has been freed
+    /// by [`FasterKv::collect_garbage`] (diagnostics).
+    #[must_use]
+    pub fn log_begin(&self) -> u64 {
+        self.log.begin()
+    }
+
+    /// What this store's copy-forward passes have done so far.
+    #[must_use]
+    pub fn compaction_totals(&self) -> CompactionTotals {
+        self.compaction.lock().totals
+    }
+
+    /// The version a finished pass waits for: its prefix is freed by the
+    /// first [`FasterKv::collect_garbage`] at a cut whose manifest is of
+    /// that version or a later one. `None` when no pass is waiting.
+    #[must_use]
+    pub fn pending_pass(&self) -> Option<Version> {
+        self.compaction.lock().pending.as_ref().map(|p| p.version)
     }
 
     /// Evict every flushed, sealed page from memory (tests and memory
@@ -1477,14 +1648,34 @@ impl FasterKv {
     ///
     /// Recovery at the cut uses the newest manifest at or below it
     /// ([`CheckpointManifest::latest`]), so that one and everything above
-    /// it are kept and the older manifests deleted, in either checkpoint
-    /// mode. The log is truncated only below a *snapshot* checkpoint: a
-    /// fold-over checkpoint's state IS the log, so truncating below it would
-    /// lose live records that were never overwritten. Records below the
-    /// boundary must also already be evicted from memory. Returns the record
-    /// address the durable log now starts at, or `None` if no log space was
-    /// safe to collect.
+    /// it are kept and the older manifests deleted. The log, in either
+    /// checkpoint mode, is shortened in two steps, each a call of this
+    /// function:
+    ///
+    /// * a *copy-forward pass* once the dead bytes the store has counted are
+    ///   half of `tail - begin`: the live records of the flushed, read-only
+    ///   prefix — of as much of it as the pass's budget of 65,536 records
+    ///   looked at covers — are appended again at the tail, as records of the
+    ///   version current at that moment. On a store with a bounded volatile
+    ///   region those appends wait for the flusher like any other;
+    /// * the *truncation* of that prefix once the kept manifest is of the
+    ///   version the pass ended in, or a later one. Every manifest kept then
+    ///   covers the copies, and no rollback goes below the cut, so neither a
+    ///   recovery nor a `Restore()` can need a record of the prefix again. A
+    ///   rollback before that voids the pass: what it skipped as superseded
+    ///   may be live again.
+    ///
+    /// Returns the address the log now begins at if this call freed a
+    /// prefix, `None` if it freed nothing.
     pub fn collect_garbage(&self, version: Version) -> Result<Option<u64>> {
+        let freed = self.collect_garbage_at(version);
+        if freed.is_err() {
+            crate::metrics::gc_errors().inc();
+        }
+        freed
+    }
+
+    fn collect_garbage_at(&self, version: Version) -> Result<Option<u64>> {
         if version > self.durable_version() {
             return Err(DprError::Invalid(format!(
                 "cannot GC at {version}: durable only to {}",
@@ -1500,16 +1691,164 @@ impl FasterKv {
                 let _ = self.blobs.delete(&name);
             }
         }
-        if manifest.snapshot_blob.is_none() {
-            // Fold-over: the log prefix is the only copy of live records.
+        let mut compaction = self.compaction.lock();
+        let mut freed = None;
+        if let Some(pass) = compaction.pending.take() {
+            if pass.rollbacks != self.purged.read().len() {
+                // Void. Its copies stay where they are, ordinary records;
+                // the originals they hide are garbage for the next pass.
+                self.dead_bytes.0.fetch_add(pass.copied, Ordering::Relaxed);
+            } else if manifest.version < pass.version {
+                compaction.pending = Some(pass);
+            } else {
+                let bytes = pass.until - self.log.begin();
+                freed = Some(self.log.truncate_below(pass.until)?);
+                // All of the prefix but the originals of the copies was
+                // dead, counted or not.
+                let garbage = bytes.saturating_sub(pass.copied);
+                let _ =
+                    self.dead_bytes
+                        .0
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |dead| {
+                            Some(dead.saturating_sub(garbage))
+                        });
+                compaction.totals.freed_bytes += bytes;
+                crate::metrics::compaction_freed_bytes().add(bytes);
+            }
+        }
+        if compaction.pending.is_none() {
+            let extent = self.log.tail() - self.log.begin();
+            let dead = self.dead_bytes.0.load(Ordering::Relaxed);
+            if dead > 0 && 2 * dead >= extent {
+                if let Some(pass) = self.copy_forward()? {
+                    compaction.totals.passes += 1;
+                    compaction.totals.copied_bytes += pass.copied;
+                    crate::metrics::compaction_passes().inc();
+                    crate::metrics::compaction_copied_bytes().add(pass.copied);
+                    compaction.pending = Some(pass);
+                }
+            }
+        }
+        Ok(freed)
+    }
+
+    /// One copy-forward pass over `[begin, until)`, a prefix of the flushed,
+    /// read-only log: nothing in it is written in place any more. A record
+    /// there is live iff it is the newest record of its key that no rollback
+    /// or lost race has killed; a live record that is not a tombstone is
+    /// appended again at the tail and published over the chain head its
+    /// liveness walk started from. A live tombstone is not: all it hides lies
+    /// below it, in the prefix that goes with it.
+    ///
+    /// The pass frees nothing. It ends at the flushed, read-only frontier or
+    /// at the first page boundary past its budget ([`PASS_VISITS`]; a page's
+    /// first byte is a record boundary like the frontier). `None` when there
+    /// is no such prefix.
+    fn copy_forward(&self) -> Result<Option<Pass>> {
+        let begin = self.log.begin();
+        let frontier = self.log.flushed().min(self.log.read_only());
+        if frontier <= begin {
             return Ok(None);
         }
-        if manifest.until_address == 0 || manifest.until_address > self.log.head() {
-            // Nothing below the boundary, or records still resident.
-            return Ok(None);
+        let rollbacks = self.purged.read().len();
+        // A session that found a record above the read-only boundary a
+        // moment before the boundary passed it may still be writing to it,
+        // under its guard.
+        self.log.epoch().quiesce();
+        let (mut copied, mut visits) = (0, 0);
+        let mut candidates: Vec<Record> = Vec::new();
+        let mut until = begin;
+        while until < frontier && visits < PASS_VISITS {
+            // A page at a time: the scan holds a guard, and an append under
+            // it that waits for the flusher would keep the flusher's
+            // eviction waiting for the guard.
+            let to = frontier.min((until / PAGE_BYTES + 1) * PAGE_BYTES);
+            self.log.scan_range(until, to, &mut |rec| {
+                visits += 1;
+                let m = rec.meta();
+                if !m.tombstone && !self.is_dead(rec.address(), &m) {
+                    candidates.push(rec);
+                }
+                Ok(())
+            })?;
+            for rec in candidates.drain(..) {
+                copied += self.copy_if_newest(&rec, &mut visits)?;
+            }
+            until = to;
         }
-        self.log.truncate_device_below(manifest.until_address)?;
-        Ok(Some(manifest.until_address))
+        Ok(Some(Pass {
+            until,
+            version: self.global.load().version,
+            copied,
+            rollbacks,
+        }))
+    }
+
+    /// Append `rec`, a live record of the prefix a pass is emptying, at the
+    /// tail again if it is still the newest of its key. Returns the bytes
+    /// appended, and adds the records its walks passed to `visits`. The copy
+    /// is a record of the version current under the gate, so it lies below
+    /// that version's seal; it is published by a CAS over the head the
+    /// liveness walk started from, so no record of the chain, of this key or
+    /// another, has come between the walk and it.
+    fn copy_if_newest(&self, rec: &Record, visits: &mut u64) -> Result<u64> {
+        let (key, value) = (rec.key(), rec.read_value());
+        loop {
+            let guard = self.log.protect();
+            let head = self.index.head(&guard, key);
+            if !self.is_newest(&guard, key, head, rec.address(), visits)? {
+                return Ok(0);
+            }
+            let _gate = self.copy_gate.lock();
+            let version = self.global.load().version;
+            let addr = self.log.append(key, &value, version, false, head);
+            if self.index.try_publish(&guard, key, head, addr).is_ok() {
+                return Ok(rec.footprint() as u64);
+            }
+            // Lost to a session's record: the orphan dies where it lies (as
+            // in `rcu_publish`), and that record may be of this key.
+            if let Ok(GetOutcome::Resident(view)) = self.log.get(&guard, addr) {
+                view.invalidate();
+            }
+        }
+    }
+
+    /// Whether the record of `key` at `at`, itself alive, is the newest of
+    /// its key on the chain from `head`: no live record of the key lies
+    /// above it. A record the chain does not lead to (the orphan of a lost
+    /// publish race whose invalidation missed the flush) is not.
+    fn is_newest(
+        &self,
+        guard: &EpochGuard<'_>,
+        key: &Key,
+        head: u64,
+        at: u64,
+        visits: &mut u64,
+    ) -> Result<bool> {
+        let mut addr = head;
+        while addr != NONE_ADDRESS && addr > at {
+            *visits += 1;
+            let (newer, prev) = match self.log.get_ready(guard, addr)? {
+                GetOutcome::Resident(view) => (
+                    view.key_matches(key) && !self.is_dead(addr, &view.meta()),
+                    view.prev(),
+                ),
+                GetOutcome::OnDisk => {
+                    *visits += COLD_VISIT - 1;
+                    let rec = self.log.read_from_device(addr)?;
+                    (
+                        rec.key() == key && !self.is_dead(addr, &rec.meta()),
+                        rec.prev(),
+                    )
+                }
+                GetOutcome::NotReady => unreachable!("get_ready resolved NotReady"),
+            };
+            if newer {
+                return Ok(false);
+            }
+            addr = prev;
+        }
+        Ok(addr == at)
     }
 
     /// True when no checkpoint/rollback machine is running or queued.
@@ -1551,7 +1890,7 @@ impl FasterKv {
 impl Drop for FasterKv {
     fn drop(&mut self) {
         self.shutdown();
-        self.report_log_bytes([0; 3]);
+        self.report_log_bytes([0; 5]);
     }
 }
 
@@ -1616,6 +1955,47 @@ mod tests {
         assert!(kv.force_evict() > 0);
         for k in 0..KEYS {
             assert_eq!(read(&kv, k), (k != 7).then_some(k), "evicted key {k}");
+        }
+    }
+
+    /// Six versions of every key, of which four have been freed: recovery
+    /// sizes the index by the log that is left, not by its tail address.
+    #[test]
+    fn recovery_reserves_the_index_by_the_log_that_is_left() {
+        let device = Arc::new(MemLogDevice::null());
+        let blobs = Arc::new(MemBlobStore::new());
+        // 16,384 chains: more than either size asks for.
+        let config = || FasterConfig {
+            memory_budget_records: 1 << 13,
+            ..config()
+        };
+        let kv = FasterKv::new(config(), device.clone(), blobs.clone());
+        let s = kv.start_session(SessionId(1));
+        for round in 1..=6u64 {
+            for k in 0..KEYS {
+                s.upsert(Key::from_u64(k), Value::from_u64(k + round))
+                    .unwrap();
+            }
+            kv.request_checkpoint(None);
+            assert!(kv.wait_for_durable(Version(round), Duration::from_secs(10)));
+            kv.collect_garbage(Version(round)).unwrap();
+        }
+        let begin = kv.log.begin();
+        drop(s);
+        drop(kv);
+        device.crash();
+        let kv = FasterKv::recover(config(), device, blobs, None).unwrap();
+        let until = kv.log.tail();
+        assert_eq!(kv.log.begin(), begin);
+        assert!(begin > until / 2, "begin {begin} of {until}");
+        let reserved = |bytes: u64| (2 * (bytes / PAPER_RECORD_BYTES)).next_power_of_two();
+        assert!(reserved(until - begin) < reserved(until));
+        assert_eq!(
+            kv.index.slots(&kv.log.protect()) as u64,
+            reserved(until - begin)
+        );
+        for k in 0..KEYS {
+            assert_eq!(read(&kv, k), Some(k + 6), "key {k}");
         }
     }
 

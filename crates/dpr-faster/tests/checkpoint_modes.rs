@@ -3,7 +3,7 @@
 
 use dpr_core::{CheckpointMode, Key, SessionId, Value, Version};
 use dpr_faster::{FasterConfig, FasterKv, OpOutcome};
-use dpr_storage::{BlobStore, MemBlobStore, MemLogDevice};
+use dpr_storage::{BlobStore, LogDevice, MemBlobStore, MemLogDevice};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -93,66 +93,144 @@ fn snapshot_recovery_then_foldover_checkpoint_then_crash() {
     );
 }
 
+/// The one truncation the store used to ship cut the log below a snapshot
+/// checkpoint, and with it the only copy the *running* store had of a key
+/// nobody wrote again: `get` answered `Invalid("address .. is not on the
+/// device")`.
+#[test]
+fn a_key_never_rewritten_is_readable_after_gc() {
+    let device = Arc::new(MemLogDevice::null());
+    let blobs = Arc::new(MemBlobStore::new());
+    let config = FasterConfig {
+        unflushed_limit_records: Some(1 << 10),
+        ..snapshot_config()
+    };
+    let kv = FasterKv::new(config, device, blobs);
+    let s = kv.start_session(SessionId(1));
+    for i in 0..50_000u64 {
+        s.upsert(Key::from_u64(i), Value::from_u64(i)).unwrap();
+        kv.continuous_flush();
+    }
+    kv.request_checkpoint(None);
+    assert!(kv.wait_for_durable(Version(1), Duration::from_secs(10)));
+    for i in 50_000..100_000u64 {
+        s.upsert(Key::from_u64(i), Value::from_u64(i)).unwrap();
+        kv.continuous_flush();
+    }
+    assert!(kv.force_evict() > 0);
+    // A log of distinct keys has no garbage: nothing to copy, nothing to free.
+    assert_eq!(kv.collect_garbage(Version(1)).unwrap(), None);
+    assert_eq!(kv.log_begin(), 0);
+    for i in [5, 49_999, 50_000, 99_999] {
+        let v = kv.get(&Key::from_u64(i)).unwrap();
+        assert_eq!(v.and_then(|v| v.as_u64()), Some(i), "key {i}");
+    }
+}
+
+/// Writes `rounds` values to each of `keys` keys, a checkpoint after each
+/// round, so that every write is an append (CPR: the first write of a key in
+/// a version) and every round but the last is garbage. Returns the last
+/// version made durable.
+fn rewrite(kv: &Arc<FasterKv>, s: &dpr_faster::Session, keys: u64, rounds: u64) -> Version {
+    for round in 0..rounds {
+        for i in 0..keys {
+            s.upsert(Key::from_u64(i), Value::from_u64(i + round))
+                .unwrap();
+        }
+        let v = kv.current_version();
+        kv.request_checkpoint(None);
+        assert!(kv.wait_for_durable(v, Duration::from_secs(10)));
+    }
+    kv.durable_version()
+}
+
 #[test]
 fn gc_truncates_device_below_snapshot_checkpoint() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
-    let kv = FasterKv::new(snapshot_config(), device.clone(), blobs.clone());
+    // A snapshot checkpoint does not flush the log; the bounded volatile
+    // region does, and only a flushed prefix can be freed. Its flusher is
+    // the maintenance thread, which the pass's own appends wait for too.
+    let config = FasterConfig {
+        unflushed_limit_records: Some(1 << 10),
+        auto_maintenance: true,
+        ..snapshot_config()
+    };
+    let kv = FasterKv::new(config.clone(), device.clone(), blobs.clone());
     let s = kv.start_session(SessionId(1));
-    for i in 0..20_000u64 {
-        s.upsert(Key::from_u64(i % 500), Value::from_u64(i))
-            .unwrap();
-    }
+    s.upsert(Key::from_u64(7777), Value::from_u64(7)).unwrap();
+    let (keys, rounds) = (5_000u64, 4u64);
+    assert_eq!(rewrite(&kv, &s, keys, rounds), Version(rounds));
+    // Three of four rounds are garbage: the first call runs the pass, which
+    // frees nothing yet — its copies are records of version 5.
+    assert_eq!(kv.collect_garbage(Version(rounds)).unwrap(), None);
+    let totals = kv.compaction_totals();
+    assert_eq!(totals.passes, 1);
+    assert!(totals.copied_bytes > 0 && totals.freed_bytes == 0);
     kv.request_checkpoint(None);
-    assert!(kv.wait_for_durable(Version(1), Duration::from_secs(10)));
-    // Evict everything so the GC precondition (records off-memory) holds:
-    // first the log must be flushed (the snapshot itself does not flush).
-    // Another checkpoint in fold-over... instead use force paths:
-    let head_before = kv.force_evict();
-    // Without flushed records, eviction may be 0; flush happens lazily via
-    // fold-over — run a second snapshot checkpoint and force flush through
-    // ticks.
-    let _ = head_before;
-    for i in 0..1000u64 {
-        s.upsert(Key::from_u64(i % 500), Value::from_u64(i))
-            .unwrap();
-    }
-    kv.request_checkpoint(None);
-    assert!(kv.wait_for_durable(Version(2), Duration::from_secs(10)));
-    // GC below the latest snapshot-covered checkpoint.
-    let result = kv.collect_garbage(Version(1)).unwrap();
-    // Either nothing was evictable yet (None) or the device was truncated;
-    // in both cases recovery from the latest snapshot must still work.
-    let _ = result;
+    assert!(kv.wait_for_durable(Version(rounds + 1), Duration::from_secs(10)));
+    // The cut is still below the copies.
+    assert_eq!(kv.collect_garbage(Version(rounds)).unwrap(), None);
+    let begin = kv.collect_garbage(Version(rounds + 1)).unwrap();
+    assert_eq!(begin, Some(kv.log_begin()));
+    assert!(kv.log_begin() > 0);
+    assert_eq!(device.truncated_before(), kv.log_begin());
+    let totals = kv.compaction_totals();
+    assert_eq!(totals.freed_bytes, kv.log_begin());
+    assert!(totals.copied_bytes <= totals.freed_bytes);
+    // The running store and a recovery from the snapshot agree, the key
+    // written once included.
     drop(s);
+    let check = |kv: &Arc<FasterKv>| {
+        for i in (0..keys).chain([7777]) {
+            let want = if i == 7777 { 7 } else { i + rounds - 1 };
+            let got = kv.get(&Key::from_u64(i)).unwrap();
+            assert_eq!(got.and_then(|v| v.as_u64()), Some(want), "key {i}");
+        }
+    };
+    check(&kv);
+    drop(kv);
     device.crash();
-    let kv = FasterKv::recover(snapshot_config(), device, blobs, None).unwrap();
-    assert!(kv.durable_version() >= Version(1));
-    assert!(kv.get(&Key::from_u64(100)).unwrap().is_some());
+    let kv = FasterKv::recover(config, device, blobs, None).unwrap();
+    assert_eq!(kv.durable_version(), Version(rounds + 1));
+    check(&kv);
 }
 
 #[test]
-fn gc_refuses_foldover_checkpoints_and_future_versions() {
+fn gc_truncates_foldover_log_below_an_emptied_prefix_and_refuses_future_versions() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
-        memory_budget_records: 1 << 20,
-        auto_maintenance: false,
         checkpoint_mode: CheckpointMode::FoldOver,
-        strict_cpr: false,
-        unflushed_limit_records: None,
-        simulated_read_latency: None,
-        ..FasterConfig::default()
+        ..snapshot_config()
     };
-    let kv = FasterKv::new(config, device, blobs);
+    let kv = FasterKv::new(config.clone(), device.clone(), blobs.clone());
     let s = kv.start_session(SessionId(1));
-    s.upsert(Key::from_u64(1), Value::from_u64(1)).unwrap();
-    kv.request_checkpoint(None);
-    assert!(kv.wait_for_durable(Version(1), Duration::from_secs(10)));
-    // Fold-over checkpoints never allow truncation (the log IS the state).
-    assert_eq!(kv.collect_garbage(Version(1)).unwrap(), None);
-    // GC beyond the durable version is an error.
+    let keys = 3_000u64;
+    let durable = rewrite(&kv, &s, keys, 3);
+    assert_eq!(durable, Version(3));
+    // GC beyond the durable version is an error, and frees nothing.
     assert!(kv.collect_garbage(Version(9)).is_err());
+    assert_eq!(kv.compaction_totals().passes, 0);
+    // Two of three rounds are garbage: a pass, then a checkpoint that covers
+    // its copies, then the truncation.
+    assert_eq!(kv.collect_garbage(durable).unwrap(), None);
+    assert_eq!(kv.compaction_totals().passes, 1);
+    let durable = rewrite(&kv, &s, 1, 1);
+    let begin = kv.collect_garbage(durable).unwrap();
+    assert!(begin.is_some_and(|b| b > 0 && b == kv.log_begin()));
+    assert_eq!(device.truncated_before(), kv.log_begin());
+    // The fold-over log IS the state: what is left of it recovers all of it.
+    drop(s);
+    drop(kv);
+    device.crash();
+    let kv = FasterKv::recover(config, device, blobs, None).unwrap();
+    assert_eq!(kv.log_begin(), begin.unwrap());
+    for i in 0..keys {
+        let want = if i == 0 { 0 } else { i + 2 };
+        let got = kv.get(&Key::from_u64(i)).unwrap();
+        assert_eq!(got.and_then(|v| v.as_u64()), Some(want), "key {i}");
+    }
 }
 
 #[test]
@@ -173,8 +251,10 @@ fn gc_prunes_foldover_manifests_below_the_cut() {
             assert!(kv.wait_for_durable(Version(v), Duration::from_secs(10)));
         }
         assert_eq!(blobs.list("chkpt-").unwrap().len() as u64, checkpoints);
-        // The log is never truncated below a fold-over checkpoint...
+        // Nothing is freed: the pass this runs copies at version 201, which
+        // the cut does not cover...
         assert_eq!(kv.collect_garbage(Version(cut)).unwrap(), None);
+        assert_eq!(kv.log_begin(), 0);
     }
     // ...but the manifests no recovery can ask for any more are gone: the
     // cut's own and the ones above it remain.

@@ -5,11 +5,15 @@
 //! tail cut off, exactly the newest checkpoint the remaining bytes cover;
 //! with a byte flipped where it changes no length, no link and no key, every
 //! other record; and with any byte flipped, no record reads as another's.
+//! A log that copy-forward passes have shortened is cut the same way: every
+//! manifest `collect_garbage` kept recovers its own checkpoint, from a device
+//! that has nothing below the truncation point.
 
 use dpr_core::{Key, SessionId, Value, Version};
 use dpr_faster::record::record_footprint;
 use dpr_faster::{FasterConfig, FasterKv, PAGE_SIZE};
-use dpr_storage::{read_exact, LogDevice, MemBlobStore, MemLogDevice};
+use dpr_storage::{read_exact, BlobStore, LogDevice, MemBlobStore, MemLogDevice};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -185,4 +189,153 @@ fn a_flipped_byte_is_refused_or_costs_the_records_it_names() {
     }
     eprintln!("{refused} flips refused, {recovered} recovered from");
     assert!(refused > 0 && recovered > 0);
+}
+
+/// Keys of the compacted log; all of its records are of the paper's size, so
+/// every multiple of `SMALL` is a record boundary and no page has a pad.
+const KEYS: u64 = 1000;
+const ROUND: usize = SMALL * KEYS as usize;
+
+fn round_value(k: u64, round: u64) -> u64 {
+    0x10_0000 * round + k
+}
+
+/// Rounds 1 to 4 write every key, each in a version of its own. The first
+/// `collect_garbage`, at 2, runs pass 1: round 2 goes to the tail as records
+/// of version 3 — which round 3 then writes in place. The second, at 3,
+/// frees the two rounds below them. The third, at 4, runs pass 2: round 4
+/// goes to the tail as records of version 5, and round 5 writes half of them
+/// in place. Two passes, one truncation, and the second pass still waits for
+/// the cut:
+///
+/// ```text
+///   0        2R            3R         4R            5R
+///   [ freed  ][ copies, v3 ][ round 4 ][ copies, v5 ]
+///             (hold round 3)  until of v4 (half hold round 5)  until of v5
+/// ```
+struct Compacted {
+    /// The device image from the truncation point on.
+    bytes: Vec<u8>,
+    truncated: usize,
+    blobs: Arc<MemBlobStore>,
+    /// Every manifest `collect_garbage` kept: its version, the log address
+    /// it covers up to, and the state it commits.
+    kept: Vec<(Version, usize, HashMap<u64, u64>)>,
+}
+
+fn build_compacted() -> Compacted {
+    let device = Arc::new(MemLogDevice::null());
+    let blobs = Arc::new(MemBlobStore::new());
+    let kv = FasterKv::new(config(), device.clone(), blobs.clone());
+    let s = kv.start_session(SessionId(1));
+    let mut state = HashMap::new();
+    let mut kept = Vec::new();
+    let mut round = |round: u64, keys: u64, gc: Option<Option<u64>>| {
+        for k in 0..keys {
+            let v = round_value(k, round);
+            s.upsert(Key::from_u64(k), Value::from_u64(v)).unwrap();
+            state.insert(k, v);
+        }
+        kv.request_checkpoint(None);
+        assert!(kv.wait_for_durable(Version(round), Duration::from_secs(10)));
+        kept.push((Version(round), kv.log_tail() as usize, state.clone()));
+        if let Some(freed) = gc {
+            assert_eq!(kv.collect_garbage(Version(round)).unwrap(), freed);
+        }
+    };
+    round(1, KEYS, None);
+    round(2, KEYS, Some(None));
+    round(3, KEYS, Some(Some(2 * ROUND as u64)));
+    assert_eq!(
+        kv.log_tail() as usize,
+        3 * ROUND,
+        "round 3 is in pass 1's copies"
+    );
+    round(4, KEYS, Some(None));
+    round(5, KEYS / 2, None);
+    assert_eq!(
+        kv.log_tail() as usize,
+        5 * ROUND,
+        "round 5 is in pass 2's copies"
+    );
+    let totals = kv.compaction_totals();
+    assert_eq!((totals.passes, totals.freed_bytes), (2, 2 * ROUND as u64));
+    assert_eq!(totals.copied_bytes, 2 * ROUND as u64);
+    // The manifests below the last cut, 4, went with it.
+    kept.drain(..3);
+    let names = blobs.list("chkpt-").unwrap();
+    assert_eq!(names.len(), kept.len());
+    let truncated = device.truncated_before() as usize;
+    assert_eq!(truncated, 2 * ROUND);
+    let mut bytes = vec![0u8; device.tail() as usize - truncated];
+    assert_eq!(device.tail() as usize, kept[1].1);
+    read_exact(device.as_ref(), truncated as u64, &mut bytes).unwrap();
+    Compacted {
+        bytes,
+        truncated,
+        blobs,
+        kept,
+    }
+}
+
+#[test]
+fn a_compacted_log_cut_short_recovers_every_manifest_it_still_covers() {
+    let image = build_compacted();
+    let tail = image.truncated + image.bytes.len();
+    // Every record boundary that is left, and inside copies of both passes.
+    let mut cuts: Vec<usize> = (image.truncated..=tail).step_by(SMALL).collect();
+    cuts.extend([2 * ROUND + 8, 3 * ROUND - 12, 4 * ROUND + 20, 5 * ROUND - 8]);
+    assert_eq!(
+        image.kept[0].1,
+        4 * ROUND,
+        "pass 2's copies lie above the cut's manifest"
+    );
+    let (mut refused, mut recovered) = (0, 0);
+    for cut in cuts {
+        let device = Arc::new(MemLogDevice::null());
+        // Nothing reads below the truncation point, whatever lies there.
+        device.append(&vec![0xAA; image.truncated]).unwrap();
+        device
+            .append(&image.bytes[..cut - image.truncated])
+            .unwrap();
+        device.flush().unwrap();
+        device.truncate_before(image.truncated as u64).unwrap();
+        for (version, until, state) in &image.kept {
+            let kv = FasterKv::recover(
+                config(),
+                device.clone(),
+                image.blobs.clone(),
+                Some(*version),
+            );
+            assert_eq!(kv.is_ok(), cut >= *until, "cut at {cut}, {version}");
+            let Ok(kv) = kv else {
+                refused += 1;
+                continue;
+            };
+            recovered += 1;
+            assert_eq!(kv.durable_version(), *version);
+            assert_eq!(kv.log_begin() as usize, image.truncated);
+            for k in 0..KEYS {
+                let got = kv.get(&Key::from_u64(k)).unwrap();
+                let got = got.and_then(|v| v.as_u64());
+                assert_eq!(
+                    got,
+                    state.get(&k).copied(),
+                    "cut at {cut}, {version}, key {k}"
+                );
+            }
+            // A scan of the live state starts where the log does.
+            if cut % (64 * SMALL) == 0 {
+                let live: HashMap<u64, u64> = kv
+                    .scan_live()
+                    .unwrap()
+                    .into_iter()
+                    .map(|(k, v)| (k.as_u64().unwrap(), v.as_u64().unwrap()))
+                    .collect();
+                assert_eq!(&live, state, "cut at {cut}, {version}");
+            }
+        }
+    }
+    eprintln!("{refused} recoveries refused, {recovered} recovered");
+    assert!(refused > 0 && recovered > KEYS);
 }

@@ -5,7 +5,7 @@
 
 use dpr_core::{Key, Value, Version};
 use dpr_faster::{GetOutcome, RecordLog, NONE_ADDRESS, PAGE_SIZE};
-use dpr_storage::MemLogDevice;
+use dpr_storage::{LogDevice, MemLogDevice};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -141,10 +141,9 @@ fn device_gc_frees_space_and_later_reads_fail_cleanly() {
     // GC below the first record at or past one page boundary.
     let below = addrs[0];
     let keep = *addrs.iter().find(|&&a| a >= page).unwrap();
-    let off = log.truncate_device_below(keep).unwrap();
-    assert!(off > 0);
+    assert_eq!(log.truncate_below(keep).unwrap(), keep);
+    assert_eq!((log.begin(), device.truncated_before()), (keep, keep));
     // Records in [keep, head) still readable from the device; below are gone.
     assert!(log.read_from_device(keep).is_ok());
     assert!(log.read_from_device(below).is_err());
-    let _ = device;
 }

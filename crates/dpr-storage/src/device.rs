@@ -37,6 +37,13 @@ pub trait LogDevice: Send + Sync {
     /// Free storage below `addr` (log truncation after checkpoint GC).
     /// Reads below the truncation point may fail afterwards.
     fn truncate_before(&self, addr: u64) -> Result<()>;
+
+    /// The truncation point: the address below which reads may fail, `0` on
+    /// a device that keeps its history. Recovery starts the log where the
+    /// device still has it.
+    fn truncated_before(&self) -> u64 {
+        0
+    }
 }
 
 /// Read a full buffer or fail; convenience over [`LogDevice::read`].

@@ -29,7 +29,8 @@ const PAGE_SIZE: usize = 1 << 20;
 /// ```
 pub struct MemLogDevice {
     /// The outer lock covers only the vector's growth. A page truncation
-    /// has freed is an empty slice, which no read reaches (`truncated`).
+    /// has freed is an empty slice; a read that meets one is refused like
+    /// one below `truncated`.
     pages: RwLock<Vec<RwLock<Box<[u8]>>>>,
     tail: AtomicU64,
     durable: AtomicU64,
@@ -118,8 +119,9 @@ impl LogDevice for MemLogDevice {
     }
 
     fn read(&self, addr: u64, buf: &mut [u8]) -> Result<usize> {
+        let truncated = || DprError::Storage(format!("address {addr} truncated"));
         if addr < self.truncated.load(Ordering::Acquire) {
-            return Err(DprError::Storage(format!("address {addr} truncated")));
+            return Err(truncated());
         }
         let tail = self.tail.load(Ordering::Acquire);
         if addr >= tail {
@@ -133,7 +135,13 @@ impl LogDevice for MemLogDevice {
             let page = off / PAGE_SIZE;
             let in_page = off % PAGE_SIZE;
             let n = (avail - done).min(PAGE_SIZE - in_page);
-            buf[done..done + n].copy_from_slice(&pages[page].read()[in_page..in_page + n]);
+            let bytes = pages[page].read();
+            if bytes.is_empty() {
+                // Freed by a truncation that came between the check above
+                // and this lock.
+                return Err(truncated());
+            }
+            buf[done..done + n].copy_from_slice(&bytes[in_page..in_page + n]);
             off += n;
             done += n;
         }
@@ -170,6 +178,10 @@ impl LogDevice for MemLogDevice {
             *page.write() = Box::default();
         }
         Ok(())
+    }
+
+    fn truncated_before(&self) -> u64 {
+        self.truncated.load(Ordering::Acquire)
     }
 }
 
@@ -229,7 +241,9 @@ mod tests {
     fn truncated_reads_fail() {
         let dev = MemLogDevice::null();
         dev.append(b"0123456789").unwrap();
+        assert_eq!(dev.truncated_before(), 0);
         dev.truncate_before(5).unwrap();
+        assert_eq!(dev.truncated_before(), 5);
         let mut buf = [0u8; 2];
         assert!(dev.read(3, &mut buf).is_err());
         assert!(dev.read(5, &mut buf).is_ok());

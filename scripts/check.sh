@@ -3,8 +3,8 @@
 #
 #   scripts/check.sh --quick   build + tier-1 tests only (fast inner loop)
 #   scripts/check.sh           the full gate: workspace tests, the lossy-link
-#                              exactly-once, session-order and
-#                              outgrowing-RMW race guards, manifest,
+#                              exactly-once, session-order, outgrowing-RMW
+#                              race and writers-against-passes guards, manifest,
 #                              third_party, size, forbid-unsafe and
 #                              unsafe-comment lints, docs, chaos and figures
 #                              smokes, and the benchmark's schema smoke
@@ -65,6 +65,11 @@ guard session-order dpr-cluster cluster_tests \
 # and exact length.
 guard outgrowing-RMW-race dpr-faster concurrency_tests \
     an_rmw_that_outgrows_its_record_loses_no_concurrent_in_place_rmw
+# A copy-forward pass and the truncation behind it lose no write that races
+# them (docs/PROTOCOL.md §5, A log with a beginning): four writers on a
+# larger-than-memory store, every read and every final value exact.
+guard writers-against-passes dpr-faster compaction \
+    writers_racing_passes_and_truncations_keep_every_key_exact
 
 # No crate serializes through serde: every byte format has one hand-written
 # codec. The stand-ins under third_party/ are for benchmark/ only.
