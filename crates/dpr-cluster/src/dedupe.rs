@@ -12,7 +12,6 @@ use crate::wire;
 use dpr_core::SessionId;
 use libdpr::BatchHeader;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One remembered batch, serials `first..end`.
@@ -26,7 +25,7 @@ struct Entry {
 }
 
 /// The unacknowledged batches of one session, ascending by serial. Never
-/// empty while in its stripe's table: a session is remembered by its entries.
+/// empty while in the table: a session is remembered by its entries.
 struct Session {
     entries: VecDeque<Entry>,
     /// The replies of `entries`, each appended when its batch had executed.
@@ -63,18 +62,45 @@ impl Session {
     }
 }
 
-/// A stripe's share of the table.
+/// Every session's entries, behind the cache's one lock.
 #[derive(Default)]
 struct Sessions {
     table: HashMap<SessionId, Session>,
     /// The other buffer of [`Session::acknowledge`].
     spare: Vec<u8>,
+    /// Entries over all sessions: at most the window.
+    entries: usize,
 }
 
-/// One cache-padded stripe. The table is sharded by session so sessions on
-/// different serving threads do not serialise on one lock.
-#[repr(align(128))]
-struct Stripe(parking_lot::Mutex<Sessions>);
+/// Account for `added` new and `dropped` forgotten entries in `count`.
+fn resize(count: &mut usize, added: usize, dropped: usize) {
+    let before = *count;
+    *count = before + added - dropped;
+    let steps = |n: usize| (n / GAUGE_STEP * GAUGE_STEP) as i64;
+    let moved = steps(*count) - steps(before);
+    if moved != 0 {
+        metrics::dedupe_entries().add(moved);
+    }
+}
+
+impl Sessions {
+    /// Forget the session heard from least recently other than `except`;
+    /// false when there is none.
+    fn forget_idlest(&mut self, except: SessionId) -> bool {
+        let idlest = self
+            .table
+            .iter()
+            .filter(|&(&id, _)| id != except)
+            .min_by_key(|(_, session)| session.heard)
+            .map(|(&id, _)| id);
+        let Some(gone) = idlest.and_then(|id| self.table.remove(&id)) else {
+            return false;
+        };
+        resize(&mut self.entries, 0, gone.entries.len());
+        metrics::dedupe_sessions_evicted().inc();
+        true
+    }
+}
 
 /// What [`ReplyCache::admit`] found.
 pub(crate) enum Admit {
@@ -94,49 +120,16 @@ const GAUGE_STEP: usize = 16;
 
 /// A worker's reply cache.
 pub(crate) struct ReplyCache {
-    stripes: Box<[Stripe]>,
+    sessions: parking_lot::Mutex<Sessions>,
     /// The most entries kept over all sessions (`dedupe_window`).
     window: usize,
-    /// Entries in all stripes.
-    entries: AtomicUsize,
 }
 
 impl ReplyCache {
     pub(crate) fn new(window: usize) -> ReplyCache {
-        let stripes = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .next_power_of_two()
-            .min(16);
         ReplyCache {
-            stripes: (0..stripes).map(|_| Stripe(Default::default())).collect(),
+            sessions: Default::default(),
             window,
-            entries: AtomicUsize::new(0),
-        }
-    }
-
-    /// The stripe owning `session` (a SplitMix-style hash, so consecutive
-    /// ids spread out).
-    fn stripe(&self, session: SessionId) -> &parking_lot::Mutex<Sessions> {
-        let mut h = session.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        &self.stripes[(h as usize) % self.stripes.len()].0
-    }
-
-    /// Account for `added` new and `dropped` forgotten entries.
-    fn resize(&self, added: usize, dropped: usize) {
-        if added == dropped {
-            return;
-        }
-        let before = if added > dropped {
-            self.entries.fetch_add(added - dropped, Ordering::Relaxed)
-        } else {
-            self.entries.fetch_sub(dropped - added, Ordering::Relaxed)
-        };
-        let steps = |n: usize| (n / GAUGE_STEP * GAUGE_STEP) as i64;
-        let moved = steps(before + added - dropped) - steps(before);
-        if moved != 0 {
-            metrics::dedupe_entries().add(moved);
         }
     }
 
@@ -145,22 +138,25 @@ impl ReplyCache {
     /// told to wait, a fresh batch gets an entry. Over the window, room is
     /// made by forgetting the session heard from least recently, whole.
     pub(crate) fn admit(&self, header: &BatchHeader, seq: u64, out: &mut Vec<u8>) -> Admit {
+        let heard = Instant::now();
+        let mut guard = self.sessions.lock();
+        let sessions = &mut *guard;
         loop {
-            let heard = Instant::now();
-            let mut stripe = self.stripe(header.session).lock();
-            let Sessions { table, spare } = &mut *stripe;
-            let session = table.entry(header.session).or_insert_with(|| Session {
-                entries: VecDeque::new(),
-                replies: Vec::new(),
-                garbage: 0,
-                heard,
-            });
+            let session = sessions
+                .table
+                .entry(header.session)
+                .or_insert_with(|| Session {
+                    entries: VecDeque::new(),
+                    replies: Vec::new(),
+                    garbage: 0,
+                    heard,
+                });
             session.heard = heard;
-            let dropped = session.acknowledge(header.acked_below, spare);
+            let dropped = session.acknowledge(header.acked_below, &mut sessions.spare);
+            resize(&mut sessions.entries, 0, dropped);
             let entries = &mut session.entries;
             let at = entries.partition_point(|e| e.first < header.first_serial);
             if let Some(known) = entries.get(at).filter(|e| e.first == header.first_serial) {
-                self.resize(0, dropped);
                 if known.reply.is_empty() {
                     return Admit::Executing;
                 }
@@ -170,47 +166,24 @@ impl ReplyCache {
                 metrics::dedupe_replays().inc();
                 return Admit::Replayed;
             }
-            if self.entries.load(Ordering::Relaxed) - dropped < self.window {
+            if sessions.entries < self.window {
                 let fresh = Entry {
                     first: header.first_serial,
                     end: header.first_serial + u64::from(header.op_count),
                     reply: 0..0,
                 };
                 entries.insert(at, fresh);
-                self.resize(1, dropped);
+                resize(&mut sessions.entries, 1, 0);
                 return Admit::Fresh;
             }
             if entries.is_empty() {
-                table.remove(&header.session);
+                sessions.table.remove(&header.session);
             }
-            drop(stripe);
-            self.resize(0, dropped);
-            if !self.forget_idlest(header.session) {
+            if !sessions.forget_idlest(header.session) {
                 metrics::dedupe_refused().inc();
                 return Admit::Refused;
             }
         }
-    }
-
-    /// Forget the session heard from least recently other than `except`;
-    /// false when there is none. One stripe is locked at a time.
-    fn forget_idlest(&self, except: SessionId) -> bool {
-        let mut idlest: Option<(Instant, usize, SessionId)> = None;
-        for (at, stripe) in self.stripes.iter().enumerate() {
-            for (&id, session) in &stripe.0.lock().table {
-                if id != except && idlest.is_none_or(|(heard, ..)| session.heard < heard) {
-                    idlest = Some((session.heard, at, id));
-                }
-            }
-        }
-        let Some((_, at, id)) = idlest else {
-            return false;
-        };
-        if let Some(gone) = self.stripes[at].0.lock().table.remove(&id) {
-            self.resize(0, gone.entries.len());
-            metrics::dedupe_sessions_evicted().inc();
-        }
-        true
     }
 
     /// The outcome of a batch admitted as [`Admit::Fresh`]: the `Response`
@@ -218,8 +191,8 @@ impl ReplyCache {
     /// for a batch that was rejected — it did not execute, and a retry must.
     /// An entry acknowledged or forgotten meanwhile stays forgotten.
     pub(crate) fn record(&self, header: &BatchHeader, response: Option<&[u8]>) {
-        let mut stripe = self.stripe(header.session).lock();
-        let Some(session) = stripe.table.get_mut(&header.session) else {
+        let mut sessions = self.sessions.lock();
+        let Some(session) = sessions.table.get_mut(&header.session) else {
             return;
         };
         let entries = &mut session.entries;
@@ -238,19 +211,17 @@ impl ReplyCache {
         }
         entries.remove(at);
         if entries.is_empty() {
-            stripe.table.remove(&header.session);
+            sessions.table.remove(&header.session);
         }
-        self.resize(0, 1);
+        resize(&mut sessions.entries, 0, 1);
     }
 
     /// Forget everything: the replies belong to a world-line that is gone.
     pub(crate) fn clear(&self) {
-        for stripe in &self.stripes {
-            let mut stripe = stripe.0.lock();
-            let dropped = stripe.table.values().map(|s| s.entries.len()).sum();
-            stripe.table.clear();
-            self.resize(0, dropped);
-        }
+        let mut sessions = self.sessions.lock();
+        sessions.table.clear();
+        let dropped = sessions.entries;
+        resize(&mut sessions.entries, 0, dropped);
     }
 }
 
@@ -302,7 +273,7 @@ mod tests {
     }
 
     fn remembered(cache: &ReplyCache) -> usize {
-        cache.entries.load(Ordering::Relaxed)
+        cache.sessions.lock().entries
     }
 
     #[test]
@@ -379,15 +350,12 @@ mod tests {
     }
 
     #[test]
-    fn sessions_on_one_stripe_keep_their_own_entries() {
+    fn sessions_keep_their_own_entries() {
         let cache = ReplyCache::new(64);
-        let twin = (2..)
-            .find(|&id| std::ptr::eq(cache.stripe(SessionId(id)), cache.stripe(SessionId(1))))
-            .unwrap();
         serve(&cache, &header(1, 0, 0), 0);
         // Same serials, and an acknowledgement far past the other's batch.
         for serial in 0..40 {
-            serve(&cache, &header(twin, serial, serial), serial);
+            serve(&cache, &header(2, serial, serial), serial);
         }
         assert_eq!(remembered(&cache), 2, "one unacknowledged batch each");
         assert!(matches!(
@@ -428,6 +396,36 @@ mod tests {
         // The same batch, once its session acknowledges: admitted.
         assert!(matches!(serve(&cache, &header(2, 6, 4), 6).0, Admit::Fresh));
         assert_eq!(remembered(&cache), 3, "4, 5 and 6");
+    }
+
+    #[test]
+    fn concurrent_admits_never_hold_more_than_the_window() {
+        const WINDOW: usize = 8;
+        let cache = ReplyCache::new(WINDOW);
+        let most = std::thread::scope(|scope| {
+            let threads: Vec<_> = (1..=4u64)
+                .map(|session| {
+                    let cache = &cache;
+                    scope.spawn(move || {
+                        let mut most = 0;
+                        for serial in 0..20_000 {
+                            serve(cache, &header(session, serial, 0), serial);
+                            most = most.max(remembered(cache));
+                        }
+                        most
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().unwrap())
+                .max()
+                .unwrap()
+        });
+        assert!(
+            most <= WINDOW,
+            "held {most} entries over a window of {WINDOW}"
+        );
     }
 
     #[test]

@@ -5,13 +5,16 @@
 //! metadata-only operation over the already-flushing log) and `Restore()`
 //! to the non-blocking THROW/PURGE rollback of §5.5. Per client session, the
 //! worker keeps a corresponding FASTER session under the same globally
-//! unique id (§5.2).
+//! unique id (§5.2), in one map behind one lock that a batch takes twice: to
+//! check its session out and back in.
 
 use crate::message::{ClusterOp, OpResult};
 use crate::worker::{ShardStore, VersionSpan};
-use dpr_core::{Result, SessionId, ShardId, StripedMap, Value, Version};
+use dpr_core::{Result, SessionId, ShardId, Value, Version};
 use dpr_faster::{FasterKv, OpOutcome, Session};
 use libdpr::{CommitDescriptor, StateObject};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,9 +30,7 @@ pub struct FasterShard {
     shard: ShardId,
     kv: Arc<FasterKv>,
     /// Server-side FASTER sessions, one per client session id (§5.2).
-    /// Striped by session id: checkout/checkin happens on every batch, so
-    /// concurrent client sessions must not serialise on one map lock.
-    sessions: StripedMap<SessionId, Slot>,
+    sessions: Mutex<HashMap<SessionId, Slot>>,
 }
 
 impl FasterShard {
@@ -38,7 +39,7 @@ impl FasterShard {
         FasterShard {
             shard,
             kv,
-            sessions: StripedMap::with_default_stripes(),
+            sessions: Mutex::new(HashMap::new()),
         }
     }
 
@@ -51,7 +52,7 @@ impl FasterShard {
     fn checkout(&self, id: SessionId) -> Session {
         loop {
             {
-                let mut sessions = self.sessions.lock_for(&id);
+                let mut sessions = self.sessions.lock();
                 match sessions.get_mut(&id) {
                     Some(slot @ Slot::Idle(_)) => {
                         let Slot::Idle(s) = std::mem::replace(slot, Slot::Busy) else {
@@ -75,7 +76,7 @@ impl FasterShard {
     }
 
     fn checkin(&self, id: SessionId, session: Session) {
-        self.sessions.lock_for(&id).insert(id, Slot::Idle(session));
+        self.sessions.lock().insert(id, Slot::Idle(session));
     }
 }
 

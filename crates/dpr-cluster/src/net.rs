@@ -32,21 +32,20 @@
 //!   execution appends results in place, and the response is encoded
 //!   straight into the connection write buffer ([`wire::encode_response`])
 //!   with a back-patched length — no intermediate frame or body `Vec`.
-//! * The per-session epoch fence is a cache-padded [`StripedMap`], so
-//!   concurrent handshakes on different I/O threads do not serialise.
+//! * The per-session epoch fence is one map behind one lock, shared by the
+//!   I/O threads and taken once per handshake, never per request.
 //!
 //! The full wire contract (byte layout, handshake, dedupe across
 //! reconnect, failure modes) is specified in `docs/NETWORK.md`, including
 //! who owns which buffer (§9).
-//!
-//! [`StripedMap`]: dpr_core::StripedMap
 
 use crate::metrics;
 use crate::wire::{self, FrameHeader, FrameKind, FrameReader, Hello, HelloAck};
 use crate::wire::{ProtoError, ProtoErrorCode};
 use crate::worker::{RequestScratch, Worker};
 use bytes::Bytes;
-use dpr_core::{DprError, Result, SessionId, ShardId, StripedMap};
+use dpr_core::{DprError, Result, SessionId, ShardId};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -85,10 +84,8 @@ struct ServerCtx {
     /// Hosted shards in id order, echoed in every `HelloAck`.
     shards: Vec<ShardId>,
     /// Highest epoch accepted per session, for zombie-connection fencing.
-    /// Striped by session: reconnect storms on different sessions fence on
-    /// different locks. Shared across I/O threads because a reconnect may
-    /// land elsewhere.
-    epochs: StripedMap<SessionId, u32>,
+    /// Shared across I/O threads because a reconnect may land elsewhere.
+    epochs: Mutex<HashMap<SessionId, u32>>,
 }
 
 /// Per-I/O-thread reusable buffers: one read chunk plus the request path's
@@ -264,7 +261,7 @@ fn apply_frame(
                 Err(e) => return conn.proto_error(ProtoErrorCode::BadFrame, seq, e.to_string()),
             };
             {
-                let mut epochs = ctx.epochs.lock_for(&hello.session);
+                let mut epochs = ctx.epochs.lock();
                 let latest = epochs.entry(hello.session).or_insert(0);
                 if hello.epoch < *latest {
                     drop(epochs);
@@ -456,7 +453,7 @@ impl NetServer {
         let ctx = Arc::new(ServerCtx {
             workers: workers.into_iter().map(|w| (w.shard().0, w)).collect(),
             shards,
-            epochs: StripedMap::with_default_stripes(),
+            epochs: Mutex::new(HashMap::new()),
         });
         let io_threads = config.io_threads.max(1);
         let mut senders = Vec::with_capacity(io_threads);

@@ -24,7 +24,6 @@ pub mod config;
 pub mod epoch;
 pub mod error;
 pub mod kv;
-pub mod stripe;
 pub mod version;
 
 pub use backoff::Backoff;
@@ -33,5 +32,4 @@ pub use config::{CheckpointMode, DprFinderMode, RecoverabilityLevel};
 pub use epoch::LightEpoch;
 pub use error::{DprError, Result};
 pub use kv::{Key, Value};
-pub use stripe::StripedMap;
 pub use version::{SessionId, ShardId, Token, Version, WorldLine};

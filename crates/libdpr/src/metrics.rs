@@ -28,28 +28,11 @@ metric_fn!(
 
 metric_fn!(
     /// Batch execution to commit report — how far commit trails completion (§1, §6).
-    /// Measured lock-free per version: first batch recorded in the version
-    /// → the drain that reports it.
+    /// Measured per version: first batch recorded in the version → the
+    /// drain that reports it.
     pub(crate) fn commit_latency() -> Histogram =
         ("dpr_server_commit_latency_us", Micros,
          "Time from the first executed batch of a version to that version's commit report to the finder")
-);
-
-metric_fn!(
-    /// Dependency-stripe overflow: distinct dependent shards exceeded a
-    /// stripe's lock-free slots and spilled to its locked side map (§6).
-    pub(crate) fn gate_dep_spills() -> Counter =
-        ("dpr_server_gate_dep_spills_total", Count,
-         "Dependencies routed to a stripe's locked overflow map because all lock-free slots were taken")
-);
-
-metric_fn!(
-    /// Generation-ring overflow: a batch executed in a version for which its
-    /// stripe had no generation left (more versions open than the ring
-    /// holds), so its dependencies went to the locked side map (§6).
-    pub(crate) fn gate_generation_spills() -> Counter =
-        ("dpr_server_gate_generation_spills_total", Count,
-         "Batches recorded through a stripe's locked overflow map because every generation was held by another open version")
 );
 
 metric_fn!(

@@ -8,42 +8,31 @@
 //! accumulates dependency edges for the version the batch executed in and
 //! [`DprServer::make_reply`] builds the reply header.
 //!
-//! ## Scalability (§6: "implemented scalably")
+//! ## The dependency table
 //!
-//! Both hooks run on **every** batch, so their cross-thread footprint caps
-//! cluster throughput. Dependency accumulation is therefore striped and
-//! lock-free on the write side:
+//! Recorded dependencies live in one table behind one lock, and a record
+//! holds that lock for a binary search per dependency:
 //!
-//! * A record publishes into one of N cache-padded *stripes*, selected by a
-//!   per-thread index, using only atomic compare-and-swap / `fetch_max` — no
-//!   locks, no allocation.
-//! * Each stripe keeps a small ring of **generations**, one per open
-//!   executed version (a shard has the flushing, the executing and the next
-//!   version open at once; the ring holds one more). A generation is
-//!   claimed by tagging it with the version and freed by the drain that
-//!   reports that version, so a version's dependencies are never mixed with
-//!   a later version's.
-//! * A generation keeps only the **max version per dependent shard**.
-//!   Prefix semantics make this lossless for safety: a cut that admits a
-//!   token `(s, v)` admits every `(s, v' ≤ v)`, so the largest dependency
-//!   per shard subsumes all smaller ones (and a generation stays a few
-//!   cache lines regardless of batch volume).
-//! * The drain side ([`DprServer::pump_commits`], [`DprServer::on_restore`])
-//!   is guarded by a [`LightEpoch`]: the drainer bumps the epoch and waits
-//!   for in-flight writers to pass, so writers never block on the drain
-//!   (they only ever touch their own stripe's atomics).
-//! * A worker holds its [`GateGuard`] from before the batch executes until
-//!   its dependencies are recorded. A version's commit descriptor appears
-//!   only after every batch executing in it has returned, and the drain
-//!   quiesces after taking the descriptors, so no version is reported
-//!   between a batch's execution in it and the recording of that batch's
-//!   dependencies. A batch whose operations straddle a checkpoint records
-//!   at the lowest version it touched: the higher one rests on the lower.
-//! * A drain reports every version `v` with the dependencies of the
-//!   generations tagged at or below `v` that no earlier report carried, and
-//!   nothing else: no reported dependency was recorded at a version above
-//!   its token, which keeps the reported graph monotone (§3.2) and lets the
-//!   exact finder's closure close at every checkpoint.
+//! * The table keeps one entry per (executed version, dependent shard), with
+//!   the **max version** depended on. Prefix semantics make this lossless for
+//!   safety: a cut that admits a token `(s, v)` admits every `(s, v' ≤ v)`,
+//!   so the largest dependency per shard subsumes all smaller ones.
+//! * A record writes only the entries of the version its batch executed in,
+//!   so a version's dependencies are never mixed with a later version's.
+//! * A worker holds its [`GateGuard`] (a [`LightEpoch`] guard) from before
+//!   the batch executes until its dependencies are recorded. A version's
+//!   commit descriptor appears only after every batch executing in it has
+//!   returned, and the drain quiesces after taking the descriptors, so no
+//!   version is reported between a batch's execution in it and the recording
+//!   of that batch's dependencies. The drain quiesces *before* it takes the
+//!   table lock: a guard takes that lock to record. A batch whose operations
+//!   straddle a checkpoint records at the lowest version it touched: the
+//!   higher one rests on the lower.
+//! * A drain ([`DprServer::pump_commits`]) reports every version `v` with
+//!   the entries recorded at or below `v` that no earlier report carried,
+//!   and nothing else: no reported dependency was recorded at a version
+//!   above its token, which keeps the reported graph monotone (§3.2) and
+//!   lets the exact finder's closure close at every checkpoint.
 //!
 //! Queued commit reports leave the drain as **one** grouped
 //! [`DprFinder::report_commits`] call — O(1) metadata round trips per pump
@@ -55,28 +44,8 @@ use crate::state_object::StateObject;
 use dpr_core::epoch::EpochGuard;
 use dpr_core::{Backoff, DprError, LightEpoch, Result, ShardId, Token, Version, WorldLine};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Dependency slots per stripe (open-addressed; distinct dependent shards
-/// beyond this spill to the stripe's locked side map).
-const STRIPE_SLOTS: usize = 32;
-
-/// Generations per stripe: the flushing, the executing and the next version,
-/// plus one (versions open beyond that spill to the locked side map).
-const GENERATIONS: usize = 4;
-
-/// Tag of a generation no version holds.
-const FREE: u64 = u64::MAX;
-
-/// Drain bound that takes every generation: the largest tag a version can
-/// have.
-const EVERY_VERSION: Version = Version(FREE - 1);
-
-/// Default stripe count (power of two). Executor threads map onto stripes by
-/// a per-thread index, so this bounds hot-path sharing, not correctness.
-const DEFAULT_STRIPES: usize = 16;
 
 /// Epoch-table capacity: max threads concurrently inside the gate.
 const MAX_GATE_THREADS: usize = 256;
@@ -93,220 +62,55 @@ pub enum BatchDisposition {
     Reject(DprError),
 }
 
-/// Process-wide executor numbering: each thread that ever records a batch
-/// gets a stable small id, used both for stripe selection and as the epoch
-/// slot hint so a thread's gate traffic stays on its own cache lines.
-static NEXT_GATE_THREAD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static GATE_THREAD_ID: usize = NEXT_GATE_THREAD.fetch_add(1, Ordering::Relaxed);
-}
-
-fn gate_thread_id() -> usize {
-    GATE_THREAD_ID.with(|id| *id)
-}
-
-/// One cache-padded dependency accumulator: a directory of dependent shards
-/// and, per *generation* (one open executed version), the max dependency
-/// version on each of them.
-///
-/// `keys[i]` is `0` (empty) or `shard.0 + 1`; once claimed, a key is never
-/// removed, so slot `i` of every generation is owned by exactly one
-/// dependent shard for the stripe's lifetime.
-///
-/// `tags[g]` is [`FREE`] or the executed version that claimed generation
-/// `g`. Only a drain frees a generation, after quiescing, and only once the
-/// version is being reported — when no batch can still execute in it — so
-/// between claim and free `vers[g]` belongs to that one version and plain
-/// `fetch_max` / `swap` suffice. The tags sit together, ahead of the
-/// directory, so finding a batch's generation reads one cache line.
-#[repr(C, align(128))]
-struct Stripe {
-    tags: [AtomicU64; GENERATIONS],
-    /// Telemetry only: micros-since-server-start (+1; 0 = unset) of the
-    /// first batch recorded in each generation, for commit latency.
-    first_exec_us: [AtomicU64; GENERATIONS],
-    keys: [AtomicU64; STRIPE_SLOTS],
-    vers: [[AtomicU64; STRIPE_SLOTS]; GENERATIONS],
-    /// Rare path: more distinct dependent shards than slots, or more open
-    /// versions than generations. `(executed version, dependent shard)` to
-    /// the max dependency version.
-    spill: Mutex<BTreeMap<(Version, ShardId), Version>>,
-}
-
-impl Stripe {
-    fn new() -> Stripe {
-        Stripe {
-            tags: std::array::from_fn(|_| AtomicU64::new(FREE)),
-            first_exec_us: std::array::from_fn(|_| AtomicU64::new(0)),
-            keys: std::array::from_fn(|_| AtomicU64::new(0)),
-            vers: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            spill: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The generation holding `executed`, claiming a free one if none does.
-    /// `None`: every generation is held by another open version.
-    fn generation_for(&self, executed: Version) -> Option<usize> {
-        // Consecutive versions start their probe at consecutive generations,
-        // so in steady state the first tag read is the batch's own.
-        let ring = || (0..GENERATIONS).map(|i| (executed.0 as usize + i) % GENERATIONS);
-        ring()
-            .find(|&g| self.tags[g].load(Ordering::Acquire) == executed.0)
-            .or_else(|| {
-                ring().find(|&g| {
-                    match self.tags[g].compare_exchange(
-                        FREE,
-                        executed.0,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => true,
-                        // Another thread of this stripe claimed it for the
-                        // same version.
-                        Err(actual) => actual == executed.0,
-                    }
-                })
-            })
-    }
-
-    /// The slot owned by `shard`, claiming an empty one on first sight.
-    /// `None`: every slot is owned by some other shard.
-    fn slot_for(&self, shard: ShardId) -> Option<usize> {
-        let key = u64::from(shard.0) + 1;
-        // Cheap multiplicative hash so consecutive shard ids spread out.
-        let mut idx = (shard.0 as usize).wrapping_mul(0x9E37_79B1) & (STRIPE_SLOTS - 1);
-        for _ in 0..STRIPE_SLOTS {
-            match self.keys[idx].load(Ordering::Acquire) {
-                k if k == key => return Some(idx),
-                0 => match self.keys[idx].compare_exchange(
-                    0,
-                    key,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => return Some(idx),
-                    // Another thread registered the same shard first.
-                    Err(actual) if actual == key => return Some(idx),
-                    Err(_) => { /* claimed for a different shard — probe on */ }
-                },
-                _ => {}
-            }
-            idx = (idx + 1) & (STRIPE_SLOTS - 1);
-        }
-        None
-    }
-
-    /// Max-merge one dependency of a batch executed at `executed`:
-    /// lock-free into `generation` when the shard has a slot, else into the
-    /// locked spill map (bounded lock, rare).
-    fn note_dep(
-        &self,
-        generation: Option<usize>,
-        executed: Version,
-        shard: ShardId,
-        version: Version,
-    ) {
-        if let Some(g) = generation {
-            if let Some(slot) = self.slot_for(shard) {
-                self.vers[g][slot].fetch_max(version.0, Ordering::AcqRel);
-                return;
-            }
-            crate::metrics::gate_dep_spills().inc();
-        }
-        let mut spill = self.spill.lock();
-        let e = spill.entry((executed, shard)).or_insert(Version::ZERO);
-        *e = (*e).max(version);
-    }
-
-    /// Take (and free) everything recorded at executed versions up to
-    /// `upto`, appending raw entries to `out` (the caller max-merges).
-    /// Caller must have quiesced in-flight writers via the epoch.
-    fn drain_into(&self, upto: Version, out: &mut DrainScratch) {
-        for (g, tag) in self.tags.iter().enumerate() {
-            let executed = Version(tag.load(Ordering::Acquire));
-            if executed.0 == FREE || executed > upto {
-                continue;
-            }
-            for (key, ver) in self.keys.iter().zip(&self.vers[g]) {
-                let v = ver.swap(0, Ordering::AcqRel);
-                if v > 0 {
-                    let shard = ShardId((key.load(Ordering::Acquire) - 1) as u32);
-                    out.deps.push((executed, shard, Version(v)));
-                }
-            }
-            let first_exec_us = self.first_exec_us[g].swap(0, Ordering::AcqRel);
-            if first_exec_us > 0 {
-                out.first_exec_us.push((executed, first_exec_us));
-            }
-            // Emptied above; the next claimer's acquire sees it so.
-            tag.store(FREE, Ordering::Release);
-        }
-        let mut spill = self.spill.lock();
-        if spill.first_key_value().is_some_and(|(k, _)| k.0 <= upto) {
-            let kept = spill.split_off(&(upto.next(), ShardId(0)));
-            let taken = std::mem::replace(&mut *spill, kept);
-            out.deps.extend(
-                taken
-                    .into_iter()
-                    .map(|((executed, shard), v)| (executed, shard, v)),
-            );
-        }
-    }
-
-    /// Non-destructive read of the accumulated deps (tests/diagnostics).
-    fn peek_into(&self, merged: &mut BTreeMap<(Version, ShardId), Version>) {
-        let mut merge = |executed: Version, shard: ShardId, v: Version| {
-            let e = merged.entry((executed, shard)).or_insert(Version::ZERO);
-            *e = (*e).max(v);
-        };
-        for (g, tag) in self.tags.iter().enumerate() {
-            let tag = tag.load(Ordering::Acquire);
-            if tag == FREE {
-                continue;
-            }
-            for (key, ver) in self.keys.iter().zip(&self.vers[g]) {
-                let v = ver.load(Ordering::Acquire);
-                if v > 0 {
-                    let shard = ShardId((key.load(Ordering::Acquire) - 1) as u32);
-                    merge(Version(tag), shard, Version(v));
-                }
-            }
-        }
-        for (&(executed, shard), &v) in self.spill.lock().iter() {
-            merge(executed, shard, v);
-        }
-    }
-}
-
-/// Reusable drain-side buffers. Living inside the drain mutex, they are
-/// reused across pumps, so a steady-state drain allocates only the report
-/// vectors handed off to the finder — no per-pump map churn.
+/// What the gate has recorded and no drain has taken. Both vectors are
+/// sorted and keep their capacity across drains, so a steady-state record
+/// allocates nothing.
 #[derive(Default)]
-struct DrainScratch {
-    /// Raw `(executed version, dependent shard, dependency version)`
-    /// entries drained from the stripes; `pump_commits` rewrites the first
-    /// field to the reported version the entry rides.
+struct Table {
+    /// `(executed version, dependent shard, max dependency version)`, one
+    /// entry per pair, ascending by the pair.
     deps: Vec<(Version, ShardId, Version)>,
-    /// Telemetry only: `(executed version, first-execution micros)`, the
-    /// first field rewritten likewise.
+    /// Telemetry only: `(executed version, micros since server start)` of
+    /// the first batch recorded in each version, ascending.
     first_exec_us: Vec<(Version, u64)>,
+}
+
+impl Table {
+    /// Raise the entry of `(executed, shard)` to `version`, making it on
+    /// first sight.
+    fn note(&mut self, executed: Version, shard: ShardId, version: Version) {
+        match self
+            .deps
+            .binary_search_by_key(&(executed, shard), |&(e, s, _)| (e, s))
+        {
+            Ok(at) => self.deps[at].2 = self.deps[at].2.max(version),
+            Err(at) => self.deps.insert(at, (executed, shard, version)),
+        }
+    }
+
+    /// Move everything recorded at executed versions up to `upto` to `out`.
+    fn take_upto(&mut self, upto: Version, out: &mut Table) {
+        let n = self.deps.partition_point(|d| d.0 <= upto);
+        out.deps.extend(self.deps.drain(..n));
+        let n = self.first_exec_us.partition_point(|f| f.0 <= upto);
+        out.first_exec_us.extend(self.first_exec_us.drain(..n));
+    }
 }
 
 /// Per-shard server-side DPR state.
 pub struct DprServer {
     shard: ShardId,
     world_line: AtomicU64,
-    /// Striped lock-free dependency accumulator (per stripe and open
-    /// executed version, max version per dependent shard).
-    stripes: Box<[Stripe]>,
-    /// Protects the drain: writers publish under an epoch guard; drains
-    /// bump-and-wait so they observe no mid-flight writer.
+    /// Recorded, not yet reported dependencies.
+    table: Mutex<Table>,
+    /// Spans a batch's execution and the recording of its dependencies;
+    /// drains bump-and-wait so they observe no mid-flight writer.
     epoch: LightEpoch,
     /// Serializes drains against each other (pump vs. restore) — never
-    /// touched by a record — and holds the drain's reusable scratch.
-    drain: Mutex<DrainScratch>,
-    /// Timestamp base for the lock-free commit-latency tracking.
+    /// touched by a record — and holds what a drain takes from the table,
+    /// reused across pumps.
+    drain: Mutex<Table>,
+    /// Timestamp base for the commit-latency telemetry.
     started: Instant,
 }
 
@@ -316,7 +120,6 @@ pub struct DprServer {
 /// before it executes; [`GateGuard::record`] ends the pass.
 pub struct GateGuard<'a> {
     server: &'a DprServer,
-    stripe: &'a Stripe,
     _epoch: EpochGuard<'a>,
 }
 
@@ -325,28 +128,29 @@ impl GateGuard<'_> {
     /// version it executed in — the lowest, for a batch whose operations
     /// straddle a checkpoint, so that no version holding one of them is
     /// reported without the edges.
-    ///
-    /// Lock-free and, outside the spill paths, allocation-free: a handful
-    /// of atomic max-merges into this thread's stripe, in the generation
-    /// tagged `executed_version`.
     pub fn record(self, header: &BatchHeader, executed_version: Version) {
-        let generation = self.stripe.generation_for(executed_version);
-        match generation {
-            Some(g) => {
-                let first_exec_us = &self.stripe.first_exec_us[g];
-                if dpr_telemetry::enabled() && first_exec_us.load(Ordering::Relaxed) == 0 {
-                    let now = self.server.started.elapsed().as_micros() as u64 + 1;
-                    let _ =
-                        first_exec_us.compare_exchange(0, now, Ordering::AcqRel, Ordering::Relaxed);
-                }
-            }
-            None => crate::metrics::gate_generation_spills().inc(),
+        let server = self.server;
+        let mut deps = header
+            .deps
+            .iter()
+            .filter(|d| d.shard != server.shard && d.version > Version::ZERO)
+            .peekable();
+        let stamp = dpr_telemetry::enabled();
+        if deps.peek().is_none() && !stamp {
+            return;
         }
-        for d in &header.deps {
-            if d.shard != self.server.shard && d.version > Version::ZERO {
-                self.stripe
-                    .note_dep(generation, executed_version, d.shard, d.version);
+        let mut table = server.table.lock();
+        if stamp {
+            if let Err(at) = table
+                .first_exec_us
+                .binary_search_by_key(&executed_version, |f| f.0)
+            {
+                let now = server.started.elapsed().as_micros() as u64;
+                table.first_exec_us.insert(at, (executed_version, now));
             }
+        }
+        for d in deps {
+            table.note(executed_version, d.shard, d.version);
         }
     }
 }
@@ -355,20 +159,12 @@ impl DprServer {
     /// Server state for `shard`, starting on the initial world-line.
     #[must_use]
     pub fn new(shard: ShardId) -> Self {
-        Self::with_stripes(shard, DEFAULT_STRIPES)
-    }
-
-    /// Server state with an explicit stripe count (rounded up to a power of
-    /// two; benchmarks and tests).
-    #[must_use]
-    pub fn with_stripes(shard: ShardId, stripes: usize) -> Self {
-        let n = stripes.max(1).next_power_of_two();
         DprServer {
             shard,
             world_line: AtomicU64::new(WorldLine::INITIAL.0),
-            stripes: (0..n).map(|_| Stripe::new()).collect(),
+            table: Mutex::new(Table::default()),
             epoch: LightEpoch::new(MAX_GATE_THREADS),
-            drain: Mutex::new(DrainScratch::default()),
+            drain: Mutex::new(Table::default()),
             started: Instant::now(),
         }
     }
@@ -377,12 +173,6 @@ impl DprServer {
     #[must_use]
     pub fn shard(&self) -> ShardId {
         self.shard
-    }
-
-    /// Number of dependency stripes.
-    #[must_use]
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
     }
 
     /// The world-line this shard is on.
@@ -456,11 +246,9 @@ impl DprServer {
     /// drain waits for it.
     #[must_use]
     pub fn enter(&self) -> GateGuard<'_> {
-        let tid = gate_thread_id();
         GateGuard {
             server: self,
-            stripe: &self.stripes[tid & (self.stripes.len() - 1)],
-            _epoch: self.epoch.protect_hinted(tid),
+            _epoch: self.epoch.protect(),
         }
     }
 
@@ -486,20 +274,17 @@ impl DprServer {
     }
 
     /// Quiesce in-flight writers, then take everything recorded at executed
-    /// versions up to `upto` into the drain scratch, freeing those
-    /// generations.
-    fn quiesce_and_drain(&self, upto: Version, scratch: &mut DrainScratch) {
-        // Writers protected at the pre-bump epoch may still be publishing
-        // into stripes; wait them out. Writers entering after the bump
-        // execute in versions the caller is not draining (see the module
-        // docs) and touch other generations. The drainer waits on writers;
-        // writers never wait on it.
+    /// versions up to `upto` into the drain scratch.
+    fn quiesce_and_take(&self, upto: Version, scratch: &mut Table) {
+        // Writers protected at the pre-bump epoch may still be recording;
+        // wait them out. Writers entering after the bump execute in versions
+        // the caller is not draining (see the module docs). Quiesce before
+        // locking: a writer takes the table lock inside its guard, so a
+        // drain holding the lock while it waited would wait forever.
         self.epoch.quiesce();
         scratch.deps.clear();
         scratch.first_exec_us.clear();
-        for stripe in self.stripes.iter() {
-            stripe.drain_into(upto, scratch);
-        }
+        self.table.lock().take_upto(upto, scratch);
     }
 
     /// Drain completed local commits to the finder, each with the
@@ -523,7 +308,7 @@ impl DprServer {
         let mut scratch = self.drain.lock();
         commits.sort_by_key(|d| d.version);
         let upto = commits[commits.len() - 1].version;
-        self.quiesce_and_drain(upto, &mut scratch);
+        self.quiesce_and_take(upto, &mut scratch);
         // Each entry rides the lowest reported version at or above the one
         // it was recorded at.
         let rides =
@@ -554,7 +339,7 @@ impl DprServer {
         if dpr_telemetry::enabled() {
             // Every version sealed by this drain has reached its commit
             // point: record how long it trailed its first execution.
-            let now = self.started.elapsed().as_micros() as u64 + 1;
+            let now = self.started.elapsed().as_micros() as u64;
             for desc in &commits {
                 let first = scratch
                     .first_exec_us
@@ -573,12 +358,11 @@ impl DprServer {
     /// Discard accumulated dependency state after a restore.
     ///
     /// Everything still pending belongs to versions above the guaranteed cut
-    /// (versions at or below it were reported — and their generations
-    /// drained — before the cut could include them), so every generation is
-    /// dropped.
+    /// (versions at or below it were reported — and their entries taken —
+    /// before the cut could include them), so the whole table is dropped.
     pub fn on_restore(&self) {
         let mut scratch = self.drain.lock();
-        self.quiesce_and_drain(EVERY_VERSION, &mut scratch);
+        self.quiesce_and_take(Version(u64::MAX), &mut scratch);
     }
 
     /// Snapshot of the accumulated (max-per-shard compressed) dependency
@@ -586,12 +370,8 @@ impl DprServer {
     /// diagnostics and tests; does not drain.
     #[must_use]
     pub fn pending_deps(&self) -> Vec<(Version, Vec<Token>)> {
-        let mut merged: BTreeMap<(Version, ShardId), Version> = BTreeMap::new();
-        for stripe in self.stripes.iter() {
-            stripe.peek_into(&mut merged);
-        }
         let mut out: Vec<(Version, Vec<Token>)> = Vec::new();
-        for ((executed, shard), v) in merged {
+        for &(executed, shard, v) in &self.table.lock().deps {
             match out.last_mut() {
                 Some((e, tokens)) if *e == executed => tokens.push(Token::new(shard, v)),
                 _ => out.push((executed, vec![Token::new(shard, v)])),
@@ -893,13 +673,11 @@ mod tests {
     }
 
     #[test]
-    fn more_open_versions_than_generations_spill_losslessly() {
-        // A single stripe, five versions open at once: the fifth finds the
-        // ring full and goes through the locked map.
-        let server = DprServer::with_stripes(ShardId(0), 1);
+    fn five_open_versions_each_report_their_own_deps() {
+        let server = DprServer::new(ShardId(0));
         let so = MockSo::new(0);
         let finder = CapturingFinder::default();
-        let open = GENERATIONS as u64 + 1;
+        let open = 5u64;
         for v in 1..=open {
             server.record_batch(
                 &header(0, 0, vec![Token::new(ShardId(1), Version(v))]),
@@ -918,7 +696,7 @@ mod tests {
             assert_eq!(*token, Token::new(ShardId(0), v));
             assert_eq!(*deps, vec![Token::new(ShardId(1), v)]);
         }
-        // The ring wraps: freed generations serve the next versions.
+        // The next versions record into the emptied table as before.
         for v in open + 1..=2 * open {
             server.record_batch(
                 &header(0, 0, vec![Token::new(ShardId(2), Version(v))]),
@@ -933,10 +711,9 @@ mod tests {
     }
 
     #[test]
-    fn more_dependent_shards_than_slots_spill_losslessly() {
-        // A single stripe forces every dep through one slot array.
-        let server = DprServer::with_stripes(ShardId(0), 1);
-        let n = (STRIPE_SLOTS * 2) as u32;
+    fn sixty_four_dependent_shards_are_all_kept() {
+        let server = DprServer::new(ShardId(0));
+        let n = 64u32;
         for s in 1..=n {
             server.record_batch(
                 &header(0, 0, vec![Token::new(ShardId(s), Version(u64::from(s)))]),
@@ -947,16 +724,15 @@ mod tests {
         assert_eq!(pending.len(), 1);
         let (executed, deps) = &pending[0];
         assert_eq!(*executed, Version(1));
-        assert_eq!(deps.len(), n as usize, "no dependency dropped on spill");
+        assert_eq!(deps.len(), n as usize, "no dependency dropped");
         for t in deps {
             assert_eq!(t.version.0, u64::from(t.shard.0));
         }
     }
 
     #[test]
-    fn restore_clears_every_generation() {
-        // Five open versions: four generations and the spill map.
-        let server = DprServer::with_stripes(ShardId(0), 1);
+    fn restore_empties_the_table_and_the_gate_keeps_working() {
+        let server = DprServer::new(ShardId(0));
         for v in 1..=5u64 {
             server.record_batch(
                 &header(0, 0, vec![Token::new(ShardId(1), Version(v))]),
@@ -965,11 +741,9 @@ mod tests {
         }
         server.on_restore();
         // Anything pending belonged to versions above the guaranteed cut
-        // (committed versions drained at report time), so the accumulator
+        // (committed versions drained at report time), so the table
         // empties entirely.
         assert!(server.pending_deps().is_empty());
-        // The gate keeps working after the restore, with the whole ring
-        // free again.
         for v in 6..=9u64 {
             server.record_batch(
                 &header(0, 0, vec![Token::new(ShardId(1), Version(v))]),
@@ -977,7 +751,7 @@ mod tests {
             );
         }
         let pending = server.pending_deps();
-        assert_eq!(pending.len(), GENERATIONS);
+        assert_eq!(pending.len(), 4);
         for (v, deps) in pending {
             assert_eq!(deps, vec![Token::new(ShardId(1), v)]);
         }

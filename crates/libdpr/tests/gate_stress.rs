@@ -1,4 +1,4 @@
-//! Concurrency stress for the striped server-side gate (§6).
+//! Concurrency stress for the server-side gate (§6).
 //!
 //! N executor threads enter the gate, execute in the current version and
 //! record the batch's dependencies — with a stall between executing and
@@ -383,9 +383,10 @@ fn stalled_writer_is_not_overtaken_by_its_versions_report() {
     );
 }
 
-/// `record_batch` is allocation-free outside the spill paths: 10,000 calls
-/// over three versions (two version changes), the sealed ones pumped in
-/// between so the ring's generations are freed and claimed again.
+/// `record_batch` is allocation-free once the table has grown to its
+/// working size: 10,000 calls over three versions (two version changes),
+/// the sealed ones pumped in between so the table's entries are taken and
+/// made again in the capacity the drain left.
 #[test]
 fn steady_state_record_allocates_nothing() {
     let meta = Arc::new(PartitionedSqlStore::new(8));
@@ -402,8 +403,7 @@ fn steady_state_record_allocates_nothing() {
             )
         })
         .collect();
-    // Warm up: this thread's gate id and epoch slot, the dependent shards'
-    // slots, and the metric handles a spill would touch.
+    // Warm up: the table's capacity for one version's entries.
     server.record_batch(&headers[0], Version(1));
     let mut allocs = 0;
     for round in 0..3 {
