@@ -155,11 +155,8 @@ impl ShardStore for FasterShard {
         self.kv.scan_live()
     }
 
-    fn collect_garbage(&self, version: Version) -> Result<()> {
-        if version > Version::ZERO && version <= self.kv.durable_version() {
-            let _ = self.kv.collect_garbage(version)?;
-        }
-        Ok(())
+    fn collect_garbage(&self, cut: &dyn Fn() -> Option<Version>) -> Result<()> {
+        self.kv.collect_due_garbage(cut).map(drop)
     }
 
     fn faster(&self) -> Option<&Arc<FasterKv>> {

@@ -69,10 +69,12 @@ pub trait ShardStore: StateObject {
     /// Snapshot the live key/value pairs (key migration, §5.3).
     fn scan_live(&self) -> Result<Vec<(dpr_core::Key, dpr_core::Value)>>;
 
-    /// Garbage-collect durable state below the DPR-guaranteed `version`
-    /// (§5.5). Default: stores with no log to truncate do nothing.
-    fn collect_garbage(&self, version: Version) -> Result<()> {
-        let _ = version;
+    /// Garbage-collect durable state the DPR cut has moved past (§5.5), if
+    /// there is any: `cut` reads this shard's entry of the cut, and a store
+    /// calls it only when freeing something waits for it. Default: stores
+    /// with no log to truncate do nothing.
+    fn collect_garbage(&self, cut: &dyn Fn() -> Option<Version>) -> Result<()> {
+        let _ = cut;
         Ok(())
     }
 
@@ -96,12 +98,6 @@ pub trait ShardStore: StateObject {
     /// phase would block. Default: no-op.
     fn clear_commit_stall(&self) {}
 }
-
-/// Control ticks (1 ms apart, plus what a tick takes) between two rounds of
-/// garbage collection: about twice a second. A round runs at most one
-/// copy-forward pass, on the control thread, so this is also how long a
-/// store's dead bytes can grow past the half that starts one.
-const GC_EVERY_TICKS: u32 = 512;
 
 /// Worker behavior knobs (these map onto the paper's experiment axes).
 #[derive(Debug, Clone)]
@@ -481,16 +477,17 @@ impl Worker {
             self.ownership.renew_leases(self.shard);
             self.check_recovery();
         }
-        if (*poll_counter).is_multiple_of(GC_EVERY_TICKS) && self.config.dpr_enabled {
-            // GC what the DPR cut has moved past (§5.5): manifests, and the
-            // log prefix a copy-forward pass has emptied. A failure is
-            // counted where it happens (`dpr_faster_gc_errors_total`) and
-            // the next round tries again.
-            if let Ok(cut) = self.finder.current_cut() {
-                if let Some(&v) = cut.get(&self.shard) {
-                    let _ = self.store.collect_garbage(v);
-                }
-            }
+        if self.config.dpr_enabled {
+            // GC what the DPR cut has moved past (§5.5) — manifests, and the
+            // log prefix a copy-forward pass has emptied — as soon as there
+            // is any, reading the cut through the lease only then. A failure
+            // is counted where it happens (`dpr_faster_gc_errors_total`) and
+            // the next tick tries again.
+            let cut = || {
+                let cut = self.read_cut_cached().ok()?;
+                cut.1.get(&self.shard).copied()
+            };
+            let _ = self.store.collect_garbage(&cut);
         }
     }
 
@@ -547,10 +544,7 @@ fn executor_loop(worker: &Weak<Worker>, inbox: &Receiver<BusFrame>) {
 
 fn control_loop(worker: &Weak<Worker>) {
     let mut last_checkpoint = Instant::now();
-    // The shards of one process collect garbage a quarter of a round apart:
-    // a pass is some 15 ms of one core, and two at once are two cores.
-    let shard = worker.upgrade().map_or(0, |w| w.shard.0);
-    let mut poll_counter = (shard % 4) * (GC_EVERY_TICKS / 4);
+    let mut poll_counter = 0;
     loop {
         let Some(w) = worker.upgrade() else { return };
         if w.shutdown.load(Ordering::Acquire) {

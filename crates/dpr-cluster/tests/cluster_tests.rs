@@ -590,3 +590,51 @@ fn a_failure_while_passes_are_pending_loses_nothing() {
     read_back(&mut session, next, "after the truncations");
     cluster.shutdown();
 }
+
+/// A finished pass's prefix is freed a few control ticks after the cut
+/// covers the version the pass waits for, not at the next round of a timer:
+/// on one shard that a session keeps writing to, the log's beginning moves
+/// within 50 ms of `pending_pass()` falling to the shard's entry of the cut,
+/// five passes in a row.
+#[test]
+fn a_pass_is_freed_within_50_ms_of_the_cut_covering_it() {
+    const KEYS: u64 = 300;
+    let cluster = Cluster::start(base_config(ClusterKind::DFaster, 1)).unwrap();
+    let worker = &cluster.workers()[0];
+    let kv = worker.store().faster().expect("a D-FASTER shard").clone();
+    let mut session = cluster.open_session().unwrap();
+    let mut issued = 0;
+    let mut write = |session: &mut dpr_cluster::SessionHandle| {
+        let ops = (issued..issued + 32)
+            .map(|i| ClusterOp::Upsert(Key::from_u64(i % KEYS), Value::from_u64(i)));
+        session.execute(ops.collect()).unwrap();
+        issued += 32;
+    };
+    let started = Instant::now();
+    let mut freed = 0;
+    while freed < 5 {
+        assert!(started.elapsed() < Duration::from_secs(30), "{freed} freed");
+        // `begin` first: a truncation between the two reads then shows as
+        // a `begin` that has already moved.
+        let begin = kv.log_begin();
+        let Some(waits_for) = kv.pending_pass() else {
+            write(&mut session);
+            continue;
+        };
+        let mut covered: Option<Instant> = None;
+        while kv.log_begin() == begin {
+            assert!(started.elapsed() < Duration::from_secs(30), "{freed} freed");
+            let cut = cluster.current_cut();
+            if cut.get(&worker.shard()).is_some_and(|&at| at >= waits_for) {
+                let since = covered.get_or_insert_with(Instant::now).elapsed();
+                assert!(
+                    since < Duration::from_millis(50),
+                    "the pass of {waits_for} is covered and not freed after {since:?}"
+                );
+            }
+            write(&mut session);
+        }
+        freed += 1;
+    }
+    cluster.shutdown();
+}

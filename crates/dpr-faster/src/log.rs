@@ -266,6 +266,11 @@ impl RecordLog {
         self.tail().saturating_sub(self.head())
     }
 
+    /// The resident bytes eviction keeps the log within, two pages or more.
+    pub(crate) fn memory_budget(&self) -> u64 {
+        self.memory_budget
+    }
+
     /// The backing device.
     pub fn device(&self) -> &Arc<dyn LogDevice> {
         &self.device

@@ -134,6 +134,13 @@ metric_fn!(
 );
 
 metric_fn!(
+    /// How long one round of garbage collection kept its caller.
+    pub(crate) fn compaction_round() -> Histogram =
+        ("dpr_faster_compaction_round_us", Micros,
+         "Duration of one collect_garbage call: a truncation, a copy-forward pass, or both")
+);
+
+metric_fn!(
     /// `collect_garbage` calls that returned an error.
     pub(crate) fn gc_errors() -> Counter =
         ("dpr_faster_gc_errors_total", Count,

@@ -40,18 +40,11 @@ const PAGE_BYTES: u64 = PAGE_SIZE as u64;
 /// workspace.
 const RECORD_BYTES_ESTIMATE: u64 = 64;
 
-/// The most records one copy-forward pass looks at — scans, or passes on a
-/// liveness walk — before it ends at the next page boundary. It bounds how
-/// long one [`FasterKv::collect_garbage`] keeps its caller, a worker's
-/// control thread, which also pumps commits, to some 15 ms. A longer prefix
-/// takes several passes, one per call, each freed before the next begins.
-const PASS_VISITS: u64 = 1 << 16;
-
-/// What a record that a liveness walk reads from the device counts for in
-/// [`PASS_VISITS`]: a device read, a copy and two allocations where a
-/// resident record is a pointer (measured on `colo_store`, keyspace 4× memory:
-/// ~3 µs a record looked at against ~0.25 µs).
-const COLD_VISIT: u64 = 12;
+/// Versions a store that runs no copy-forward pass checkpoints before
+/// [`FasterKv::collect_due_garbage`] asks for the cut to prune its manifests
+/// with: a bound on the manifests such a store keeps. A store that runs
+/// passes prunes them whenever a pass is freed.
+const UNPRUNED_VERSIONS: u64 = 64;
 
 /// The smallest record of the paper's workloads (8-byte key and value): what
 /// bounds the number of records in a log of a given length.
@@ -195,6 +188,14 @@ pub struct CompactionTotals {
 struct Compaction {
     pending: Option<Pass>,
     totals: CompactionTotals,
+    /// What truncations have taken off `dead_bytes`: with it, every byte
+    /// the store has counted dead, a count that only grows.
+    discounted: u64,
+    /// That count when the last pass began. A pass frees as much garbage
+    /// as was counted since, at most.
+    counted_at_pass: u64,
+    /// The version of the manifest the last collection at a cut kept.
+    kept: Version,
 }
 
 /// Version-boundary capture state, consulted by sessions as they cross.
@@ -1654,10 +1655,11 @@ impl FasterKv {
     ///
     /// * a *copy-forward pass* once the dead bytes the store has counted are
     ///   half of `tail - begin`: the live records of the flushed, read-only
-    ///   prefix — of as much of it as the pass's budget of 65,536 records
-    ///   looked at covers — are appended again at the tail, as records of the
-    ///   version current at that moment. On a store with a bounded volatile
-    ///   region those appends wait for the flusher like any other;
+    ///   prefix — of as much of it as frees the garbage counted since the
+    ///   previous pass began, or less (`pass_budget`) — are appended again at
+    ///   the tail, as records of the version current at that moment. On a
+    ///   store with a bounded volatile region those appends wait for the
+    ///   flusher like any other;
     /// * the *truncation* of that prefix once the kept manifest is of the
     ///   version the pass ended in, or a later one. Every manifest kept then
     ///   covers the copies, and no rollback goes below the cut, so neither a
@@ -1668,11 +1670,64 @@ impl FasterKv {
     /// Returns the address the log now begins at if this call freed a
     /// prefix, `None` if it freed nothing.
     pub fn collect_garbage(&self, version: Version) -> Result<Option<u64>> {
+        let _round = crate::metrics::compaction_round().start_timer();
         let freed = self.collect_garbage_at(version);
         if freed.is_err() {
             crate::metrics::gc_errors().inc();
         }
         freed
+    }
+
+    /// [`FasterKv::collect_garbage`] for a caller that calls it whenever
+    /// there may be something to collect and pays for each read of the cut:
+    /// a worker's control tick. It collects when a pass is due, and calls
+    /// `cut`, which reads this store's entry of the DPR cut, only when what
+    /// waits for the cut is durable — a finished pass, or, while none is,
+    /// manifests `UNPRUNED_VERSIONS` versions past the last one kept — since
+    /// a cut covers no more of a store than it has made durable.
+    pub fn collect_due_garbage(
+        &self,
+        cut: impl FnOnce() -> Option<Version>,
+    ) -> Result<Option<u64>> {
+        let (waits_for, due) = {
+            let c = self.compaction.lock();
+            let manifests = Version(c.kept.0 + UNPRUNED_VERSIONS);
+            let waits_for = c.pending.as_ref().map_or(manifests, |pass| pass.version);
+            (waits_for, self.pass_budget(&c).is_some())
+        };
+        let durable = self.durable_version();
+        if waits_for <= durable {
+            if let Some(at) = cut().filter(|&at| at >= waits_for) {
+                return self.collect_garbage(at.min(durable));
+            }
+        }
+        if due {
+            return self.collect_garbage(Version::ZERO);
+        }
+        Ok(None)
+    }
+
+    /// The garbage a pass is to free, if one is due — none waits, the dead
+    /// bytes are half of `tail - begin` or more, and a flushed, read-only
+    /// prefix lies above `begin`: what was counted dead since the previous
+    /// pass began, and no more than takes the dead bytes back under half
+    /// (`2 * dead - extent`), so a store's first pass covers a page or so.
+    /// A log whose beginning has left memory is emptied from the device, a
+    /// device read for each record and for each cold link its liveness walks
+    /// pass — ten times the cost of a resident page, to free device space
+    /// rather than memory — so a pass there waits until a memory's worth of
+    /// garbage pays for it.
+    fn pass_budget(&self, c: &Compaction) -> Option<u64> {
+        let (begin, tail) = (self.log.begin(), self.log.tail());
+        let dead = self.dead_bytes.0.load(Ordering::Relaxed);
+        let excess = (2 * dead).checked_sub(tail - begin)?;
+        let frontier = self.log.flushed().min(self.log.read_only());
+        if c.pending.is_some() || dead == 0 || frontier <= begin {
+            return None;
+        }
+        let paid = dead + c.discounted - c.counted_at_pass;
+        let cold = begin < self.log.head();
+        (!cold || paid >= self.log.memory_budget()).then_some(paid.min(excess))
     }
 
     fn collect_garbage_at(&self, version: Version) -> Result<Option<u64>> {
@@ -1682,23 +1737,29 @@ impl FasterKv {
                 self.durable_version()
             )));
         }
-        let Some(manifest) = CheckpointManifest::latest(self.blobs.as_ref(), Some(version))? else {
-            return Ok(None);
+        // No checkpoint is of version 0: a call there only runs a pass.
+        let manifest = match version {
+            Version::ZERO => None,
+            _ => CheckpointManifest::latest(self.blobs.as_ref(), Some(version))?,
         };
-        let kept = CheckpointManifest::blob_name(manifest.version);
-        for name in self.blobs.list("chkpt-")? {
-            if name < kept {
-                let _ = self.blobs.delete(&name);
+        if let Some(m) = &manifest {
+            let kept = CheckpointManifest::blob_name(m.version);
+            for name in self.blobs.list("chkpt-")? {
+                if name < kept {
+                    let _ = self.blobs.delete(&name);
+                }
             }
         }
         let mut compaction = self.compaction.lock();
+        let kept = manifest.map(|m| m.version);
+        compaction.kept = compaction.kept.max(kept.unwrap_or(Version::ZERO));
         let mut freed = None;
         if let Some(pass) = compaction.pending.take() {
             if pass.rollbacks != self.purged.read().len() {
                 // Void. Its copies stay where they are, ordinary records;
                 // the originals they hide are garbage for the next pass.
                 self.dead_bytes.0.fetch_add(pass.copied, Ordering::Relaxed);
-            } else if manifest.version < pass.version {
+            } else if kept.is_none_or(|kept| kept < pass.version) {
                 compaction.pending = Some(pass);
             } else {
                 let bytes = pass.until - self.log.begin();
@@ -1706,27 +1767,26 @@ impl FasterKv {
                 // All of the prefix but the originals of the copies was
                 // dead, counted or not.
                 let garbage = bytes.saturating_sub(pass.copied);
-                let _ =
+                let dead =
                     self.dead_bytes
                         .0
                         .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |dead| {
                             Some(dead.saturating_sub(garbage))
                         });
+                compaction.discounted += dead.map_or(0, |dead| dead.min(garbage));
                 compaction.totals.freed_bytes += bytes;
                 crate::metrics::compaction_freed_bytes().add(bytes);
             }
         }
-        if compaction.pending.is_none() {
-            let extent = self.log.tail() - self.log.begin();
-            let dead = self.dead_bytes.0.load(Ordering::Relaxed);
-            if dead > 0 && 2 * dead >= extent {
-                if let Some(pass) = self.copy_forward()? {
-                    compaction.totals.passes += 1;
-                    compaction.totals.copied_bytes += pass.copied;
-                    crate::metrics::compaction_passes().inc();
-                    crate::metrics::compaction_copied_bytes().add(pass.copied);
-                    compaction.pending = Some(pass);
-                }
+        if let Some(budget) = self.pass_budget(&compaction) {
+            let counted = self.dead_bytes.0.load(Ordering::Relaxed) + compaction.discounted;
+            if let Some(pass) = self.copy_forward(budget)? {
+                compaction.counted_at_pass = counted;
+                compaction.totals.passes += 1;
+                compaction.totals.copied_bytes += pass.copied;
+                crate::metrics::compaction_passes().inc();
+                crate::metrics::compaction_copied_bytes().add(pass.copied);
+                compaction.pending = Some(pass);
             }
         }
         Ok(freed)
@@ -1741,10 +1801,11 @@ impl FasterKv {
     /// below it, in the prefix that goes with it.
     ///
     /// The pass frees nothing. It ends at the flushed, read-only frontier or
-    /// at the first page boundary past its budget ([`PASS_VISITS`]; a page's
-    /// first byte is a record boundary like the frontier). `None` when there
-    /// is no such prefix.
-    fn copy_forward(&self) -> Result<Option<Pass>> {
+    /// at the first page boundary by which the bytes it has not copied reach
+    /// `budget` (a page's first byte is a record boundary like the
+    /// frontier), or after a page below `head`, read from the device.
+    /// `None` when there is no prefix.
+    fn copy_forward(&self, budget: u64) -> Result<Option<Pass>> {
         let begin = self.log.begin();
         let frontier = self.log.flushed().min(self.log.read_only());
         if frontier <= begin {
@@ -1755,16 +1816,16 @@ impl FasterKv {
         // moment before the boundary passed it may still be writing to it,
         // under its guard.
         self.log.epoch().quiesce();
-        let (mut copied, mut visits) = (0, 0);
+        let mut copied = 0;
         let mut candidates: Vec<Record> = Vec::new();
         let mut until = begin;
-        while until < frontier && visits < PASS_VISITS {
+        while until < frontier {
             // A page at a time: the scan holds a guard, and an append under
             // it that waits for the flusher would keep the flusher's
             // eviction waiting for the guard.
             let to = frontier.min((until / PAGE_BYTES + 1) * PAGE_BYTES);
+            let cold = until < self.log.head();
             self.log.scan_range(until, to, &mut |rec| {
-                visits += 1;
                 let m = rec.meta();
                 if !m.tombstone && !self.is_dead(rec.address(), &m) {
                     candidates.push(rec);
@@ -1772,9 +1833,12 @@ impl FasterKv {
                 Ok(())
             })?;
             for rec in candidates.drain(..) {
-                copied += self.copy_if_newest(&rec, &mut visits)?;
+                copied += self.copy_if_newest(&rec)?;
             }
             until = to;
+            if cold || until - begin - copied >= budget {
+                break;
+            }
         }
         Ok(Some(Pass {
             until,
@@ -1786,17 +1850,16 @@ impl FasterKv {
 
     /// Append `rec`, a live record of the prefix a pass is emptying, at the
     /// tail again if it is still the newest of its key. Returns the bytes
-    /// appended, and adds the records its walks passed to `visits`. The copy
-    /// is a record of the version current under the gate, so it lies below
-    /// that version's seal; it is published by a CAS over the head the
-    /// liveness walk started from, so no record of the chain, of this key or
-    /// another, has come between the walk and it.
-    fn copy_if_newest(&self, rec: &Record, visits: &mut u64) -> Result<u64> {
+    /// appended. The copy is a record of the version current under the gate,
+    /// so it lies below that version's seal; it is published by a CAS over
+    /// the head the liveness walk started from, so no record of the chain,
+    /// of this key or another, has come between the walk and it.
+    fn copy_if_newest(&self, rec: &Record) -> Result<u64> {
         let (key, value) = (rec.key(), rec.read_value());
         loop {
             let guard = self.log.protect();
             let head = self.index.head(&guard, key);
-            if !self.is_newest(&guard, key, head, rec.address(), visits)? {
+            if !self.is_newest(&guard, key, head, rec.address())? {
                 return Ok(0);
             }
             let _gate = self.copy_gate.lock();
@@ -1817,24 +1880,15 @@ impl FasterKv {
     /// its key on the chain from `head`: no live record of the key lies
     /// above it. A record the chain does not lead to (the orphan of a lost
     /// publish race whose invalidation missed the flush) is not.
-    fn is_newest(
-        &self,
-        guard: &EpochGuard<'_>,
-        key: &Key,
-        head: u64,
-        at: u64,
-        visits: &mut u64,
-    ) -> Result<bool> {
+    fn is_newest(&self, guard: &EpochGuard<'_>, key: &Key, head: u64, at: u64) -> Result<bool> {
         let mut addr = head;
         while addr != NONE_ADDRESS && addr > at {
-            *visits += 1;
             let (newer, prev) = match self.log.get_ready(guard, addr)? {
                 GetOutcome::Resident(view) => (
                     view.key_matches(key) && !self.is_dead(addr, &view.meta()),
                     view.prev(),
                 ),
                 GetOutcome::OnDisk => {
-                    *visits += COLD_VISIT - 1;
                     let rec = self.log.read_from_device(addr)?;
                     (
                         rec.key() == key && !self.is_dead(addr, &rec.meta()),

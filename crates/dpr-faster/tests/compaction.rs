@@ -1,13 +1,13 @@
 //! The log has a beginning: copy-forward passes and the truncations that
 //! follow them (`FasterKv::collect_garbage`), under concurrent writers, across
-//! a rollback, and by the numbers.
+//! a rollback, by the numbers, and on the device.
 //!
 //! The three invariants of `docs/PROTOCOL.md` §5 — a copy is a record of its
 //! own version, nothing is freed above the cut, every kept manifest recovers
 //! — are each checked here or in `log_crash_points.rs`.
 
 use dpr_core::{Key, SessionId, Value, Version};
-use dpr_faster::{CompactionTotals, FasterConfig, FasterKv, OpOutcome, Session};
+use dpr_faster::{CompactionTotals, FasterConfig, FasterKv, OpOutcome, Session, PAGE_SIZE};
 use dpr_storage::{MemBlobStore, MemLogDevice};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -277,4 +277,29 @@ fn a_pass_copies_no_more_than_it_frees_and_a_preload_runs_none() {
         let want = if k < KEYS / 10 { k + 1000 * round } else { k };
         assert_eq!(read(&kv, k), Some(want), "key {k}");
     }
+}
+
+/// (d) What a truncation frees from the log it frees from the device: the
+/// device's pages are the size of the log's, so after each truncation the
+/// device holds no more than `tail - begin` and one page.
+#[test]
+fn after_a_truncation_the_device_holds_the_log_and_at_most_a_page_more() {
+    // A round of them is one page: every pass ends on a page boundary.
+    const KEYS: u64 = (PAGE_SIZE / 32) as u64;
+    let device = Arc::new(MemLogDevice::null());
+    let kv = FasterKv::new(config(false), device.clone(), Arc::new(MemBlobStore::new()));
+    let s = kv.start_session(SessionId(1));
+    let mut truncations = 0;
+    for round in 0..20 {
+        rewrite(&kv, &s, KEYS, round..round + 1);
+        if kv.collect_garbage(kv.durable_version()).unwrap().is_some() {
+            truncations += 1;
+            let (held, log) = (device.held_bytes(), kv.log_tail() - kv.log_begin());
+            assert!(
+                held <= log + PAGE_SIZE as u64,
+                "the device holds {held} bytes of a {log}-byte log"
+            );
+        }
+    }
+    assert!(truncations >= 3, "{:?}", kv.compaction_totals());
 }

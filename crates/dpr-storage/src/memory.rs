@@ -1,19 +1,24 @@
-//! In-memory log device with latency injection and crash simulation.
+//! In-memory log device with latency injection and crash simulation. It
+//! keeps the log in pages of the log's own size and only the pages from
+//! the truncation point on: a `dpr-faster` log truncated at a page boundary
+//! leaves it holding the log above `begin` and at most a page more.
 
 use crate::device::LogDevice;
 use crate::latency::{LatencyModel, StorageProfile};
 use dpr_core::{DprError, Result};
 use parking_lot::RwLock;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Page granularity of the backing store. Appends may span pages.
-const PAGE_SIZE: usize = 1 << 20;
+/// Page granularity of the backing store, that of a `dpr-faster` log page.
+/// Appends may span pages.
+const PAGE_SIZE: usize = 1 << 16;
 
 /// An in-memory [`LogDevice`].
 ///
-/// Data lives in 1 MiB pages, each behind its own lock (`append` holds it
+/// Data lives in 64 KiB pages, each behind its own lock (`append` holds it
 /// exclusively for its copy, `read` shares it), and a page wholly below the
-/// truncation point is freed; `flush` charges the configured
+/// truncation point is released; `flush` charges the configured
 /// [`LatencyModel`] for the dirty span and advances the durable frontier;
 /// [`MemLogDevice::crash`] discards the volatile suffix, modeling power loss
 /// on a buffered device.
@@ -28,10 +33,9 @@ const PAGE_SIZE: usize = 1 << 20;
 /// assert_eq!(dev.crash(), 7, "restart at the durable frontier");
 /// ```
 pub struct MemLogDevice {
-    /// The outer lock covers only the vector's growth. A page truncation
-    /// has freed is an empty slice; a read that meets one is refused like
-    /// one below `truncated`.
-    pages: RwLock<Vec<RwLock<Box<[u8]>>>>,
+    /// The outer lock covers only growth at the back and release at the
+    /// front.
+    pages: RwLock<Pages>,
     tail: AtomicU64,
     durable: AtomicU64,
     truncated: AtomicU64,
@@ -39,12 +43,28 @@ pub struct MemLogDevice {
     flush_count: AtomicU64,
 }
 
+/// The live span of the device: page `first + i` is `held[i]`, and a page
+/// below `first` is gone, table entry and all. A read that meets one is
+/// refused like one below `truncated`; an append's bytes there are below
+/// the truncation point, where nothing reads them, and are dropped.
+#[derive(Default)]
+struct Pages {
+    first: usize,
+    held: VecDeque<RwLock<Box<[u8]>>>,
+}
+
+impl Pages {
+    fn get(&self, page: usize) -> Option<&RwLock<Box<[u8]>>> {
+        self.held.get(page.checked_sub(self.first)?)
+    }
+}
+
 impl MemLogDevice {
     /// Device with the given latency model.
     #[must_use]
     pub fn new(latency: LatencyModel) -> Self {
         MemLogDevice {
-            pages: RwLock::new(Vec::new()),
+            pages: RwLock::new(Pages::default()),
             tail: AtomicU64::new(0),
             durable: AtomicU64::new(0),
             truncated: AtomicU64::new(0),
@@ -79,16 +99,26 @@ impl MemLogDevice {
         self.flush_count.load(Ordering::Relaxed)
     }
 
+    /// Bytes of the pages the device holds, whole pages from the one the
+    /// truncation point lies in to the one the tail lies in (diagnostics).
+    #[must_use]
+    pub fn held_bytes(&self) -> u64 {
+        (self.pages.read().held.len() * PAGE_SIZE) as u64
+    }
+
     fn ensure_pages(&self, end: u64) {
         let need = (end as usize).div_ceil(PAGE_SIZE);
+        let has = |p: &Pages| p.first + p.held.len() >= need;
         // Nearly every append lands in pages that exist: check under the
         // read lock, which readers and other appenders share.
-        if self.pages.read().len() >= need {
+        if has(&self.pages.read()) {
             return;
         }
         let mut pages = self.pages.write();
-        while pages.len() < need {
-            pages.push(RwLock::new(vec![0u8; PAGE_SIZE].into_boxed_slice()));
+        while !has(&pages) {
+            pages
+                .held
+                .push_back(RwLock::new(vec![0u8; PAGE_SIZE].into_boxed_slice()));
         }
     }
 }
@@ -105,13 +135,9 @@ impl LogDevice for MemLogDevice {
             let page = off / PAGE_SIZE;
             let in_page = off % PAGE_SIZE;
             let n = rest.len().min(PAGE_SIZE - in_page);
-            let mut bytes = pages[page].write();
-            if bytes.is_empty() {
-                // Freed by a truncation at or past the tail of that time.
-                *bytes = vec![0u8; PAGE_SIZE].into_boxed_slice();
+            if let Some(bytes) = pages.get(page) {
+                bytes.write()[in_page..in_page + n].copy_from_slice(&rest[..n]);
             }
-            bytes[in_page..in_page + n].copy_from_slice(&rest[..n]);
-            drop(bytes);
             off += n;
             rest = &rest[n..];
         }
@@ -135,13 +161,10 @@ impl LogDevice for MemLogDevice {
             let page = off / PAGE_SIZE;
             let in_page = off % PAGE_SIZE;
             let n = (avail - done).min(PAGE_SIZE - in_page);
-            let bytes = pages[page].read();
-            if bytes.is_empty() {
-                // Freed by a truncation that came between the check above
-                // and this lock.
-                return Err(truncated());
-            }
-            buf[done..done + n].copy_from_slice(&bytes[in_page..in_page + n]);
+            // Released by a truncation that came between the check above and
+            // this lock.
+            let bytes = pages.get(page).ok_or_else(truncated)?;
+            buf[done..done + n].copy_from_slice(&bytes.read()[in_page..in_page + n]);
             off += n;
             done += n;
         }
@@ -169,14 +192,15 @@ impl LogDevice for MemLogDevice {
     }
 
     fn truncate_before(&self, addr: u64) -> Result<()> {
-        let before = self.truncated.fetch_max(addr, Ordering::SeqCst);
+        self.truncated.fetch_max(addr, Ordering::SeqCst);
         // Every read checks `truncated` first, so the pages that now lie
-        // wholly below it hold bytes nobody can ask for: free them.
-        let pages = self.pages.read();
-        let whole = (addr as usize / PAGE_SIZE).min(pages.len());
-        for page in &pages[(before as usize / PAGE_SIZE).min(whole)..whole] {
-            *page.write() = Box::default();
-        }
+        // wholly below it hold bytes nobody can ask for: release them.
+        let whole = addr as usize / PAGE_SIZE;
+        let mut pages = self.pages.write();
+        let below = whole.saturating_sub(pages.first).min(pages.held.len());
+        pages.held.drain(..below);
+        // Past the last page held, `held` is empty and starts over there.
+        pages.first = pages.first.max(whole);
         Ok(())
     }
 
@@ -254,18 +278,16 @@ mod tests {
         let dev = MemLogDevice::null();
         let data: Vec<u8> = (0..3 * PAGE_SIZE + 100).map(|i| (i % 251) as u8).collect();
         dev.append(&data).unwrap();
-        let allocated = |dev: &MemLogDevice| {
+        let held = |dev: &MemLogDevice| {
             let pages = dev.pages.read();
-            pages
-                .iter()
-                .map(|p| !p.read().is_empty())
-                .collect::<Vec<_>>()
+            (pages.first, pages.held.len())
         };
-        assert_eq!(allocated(&dev), [true; 4]);
+        assert_eq!(held(&dev), (0, 4));
         // Inside the third page: two pages go, the third keeps its tail.
         let cut = 2 * PAGE_SIZE + 10;
         dev.truncate_before(cut as u64).unwrap();
-        assert_eq!(allocated(&dev), [false, false, true, true]);
+        assert_eq!(held(&dev), (2, 2));
+        assert_eq!(dev.held_bytes(), 2 * PAGE_SIZE as u64);
         let mut buf = [0u8; 64];
         for below in [0, PAGE_SIZE - 1, 2 * PAGE_SIZE, cut - 1] {
             assert!(dev.read(below as u64, &mut buf).is_err(), "read at {below}");
@@ -274,17 +296,32 @@ mod tests {
             read_exact(&dev, above as u64, &mut buf).unwrap();
             assert_eq!(buf[..], data[above..above + 64], "read at {above}");
         }
-        // A truncation past the tail frees the page the next append lands
-        // in, which allocates it again; a lower one afterwards does nothing.
+        // A truncation past the tail releases every page; the next append
+        // makes only the pages from the truncation point on, and a lower
+        // truncation afterwards does nothing.
         let past = 4 * PAGE_SIZE + 8;
         dev.truncate_before(past as u64).unwrap();
         dev.truncate_before(5).unwrap();
-        assert_eq!(allocated(&dev), [false; 4]);
+        assert_eq!(held(&dev), (4, 0));
         let at = dev.append(&vec![7u8; PAGE_SIZE]).unwrap();
-        assert_eq!(allocated(&dev), [false, false, false, true, true]);
+        assert_eq!(held(&dev), (4, 1));
         assert!(dev.read(at, &mut buf).is_err());
         read_exact(&dev, past as u64, &mut buf).unwrap();
         assert_eq!(buf, [7u8; 64]);
+    }
+
+    /// The page table is the live span, not every page ever written: a
+    /// device truncated as it grows keeps as few entries as it holds pages.
+    #[test]
+    fn a_device_truncated_as_it_grows_forgets_its_released_pages() {
+        let dev = MemLogDevice::null();
+        for _ in 0..1000 {
+            dev.append(&[1u8; PAGE_SIZE]).unwrap();
+            dev.truncate_before(dev.tail() - 100).unwrap();
+        }
+        let pages = dev.pages.read();
+        assert_eq!((pages.first, pages.held.len()), (999, 1));
+        assert_eq!(dev.held_bytes(), PAGE_SIZE as u64);
     }
 
     #[test]
@@ -317,7 +354,7 @@ mod tests {
     /// record, while other records are being copied into the same page.
     #[test]
     fn a_reader_racing_appenders_on_one_page_sees_whole_records() {
-        const RECORDS: usize = 1000;
+        const RECORDS: usize = 250;
         let dev = MemLogDevice::null();
         let (returned, appended) = std::sync::mpsc::channel();
         std::thread::scope(|s| {

@@ -4,8 +4,8 @@
 #   scripts/check.sh --quick   build + tier-1 tests only (fast inner loop)
 #   scripts/check.sh           the full gate: workspace tests, the lossy-link
 #                              exactly-once, session-order, outgrowing-RMW
-#                              race, writers-against-passes and gate-fence
-#                              guards, manifest, third_party, size,
+#                              race, writers-against-passes, prompt-truncation
+#                              and gate-fence guards, manifest, third_party, size,
 #                              forbid-unsafe and unsafe-comment lints, docs,
 #                              chaos and figures smokes, and the benchmark's
 #                              schema smoke
@@ -71,6 +71,11 @@ guard outgrowing-RMW-race dpr-faster concurrency_tests \
 # larger-than-memory store, every read and every final value exact.
 guard writers-against-passes dpr-faster compaction \
     writers_racing_passes_and_truncations_keep_every_key_exact
+# A covered prefix is freed promptly (docs/PROTOCOL.md §5, A log with a
+# beginning): the worker collects as soon as the cut covers a finished pass,
+# so the log's beginning moves within 50 ms of it, five passes in a row.
+guard prompt-truncation dpr-cluster cluster_tests \
+    a_pass_is_freed_within_50_ms_of_the_cut_covering_it
 # The gate's fence (docs/PROTOCOL.md §4): a drain quiesces the epoch before
 # it takes the table lock, so no version is reported between a batch's
 # execution in it and the recording of that batch's dependencies. Both fail
@@ -130,10 +135,10 @@ fi
 # does not grow back unseen: a change that needs more lines raises this bound
 # in its own diff, where a reviewer sees it.
 echo
-echo "==> workspace Rust is at most 33,013 lines"
+echo "==> workspace Rust is at most 33,182 lines"
 rust_lines=$(find crates src tests examples -name '*.rs' | xargs cat | wc -l)
-if (( rust_lines > 33013 )); then
-    echo "workspace Rust is $rust_lines lines, above the bound of 33,013" >&2
+if (( rust_lines > 33182 )); then
+    echo "workspace Rust is $rust_lines lines, above the bound of 33,182" >&2
     exit 1
 fi
 
