@@ -291,7 +291,7 @@ pub fn run_with_failures(
         scope.spawn(move || {
             for &at in failures_at {
                 std::thread::sleep(at.saturating_sub(start.elapsed()));
-                let _ = cluster.inject_failure();
+                let _ = cluster.inject_failure_at(0);
             }
         });
         let mut clients = Vec::new();
@@ -387,7 +387,7 @@ mod tests {
         let (stats, executed_at_recovery) = std::thread::scope(|scope| {
             let run = scope.spawn(|| run_workload(&cluster, &params));
             std::thread::sleep(Duration::from_millis(200));
-            cluster.inject_failure().unwrap();
+            cluster.inject_failure_at(0).unwrap();
             cluster.wait_recovered(Duration::from_secs(10)).unwrap();
             let executed = cluster.total_executed();
             (run.join().unwrap(), executed)

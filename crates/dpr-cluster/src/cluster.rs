@@ -257,19 +257,13 @@ impl Cluster {
         move || cache.read().clone()
     }
 
-    /// Inject a failure (Fig. 16's methodology) and return once recovery is
-    /// underway; workers roll back asynchronously. Shim for
-    /// [`Cluster::inject_failure_at`] blaming worker 0.
-    pub fn inject_failure(&self) -> Result<()> {
-        self.inject_failure_at(0)
-    }
-
-    /// Inject a failure attributed to the worker at `idx`. Per §4.1 the
-    /// recovery protocol is cluster-wide regardless of which worker
-    /// crashed — every worker rolls back to the guaranteed cut — but the
-    /// `recovery_begin` span names the blamed shard, and the crashed
-    /// worker discards its volatile duplicate-suppression state as a real
-    /// process restart would.
+    /// Inject a failure (Fig. 16's methodology) attributed to the worker at
+    /// `idx`, and return once recovery is underway; workers roll back
+    /// asynchronously. Per §4.1 the recovery protocol is cluster-wide
+    /// regardless of which worker crashed — every worker rolls back to the
+    /// guaranteed cut — but the `recovery_begin` span names the blamed
+    /// shard, and the crashed worker discards its volatile
+    /// duplicate-suppression state as a real process restart would.
     pub fn inject_failure_at(&self, idx: usize) -> Result<()> {
         let worker = self
             .workers

@@ -101,7 +101,7 @@ fn dfaster_failure_rolls_back_uncommitted_state() {
         )])
         .unwrap();
 
-    cluster.inject_failure().unwrap();
+    cluster.inject_failure_at(0).unwrap();
     cluster.wait_recovered(Duration::from_secs(10)).unwrap();
 
     // The session discovers the failure on its next interaction.
@@ -155,7 +155,7 @@ fn dfaster_failure_with_slow_checkpoints_always_rolls_back() {
         ])
         .unwrap();
 
-    cluster.inject_failure().unwrap();
+    cluster.inject_failure_at(0).unwrap();
     cluster.wait_recovered(Duration::from_secs(10)).unwrap();
     let _ = session.execute(vec![ClusterOp::Read(Key::from_u64(1))]);
     session.recover(Duration::from_secs(10)).unwrap();
@@ -238,7 +238,7 @@ fn dredis_failure_recovery() {
             Value::from_u64(99),
         )])
         .unwrap();
-    cluster.inject_failure().unwrap();
+    cluster.inject_failure_at(0).unwrap();
     cluster.wait_recovered(Duration::from_secs(10)).unwrap();
     let _ = session.execute(vec![ClusterOp::Read(Key::from_u64(1))]);
     session.recover(Duration::from_secs(10)).unwrap();
@@ -509,10 +509,10 @@ fn nested_failures_are_handled_as_sequential_recoveries() {
     let mut session = cluster.open_session().unwrap();
     session.execute(ops_for_keys(0..16)).unwrap();
     // First failure.
-    cluster.inject_failure().unwrap();
+    cluster.inject_failure_at(0).unwrap();
     cluster.wait_recovered(Duration::from_secs(10)).unwrap();
     // Second failure immediately after (the §7.4 nested scenario).
-    cluster.inject_failure().unwrap();
+    cluster.inject_failure_at(0).unwrap();
     cluster.wait_recovered(Duration::from_secs(10)).unwrap();
     let _ = session.execute(vec![ClusterOp::Read(Key::from_u64(0))]);
     session.recover(Duration::from_secs(10)).unwrap();

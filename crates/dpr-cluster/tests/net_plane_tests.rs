@@ -140,7 +140,7 @@ fn socket_client_observes_failures_via_world_line() {
     // Two failures on one connection: each is reported with the world-line
     // the cluster is on now, and each time the connection goes on.
     for round in 1..=2u64 {
-        cluster.inject_failure().unwrap();
+        cluster.inject_failure_at(0).unwrap();
         cluster.wait_recovered(Duration::from_secs(10)).unwrap();
         let wl = cluster.metadata().world_line().unwrap();
         assert_eq!(wl, WorldLine(round));

@@ -56,10 +56,10 @@ fn checkpoint_and_recovery_emit_expected_span_sequence() {
         .wait_all_committed(cluster.cut_source(), Duration::from_secs(10))
         .unwrap();
 
-    cluster.inject_failure().unwrap();
+    cluster.inject_failure_at(0).unwrap();
     cluster.wait_recovered(Duration::from_secs(10)).unwrap();
-    // Second failure through the targeted path: attribution must follow
-    // the index (the worker-0 shim above blames shard 0).
+    // A second failure, at another worker: attribution must follow the
+    // index.
     cluster.inject_failure_at(1).unwrap();
     cluster.wait_recovered(Duration::from_secs(10)).unwrap();
     cluster.shutdown();
@@ -111,9 +111,9 @@ fn checkpoint_and_recovery_emit_expected_span_sequence() {
         "recovery_complete must follow both shard rollbacks (r0={r0}, r1={r1}, complete={complete})"
     );
 
-    // Failure attribution (satellite: generalized `inject_failure_at`):
-    // the worker-0 shim blames shard 0, the targeted call blames shard 1,
-    // and the second recovery runs the full arc again.
+    // Failure attribution: the failure at worker 0 blames shard 0, the one
+    // at worker 1 blames shard 1, and the second recovery runs the full arc
+    // again.
     assert_eq!(
         begin,
         find_span(
@@ -123,7 +123,7 @@ fn checkpoint_and_recovery_emit_expected_span_sequence() {
             "recovery_begin",
             "crashed shard 0"
         ),
-        "the inject_failure shim must blame worker 0"
+        "a failure at worker 0 must blame shard 0"
     );
     let begin2 = find_span(
         &spans,

@@ -41,8 +41,15 @@ impl Key {
     /// partitioning want determinism).
     #[must_use]
     pub fn hash64(&self) -> u64 {
+        Key::hash_bytes(&self.0)
+    }
+
+    /// [`Key::hash64`] of the key whose bytes are `key`, for a caller that
+    /// has them in place and no `Key`.
+    #[must_use]
+    pub fn hash_bytes(key: &[u8]) -> u64 {
         let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-        for chunk in self.0.chunks(8) {
+        for chunk in key.chunks(8) {
             let mut b = [0u8; 8];
             b[..chunk.len()].copy_from_slice(chunk);
             h ^= u64::from_le_bytes(b);

@@ -195,8 +195,8 @@ impl HashIndex {
         self.current(guard).slots.len()
     }
 
-    fn identity(&self, key: &Key) -> u64 {
-        key.hash64() >> (64 - self.identity_bits)
+    fn identity(&self, key: &[u8]) -> u64 {
+        Key::hash_bytes(key) >> (64 - self.identity_bits)
     }
 
     fn current<'g>(&self, guard: &'g EpochGuard<'_>) -> &'g Table {
@@ -225,6 +225,12 @@ impl HashIndex {
     /// Head address of the chain `key` is on, or [`NONE_ADDRESS`].
     #[must_use]
     pub fn head(&self, guard: &EpochGuard<'_>, key: &Key) -> u64 {
+        self.head_of(guard, key.as_bytes())
+    }
+
+    /// [`HashIndex::head`] from the key's bytes, as a record in place holds
+    /// them.
+    pub(crate) fn head_of(&self, guard: &EpochGuard<'_>, key: &[u8]) -> u64 {
         let identity = self.identity(key);
         loop {
             let table = self.current(guard);
@@ -268,7 +274,7 @@ impl HashIndex {
         new_addr: u64,
         wanted: impl Fn(u64) -> bool,
     ) -> Result<(), u64> {
-        let identity = self.identity(key);
+        let identity = self.identity(key.as_bytes());
         let new = entry(identity, new_addr);
         loop {
             let table = self.current(guard);

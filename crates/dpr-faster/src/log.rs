@@ -828,43 +828,23 @@ impl RecordLog {
     /// (§5.5 PURGE). Returns the number of records invalidated. Device
     /// copies are handled by the store's read-time purged-version filter.
     pub fn purge_versions(&self, v_safe: Version, v_max: Version) -> u64 {
-        let guard = self.protect();
-        let mut addr = self.head();
-        let tail = self.tail();
+        let (mut addr, tail) = (self.head(), self.tail());
         let mut purged = 0u64;
-        let mut backoff = Backoff::new();
         while addr < tail {
-            match self.parse_at(&guard, addr) {
-                Parse::Rec(v, footprint) => {
-                    let m = v.meta();
-                    if !m.invalid && m.version > v_safe && m.version <= v_max {
-                        v.invalidate();
-                        purged += 1;
-                    }
-                    addr += footprint as u64;
-                    backoff.reset();
+            let walked = self.walk_resident(addr, tail, &mut |_, v| {
+                let m = v.meta();
+                if !m.invalid && m.version > v_safe && m.version <= v_max {
+                    v.invalidate();
+                    purged += 1;
                 }
-                Parse::Pad(len) => {
-                    addr += len as u64;
-                    backoff.reset();
-                }
-                Parse::NotReady => backoff.snooze(),
+                Ok(())
+            });
+            match walked {
+                // Concurrent eviction passed the walk; skip to the head.
+                Ok(stopped) => addr = stopped.max(self.head()),
                 // Invalidation in place only saves reads the version check
                 // they make themselves (`FasterKv::is_dead`).
-                Parse::Corrupt => return purged,
-                Parse::OnDisk => {
-                    // Concurrent eviction passed us; skip to the head.
-                    let h = self.head();
-                    if h > addr {
-                        addr = h;
-                    } else {
-                        backoff.snooze();
-                    }
-                }
-            }
-            if addr.is_multiple_of(PAGE_BYTES) {
-                // Don't stall evictors for the whole walk.
-                guard.refresh();
+                Err(_) => break,
             }
         }
         purged
@@ -921,19 +901,40 @@ impl RecordLog {
     ) -> Result<()> {
         let to = to.min(self.tail());
         let mut addr = from.max(self.begin());
-        // Device portion.
-        let disk_end = to.min(self.head());
-        if addr < disk_end {
-            addr = self.scan_device(addr, disk_end, f)?;
+        while addr < to {
+            // Below the head — from the start, or since eviction (or a
+            // truncation, whose gap the device scan skips) overtook the walk
+            // — the device has whatever lies there, pads too.
+            let evicted = to.min(self.head());
+            addr = if addr < evicted {
+                self.scan_device(addr, evicted, f)?
+            } else {
+                self.walk_resident(addr, to, &mut |_, view| f(view.to_owned_record()))?
+            };
         }
-        // Resident portion (with per-record device fallback if eviction
-        // overtakes the scan).
+        Ok(())
+    }
+
+    /// Walk the resident records of `[from, to)` in address order, handing
+    /// each to `f` as a view in place, valid for the call, with the guard it
+    /// was resolved under (pads are skipped, invalid records included).
+    /// `from` must be a record or page boundary at or above `head`. Returns
+    /// `to`, or the first address below `head` once eviction has overtaken
+    /// the walk: the rest is on the device. The guard is refreshed at each
+    /// page boundary, so that a long walk does not stall eviction.
+    pub(crate) fn walk_resident(
+        &self,
+        from: u64,
+        to: u64,
+        f: &mut dyn FnMut(&EpochGuard<'_>, RecordView<'_>) -> Result<()>,
+    ) -> Result<u64> {
         let guard = self.protect();
         let mut backoff = Backoff::new();
+        let mut addr = from;
         while addr < to {
             match self.parse_at(&guard, addr) {
                 Parse::Rec(v, footprint) => {
-                    f(v.to_owned_record())?;
+                    f(&guard, v)?;
                     addr += footprint as u64;
                     backoff.reset();
                 }
@@ -943,26 +944,15 @@ impl RecordLog {
                 }
                 Parse::NotReady => backoff.snooze(),
                 Parse::Corrupt => return Err(corrupt_at(addr)),
-                // Eviction (or a truncation, whose gap the device scan
-                // skips) overtook the scan: read on from the device, which
-                // has whatever lies below the head — pads too.
-                Parse::OnDisk => {
-                    let evicted = to.min(self.head());
-                    if evicted > addr {
-                        addr = self.scan_device(addr, evicted, f)?;
-                        backoff.reset();
-                    } else {
-                        // The evictor has flipped the page and not yet
-                        // moved `head`.
-                        backoff.snooze();
-                    }
-                }
+                Parse::OnDisk if self.head() > addr => return Ok(addr),
+                // The evictor has flipped the page and not yet moved `head`.
+                Parse::OnDisk => backoff.snooze(),
             }
             if addr.is_multiple_of(PAGE_BYTES) {
                 guard.refresh();
             }
         }
-        Ok(())
+        Ok(addr)
     }
 
     /// Device-side portion of [`RecordLog::scan_range`]: chunked reads

@@ -109,7 +109,7 @@ metric_fn!(
     /// Bytes of superseded records above `begin`, as far as counted.
     pub(crate) fn log_dead_bytes() -> Gauge =
         ("dpr_faster_log_dead_bytes", Bytes,
-         "Bytes of records seen superseded and not yet freed, all stores; half of tail - begin starts a pass")
+         "Bytes of records seen superseded and not yet freed, all stores; a quarter of tail - begin starts a pass")
 );
 
 metric_fn!(
@@ -124,6 +124,13 @@ metric_fn!(
     pub(crate) fn compaction_copied_bytes() -> Counter =
         ("dpr_faster_compaction_copied_bytes_total", Bytes,
          "Bytes of live records that copy-forward passes appended again at the tail")
+);
+
+metric_fn!(
+    /// Records the passes examined.
+    pub(crate) fn compaction_visited_records() -> Counter =
+        ("dpr_faster_compaction_visited_records_total", Count,
+         "Records, live or dead, that copy-forward passes examined")
 );
 
 metric_fn!(

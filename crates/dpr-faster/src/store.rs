@@ -15,7 +15,7 @@
 use crate::checkpoint::{CheckpointManifest, CommitPoint};
 use crate::index::HashIndex;
 use crate::log::{GetOutcome, RecordLog, MAX_RECORD_LEN, PAGE_SIZE};
-use crate::record::{record_footprint, Record, RecordMeta, RecordView, MAX_VERSION, NONE_ADDRESS};
+use crate::record::{record_footprint, RecordMeta, RecordView, MAX_VERSION, NONE_ADDRESS};
 use crate::session::{
     CompletedOp, OpOutcome, PendingKind, PendingOp, PendingToken, RmwFn, Session, SessionCore,
     SessionShared,
@@ -50,13 +50,26 @@ const UNPRUNED_VERSIONS: u64 = 64;
 /// bounds the number of records in a log of a given length.
 const PAPER_RECORD_BYTES: u64 = record_footprint(8, 8) as u64;
 
+/// Copies a pass appends under one epoch guard and one take of the copy
+/// gate, which every transition of the checkpoint machine waits for: 1 KiB
+/// of records of the paper's size.
+const COPY_BATCH: usize = 32;
+
+/// Whether `v` lies in one of the rolled-back ranges `(lo, hi]` of `purged`.
+fn is_purged(purged: &[(Version, Version)], v: Version) -> bool {
+    purged.iter().any(|&(lo, hi)| v > lo && v <= hi)
+}
+
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct FasterConfig {
     /// Records kept resident before eviction to the device begins
-    /// (converted to arena bytes at 64 bytes per record). The hash index
-    /// takes its number of chains from it, two per record
-    /// ([`HashIndex::identities_for`]).
+    /// (converted to arena bytes at 64 bytes per record). A record of the
+    /// paper's size (8-byte key and value) is 32 bytes, so the arena holds
+    /// twice the records this names: a budget of 250,000 keeps ~500,000
+    /// resident. The conversion stays so that no configuration's memory
+    /// moves. The hash index takes its number of chains from it, two per
+    /// record ([`HashIndex::identities_for`]).
     pub memory_budget_records: usize,
     /// Spawn a background maintenance thread that drives flushes, purges and
     /// state-machine progress. Disable for deterministic unit tests that
@@ -173,6 +186,19 @@ struct Pass {
     rollbacks: usize,
 }
 
+/// A live record of the prefix a pass is emptying, taken out of its page to
+/// be appended again.
+struct LiveRecord {
+    /// Where the original lies.
+    at: u64,
+    /// The original's version: a rollback of it since kills the copy.
+    version: Version,
+    /// The chain head its liveness walk started from.
+    head: u64,
+    key: Key,
+    value: Value,
+}
+
 /// What a store's copy-forward passes have done so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionTotals {
@@ -266,8 +292,9 @@ pub struct FasterKv {
     /// Footprints of the records above `begin` that the store has seen
     /// superseded: by an append, a read-copy-update or a delete that found
     /// the older record of its key. A statistic, and a lower bound: a blind
-    /// write to a key whose chain has left memory counts nothing. Half of
-    /// `tail - begin` starts a copy-forward pass.
+    /// write to a key whose chain has left memory counts nothing. A quarter
+    /// of `tail - begin` starts a copy-forward pass (half, where the log's
+    /// beginning has left memory).
     dead_bytes: DeadBytes,
     /// Held by the copy-forward pass from the moment it reads the current
     /// version until its copy of that version is appended and published:
@@ -401,11 +428,7 @@ impl FasterKv {
         // Records recovery must not resurrect: rolled back, or in flight but
         // uncommitted at the crash.
         let dead = |_addr: u64, m: &RecordMeta| {
-            m.invalid
-                || m.version > version
-                || purged
-                    .iter()
-                    .any(|&(lo, hi)| m.version > lo && m.version <= hi)
+            m.invalid || m.version > version || is_purged(&purged, m.version)
         };
         let snapshot = manifest.as_ref().and_then(|m| m.snapshot_blob.as_ref());
         let (log, index, recovery_boundary) = match snapshot {
@@ -663,17 +686,19 @@ impl FasterKv {
 
     // ---------------------------------------------------------------- ops
 
-    fn is_purged(&self, v: Version) -> bool {
-        self.purged.read().iter().any(|&(lo, hi)| v > lo && v <= hi)
-    }
-
     /// Whether the record at `addr` must be skipped by every read: marked
     /// invalid in place, version rolled back, or dead since recovery (its
     /// bytes predate the recovered checkpoint boundary but its version was
     /// never committed).
     fn is_dead(&self, addr: u64, m: &RecordMeta) -> bool {
+        self.is_dead_given(&self.purged.read(), addr, m)
+    }
+
+    /// [`FasterKv::is_dead`] with the rolled-back version ranges given: a
+    /// copy of them that a pass takes once, not a lock per record.
+    fn is_dead_given(&self, purged: &[(Version, Version)], addr: u64, m: &RecordMeta) -> bool {
         m.invalid
-            || self.is_purged(m.version)
+            || is_purged(purged, m.version)
             || (addr < self.recovery_boundary && m.version > self.recovered_version)
     }
 
@@ -1654,12 +1679,13 @@ impl FasterKv {
     /// function:
     ///
     /// * a *copy-forward pass* once the dead bytes the store has counted are
-    ///   half of `tail - begin`: the live records of the flushed, read-only
-    ///   prefix — of as much of it as frees the garbage counted since the
-    ///   previous pass began, or less (`pass_budget`) — are appended again at
-    ///   the tail, as records of the version current at that moment. On a
-    ///   store with a bounded volatile region those appends wait for the
-    ///   flusher like any other;
+    ///   a quarter of `tail - begin` (half, and a memory's worth since the
+    ///   previous pass, once the log's beginning has left memory): the live
+    ///   records of the flushed, read-only prefix — of as much of it as frees
+    ///   the garbage counted since the previous pass began, or less
+    ///   (`pass_budget`) — are appended again at the tail, as records of the
+    ///   version current at that moment. On a store with a bounded volatile
+    ///   region those appends wait for the flusher like any other;
     /// * the *truncation* of that prefix once the kept manifest is of the
     ///   version the pass ended in, or a later one. Every manifest kept then
     ///   covers the copies, and no rollback goes below the cut, so neither a
@@ -1707,27 +1733,36 @@ impl FasterKv {
         Ok(None)
     }
 
-    /// The garbage a pass is to free, if one is due — none waits, the dead
-    /// bytes are half of `tail - begin` or more, and a flushed, read-only
-    /// prefix lies above `begin`: what was counted dead since the previous
-    /// pass began, and no more than takes the dead bytes back under half
-    /// (`2 * dead - extent`), so a store's first pass covers a page or so.
+    /// The garbage a pass is to free, if one is due — none waits, a flushed,
+    /// read-only prefix lies above `begin`, and the dead bytes are a quarter
+    /// of `extent = tail - begin` or more: what was counted dead since the
+    /// previous pass began, and no more than takes the dead bytes back under
+    /// a quarter, so a store's first pass covers a page or so. Freeing `g`
+    /// bytes of garbage takes both the dead bytes and the extent down by `g`
+    /// (the rest of the prefix comes back as copies), so that is
+    /// `(4 * dead - extent) / 3`. A resident log is thus at most a quarter
+    /// garbage, for up to three bytes copied per byte of garbage freed.
+    ///
     /// A log whose beginning has left memory is emptied from the device, a
     /// device read for each record and for each cold link its liveness walks
     /// pass — ten times the cost of a resident page, to free device space
-    /// rather than memory — so a pass there waits until a memory's worth of
-    /// garbage pays for it.
+    /// rather than memory — so a pass there starts at half garbage, frees no
+    /// more than takes it back under half (`2 * dead - extent`), and waits
+    /// until a memory's worth of garbage pays for it.
     fn pass_budget(&self, c: &Compaction) -> Option<u64> {
         let (begin, tail) = (self.log.begin(), self.log.tail());
         let dead = self.dead_bytes.0.load(Ordering::Relaxed);
-        let excess = (2 * dead).checked_sub(tail - begin)?;
         let frontier = self.log.flushed().min(self.log.read_only());
         if c.pending.is_some() || dead == 0 || frontier <= begin {
             return None;
         }
-        let paid = dead + c.discounted - c.counted_at_pass;
-        let cold = begin < self.log.head();
-        (!cold || paid >= self.log.memory_budget()).then_some(paid.min(excess))
+        let (extent, paid) = (tail - begin, dead + c.discounted - c.counted_at_pass);
+        if begin < self.log.head() {
+            let excess = (2 * dead).checked_sub(extent)?;
+            (paid >= self.log.memory_budget()).then_some(paid.min(excess))
+        } else {
+            Some(paid.min((4 * dead).checked_sub(extent)? / 3))
+        }
     }
 
     fn collect_garbage_at(&self, version: Version) -> Result<Option<u64>> {
@@ -1800,11 +1835,16 @@ impl FasterKv {
     /// liveness walk started from. A live tombstone is not: all it hides lies
     /// below it, in the prefix that goes with it.
     ///
+    /// Liveness is decided where the record lies: a resident page is walked
+    /// in place and the index probed with the key's bytes, and a key and a
+    /// value are taken out only of the records the pass copies. A page below
+    /// `head` is read from the device as owned records.
+    ///
     /// The pass frees nothing. It ends at the flushed, read-only frontier or
     /// at the first page boundary by which the bytes it has not copied reach
     /// `budget` (a page's first byte is a record boundary like the
-    /// frontier), or after a page below `head`, read from the device.
-    /// `None` when there is no prefix.
+    /// frontier), or after a page below `head`. `None` when there is no
+    /// prefix.
     fn copy_forward(&self, budget: u64) -> Result<Option<Pass>> {
         let begin = self.log.begin();
         let frontier = self.log.flushed().min(self.log.read_only());
@@ -1816,30 +1856,45 @@ impl FasterKv {
         // moment before the boundary passed it may still be writing to it,
         // under its guard.
         self.log.epoch().quiesce();
-        let mut copied = 0;
-        let mut candidates: Vec<Record> = Vec::new();
+        // The rollbacks the pass began with: one more voids it, and each copy
+        // checks its original against them again (`append_copies`).
+        let purged = self.purged.read().clone();
+        let (mut copied, mut visited) = (0, 0);
+        let mut live = Vec::new();
         let mut until = begin;
         while until < frontier {
-            // A page at a time: the scan holds a guard, and an append under
+            // A page at a time: the walk holds a guard, and an append under
             // it that waits for the flusher would keep the flusher's
             // eviction waiting for the guard.
             let to = frontier.min((until / PAGE_BYTES + 1) * PAGE_BYTES);
             let cold = until < self.log.head();
-            self.log.scan_range(until, to, &mut |rec| {
-                let m = rec.meta();
-                if !m.tombstone && !self.is_dead(rec.address(), &m) {
-                    candidates.push(rec);
-                }
+            let walked = if cold {
+                until
+            } else {
+                self.log.walk_resident(until, to, &mut |guard, view| {
+                    visited += 1;
+                    let (at, key) = (view.address(), view.key_bytes());
+                    let value = || view.read_value();
+                    live.extend(self.take_if_live(guard, &purged, at, view.meta(), key, value)?);
+                    Ok(())
+                })?
+            };
+            // What eviction has taken, from the start or since the walk.
+            self.log.scan_range(walked, to, &mut |rec| {
+                visited += 1;
+                let (at, key) = (rec.address(), rec.key().as_bytes());
+                let value = || rec.read_value();
+                let guard = self.log.protect();
+                live.extend(self.take_if_live(&guard, &purged, at, rec.meta(), key, value)?);
                 Ok(())
             })?;
-            for rec in candidates.drain(..) {
-                copied += self.copy_if_newest(&rec)?;
-            }
+            copied += self.append_copies(&mut live)?;
             until = to;
             if cold || until - begin - copied >= budget {
                 break;
             }
         }
+        crate::metrics::compaction_visited_records().add(visited);
         Ok(Some(Pass {
             until,
             version: self.global.load().version,
@@ -1848,29 +1903,87 @@ impl FasterKv {
         }))
     }
 
-    /// Append `rec`, a live record of the prefix a pass is emptying, at the
-    /// tail again if it is still the newest of its key. Returns the bytes
-    /// appended. The copy is a record of the version current under the gate,
-    /// so it lies below that version's seal; it is published by a CAS over
-    /// the head the liveness walk started from, so no record of the chain,
-    /// of this key or another, has come between the walk and it.
-    fn copy_if_newest(&self, rec: &Record) -> Result<u64> {
-        let (key, value) = (rec.key(), rec.read_value());
-        loop {
+    /// The record at `at`, of `m` and `key`, taken out of the log to be
+    /// copied — its value read by `value` — if it is the newest live record
+    /// of its key and no tombstone. `purged` is the pass's copy of the
+    /// rolled-back version ranges.
+    fn take_if_live(
+        &self,
+        guard: &EpochGuard<'_>,
+        purged: &[(Version, Version)],
+        at: u64,
+        m: RecordMeta,
+        key: &[u8],
+        value: impl FnOnce() -> Value,
+    ) -> Result<Option<LiveRecord>> {
+        if m.tombstone || self.is_dead_given(purged, at, &m) {
+            return Ok(None);
+        }
+        let head = self.index.head_of(guard, key);
+        if !self.is_newest(guard, purged, key, head, at)? {
+            return Ok(None);
+        }
+        Ok(Some(LiveRecord {
+            at,
+            version: m.version,
+            head,
+            key: Key(bytes::Bytes::copy_from_slice(key)),
+            value: value(),
+        }))
+    }
+
+    /// Append the records of `live` at the tail again, [`COPY_BATCH`] at a
+    /// time under one guard and one take of the copy gate, and empty it.
+    /// Returns the bytes appended.
+    ///
+    /// A copy is a record of the version current under the gate, so it lies
+    /// below that version's seal. An original a rollback has purged since
+    /// its walk is not copied: the rollback publishes its range before the
+    /// version past it, so a version read under the gate without the range
+    /// is one the rollback purges, the copy with it.
+    fn append_copies(&self, live: &mut Vec<LiveRecord>) -> Result<u64> {
+        let mut copied = 0;
+        for batch in live.chunks(COPY_BATCH) {
             let guard = self.log.protect();
-            let head = self.index.head(&guard, key);
-            if !self.is_newest(&guard, key, head, rec.address())? {
-                return Ok(0);
-            }
             let _gate = self.copy_gate.lock();
             let version = self.global.load().version;
-            let addr = self.log.append(key, &value, version, false, head);
-            if self.index.try_publish(&guard, key, head, addr).is_ok() {
-                return Ok(rec.footprint() as u64);
+            let purged = self.purged.read().clone();
+            for rec in batch.iter().filter(|rec| !is_purged(&purged, rec.version)) {
+                copied += self.publish_copy(&guard, &purged, rec, version)?;
+            }
+        }
+        live.clear();
+        Ok(copied)
+    }
+
+    /// Append `rec` as a record of `version` and publish it by a CAS over the
+    /// head its liveness walk started from, so that no record of the chain,
+    /// of this key or another, has come between the walk and the copy. The
+    /// walk is made again from a head that has moved since — the pass's own
+    /// copies move the heads of the chains they share. Returns the bytes
+    /// appended.
+    fn publish_copy(
+        &self,
+        guard: &EpochGuard<'_>,
+        purged: &[(Version, Version)],
+        rec: &LiveRecord,
+        version: Version,
+    ) -> Result<u64> {
+        let key = rec.key.as_bytes();
+        let mut walked = rec.head;
+        loop {
+            let head = self.index.head_of(guard, key);
+            if head != walked && !self.is_newest(guard, purged, key, head, rec.at)? {
+                return Ok(0);
+            }
+            walked = head;
+            let addr = self.log.append(&rec.key, &rec.value, version, false, head);
+            if self.index.try_publish(guard, &rec.key, head, addr).is_ok() {
+                return Ok(record_footprint(key.len(), rec.value.len()) as u64);
             }
             // Lost to a session's record: the orphan dies where it lies (as
             // in `rcu_publish`), and that record may be of this key.
-            if let Ok(GetOutcome::Resident(view)) = self.log.get(&guard, addr) {
+            if let Ok(GetOutcome::Resident(view)) = self.log.get(guard, addr) {
                 view.invalidate();
             }
         }
@@ -1880,18 +1993,26 @@ impl FasterKv {
     /// its key on the chain from `head`: no live record of the key lies
     /// above it. A record the chain does not lead to (the orphan of a lost
     /// publish race whose invalidation missed the flush) is not.
-    fn is_newest(&self, guard: &EpochGuard<'_>, key: &Key, head: u64, at: u64) -> Result<bool> {
+    fn is_newest(
+        &self,
+        guard: &EpochGuard<'_>,
+        purged: &[(Version, Version)],
+        key: &[u8],
+        head: u64,
+        at: u64,
+    ) -> Result<bool> {
         let mut addr = head;
         while addr != NONE_ADDRESS && addr > at {
             let (newer, prev) = match self.log.get_ready(guard, addr)? {
                 GetOutcome::Resident(view) => (
-                    view.key_matches(key) && !self.is_dead(addr, &view.meta()),
+                    view.key_bytes() == key && !self.is_dead_given(purged, addr, &view.meta()),
                     view.prev(),
                 ),
                 GetOutcome::OnDisk => {
                     let rec = self.log.read_from_device(addr)?;
                     (
-                        rec.key() == key && !self.is_dead(addr, &rec.meta()),
+                        rec.key().as_bytes() == key
+                            && !self.is_dead_given(purged, addr, &rec.meta()),
                         rec.prev(),
                     )
                 }

@@ -279,7 +279,104 @@ fn a_pass_copies_no_more_than_it_frees_and_a_preload_runs_none() {
     }
 }
 
-/// (d) What a truncation frees from the log it frees from the device: the
+/// (d) A resident log is at most a quarter garbage: a hot set rewritten every
+/// round and cold keys written once, a checkpoint and a collection at it
+/// after each round. Past the warm-up, `tail - begin` stays within 4/3 of
+/// the live records and two pages: the copies of the pass that waits for the
+/// next cut, and the page a pass ends on.
+#[test]
+fn a_resident_log_holds_at_most_a_quarter_garbage() {
+    // A quarter page of hot keys. The cold ones come a hot set's worth a
+    // round over the first 64 rounds, so that they lie among garbage as
+    // after a run of random writes, not in one block that a pass copies
+    // whole.
+    const HOT: u64 = (PAGE_SIZE / 32 / 4) as u64;
+    const COLD_ROUNDS: u64 = 64;
+    const KEYS: u64 = HOT * (COLD_ROUNDS + 1);
+    const ROUNDS: u64 = 200;
+    let kv = FasterKv::new(
+        FasterConfig {
+            memory_budget_records: 1 << 16,
+            ..config(false)
+        },
+        Arc::new(MemLogDevice::null()),
+        Arc::new(MemBlobStore::new()),
+    );
+    let s = kv.start_session(SessionId(1));
+    // Sixteen pages and a quarter of records of the paper's size.
+    let live = 32 * KEYS;
+    let bound = 4 * live / 3 + 2 * PAGE_SIZE as u64;
+    for round in 0..ROUNDS {
+        for k in 0..HOT {
+            s.upsert(Key::from_u64(k), Value::from_u64(k + 1000 * round))
+                .unwrap();
+        }
+        let cold = HOT * (round + 1);
+        for k in cold..(cold + HOT).min(KEYS) {
+            s.upsert(Key::from_u64(k), Value::from_u64(k)).unwrap();
+        }
+        kv.collect_garbage(checkpoint(&kv)).unwrap();
+        let extent = kv.log_tail() - kv.log_begin();
+        assert!(
+            round < 2 * COLD_ROUNDS || extent <= bound,
+            "round {round}: a {extent}-byte log of {live} live bytes, {:?}",
+            kv.compaction_totals()
+        );
+    }
+    assert!(kv.compaction_totals().freed_bytes > 0);
+    for k in 0..KEYS {
+        let want = if k < HOT { k + 1000 * (ROUNDS - 1) } else { k };
+        assert_eq!(read(&kv, k), Some(want), "key {k}");
+    }
+}
+
+/// (e) A log whose beginning has left memory keeps the half bound: on a store
+/// of two resident pages, a dead share between a quarter and a half starts no
+/// pass, and half starts none either until a memory's worth of garbage has
+/// been counted.
+#[test]
+fn a_log_that_has_left_memory_waits_for_half_and_a_memorys_worth() {
+    // A page of cold keys, evicted; a hot set of a quarter page above them.
+    const COLD: u64 = (PAGE_SIZE / 32) as u64;
+    const HOT: u64 = COLD / 4;
+    // Two pages, the memory budget of `config`.
+    const MEMORY: u64 = 2 * PAGE_SIZE as u64;
+    let kv = FasterKv::new(
+        config(false),
+        Arc::new(MemLogDevice::null()),
+        Arc::new(MemBlobStore::new()),
+    );
+    let s = kv.start_session(SessionId(1));
+    let cold = |k: u64| Key::from_u64(HOT + k);
+    for k in 0..COLD {
+        s.upsert(cold(k), Value::from_u64(k)).unwrap();
+    }
+    checkpoint(&kv);
+    assert_eq!(kv.force_evict(), PAGE_SIZE as u64);
+    // Each rewrite of the hot set after the first supersedes resident
+    // records: a quarter page of garbage a round.
+    let mut round = 0;
+    while kv.compaction_totals().passes == 0 {
+        rewrite(&kv, &s, HOT, round..round + 1);
+        let (dead, extent) = (32 * HOT * round, kv.log_tail() - kv.log_begin());
+        assert_eq!(extent, 32 * (COLD + HOT * (round + 1)));
+        kv.collect_garbage(kv.durable_version()).unwrap();
+        assert_eq!(
+            kv.compaction_totals().passes > 0,
+            2 * dead >= extent && dead >= MEMORY,
+            "round {round}: {dead} of {extent} bytes dead"
+        );
+        round += 1;
+    }
+    // Rounds 2 to 4 were between a quarter and a half, 5 to 7 at half or
+    // more with less than a memory's worth.
+    assert_eq!(round, 9);
+    for k in 0..COLD {
+        assert_eq!(read(&kv, HOT + k), Some(k), "cold key {k}");
+    }
+}
+
+/// (f) What a truncation frees from the log it frees from the device: the
 /// device's pages are the size of the log's, so after each truncation the
 /// device holds no more than `tail - begin` and one page.
 #[test]

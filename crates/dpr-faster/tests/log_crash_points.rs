@@ -193,8 +193,8 @@ fn a_flipped_byte_is_refused_or_costs_the_records_it_names() {
 
 /// Keys of the compacted log; all of its records are of the paper's size, so
 /// every multiple of `SMALL` is a record boundary and no page has a pad. A
-/// round is half a page: each pass below, at exactly half garbage, empties a
-/// page, two rounds.
+/// round is half a page: each pass below starts at half garbage, past the
+/// quarter that starts one, and empties a page, two rounds.
 const KEYS: u64 = 1024;
 const ROUND: usize = SMALL * KEYS as usize;
 

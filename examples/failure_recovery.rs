@@ -47,7 +47,7 @@ fn main() {
 
     // Failure!
     let t = Instant::now();
-    cluster.inject_failure().expect("inject");
+    cluster.inject_failure_at(0).expect("inject");
     cluster
         .wait_recovered(Duration::from_secs(10))
         .expect("recover cluster");

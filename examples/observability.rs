@@ -40,7 +40,7 @@ fn main() {
 
     // One failure + recovery so the rollback and recovery metrics and the
     // recovery span sequence are populated too.
-    cluster.inject_failure().expect("inject failure");
+    cluster.inject_failure_at(0).expect("inject failure");
     cluster
         .wait_recovered(Duration::from_secs(10))
         .expect("recovery");

@@ -32,7 +32,7 @@ fn surviving_prefix_matches_recovered_state() {
             .unwrap();
     }
 
-    cluster.inject_failure().unwrap();
+    cluster.inject_failure_at(0).unwrap();
     cluster.wait_recovered(Duration::from_secs(10)).unwrap();
 
     // Discover the failure and recover the session.
@@ -89,7 +89,7 @@ fn surviving_prefix_with_exact_finder() {
             )])
             .unwrap();
     }
-    cluster.inject_failure().unwrap();
+    cluster.inject_failure_at(0).unwrap();
     cluster.wait_recovered(Duration::from_secs(10)).unwrap();
     let _ = session.execute(vec![ClusterOp::Read(Key::from_u64(0))]);
     let survived = session.recover(Duration::from_secs(10)).unwrap();
