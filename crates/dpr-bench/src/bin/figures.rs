@@ -631,13 +631,11 @@ fn fastforward_run(fast_forward: bool, o: &Opts) -> Result<(f64, LatencyHistogra
         issued += 16;
         // Refresh commits against the finder's cut.
         let _ = finder.refresh();
-        if let Ok(cut) = finder.current_cut() {
-            let prefix = session.refresh_commit(&cut);
-            let t = Instant::now();
-            let committed = commit_queue.partition_point(|(serial, _)| *serial < prefix);
-            for (_, at) in commit_queue.drain(..committed) {
-                hist.record(t - at);
-            }
+        let prefix = session.refresh_commit(&finder.current_cut());
+        let t = Instant::now();
+        let committed = commit_queue.partition_point(|(serial, _)| *serial < prefix);
+        for (_, at) in commit_queue.drain(..committed) {
+            hist.record(t - at);
         }
         std::thread::sleep(Duration::from_micros(500));
     }

@@ -368,29 +368,27 @@ impl SessionHandle {
         Ok(out)
     }
 
-    /// Refresh the committed prefix against the given DPR cut, returning the
-    /// resolved watermark.
-    ///
-    /// The caller must know `cut` belongs to this session's world-line: a
-    /// cut read after an unnoticed recovery covers post-rollback version
-    /// numbers that alias purged pre-crash versions, and applying it would
-    /// inflate the prefix past lost operations. When the cut comes straight
-    /// from the metadata store, prefer
-    /// [`SessionHandle::refresh_commit_safe`].
+    /// Advance the committed prefix against `cut`, a DPR cut the caller has
+    /// just read, returning the resolved watermark — but only while the
+    /// cluster is on this session's world-line, which this reads from the
+    /// metadata store next. On a mismatch nothing is applied and the prefix
+    /// stands; call [`SessionHandle::recover`]. Read in that order, the pair
+    /// is safe: a cut read before any transition the session has not seen
+    /// cannot cover the post-rollback version numbers that alias purged ones.
     pub fn refresh_commit(&mut self, cut: &Cut) -> u64 {
-        self.core.session_mut().refresh_commit(cut)
+        let prefix = self.core.session().committed_prefix();
+        self.refresh_on_world_line(cut).unwrap_or(prefix)
     }
 
-    /// Read the current cut from the metadata store and advance the
-    /// committed prefix — but only while the cluster is still on this
-    /// session's world-line.
-    ///
-    /// Reading the cut *before* the world-line check makes the pair safe:
-    /// if the check passes, the cut predates any transition and is at most
-    /// the frozen recovery cut, so it cannot cover purged versions. On a
-    /// mismatch nothing is applied; call [`SessionHandle::recover`].
+    /// Read the current cut from the metadata store and apply it as
+    /// [`SessionHandle::refresh_commit`] does, saying so on a world-line
+    /// mismatch.
     pub fn refresh_commit_safe(&mut self) -> Result<u64> {
         let cut = self.meta.read_cut()?;
+        self.refresh_on_world_line(&cut)
+    }
+
+    fn refresh_on_world_line(&mut self, cut: &Cut) -> Result<u64> {
         let current = self.meta.world_line()?;
         let mine = self.core.session().world_line();
         if current != mine {
@@ -399,10 +397,12 @@ impl SessionHandle {
                 current,
             });
         }
-        Ok(self.core.session_mut().refresh_commit(&cut))
+        Ok(self.core.session_mut().refresh_commit(cut))
     }
 
-    /// Wait until every issued op is committed per the cut source `read`.
+    /// Wait until every issued op is committed per the cut source `read`,
+    /// applied as [`SessionHandle::refresh_commit`] does: a recovery the
+    /// session has not seen ends the wait with a world-line mismatch.
     pub fn wait_all_committed(
         &mut self,
         read_cut: impl Fn() -> Cut,
@@ -412,8 +412,7 @@ impl SessionHandle {
         loop {
             let _ = self.poll(false, Duration::ZERO);
             let cut = read_cut();
-            let session = self.core.session_mut();
-            if session.refresh_commit(&cut) >= session.issued() {
+            if self.refresh_on_world_line(&cut)? >= self.core.session().issued() {
                 return Ok(());
             }
             if Instant::now() > deadline {

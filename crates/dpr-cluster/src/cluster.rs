@@ -108,7 +108,6 @@ pub struct Cluster {
     workers: Vec<Arc<Worker>>,
     worker_endpoints: Arc<RwLock<HashMap<ShardId, EndpointId>>>,
     manager: ClusterManager,
-    cut_cache: Arc<RwLock<Cut>>,
     next_session: AtomicU64,
     shutdown: Arc<AtomicBool>,
 }
@@ -145,7 +144,6 @@ impl Cluster {
             finder,
             workers: Vec::new(),
             worker_endpoints: Arc::default(),
-            cut_cache: Arc::default(),
             next_session: AtomicU64::new(1),
             shutdown: Arc::default(),
         };
@@ -157,7 +155,6 @@ impl Cluster {
 
         if cluster.config.recoverability == RecoverabilityLevel::Dpr {
             let finder_weak: Weak<dyn DprFinder> = Arc::downgrade(&cluster.finder);
-            let cache = cluster.cut_cache.clone();
             let stop = cluster.shutdown.clone();
             let interval = cluster.config.finder_interval;
             std::thread::Builder::new()
@@ -170,9 +167,6 @@ impl Cluster {
                         return;
                     };
                     let _ = finder.refresh();
-                    if let Ok(cut) = finder.current_cut() {
-                        *cache.write() = cut;
-                    }
                     drop(finder);
                     std::thread::sleep(interval);
                 })
@@ -245,16 +239,17 @@ impl Cluster {
         ))
     }
 
-    /// The latest cut published by the finder service.
+    /// The latest cut published by the finder service, as the finder keeps
+    /// it: no metadata statement.
     #[must_use]
     pub fn current_cut(&self) -> Cut {
-        self.cut_cache.read().clone()
+        self.finder.current_cut()
     }
 
     /// A cheap cut reader for [`SessionHandle::wait_all_committed`].
     pub fn cut_source(&self) -> impl Fn() -> Cut + Send + 'static {
-        let cache = self.cut_cache.clone();
-        move || cache.read().clone()
+        let finder = Arc::clone(&self.finder);
+        move || finder.current_cut()
     }
 
     /// Inject a failure (Fig. 16's methodology) attributed to the worker at

@@ -25,7 +25,6 @@ pub mod cluster;
 mod dedupe;
 pub mod dfaster;
 pub mod dredis;
-pub mod lease;
 pub mod manager;
 pub mod message;
 mod metrics;
@@ -41,7 +40,6 @@ pub use client::{SessionHandle, SessionStats};
 pub use cluster::{Cluster, ClusterConfig, ClusterKind};
 pub use dfaster::FasterShard;
 pub use dredis::RedisShard;
-pub use lease::CutLease;
 pub use manager::ClusterManager;
 pub use message::{ClusterOp, OpResult};
 pub use net::{NetServer, NetServerConfig};

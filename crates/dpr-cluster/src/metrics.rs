@@ -97,14 +97,6 @@ metric_fn!(
 );
 
 metric_fn!(
-    /// Cut-lease invalidations: a worker rolled back and dropped its cached
-    /// cut of the abandoned world-line.
-    pub(crate) fn lease_invalidations() -> Counter =
-        ("dpr_cluster_lease_invalidations_total", Count,
-         "Worker cut-lease invalidations (one per worker rollback)")
-);
-
-metric_fn!(
     /// Batches the workers' reply caches remember: admitted, and not yet
     /// acknowledged by their session. Each cache moves it when its own count
     /// crosses a multiple of 16, so a request in steady state touches no

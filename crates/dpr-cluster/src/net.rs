@@ -295,15 +295,10 @@ fn apply_frame(
                 .values()
                 .next()
                 .ok_or(DprError::Closed)
-                .and_then(|w| w.read_cut_cached());
+                .and_then(|w| w.read_cut());
             match outcome {
-                Ok(snapshot) => {
-                    let (world_line, ref cut) = *snapshot;
-                    conn.queue_with(|wr| wire::encode_cut_response(wr, seq, world_line, cut));
-                }
-                Err(e) => {
-                    conn.proto_error(ProtoErrorCode::BadFrame, seq, e.to_string());
-                }
+                Ok(cut) => conn.queue_with(|wr| wire::encode_cut_response(wr, seq, cut.0, &cut.1)),
+                Err(e) => conn.proto_error(ProtoErrorCode::BadFrame, seq, e.to_string()),
             }
         }
         FrameKind::Goodbye => {

@@ -2,7 +2,6 @@
 //! checkpointing, commit pumping, and recovery participation.
 
 use crate::dedupe::{Admit, ReplyCache};
-use crate::lease::CutLease;
 use crate::message::{ClusterOp, OpResult};
 use crate::transport::{BusFrame, EndpointId, SimNetwork};
 use crate::wire::{self, FrameKind, ProtoError, ProtoErrorCode};
@@ -201,17 +200,7 @@ pub struct Worker {
     /// safe because the rolled-back world-line forces clients to rebuild
     /// their sessions anyway).
     dedupe: Option<ReplyCache>,
-    /// TTL + world-line-fenced `(world_line, cut)` cache served to `CutReq`
-    /// frames, so commit polling from many clients does not clone the cut
-    /// out of the metadata store per request. Staleness is bounded by
-    /// [`CUT_CACHE_TTL`] (well under the finder's own publish cadence) and
-    /// by the world-line fence: a cut from an abandoned world-line is never
-    /// served after this worker rolls forward.
-    cut_lease: CutLease,
 }
-
-/// See [`Worker::read_cut_cached`].
-const CUT_CACHE_TTL: Duration = Duration::from_millis(2);
 
 impl Worker {
     /// Create and start a worker: registers on the bus and metadata store,
@@ -242,7 +231,6 @@ impl Worker {
             shutdown: AtomicBool::new(false),
             executed_ops: AtomicU64::new(0),
             dedupe,
-            cut_lease: CutLease::new(CUT_CACHE_TTL),
         });
         for (i, rx) in lanes.into_iter().enumerate() {
             let weak = Arc::downgrade(&worker);
@@ -358,25 +346,20 @@ impl Worker {
         }
     }
 
-    /// Current DPR cut and world-line straight from the metadata store —
-    /// what the network plane serves for `CutReq` frames so remote clients
-    /// can track commits without a side channel.
-    pub fn read_cut(&self) -> Result<(WorldLine, dpr_metadata::Cut)> {
-        let cut = self.meta.read_cut()?;
-        let world_line = self.meta.world_line()?;
-        Ok((world_line, cut))
-    }
-
-    /// Like [`Worker::read_cut`], but served from a `CUT_CACHE_TTL`-bounded,
-    /// world-line-fenced cache shared by all readers: the steady-state
-    /// commit-polling path (many clients sending `CutReq` frames) costs one
-    /// metadata read per TTL instead of one cut clone per request. The
-    /// fence is this worker's own world-line, so once recovery rolls the
-    /// worker forward no cut from the abandoned world-line is served, even
-    /// within the TTL window.
-    pub fn read_cut_cached(&self) -> Result<Arc<(WorldLine, dpr_metadata::Cut)>> {
-        self.cut_lease
-            .get(self.server.world_line(), || self.read_cut())
+    /// The DPR cut and its world-line, as a `CutReq` is answered (remote
+    /// clients track commits without a side channel) and garbage collected:
+    /// the finder's last publication, held in memory, while that is on this
+    /// worker's world-line; between a rollback and the finder's next
+    /// publication, the metadata store's, two statements. Never a cut of a
+    /// world-line this worker has left (`docs/PROTOCOL.md` §11).
+    pub fn read_cut(&self) -> Result<Arc<(WorldLine, dpr_metadata::Cut)>> {
+        match self.finder.published() {
+            Some(published) if published.0 == self.world_line() => Ok(published),
+            _ => {
+                let cut = self.meta.read_cut()?;
+                Ok(Arc::new((self.meta.world_line()?, cut)))
+            }
+        }
     }
 
     /// The request path, the same on both planes: answer the `Request`
@@ -480,13 +463,10 @@ impl Worker {
         if self.config.dpr_enabled {
             // GC what the DPR cut has moved past (§5.5) — manifests, and the
             // log prefix a copy-forward pass has emptied — as soon as there
-            // is any, reading the cut through the lease only then. A failure
-            // is counted where it happens (`dpr_faster_gc_errors_total`) and
-            // the next tick tries again.
-            let cut = || {
-                let cut = self.read_cut_cached().ok()?;
-                cut.1.get(&self.shard).copied()
-            };
+            // is any, reading the cut only then, as a `CutReq` reads it. A
+            // failure is counted where it happens (`dpr_faster_gc_errors_total`)
+            // and the next tick tries again.
+            let cut = || self.read_cut().ok()?.1.get(&self.shard).copied();
             let _ = self.store.collect_garbage(&cut);
         }
     }
@@ -506,10 +486,8 @@ impl Worker {
             self.server.on_restore();
             self.server.set_world_line(rec.world_line);
             // Cached replies carry the old world-line; never replay them
-            // into the new one. Same for the cached cut: it belongs to the
-            // abandoned world-line.
+            // into the new one. (The finder's cut is fenced in `read_cut`.)
             self.simulate_crash_restart();
-            self.cut_lease.invalidate();
             crate::metrics::worker_rollbacks().inc();
             dpr_telemetry::global().span("dpr-cluster", "worker_rollback", || {
                 format!(

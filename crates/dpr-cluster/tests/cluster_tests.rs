@@ -2,8 +2,9 @@
 //! commit propagation, failure injection and recovery.
 
 use dpr_cluster::{Cluster, ClusterConfig, ClusterKind, ClusterOp, LinkFault, OpResult};
-use dpr_core::{Key, RecoverabilityLevel, Value};
+use dpr_core::{Key, RecoverabilityLevel, Value, WorldLine};
 use dpr_storage::StorageProfile;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn base_config(kind: ClusterKind, shards: usize) -> ClusterConfig {
@@ -157,6 +158,26 @@ fn dfaster_failure_with_slow_checkpoints_always_rolls_back() {
 
     cluster.inject_failure_at(0).unwrap();
     cluster.wait_recovered(Duration::from_secs(10)).unwrap();
+    // A cut of the new world-line soon covers the version numbers those
+    // writes had: applied by the session, which has not recovered yet, it
+    // would count them committed.
+    let resumed: Vec<_> = cluster
+        .workers()
+        .iter()
+        .map(|w| (w.shard(), w.store().current_version()))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while resumed
+        .iter()
+        .any(|(shard, v)| cluster.current_cut().get(shard) < Some(v))
+    {
+        assert!(Instant::now() < deadline, "no cut of the new world-line");
+        for w in cluster.workers() {
+            w.store().request_commit(None);
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(session.refresh_commit(&cluster.current_cut()), 1);
     let _ = session.execute(vec![ClusterOp::Read(Key::from_u64(1))]);
     session.recover(Duration::from_secs(10)).unwrap();
     let stats = session.stats();
@@ -180,6 +201,34 @@ fn dfaster_failure_with_slow_checkpoints_always_rolls_back() {
         OpResult::Value(None),
         "uncommitted insert erased"
     );
+    cluster.shutdown();
+}
+
+/// Between a rollback and the finder's next publication the finder keeps
+/// its cut of the world-line the workers left. A worker answers `CutReq`
+/// and collects garbage with `read_cut`: from the finder's cut on its own
+/// world-line, from the metadata store meanwhile.
+#[test]
+fn a_rolled_back_worker_uses_no_cut_of_the_world_line_it_left() {
+    let mut config = base_config(ClusterKind::DFaster, 1);
+    config.finder_interval = Duration::from_secs(3600); // one publication, at start
+    let cluster = Cluster::start(config).unwrap();
+    let worker = &cluster.workers()[0];
+    let published = loop {
+        if let Some(published) = cluster.finder().published() {
+            break published;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(Arc::ptr_eq(&worker.read_cut().unwrap(), &published));
+    cluster.inject_failure_at(0).unwrap();
+    cluster.wait_recovered(Duration::from_secs(10)).unwrap();
+    let still = cluster.finder().published().unwrap();
+    assert!(
+        Arc::ptr_eq(&still, &published),
+        "the finder published again"
+    );
+    assert_eq!(worker.read_cut().unwrap().0, WorldLine(1));
     cluster.shutdown();
 }
 

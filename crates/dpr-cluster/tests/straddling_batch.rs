@@ -14,7 +14,7 @@ use dpr_cluster::worker::WorkerConfig;
 use dpr_cluster::{ClusterOp, FasterShard, OpResult, ShardStore, SimNetwork, VersionSpan, Worker};
 use dpr_core::{Clock, Key, Result, SessionId, ShardId, SystemClock, Token, Value, Version};
 use dpr_faster::{FasterConfig, FasterKv};
-use dpr_metadata::{Cut, MetadataStore, OwnershipTable, PartitionedSqlStore, Partitioner};
+use dpr_metadata::{MetadataStore, OwnershipTable, PartitionedSqlStore, Partitioner};
 use dpr_storage::{MemBlobStore, MemLogDevice};
 use libdpr::{BatchHeader, CommitDescriptor, DprFinder, StateObject};
 use parking_lot::Mutex;
@@ -77,9 +77,6 @@ impl DprFinder for CapturingFinder {
     }
     fn refresh(&self) -> Result<()> {
         Ok(())
-    }
-    fn current_cut(&self) -> Result<Cut> {
-        Ok(Cut::new())
     }
     fn max_version(&self) -> Result<Version> {
         Ok(Version::ZERO)

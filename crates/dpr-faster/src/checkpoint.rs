@@ -243,19 +243,32 @@ impl CheckpointManifest {
             .transpose()
     }
 
+    /// The versions of the manifests in `blobs`, oldest first.
+    fn versions(blobs: &dyn BlobStore) -> Result<Vec<Version>> {
+        let parse = |name: String| match name.trim_start_matches("chkpt-").parse() {
+            Ok(v) => Ok(Version(v)),
+            Err(_) => Err(DprError::Storage(format!("bad manifest name {name}"))),
+        };
+        blobs.list("chkpt-")?.into_iter().map(parse).collect()
+    }
+
     /// The latest manifest at or below `at_most` (used by `Restore`).
     pub fn latest(blobs: &dyn BlobStore, at_most: Option<Version>) -> Result<Option<Self>> {
-        let names = blobs.list("chkpt-")?;
-        for name in names.iter().rev() {
-            let v: u64 = name
-                .trim_start_matches("chkpt-")
-                .parse()
-                .map_err(|_| DprError::Storage(format!("bad manifest name {name}")))?;
-            if at_most.is_none_or(|m| Version(v) <= m) {
-                return Self::read_from(blobs, Version(v));
-            }
+        let below = |&v: &Version| at_most.is_none_or(|m| v <= m);
+        let version = Self::versions(blobs)?.into_iter().rfind(below);
+        version.map_or(Ok(None), |v| Self::read_from(blobs, v))
+    }
+
+    /// Delete the manifests above `version`, the checkpoints a recovery to
+    /// it rolls back, and return the highest deleted (`Version::ZERO` for
+    /// none).
+    pub fn delete_above(blobs: &dyn BlobStore, version: Version) -> Result<Version> {
+        let mut highest = Version::ZERO;
+        for v in Self::versions(blobs)?.into_iter().filter(|&v| v > version) {
+            blobs.delete(&Self::blob_name(v))?;
+            highest = v;
         }
-        Ok(None)
+        Ok(highest)
     }
 }
 

@@ -406,6 +406,11 @@ impl FasterKv {
 
     /// Recover a store from its durable log and the latest checkpoint
     /// manifest at or below `at_most` (the shard's entry in the DPR cut).
+    /// What lies above that version is rolled back as the Purge phase of an
+    /// in-memory rollback does it: the manifests above it are deleted, and
+    /// versions continue above every one the old incarnation left (highest
+    /// manifest deleted, highest record version skipped), a range purged so
+    /// that no later recovery adopts or scans in what this one discarded.
     pub fn recover(
         config: FasterConfig,
         device: Arc<dyn LogDevice>,
@@ -413,7 +418,7 @@ impl FasterKv {
         at_most: Option<Version>,
     ) -> Result<Arc<FasterKv>> {
         let manifest = CheckpointManifest::latest(blobs.as_ref(), at_most)?;
-        let (version, until, purged) = match &manifest {
+        let (version, until, mut purged) = match &manifest {
             Some(m) if m.version >= MAX_VERSION => {
                 return Err(DprError::Storage(format!(
                     "manifest of {}: no record header holds that version",
@@ -427,7 +432,11 @@ impl FasterKv {
         let identities = HashIndex::identities_for(config.memory_budget_records);
         // Records recovery must not resurrect: rolled back, or in flight but
         // uncommitted at the crash.
+        let skipped = AtomicU64::new(0);
         let dead = |_addr: u64, m: &RecordMeta| {
+            if m.version > version {
+                skipped.fetch_max(m.version.0, Ordering::Relaxed);
+            }
             m.invalid || m.version > version || is_purged(&purged, m.version)
         };
         let snapshot = manifest.as_ref().and_then(|m| m.snapshot_blob.as_ref());
@@ -463,10 +472,15 @@ impl FasterKv {
                 (log, index, until)
             }
         };
+        let deleted = CheckpointManifest::delete_above(blobs.as_ref(), version)?;
+        let lost = deleted.max(Version(skipped.into_inner()));
+        if lost > version {
+            purged.push((version, lost));
+        }
         let global = GlobalState::new();
         global.store(SystemState {
             phase: Phase::Rest,
-            version: version.next().max(Version::FIRST),
+            version: lost.max(version).next().max(Version::FIRST),
         });
         let kv = Arc::new(FasterKv {
             index,

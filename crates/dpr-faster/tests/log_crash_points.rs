@@ -106,7 +106,8 @@ fn recover(image: &Image, bytes: &[u8], at_most: Option<Version>) -> Option<Arc<
     let device = Arc::new(MemLogDevice::null());
     device.append(bytes).unwrap();
     device.flush().unwrap();
-    FasterKv::recover(config(), device, image.blobs.clone(), at_most).ok()
+    let blobs = Arc::new(MemBlobStore::clone(&image.blobs));
+    FasterKv::recover(config(), device, blobs, at_most).ok()
 }
 
 /// How record `i` reads: `Ok(true)` its own value, `Ok(false)` absent or
@@ -306,7 +307,7 @@ fn a_compacted_log_cut_short_recovers_every_manifest_it_still_covers() {
             let kv = FasterKv::recover(
                 config(),
                 device.clone(),
-                image.blobs.clone(),
+                Arc::new(MemBlobStore::clone(&image.blobs)),
                 Some(*version),
             );
             assert_eq!(kv.is_ok(), cut >= *until, "cut at {cut}, {version}");

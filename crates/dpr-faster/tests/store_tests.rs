@@ -247,6 +247,38 @@ fn rollback_then_checkpoint_then_crash_recovery() {
     );
 }
 
+/// A cold recovery rolls back what lies above the version it recovers as
+/// the in-memory rollback does, or the next checkpoint reuses a version
+/// whose rolled-back manifest is still above it and the next recovery
+/// adopts that manifest.
+#[test]
+fn a_second_cold_recovery_does_not_adopt_a_rolled_back_checkpoint() {
+    let device = Arc::new(MemLogDevice::null());
+    let blobs = Arc::new(MemBlobStore::new());
+    let key = Key::from_u64(1);
+    let write_and_checkpoint = |kv: &Arc<FasterKv>, value: u64| {
+        let s = kv.start_session(SessionId(value));
+        s.upsert(key.clone(), Value::from_u64(value)).unwrap();
+        let version = kv.current_version();
+        assert!(kv.request_checkpoint(None));
+        assert!(kv.wait_for_durable(version, Duration::from_secs(5)));
+    };
+    let recover = |at_most| {
+        device.crash();
+        FasterKv::recover(manual_config(), device.clone(), blobs.clone(), at_most).unwrap()
+    };
+    let read = |kv: &Arc<FasterKv>| kv.get(&key).unwrap().and_then(|v| v.as_u64());
+    let kv = FasterKv::new(manual_config(), device.clone(), blobs.clone());
+    for value in [10, 20, 30] {
+        write_and_checkpoint(&kv, value);
+    }
+    let kv = recover(Some(Version(1)));
+    assert_eq!((read(&kv), kv.current_version()), (Some(10), Version(4)));
+    write_and_checkpoint(&kv, 40);
+    let kv = recover(None);
+    assert_eq!((kv.durable_version(), read(&kv)), (Version(4), Some(40)));
+}
+
 #[test]
 fn pending_read_resolves_from_device_after_eviction() {
     let device = Arc::new(MemLogDevice::null());

@@ -78,7 +78,7 @@ fn downstream_output_cannot_commit_before_upstream_input() {
     assert!(downstream.request_commit(None));
     pump(&finder, &downstream, h2.deps.clone());
     finder.refresh().unwrap();
-    let cut = finder.current_cut().unwrap();
+    let cut = finder.current_cut();
     assert_eq!(
         cut[&ShardId(1)],
         Version::ZERO,
@@ -91,7 +91,7 @@ fn downstream_output_cannot_commit_before_upstream_input() {
     assert!(upstream.request_commit(None));
     pump(&finder, &upstream, vec![]);
     finder.refresh().unwrap();
-    let cut = finder.current_cut().unwrap();
+    let cut = finder.current_cut();
     assert!(cut[&ShardId(0)] >= v_up);
     assert!(cut[&ShardId(1)] >= v_down);
     assert_eq!(operator.refresh_commit(&cut), 2, "both ops committed");

@@ -208,7 +208,7 @@ impl MetadataStore for PartitionedSqlStore {
         Ok(())
     }
 
-    fn update_cut_atomically(&self, cut: Cut) -> Result<()> {
+    fn update_cut_atomically(&self, cut: Cut) -> Result<(WorldLine, Cut)> {
         self.charge();
         let mut t = self.tables.lock();
         if t.recovery.is_some() {
@@ -220,7 +220,7 @@ impl MetadataStore for PartitionedSqlStore {
             let entry = t.cut.entry(shard).or_insert(Version::ZERO);
             *entry = (*entry).max(v);
         }
-        Ok(())
+        Ok((t.world_line, t.cut.clone()))
     }
 
     fn read_cut(&self) -> Result<Cut> {

@@ -74,7 +74,9 @@ pub trait MetadataStore: Send + Sync {
 
     /// Atomically replace the guaranteed cut ("UpdateCutAtomically", Fig. 4).
     /// Rejected while recovery is in progress (§4.1 halts DPR progress).
-    fn update_cut_atomically(&self, cut: Cut) -> Result<()>;
+    /// Returns the world-line it published on and the cut as it now stands,
+    /// so a publisher knows what it wrote without reading it back.
+    fn update_cut_atomically(&self, cut: Cut) -> Result<(WorldLine, Cut)>;
 
     /// Read the guaranteed cut (never partially updated).
     fn read_cut(&self) -> Result<Cut>;

@@ -51,6 +51,15 @@ impl MemBlobStore {
     }
 }
 
+/// A copy of every blob as it stands: an image a test can recover from
+/// again and again, since a recovery deletes the manifests it rolls back.
+impl Clone for MemBlobStore {
+    fn clone(&self) -> Self {
+        let blobs = RwLock::new(self.blobs.read().clone());
+        MemBlobStore { blobs, ..*self }
+    }
+}
+
 impl BlobStore for MemBlobStore {
     fn put(&self, name: &str, data: &[u8]) -> Result<()> {
         if let Some(l) = &self.latency {

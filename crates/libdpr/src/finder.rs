@@ -14,7 +14,7 @@
 //!   crash, the cut keeps advancing at approximate precision until it passes
 //!   the lost subgraph, then exact precision resumes.
 
-use dpr_core::{Result, ShardId, Token, Version};
+use dpr_core::{DprError, Result, ShardId, Token, Version, WorldLine};
 use dpr_metadata::{Cut, MetadataStore};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -41,11 +41,34 @@ fn observe_cut_lag(meta: &dyn MetadataStore) {
     crate::metrics::cut_lag().record(lag);
 }
 
+/// What a finder's last successful `update_cut_atomically` wrote: the
+/// world-line it published on and the cut as the store then held it, which
+/// the finder serves without a metadata statement. A finder's refreshes run
+/// one at a time (its service thread), so this is the latest written.
+type Published = Mutex<Option<Arc<(WorldLine, Cut)>>>;
+
+/// Publish `cut`, show the audit tap and keep in `last` what the store
+/// wrote, its cut; `None` while a recovery halts publication (§4.1).
+fn publish(
+    meta: &dyn MetadataStore,
+    last: &Published,
+    cut: Cut,
+) -> Result<Option<Arc<(WorldLine, Cut)>>> {
+    let written = match meta.update_cut_atomically(cut) {
+        Err(DprError::Recovering) => return Ok(None),
+        written => Arc::new(written?),
+    };
+    crate::audit::cut_published(&written.1);
+    *last.lock() = Some(Arc::clone(&written));
+    Ok(Some(written))
+}
+
 /// The cut-finding service interface.
 ///
 /// Shards call [`DprFinder::report_commit`] after each local commit; a
 /// periodic [`DprFinder::refresh`] advances the durable cut; clients and
-/// workers read it with [`DprFinder::current_cut`].
+/// workers read it with [`DprFinder::current_cut`] or, with the world-line
+/// it was published on, [`DprFinder::published`].
 pub trait DprFinder: Send + Sync {
     /// Report a locally committed version and its cross-shard dependencies:
     /// a group of one.
@@ -64,25 +87,40 @@ pub trait DprFinder: Send + Sync {
     /// while cluster recovery has progress halted.
     fn refresh(&self) -> Result<()>;
 
-    /// The current guaranteed cut.
-    fn current_cut(&self) -> Result<Cut>;
+    /// The `(world-line, cut)` this finder's last publication wrote, held in
+    /// memory: `None` before the first (and always, for a finder that does
+    /// not publish). A reader that must not use a cut of another world-line
+    /// checks it against its own (`docs/PROTOCOL.md` §11).
+    fn published(&self) -> Option<Arc<(WorldLine, Cut)>> {
+        None
+    }
+
+    /// The current guaranteed cut: the one [`DprFinder::published`] holds,
+    /// read without a metadata statement; empty before the first
+    /// publication.
+    fn current_cut(&self) -> Cut {
+        self.published().map_or_else(Cut::new, |p| p.1.clone())
+    }
 
     /// The largest committed version in the cluster (`Vmax`), used to
     /// fast-forward lagging shards (§3.4).
     fn max_version(&self) -> Result<Version>;
 }
 
-/// Collapse a group of commit reports to one DPR-table row per shard (the
-/// max committed version), the payload of the single batched
-/// `update_persisted_versions` statement. Per-shard max is lossless here
-/// because persisted versions are monotone.
-fn max_versions_per_shard(reports: &[(Token, Vec<Token>)]) -> Vec<(ShardId, Version)> {
+/// What every finder does first with a group of commit reports: show them
+/// to the audit tap, so the chaos checker verifies cuts against the
+/// dependencies the servers really reported whatever the finder keeps of
+/// them, and raise the DPR table in **one** `update_persisted_versions`
+/// statement of a row per shard, its max version (lossless: persisted
+/// versions are monotone). An empty group costs no statement.
+fn persist_reports(meta: &dyn MetadataStore, reports: &[(Token, Vec<Token>)]) -> Result<()> {
     let mut rows: BTreeMap<ShardId, Version> = BTreeMap::new();
-    for (token, _) in reports {
+    for (token, deps) in reports {
+        crate::audit::commit_reported(*token, deps);
         let e = rows.entry(token.shard).or_insert(Version::ZERO);
         *e = (*e).max(token.version);
     }
-    rows.into_iter().collect()
+    meta.update_persisted_versions(&rows.into_iter().collect::<Vec<_>>())
 }
 
 /// Compute the maximal dependency-closed cut from a precedence graph.
@@ -270,6 +308,7 @@ impl CutEngine {
 pub struct ExactFinder {
     meta: Arc<dyn MetadataStore>,
     engine: CutEngine,
+    published: Published,
 }
 
 impl ExactFinder {
@@ -281,25 +320,20 @@ impl ExactFinder {
         if let Ok(snapshot) = meta.graph_snapshot() {
             engine.seed(snapshot);
         }
-        ExactFinder { meta, engine }
+        ExactFinder {
+            meta,
+            engine,
+            published: Published::default(),
+        }
     }
 }
 
 impl DprFinder for ExactFinder {
     fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
-        if reports.is_empty() {
-            return Ok(());
-        }
         crate::metrics::graph_dep_tokens().add(reports.iter().map(|(_, d)| d.len() as u64).sum());
-        if crate::audit::enabled() {
-            for (token, deps) in &reports {
-                crate::audit::commit_reported(*token, deps);
-            }
-        }
-        // One DPR-table statement (max version per shard, which also keeps
-        // Vmax and membership accurate) + one graph insert.
-        self.meta
-            .update_persisted_versions(&max_versions_per_shard(&reports))?;
+        // One DPR-table statement (which also keeps Vmax and membership
+        // accurate) + one graph insert.
+        persist_reports(&*self.meta, &reports)?;
         self.meta.add_graph_versions(reports.clone())?;
         self.engine.ingest(reports);
         Ok(())
@@ -310,20 +344,15 @@ impl DprFinder for ExactFinder {
         observe_cut_lag(&*self.meta);
         let floor = self.meta.read_cut()?;
         let cut = self.engine.compute(&floor, &Cut::new());
-        match self.meta.update_cut_atomically(cut.clone()) {
-            Ok(()) => {
-                crate::audit::cut_published(&cut);
-                self.engine.commit(&cut);
-                self.meta.prune_graph_below(&cut)?;
-                Ok(())
-            }
-            Err(dpr_core::DprError::Recovering) => Ok(()),
-            Err(e) => Err(e),
+        if let Some(written) = publish(&*self.meta, &self.published, cut)? {
+            self.engine.commit(&written.1);
+            self.meta.prune_graph_below(&written.1)?;
         }
+        Ok(())
     }
 
-    fn current_cut(&self) -> Result<Cut> {
-        self.meta.read_cut()
+    fn published(&self) -> Option<Arc<(WorldLine, Cut)>> {
+        self.published.lock().clone()
     }
 
     fn max_version(&self) -> Result<Version> {
@@ -347,66 +376,45 @@ impl DprFinder for ExactFinder {
 /// finder.report_commit(Token::new(ShardId(1), Version(5)), vec![]).unwrap();
 /// finder.refresh().unwrap();
 /// // The cut is Vmin for everyone; Vmax drives fast-forwarding.
-/// assert_eq!(finder.current_cut().unwrap()[&ShardId(1)], Version(3));
+/// assert_eq!(finder.current_cut()[&ShardId(1)], Version(3));
 /// assert_eq!(finder.max_version().unwrap(), Version(5));
 /// ```
 pub struct ApproximateFinder {
     meta: Arc<dyn MetadataStore>,
+    published: Published,
 }
 
 impl ApproximateFinder {
     /// Finder over the shared metadata store.
     pub fn new(meta: Arc<dyn MetadataStore>) -> Self {
-        ApproximateFinder { meta }
+        ApproximateFinder {
+            meta,
+            published: Published::default(),
+        }
     }
+}
 
-    fn min_cut(&self) -> Result<Cut> {
-        let vmin = self.meta.min_persisted_version()?.unwrap_or(Version::ZERO);
-        Ok(self
-            .meta
-            .members()?
-            .into_iter()
-            .map(|s| (s, vmin))
-            .collect())
-    }
+/// `Vmin` for every member: the approximate cut, and the hybrid's floor.
+fn min_cut(meta: &dyn MetadataStore) -> Result<Cut> {
+    let vmin = meta.min_persisted_version()?.unwrap_or(Version::ZERO);
+    Ok(meta.members()?.into_iter().map(|s| (s, vmin)).collect())
 }
 
 impl DprFinder for ApproximateFinder {
     fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
-        if reports.is_empty() {
-            return Ok(());
-        }
-        // Dependency information is discarded — monotonicity makes Vmin
-        // safe — but the audit tap still sees it so the chaos checker can
-        // verify the published cut is closed under the *real* dependencies.
-        if crate::audit::enabled() {
-            for (token, deps) in &reports {
-                crate::audit::commit_reported(*token, deps);
-            }
-        }
-        self.meta
-            .update_persisted_versions(&max_versions_per_shard(&reports))
+        // Dependency information is discarded: monotonicity makes Vmin safe.
+        persist_reports(&*self.meta, &reports)
     }
 
     fn refresh(&self) -> Result<()> {
         let _timer = crate::metrics::finder_refresh().start_timer();
         observe_cut_lag(&*self.meta);
-        let cut = self.min_cut()?;
-        let audited = crate::audit::enabled().then(|| cut.clone());
-        match self.meta.update_cut_atomically(cut) {
-            Ok(()) => {
-                if let Some(cut) = audited {
-                    crate::audit::cut_published(&cut);
-                }
-                Ok(())
-            }
-            Err(dpr_core::DprError::Recovering) => Ok(()),
-            Err(e) => Err(e),
-        }
+        let cut = min_cut(&*self.meta)?;
+        publish(&*self.meta, &self.published, cut).map(drop)
     }
 
-    fn current_cut(&self) -> Result<Cut> {
-        self.meta.read_cut()
+    fn published(&self) -> Option<Arc<(WorldLine, Cut)>> {
+        self.published.lock().clone()
     }
 
     fn max_version(&self) -> Result<Version> {
@@ -418,7 +426,6 @@ impl DprFinder for ApproximateFinder {
 /// for fault tolerance (§3.4).
 pub struct HybridFinder {
     meta: Arc<dyn MetadataStore>,
-    approx: ApproximateFinder,
     engine: CutEngine,
     /// Per shard, the highest version whose graph entry may have been lost
     /// (coordinator crash/restart). The exact component may not advance a
@@ -426,6 +433,7 @@ pub struct HybridFinder {
     /// coordinator "cannot be certain of its dependency set in the lost
     /// subgraph" (§3.4).
     lost_ceiling: Mutex<Cut>,
+    published: Published,
 }
 
 impl HybridFinder {
@@ -436,10 +444,10 @@ impl HybridFinder {
     pub fn new(meta: Arc<dyn MetadataStore>) -> Self {
         let lost_ceiling = meta.persisted_versions().unwrap_or_default();
         HybridFinder {
-            approx: ApproximateFinder::new(meta.clone()),
             meta,
             engine: CutEngine::new(),
             lost_ceiling: Mutex::new(lost_ceiling),
+            published: Published::default(),
         }
     }
 
@@ -461,20 +469,11 @@ impl HybridFinder {
 
 impl DprFinder for HybridFinder {
     fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
-        if reports.is_empty() {
-            return Ok(());
-        }
         crate::metrics::graph_dep_tokens().add(reports.iter().map(|(_, d)| d.len() as u64).sum());
-        if crate::audit::enabled() {
-            for (token, deps) in &reports {
-                crate::audit::commit_reported(*token, deps);
-            }
-        }
         // One durable statement for the whole group; the graph is in-memory,
         // but its write volume (counted above) is still the signal the
         // hybrid exists to reduce durably (§3.4).
-        self.meta
-            .update_persisted_versions(&max_versions_per_shard(&reports))?;
+        persist_reports(&*self.meta, &reports)?;
         self.engine.ingest(reports);
         Ok(())
     }
@@ -483,7 +482,7 @@ impl DprFinder for HybridFinder {
         let _timer = crate::metrics::finder_refresh().start_timer();
         observe_cut_lag(&*self.meta);
         // Approximate floor first (durable, crash-safe)...
-        let approx_floor = self.approx.min_cut()?;
+        let approx_floor = min_cut(&*self.meta)?;
         let mut floor = self.meta.read_cut()?;
         for (s, v) in approx_floor {
             let e = floor.entry(s).or_insert(Version::ZERO);
@@ -497,22 +496,14 @@ impl DprFinder for HybridFinder {
         // nothing is pruned without being closure-checked.
         let ceiling = self.lost_ceiling.lock().clone();
         let cut = self.engine.compute(&floor, &ceiling);
-        let audited = crate::audit::enabled().then(|| cut.clone());
-        match self.meta.update_cut_atomically(cut.clone()) {
-            Ok(()) => {
-                if let Some(cut) = audited {
-                    crate::audit::cut_published(&cut);
-                }
-                self.engine.commit(&cut);
-                Ok(())
-            }
-            Err(dpr_core::DprError::Recovering) => Ok(()),
-            Err(e) => Err(e),
+        if let Some(written) = publish(&*self.meta, &self.published, cut)? {
+            self.engine.commit(&written.1);
         }
+        Ok(())
     }
 
-    fn current_cut(&self) -> Result<Cut> {
-        self.meta.read_cut()
+    fn published(&self) -> Option<Arc<(WorldLine, Cut)>> {
+        self.published.lock().clone()
     }
 
     fn max_version(&self) -> Result<Version> {
@@ -564,7 +555,7 @@ mod tests {
         finder.report_commit(t(0, 2), vec![t(1, 2)]).unwrap();
         finder.report_commit(t(1, 2), vec![t(0, 3)]).unwrap();
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         assert_eq!(cut[&ShardId(0)], Version::ZERO);
         assert_eq!(cut[&ShardId(1)], Version::ZERO);
     }
@@ -579,7 +570,7 @@ mod tests {
         finder.report_commit(t(1, 1), vec![t(0, 1)]).unwrap();
         finder.report_commit(t(0, 2), vec![t(1, 1)]).unwrap();
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         assert_eq!(cut[&ShardId(0)], Version(2));
         assert_eq!(cut[&ShardId(1)], Version(1));
     }
@@ -593,13 +584,13 @@ mod tests {
         finder.report_commit(t(0, 1), vec![]).unwrap();
         finder.report_commit(t(0, 2), vec![t(1, 1)]).unwrap();
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         assert_eq!(cut[&ShardId(0)], Version(1), "v2 held back");
         assert_eq!(cut[&ShardId(1)], Version::ZERO);
         // Once shard 1 commits, v2 is admitted.
         finder.report_commit(t(1, 1), vec![]).unwrap();
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         assert_eq!(cut[&ShardId(0)], Version(2));
         assert_eq!(cut[&ShardId(1)], Version(1));
     }
@@ -620,12 +611,19 @@ mod tests {
     #[test]
     fn approximate_cut_is_vmin_everywhere() {
         let (meta, _) = setup(3);
-        let finder = ApproximateFinder::new(meta);
+        let finder = ApproximateFinder::new(meta.clone());
         finder.report_commit(t(0, 3), vec![]).unwrap();
         finder.report_commit(t(1, 5), vec![]).unwrap();
         finder.report_commit(t(2, 4), vec![]).unwrap();
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        // The finder keeps what it published: reading it is no statement.
+        let before = meta.statement_count();
+        let cut = finder.current_cut();
+        assert_eq!(meta.statement_count(), before);
+        assert_eq!(
+            *finder.published().unwrap(),
+            (dpr_core::WorldLine(0), cut.clone())
+        );
         for s in 0..3 {
             assert_eq!(cut[&ShardId(s)], Version(3));
         }
@@ -640,7 +638,7 @@ mod tests {
         finder.report_commit(t(0, 10), vec![]).unwrap();
         // Shard 1 never commits (version 0).
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         assert_eq!(cut[&ShardId(0)], Version::ZERO, "held hostage by shard 1");
     }
 
@@ -651,7 +649,7 @@ mod tests {
         finder.report_commit(t(0, 1), vec![]).unwrap();
         finder.report_commit(t(1, 1), vec![t(0, 1)]).unwrap();
         finder.refresh().unwrap();
-        assert_eq!(finder.current_cut().unwrap()[&ShardId(1)], Version(1));
+        assert_eq!(finder.current_cut()[&ShardId(1)], Version(1));
         // Coordinator crashes; the in-memory graph is lost.
         finder.simulate_coordinator_crash();
         // New commits arrive whose deps reference the lost subgraph region.
@@ -660,7 +658,7 @@ mod tests {
         // t(0,2)'s graph entry was lost before ever being reported — but
         // shard 0's persisted version (3) floors Vmin handling.
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         // Approximate floor: Vmin = min(3, 2) = 2 → both shards at ≥ 2.
         assert!(cut[&ShardId(0)] >= Version(2));
         assert!(cut[&ShardId(1)] >= Version(2));
@@ -675,7 +673,7 @@ mod tests {
         finder.report_commit(t(0, 5), vec![]).unwrap();
         finder.report_commit(t(1, 1), vec![]).unwrap();
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         assert_eq!(cut[&ShardId(0)], Version(5), "exact precision preserved");
         assert_eq!(cut[&ShardId(1)], Version(1));
     }
@@ -716,8 +714,8 @@ mod tests {
             );
             grp.refresh().unwrap();
 
-            assert_eq!(seq.current_cut().unwrap(), grp.current_cut().unwrap());
-            assert_eq!(grp.current_cut().unwrap()[&ShardId(0)], expected);
+            assert_eq!(seq.current_cut(), grp.current_cut());
+            assert_eq!(grp.current_cut()[&ShardId(0)], expected);
         }
     }
 
@@ -730,7 +728,7 @@ mod tests {
             .report_commits(vec![(t(0, 1), vec![]), (t(0, 2), vec![t(1, 1)])])
             .unwrap();
         finder.refresh().unwrap();
-        assert_eq!(finder.current_cut().unwrap()[&ShardId(0)], Version(1));
+        assert_eq!(finder.current_cut()[&ShardId(0)], Version(1));
     }
 
     /// Satellite fix: the seeding pass pins a shard at the floor while the
@@ -818,7 +816,7 @@ mod tests {
             }
             let oracle = compute_closure_cut_capped(&history, &floor, &Cut::new());
             finder.refresh().unwrap();
-            assert_eq!(finder.current_cut().unwrap(), oracle);
+            assert_eq!(finder.current_cut(), oracle);
         }
         // The delta engine pruned what it published; the history keeps all.
         assert_eq!(finder.pending_tokens(), 0);
@@ -861,11 +859,11 @@ mod tests {
         // A new coordinator instance over the same store.
         let finder = ExactFinder::new(meta);
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         assert_eq!(cut[&ShardId(0)], Version(1), "v2 held back by unmet dep");
         finder.report_commit(t(1, 1), vec![]).unwrap();
         finder.refresh().unwrap();
-        assert_eq!(finder.current_cut().unwrap()[&ShardId(0)], Version(2));
+        assert_eq!(finder.current_cut()[&ShardId(0)], Version(2));
     }
 
     #[test]

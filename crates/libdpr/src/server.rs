@@ -462,9 +462,6 @@ mod tests {
         fn refresh(&self) -> Result<()> {
             Ok(())
         }
-        fn current_cut(&self) -> Result<dpr_metadata::Cut> {
-            Ok(dpr_metadata::Cut::new())
-        }
         fn max_version(&self) -> Result<Version> {
             Ok(Version::ZERO)
         }

@@ -155,7 +155,7 @@ fn hybrid_survives_crash(before: &[Commit], after: &[Commit]) -> TestCaseResult 
     hybrid.simulate_coordinator_crash();
     feed(after);
     hybrid.refresh().unwrap();
-    let cut = hybrid.current_cut().unwrap();
+    let cut = hybrid.current_cut();
     prop_assert!(
         cut_is_closed(&graph, &cut),
         "post-crash cut {cut:?} not closed"
@@ -203,7 +203,7 @@ proptest! {
         // Even for adversarial (non-monotone) graphs the cut must be valid.
         let graph = replay(&finder, &commits, false);
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         prop_assert!(cut_is_closed(&graph, &cut), "cut {cut:?} not closed for {graph:?}");
     }
 
@@ -212,7 +212,7 @@ proptest! {
         let meta = setup();
         let finder = ExactFinder::new(meta);
         let mut versions = [0u64; SHARDS as usize];
-        let mut prev = finder.current_cut().unwrap();
+        let mut prev = finder.current_cut();
         for c in &commits {
             versions[c.shard as usize] += 1;
             let v = versions[c.shard as usize];
@@ -224,7 +224,7 @@ proptest! {
                 .collect();
             finder.report_commit(Token::new(ShardId(c.shard), Version(v)), deps).unwrap();
             finder.refresh().unwrap();
-            let cut = finder.current_cut().unwrap();
+            let cut = finder.current_cut();
             for (shard, v) in &prev {
                 prop_assert!(cut.get(shard).copied().unwrap_or(Version::ZERO) >= *v,
                     "cut regressed on {shard}");
@@ -263,7 +263,7 @@ proptest! {
             }
         }
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         for s in 0..SHARDS {
             prop_assert!(
                 cut[&ShardId(s)] >= Version(versions[s as usize]),
@@ -352,7 +352,7 @@ proptest! {
             );
         }
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         for s in 0..SHARDS {
             prop_assert_eq!(cut[&ShardId(s)], Version(top));
         }
@@ -364,7 +364,7 @@ proptest! {
         let finder = ApproximateFinder::new(meta);
         let graph = replay(&finder, &commits, true);
         finder.refresh().unwrap();
-        let cut = finder.current_cut().unwrap();
+        let cut = finder.current_cut();
         prop_assert!(cut_is_closed(&graph, &cut));
     }
 
@@ -374,7 +374,7 @@ proptest! {
         let hybrid = HybridFinder::new(meta.clone());
         let graph = replay(&hybrid, &commits, true);
         hybrid.refresh().unwrap();
-        let hybrid_cut = hybrid.current_cut().unwrap();
+        let hybrid_cut = hybrid.current_cut();
         prop_assert!(cut_is_closed(&graph, &hybrid_cut));
         // The hybrid must dominate the plain Vmin floor.
         let vmin = meta.min_persisted_version().unwrap().unwrap_or(Version::ZERO);
@@ -493,7 +493,7 @@ proptest! {
                 let oracle = compute_closure_cut_capped(&history, &floor, &Cut::new());
                 finder.refresh().unwrap();
                 prop_assert_eq!(
-                    finder.current_cut().unwrap(), oracle,
+                    finder.current_cut(), oracle,
                     "exact finder diverged from oracle at floor {:?}", &floor
                 );
             }
@@ -544,7 +544,7 @@ proptest! {
                 let oracle = compute_closure_cut_capped(&history, &floor, &ceiling);
                 finder.refresh().unwrap();
                 prop_assert_eq!(
-                    finder.current_cut().unwrap(), oracle,
+                    finder.current_cut(), oracle,
                     "hybrid finder diverged from oracle at floor {:?} ceiling {:?}",
                     &floor, &ceiling
                 );
