@@ -12,7 +12,7 @@ use dpr_core::{
 };
 use dpr_metadata::{Cut, MetadataStore, OwnershipTable, PartitionedSqlStore, Partitioner};
 use dpr_redis::{AofPolicy, RedisConfig, RedisStore};
-use dpr_storage::{MemBlobStore, MemLogDevice, StorageProfile};
+use dpr_storage::{FileLogDevice, MemBlobStore, MemLogDevice, StorageProfile};
 use libdpr::{ApproximateFinder, DprFinder, ExactFinder, HybridFinder};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -449,11 +449,14 @@ fn wait_local_durable(store: &dyn ShardStore, timeout: Duration) -> Result<()> {
     Ok(())
 }
 
-/// Build one shard's cache-store per the cluster configuration.
+/// Build one shard's cache-store per the cluster configuration. A D-FASTER
+/// shard's log lives in files of its own, charged the storage profile's
+/// latency per flush, so what the log has flushed is held by the kernel and
+/// not a second time in this process's heap.
 fn build_store(config: &ClusterConfig, shard: ShardId) -> Result<Arc<dyn ShardStore>> {
     Ok(match config.kind {
         ClusterKind::DFaster => {
-            let device = Arc::new(MemLogDevice::with_profile(config.storage));
+            let device = Arc::new(FileLogDevice::temporary(config.storage.latency()));
             let blobs = Arc::new(MemBlobStore::with_latency(config.storage.latency()));
             let kv = dpr_faster::FasterKv::new(
                 dpr_faster::FasterConfig {

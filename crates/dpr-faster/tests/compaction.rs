@@ -8,7 +8,8 @@
 
 use dpr_core::{Key, SessionId, Value, Version};
 use dpr_faster::{CompactionTotals, FasterConfig, FasterKv, OpOutcome, Session, PAGE_SIZE};
-use dpr_storage::{MemBlobStore, MemLogDevice};
+use dpr_storage::file::MIN_SEGMENT_BYTES;
+use dpr_storage::{FileLogDevice, LatencyModel, LogDevice, MemBlobStore, MemLogDevice};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -376,27 +377,55 @@ fn a_log_that_has_left_memory_waits_for_half_and_a_memorys_worth() {
     }
 }
 
-/// (f) What a truncation frees from the log it frees from the device: the
-/// device's pages are the size of the log's, so after each truncation the
-/// device holds no more than `tail - begin` and one page.
-#[test]
-fn after_a_truncation_the_device_holds_the_log_and_at_most_a_page_more() {
+/// (f) What a truncation frees from the log it frees from the device, in
+/// whatever unit the device frees: after each truncation the device holds no
+/// more than `tail - begin` and one unit. Returns how many truncations ran.
+fn truncations_free_the_device(
+    device: Arc<dyn LogDevice>,
+    held: impl Fn() -> u64,
+    unit: u64,
+    rounds: u64,
+) -> usize {
     // A round of them is one page: every pass ends on a page boundary.
     const KEYS: u64 = (PAGE_SIZE / 32) as u64;
-    let device = Arc::new(MemLogDevice::null());
-    let kv = FasterKv::new(config(false), device.clone(), Arc::new(MemBlobStore::new()));
+    let kv = FasterKv::new(config(false), device, Arc::new(MemBlobStore::new()));
     let s = kv.start_session(SessionId(1));
     let mut truncations = 0;
-    for round in 0..20 {
+    for round in 0..rounds {
         rewrite(&kv, &s, KEYS, round..round + 1);
         if kv.collect_garbage(kv.durable_version()).unwrap().is_some() {
             truncations += 1;
-            let (held, log) = (device.held_bytes(), kv.log_tail() - kv.log_begin());
+            let (held, log) = (held(), kv.log_tail() - kv.log_begin());
             assert!(
-                held <= log + PAGE_SIZE as u64,
+                held <= log + unit,
                 "the device holds {held} bytes of a {log}-byte log"
             );
         }
     }
-    assert!(truncations >= 3, "{:?}", kv.compaction_totals());
+    truncations
+}
+
+/// The in-memory device's pages are the size of the log's.
+#[test]
+fn after_a_truncation_the_device_holds_the_log_and_at_most_a_page_more() {
+    let device = Arc::new(MemLogDevice::null());
+    let held = || device.held_bytes();
+    let truncations = truncations_free_the_device(device.clone(), held, PAGE_SIZE as u64, 20);
+    assert!(truncations >= 3, "{truncations} truncations");
+}
+
+/// A file device closes the segment files wholly below the truncation
+/// point, which frees them: of a log that writes four segments and more, it
+/// keeps one or two.
+#[test]
+fn after_a_truncation_a_file_device_holds_the_log_and_at_most_a_segment_more() {
+    let device = Arc::new(FileLogDevice::temporary(LatencyModel::zero()));
+    let held = || device.held_bytes();
+    truncations_free_the_device(device.clone(), held, MIN_SEGMENT_BYTES, 64);
+    assert!(
+        device.tail() >= 4 * MIN_SEGMENT_BYTES,
+        "{} appended",
+        device.tail()
+    );
+    assert!(device.held_bytes() <= 2 * MIN_SEGMENT_BYTES);
 }

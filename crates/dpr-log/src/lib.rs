@@ -41,25 +41,36 @@ pub struct Entry {
 
 /// Durable description of one sealed version, stored in the blob store:
 /// [`MANIFEST_HEADER`], then fixed-width little-endian fields (`version u64
-/// | until_offset u64 | count u32 | (consumer u64, offset u64) × count`),
-/// and nothing after them.
-#[derive(Debug, PartialEq, Eq)]
+/// | until_offset u64 | device_until u64 | count u32 | (consumer u64, offset
+/// u64) × count`), and nothing after them. The default is the empty log's.
+#[derive(Debug, Default, PartialEq, Eq)]
 struct LogManifest {
     version: Version,
     /// One past the last entry offset included in this version.
     until_offset: u64,
+    /// One past the device bytes that hold it: entries rewritten after a
+    /// rollback lie after the ones they replace, and the replay stops here.
+    device_until: u64,
     /// Consumer offsets captured at the version boundary.
     consumers: BTreeMap<ConsumerId, u64>,
 }
 
-/// Leading bytes of a manifest blob: the magic, then format 1 as a `u16`.
-const MANIFEST_HEADER: [u8; 6] = *b"DPRL\x01\x00";
+/// Leading bytes of a manifest blob: the magic, then format 2 as a `u16`.
+const MANIFEST_HEADER: [u8; 6] = *b"DPRL\x02\x00";
 /// Bytes before the consumer entries.
-const MANIFEST_FIXED: usize = MANIFEST_HEADER.len() + 8 + 8 + 4;
+const MANIFEST_FIXED: usize = MANIFEST_HEADER.len() + 8 + 8 + 8 + 4;
 
 impl LogManifest {
     fn blob_name(version: Version) -> String {
         format!("log-chkpt-{:020}", version.0)
+    }
+
+    /// The version a manifest blob of this name holds.
+    fn version_of(name: &str) -> Result<Version> {
+        name.trim_start_matches("log-chkpt-")
+            .parse()
+            .map(Version)
+            .map_err(|_| DprError::Storage(format!("bad manifest {name}")))
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -67,6 +78,7 @@ impl LogManifest {
         out.extend_from_slice(&MANIFEST_HEADER);
         out.extend_from_slice(&self.version.0.to_le_bytes());
         out.extend_from_slice(&self.until_offset.to_le_bytes());
+        out.extend_from_slice(&self.device_until.to_le_bytes());
         out.extend_from_slice(&(self.consumers.len() as u32).to_le_bytes());
         for (consumer, offset) in &self.consumers {
             out.extend_from_slice(&consumer.0.to_le_bytes());
@@ -81,19 +93,20 @@ impl LogManifest {
     fn decode(buf: &[u8]) -> Result<LogManifest> {
         let bad = |what: &str| DprError::Storage(format!("log manifest decode: {what}"));
         if buf.len() < MANIFEST_FIXED || !buf.starts_with(&MANIFEST_HEADER) {
-            return Err(bad("cut short, or not a format-1 log manifest"));
+            return Err(bad("cut short, or not a format-2 log manifest"));
         }
         let fields = &buf[MANIFEST_HEADER.len()..];
         let u64_at = |at: usize| u64::from_le_bytes(fields[at..at + 8].try_into().unwrap());
-        let count = u32::from_le_bytes(fields[16..20].try_into().unwrap()) as usize;
-        if count.checked_mul(16) != Some(fields.len() - 20) {
+        let count = u32::from_le_bytes(fields[24..28].try_into().unwrap()) as usize;
+        if count.checked_mul(16) != Some(fields.len() - 28) {
             return Err(bad("length does not match the consumer count"));
         }
         Ok(LogManifest {
             version: Version(u64_at(0)),
             until_offset: u64_at(8),
+            device_until: u64_at(16),
             consumers: (0..count)
-                .map(|i| 20 + 16 * i)
+                .map(|i| 28 + 16 * i)
                 .map(|at| (ConsumerId(u64_at(at)), u64_at(at + 8)))
                 .collect(),
         })
@@ -105,6 +118,8 @@ struct LogInner {
     consumers: BTreeMap<ConsumerId, u64>,
     /// Entry offset up to which the device holds serialized entries.
     flushed_entries: u64,
+    /// One past the device bytes the last append wrote.
+    device_end: u64,
     /// Versions sealed but whose flush has not completed (version → until).
     sealing: BTreeMap<Version, u64>,
     completed: Vec<CommitDescriptor>,
@@ -179,6 +194,7 @@ impl SharedLog {
                 entries: Vec::new(),
                 consumers: BTreeMap::new(),
                 flushed_entries: 0,
+                device_end: 0,
                 sealing: BTreeMap::new(),
                 completed: Vec::new(),
             }),
@@ -266,10 +282,11 @@ impl SharedLog {
             for e in &entries {
                 encode_entry(e, &mut buf);
             }
-            self.device.append(&buf)?;
+            let at = self.device.append(&buf)?;
             self.device.flush()?;
             let mut inner = self.inner.lock();
             inner.flushed_entries = inner.flushed_entries.max(start + entries.len() as u64);
+            inner.device_end = inner.device_end.max(at + buf.len() as u64);
         }
         let mut done = Vec::new();
         let mut inner = self.inner.lock();
@@ -285,6 +302,7 @@ impl SharedLog {
             let manifest = LogManifest {
                 version,
                 until_offset: until,
+                device_until: inner.device_end,
                 consumers: consumers.clone(),
             };
             if self
@@ -301,82 +319,100 @@ impl SharedLog {
         Ok(done)
     }
 
-    /// Recover a log shard from its device and manifests after a crash.
+    /// Recover a log shard from its device and manifests after a crash, at
+    /// the newest version at or below `at_most`. What lies above it is rolled
+    /// back as [`StateObject::restore`] does: its manifests are deleted, and
+    /// versions continue above every one the old incarnation left, so that a
+    /// later recovery adopts none of it.
     pub fn recover(
         shard: ShardId,
         device: Arc<dyn LogDevice>,
         blobs: Arc<dyn BlobStore>,
         at_most: Option<Version>,
     ) -> Result<SharedLog> {
-        // Latest manifest at or below the bound.
-        let names = blobs.list("log-chkpt-")?;
         let mut manifest: Option<LogManifest> = None;
-        for name in names.iter().rev() {
-            let v: u64 = name
-                .trim_start_matches("log-chkpt-")
-                .parse()
-                .map_err(|_| DprError::Storage(format!("bad manifest {name}")))?;
-            if at_most.is_none_or(|m| Version(v) <= m) {
-                let data = blobs
-                    .get(name)?
-                    .ok_or_else(|| DprError::Storage(format!("missing blob {name}")))?;
-                manifest = Some(LogManifest::decode(&data)?);
-                break;
+        let (mut above, mut newest) = (Vec::new(), Version::ZERO);
+        for name in blobs.list("log-chkpt-")?.into_iter().rev() {
+            let v = LogManifest::version_of(&name)?;
+            if at_most.is_some_and(|m| v > m) {
+                newest = newest.max(v);
+                above.push(name);
+                continue;
             }
+            let data = blobs
+                .get(&name)?
+                .ok_or_else(|| DprError::Storage(format!("missing blob {name}")))?;
+            manifest = Some(LogManifest::decode(&data)?);
+            break;
         }
-        let (version, until, consumers) = match manifest {
-            Some(m) => (m.version, m.until_offset, m.consumers),
-            None => (Version::ZERO, 0, BTreeMap::new()),
-        };
-        // Replay entries from the device up to the manifest boundary.
+        let m = manifest.unwrap_or_default();
+        // Replay the device to the manifest's bytes: an entry at offset `o`
+        // replaces `o` and everything after it (a rewrite after a rollback).
+        // Every entry on it counts towards the versions to continue above.
         let durable = device.durable_frontier();
-        let mut entries = Vec::new();
-        let mut offset = 0u64;
-        let mut carry: Vec<u8> = Vec::new();
+        let mut entries: Vec<Entry> = Vec::new();
+        let (mut at, mut carry) = (0u64, Vec::new());
         let mut buf = vec![0u8; 1 << 16];
-        'scan: while offset < durable && (entries.len() as u64) < until {
-            let n = device.read(offset, &mut buf)?;
+        while at < durable {
+            let n = device.read(at, &mut buf)?;
             if n == 0 {
                 break;
             }
+            let mut pos = at - carry.len() as u64;
             carry.extend_from_slice(&buf[..n]);
-            offset += n as u64;
+            at += n as u64;
             let mut consumed = 0;
             while let Some((e, used)) = decode_entry(&carry[consumed..]) {
                 consumed += used;
-                if e.offset != entries.len() as u64 {
+                pos += used as u64;
+                newest = newest.max(e.version);
+                if pos > m.device_until {
+                    continue;
+                }
+                if e.offset > entries.len() as u64 {
                     return Err(DprError::Storage(format!(
                         "log scan out of order at {}",
                         e.offset
                     )));
                 }
+                entries.truncate(e.offset as usize);
                 entries.push(e);
-                if entries.len() as u64 >= until {
-                    break 'scan;
-                }
             }
             carry.drain(..consumed);
         }
+        entries.truncate(m.until_offset as usize);
+        for name in &above {
+            blobs.delete(name)?;
+        }
         let flushed = entries.len() as u64;
         // Consumer offsets never point past the recovered entries.
-        let consumers = consumers
-            .into_iter()
-            .map(|(c, o)| (c, o.min(flushed)))
-            .collect();
+        let consumers = m.consumers.into_iter().map(|(c, o)| (c, o.min(flushed)));
         Ok(SharedLog {
             shard,
             device,
             blobs,
             inner: Mutex::new(LogInner {
                 entries,
-                consumers,
+                consumers: consumers.collect(),
                 flushed_entries: flushed,
+                device_end: m.device_until,
                 sealing: BTreeMap::new(),
                 completed: Vec::new(),
             }),
-            current_version: AtomicU64::new(version.0 + 1),
-            durable_version: AtomicU64::new(version.0),
+            current_version: AtomicU64::new(m.version.max(newest).0 + 1),
+            durable_version: AtomicU64::new(m.version.0),
         })
+    }
+
+    /// Delete the manifests of the versions above `version`, which a
+    /// rollback to it has lost.
+    fn delete_manifests_above(&self, version: Version) -> Result<()> {
+        for name in self.blobs.list("log-chkpt-")? {
+            if LogManifest::version_of(&name)? > version {
+                self.blobs.delete(&name)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -415,11 +451,7 @@ impl StateObject for SharedLog {
     fn restore(&self, version: Version) -> Result<()> {
         // Find the boundary for `version` from its manifest (or empty).
         let boundary = if version == Version::ZERO {
-            LogManifest {
-                version: Version::ZERO,
-                until_offset: 0,
-                consumers: BTreeMap::new(),
-            }
+            LogManifest::default()
         } else {
             let data = self.blobs.get(&LogManifest::blob_name(version))?.ok_or(
                 DprError::NoSuchCheckpoint {
@@ -435,6 +467,9 @@ impl StateObject for SharedLog {
         inner.consumers = boundary.consumers;
         inner.sealing.retain(|&v, _| v <= version);
         inner.completed.retain(|d| d.version <= version);
+        // Under the lock `pump` writes manifests under, once nothing above
+        // `version` is left to seal.
+        self.delete_manifests_above(version)?;
         let cur = self.current_version.load(Ordering::Acquire);
         self.current_version
             .store(cur.max(version.0 + 1), Ordering::Release);
@@ -600,6 +635,63 @@ mod tests {
         assert_eq!(log.len(), 1);
     }
 
+    /// Commit `payload(i)` in a version of its own.
+    fn commit(log: &SharedLog, i: u64) {
+        log.enqueue(payload(i));
+        log.request_commit(None);
+        log.take_commits();
+    }
+
+    fn payloads(log: &SharedLog) -> Vec<Bytes> {
+        (0..log.len())
+            .map(|o| log.read(o).unwrap().payload)
+            .collect()
+    }
+
+    /// A cold recovery below the newest checkpoint rolls back what is above
+    /// it, as the in-memory rollback does: a second recovery adopts neither
+    /// its manifests nor its entries.
+    #[test]
+    fn a_second_cold_recovery_does_not_adopt_a_rolled_back_checkpoint() {
+        let (device, blobs) = (
+            Arc::new(MemLogDevice::null()),
+            Arc::new(MemBlobStore::new()),
+        );
+        let recover = |at_most| {
+            device.crash();
+            SharedLog::recover(ShardId(0), device.clone(), blobs.clone(), at_most).unwrap()
+        };
+        let log = SharedLog::new(ShardId(0), device.clone(), blobs.clone());
+        for i in [10, 20, 30] {
+            commit(&log, i);
+        }
+        let log = recover(Some(Version(1)));
+        assert_eq!(
+            (payloads(&log), log.current_version()),
+            (vec![payload(10)], Version(4))
+        );
+        commit(&log, 40);
+        let log = recover(None);
+        assert_eq!(
+            (log.durable_version(), payloads(&log)),
+            (Version(4), vec![payload(10), payload(40)])
+        );
+    }
+
+    /// Entries written after an in-memory rollback lie on the device after
+    /// the ones they replace; a recovery reads the new ones.
+    #[test]
+    fn entries_rewritten_after_a_rollback_replace_the_rolled_back_ones() {
+        let (log, device, blobs) = log();
+        commit(&log, 10);
+        commit(&log, 20);
+        log.restore(Version(1)).unwrap();
+        commit(&log, 30);
+        device.crash();
+        let log = SharedLog::recover(ShardId(0), device, blobs, None).unwrap();
+        assert_eq!(payloads(&log), vec![payload(10), payload(30)]);
+    }
+
     #[test]
     fn empty_recovery() {
         let device = Arc::new(MemLogDevice::null());
@@ -614,6 +706,7 @@ mod tests {
         let manifest = LogManifest {
             version: Version(7),
             until_offset: 40,
+            device_until: 1200,
             consumers: BTreeMap::from([(ConsumerId(1), 12), (ConsumerId(9), 40)]),
         };
         let buf = manifest.encode();
@@ -626,7 +719,7 @@ mod tests {
         // Magic and format word, then the consumer count: a forged count
         // disagrees with the bytes present and is refused before any entry
         // is read.
-        for at in (0..6).chain(22..26) {
+        for at in (0..6).chain(30..34) {
             let mut bad = buf.clone();
             bad[at] ^= 0xFF;
             assert!(rejected(&bad), "byte {at} flipped");

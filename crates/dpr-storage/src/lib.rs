@@ -9,7 +9,9 @@
 //!
 //! * [`LogDevice`] — an append-only logical address space with an explicit
 //!   durable frontier, used by the HybridLog and the Cassandra-like commit
-//!   log. In-memory and file-backed implementations.
+//!   log. In memory ([`MemLogDevice`]: tests, probes and a D-Redis shard's
+//!   AOF) and in unlinked segment files ([`FileLogDevice`]: the log of a
+//!   D-FASTER cluster shard).
 //! * [`BlobStore`] — named atomic blobs, used for checkpoint manifests and
 //!   Redis-style snapshots.
 //! * [`LatencyModel`] — injects calibrated write/flush latency so the

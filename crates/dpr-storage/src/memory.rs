@@ -40,7 +40,6 @@ pub struct MemLogDevice {
     durable: AtomicU64,
     truncated: AtomicU64,
     latency: LatencyModel,
-    flush_count: AtomicU64,
 }
 
 /// The live span of the device: page `first + i` is `held[i]`, and a page
@@ -69,7 +68,6 @@ impl MemLogDevice {
             durable: AtomicU64::new(0),
             truncated: AtomicU64::new(0),
             latency,
-            flush_count: AtomicU64::new(0),
         }
     }
 
@@ -91,12 +89,6 @@ impl MemLogDevice {
         let durable = self.durable.load(Ordering::SeqCst);
         self.tail.store(durable, Ordering::SeqCst);
         durable
-    }
-
-    /// Number of flush calls served (for tests and bench accounting).
-    #[must_use]
-    pub fn flush_count(&self) -> u64 {
-        self.flush_count.load(Ordering::Relaxed)
     }
 
     /// Bytes of the pages the device holds, whole pages from the one the
@@ -179,7 +171,6 @@ impl LogDevice for MemLogDevice {
             // Another flusher may have advanced past us; keep the max.
             self.durable.fetch_max(tail, Ordering::SeqCst);
         }
-        self.flush_count.fetch_add(1, Ordering::Relaxed);
         Ok(self.durable.load(Ordering::Acquire))
     }
 

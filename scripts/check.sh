@@ -135,10 +135,10 @@ fi
 # does not grow back unseen: a change that needs more lines raises this bound
 # in its own diff, where a reviewer sees it.
 echo
-echo "==> workspace Rust is at most 33,401 lines"
+echo "==> workspace Rust is at most 33,796 lines"
 rust_lines=$(find crates src tests examples -name '*.rs' | xargs cat | wc -l)
-if (( rust_lines > 33401 )); then
-    echo "workspace Rust is $rust_lines lines, above the bound of 33,401" >&2
+if (( rust_lines > 33796 )); then
+    echo "workspace Rust is $rust_lines lines, above the bound of 33,796" >&2
     exit 1
 fi
 
