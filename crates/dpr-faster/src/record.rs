@@ -369,17 +369,6 @@ impl<'a> RecordView<'a> {
         link_prev(self.link_atom().load(Ordering::Acquire))
     }
 
-    /// Re-link the chain predecessor. Only called by the appending thread
-    /// while retrying the publish CAS: the record is not yet reachable, so
-    /// no value writer holds `link`, and a flusher copying it retries.
-    pub fn set_prev(&self, prev: u64) {
-        let link = self.link_atom();
-        link.store(
-            link_with_prev(link.load(Ordering::Relaxed), prev),
-            Ordering::Release,
-        );
-    }
-
     /// The key bytes (immutable after creation).
     #[must_use]
     pub fn key_bytes(&self) -> &'a [u8] {
@@ -786,9 +775,19 @@ mod tests {
     /// Aligned scratch for record bytes (`u64` backing guarantees the
     /// 8-byte alignment the atomic header fields need).
     fn write_to_buf(key: &Key, value: &Value, version: Version, tombstone: bool) -> Vec<u64> {
+        write_linked(key, value, version, tombstone, 56)
+    }
+
+    fn write_linked(
+        key: &Key,
+        value: &Value,
+        version: Version,
+        tombstone: bool,
+        prev: u64,
+    ) -> Vec<u64> {
         let total = record_footprint(key.len(), value.len());
         let mut buf = vec![0u64; total / 8];
-        let header = new_header(key.len(), value.len(), version, tombstone, 56);
+        let header = new_header(key.len(), value.len(), version, tombstone, prev);
         // SAFETY: `buf` is zeroed, 8-aligned, exactly the footprint, and ours.
         unsafe { write_record(buf.as_mut_ptr().cast::<u8>(), header, key, value) };
         buf
@@ -862,17 +861,13 @@ mod tests {
     fn view_reads_and_updates_in_place() {
         let key = Key::from_u64(5);
         let value = Value::from_u64(50);
-        let buf = write_to_buf(&key, &value, Version(3), false);
+        // The largest link: an in-place write leaves every bit of it be.
+        let buf = write_linked(&key, &value, Version(3), false, MAX_ADDRESS);
         let view = view(&buf);
         assert!(view.key_matches(&key));
         assert_eq!(view.footprint(), 32);
         assert_eq!(view.read_value().as_u64(), Some(50));
-        assert_eq!(view.prev(), 56);
-        view.set_prev(NONE_ADDRESS);
-        assert_eq!(view.prev(), NONE_ADDRESS);
-        view.set_prev(MAX_ADDRESS);
         assert_eq!(view.prev(), MAX_ADDRESS);
-        assert_eq!(view.read_value().as_u64(), Some(50));
         assert!(view.try_write_value(&Value::from_u64(60)));
         assert_eq!(view.read_value().as_u64(), Some(60));
         // Any length of the record's own 8-byte class goes in place...

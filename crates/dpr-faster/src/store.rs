@@ -863,11 +863,11 @@ impl FasterKv {
         }
     }
 
-    /// Append a record and publish it at the head of `key`'s chain,
-    /// retrying the CAS as needed, under the caller's `guard` and starting
-    /// from `expected`, the chain head the caller read under it: an
-    /// operation takes one guard and probes the index once. The caller has
-    /// validated the record size. Returns the published address.
+    /// Append a record and publish it at the head of `key`'s chain, again
+    /// over the new head each time the CAS loses, under the caller's `guard`
+    /// and starting from `expected`, the chain head the caller read under
+    /// it: an operation takes one guard and probes the index once. The
+    /// caller has validated the record size. Returns the published address.
     fn append_and_publish(
         &self,
         guard: &EpochGuard<'_>,
@@ -877,25 +877,21 @@ impl FasterKv {
         tombstone: bool,
         mut expected: u64,
     ) -> u64 {
-        'fresh: loop {
+        loop {
             let addr = self.log.append(key, value, version, tombstone, expected);
-            loop {
-                match self.index.try_publish(guard, key, expected, addr) {
-                    Ok(()) => return addr,
-                    Err(observed) => {
-                        expected = observed;
-                        match self.log.get(guard, addr) {
-                            Ok(GetOutcome::Resident(view)) => view.set_prev(observed),
-                            _ => {
-                                // The unpublished record was flushed and
-                                // evicted inside the publish window (only
-                                // possible under extreme memory pressure).
-                                // Its device copy is unreachable garbage;
-                                // append a fresh one with the right prev.
-                                continue 'fresh;
-                            }
-                        }
+            match self.index.try_publish(guard, key, expected, addr) {
+                Ok(()) => return addr,
+                Err(observed) => {
+                    // Lost to another record of the chain: the orphan dies
+                    // where it lies (as in `rcu_publish`) and a new record
+                    // links to the head that won. Relinking the orphan
+                    // instead would come too late for a flush that has
+                    // already copied it: the device would keep the old link,
+                    // and a recovered chain would pass over the winner.
+                    if let Ok(GetOutcome::Resident(view)) = self.log.get(guard, addr) {
+                        view.invalidate();
                     }
+                    expected = observed;
                 }
             }
         }
@@ -1612,6 +1608,13 @@ impl FasterKv {
         self.log.begin()
     }
 
+    /// The hash index's table size in slots, and the chains that have an
+    /// entry in it (diagnostics).
+    #[must_use]
+    pub fn index_occupancy(&self) -> (usize, u64) {
+        (self.index.slots(&self.log.protect()), self.index.entries())
+    }
+
     /// What this store's copy-forward passes have done so far.
     #[must_use]
     pub fn compaction_totals(&self) -> CompactionTotals {
@@ -2177,12 +2180,9 @@ mod tests {
         let until = kv.log.tail();
         assert_eq!(kv.log.begin(), begin);
         assert!(begin > until / 2, "begin {begin} of {until}");
-        let reserved = |bytes: u64| (2 * (bytes / PAPER_RECORD_BYTES)).next_power_of_two();
+        let reserved = |bytes: u64| kv.index.slots_for(bytes / PAPER_RECORD_BYTES);
         assert!(reserved(until - begin) < reserved(until));
-        assert_eq!(
-            kv.index.slots(&kv.log.protect()) as u64,
-            reserved(until - begin)
-        );
+        assert_eq!(kv.index.slots(&kv.log.protect()), reserved(until - begin));
         for k in 0..KEYS {
             assert_eq!(read(&kv, k), Some(k + 6), "key {k}");
         }

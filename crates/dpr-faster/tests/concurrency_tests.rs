@@ -1,10 +1,12 @@
 //! Concurrency correctness under checkpoints: RMW atomicity, read
-//! linearization against a monotone counter, and commit-point consistency
-//! across racing sessions.
+//! linearization against a monotone counter, commit-point consistency
+//! across racing sessions, and chain links that racing publishes leave on
+//! the device.
 
 use dpr_core::{Key, SessionId, Value, Version};
 use dpr_faster::{FasterConfig, FasterKv, OpOutcome};
 use dpr_storage::{MemBlobStore, MemLogDevice};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -119,14 +121,14 @@ fn reads_of_a_monotone_counter_never_go_backwards() {
     // One writer increments a counter; one reader must observe a
     // non-decreasing sequence even across version boundaries.
     let kv = store();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|scope| {
         let writer_kv = kv.clone();
         let writer_stop = stop.clone();
         scope.spawn(move || {
             let session = writer_kv.start_session(SessionId(1));
             let mut v = 0u64;
-            while !writer_stop.load(std::sync::atomic::Ordering::Acquire) {
+            while !writer_stop.load(Ordering::Acquire) {
                 v += 1;
                 session
                     .upsert(Key::from_u64(9), Value::from_u64(v))
@@ -136,7 +138,7 @@ fn reads_of_a_monotone_counter_never_go_backwards() {
         let chk_kv = kv.clone();
         let chk_stop = stop.clone();
         scope.spawn(move || {
-            while !chk_stop.load(std::sync::atomic::Ordering::Acquire) {
+            while !chk_stop.load(Ordering::Acquire) {
                 chk_kv.request_checkpoint(None);
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -154,7 +156,7 @@ fn reads_of_a_monotone_counter_never_go_backwards() {
                     last = now;
                 }
             }
-            stop.store(true, std::sync::atomic::Ordering::Release);
+            stop.store(true, Ordering::Release);
         });
     });
 }
@@ -240,4 +242,69 @@ fn racing_sessions_get_consistent_commit_points() {
         }
     }
     assert_eq!(kv.durable_version(), Version(manifest.version.0));
+}
+
+/// A session whose publish loses the race to another key of its chain
+/// appends its record again over the head it lost to. Relinking the first
+/// one in memory instead is too late if a flush has copied it already: the
+/// device keeps the old link, and recovery walks the chain from it past the
+/// record that won. Eight writers put 4,000 keys of one chain with the
+/// flusher right behind the tail; after a crash every key reads its write.
+#[test]
+fn a_lost_publish_race_leaves_no_stale_link_on_the_device() {
+    const WRITERS: usize = 8;
+    const PER_WRITER: usize = 500;
+    let config = FasterConfig {
+        // 2^12 chain identities: a key's chain is its hash's top 12 bits.
+        memory_budget_records: 0,
+        // Flush to two records below the tail.
+        unflushed_limit_records: Some(2),
+        ..FasterConfig::default()
+    };
+    let keys: Vec<Key> = (0u64..)
+        .map(Key::from_u64)
+        .filter(|k| k.hash64() >> 52 == 0)
+        .take(WRITERS * PER_WRITER)
+        .collect();
+    let device = Arc::new(MemLogDevice::null());
+    let blobs = Arc::new(MemBlobStore::new());
+    let kv = FasterKv::new(config.clone(), device.clone(), blobs.clone());
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let writers: Vec<_> = keys
+            .chunks(PER_WRITER)
+            .enumerate()
+            .map(|(t, mine)| {
+                let kv = kv.clone();
+                scope.spawn(move || {
+                    let s = kv.start_session(SessionId(t as u64));
+                    for (i, key) in mine.iter().enumerate() {
+                        s.upsert(key.clone(), Value::from_u64(i as u64)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        scope.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                kv.continuous_flush();
+            }
+        });
+        for w in writers {
+            w.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    let sealing = kv.current_version();
+    while !kv.request_checkpoint(None) {
+        std::thread::yield_now();
+    }
+    assert!(kv.wait_for_durable(sealing, Duration::from_secs(30)));
+    kv.shutdown();
+    drop(kv);
+    device.crash();
+    let kv = FasterKv::recover(config, device, blobs, None).unwrap();
+    for (i, key) in keys.iter().enumerate() {
+        let got = kv.get(key).unwrap().and_then(|v| v.as_u64());
+        assert_eq!(got, Some((i % PER_WRITER) as u64), "key {i} of the chain");
+    }
 }

@@ -4,9 +4,10 @@
 #   scripts/check.sh --quick   build + tier-1 tests only (fast inner loop)
 #   scripts/check.sh           the full gate: workspace tests, the lossy-link
 #                              exactly-once, session-order, outgrowing-RMW
-#                              race, writers-against-passes, prompt-truncation
-#                              and gate-fence guards, manifest, third_party, size,
-#                              forbid-unsafe and unsafe-comment lints, docs,
+#                              race, writers-against-passes, prompt-truncation,
+#                              gate-fence and lost-publish guards, manifest,
+#                              third_party, size, forbid-unsafe and
+#                              unsafe-comment lints, docs,
 #                              chaos and figures smokes, and the benchmark's
 #                              schema smoke
 #
@@ -84,6 +85,12 @@ guard gate-fence libdpr gate_stress \
     stalled_writer_is_not_overtaken_by_its_versions_report
 guard gate-fence libdpr gate_stress \
     concurrent_record_and_pump_lose_nothing
+# A publish that loses its CAS appends its record again instead of relinking
+# one a flush may have copied (docs/PROTOCOL.md §5, the hash index): eight
+# writers on one chain, the flusher two records behind the tail, every key
+# exact after a crash. 6 of 20 runs lose a key with the relink.
+guard lost-publish dpr-faster concurrency_tests \
+    a_lost_publish_race_leaves_no_stale_link_on_the_device
 
 # No crate serializes through serde: every byte format has one hand-written
 # codec. The stand-ins under third_party/ are for benchmark/ only.
@@ -135,10 +142,10 @@ fi
 # does not grow back unseen: a change that needs more lines raises this bound
 # in its own diff, where a reviewer sees it.
 echo
-echo "==> workspace Rust is at most 33,796 lines"
+echo "==> workspace Rust is at most 33,909 lines"
 rust_lines=$(find crates src tests examples -name '*.rs' | xargs cat | wc -l)
-if (( rust_lines > 33796 )); then
-    echo "workspace Rust is $rust_lines lines, above the bound of 33,796" >&2
+if (( rust_lines > 33909 )); then
+    echo "workspace Rust is $rust_lines lines, above the bound of 33,909" >&2
     exit 1
 fi
 
