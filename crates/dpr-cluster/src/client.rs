@@ -18,7 +18,7 @@ use crate::worker::Worker;
 use bytes::Bytes;
 use dpr_core::{DprError, Result, SessionId, ShardId, Version, WorldLine};
 use dpr_metadata::{Cut, MetadataStore, OwnershipTable};
-use libdpr::DprClientSession;
+use libdpr::{BatchHeader, DprClientSession};
 use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
@@ -92,7 +92,9 @@ pub struct SessionHandle {
     /// Results of completed ops not yet taken, by serial.
     last_results: Vec<(u64, OpResult)>,
     /// Buffers of `issue` and of the co-located call, kept between calls:
-    /// one group per shard seen so far (a handful), and a batch's results.
+    /// a batch's owners, one group per shard seen so far (a handful), and a
+    /// batch's results.
+    owners: Vec<ShardId>,
     groups: Vec<Group>,
     local_results: Vec<OpResult>,
 }
@@ -122,6 +124,7 @@ impl SessionHandle {
             local,
             completed_ops: 0,
             last_results: Vec::new(),
+            owners: Vec::new(),
             groups: Vec::new(),
             local_results: Vec::new(),
         }
@@ -158,24 +161,18 @@ impl SessionHandle {
     }
 
     /// Issue a batch of operations without waiting for completion. Ops are
-    /// grouped by owning shard; groups for a co-located shard execute
-    /// immediately on this thread, remote groups go over the bus.
+    /// grouped by owning shard, read for the whole batch at once; groups for
+    /// a co-located shard execute immediately on this thread, remote groups
+    /// go over the bus.
     ///
     /// Returns the serial number assigned to each input op (grouping means
     /// serials are not in input order).
     pub fn issue(&mut self, ops: Vec<ClusterOp>) -> Result<Vec<u64>> {
-        let Some(first) = ops.first() else {
+        resolve_owners(&self.ownership, &ops, &mut self.owners)?;
+        let Some(&shard) = self.owners.first() else {
             return Ok(Vec::new());
         };
-        let shard = self.resolve_owner(first.key())?;
-        let mut mixed_from = ops.len();
-        for (idx, op) in ops.iter().enumerate().skip(1) {
-            if self.resolve_owner(op.key())? != shard {
-                mixed_from = idx;
-                break;
-            }
-        }
-        if mixed_from == ops.len() {
+        if self.owners.iter().all(|&owner| owner == shard) {
             // One owner (a co-located session's every batch): the batch is
             // the caller's vector, as it stands.
             let first_serial = self.core.session().issued();
@@ -186,12 +183,7 @@ impl SessionHandle {
         // where each op came from.
         let mut serials = vec![0u64; ops.len()];
         let mut groups = std::mem::take(&mut self.groups);
-        for (idx, op) in ops.into_iter().enumerate() {
-            let owner = if idx < mixed_from {
-                shard
-            } else {
-                self.resolve_owner(op.key())?
-            };
+        for (idx, (op, &owner)) in ops.into_iter().zip(&self.owners).enumerate() {
             let at = groups.iter().position(|g| g.shard == owner);
             let at = at.unwrap_or_else(|| {
                 groups.push(Group {
@@ -221,22 +213,50 @@ impl SessionHandle {
     }
 
     /// Send `ops` to `shard` as one batch: a fresh one, or with `rebatch` a
-    /// re-route under the serials they already hold, starting there.
+    /// re-route under the serials they already hold, starting there. A batch
+    /// the co-located worker refuses for ownership keeps the serials it
+    /// holds, so that the session's committed prefix can pass them: it is
+    /// re-routed at once to the owners the table names now, as a remote
+    /// refusal is when it comes back. Where the table still names this
+    /// worker, its lease has lapsed until its control loop renews it
+    /// (`docs/PROTOCOL.md` §7): the batch is retried here after a wait, as
+    /// an un-owned partition is, and `NotOwner` is returned if the lease is
+    /// not renewed in time.
     fn dispatch(&mut self, shard: ShardId, rebatch: Option<u64>, ops: &[ClusterOp]) -> Result<()> {
-        let Some(local) = self.local.as_ref().filter(|w| w.shard() == shard) else {
+        if self.local.as_ref().is_none_or(|w| w.shard() != shard) {
             return self.core.issue_as(shard, rebatch, ops).map(|_| ());
-        };
+        }
         // Co-located fast path: execute synchronously in-thread, no frame.
         let session = self.core.session_mut();
         let header = match rebatch {
             Some(serial) => session.rebatch_header(shard, serial, ops.len() as u32),
             None => session.begin_batch(shard, ops.len() as u32)?,
         };
+        let mut owners = Vec::new();
+        for _ in 0..OWNER_RETRIES {
+            match self.execute_local(&header, ops) {
+                Err(DprError::NotOwner { .. }) => {}
+                done => return done,
+            }
+            resolve_owners(&self.ownership, ops, &mut owners)?;
+            if owners.iter().any(|&owner| owner != shard) {
+                // What goes back to this worker is a strict part of `ops`,
+                // so a refusal recurses at most once per op.
+                return self.reroute(header.first_serial, ops, &owners);
+            }
+            std::thread::sleep(OWNER_RETRY_WAIT);
+        }
+        Err(DprError::NotOwner { shard })
+    }
+
+    /// Execute a batch on the co-located worker and take in its reply.
+    fn execute_local(&mut self, header: &BatchHeader, ops: &[ClusterOp]) -> Result<()> {
+        let local = self.local.as_ref().expect("a co-located session");
         let results = &mut self.local_results;
         results.clear();
-        match local.execute_local_into(&header, ops, results) {
+        match local.execute_local_into(header, ops, results) {
             Ok(reply) => {
-                session.process_reply(&reply)?;
+                self.core.session_mut().process_reply(&reply)?;
                 self.completed_ops += u64::from(reply.op_count);
                 let serials = header.first_serial..;
                 self.last_results.extend(serials.zip(results.drain(..)));
@@ -284,39 +304,36 @@ impl SessionHandle {
         });
         self.completed_ops += completed;
         for frame in bounced {
-            self.reroute(&frame)?;
+            self.reroute_frame(&frame)?;
         }
         polled?;
         failure.map_or(Ok(completed), Err)
     }
 
-    /// Resolve the owner of `key`, retrying while its partition is
-    /// mid-transfer (temporarily un-owned, §5.3: "the client retries until
-    /// the transfer is complete").
-    fn resolve_owner(&self, key: &dpr_core::Key) -> Result<ShardId> {
-        for _ in 0..2000 {
-            match self.ownership.owner_of(key) {
-                Ok(s) => return Ok(s),
-                Err(_) => std::thread::sleep(Duration::from_micros(500)),
-            }
+    /// Re-route `ops`, which hold the serials from `first_serial` on, to
+    /// `owners`, theirs now (§5.3): each run of ops with one owner as one
+    /// batch under its original serials.
+    fn reroute(&mut self, first_serial: u64, ops: &[ClusterOp], owners: &[ShardId]) -> Result<()> {
+        let mut at = 0;
+        while at < ops.len() {
+            let shard = owners[at];
+            let run = owners[at..].iter().take_while(|&&o| o == shard).count();
+            self.dispatch(shard, Some(first_serial + at as u64), &ops[at..at + run])?;
+            at += run;
         }
-        Err(DprError::Invalid(format!(
-            "partition for {key} stuck un-owned"
-        )))
+        Ok(())
     }
 
-    /// Re-route the ops of an encoded `Request` frame one by one, each under
-    /// its original serial, to whoever owns its key now (§5.3).
-    fn reroute(&mut self, frame: &[u8]) -> Result<()> {
+    /// [`SessionHandle::reroute`] the ops of an encoded `Request` frame to
+    /// whoever owns their keys now.
+    fn reroute_frame(&mut self, frame: &[u8]) -> Result<()> {
         let body = Bytes::copy_from_slice(&frame[wire::FRAME_HEADER_LEN..]);
         let mut header = self.core.session().rebatch_header(ShardId(0), 0, 0);
         let mut ops = Vec::new();
         wire::decode_request_body_into(&body, &mut ops, &mut header)?;
-        for (serial, op) in (header.first_serial..).zip(ops) {
-            let shard = self.resolve_owner(op.key())?;
-            self.dispatch(shard, Some(serial), &[op])?;
-        }
-        Ok(())
+        let mut owners = Vec::with_capacity(ops.len());
+        resolve_owners(&self.ownership, &ops, &mut owners)?;
+        self.reroute(header.first_serial, &ops, &owners)
     }
 
     /// Retransmit every in-flight batch whose reply has been outstanding
@@ -332,7 +349,7 @@ impl SessionHandle {
         let gone = |shard| !workers.read().contains_key(&shard);
         let (resent, departed) = self.core.retransmit_stalled_unless(older_than, gone)?;
         for frame in &departed {
-            self.reroute(frame)?;
+            self.reroute_frame(frame)?;
         }
         Ok(resent + departed.len())
     }
@@ -471,10 +488,41 @@ impl SessionHandle {
     }
 }
 
+/// How many times a client waits [`OWNER_RETRY_WAIT`] for ownership to
+/// settle (a partition mid-transfer, a co-located worker's lapsed lease)
+/// before it gives up: a second in all.
+const OWNER_RETRIES: u32 = 2000;
+const OWNER_RETRY_WAIT: Duration = Duration::from_micros(500);
+
+/// Resolve the owners of `ops` into `owners` with one read of the table per
+/// attempt, retrying while a partition of theirs is mid-transfer
+/// (temporarily un-owned, §5.3: "the client retries until the transfer is
+/// complete").
+fn resolve_owners(
+    ownership: &OwnershipTable,
+    ops: &[ClusterOp],
+    owners: &mut Vec<ShardId>,
+) -> Result<()> {
+    for _ in 0..OWNER_RETRIES {
+        owners.clear();
+        if ownership
+            .owners_into(ops.iter().map(ClusterOp::key), owners)
+            .is_ok()
+        {
+            return Ok(());
+        }
+        std::thread::sleep(OWNER_RETRY_WAIT);
+    }
+    Err(DprError::Invalid(format!(
+        "partition for {} stuck un-owned",
+        ops[owners.len()].key()
+    )))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpr_core::{Key, Value};
+    use dpr_core::{Key, SimClock, Value};
 
     /// The bus carries the format `docs/NETWORK.md` specifies: what the core
     /// encodes reaches the endpoint its shard maps to byte for byte, with
@@ -506,5 +554,79 @@ mod tests {
             core.issue(ShardId(4), &ops).is_err(),
             "no endpoint, no send"
         );
+    }
+
+    /// A co-located worker whose lease has lapsed refuses batches the table
+    /// still routes to it (`docs/PROTOCOL.md` §7). Its session waits for the
+    /// lease to be renewed, retrying the batch under the serials it holds,
+    /// and gives up with `NotOwner` if it is not: it neither sends the batch
+    /// back to the same worker without end nor hands the caller a refusal
+    /// the control loop is about to lift.
+    #[test]
+    fn a_colocated_batch_waits_out_a_lapsed_lease() {
+        let net = SimNetwork::new(Duration::ZERO);
+        let clock = SimClock::new();
+        let lease = Duration::from_secs(10);
+        let ownership = Arc::new(OwnershipTable::new(
+            dpr_metadata::Partitioner::Hash { partitions: 4 },
+            Arc::new(clock.clone()),
+            lease,
+        ));
+        let meta: Arc<dyn MetadataStore> = Arc::new(dpr_metadata::PartitionedSqlStore::new(1));
+        let kv = dpr_faster::FasterKv::new(
+            dpr_faster::FasterConfig::default(),
+            Arc::new(dpr_storage::MemLogDevice::null()),
+            Arc::new(dpr_storage::MemBlobStore::new()),
+        );
+        let worker = Worker::start(
+            ShardId(0),
+            Arc::new(crate::dfaster::FasterShard::new(ShardId(0), kv)),
+            net.clone(),
+            ownership.clone(),
+            meta.clone(),
+            Arc::new(libdpr::ExactFinder::new(meta.clone())),
+            crate::worker::WorkerConfig::default(),
+        )
+        .unwrap();
+        ownership.assign_round_robin(&[ShardId(0)]);
+        let mut session = SessionHandle::new(
+            SessionId(1),
+            meta.world_line().unwrap(),
+            net,
+            ownership.clone(),
+            meta,
+            Arc::default(),
+            Some(worker.clone()),
+        );
+        // No control loop renews the lease from here on.
+        worker.stop();
+        std::thread::sleep(Duration::from_millis(20));
+        let batch = |v| {
+            (0..256)
+                .map(|i| ClusterOp::Upsert(Key::from_u64(i), Value::from_u64(v)))
+                .collect::<Vec<_>>()
+        };
+        session.issue(batch(1)).unwrap();
+
+        // Lapsed, and renewed 50 ms later: the batch goes through.
+        clock.advance(lease + Duration::from_secs(1));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                ownership.renew_leases(ShardId(0));
+            });
+            let serials = session.issue(batch(2)).unwrap();
+            assert_eq!(serials, (256..512).collect::<Vec<_>>());
+        });
+        assert_eq!(session.take_results().len(), 512);
+
+        // Lapsed for good: `NotOwner`, after the owner retries' wait.
+        clock.advance(lease + Duration::from_secs(1));
+        let t0 = Instant::now();
+        match session.issue(batch(3)) {
+            Err(DprError::NotOwner { shard }) => assert_eq!(shard, ShardId(0)),
+            other => panic!("expected NotOwner, got {other:?}"),
+        }
+        assert!(t0.elapsed() >= OWNER_RETRY_WAIT * OWNER_RETRIES);
     }
 }

@@ -11,7 +11,7 @@
 use crate::message::{ClusterOp, OpResult};
 use crate::worker::{ShardStore, VersionSpan};
 use dpr_core::{Result, SessionId, ShardId, Value, Version};
-use dpr_faster::{FasterKv, OpOutcome, Session};
+use dpr_faster::{FasterKv, Op, OpOutcome, Session};
 use libdpr::{CommitDescriptor, StateObject};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -80,6 +80,20 @@ impl FasterShard {
     }
 }
 
+/// A cluster operation as the store runs it; an increment reads a missing
+/// key as 0.
+fn store_op(op: &ClusterOp) -> Op<'_> {
+    match op {
+        ClusterOp::Read(k) => Op::Read(k),
+        ClusterOp::Upsert(k, v) => Op::Upsert(k, v),
+        ClusterOp::Incr(k) => Op::Rmw(
+            k,
+            Box::new(|old| Value::from_u64(old.and_then(Value::as_u64).unwrap_or(0) + 1)),
+        ),
+        ClusterOp::Delete(k) => Op::Delete(k),
+    }
+}
+
 impl ShardStore for FasterShard {
     fn execute_batch_into(
         &self,
@@ -104,29 +118,23 @@ impl ShardStore for FasterShard {
                 s.lowest = s.lowest.min(v);
                 s.highest = s.highest.max(v);
             };
-            for (i, op) in ops.iter().enumerate() {
-                let outcome = match op {
-                    ClusterOp::Read(k) => session.read(k)?,
-                    ClusterOp::Upsert(k, v) => session.upsert(k.clone(), v.clone())?,
-                    ClusterOp::Incr(k) => session.rmw(k.clone(), |old| {
-                        Value::from_u64(old.and_then(|v| v.as_u64()).unwrap_or(0) + 1)
-                    })?,
-                    ClusterOp::Delete(k) => session.delete(k.clone())?,
-                };
+            // The batch enters the store once: one take of the session's
+            // lock and one epoch guard for all of it.
+            let mut at = base;
+            session.execute(ops.iter().map(store_op), |outcome| {
                 match outcome {
-                    OpOutcome::Read {
-                        value, version: v, ..
-                    } => {
-                        ran_in(v);
-                        out[base + i] = OpResult::Value(value);
+                    OpOutcome::Read { value, version, .. } => {
+                        ran_in(version);
+                        out[at] = OpResult::Value(value);
                     }
-                    OpOutcome::Mutated { version: v, .. } => {
-                        ran_in(v);
-                        out[base + i] = OpResult::Done;
+                    OpOutcome::Mutated { version, .. } => {
+                        ran_in(version);
+                        out[at] = OpResult::Done;
                     }
-                    OpOutcome::Pending(t) => pending.push((t.serial, i)),
+                    OpOutcome::Pending(t) => pending.push((t.serial, at - base)),
                 }
-            }
+                at += 1;
+            })?;
             if !pending.is_empty() {
                 // Remote execution resolves PENDINGs before replying (the
                 // background-thread path of §5.2).

@@ -687,3 +687,71 @@ fn a_pass_is_freed_within_50_ms_of_the_cut_covering_it() {
     }
     cluster.shutdown();
 }
+
+/// A batch the co-located worker refuses for ownership has already been
+/// given its serials: it is re-routed under them (`docs/PROTOCOL.md` §7),
+/// as a remote refusal is, and not handed back to the caller, whose
+/// committed prefix would otherwise stop at the first serial never
+/// answered. A co-located session writes 256-op batches of its own shard's
+/// keys while another thread moves one of their partitions to the other
+/// shard and back, 400 times over: no `issue` fails, every write lands, and
+/// the committed prefix reaches everything issued.
+#[test]
+fn a_colocated_batch_refused_mid_migration_keeps_its_serials() {
+    const BATCH: usize = 256;
+    const MIGRATIONS: usize = 400;
+    let cluster = Cluster::start(ClusterConfig {
+        partitions: 16,
+        ..base_config(ClusterKind::DFaster, 2)
+    })
+    .unwrap();
+    let shard0 = cluster.workers()[0].shard();
+    let keys: Vec<Key> = (0..)
+        .map(Key::from_u64)
+        .filter(|k| cluster.owner_of(k).unwrap() == shard0)
+        .take(BATCH)
+        .collect();
+    let moving = dpr_metadata::VirtualPartition((keys[0].hash64() % 16) as u32);
+    let mut session = cluster.open_session_colocated(0).unwrap();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let mut round = 0u64;
+    std::thread::scope(|scope| {
+        let migrator = scope.spawn(|| {
+            for i in 0..MIGRATIONS {
+                let (from, to) = if i % 2 == 0 { (0, 1) } else { (1, 0) };
+                cluster.migrate_partition(moving, from, to).unwrap();
+                // Owned for a while: the session's batches get through.
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+        });
+        while !done.load(std::sync::atomic::Ordering::Acquire) {
+            round += 1;
+            let ops = keys
+                .iter()
+                .map(|k| ClusterOp::Upsert(k.clone(), Value::from_u64(round)))
+                .collect();
+            if let Err(e) = session.issue(ops) {
+                done.store(true, std::sync::atomic::Ordering::Release);
+                panic!("round {round}: issue failed with {e}");
+            }
+            // A round's re-routed ops are answered before the next round
+            // writes the same keys: a refusal re-routed from `poll` can
+            // otherwise land behind a later write (ROADMAP item 2).
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while session.inflight_ops() > 0 {
+                assert!(Instant::now() < deadline, "re-routed ops never answered");
+                session.poll(true, Duration::from_millis(10)).unwrap();
+            }
+        }
+        migrator.join().unwrap();
+    });
+    session
+        .wait_all_committed(cluster.cut_source(), Duration::from_secs(10))
+        .unwrap();
+    let reads = keys.iter().map(|k| ClusterOp::Read(k.clone())).collect();
+    for (k, r) in keys.iter().zip(session.execute(reads).unwrap()) {
+        assert_eq!(r, OpResult::Value(Some(Value::from_u64(round))), "{k}");
+    }
+    cluster.shutdown();
+}

@@ -41,6 +41,6 @@ pub mod store;
 pub use checkpoint::{CheckpointManifest, CommitPoint};
 pub use log::{GetOutcome, RecordLog, MAX_RECORD_LEN, PAGE_SIZE};
 pub use record::{Record, RecordMeta, RecordView, NONE_ADDRESS};
-pub use session::{OpOutcome, PendingToken, Session};
+pub use session::{Op, OpOutcome, PendingToken, Session};
 pub use state::{Phase, SystemState};
 pub use store::{CheckpointInfo, CompactionTotals, FasterConfig, FasterKv};

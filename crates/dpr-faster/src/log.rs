@@ -42,11 +42,19 @@
 //! * acquire the guard **before** calling [`RecordLog::get`], and do not
 //!   use a view after dropping or refreshing the guard;
 //! * never call [`RecordLog::evict_to`] / [`RecordLog::maybe_evict`]
-//!   while holding a guard (quiesce would wait on the caller itself).
+//!   while holding a guard (quiesce would wait on the caller itself);
+//! * hold a guard across as little as an operation needs: a batch of
+//!   operations under one guard refreshes it between operations, at least
+//!   every few dozen (`FasterKv`'s batch entry; `docs/PROTOCOL.md` §5).
 //!
-//! Appends need no guard: eviction is clamped to the flushed frontier,
-//! and the flusher spins on the not-yet-`READY` header of an in-flight
-//! record, so a page being appended to can never reach the evictor.
+//! An append does not need its guard for the page it writes: eviction is
+//! clamped to the flushed frontier, and the flusher spins on the
+//! not-yet-`READY` header of an in-flight record, so a page being appended
+//! to can never reach the evictor. It takes the caller's guard anyway, to
+//! refresh it while the append waits for the flusher
+//! ([`RecordLog::set_unflushed_limit`]): the maintenance thread flushes and
+//! then waits for every guard before it evicts, so a guard held across that
+//! wait would stop the flusher that ends it.
 
 use crate::record::{
     header_footprint, header_kind, new_header, pack_pad, parse_header, record_footprint,
@@ -414,9 +422,11 @@ impl RecordLog {
     /// index CAS). Values larger than [`MAX_RECORD_LEN`] minus header
     /// and key, and versions above [`crate::record::MAX_VERSION`], must be
     /// rejected by the caller; this method panics on them, before it
-    /// reserves anything.
+    /// reserves anything. `guard` is refreshed while the append waits for
+    /// the flusher: a view the caller took under it is not used after.
     pub fn append(
         &self,
+        guard: &EpochGuard<'_>,
         key: &Key,
         value: &Value,
         version: Version,
@@ -429,7 +439,7 @@ impl RecordLog {
             "record footprint {footprint} exceeds page size {MAX_RECORD_LEN}"
         );
         let header = new_header(key.len(), value.len(), version, tombstone, prev);
-        self.backpressure(footprint as u64);
+        self.backpressure(guard, footprint as u64);
         let fp = footprint as u64;
         let start;
         loop {
@@ -481,7 +491,7 @@ impl RecordLog {
         unsafe { (*(p as *const AtomicU64)).store(pack_pad(len), Ordering::Release) };
     }
 
-    fn backpressure(&self, need: u64) {
+    fn backpressure(&self, guard: &EpochGuard<'_>, need: u64) {
         let limit = self.unflushed_limit.load(Ordering::Relaxed);
         if limit == u64::MAX {
             return;
@@ -495,6 +505,8 @@ impl RecordLog {
         let t0 = std::time::Instant::now();
         let mut backoff = Backoff::new();
         while unflushed(self) + need > limit {
+            // Eviction, behind the flush this waits for, waits for guards.
+            guard.refresh();
             backoff.snooze();
         }
         crate::metrics::backpressure_stall_us().record_micros(t0.elapsed());
@@ -1239,6 +1251,11 @@ mod tests {
         Value::from_u64(i)
     }
 
+    /// An append under a guard of its own.
+    fn put(log: &RecordLog, key: &Key, value: &Value, v: Version, tomb: bool, prev: u64) -> u64 {
+        log.append(&log.protect(), key, value, v, tomb, prev)
+    }
+
     fn new_log() -> RecordLog {
         RecordLog::new(Arc::new(MemLogDevice::null()), 1 << 22)
     }
@@ -1249,7 +1266,7 @@ mod tests {
         let mut addrs = Vec::new();
         let mut prev = NONE_ADDRESS;
         for i in 0..100u64 {
-            let a = log.append(&key(i), &val(i * 10), Version(3), i % 7 == 0, prev);
+            let a = put(&log, &key(i), &val(i * 10), Version(3), i % 7 == 0, prev);
             addrs.push(a);
             prev = a;
         }
@@ -1277,8 +1294,8 @@ mod tests {
     fn page_straddle_inserts_pad() {
         let log = new_log();
         let big = Value(bytes::Bytes::copy_from_slice(&vec![7u8; 40_000]));
-        let a0 = log.append(&key(1), &big, Version(1), false, NONE_ADDRESS);
-        let a1 = log.append(&key(2), &big, Version(1), false, NONE_ADDRESS);
+        let a0 = put(&log, &key(1), &big, Version(1), false, NONE_ADDRESS);
+        let a1 = put(&log, &key(2), &big, Version(1), false, NONE_ADDRESS);
         assert_eq!(a0, 0);
         // The second record cannot fit the first page; it must start on
         // the next page boundary.
@@ -1301,9 +1318,9 @@ mod tests {
     #[test]
     fn reserved_window_is_typed_not_ready() {
         let log = new_log();
-        log.append(&key(1), &val(1), Version(1), false, NONE_ADDRESS);
+        put(&log, &key(1), &val(1), Version(1), false, NONE_ADDRESS);
         let hole = log.debug_reserve(64);
-        let after = log.append(&key(2), &val(2), Version(1), false, NONE_ADDRESS);
+        let after = put(&log, &key(2), &val(2), Version(1), false, NONE_ADDRESS);
         let guard = log.protect();
         assert!(matches!(
             log.get(&guard, hole).unwrap(),
@@ -1324,7 +1341,7 @@ mod tests {
         let log = RecordLog::new(Arc::new(MemLogDevice::null()), 1 << 22);
         let mut addrs = Vec::new();
         for i in 0..3000u64 {
-            addrs.push(log.append(&key(i), &val(i), Version(2), false, NONE_ADDRESS));
+            addrs.push(put(&log, &key(i), &val(i), Version(2), false, NONE_ADDRESS));
         }
         let sealed = log.seal_to_tail();
         log.flush_until(sealed).unwrap();
@@ -1362,7 +1379,7 @@ mod tests {
             ]))
         };
         let addrs: Vec<u64> = (0..400u64)
-            .map(|i| log.append(&key(i), &value(i), Version(1), false, NONE_ADDRESS))
+            .map(|i| put(&log, &key(i), &value(i), Version(1), false, NONE_ADDRESS))
             .collect();
         // A target inside a record: the frontier stops before that record.
         let mid = addrs[200] + 16;
@@ -1383,7 +1400,7 @@ mod tests {
     fn eviction_clamped_to_flush_and_read_only() {
         let log = new_log();
         for i in 0..3000u64 {
-            log.append(&key(i), &val(i), Version(1), false, NONE_ADDRESS);
+            put(&log, &key(i), &val(i), Version(1), false, NONE_ADDRESS);
         }
         // Nothing flushed: eviction is a no-op.
         assert_eq!(log.evict_to(log.tail()), 0);
@@ -1398,7 +1415,7 @@ mod tests {
     fn epoch_guard_blocks_reclaim() {
         let log = Arc::new(new_log());
         for i in 0..3000u64 {
-            log.append(&key(i), &val(i), Version(1), false, NONE_ADDRESS);
+            put(&log, &key(i), &val(i), Version(1), false, NONE_ADDRESS);
         }
         let sealed = log.seal_to_tail();
         log.flush_until(sealed).unwrap();
@@ -1433,7 +1450,7 @@ mod tests {
         let mut by_version: Vec<(u64, Version)> = Vec::new();
         for i in 0..300u64 {
             let v = Version(1 + i % 3);
-            let a = log.append(&key(i), &val(i), v, false, NONE_ADDRESS);
+            let a = put(&log, &key(i), &val(i), v, false, NONE_ADDRESS);
             by_version.push((a, v));
         }
         let purged = log.purge_versions(Version(1), Version(2));
@@ -1457,7 +1474,7 @@ mod tests {
         log.set_unflushed_limit(PAGE_BYTES);
         // Fill just under the limit.
         while log.tail() + 128 < PAGE_BYTES {
-            log.append(&key(1), &val(1), Version(1), false, NONE_ADDRESS);
+            put(&log, &key(1), &val(1), Version(1), false, NONE_ADDRESS);
         }
         let appender = {
             let log = Arc::clone(&log);
@@ -1465,7 +1482,7 @@ mod tests {
                 // These appends overflow the unflushed bound and must
                 // stall until the main thread flushes.
                 for i in 0..2000u64 {
-                    log.append(&key(i), &val(i), Version(1), false, NONE_ADDRESS);
+                    put(&log, &key(i), &val(i), Version(1), false, NONE_ADDRESS);
                 }
             })
         };
@@ -1484,7 +1501,14 @@ mod tests {
         let log = new_log();
         let n = 6000u64;
         for i in 0..n {
-            log.append(&key(i), &val(i), Version(1), i % 11 == 0, NONE_ADDRESS);
+            put(
+                &log,
+                &key(i),
+                &val(i),
+                Version(1),
+                i % 11 == 0,
+                NONE_ADDRESS,
+            );
         }
         let sealed = log.seal_to_tail();
         log.flush_until(sealed).unwrap();
@@ -1516,7 +1540,14 @@ mod tests {
             let log = RecordLog::new(Arc::clone(&device) as Arc<dyn LogDevice>, 1 << 22);
             let mut addrs = Vec::new();
             for i in 0..n {
-                addrs.push(log.append(&key(i), &val(i * 3), Version(4), false, NONE_ADDRESS));
+                addrs.push(put(
+                    &log,
+                    &key(i),
+                    &val(i * 3),
+                    Version(4),
+                    false,
+                    NONE_ADDRESS,
+                ));
             }
             let sealed = log.seal_to_tail();
             log.flush_until(sealed).unwrap();
@@ -1547,7 +1578,7 @@ mod tests {
         }
         drop(guard);
         // The recovered log keeps appending and scanning normally.
-        let extra = log.append(&key(n), &val(n), Version(5), false, NONE_ADDRESS);
+        let extra = put(&log, &key(n), &val(n), Version(5), false, NONE_ADDRESS);
         assert!(extra >= until);
         let mut count = 0u64;
         log.scan_range(0, log.tail(), &mut |_| {
@@ -1564,14 +1595,14 @@ mod tests {
         let until = {
             let log = RecordLog::new(Arc::clone(&device) as Arc<dyn LogDevice>, 1 << 22);
             for i in 0..500u64 {
-                log.append(&key(i), &val(i), Version(1), false, NONE_ADDRESS);
+                put(&log, &key(i), &val(i), Version(1), false, NONE_ADDRESS);
             }
             let sealed = log.seal_to_tail();
             log.flush_until(sealed).unwrap();
             // Unsealed garbage past the recovery point, to force the
             // post-recovery device mapping to diverge from `addr +
             // scan_from`.
-            log.append(&key(999), &val(999), Version(1), false, NONE_ADDRESS);
+            put(&log, &key(999), &val(999), Version(1), false, NONE_ADDRESS);
             log.advance_read_only(log.tail());
             log.flush_until(log.tail()).unwrap();
             sealed
@@ -1583,7 +1614,14 @@ mod tests {
             &[(0, 0, until)],
         )
         .unwrap();
-        let a = log.append(&key(1000), &val(1000), Version(2), false, NONE_ADDRESS);
+        let a = put(
+            &log,
+            &key(1000),
+            &val(1000),
+            Version(2),
+            false,
+            NONE_ADDRESS,
+        );
         log.advance_read_only(log.tail());
         log.flush_until(log.tail()).unwrap();
         log.evict_to(u64::MAX);
@@ -1600,7 +1638,7 @@ mod tests {
         let log = RecordLog::new(device.clone(), 1 << 22);
         // 32 bytes per record: cover well past the 3-page cut point.
         for i in 0..9000u64 {
-            log.append(&key(i), &val(i), Version(1), false, NONE_ADDRESS);
+            put(&log, &key(i), &val(i), Version(1), false, NONE_ADDRESS);
         }
         // Nothing is freed above the flushed, read-only frontier.
         assert_eq!(log.truncate_below(PAGE_BYTES).unwrap(), 0);
@@ -1650,7 +1688,7 @@ mod tests {
                     let mut addrs = Vec::new();
                     for i in 0..per {
                         let k = key(t * per + i);
-                        addrs.push(log.append(&k, &val(i), Version(1), false, NONE_ADDRESS));
+                        addrs.push(put(&log, &k, &val(i), Version(1), false, NONE_ADDRESS));
                     }
                     addrs
                 })

@@ -6,6 +6,12 @@
 //! [`Session::complete_pending`], and later operations do not depend on them
 //! until that explicit resolution — which is what keeps checkpoint commits
 //! from blocking on in-flight I/O or dormant sessions.
+//!
+//! A batch of operations enters the store once ([`Session::execute`]): one
+//! take of the session's lock and one epoch guard for all of it. Each
+//! operation still picks up the global state, so a checkpoint that starts
+//! mid-batch splits the batch over two versions. The per-operation methods
+//! are batches of one.
 
 use crate::state::SystemState;
 use crate::store::FasterKv;
@@ -80,6 +86,19 @@ pub struct CompletedOp {
 /// The user-defined modification applied by a pending RMW.
 pub type RmwFn = Box<dyn Fn(Option<&Value>) -> Value + Send>;
 
+/// One operation of a batch ([`Session::execute`]).
+pub enum Op<'a> {
+    /// Read the key.
+    Read(&'a Key),
+    /// Blind upsert of the key to the value.
+    Upsert(&'a Key, &'a Value),
+    /// Read-modify-write: the function maps the current value (or `None`)
+    /// to the new one.
+    Rmw(&'a Key, RmwFn),
+    /// Delete the key (writes a tombstone).
+    Delete(&'a Key),
+}
+
 pub(crate) enum PendingKind {
     Read,
     Rmw(RmwFn),
@@ -148,15 +167,38 @@ impl Session {
         self.shared.core.lock().next_serial
     }
 
+    /// Run `ops` in order, handing each outcome to `each`, under one take of
+    /// the session's lock and one epoch guard, which is refreshed every few
+    /// dozen operations, while an append waits for the flusher and before
+    /// each read of the device. The lock is given up between two operations
+    /// only while a checkpoint or rollback waits for every session to be
+    /// found between two. An error stops the batch: the operations before it
+    /// have run.
+    ///
+    /// `each` runs under the session's lock and the batch's guard: it must
+    /// not block, and it must not call this session (which would deadlock)
+    /// or anything that waits for every guard.
+    pub fn execute<'a>(
+        &self,
+        ops: impl IntoIterator<Item = Op<'a>>,
+        each: impl FnMut(OpOutcome),
+    ) -> dpr_core::Result<()> {
+        self.store.op_batch(&self.shared, ops, each)
+    }
+
+    fn execute_one(&self, op: Op<'_>) -> dpr_core::Result<OpOutcome> {
+        self.store.op_one(&self.shared, op)
+    }
+
     /// Read `key`. Completes immediately for resident keys; goes PENDING if
     /// the chain leads below the in-memory region.
     pub fn read(&self, key: &Key) -> dpr_core::Result<OpOutcome> {
-        self.store.op_read(&self.shared, key)
+        self.execute_one(Op::Read(key))
     }
 
     /// Blind upsert of `key = value`.
     pub fn upsert(&self, key: Key, value: Value) -> dpr_core::Result<OpOutcome> {
-        self.store.op_upsert(&self.shared, key, value)
+        self.execute_one(Op::Upsert(&key, &value))
     }
 
     /// Read-modify-write: applies `f` to the current value (or `None`).
@@ -165,12 +207,12 @@ impl Session {
         key: Key,
         f: impl Fn(Option<&Value>) -> Value + Send + 'static,
     ) -> dpr_core::Result<OpOutcome> {
-        self.store.op_rmw(&self.shared, key, Box::new(f))
+        self.execute_one(Op::Rmw(&key, Box::new(f)))
     }
 
     /// Delete `key` (writes a tombstone).
     pub fn delete(&self, key: Key) -> dpr_core::Result<OpOutcome> {
-        self.store.op_delete(&self.shared, key)
+        self.execute_one(Op::Delete(&key))
     }
 
     /// Resolve all outstanding PENDING operations, returning their results

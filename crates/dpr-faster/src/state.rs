@@ -36,6 +36,12 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// Whether leaving this phase waits for every session to have observed
+    /// it between two of its operations (`FasterKv::all_sessions_at`).
+    pub(crate) fn waits_for_sessions(self) -> bool {
+        matches!(self, Phase::Prepare | Phase::InProgress | Phase::Throw)
+    }
+
     fn from_u8(v: u8) -> Phase {
         match v {
             0 => Phase::Rest,

@@ -13,7 +13,7 @@
 //!    than one allocation per record (pages are the only allocation unit).
 
 use dpr_core::{Key, SessionId, Value};
-use dpr_faster::{FasterConfig, FasterKv};
+use dpr_faster::{FasterConfig, FasterKv, Op};
 use dpr_storage::{MemBlobStore, MemLogDevice};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -106,9 +106,17 @@ fn in_place_upsert_allocates_nothing() {
     }
     let spent = my_allocs() - before;
     assert_eq!(spent, 0, "{spent} allocations across {N} in-place upserts");
+    // And as one batch.
+    let keys: Vec<Key> = (0..N).map(Key::from_u64).collect();
+    let values: Vec<Value> = (0..N).map(|i| Value::from_u64(i + 3)).collect();
+    let ops = || keys.iter().zip(&values).map(|(k, v)| Op::Upsert(k, v));
+    let before = my_allocs();
+    s.execute(ops(), drop).unwrap();
+    let spent = my_allocs() - before;
+    assert_eq!(spent, 0, "{spent} allocations in a batch of {N} upserts");
     match s.read(&Key::from_u64(0)).unwrap() {
         dpr_faster::session::OpOutcome::Read { value, .. } => {
-            assert_eq!(value.and_then(|v| v.as_u64()), Some(2));
+            assert_eq!(value.and_then(|v| v.as_u64()), Some(3));
         }
         other => panic!("unexpected outcome {other:?}"),
     }

@@ -78,7 +78,7 @@ proptest! {
             // Arena: append with prev = current chain head, publish.
             let guard = arena.protect();
             let prev = index.head(&guard, &key);
-            let addr = arena.append(&key, &value, Version(version), tomb, prev);
+            let addr = arena.append(&guard, &key, &value, Version(version), tomb, prev);
             index.try_publish(&guard, &key, prev, addr).unwrap();
             writes.entry(k).or_default().push((version, v));
         };

@@ -4,7 +4,7 @@
 //! the device.
 
 use dpr_core::{Key, SessionId, Value, Version};
-use dpr_faster::{FasterConfig, FasterKv, OpOutcome};
+use dpr_faster::{FasterConfig, FasterKv, Op, OpOutcome};
 use dpr_storage::{MemBlobStore, MemLogDevice};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -307,4 +307,40 @@ fn a_lost_publish_race_leaves_no_stale_link_on_the_device() {
         let got = kv.get(key).unwrap().and_then(|v| v.as_u64());
         assert_eq!(got, Some((i % PER_WRITER) as u64), "key {i} of the chain");
     }
+}
+
+/// A batch runs under one epoch guard, and an append of it that waits for
+/// the flusher refreshes the guard while it waits: the maintenance thread
+/// flushes and then waits for every guard before it evicts, so a guard held
+/// through the wait would keep the flusher from the flush that ends it. The
+/// records are of 2 KiB, so the unflushed bound (one page) fills well within
+/// the 64 operations a batch runs between refreshes of its own; the memory
+/// budget is four pages. Hangs with the refresh in the wait removed.
+#[test]
+fn a_batch_that_waits_for_the_flusher_does_not_hold_off_eviction() {
+    const OPS: usize = 50_000;
+    let kv = FasterKv::new(
+        FasterConfig {
+            memory_budget_records: 4 * dpr_faster::PAGE_SIZE / 64,
+            auto_maintenance: true,
+            unflushed_limit_records: Some(4),
+            ..FasterConfig::default()
+        },
+        Arc::new(MemLogDevice::null()),
+        Arc::new(MemBlobStore::new()),
+    );
+    let value = Value::from("v".repeat(2048).as_str());
+    let keys: Vec<Key> = (0..OPS as u64).map(|i| Key::from_u64(i % 1000)).collect();
+    let (done, ran) = std::sync::mpsc::channel();
+    let writer = kv.clone();
+    std::thread::spawn(move || {
+        let session = writer.start_session(SessionId(1));
+        let mut ran = 0;
+        let ops = keys.iter().map(|k| Op::Upsert(k, &value));
+        session.execute(ops, |_| ran += 1).unwrap();
+        let _ = done.send(ran);
+    });
+    let ran = ran.recv_timeout(Duration::from_secs(10));
+    assert_eq!(ran, Ok(OPS), "the batch has not finished in 10 s");
+    assert!(kv.log_tail() > 64 * dpr_faster::PAGE_SIZE as u64);
 }

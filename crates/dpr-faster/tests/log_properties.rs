@@ -38,6 +38,7 @@ proptest! {
             match a {
                 Action::Append(v) => {
                     let addr = log.append(
+                        &log.protect(),
                         &Key::from_u64(model.len() as u64),
                         &Value::from_u64(u64::from(*v)),
                         Version(1),
@@ -83,6 +84,7 @@ proptest! {
             let mut written = Vec::new();
             for i in 0..n_before as u64 {
                 written.push(log.append(
+                    &log.protect(),
                     &Key::from_u64(i),
                     &Value::from_u64(i * 3),
                     Version(1),
@@ -94,7 +96,7 @@ proptest! {
             log.flush_until(until).unwrap();
             // Unflushed suffix: lost at the crash.
             for i in 0..n_after as u64 {
-                log.append(&Key::from_u64(i), &Value::from_u64(999), Version(2), false, NONE_ADDRESS);
+                log.append(&log.protect(), &Key::from_u64(i), &Value::from_u64(999), Version(2), false, NONE_ADDRESS);
             }
             (until, log.segment_spans_until(until), written)
         };
@@ -126,6 +128,7 @@ fn device_gc_frees_space_and_later_reads_fail_cleanly() {
     let mut i = 0u64;
     while log.tail() < 3 * page + page / 2 {
         addrs.push(log.append(
+            &log.protect(),
             &Key::from_u64(i),
             &Value::from_u64(i),
             Version(1),

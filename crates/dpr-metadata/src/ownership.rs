@@ -8,7 +8,6 @@
 
 use dpr_core::{Clock, DprError, Key, Result, ShardId};
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -87,10 +86,14 @@ pub struct OwnershipEntry {
 ///
 /// In this in-process reproduction a worker's "local view" is the shared
 /// table itself, read once per batch ([`OwnershipTable::validate_all`]);
-/// lease checks model the staleness guard.
+/// lease checks model the staleness guard. A client reads the owners of a
+/// batch once too ([`OwnershipTable::owners_into`]).
+///
+/// The rows are a flat vector indexed by partition, empty until the first
+/// [`OwnershipTable::assign_round_robin`], which fills every partition.
 pub struct OwnershipTable {
     partitioner: Partitioner,
-    entries: RwLock<BTreeMap<VirtualPartition, OwnershipEntry>>,
+    entries: RwLock<Vec<OwnershipEntry>>,
     clock: Arc<dyn Clock>,
     lease: Duration,
 }
@@ -100,7 +103,7 @@ impl OwnershipTable {
     pub fn new(partitioner: Partitioner, clock: Arc<dyn Clock>, lease: Duration) -> Self {
         OwnershipTable {
             partitioner,
-            entries: RwLock::new(BTreeMap::new()),
+            entries: RwLock::new(Vec::new()),
             clock,
             lease,
         }
@@ -115,33 +118,44 @@ impl OwnershipTable {
     /// Assign every partition round-robin across `workers` — the initial
     /// "keyspace sharded by hash value into equal chunks" layout (§7.1).
     pub fn assign_round_robin(&self, workers: &[ShardId]) {
-        let now = self.clock.now_nanos();
+        let lease_until_nanos = self.clock.now_nanos() + self.lease.as_nanos() as u64;
+        let rows = (0..self.partitioner.partitions() as usize).map(|p| OwnershipEntry {
+            owner: Some(workers[p % workers.len()]),
+            lease_until_nanos,
+        });
         let mut entries = self.entries.write();
-        for p in 0..self.partitioner.partitions() {
-            let owner = workers[(p as usize) % workers.len()];
-            entries.insert(
-                VirtualPartition(p),
-                OwnershipEntry {
-                    owner: Some(owner),
-                    lease_until_nanos: now + self.lease.as_nanos() as u64,
-                },
-            );
-        }
+        entries.clear();
+        entries.extend(rows);
     }
 
-    /// The owner of `key`, if the partition is owned and the lease is live.
+    /// Where to send `key`: the owner of its partition, or an error while
+    /// the partition is un-owned (mid-transfer). This only routes: it reads
+    /// no lease. The owner's own check before it executes a batch,
+    /// [`OwnershipTable::validate_all`], is the one that does.
     pub fn owner_of(&self, key: &Key) -> Result<ShardId> {
         let vp = self.partitioner.partition_of(key);
         self.owner_of_partition(vp)
     }
 
-    /// The owner of a partition.
+    /// The owner of a partition, routing only as [`OwnershipTable::owner_of`].
     pub fn owner_of_partition(&self, vp: VirtualPartition) -> Result<ShardId> {
+        owner_in(&self.entries.read(), vp)
+    }
+
+    /// Append to `out` the owner of each of `keys`, in order, read under one
+    /// read lock: the owners of a batch as one state of the table, routing
+    /// only as [`OwnershipTable::owner_of`]. On an un-owned partition the
+    /// error names it, and `out` holds the owners of the keys before it.
+    pub fn owners_into<'a>(
+        &self,
+        keys: impl IntoIterator<Item = &'a Key>,
+        out: &mut Vec<ShardId>,
+    ) -> Result<()> {
         let entries = self.entries.read();
-        match entries.get(&vp).and_then(|e| e.owner) {
-            Some(owner) => Ok(owner),
-            None => Err(DprError::Invalid(format!("partition {vp:?} un-owned"))),
+        for key in keys {
+            out.push(owner_in(&entries, self.partitioner.partition_of(key))?);
         }
+        Ok(())
     }
 
     /// Validate that `shard` owns `key` under a live lease (§5.3).
@@ -163,7 +177,7 @@ impl OwnershipTable {
         let now = self.clock.now_nanos();
         keys.into_iter().all(|key| {
             entries
-                .get(&self.partitioner.partition_of(key))
+                .get(self.partitioner.partition_of(key).0 as usize)
                 .is_some_and(|e| e.owner == Some(shard) && e.lease_until_nanos >= now)
         })
     }
@@ -172,7 +186,7 @@ impl OwnershipTable {
     pub fn renew_leases(&self, shard: ShardId) {
         let until = self.clock.now_nanos() + self.lease.as_nanos() as u64;
         let mut entries = self.entries.write();
-        for e in entries.values_mut() {
+        for e in entries.iter_mut() {
             if e.owner == Some(shard) {
                 e.lease_until_nanos = until;
             }
@@ -185,7 +199,7 @@ impl OwnershipTable {
     pub fn renounce(&self, vp: VirtualPartition, old_owner: ShardId) -> Result<()> {
         let mut entries = self.entries.write();
         let e = entries
-            .get_mut(&vp)
+            .get_mut(vp.0 as usize)
             .ok_or_else(|| DprError::Invalid(format!("unknown partition {vp:?}")))?;
         if e.owner != Some(old_owner) {
             return Err(DprError::Invalid(format!(
@@ -203,7 +217,7 @@ impl OwnershipTable {
         let now = self.clock.now_nanos();
         let mut entries = self.entries.write();
         let e = entries
-            .get_mut(&vp)
+            .get_mut(vp.0 as usize)
             .ok_or_else(|| DprError::Invalid(format!("unknown partition {vp:?}")))?;
         if e.owner.is_some() {
             return Err(DprError::Invalid(format!("{vp:?} still owned")));
@@ -219,9 +233,18 @@ impl OwnershipTable {
         self.entries
             .read()
             .iter()
-            .filter(|(_, e)| e.owner == Some(shard))
-            .map(|(vp, _)| *vp)
+            .zip(0..)
+            .filter(|(e, _)| e.owner == Some(shard))
+            .map(|(_, p)| VirtualPartition(p))
             .collect()
+    }
+}
+
+/// The owner of `vp` in `entries`, or why there is none.
+fn owner_in(entries: &[OwnershipEntry], vp: VirtualPartition) -> Result<ShardId> {
+    match entries.get(vp.0 as usize).and_then(|e| e.owner) {
+        Some(owner) => Ok(owner),
+        None => Err(DprError::Invalid(format!("partition {vp:?} un-owned"))),
     }
 }
 

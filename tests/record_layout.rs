@@ -42,7 +42,8 @@ fn one_record_and_one_pad_are_the_documented_bytes() {
     let log = RecordLog::new(device.clone(), 1 << 20);
     let key = Key(b"paper".as_slice().into());
     let version = Version(0x01_0203_0405);
-    let at = log.append(&key, &value(b"hello world"), version, false, 0x1230);
+    let g = log.protect();
+    let at = log.append(&g, &key, &value(b"hello world"), version, false, 0x1230);
     assert_eq!(at, 0);
     {
         // One in-place write of the same 8-byte class: 13 bytes into 16.
@@ -56,7 +57,8 @@ fn one_record_and_one_pad_are_the_documented_bytes() {
     }
     // A record that does not fit the rest of the page: a pad, then page 1.
     let big = value(&[0xEE; 65_480]);
-    let tomb = log.append(&Key::from_u64(7), &big, Version(2), true, NONE_ADDRESS);
+    let tomb = log.append(&g, &Key::from_u64(7), &big, Version(2), true, NONE_ADDRESS);
+    drop(g);
     assert_eq!(tomb, PAGE_SIZE as u64);
 
     let record = hex(&[
@@ -128,7 +130,7 @@ fn the_largest_predecessor_and_version_round_trip() {
     let device = Arc::new(MemLogDevice::null());
     let log = RecordLog::new(device.clone(), 1 << 20);
     let (key, val) = (Key::from_u64(1), Value::from_u64(2));
-    let at = log.append(&key, &val, MAX_VERSION, false, MAX_ADDRESS);
+    let at = log.append(&log.protect(), &key, &val, MAX_VERSION, false, MAX_ADDRESS);
     {
         let guard = log.protect();
         let Ok(GetOutcome::Resident(view)) = log.get(&guard, at) else {
