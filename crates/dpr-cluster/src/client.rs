@@ -218,7 +218,7 @@ impl SessionHandle {
     /// holds, so that the session's committed prefix can pass them: it is
     /// re-routed at once to the owners the table names now, as a remote
     /// refusal is when it comes back. Where the table still names this
-    /// worker, its lease has lapsed until its control loop renews it
+    /// worker, its lease has lapsed until its shard loop renews it
     /// (`docs/PROTOCOL.md` §7): the batch is retried here after a wait, as
     /// an un-owned partition is, and `NotOwner` is returned if the lease is
     /// not renewed in time.
@@ -561,7 +561,7 @@ mod tests {
     /// lease to be renewed, retrying the batch under the serials it holds,
     /// and gives up with `NotOwner` if it is not: it neither sends the batch
     /// back to the same worker without end nor hands the caller a refusal
-    /// the control loop is about to lift.
+    /// the shard loop is about to lift.
     #[test]
     fn a_colocated_batch_waits_out_a_lapsed_lease() {
         let net = SimNetwork::new(Duration::ZERO);
@@ -598,7 +598,7 @@ mod tests {
             Arc::default(),
             Some(worker.clone()),
         );
-        // No control loop renews the lease from here on.
+        // No shard loop renews the lease from here on.
         worker.stop();
         std::thread::sleep(Duration::from_millis(20));
         let batch = |v| {

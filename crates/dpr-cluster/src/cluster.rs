@@ -18,6 +18,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::thread::Thread;
 use std::time::Duration;
 
 /// Which cache-store backs the shards.
@@ -110,6 +111,7 @@ pub struct Cluster {
     manager: ClusterManager,
     next_session: AtomicU64,
     shutdown: Arc<AtomicBool>,
+    finder_thread: Option<Thread>,
 }
 
 impl Cluster {
@@ -146,6 +148,7 @@ impl Cluster {
             worker_endpoints: Arc::default(),
             next_session: AtomicU64::new(1),
             shutdown: Arc::default(),
+            finder_thread: None,
         };
         for i in 0..cluster.config.shards {
             cluster.start_worker(ShardId(i as u32))?;
@@ -157,7 +160,8 @@ impl Cluster {
             let finder_weak: Weak<dyn DprFinder> = Arc::downgrade(&cluster.finder);
             let stop = cluster.shutdown.clone();
             let interval = cluster.config.finder_interval;
-            std::thread::Builder::new()
+            // Parked between refreshes; `shutdown` unparks it.
+            let finder = std::thread::Builder::new()
                 .name("dpr-finder".into())
                 .spawn(move || loop {
                     if stop.load(Ordering::Acquire) {
@@ -168,9 +172,10 @@ impl Cluster {
                     };
                     let _ = finder.refresh();
                     drop(finder);
-                    std::thread::sleep(interval);
+                    std::thread::park_timeout(interval);
                 })
                 .expect("spawn finder service");
+            cluster.finder_thread = Some(finder.thread().clone());
         }
         Ok(cluster)
     }
@@ -345,7 +350,8 @@ impl Cluster {
         self.ownership.renounce(vp, from.shard())?;
         // 2. Seal the last version that contained the partition at the old
         //    owner, so ownership is static within versions.
-        wait_local_durable(from.store().as_ref(), Duration::from_secs(10))?;
+        let from_store = from.store();
+        from_store.wait_durable(from_store.current_version(), Duration::from_secs(10))?;
         // 3. Copy the partition's live data.
         let partitioner = self.ownership.partitioner().clone();
         let moved: Vec<crate::message::ClusterOp> = from
@@ -363,7 +369,8 @@ impl Cluster {
             to.store().execute_batch(migration_session, &moved)?;
         }
         // 4. Make the migrated data durable at the new owner before serving.
-        wait_local_durable(to.store().as_ref(), Duration::from_secs(10))?;
+        let to_store = to.store();
+        to_store.wait_durable(to_store.current_version(), Duration::from_secs(10))?;
         // 5. Claim: clients' retries now resolve to the new owner.
         self.ownership.claim(vp, to.shard())?;
         Ok(count)
@@ -410,6 +417,7 @@ impl Cluster {
         for (i, vp) in owned.into_iter().enumerate() {
             self.migrate_partition(vp, idx, targets[i % targets.len()])?;
         }
+        self.workers[idx].pump_commits();
         self.meta.remove_worker(shard)?;
         self.worker_endpoints.write().remove(&shard);
         let worker = self.workers.remove(idx);
@@ -420,6 +428,9 @@ impl Cluster {
     /// Stop all background threads.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
+        if let Some(finder) = &self.finder_thread {
+            finder.unpark();
+        }
         for w in &self.workers {
             w.stop();
         }
@@ -433,26 +444,11 @@ impl Drop for Cluster {
     }
 }
 
-/// Wait for everything currently executed on `store` to become locally
-/// durable (repeatedly requesting commits until the version catches up).
-fn wait_local_durable(store: &dyn ShardStore, timeout: Duration) -> Result<()> {
-    use std::time::Instant;
-    let target = store.current_version();
-    let deadline = Instant::now() + timeout;
-    while store.durable_version() < target {
-        store.request_commit(None);
-        if Instant::now() > deadline {
-            return Err(dpr_core::DprError::Timeout);
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    Ok(())
-}
-
 /// Build one shard's cache-store per the cluster configuration. A D-FASTER
 /// shard's log lives in files of its own, charged the storage profile's
 /// latency per flush, so what the log has flushed is held by the kernel and
-/// not a second time in this process's heap.
+/// not a second time in this process's heap; and its store has no
+/// maintenance thread: the worker's shard loop maintains it.
 fn build_store(config: &ClusterConfig, shard: ShardId) -> Result<Arc<dyn ShardStore>> {
     Ok(match config.kind {
         ClusterKind::DFaster => {
@@ -461,7 +457,7 @@ fn build_store(config: &ClusterConfig, shard: ShardId) -> Result<Arc<dyn ShardSt
             let kv = dpr_faster::FasterKv::new(
                 dpr_faster::FasterConfig {
                     memory_budget_records: config.memory_budget_records,
-                    auto_maintenance: true,
+                    auto_maintenance: false,
                     // Without checkpoints the log is "entirely mutable and we
                     // do not invoke the checkpointing code path" (§7.2) — no
                     // flushing, no backpressure.

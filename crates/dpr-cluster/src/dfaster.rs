@@ -208,6 +208,10 @@ impl StateObject for FasterShard {
     fn restore(&self, version: Version) -> Result<()> {
         self.kv.restore_sync(version, Duration::from_secs(30))
     }
+
+    fn maintain(&self) -> bool {
+        self.kv.maintain()
+    }
 }
 
 #[cfg(test)]

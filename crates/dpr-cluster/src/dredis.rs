@@ -32,8 +32,6 @@ pub struct RedisShard {
     inner: Mutex<RedisInner>,
     /// Version ops currently execute in.
     current: AtomicU64,
-    /// Latest version whose snapshot is known durable.
-    durable: AtomicU64,
 }
 
 impl RedisShard {
@@ -47,7 +45,6 @@ impl RedisShard {
                 unreported: Vec::new(),
             }),
             current: AtomicU64::new(1),
-            durable: AtomicU64::new(0),
         }
     }
 }
@@ -97,8 +94,13 @@ impl StateObject for RedisShard {
         Version(self.current.load(Ordering::Acquire))
     }
 
+    /// The newest version a finished save sealed: the `LASTSAVE` poll of
+    /// `take_commits`, without taking what it finds.
     fn durable_version(&self) -> Version {
-        Version(self.durable.load(Ordering::Acquire))
+        let inner = self.inner.lock();
+        let last = inner.store.lastsave();
+        let saved = inner.version_saves.iter().rev().find(|&(_, &s)| s <= last);
+        saved.map_or(Version::ZERO, |(&v, _)| v)
     }
 
     fn request_commit(&self, target: Option<Version>) -> bool {
@@ -135,9 +137,6 @@ impl StateObject for RedisShard {
             }
             !complete
         });
-        for d in &done {
-            self.durable.fetch_max(d.version.0, Ordering::AcqRel);
-        }
         done
     }
 
@@ -160,11 +159,12 @@ impl StateObject for RedisShard {
         let cur = self.current.load(Ordering::Acquire);
         self.current
             .store(cur.max(version.0 + 1), Ordering::Release);
-        self.durable.store(
-            self.durable.load(Ordering::Acquire).min(version.0),
-            Ordering::Release,
-        );
         Ok(())
+    }
+
+    /// A save is in flight until the pump has reported it.
+    fn maintain(&self) -> bool {
+        !self.inner.lock().unreported.is_empty()
     }
 }
 

@@ -13,6 +13,14 @@ metric_fn!(
 );
 
 metric_fn!(
+    /// Wake-ups of the workers' shard loops (maintenance, checkpoint, pump,
+    /// GC, lease and recovery duties).
+    pub(crate) fn shard_loop_wakeups() -> Counter =
+        ("dpr_cluster_shard_loop_wakeups_total", Count,
+         "Wake-ups of the workers' shard loops")
+);
+
+metric_fn!(
     /// Operations per executed batch (the Fig. 13 batching axis `b`).
     pub(crate) fn batch_ops() -> Histogram =
         ("dpr_cluster_batch_ops", Ops,

@@ -441,7 +441,7 @@ impl NetServer {
                 "NetServer needs at least one worker".into(),
             ));
         }
-        listener.set_nonblocking(true)?;
+        listener.set_nonblocking(false)?;
         let local_addr = listener.local_addr()?;
         let mut shards: Vec<ShardId> = workers.iter().map(|w| w.shard()).collect();
         shards.sort_unstable();
@@ -471,11 +471,14 @@ impl NetServer {
                 .name("dpr-net-accept".into())
                 .spawn(move || {
                     let mut next = 0usize;
+                    // Blocks in `accept`: a stop wakes it with a connection
+                    // of its own (`NetServer`'s `Drop`).
                     loop {
+                        let accepted = listener.accept();
                         if stop.load(Ordering::Acquire) {
                             return;
                         }
-                        match listener.accept() {
+                        match accepted {
                             Ok((stream, _)) => {
                                 // Round-robin fan-out to the I/O pool.
                                 let _ = senders[next % senders.len()].send(stream);
@@ -514,19 +517,21 @@ impl NetServer {
     /// thread after it has sent `Goodbye` to its connections. No detached
     /// threads survive.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.io.drain(..) {
+        let (accept, io) = (self.accept.take(), std::mem::take(&mut self.io));
+        drop(self);
+        for h in accept.into_iter().chain(io) {
             let _ = h.join();
         }
     }
 }
 
 impl Drop for NetServer {
+    /// Raise the stop flag and wake the acceptor out of `accept` with a
+    /// connection of its own, unless it has stopped the server itself.
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        if !self.stop.swap(true, Ordering::AcqRel) {
+            let _ = TcpStream::connect(self.local_addr);
+        }
     }
 }
 

@@ -8,9 +8,7 @@
 use crate::transport::{BusFrame, EndpointId, SimNetwork};
 use crate::wire;
 use std::collections::HashMap;
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Start a proxy in front of `target`; returns the proxy's endpoint, which
 /// clients should address instead of the worker's.
@@ -28,13 +26,9 @@ pub fn start_proxy(net: &Arc<SimNetwork>, target: EndpointId) -> EndpointId {
             // client knows the frame by.
             let mut pending: HashMap<u64, (EndpointId, u64)> = HashMap::new();
             let mut next_seq = 0u64;
-            loop {
+            // Blocks until a frame comes; ends with the bus.
+            while let Ok(frame) = rx.recv() {
                 let Some(net) = net.upgrade() else { return };
-                let frame = match rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok(frame) => frame,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                };
                 let Ok(Some(header)) = wire::decode_header(&frame.bytes) else {
                     continue;
                 };

@@ -214,6 +214,12 @@ impl SimNetwork {
         (id, rxs)
     }
 
+    /// Close endpoint `id`: its lanes' receivers see the end once they have
+    /// taken what was delivered, and later sends to it fail.
+    pub fn close(&self, id: EndpointId) {
+        self.endpoints.write().remove(&id);
+    }
+
     /// Send `msg` to `to`, subject to the configured latency and any
     /// installed [`LinkFault`] for the destination.
     pub fn send(&self, to: EndpointId, msg: BusFrame) -> Result<()> {

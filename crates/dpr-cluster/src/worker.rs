@@ -8,10 +8,11 @@ use crate::wire::{self, FrameKind, ProtoError, ProtoErrorCode};
 use bytes::Bytes;
 use dpr_core::{DprError, Result, SessionId, ShardId, Version, WorldLine};
 use dpr_metadata::{MetadataStore, OwnershipTable};
-use libdpr::{BatchHeader, BatchReply, DprFinder, DprServer, StateObject};
+use libdpr::{BatchDisposition, BatchHeader, BatchReply, DprFinder, DprServer, StateObject};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// The lowest and highest version the operations of one batch executed in.
@@ -192,7 +193,13 @@ pub struct Worker {
     meta: Arc<dyn MetadataStore>,
     finder: Arc<dyn DprFinder>,
     config: WorkerConfig,
-    shutdown: AtomicBool,
+    stopped: AtomicBool,
+    /// The shard loop's thread, which `stop` unparks.
+    shard_loop: OnceLock<Thread>,
+    /// Up while the shard loop sleeps longer than it does with work in
+    /// flight: a delayed batch wakes it only then.
+    parked_idle: AtomicBool,
+    wakeups: AtomicU64,
     /// Operations executed (all sessions) — worker-side throughput counter.
     executed_ops: AtomicU64,
     /// Duplicate suppression for retransmitted remote batches; `None` at a
@@ -228,7 +235,10 @@ impl Worker {
             meta,
             finder,
             config,
-            shutdown: AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
+            shard_loop: OnceLock::new(),
+            parked_idle: AtomicBool::new(false),
+            wakeups: AtomicU64::new(0),
             executed_ops: AtomicU64::new(0),
             dedupe,
         });
@@ -239,13 +249,17 @@ impl Worker {
                 .spawn(move || executor_loop(&weak, &rx))
                 .expect("spawn executor");
         }
-        {
-            let weak = Arc::downgrade(&worker);
-            std::thread::Builder::new()
-                .name(format!("worker-{}-ctl", shard.0))
-                .spawn(move || control_loop(&weak))
-                .expect("spawn control thread");
-        }
+        let (weak, now) = (Arc::downgrade(&worker), Instant::now());
+        let due = Due {
+            checkpoint: now + worker.config.checkpoint_interval.unwrap_or_default(),
+            recovery: now,
+            rng: u64::from(shard.0 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        };
+        let shard_loop = std::thread::Builder::new()
+            .name(format!("worker-{}-ctl", shard.0))
+            .spawn(move || shard_loop(&weak, due))
+            .expect("spawn shard loop");
+        let _ = worker.shard_loop.set(shard_loop.thread().clone());
         Ok(worker)
     }
 
@@ -289,8 +303,20 @@ impl Worker {
         ops: &[ClusterOp],
         results: &mut Vec<OpResult>,
     ) -> Result<BatchReply> {
-        self.server
-            .validate_blocking(header, self.store.as_ref(), Duration::from_secs(10))?;
+        match self.server.validate(header, self.store.as_ref()) {
+            BatchDisposition::Execute => {}
+            BatchDisposition::Reject(e) => return Err(e),
+            // The fast-forward commit it queued moves on the shard loop:
+            // wake the loop if it is idle; a busy one is back within
+            // `MAINTAIN_EVERY` (`docs/PROTOCOL.md` §12).
+            BatchDisposition::Delay => {
+                if self.parked_idle.swap(false, Ordering::AcqRel) {
+                    self.wake_loop();
+                }
+                let (store, wait) = (self.store.as_ref(), Duration::from_secs(10));
+                self.server.validate_blocking(header, store, wait)?;
+            }
+        }
         if self.config.validate_ownership {
             let keys = ops.iter().map(ClusterOp::key);
             if !self.ownership.validate_all(self.shard, keys) {
@@ -316,25 +342,43 @@ impl Worker {
         crate::metrics::batches().inc();
         crate::metrics::batch_ops().record(ops.len() as u64);
         if self.config.sync_commit {
-            // Synchronous recoverability: group-commit and wait (§7.6),
-            // backing off spin → yield → short sleep so waiting batches do
-            // not burn a core while the checkpoint completes.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            let mut backoff = dpr_core::Backoff::new();
-            while self.store.durable_version() < version {
-                self.store.request_commit(None);
-                if backoff.is_waiting_long() && Instant::now() > deadline {
-                    return Err(DprError::Timeout);
-                }
-                backoff.snooze();
-            }
+            // Synchronous recoverability: group-commit and wait (§7.6).
+            self.store.wait_durable(version, Duration::from_secs(10))?;
         }
         Ok(self.server.make_reply(header, version))
     }
 
-    /// Stop background threads.
+    /// Stop background threads: wake the shard loop to end, and close the
+    /// bus lanes the executors block on.
     pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.stopped.store(true, Ordering::Release);
+        self.wake_loop();
+        self.net.close(self.endpoint);
+    }
+
+    /// Report the store's completed commits to the finder now, not at the
+    /// shard loop's next wake-up: the last thing a worker leaving the
+    /// cluster does (`Cluster::remove_worker`), lest the versions its
+    /// migrations made durable go unreported.
+    pub(crate) fn pump_commits(&self) {
+        if self.config.dpr_enabled {
+            let _ = self
+                .server
+                .pump_commits(self.store.as_ref(), self.finder.as_ref());
+        }
+    }
+
+    /// Wake the shard loop before its next due time.
+    fn wake_loop(&self) {
+        if let Some(shard_loop) = self.shard_loop.get() {
+            shard_loop.unpark();
+        }
+    }
+
+    /// How often this worker's shard loop has woken.
+    #[must_use]
+    pub fn loop_wakeups(&self) -> u64 {
+        self.wakeups.load(Ordering::Relaxed)
     }
 
     /// Simulate the volatile-state loss of a process crash + restart
@@ -437,38 +481,48 @@ impl Worker {
         ProtoError { code, detail }.encode(out, seq);
     }
 
-    fn control_tick(&self, last_checkpoint: &mut Instant, poll_counter: &mut u32) {
+    /// One wake-up of the shard loop: the store's maintenance, then each duty
+    /// that is due (`docs/PROTOCOL.md` §12). Returns when it is next due.
+    fn loop_step(&self, due: &mut Due, now: Instant) -> Instant {
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        crate::metrics::shard_loop_wakeups().inc();
+        let mut busy = self.store.maintain();
         if let Some(interval) = self.config.checkpoint_interval {
-            if last_checkpoint.elapsed() >= interval {
+            if now >= due.checkpoint {
                 let target = if self.config.dpr_enabled && self.config.fast_forward {
                     self.finder.max_version().ok()
                 } else {
                     None
                 };
-                if self.store.request_commit(target) {
-                    *last_checkpoint = Instant::now();
-                }
+                let requested = self.store.request_commit(target);
+                let period = interval + due.jitter();
+                due.checkpoint = now + if requested { period } else { MAINTAIN_EVERY };
+                busy |= requested;
             }
         }
         if self.config.dpr_enabled {
-            let _ = self
-                .server
-                .pump_commits(self.store.as_ref(), self.finder.as_ref());
-        }
-        *poll_counter += 1;
-        if (*poll_counter).is_multiple_of(4) {
-            self.ownership.renew_leases(self.shard);
-            self.check_recovery();
-        }
-        if self.config.dpr_enabled {
+            self.pump_commits();
             // GC what the DPR cut has moved past (§5.5) — manifests, and the
             // log prefix a copy-forward pass has emptied — as soon as there
             // is any, reading the cut only then, as a `CutReq` reads it. A
             // failure is counted where it happens (`dpr_faster_gc_errors_total`)
-            // and the next tick tries again.
+            // and the next wake-up tries again.
             let cut = || self.read_cut().ok()?.1.get(&self.shard).copied();
             let _ = self.store.collect_garbage(&cut);
         }
+        if now >= due.recovery {
+            self.ownership.renew_leases(self.shard);
+            self.check_recovery();
+            due.recovery = now + RECOVERY_EVERY;
+        }
+        let mut next = due.recovery;
+        if self.config.checkpoint_interval.is_some() {
+            next = next.min(due.checkpoint);
+        }
+        if busy {
+            next = next.min(now + MAINTAIN_EVERY);
+        }
+        next
     }
 
     /// Participate in cluster recovery (§4.1): if the cluster manager has
@@ -500,37 +554,65 @@ impl Worker {
     }
 }
 
-fn executor_loop(worker: &Weak<Worker>, inbox: &Receiver<BusFrame>) {
-    let mut scratch = RequestScratch::new();
-    let mut out = Vec::new();
-    loop {
-        let Some(w) = worker.upgrade() else { return };
-        if w.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if let Ok(frame) = inbox.recv_timeout(Duration::from_millis(20)) {
-            out.clear();
-            w.serve_frame(&frame.bytes, &mut scratch, &mut out);
-            let answer = BusFrame {
-                from: w.endpoint,
-                bytes: Bytes::copy_from_slice(&out),
-            };
-            let _ = w.net.send(frame.from, answer);
-        }
+/// How often the shard loop wakes while work is in flight, and how often,
+/// always, it renews its leases and checks for a recovery.
+const MAINTAIN_EVERY: Duration = Duration::from_micros(200);
+const RECOVERY_EVERY: Duration = Duration::from_millis(4);
+
+/// When the shard loop's checkpoint request and recovery check are due.
+struct Due {
+    checkpoint: Instant,
+    recovery: Instant,
+    /// Xorshift state of the checkpoint timer's jitter, seeded by the shard.
+    rng: u64,
+}
+
+impl Due {
+    /// Up to 2 ms, uniform: about what the poll this loop replaced (a 1 ms
+    /// sleep plus the tick's own work) added to each checkpoint period.
+    /// Independent timers drift apart; exact ones would keep shards started
+    /// together in step for good, which halves the fast-forward checkpoints
+    /// on `crash` and doubles its `recommit_p50_ms` (`docs/PROTOCOL.md` §12).
+    fn jitter(&mut self) -> Duration {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        Duration::from_micros(self.rng % 2000)
     }
 }
 
-fn control_loop(worker: &Weak<Worker>) {
-    let mut last_checkpoint = Instant::now();
-    let mut poll_counter = 0;
+/// Serve the frames of one lane, blocking until one comes; ends when the bus
+/// closes the lane ([`Worker::stop`]) or the worker is gone.
+fn executor_loop(worker: &Weak<Worker>, inbox: &Receiver<BusFrame>) {
+    let mut scratch = RequestScratch::new();
+    let mut out = Vec::new();
+    while let Ok(frame) = inbox.recv() {
+        let Some(w) = worker.upgrade() else { return };
+        out.clear();
+        w.serve_frame(&frame.bytes, &mut scratch, &mut out);
+        let answer = BusFrame {
+            from: w.endpoint,
+            bytes: Bytes::copy_from_slice(&out),
+        };
+        let _ = w.net.send(frame.from, answer);
+    }
+}
+
+/// The shard's one background loop: a [`Worker::loop_step`] at each
+/// wake-up, parked in between until the next due time or [`Worker::stop`].
+fn shard_loop(worker: &Weak<Worker>, mut due: Due) {
     loop {
         let Some(w) = worker.upgrade() else { return };
-        if w.shutdown.load(Ordering::Acquire) {
+        if w.stopped.load(Ordering::Acquire) {
             return;
         }
-        w.control_tick(&mut last_checkpoint, &mut poll_counter);
+        let wait = w
+            .loop_step(&mut due, Instant::now())
+            .saturating_duration_since(Instant::now());
+        w.parked_idle
+            .store(wait > MAINTAIN_EVERY, Ordering::Release);
         drop(w);
-        std::thread::sleep(Duration::from_millis(1));
+        std::thread::park_timeout(wait);
     }
 }
 

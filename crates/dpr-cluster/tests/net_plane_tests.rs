@@ -90,6 +90,20 @@ fn write_then_read(cluster: &Cluster, client: &mut PipelinedClient, n: u64) {
     }
 }
 
+/// A server no client ever reached shuts down promptly: its acceptor blocks
+/// in `accept`, and `shutdown` wakes it with a connection of its own and
+/// joins it, and every I/O thread, within 100 ms.
+#[test]
+fn an_unreached_server_shuts_down_within_100_ms() {
+    let (cluster, server) = net_cluster(1, 0);
+    std::thread::sleep(Duration::from_millis(20));
+    let t0 = Instant::now();
+    server.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+    cluster.shutdown();
+}
+
 #[test]
 fn fan_in_server_routes_shards_over_one_connection() {
     let (cluster, server) = net_cluster(3, 0);

@@ -51,10 +51,9 @@
 //! clamped to the flushed frontier, and the flusher spins on the
 //! not-yet-`READY` header of an in-flight record, so a page being appended
 //! to can never reach the evictor. It takes the caller's guard anyway, to
-//! refresh it while the append waits for the flusher
-//! ([`RecordLog::set_unflushed_limit`]): the maintenance thread flushes and
-//! then waits for every guard before it evicts, so a guard held across that
-//! wait would stop the flusher that ends it.
+//! refresh it while the append waits at the unflushed bound
+//! ([`RecordLog::set_unflushed_limit`]): eviction waits for every guard, so
+//! a guard held across that wait would hold off the eviction behind it.
 
 use crate::record::{
     header_footprint, header_kind, new_header, pack_pad, parse_header, record_footprint,
@@ -236,11 +235,28 @@ impl RecordLog {
     }
 
     /// Bound the unflushed region `[flushed, tail)` to `bytes`; appends
-    /// past the bound stall on [`Backoff`] until the flusher catches up.
-    /// `u64::MAX` (the default) disables backpressure.
+    /// past the bound stall, calling [`RecordLog::flush_volatile`] on
+    /// [`Backoff`] until the frontier catches up. `u64::MAX` (the default)
+    /// disables backpressure.
     pub fn set_unflushed_limit(&self, bytes: u64) {
         self.unflushed_limit
             .store(bytes.max(PAGE_BYTES), Ordering::Relaxed);
+    }
+
+    /// Under an unflushed bound, roll the read-only boundary to half the
+    /// bound below the tail and flush up to it. Safe because records below
+    /// the read-only boundary are never updated in place.
+    pub fn flush_volatile(&self) -> Result<()> {
+        let limit = self.unflushed_limit.load(Ordering::Relaxed);
+        if limit == u64::MAX {
+            return Ok(());
+        }
+        self.advance_read_only(self.tail().saturating_sub(limit / 2));
+        let read_only = self.read_only();
+        if self.flushed() < read_only {
+            self.flush_until(read_only)?;
+        }
+        Ok(())
     }
 
     /// One past the last reserved byte.
@@ -507,6 +523,7 @@ impl RecordLog {
         while unflushed(self) + need > limit {
             // Eviction, behind the flush this waits for, waits for guards.
             guard.refresh();
+            let _ = self.flush_volatile();
             backoff.snooze();
         }
         crate::metrics::backpressure_stall_us().record_micros(t0.elapsed());
@@ -1479,8 +1496,8 @@ mod tests {
         let appender = {
             let log = Arc::clone(&log);
             std::thread::spawn(move || {
-                // These appends overflow the unflushed bound and must
-                // stall until the main thread flushes.
+                // These appends overflow the unflushed bound and stall
+                // until they, or the main thread, flush the frontier up.
                 for i in 0..2000u64 {
                     put(&log, &key(i), &val(i), Version(1), false, NONE_ADDRESS);
                 }

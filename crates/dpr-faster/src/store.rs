@@ -76,9 +76,9 @@ pub struct FasterConfig {
     /// moves. The hash index takes its number of chains from it, two per
     /// record ([`HashIndex::identities_for`]).
     pub memory_budget_records: usize,
-    /// Spawn a background maintenance thread that drives flushes, purges and
-    /// state-machine progress. Disable for deterministic unit tests that
-    /// call [`FasterKv::tick`] manually.
+    /// Spawn a background thread that calls [`FasterKv::maintain`]. Without
+    /// one the owner does (a cluster shard's loop; a deterministic unit test
+    /// calls [`FasterKv::tick`]).
     pub auto_maintenance: bool,
     /// How checkpoints capture state: fold-over (the paper's evaluation
     /// mode) or full snapshot.
@@ -88,9 +88,9 @@ pub struct FasterConfig {
     /// lists. Default is relaxed, as in FASTER.
     pub strict_cpr: bool,
     /// Bound on unflushed records (HybridLog's volatile region). When set,
-    /// the maintenance thread rolls the read-only boundary and flushes
-    /// continuously, and appends beyond the bound stall until the device
-    /// catches up — making device speed throughput-relevant, as in real
+    /// maintenance rolls the read-only boundary and flushes continuously,
+    /// and appends beyond the bound stall until the device catches up —
+    /// making device speed throughput-relevant, as in real
     /// FASTER. `None` = unbounded (no backpressure).
     pub unflushed_limit_records: Option<u64>,
     /// Simulated latency of one device read (records below the head).
@@ -400,12 +400,7 @@ impl FasterKv {
             shutdown: AtomicBool::new(false),
             config,
         });
-        if let Some(limit) = kv.config.unflushed_limit_records {
-            kv.log.set_unflushed_limit(limit * RECORD_BYTES_ESTIMATE);
-        }
-        if kv.config.auto_maintenance {
-            Self::spawn_maintenance(&kv);
-        }
+        Self::start_maintenance(&kv);
         kv
     }
 
@@ -516,12 +511,7 @@ impl FasterKv {
             shutdown: AtomicBool::new(false),
             config,
         });
-        if let Some(limit) = kv.config.unflushed_limit_records {
-            kv.log.set_unflushed_limit(limit * RECORD_BYTES_ESTIMATE);
-        }
-        if kv.config.auto_maintenance {
-            Self::spawn_maintenance(&kv);
-        }
+        Self::start_maintenance(&kv);
         Ok(kv)
     }
 
@@ -581,7 +571,15 @@ impl FasterKv {
         })
     }
 
-    fn spawn_maintenance(kv: &Arc<FasterKv>) {
+    /// Bound the unflushed log, and spawn the maintenance thread if the
+    /// configuration asks for one.
+    fn start_maintenance(kv: &Arc<FasterKv>) {
+        if let Some(limit) = kv.config.unflushed_limit_records {
+            kv.log.set_unflushed_limit(limit * RECORD_BYTES_ESTIMATE);
+        }
+        if !kv.config.auto_maintenance {
+            return;
+        }
         let weak: Weak<FasterKv> = Arc::downgrade(kv);
         std::thread::Builder::new()
             .name("faster-maint".into())
@@ -590,9 +588,7 @@ impl FasterKv {
                 if kv.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                kv.tick();
-                kv.continuous_flush();
-                kv.log.maybe_evict();
+                kv.maintain();
                 drop(kv);
                 std::thread::sleep(Duration::from_micros(200));
             })
@@ -1293,7 +1289,7 @@ impl FasterKv {
     }
 
     /// Drive the state machine one step, performing heavy work (flush,
-    /// purge) inline. The maintenance thread calls this continuously;
+    /// purge) inline. [`FasterKv::maintain`] calls this continuously;
     /// deterministic tests call it manually.
     pub fn tick(&self) {
         self.try_advance(true);
@@ -1328,19 +1324,34 @@ impl FasterKv {
 
     /// With a bounded volatile region, roll the read-only boundary and
     /// flush sealed pages continuously (real FASTER flushes closed pages as
-    /// the tail advances, not only at checkpoints). Safe because records
-    /// below the read-only boundary are never updated in place.
+    /// the tail advances, not only at checkpoints):
+    /// [`RecordLog::flush_volatile`].
     pub fn continuous_flush(&self) {
-        let Some(limit) = self.config.unflushed_limit_records else {
-            return;
-        };
-        let limit = limit * RECORD_BYTES_ESTIMATE;
-        let target = self.log.tail().saturating_sub(limit / 2);
-        self.log.advance_read_only(target);
-        let read_only = self.log.read_only();
-        if self.log.flushed() < read_only {
-            let _ = self.log.flush_until(read_only);
+        let _ = self.log.flush_volatile();
+    }
+
+    /// The store's background maintenance, once: [`FasterKv::tick`] while
+    /// the state machine moves, [`FasterKv::continuous_flush`], eviction.
+    /// Returns whether work is in flight, for which the caller comes back
+    /// soon: a phase other than REST or a request queued, a flush or an
+    /// eviction that moved (appends may follow it), a finished pass waiting
+    /// for its cut. A log that neither moves stays as it is until appended
+    /// to.
+    pub fn maintain(&self) -> bool {
+        loop {
+            let before = self.global.load();
+            self.tick();
+            if self.global.load() == before {
+                break;
+            }
         }
+        let (flushed, head) = (self.log.flushed(), self.log.head());
+        self.continuous_flush();
+        self.log.maybe_evict();
+        !self.machine_idle()
+            || self.log.flushed() > flushed
+            || self.log.head() > head
+            || self.pending_pass().is_some()
     }
 
     /// Version of the latest durable checkpoint.
@@ -1376,10 +1387,16 @@ impl FasterKv {
     /// Block until `version` is durable, ticking the machine. Returns false
     /// on timeout.
     pub fn wait_for_durable(&self, version: Version, timeout: Duration) -> bool {
-        let start = std::time::Instant::now();
-        while self.durable_version() < version {
+        let deadline = std::time::Instant::now() + timeout;
+        self.tick_until(|| self.durable_version() >= version, deadline)
+    }
+
+    /// Tick the machine until `done`, yielding in between; false once
+    /// `deadline` has passed.
+    fn tick_until(&self, done: impl Fn() -> bool, deadline: std::time::Instant) -> bool {
+        while !done() {
             self.tick();
-            if start.elapsed() > timeout {
+            if std::time::Instant::now() > deadline {
                 return false;
             }
             std::thread::yield_now();
@@ -1793,7 +1810,7 @@ impl FasterKv {
 
     /// [`FasterKv::collect_garbage`] for a caller that calls it whenever
     /// there may be something to collect and pays for each read of the cut:
-    /// a worker's control tick. It collects when a pass is due, and calls
+    /// a worker's shard loop. It collects when a pass is due, and calls
     /// `cut`, which reads this store's entry of the DPR cut, only when what
     /// waits for the cut is durable — a finished pass, or, while none is,
     /// manifests `UNPRUNED_VERSIONS` versions past the last one kept — since
@@ -2131,23 +2148,17 @@ impl FasterKv {
     pub fn restore_sync(&self, v_safe: Version, timeout: Duration) -> Result<()> {
         // Wait out any in-flight checkpoint first so the rollback is queued
         // against a quiescent machine.
-        let start = std::time::Instant::now();
-        while !self.machine_idle() {
-            self.tick();
-            if start.elapsed() > timeout {
-                return Err(DprError::Timeout);
-            }
-            std::thread::yield_now();
+        let deadline = std::time::Instant::now() + timeout;
+        let idle = || self.machine_idle();
+        if !self.tick_until(idle, deadline) {
+            return Err(DprError::Timeout);
         }
         self.request_rollback(v_safe);
-        while !self.machine_idle() {
-            self.tick();
-            if start.elapsed() > timeout {
-                return Err(DprError::Timeout);
-            }
-            std::thread::yield_now();
+        if self.tick_until(idle, deadline) {
+            Ok(())
+        } else {
+            Err(DprError::Timeout)
         }
-        Ok(())
     }
 }
 

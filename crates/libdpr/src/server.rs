@@ -289,7 +289,9 @@ impl DprServer {
 
     /// Drain completed local commits to the finder, each with the
     /// dependencies recorded at its own version. Call periodically
-    /// (background thread). Returns the versions reported.
+    /// (background thread); callers on other threads are serialised, so a
+    /// version is never reported ahead of a lower one another call took.
+    /// Returns the versions reported.
     ///
     /// All queued commits leave as **one** [`DprFinder::report_commits`]
     /// group. An entry recorded at executed version `e` rides the lowest
@@ -301,11 +303,11 @@ impl DprServer {
         so: &dyn StateObject,
         finder: &dyn DprFinder,
     ) -> Result<Vec<Version>> {
+        let mut scratch = self.drain.lock();
         let mut commits = so.take_commits();
         if commits.is_empty() {
             return Ok(Vec::new());
         }
-        let mut scratch = self.drain.lock();
         commits.sort_by_key(|d| d.version);
         let upto = commits[commits.len() - 1].version;
         self.quiesce_and_take(upto, &mut scratch);

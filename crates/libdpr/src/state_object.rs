@@ -1,6 +1,7 @@
 //! The `StateObject` abstraction (§3).
 
-use dpr_core::{Result, ShardId, Version};
+use dpr_core::{Backoff, DprError, Result, ShardId, Version};
+use std::time::{Duration, Instant};
 
 /// Description of one completed `Commit()`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,4 +47,30 @@ pub trait StateObject: Send + Sync {
     /// Restore the shard to `version`, discarding all later state. May be
     /// asynchronous; `durable_version`/`current_version` reflect completion.
     fn restore(&self, version: Version) -> Result<()>;
+
+    /// Run the shard's background maintenance once — what moves a requested
+    /// commit along — and return whether work is still in flight. Default:
+    /// none, nothing in flight.
+    fn maintain(&self) -> bool {
+        false
+    }
+
+    /// Block until `version` is durable, requesting commits and running
+    /// [`StateObject::maintain`] on the calling thread, backing off spin →
+    /// yield → short sleep: a migration's wait and a synchronous-
+    /// recoverability batch's (§7.6), which no other thread's schedule holds
+    /// up.
+    fn wait_durable(&self, version: Version, timeout: Duration) -> Result<()> {
+        let deadline = Instant::now() + timeout;
+        let mut backoff = Backoff::new();
+        while self.durable_version() < version {
+            self.request_commit(None);
+            self.maintain();
+            if backoff.is_waiting_long() && Instant::now() > deadline {
+                return Err(DprError::Timeout);
+            }
+            backoff.snooze();
+        }
+        Ok(())
+    }
 }
