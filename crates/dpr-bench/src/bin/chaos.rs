@@ -28,13 +28,10 @@ use std::time::Duration;
 const USAGE: &str = "usage: chaos [--seed N] [--secs S] [--events N] [--shards N] \
                      [--clients N] [--rounds N] [--out PATH]";
 
-/// The campaign a command line asks for.
+/// The campaign a command line asks for: round `i` runs `config` under seed
+/// `config.seed + i`.
 struct Campaign {
-    seed: u64,
-    secs: u64,
-    events: usize,
-    shards: usize,
-    clients: usize,
+    config: ChaosConfig,
     rounds: usize,
     out: String,
 }
@@ -43,11 +40,7 @@ struct Campaign {
 /// are refused, not defaulted.
 fn parse(args: impl IntoIterator<Item = String>) -> Result<Campaign, String> {
     let mut c = Campaign {
-        seed: 0xD15EA5E,
-        secs: 4,
-        events: 8,
-        shards: 3,
-        clients: 2,
+        config: ChaosConfig::default(),
         rounds: 3,
         out: "BENCH_chaos.json".to_string(),
     };
@@ -63,11 +56,11 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Campaign, String> {
             parsed.map_err(|_| format!("{flag} takes a number, not `{value}`"))
         };
         match flag.as_str() {
-            "--seed" => c.seed = num()?,
-            "--secs" => c.secs = num()?,
-            "--events" => c.events = num()? as usize,
-            "--shards" => c.shards = num()? as usize,
-            "--clients" => c.clients = num()? as usize,
+            "--seed" => c.config.seed = num()?,
+            "--secs" => c.config.duration = Duration::from_secs(num()?),
+            "--events" => c.config.events = num()? as usize,
+            "--shards" => c.config.shards = num()? as usize,
+            "--clients" => c.config.clients = num()? as usize,
             "--rounds" => c.rounds = num()? as usize,
             "--out" => c.out = value()?,
             _ => return Err(format!("unknown flag `{flag}`")),
@@ -78,11 +71,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Campaign, String> {
 
 fn main() {
     let Campaign {
-        seed,
-        secs,
-        events,
-        shards,
-        clients,
+        config: first,
         rounds,
         out,
     } = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
@@ -93,22 +82,18 @@ fn main() {
     let mut reports: Vec<ChaosReport> = Vec::with_capacity(rounds);
     for round in 0..rounds {
         let config = ChaosConfig {
-            seed: seed + round as u64,
-            duration: Duration::from_secs(secs),
-            shards,
-            clients,
-            events,
-            ..ChaosConfig::default()
+            seed: first.seed + round as u64,
+            ..first.clone()
         };
         println!(
             "chaos round {}/{}: seed {:#x}, {}s, {} events, {} shards, {} clients",
             round + 1,
             rounds,
             config.seed,
-            secs,
-            events,
-            shards,
-            clients,
+            config.duration.as_secs(),
+            config.events,
+            config.shards,
+            config.clients,
         );
         let report = match dpr_chaos::run(&config) {
             Ok(r) => r,

@@ -23,8 +23,8 @@ use dpr_cluster::{
     Cluster, ClusterConfig, ClusterKind, ClusterOp, FasterShard, SimNetwork, Worker,
 };
 use dpr_core::{
-    CheckpointMode, Clock, DprFinderMode, Key, RecoverabilityLevel, Result, SessionId, ShardId,
-    SystemClock, Value, Version,
+    CheckpointMode, Clock, DprFinderMode, Key, RecoverabilityLevel, Result, Rng, SessionId,
+    ShardId, SystemClock, Value, Version,
 };
 use dpr_faster::{FasterConfig, FasterKv, OpOutcome, Session};
 use dpr_metadata::{MetadataStore, OwnershipTable, PartitionedSqlStore, Partitioner};
@@ -733,14 +733,11 @@ fn ablation_strict_cpr(o: &Opts) -> Result<()> {
 
         let start = Instant::now();
         let (mut completed, mut pendings) = (0u64, 0u64);
-        let mut rng: u64 = 0x2545F4914F6CDD1D;
+        let mut rng = Rng::new(1);
         while start.elapsed() < o.long_window() {
             let pendings_before = pendings;
             for _ in 0..64 {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                match session.read(&Key::from_u64(rng % o.keys))? {
+                match session.read(&Key::from_u64(rng.below(o.keys)))? {
                     OpOutcome::Read { .. } => completed += 1,
                     OpOutcome::Pending(_) => pendings += 1,
                     OpOutcome::Mutated { .. } => unreachable!("a read does not mutate"),

@@ -3,7 +3,7 @@
 //! and (for the recovery experiment) time-bucketed series.
 
 use dpr_cluster::{Cluster, ClusterOp, SessionHandle};
-use dpr_core::{DprError, Key, Value};
+use dpr_core::{DprError, Key, Rng, Value};
 use dpr_ycsb::{LatencyHistogram, ThroughputSeries, WorkloadGen, WorkloadOp, WorkloadSpec};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -99,7 +99,7 @@ struct ClientState {
     commit_queue: std::collections::VecDeque<(u64, Instant)>,
     local_pool: Option<Vec<u64>>,
     local_fraction: f64,
-    rng_state: u64,
+    rng: Rng,
 }
 
 impl ClientState {
@@ -110,14 +110,8 @@ impl ClientState {
             if let Some(pool) = &self.local_pool {
                 // Classify local vs global, then draw the key accordingly
                 // (§7.3's methodology), preserving the read/update mix.
-                self.rng_state = self
-                    .rng_state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1);
-                let roll = (self.rng_state >> 33) as f64 / (1u64 << 31) as f64;
-                if roll < self.local_fraction && !pool.is_empty() {
-                    let idx = (self.rng_state >> 17) as usize % pool.len();
-                    let key = Key::from_u64(pool[idx]);
+                if self.rng.bool(self.local_fraction) && !pool.is_empty() {
+                    let key = Key::from_u64(pool[self.rng.below(pool.len() as u64) as usize]);
                     op = match op {
                         WorkloadOp::Read(_) => WorkloadOp::Read(key),
                         WorkloadOp::Update(_, v) => WorkloadOp::Update(key, v),
@@ -176,7 +170,8 @@ pub fn run_workload(cluster: &Cluster, params: &BenchParams) -> RunStats {
                 commit_queue: std::collections::VecDeque::new(),
                 local_pool,
                 local_fraction: params.colocate_local_fraction.unwrap_or(0.0),
-                rng_state: 0x9E3779B97F4A7C15 ^ (c as u64),
+                // Apart from every client's workload seed.
+                rng: Rng::new(!(c as u64)),
             };
             let params = params.clone();
             handles.push(scope.spawn(move || client_loop(&mut state, &params, start)));

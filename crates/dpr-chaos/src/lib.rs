@@ -23,7 +23,6 @@
 pub mod checker;
 pub mod driver;
 mod ledger;
-pub mod rng;
 pub mod schedule;
 
 pub use checker::InvariantChecker;

@@ -6,7 +6,7 @@
 //! runs with the same seed execute — and log — the identical fault
 //! sequence regardless of load timing.
 
-use crate::rng::ChaosRng;
+use dpr_core::Rng;
 use std::fmt;
 
 /// One injectable fault.
@@ -102,7 +102,7 @@ impl fmt::Display for FaultKind {
 #[must_use]
 pub fn plan(seed: u64, events: usize, initial_workers: usize, max_extra: usize) -> Vec<FaultKind> {
     assert!(initial_workers > 0, "need at least one worker");
-    let mut rng = ChaosRng::new(seed);
+    let mut rng = Rng::new(seed);
     let mut workers = initial_workers;
     let mut extra = 0usize;
     let mut out = Vec::with_capacity(events);

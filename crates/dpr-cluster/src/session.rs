@@ -425,7 +425,7 @@ impl<L: Link> PipelinedClient<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpr_core::{Key, SessionId, Value};
+    use dpr_core::{Key, Rng, SessionId, Value};
 
     /// A link that keeps what is written and delivers what the test queues.
     #[derive(Default)]
@@ -564,13 +564,8 @@ mod tests {
         for seed in 1..=20u64 {
             let mut core = Core::new(DprClientSession::new(SessionId(seed)), Scripted::default());
             let mut model: Vec<(u64, u64, u32, ShardId)> = Vec::new();
-            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut draw = |n: usize| {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                (rng % n as u64) as usize
-            };
+            let mut rng = Rng::new(seed);
+            let mut draw = |n: usize| rng.below(n as u64) as usize;
             for _ in 0..600 {
                 let pick = draw(model.len().max(1));
                 match draw(10) {

@@ -27,12 +27,12 @@
 //! FIFO: a message to endpoint `E` is never delivered before an earlier
 //! message to `E` that is still queued, even across fault set/clear
 //! transitions — matching TCP's in-order guarantee that the DPR session
-//! protocol assumes. Drops are decided by a deterministic xorshift PRNG
-//! seeded via [`SimNetwork::set_fault_seed`] so chaos schedules replay
-//! identically for a given seed.
+//! protocol assumes. Drops are drawn from a [`dpr_core::Rng`] seeded via
+//! [`SimNetwork::set_fault_seed`] so chaos schedules replay identically for
+//! a given seed.
 
 use bytes::Bytes;
-use dpr_core::{DprError, Result};
+use dpr_core::{DprError, Result, Rng};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -116,20 +116,8 @@ struct PumpState {
     /// schedule before this, which is what preserves per-link FIFO when a
     /// fault's delay shrinks or clears mid-stream.
     fifo_floor: HashMap<EndpointId, Instant>,
-    /// xorshift64* state for drop decisions (never zero).
-    rng: u64,
-}
-
-impl PumpState {
-    /// Next drop decision in `[0, 1)` from the deterministic fault PRNG.
-    fn next_unit(&mut self) -> f64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
+    /// Drop decisions.
+    rng: Rng,
 }
 
 /// The bus.
@@ -165,7 +153,7 @@ impl SimNetwork {
                 faults: HashMap::new(),
                 parked: HashMap::new(),
                 fifo_floor: HashMap::new(),
-                rng: 0x9E37_79B9_7F4A_7C15,
+                rng: Rng::new(0),
             }),
             pump_wake: Condvar::new(),
             seq: AtomicU64::new(0),
@@ -237,7 +225,7 @@ impl SimNetwork {
                 .set(pump.parked.values().map(VecDeque::len).sum::<usize>() as i64);
             return Ok(());
         }
-        if fault.drop_rate > 0.0 && pump.next_unit() < fault.drop_rate {
+        if fault.drop_rate > 0.0 && pump.rng.bool(fault.drop_rate) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             crate::metrics::net_dropped().add(1);
             return Ok(());
@@ -300,11 +288,10 @@ impl SimNetwork {
         self.pump_wake.notify_one();
     }
 
-    /// Reseed the deterministic drop PRNG (chaos runs call this once so
-    /// the whole fault schedule replays from a single `u64`).
+    /// Reseed the deterministic drop generator (chaos runs call this once
+    /// so the whole fault schedule replays from a single `u64`).
     pub fn set_fault_seed(&self, seed: u64) {
-        // xorshift state must be non-zero.
-        self.pump.lock().rng = seed | 1;
+        self.pump.lock().rng = Rng::new(seed);
     }
 
     /// Messages dropped so far by lossy-link faults.

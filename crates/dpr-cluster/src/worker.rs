@@ -6,7 +6,7 @@ use crate::message::{ClusterOp, OpResult};
 use crate::transport::{BusFrame, EndpointId, SimNetwork};
 use crate::wire::{self, FrameKind, ProtoError, ProtoErrorCode};
 use bytes::Bytes;
-use dpr_core::{DprError, Result, SessionId, ShardId, Version, WorldLine};
+use dpr_core::{DprError, Result, Rng, SessionId, ShardId, Version, WorldLine};
 use dpr_metadata::{MetadataStore, OwnershipTable};
 use libdpr::{BatchDisposition, BatchHeader, BatchReply, DprFinder, DprServer, StateObject};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -253,7 +253,7 @@ impl Worker {
         let due = Due {
             checkpoint: now + worker.config.checkpoint_interval.unwrap_or_default(),
             recovery: now,
-            rng: u64::from(shard.0 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            jitter: Rng::new(u64::from(shard.0)),
         };
         let shard_loop = std::thread::Builder::new()
             .name(format!("worker-{}-ctl", shard.0))
@@ -495,7 +495,7 @@ impl Worker {
                     None
                 };
                 let requested = self.store.request_commit(target);
-                let period = interval + due.jitter();
+                let period = interval + Duration::from_micros(due.jitter.below(2000));
                 due.checkpoint = now + if requested { period } else { MAINTAIN_EVERY };
                 busy |= requested;
             }
@@ -563,22 +563,13 @@ const RECOVERY_EVERY: Duration = Duration::from_millis(4);
 struct Due {
     checkpoint: Instant,
     recovery: Instant,
-    /// Xorshift state of the checkpoint timer's jitter, seeded by the shard.
-    rng: u64,
-}
-
-impl Due {
-    /// Up to 2 ms, uniform: about what the poll this loop replaced (a 1 ms
-    /// sleep plus the tick's own work) added to each checkpoint period.
-    /// Independent timers drift apart; exact ones would keep shards started
-    /// together in step for good, which halves the fast-forward checkpoints
-    /// on `crash` and doubles its `recommit_p50_ms` (`docs/PROTOCOL.md` §12).
-    fn jitter(&mut self) -> Duration {
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        Duration::from_micros(self.rng % 2000)
-    }
+    /// The checkpoint period's jitter, seeded by the shard: up to 2 ms,
+    /// uniform, about what the poll this loop replaced (a 1 ms sleep plus
+    /// the tick's own work) added to each period. Independent timers drift
+    /// apart; exact ones would keep shards started together in step for
+    /// good, which halves the fast-forward checkpoints on `crash` and
+    /// doubles its `recommit_p50_ms` (`docs/PROTOCOL.md` §12).
+    jitter: Rng,
 }
 
 /// Serve the frames of one lane, blocking until one comes; ends when the bus

@@ -210,3 +210,28 @@ proptest! {
         prop_assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
     }
 }
+
+/// Every seed is its own drop stream: adjacent chaos seeds (`--seed 42`,
+/// `--seed 43`) lose different frames of 1,000 at drop rate 0.5.
+#[test]
+fn adjacent_fault_seeds_drop_different_frames() {
+    let dropped = |seed| {
+        let net = SimNetwork::new(Duration::ZERO);
+        net.set_fault_seed(seed);
+        let (id, rx) = net.register();
+        apply(&net, id, &FaultAction::Lossy(50));
+        for serial in 0..1000 {
+            net.send(id, numbered(serial)).unwrap();
+        }
+        let mut kept = [false; 1000];
+        for _ in net.dropped_count()..1000 {
+            kept[serial_of(&rx.recv_timeout(Duration::from_secs(5)).unwrap()) as usize] = true;
+        }
+        net.shutdown();
+        (0..1000).filter(|s| !kept[*s]).collect::<Vec<_>>()
+    };
+    let a = dropped(42);
+    assert!((400..600).contains(&a.len()), "{} of 1000 dropped", a.len());
+    assert!(a != dropped(43), "seeds 42 and 43 drop the same frames");
+    assert_eq!(dropped(42), a, "one seed, one drop stream");
+}

@@ -10,25 +10,14 @@ use bytes::Bytes;
 use dpr_cluster::wire::{self, CutResponse, FrameKind, FrameReader, Hello, HelloAck};
 use dpr_cluster::wire::{ProtoError, ProtoErrorCode, FRAME_HEADER_LEN};
 use dpr_cluster::{ClusterOp, OpResult};
-use dpr_core::{DprError, Key, SessionId, ShardId, Token, Value, Version, WorldLine};
+use dpr_core::{DprError, Key, Rng, SessionId, ShardId, Token, Value, Version, WorldLine};
 use libdpr::{BatchHeader, BatchReply, DprClientSession};
 
 const CASES: u64 = 100_000;
 
-/// splitmix64.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+/// A draw below `n`, as an index.
+fn below(rng: &mut Rng, n: usize) -> usize {
+    rng.below(n as u64) as usize
 }
 
 /// Valid frames of every kind. Values come in the paper's 8 bytes, past the
@@ -127,16 +116,16 @@ fn valid_frames() -> Vec<Vec<u8>> {
 
 /// Damage `stream`, whose frames start at `starts`, in one of three ways.
 fn damage(rng: &mut Rng, stream: &mut Vec<u8>, starts: &[usize]) {
-    match rng.below(3) {
-        0 => stream.truncate(rng.below(stream.len())),
+    match below(rng, 3) {
+        0 => stream.truncate(below(rng, stream.len())),
         1 => {
-            for _ in 0..=rng.below(3) {
-                let at = rng.below(stream.len());
-                stream[at] ^= 1 << rng.below(8);
+            for _ in 0..=below(rng, 3) {
+                let at = below(rng, stream.len());
+                stream[at] ^= 1 << below(rng, 8);
             }
         }
         _ => {
-            let len = starts[rng.below(starts.len())] + 20;
+            let len = starts[below(rng, starts.len())] + 20;
             let real = u32::from_le_bytes(stream[len..len + 4].try_into().expect("4 bytes"));
             let lie = [
                 0,
@@ -147,7 +136,7 @@ fn damage(rng: &mut Rng, stream: &mut Vec<u8>, starts: &[usize]) {
                 1 << 25,
                 u32::MAX,
             ];
-            stream[len..len + 4].copy_from_slice(&lie[rng.below(7)].to_le_bytes());
+            stream[len..len + 4].copy_from_slice(&lie[below(rng, 7)].to_le_bytes());
         }
     }
 }
@@ -178,27 +167,27 @@ fn decode(kind: FrameKind, body: &Bytes, scratch: &mut Scratch) -> bool {
 }
 
 fn case(seed: u64, valid: &[Vec<u8>], scratch: &mut Scratch) {
-    let mut rng = Rng(seed);
+    let mut rng = Rng::new(seed);
     let (mut stream, mut starts) = (Vec::new(), Vec::new());
-    for _ in 0..=rng.below(4) {
+    for _ in 0..=below(&mut rng, 4) {
         starts.push(stream.len());
-        stream.extend_from_slice(&valid[rng.below(valid.len())]);
+        stream.extend_from_slice(&valid[below(&mut rng, valid.len())]);
     }
-    let untouched = rng.below(4) == 0;
+    let untouched = below(&mut rng, 4) == 0;
     if !untouched {
         damage(&mut rng, &mut stream, &starts);
     }
-    let piece = [1, 7, 64, 4096][rng.below(4)];
+    let piece = [1, 7, 64, 4096][below(&mut rng, 4)];
     let mut rd = FrameReader::default();
     let (mut fed, mut taken, mut frames) = (0, 0, 0);
     'stream: while fed < stream.len() {
-        let upto = (fed + 1 + rng.below(piece)).min(stream.len());
+        let upto = (fed + 1 + below(&mut rng, piece)).min(stream.len());
         rd.buffer().extend_from_slice(&stream[fed..upto]);
         fed = upto;
         loop {
             // Mostly by the rule (the last body's views go first); sometimes
             // not, and then the reader must leave the viewed body alone.
-            if rng.below(4) != 0 {
+            if below(&mut rng, 4) != 0 {
                 scratch.ops.clear();
                 scratch.results.clear();
             }

@@ -2,8 +2,9 @@
 //!
 //! Foundational types and utilities shared by every crate in the DPR
 //! reproduction: version and world-line counters, checkpoint tokens,
-//! epoch-based resource protection, error types, key/value types, and a
-//! simulation-friendly clock.
+//! epoch-based resource protection, error types, key/value types, a
+//! simulation-friendly clock, and the seeded generator every random draw
+//! comes from.
 //!
 //! The vocabulary follows the paper directly:
 //!
@@ -24,6 +25,7 @@ pub mod config;
 pub mod epoch;
 pub mod error;
 pub mod kv;
+pub mod rng;
 pub mod version;
 
 pub use backoff::Backoff;
@@ -32,4 +34,5 @@ pub use config::{CheckpointMode, DprFinderMode, RecoverabilityLevel};
 pub use epoch::LightEpoch;
 pub use error::{DprError, Result};
 pub use kv::{Key, Value};
+pub use rng::Rng;
 pub use version::{SessionId, ShardId, Token, Version, WorldLine};

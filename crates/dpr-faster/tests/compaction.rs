@@ -6,7 +6,7 @@
 //! own version, nothing is freed above the cut, every kept manifest recovers
 //! — are each checked here or in `log_crash_points.rs`.
 
-use dpr_core::{Key, SessionId, Value, Version};
+use dpr_core::{Key, Rng, SessionId, Value, Version};
 use dpr_faster::{CompactionTotals, FasterConfig, FasterKv, OpOutcome, Session, PAGE_SIZE};
 use dpr_storage::file::MIN_SEGMENT_BYTES;
 use dpr_storage::{FileLogDevice, LatencyModel, LogDevice, MemBlobStore, MemLogDevice};
@@ -56,7 +56,7 @@ type Model = HashMap<u64, Option<u64>>;
 fn write(kv: &Arc<FasterKv>, writer: u64, keys: u64, stop: &AtomicBool) -> Model {
     let s = kv.start_session(SessionId(writer));
     let mut model = Model::new();
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(writer + 1);
+    let mut rng = Rng::new(writer);
     for i in 0.. {
         if i % 32 == 0 {
             if stop.load(Ordering::Relaxed) {
@@ -66,13 +66,10 @@ fn write(kv: &Arc<FasterKv>, writer: u64, keys: u64, stop: &AtomicBool) -> Model
             // operations: leave it a gap to find.
             std::thread::sleep(Duration::from_micros(200));
         }
-        rng = rng
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        let k = writer * keys + (rng >> 33) % keys;
+        let k = writer * keys + rng.below(keys);
         let key = Key::from_u64(k);
         let was = model.get(&k).copied().flatten();
-        let (outcome, reads) = match (rng >> 20) % 10 {
+        let (outcome, reads) = match rng.below(10) {
             0..=3 => {
                 model.insert(k, Some(i));
                 (s.upsert(key, Value::from_u64(i)).unwrap(), false)

@@ -5,7 +5,7 @@
 //! `partitions_of` — answers as the model does. And under a transfer that
 //! runs in a loop, a batch is read and validated as one state of the table.
 
-use dpr_core::{Clock, Key, ShardId, SimClock};
+use dpr_core::{Clock, Key, Rng, ShardId, SimClock};
 use dpr_metadata::{OwnershipEntry, OwnershipTable, Partitioner, VirtualPartition};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -15,18 +15,6 @@ use std::time::Duration;
 const PARTITIONS: u32 = 12;
 const SHARDS: u32 = 3;
 const LEASE: Duration = Duration::from_millis(50);
-
-/// xorshift64: a reproducible draw below `n`.
-struct Draw(u64);
-
-impl Draw {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0 % n
-    }
-}
 
 struct Model {
     rows: BTreeMap<VirtualPartition, OwnershipEntry>,
@@ -120,7 +108,7 @@ fn the_flat_table_answers_as_the_map_did() {
             rows: BTreeMap::new(),
             clock: clock.clone(),
         };
-        let mut draw = Draw(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut draw = Rng::new(seed);
         agree(&table, &model, &keys, &format!("seed {seed}, empty"));
         for i in 0..300 {
             let vp = VirtualPartition(draw.below(u64::from(PARTITIONS)) as u32);

@@ -1,9 +1,7 @@
 //! Workload specifications and operation streams.
 
 use crate::zipf::Zipfian;
-use dpr_core::{Key, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use dpr_core::{Key, Rng, Value};
 
 /// Key access distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,7 +121,7 @@ impl WorkloadOp {
 /// A seeded operation stream for one client thread.
 pub struct WorkloadGen {
     spec: WorkloadSpec,
-    rng: StdRng,
+    rng: Rng,
     zipf: Option<Zipfian>,
     counter: u64,
     /// Insertion frontier for the `Latest` distribution (next key to
@@ -149,7 +147,7 @@ impl WorkloadGen {
         WorkloadGen {
             frontier: spec.keys,
             spec,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::new(seed),
             zipf,
             counter: 0,
             latest_zipf,
@@ -178,7 +176,7 @@ impl WorkloadGen {
             }
             _ => match &self.zipf {
                 Some(z) => z.next(&mut self.rng),
-                None => self.rng.gen_range(0..self.spec.keys),
+                None => self.rng.below(self.spec.keys),
             },
         }
     }
@@ -191,7 +189,7 @@ impl WorkloadGen {
 
     /// Generate the next operation.
     pub fn next_op(&mut self) -> WorkloadOp {
-        let roll: f64 = self.rng.gen();
+        let roll = self.rng.f64();
         self.counter += 1;
         // Latest-distribution writes are INSERTS at the frontier.
         let key = if self.spec.distribution == KeyDistribution::Latest

@@ -3,17 +3,17 @@
 //! `ZipfianGenerator` uses, with optional rank scrambling so the hottest
 //! keys are spread over the keyspace.
 
-use rand::Rng;
+use dpr_core::Rng;
 
 /// A Zipfian generator over ranks `0..n` with skew `theta` (YCSB default
 /// 0.99, which is also what the paper benchmarks).
 ///
 /// ```
+/// use dpr_core::Rng;
 /// use dpr_ycsb::Zipfian;
-/// use rand::SeedableRng;
 ///
 /// let z = Zipfian::new(1000, 0.99);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let mut rng = Rng::new(1);
 /// assert!(z.next(&mut rng) < 1000);
 /// ```
 #[derive(Debug, Clone)]
@@ -71,8 +71,8 @@ impl Zipfian {
     }
 
     /// Draw the next rank.
-    pub fn next<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.gen();
+    pub fn next(&self, rng: &mut Rng) -> u64 {
+        let u = rng.f64();
         let uz = u * self.zetan;
         let rank = if uz < 1.0 {
             0
@@ -99,12 +99,11 @@ impl Zipfian {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn ranks_stay_in_range() {
         let z = Zipfian::new(1000, 0.99);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+        let mut rng = Rng::new(42);
         for _ in 0..10_000 {
             assert!(z.next(&mut rng) < 1000);
         }
@@ -114,7 +113,7 @@ mod tests {
     fn distribution_is_skewed_toward_low_ranks() {
         let n = 10_000;
         let z = Zipfian::new(n, 0.99);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut rng = Rng::new(7);
         let mut counts = vec![0u64; n as usize];
         let draws = 200_000;
         for _ in 0..draws {
@@ -140,7 +139,7 @@ mod tests {
     fn scrambled_spreads_the_hot_key() {
         let n = 10_000;
         let z = Zipfian::scrambled(n, 0.99);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut rng = Rng::new(7);
         let mut counts = std::collections::HashMap::new();
         for _ in 0..50_000 {
             *counts.entry(z.next(&mut rng)).or_insert(0u64) += 1;

@@ -16,7 +16,7 @@
 //! and assert, through the audit tap, that every published cut is closed
 //! over the union of all reported edges and that no report is ever lost.
 
-use dpr_core::{ShardId, Token, Version};
+use dpr_core::{Rng, ShardId, Token, Version};
 use dpr_metadata::{Cut, MetadataStore, PartitionedSqlStore};
 use libdpr::audit::{self, AuditSink};
 use libdpr::finder::cut_is_closed;
@@ -65,15 +65,13 @@ fn race(finder: Arc<dyn DprFinder>) {
         .map(|s| {
             let f = finder.clone();
             std::thread::spawn(move || {
-                let mut rng: u64 = 0x9E37_79B9 ^ u64::from(s);
+                let mut rng = Rng::new(u64::from(s));
                 for v in 1..=VERSIONS_PER_SHARD {
-                    // Cheap xorshift for dep fan-out; deps stay ≤ v.
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
+                    // Random dep fan-out; deps stay ≤ v.
+                    let bits = rng.next_u64();
                     let deps: Vec<Token> = (0..SHARDS)
-                        .filter(|d| *d != s && (rng >> d) & 1 == 1)
-                        .map(|d| Token::new(ShardId(d), Version(rng % v + 1)))
+                        .filter(|d| *d != s && (bits >> d) & 1 == 1)
+                        .map(|d| Token::new(ShardId(d), Version(bits % v + 1)))
                         .collect();
                     let token = Token::new(ShardId(s), Version(v));
                     if v % 3 == 0 {

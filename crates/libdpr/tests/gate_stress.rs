@@ -22,7 +22,7 @@
 //! The whole binary runs under a per-thread counting allocator, for the
 //! claim that a steady-state `record_batch` allocates nothing.
 
-use dpr_core::{Result, SessionId, ShardId, Token, Version, WorldLine};
+use dpr_core::{Result, Rng, SessionId, ShardId, Token, Version, WorldLine};
 use dpr_metadata::{MetadataStore, PartitionedSqlStore};
 use libdpr::finder::cut_is_closed;
 use libdpr::{BatchHeader, CommitDescriptor, DprFinder, DprServer, ExactFinder, StateObject};
@@ -203,7 +203,7 @@ fn concurrent_record_and_pump_lose_nothing() {
         let inflight = inflight.clone();
         writer_handles.push(std::thread::spawn(move || {
             let mut truth: Vec<(Token, u64)> = Vec::with_capacity(BATCHES_PER_WRITER);
-            let mut rng = (w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut rng = Rng::new(w as u64);
             for i in 0..BATCHES_PER_WRITER {
                 // In the gate from before the batch executes (the worker's
                 // rule). Publish the executed version, then re-read (Dekker
@@ -214,11 +214,10 @@ fn concurrent_record_and_pump_lose_nothing() {
                 inflight[w].store(e, Ordering::SeqCst);
                 e = so.current.load(Ordering::SeqCst);
                 inflight[w].store(e, Ordering::SeqCst);
-                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let dep_shard = ShardId(1 + (rng >> 33) as u32 % DEP_SHARDS);
+                let dep_shard = ShardId(1 + rng.below(u64::from(DEP_SHARDS)) as u32);
                 // Version-clock monotone: deps stay at or below the
                 // executing version (§3.2).
-                let dep_version = Version(1 + (rng >> 13) % e);
+                let dep_version = Version(rng.range(1, e + 1));
                 let dep = Token::new(dep_shard, dep_version);
                 // Execution is over; the version may be sealed and its
                 // descriptor taken while this writer stalls before

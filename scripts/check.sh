@@ -2,13 +2,14 @@
 # Pre-PR gate: everything a change must pass before it ships.
 #
 #   scripts/check.sh --quick   build + tier-1 tests + the fixed-wait
-#                              allow-list (fast inner loop)
+#                              allow-list + one generator + the workspace
+#                              size ratchet (fast inner loop)
 #   scripts/check.sh           the full gate: workspace tests, the lossy-link
 #                              exactly-once, session-order, outgrowing-RMW
 #                              race, writers-against-passes, prompt-truncation,
 #                              gate-fence, lost-publish, co-located-refusal,
 #                              idle-cluster and batch-guard guards, manifest,
-#                              third_party, size, forbid-unsafe and
+#                              third_party, dpr-bench size, forbid-unsafe and
 #                              unsafe-comment lints, docs,
 #                              chaos and figures smokes, and the benchmark's
 #                              schema smoke
@@ -68,9 +69,59 @@ if [[ -n "$unlisted" ]]; then
     exit 1
 fi
 
+# One generator (ROADMAP item 8): every draw by chance comes from
+# `dpr_core::Rng`, seeded by its caller, so a run replays from its seed. A
+# second generator under the sources fails here: a `rand::` path or
+# `ChaosRng`, the xorshift shift triple (13, 7, 17), or a SplitMix64,
+# xorshift* or LCG constant, with or without `_` separators. The key hash's
+# SplitMix64 finalizer in dpr-core/src/kv.rs is allowed, by line text.
+echo
+echo "==> no pseudo-random generator outside crates/dpr-core/src/rng.rs"
+allowed_generators=$(grep -v '^#' <<'ALLOWED'
+# Key::hash_bytes: the finalizer of a hash, not a stream.
+crates/dpr-core/src/kv.rs: let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
+crates/dpr-core/src/kv.rs: h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
+crates/dpr-core/src/kv.rs: z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+crates/dpr-core/src/kv.rs: z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+ALLOWED
+)
+# SplitMix64's increment and multipliers, xorshift*'s multiplier, and the
+# PCG/MMIX LCG's multiplier (hex and decimal) and increment.
+constants=""
+for c in 9E3779B97F4A7C15 BF58476D1CE4E5B9 94D049BB133111EB 2545F4914F6CDD1D \
+    5851F42D4C957F2D 6364136223846793005 1442695040888963407; do
+    constants+="${constants:+|}$(sed 's/./&_*/g; s/_\*$//' <<<"$c")"
+done
+sources=(crates src tests examples third_party/proptest)
+generators=$({
+    grep -rnE --include='*.rs' '(^|[^[:alnum:]_])rand::|ChaosRng' "${sources[@]}" || true
+    grep -rniE --include='*.rs' "$constants" "${sources[@]}" || true
+} | sed -E 's/^([^:]*):[0-9]+:[[:space:]]*/\1: /'
+{ grep -rlzP --include='*.rs' '<<\s*13\b[\s\S]{0,200}?>>\s*7\b[\s\S]{0,200}?<<\s*17\b' \
+    "${sources[@]}" || true; } | sed 's/$/: the xorshift shift triple (13, 7, 17)/')
+unlisted=$({ grep -v '^crates/dpr-core/src/rng.rs: ' <<<"$generators" || true; } |
+    sort | comm -23 - <(sort <<<"$allowed_generators"))
+if [[ -n "$unlisted" ]]; then
+    echo "a generator outside dpr-core/src/rng.rs (file: line):" >&2
+    echo "$unlisted" >&2
+    exit 1
+fi
+
+# The workspace shrinks towards ROADMAP item 15's target (33,500 lines) and
+# does not grow back unseen: a change that needs more lines raises this bound
+# in its own diff, where a reviewer sees it, and one that deletes lowers it.
+echo
+echo "==> workspace Rust is at most 34,876 lines"
+rust_lines=$(find crates src tests examples -name '*.rs' | xargs cat | wc -l)
+if (( rust_lines > 34876 )); then
+    echo "workspace Rust is $rust_lines lines, above the bound of 34,876" >&2
+    exit 1
+fi
+
 if [[ "$MODE" == "--quick" ]]; then
     echo
-    echo "Quick checks passed (tier-1 and the fixed-wait allow-list; run scripts/check.sh for the full gate)."
+    echo "Quick checks passed (tier-1, the fixed-wait allow-list, one generator and the size ratchet;"
+    echo "run scripts/check.sh for the full gate)."
     exit 0
 fi
 
@@ -188,17 +239,6 @@ echo "==> crates/dpr-bench is at most 2,100 lines of Rust"
 bench_lines=$(find crates/dpr-bench -name '*.rs' -print0 | xargs -0 cat | wc -l)
 if (( bench_lines > 2100 )); then
     echo "crates/dpr-bench has $bench_lines lines of Rust" >&2
-    exit 1
-fi
-
-# The workspace shrinks towards ROADMAP item 9's target (30,300 lines) and
-# does not grow back unseen: a change that needs more lines raises this bound
-# in its own diff, where a reviewer sees it.
-echo
-echo "==> workspace Rust is at most 34,878 lines"
-rust_lines=$(find crates src tests examples -name '*.rs' | xargs cat | wc -l)
-if (( rust_lines > 34878 )); then
-    echo "workspace Rust is $rust_lines lines, above the bound of 34,878" >&2
     exit 1
 fi
 
