@@ -12,7 +12,7 @@
 
 use crate::message::{ClusterOp, OpResult};
 use crate::session::{Link, PipelinedClient};
-use crate::transport::{BusFrame, EndpointId, SimNetwork};
+use crate::transport::{BusFrame, BusInbox, EndpointId, SimNetwork};
 use crate::wire;
 use crate::worker::Worker;
 use bytes::Bytes;
@@ -20,7 +20,6 @@ use dpr_core::{DprError, Result, SessionId, ShardId, Version, WorldLine};
 use dpr_metadata::{Cut, MetadataStore, OwnershipTable};
 use libdpr::{BatchHeader, DprClientSession};
 use std::collections::HashMap;
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,7 +50,7 @@ struct Group {
 pub(crate) struct BusLink {
     net: Arc<SimNetwork>,
     endpoint: EndpointId,
-    inbox: Receiver<BusFrame>,
+    inbox: BusInbox,
     workers: WorkerEndpoints,
 }
 
@@ -68,16 +67,18 @@ impl Link for BusLink {
     }
 
     fn recv(&mut self, wait: Duration, rd: &mut Vec<u8>) -> Result<()> {
-        let first = if wait.is_zero() {
-            self.inbox.try_recv().ok()
-        } else {
-            self.inbox.recv_timeout(wait).ok()
-        };
         let rest = std::iter::from_fn(|| self.inbox.try_recv().ok());
-        for frame in first.into_iter().chain(rest) {
+        for frame in self.inbox.recv_timeout(wait).ok().into_iter().chain(rest) {
             rd.extend_from_slice(&frame.bytes);
         }
         Ok(())
+    }
+}
+
+/// A session's endpoint leaves the bus with it.
+impl Drop for BusLink {
+    fn drop(&mut self) {
+        self.net.close(self.endpoint);
     }
 }
 
@@ -628,5 +629,19 @@ mod tests {
             other => panic!("expected NotOwner, got {other:?}"),
         }
         assert!(t0.elapsed() >= OWNER_RETRY_WAIT * OWNER_RETRIES);
+    }
+
+    /// A dropped session leaves the bus: after 1,000 sessions, each with a
+    /// round trip, it holds the workers' endpoints and their floors alone.
+    #[test]
+    fn a_dropped_session_leaves_the_bus() {
+        let cluster = crate::Cluster::start(crate::ClusterConfig::default()).unwrap();
+        for k in 0..1000 {
+            let read = vec![ClusterOp::Read(Key::from_u64(k))];
+            cluster.open_session().unwrap().execute(read).unwrap();
+        }
+        let [endpoints, floors] = cluster.network().tables();
+        assert_eq!(endpoints, cluster.workers().len());
+        assert!(floors <= endpoints, "{floors} FIFO floors");
     }
 }

@@ -44,5 +44,5 @@ pub use manager::ClusterManager;
 pub use message::{ClusterOp, OpResult};
 pub use net::{NetServer, NetServerConfig};
 pub use session::{CompletedRef, PipelinedClient};
-pub use transport::{BusFrame, EndpointId, LinkFault, SimNetwork};
+pub use transport::{BusFrame, BusInbox, EndpointId, LinkFault, SimNetwork};
 pub use worker::{ShardStore, VersionSpan, Worker};

@@ -28,13 +28,6 @@ metric_fn!(
 );
 
 metric_fn!(
-    /// Messages queued in the simulated network's delay heap.
-    pub(crate) fn net_inflight() -> Gauge =
-        ("dpr_cluster_net_inflight", Count,
-         "Messages in flight on the simulated network (delay heap depth)")
-);
-
-metric_fn!(
     /// Messages dropped by an injected lossy-link fault (chaos harness).
     pub(crate) fn net_dropped() -> Counter =
         ("dpr_cluster_net_dropped_total", Count,

@@ -1,43 +1,40 @@
 //! The in-process message bus with configurable one-way latency.
 //!
-//! Stand-in for the paper's TCP + accelerated networking (see DESIGN.md):
-//! it carries what a socket carries, encoded [`crate::wire`] frames, each
-//! with the endpoint that sent it ([`BusFrame`]). Endpoints register an
-//! inbox; `send` either delivers immediately (zero-latency configuration)
-//! or schedules delivery through a delay-heap pump thread. Per-message
-//! delivery cost is what makes client batching (`b`) and windowing (`w`)
-//! matter, reproducing the trade-offs of Fig. 13.
+//! Stand-in for the paper's TCP + accelerated networking (see DESIGN.md): it
+//! carries encoded [`crate::wire`] frames, each with the endpoint that sent
+//! it ([`BusFrame`]). Per-message delivery cost is what makes client
+//! batching (`b`) and windowing (`w`) matter (Fig. 13).
 //!
-//! # Lanes
+//! The bus has no thread. `send` stamps a frame due at `now + latency +
+//! fault delay`, never before the last frame stamped for the same endpoint,
+//! and puts it in its lane at once, under the lock that stamps it. A
+//! [`BusInbox`] hands each frame out no earlier than its due time: one taken
+//! before then is held for the next call, which waits for it there, as a
+//! reader waits on a socket.
 //!
 //! An inbox has one consumer, as a connection has one I/O thread. An
 //! endpoint served by several threads ([`SimNetwork::register_lanes`], a
-//! worker's executors) has one inbox per thread, and a frame goes to the
-//! lane of its sender: `from` modulo the lane count, which deals senders
-//! registered one after another round-robin, the acceptor's rule of
-//! `net.rs`. So on the bus as on a socket, a sender's frames are served by
-//! one thread, in the order sent (`docs/NETWORK.md` §6).
+//! worker's executors) has one inbox per thread, and a frame goes to lane
+//! `from % lanes`, the acceptor's round-robin rule of `net.rs`: a sender's
+//! frames are served by one thread, in the order sent (`docs/NETWORK.md` §6).
 //!
-//! # Fault injection
-//!
-//! The chaos harness (`dpr-chaos`) perturbs individual links with
-//! [`LinkFault`]s keyed by destination endpoint: extra delay (slow link),
-//! probabilistic drop (lossy link), or a full partition that parks messages
-//! until the fault is cleared. All faulted scheduling preserves per-link
-//! FIFO: a message to endpoint `E` is never delivered before an earlier
-//! message to `E` that is still queued, even across fault set/clear
-//! transitions — matching TCP's in-order guarantee that the DPR session
-//! protocol assumes. Drops are drawn from a [`dpr_core::Rng`] seeded via
-//! [`SimNetwork::set_fault_seed`] so chaos schedules replay identically for
-//! a given seed.
+//! The chaos harness (`dpr-chaos`) puts a [`LinkFault`] on the link to an
+//! endpoint: extra delay, a drop rate drawn from a [`dpr_core::Rng`] seeded
+//! by [`SimNetwork::set_fault_seed`], or a partition that parks frames until
+//! it heals. Per-link FIFO holds across fault changes, as TCP's does. A send
+//! to an endpoint that is not registered, or was closed, fails; closing
+//! forgets the endpoint's fault, parked frames and FIFO floor. After
+//! [`SimNetwork::shutdown`] sends fail; frames sent before it come at their
+//! due time, as bytes already on a wire would, and parked frames are
+//! discarded.
 
 use bytes::Bytes;
-use dpr_core::{DprError, Result, Rng};
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use dpr_core::{DprError, Rng};
+use parking_lot::Mutex;
+use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvError, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,7 +57,7 @@ pub struct BusFrame {
 ///
 /// Installed with [`SimNetwork::set_link_fault`]; the default value is a
 /// healthy link. Faults compose: a link can be slow *and* lossy.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LinkFault {
     /// Added to the network's base one-way latency.
     pub extra_delay: Duration,
@@ -72,226 +69,213 @@ pub struct LinkFault {
     pub partitioned: bool,
 }
 
-impl Default for LinkFault {
-    fn default() -> Self {
-        LinkFault {
-            extra_delay: Duration::ZERO,
-            drop_rate: 0.0,
-            partitioned: false,
+/// The receiving end of one lane: [`std::sync::mpsc::Receiver`]'s methods,
+/// with its errors, each handing a frame out no earlier than its due time.
+pub struct BusInbox {
+    lane: Receiver<(Instant, BusFrame)>,
+    /// A frame taken from the lane before it was due.
+    held: Cell<Option<(Instant, BusFrame)>>,
+}
+
+impl BusInbox {
+    /// Block until a frame is due and return it; `Err` once the lane is
+    /// closed and empty.
+    pub fn recv(&self) -> Result<BusFrame, RecvError> {
+        let (due, frame) = self.held.take().map_or_else(|| self.lane.recv(), Ok)?;
+        wait_until(due);
+        Ok(frame)
+    }
+
+    /// As [`BusInbox::recv`], but for at most `timeout`: a frame due after
+    /// that is held for the next call, and the wait runs to its deadline.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<BusFrame, RecvTimeoutError> {
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return self.recv().map_err(|_| RecvTimeoutError::Disconnected);
+        };
+        let next = self.held.take();
+        let (due, frame) = next.map_or_else(|| self.lane.recv_timeout(timeout), Ok)?;
+        if due > deadline {
+            self.held.set(Some((due, frame)));
+            wait_until(deadline);
+            return Err(RecvTimeoutError::Timeout);
         }
+        wait_until(due);
+        Ok(frame)
+    }
+
+    /// A frame that is due now, if there is one; `Empty` while the next is
+    /// not yet due.
+    pub fn try_recv(&self) -> Result<BusFrame, TryRecvError> {
+        let (due, frame) = self.held.take().map_or_else(|| self.lane.try_recv(), Ok)?;
+        if due > Instant::now() {
+            self.held.set(Some((due, frame)));
+            return Err(TryRecvError::Empty);
+        }
+        Ok(frame)
     }
 }
 
-struct Delayed {
-    deliver_at: Instant,
-    seq: u64,
-    to: EndpointId,
-    msg: BusFrame,
+/// Sleep until `at`, a frame's due time or a caller's deadline.
+fn wait_until(at: Instant) {
+    std::thread::sleep(at.saturating_duration_since(Instant::now()));
 }
 
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
-    }
-}
-
-struct PumpState {
-    heap: BinaryHeap<Reverse<Delayed>>,
+/// Everything a send reads or writes, under one lock.
+struct Links {
+    /// An endpoint's lanes, one channel each; never empty.
+    endpoints: HashMap<EndpointId, Vec<Sender<(Instant, BusFrame)>>>,
     /// Active per-destination faults; absent entry = healthy link.
     faults: HashMap<EndpointId, LinkFault>,
     /// Messages held behind partitioned links, in send order.
     parked: HashMap<EndpointId, VecDeque<BusFrame>>,
-    /// Latest scheduled delivery per destination; later sends never
-    /// schedule before this, which is what preserves per-link FIFO when a
-    /// fault's delay shrinks or clears mid-stream.
+    /// Latest due time per destination: no later frame is due before it,
+    /// whatever the faults do meanwhile (per-link FIFO).
     fifo_floor: HashMap<EndpointId, Instant>,
-    /// Drop decisions.
     rng: Rng,
+    shutdown: bool,
+}
+
+impl Links {
+    /// Stamp `msg` due after `delay`, never ahead of an earlier frame to
+    /// `to` (per-link FIFO), and put it in its sender's lane.
+    fn push(&mut self, to: EndpointId, msg: BusFrame, delay: Duration) -> dpr_core::Result<()> {
+        let lanes = self.endpoints.get(&to).ok_or(DprError::Closed)?;
+        let due = Instant::now() + delay;
+        let floor = self.fifo_floor.entry(to).or_insert(due);
+        *floor = due.max(*floor);
+        let lane = &lanes[(msg.from.0 % lanes.len() as u64) as usize];
+        lane.send((*floor, msg)).map_err(|_| DprError::Closed)
+    }
+
+    /// Release the frames parked for `to`, in send order, after `delay`; a
+    /// frame whose endpoint has closed is discarded.
+    fn release_parked(&mut self, to: EndpointId, delay: Duration) {
+        if let Some(queue) = self.parked.remove(&to) {
+            for msg in queue {
+                let _ = self.push(to, msg, delay);
+            }
+            self.count_parked();
+        }
+    }
+
+    fn count_parked(&self) {
+        crate::metrics::net_parked()
+            .set(self.parked.values().map(VecDeque::len).sum::<usize>() as i64);
+    }
 }
 
 /// The bus.
 pub struct SimNetwork {
     latency: Duration,
-    /// An endpoint's lanes, one inbox each; never empty.
-    endpoints: RwLock<HashMap<EndpointId, Vec<Sender<BusFrame>>>>,
-    pump: Mutex<PumpState>,
-    pump_wake: Condvar,
-    seq: AtomicU64,
-    shutdown: AtomicBool,
+    links: Mutex<Links>,
     next_endpoint: AtomicU64,
-    /// Sticky flag: set the first time a link fault is installed. Once
-    /// set, zero-latency sends stop short-circuiting and go through the
-    /// pump so FIFO order holds relative to still-queued faulted traffic.
-    ever_faulted: AtomicBool,
-    /// Whether the pump thread is running (spawned at construction for
-    /// non-zero latency, lazily on first fault otherwise).
-    pump_running: AtomicBool,
     dropped: AtomicU64,
 }
 
 impl SimNetwork {
-    /// Create a bus with the given one-way message latency. A latency of
-    /// zero delivers synchronously with no pump thread involvement (until
-    /// a link fault is installed, which starts the pump).
+    /// Create a bus with the given one-way message latency.
     pub fn new(latency: Duration) -> Arc<SimNetwork> {
-        let net = Arc::new(SimNetwork {
+        Arc::new(SimNetwork {
             latency,
-            endpoints: RwLock::new(HashMap::new()),
-            pump: Mutex::new(PumpState {
-                heap: BinaryHeap::new(),
+            links: Mutex::new(Links {
+                endpoints: HashMap::new(),
                 faults: HashMap::new(),
                 parked: HashMap::new(),
                 fifo_floor: HashMap::new(),
                 rng: Rng::new(0),
+                shutdown: false,
             }),
-            pump_wake: Condvar::new(),
-            seq: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
             next_endpoint: AtomicU64::new(0),
-            ever_faulted: AtomicBool::new(false),
-            pump_running: AtomicBool::new(false),
             dropped: AtomicU64::new(0),
-        });
-        if !latency.is_zero() {
-            net.spawn_pump();
-        }
-        net
-    }
-
-    fn spawn_pump(self: &Arc<Self>) {
-        if self.pump_running.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let weak = Arc::downgrade(self);
-        std::thread::Builder::new()
-            .name("sim-net-pump".into())
-            .spawn(move || loop {
-                let Some(net) = weak.upgrade() else { return };
-                if net.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                net.pump_once();
-            })
-            .expect("spawn network pump");
+        })
     }
 
     /// Allocate a fresh endpoint and its inbox.
-    pub fn register(&self) -> (EndpointId, Receiver<BusFrame>) {
+    pub fn register(&self) -> (EndpointId, BusInbox) {
         let (id, mut lanes) = self.register_lanes(1);
         (id, lanes.remove(0))
     }
 
     /// Allocate a fresh endpoint served by `lanes` threads (at least one),
     /// with an inbox for each: every frame of one sender arrives on one of
-    /// them, in the order sent (see the module's *Lanes*).
-    pub fn register_lanes(&self, lanes: usize) -> (EndpointId, Vec<Receiver<BusFrame>>) {
+    /// them, in the order sent (see the module doc).
+    pub fn register_lanes(&self, lanes: usize) -> (EndpointId, Vec<BusInbox>) {
         let id = EndpointId(self.next_endpoint.fetch_add(1, Ordering::AcqRel));
-        let (txs, rxs) = (0..lanes.max(1)).map(|_| channel()).unzip();
-        self.endpoints.write().insert(id, txs);
-        (id, rxs)
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..lanes.max(1)).map(|_| channel()).unzip();
+        self.links.lock().endpoints.insert(id, txs);
+        let inboxes = rxs.into_iter().map(|lane| BusInbox {
+            lane,
+            held: Cell::new(None),
+        });
+        (id, inboxes.collect())
     }
 
     /// Close endpoint `id`: its lanes' receivers see the end once they have
-    /// taken what was delivered, and later sends to it fail.
+    /// taken what was sent, later sends to it fail, and its fault, parked
+    /// frames and FIFO floor are forgotten.
     pub fn close(&self, id: EndpointId) {
-        self.endpoints.write().remove(&id);
+        let mut links = self.links.lock();
+        links.endpoints.remove(&id);
+        links.faults.remove(&id);
+        links.fifo_floor.remove(&id);
+        links.parked.remove(&id);
+        links.count_parked();
     }
 
     /// Send `msg` to `to`, subject to the configured latency and any
     /// installed [`LinkFault`] for the destination.
-    pub fn send(&self, to: EndpointId, msg: BusFrame) -> Result<()> {
-        if self.shutdown.load(Ordering::Acquire) {
+    pub fn send(&self, to: EndpointId, msg: BusFrame) -> dpr_core::Result<()> {
+        let mut links = self.links.lock();
+        if links.shutdown {
             return Err(DprError::Closed);
         }
-        if self.latency.is_zero() && !self.ever_faulted.load(Ordering::Acquire) {
-            return self.deliver(to, msg);
+        if !links.endpoints.contains_key(&to) {
+            return Err(DprError::Invalid(format!("unknown endpoint {to:?}")));
         }
-        let mut pump = self.pump.lock();
-        let fault = pump.faults.get(&to).copied().unwrap_or_default();
+        let fault = links.faults.get(&to).copied().unwrap_or_default();
         if fault.partitioned {
-            pump.parked.entry(to).or_default().push_back(msg);
-            crate::metrics::net_parked()
-                .set(pump.parked.values().map(VecDeque::len).sum::<usize>() as i64);
+            links.parked.entry(to).or_default().push_back(msg);
+            links.count_parked();
             return Ok(());
         }
-        if fault.drop_rate > 0.0 && pump.rng.bool(fault.drop_rate) {
+        if fault.drop_rate > 0.0 && links.rng.bool(fault.drop_rate) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             crate::metrics::net_dropped().add(1);
             return Ok(());
         }
-        self.schedule(&mut pump, to, msg, self.latency + fault.extra_delay);
-        crate::metrics::net_inflight().set(pump.heap.len() as i64);
-        self.pump_wake.notify_one();
-        Ok(())
+        links.push(to, msg, self.latency + fault.extra_delay)
     }
 
-    /// Queue `msg` for delivery to `to` after `delay`, never ahead of an
-    /// earlier message to the same destination (per-link FIFO). Caller
-    /// holds the pump lock.
-    fn schedule(&self, pump: &mut PumpState, to: EndpointId, msg: BusFrame, delay: Duration) {
-        let mut deliver_at = Instant::now() + delay;
-        if let Some(&floor) = pump.fifo_floor.get(&to) {
-            deliver_at = deliver_at.max(floor);
-        }
-        pump.fifo_floor.insert(to, deliver_at);
-        pump.heap.push(Reverse(Delayed {
-            deliver_at,
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            to,
-            msg,
-        }));
-    }
-
-    /// Install (or replace) the fault on the link to `to`. Starts the
-    /// pump thread if this zero-latency bus never needed one; from then
-    /// on all sends go through the delay heap so ordering is preserved
-    /// across the healthy/faulted transition.
-    pub fn set_link_fault(self: &Arc<Self>, to: EndpointId, fault: LinkFault) {
-        self.spawn_pump();
-        self.ever_faulted.store(true, Ordering::Release);
-        let mut pump = self.pump.lock();
-        pump.faults.insert(to, fault);
+    /// Install (or replace) the fault on the link to `to`.
+    pub fn set_link_fault(&self, to: EndpointId, fault: LinkFault) {
+        let mut links = self.links.lock();
+        links.faults.insert(to, fault);
         if !fault.partitioned {
-            self.release_parked(&mut pump, to, fault.extra_delay);
+            links.release_parked(to, self.latency + fault.extra_delay);
         }
-        self.pump_wake.notify_one();
     }
 
     /// Heal the link to `to`: remove its fault and release any parked
     /// messages, in their original send order, at the base latency.
     pub fn clear_link_fault(&self, to: EndpointId) {
-        let mut pump = self.pump.lock();
-        pump.faults.remove(&to);
-        self.release_parked(&mut pump, to, Duration::ZERO);
-        self.pump_wake.notify_one();
+        let mut links = self.links.lock();
+        links.faults.remove(&to);
+        links.release_parked(to, self.latency);
     }
 
     /// Heal every link at once (end of a chaos round).
     pub fn clear_all_link_faults(&self) {
-        let mut pump = self.pump.lock();
-        pump.faults.clear();
-        let targets: Vec<EndpointId> = pump.parked.keys().copied().collect();
-        for to in targets {
-            self.release_parked(&mut pump, to, Duration::ZERO);
+        let mut links = self.links.lock();
+        links.faults.clear();
+        for to in links.parked.keys().copied().collect::<Vec<_>>() {
+            links.release_parked(to, self.latency);
         }
-        self.pump_wake.notify_one();
     }
 
     /// Reseed the deterministic drop generator (chaos runs call this once
     /// so the whole fault schedule replays from a single `u64`).
     pub fn set_fault_seed(&self, seed: u64) {
-        self.pump.lock().rng = Rng::new(seed);
+        self.links.lock().rng = Rng::new(seed);
     }
 
     /// Messages dropped so far by lossy-link faults.
@@ -300,67 +284,13 @@ impl SimNetwork {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    fn release_parked(&self, pump: &mut PumpState, to: EndpointId, extra: Duration) {
-        if let Some(queue) = pump.parked.remove(&to) {
-            for msg in queue {
-                self.schedule(pump, to, msg, self.latency + extra);
-            }
-            crate::metrics::net_parked()
-                .set(pump.parked.values().map(VecDeque::len).sum::<usize>() as i64);
-        }
-    }
-
-    fn deliver(&self, to: EndpointId, msg: BusFrame) -> Result<()> {
-        let endpoints = self.endpoints.read();
-        match endpoints.get(&to) {
-            Some(lanes) => {
-                let lane = (msg.from.0 % lanes.len() as u64) as usize;
-                lanes[lane].send(msg).map_err(|_| DprError::Closed)
-            }
-            None => Err(DprError::Invalid(format!("unknown endpoint {to:?}"))),
-        }
-    }
-
-    fn pump_once(&self) {
-        let mut due = Vec::new();
-        {
-            let mut pump = self.pump.lock();
-            let now = Instant::now();
-            loop {
-                match pump.heap.peek() {
-                    Some(Reverse(d)) if d.deliver_at <= now => {
-                        let Reverse(d) = pump.heap.pop().unwrap();
-                        due.push((d.to, d.msg));
-                    }
-                    Some(Reverse(d)) => {
-                        let wait = d.deliver_at - now;
-                        if due.is_empty() {
-                            self.pump_wake
-                                .wait_for(&mut pump, wait.min(Duration::from_micros(200)));
-                        }
-                        break;
-                    }
-                    None => {
-                        if due.is_empty() {
-                            self.pump_wake.wait_for(&mut pump, Duration::from_millis(5));
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        if !due.is_empty() {
-            crate::metrics::net_inflight().set(self.pump.lock().heap.len() as i64);
-        }
-        for (to, msg) in due {
-            let _ = self.deliver(to, msg);
-        }
-    }
-
-    /// Tear down; subsequent sends fail.
+    /// Tear down: later sends fail, frames parked behind a partition are
+    /// discarded, and frames already sent are handed out when due.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.pump_wake.notify_all();
+        let mut links = self.links.lock();
+        links.shutdown = true;
+        links.parked.clear();
+        links.count_parked();
     }
 }
 
@@ -421,7 +351,7 @@ mod tests {
         assert!(net.send(EndpointId(99), numbered(0)).is_err());
     }
 
-    fn recv_serial(rx: &Receiver<BusFrame>) -> u64 {
+    fn recv_serial(rx: &BusInbox) -> u64 {
         seq_of(&rx.recv_timeout(Duration::from_millis(2000)).unwrap())
     }
 
@@ -530,5 +460,66 @@ mod tests {
         net.send(id, numbered(0)).unwrap();
         net.shutdown();
         assert!(net.send(id, numbered(1)).is_err(), "closed after shutdown");
+    }
+
+    impl SimNetwork {
+        /// Endpoints registered, and entries in the fault, parked and floor tables.
+        pub(crate) fn tables(&self) -> [usize; 2] {
+            let links = self.links.lock();
+            let held = links.faults.len() + links.parked.len() + links.fifo_floor.len();
+            [links.endpoints.len(), held]
+        }
+    }
+
+    /// The bus has no thread, and its inbox hands a frame out no earlier
+    /// than its due time: before then `try_recv` is empty, a shorter
+    /// `recv_timeout` times out at its deadline, and the frame waits for the
+    /// next call. Frames sent before a shutdown are on the wire: they still
+    /// come, when due (parked ones are discarded: `transport_faults`).
+    #[test]
+    fn an_inbox_holds_a_frame_until_it_is_due() {
+        let ms = Duration::from_millis;
+        let net = SimNetwork::new(ms(2));
+        let (id, rx) = net.register();
+        let slow = LinkFault {
+            extra_delay: ms(198),
+            ..LinkFault::default()
+        };
+        net.set_link_fault(id, slow);
+        let sent = Instant::now();
+        net.send(id, numbered(0)).unwrap();
+        net.send(id, numbered(1)).unwrap();
+        net.shutdown();
+        assert!(matches!(rx.try_recv(), Err(TryRecvError::Empty)));
+        let waited = Instant::now();
+        let early = rx.recv_timeout(ms(20));
+        assert!(matches!(early, Err(RecvTimeoutError::Timeout)) && waited.elapsed() >= ms(20));
+        assert_eq!(seq_of(&rx.recv().unwrap()), 0);
+        assert!(sent.elapsed() >= ms(200), "handed out before its due time");
+        let tasks = std::fs::read_dir("/proc/self/task").unwrap().flatten();
+        let comm = |task: std::fs::DirEntry| std::fs::read_to_string(task.path().join("comm"));
+        let names: Vec<_> = tasks.filter_map(|task| comm(task).ok()).collect();
+        assert!(!names.contains(&"sim-net-pump\n".to_owned()), "{names:?}");
+        assert_eq!(recv_serial(&rx), 1);
+    }
+
+    /// A send to a closed endpoint fails on a slow bus as on an instant
+    /// one, and the bus forgets the endpoint's fault, parked frames and
+    /// FIFO floor.
+    #[test]
+    fn a_send_to_a_closed_endpoint_fails_on_a_slow_bus() {
+        let net = SimNetwork::new(Duration::from_millis(1));
+        let (id, _rx) = net.register();
+        net.send(id, numbered(0)).unwrap();
+        let partition = LinkFault {
+            partitioned: true,
+            ..LinkFault::default()
+        };
+        net.set_link_fault(id, partition);
+        net.send(id, numbered(1)).unwrap();
+        assert_eq!(net.tables(), [1, 3]);
+        net.close(id);
+        assert!(net.send(id, numbered(2)).is_err());
+        assert_eq!(net.tables(), [0, 0]);
     }
 }

@@ -3,14 +3,13 @@
 
 use crate::dedupe::{Admit, ReplyCache};
 use crate::message::{ClusterOp, OpResult};
-use crate::transport::{BusFrame, EndpointId, SimNetwork};
+use crate::transport::{BusFrame, BusInbox, EndpointId, SimNetwork};
 use crate::wire::{self, FrameKind, ProtoError, ProtoErrorCode};
 use bytes::Bytes;
 use dpr_core::{DprError, Result, Rng, SessionId, ShardId, Version, WorldLine};
 use dpr_metadata::{MetadataStore, OwnershipTable};
 use libdpr::{BatchDisposition, BatchHeader, BatchReply, DprFinder, DprServer, StateObject};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -572,9 +571,9 @@ struct Due {
     jitter: Rng,
 }
 
-/// Serve the frames of one lane, blocking until one comes; ends when the bus
-/// closes the lane ([`Worker::stop`]) or the worker is gone.
-fn executor_loop(worker: &Weak<Worker>, inbox: &Receiver<BusFrame>) {
+/// Serve the frames of one lane, each once it is due, blocking until one is;
+/// ends when the bus closes the lane ([`Worker::stop`]) or the worker is gone.
+fn executor_loop(worker: &Weak<Worker>, inbox: &BusInbox) {
     let mut scratch = RequestScratch::new();
     let mut out = Vec::new();
     while let Ok(frame) = inbox.recv() {
