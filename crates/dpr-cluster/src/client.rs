@@ -348,11 +348,16 @@ impl SessionHandle {
     pub fn resend_stalled(&mut self, older_than: Duration) -> Result<usize> {
         let workers = self.core.link.workers.clone();
         let gone = |shard| !workers.read().contains_key(&shard);
-        let (resent, departed) = self.core.retransmit_stalled_unless(older_than, gone)?;
+        let (departed, resent) = self.core.retransmit_stalled_unless(older_than, gone);
+        // Every departed frame is re-routed before an error is returned:
+        // nothing else holds their serials now.
+        let mut rerouted = Ok(departed.len());
         for frame in &departed {
-            self.reroute_frame(frame)?;
+            if let Err(e) = self.reroute_frame(frame) {
+                rerouted = rerouted.and(Err(e));
+            }
         }
-        Ok(resent + departed.len())
+        Ok(resent? + rerouted?)
     }
 
     /// Take the results accumulated by completed ops (serial, result),

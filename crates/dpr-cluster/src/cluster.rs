@@ -51,7 +51,9 @@ pub struct ClusterConfig {
     pub metadata_latency: Duration,
     /// Recoverability level (§7.6).
     pub recoverability: RecoverabilityLevel,
-    /// FASTER memory budget (records) per shard.
+    /// FASTER memory budget per shard, in records of the paper's size (32
+    /// bytes each, [`dpr_faster::FasterConfig::memory_budget_records`]): the
+    /// default keeps 128 MiB of log resident per shard.
     pub memory_budget_records: usize,
     /// How often the finder service recomputes the cut.
     pub finder_interval: Duration,
@@ -61,9 +63,9 @@ pub struct ClusterConfig {
     /// Fig. 17/18 "Redis + Proxy" configuration).
     pub extra_proxy_hop: bool,
     /// Bound on each FASTER shard's unflushed (volatile) log region, in
-    /// records. Applied only when checkpoints are enabled; makes device
-    /// speed throughput-relevant via append backpressure (§7.2's
-    /// "thrashing" regime). `None` = unbounded.
+    /// records, held to at most the memory budget. Applied only when
+    /// checkpoints are enabled; makes device speed throughput-relevant via
+    /// append backpressure (§7.2's "thrashing" regime). `None` = unbounded.
     pub unflushed_limit_records: Option<u64>,
     /// The most unacknowledged batches each worker remembers, over all
     /// sessions, so that a retransmitted batch is answered again and not
@@ -419,8 +421,12 @@ impl Cluster {
         }
         self.workers[idx].pump_commits();
         self.meta.remove_worker(shard)?;
-        self.worker_endpoints.write().remove(&shard);
+        let public = self.worker_endpoints.write().remove(&shard);
         let worker = self.workers.remove(idx);
+        // A proxy hop in front of the worker ends with its endpoint.
+        if let Some(proxy) = public.filter(|&e| e != worker.endpoint()) {
+            self.net.close(proxy);
+        }
         worker.stop();
         Ok(())
     }

@@ -372,37 +372,43 @@ impl<L: Link> PipelinedClient<L> {
     /// Resends are the stored frame bytes verbatim — same seq, same
     /// serials — which is what makes them safe to dedupe server-side.
     pub fn retransmit_stalled(&mut self, older_than: Duration) -> Result<usize> {
-        let resent = self.retransmit_stalled_unless(older_than, |_| false)?;
-        Ok(resent.0)
+        self.retransmit_stalled_unless(older_than, |_| false).1
     }
 
     /// [`PipelinedClient::retransmit_stalled`], except that a stalled batch
     /// addressed to a shard `gone` says nobody answers for any more is taken
-    /// out of the table instead; returns how many were resent, and the
-    /// frames of those taken.
+    /// out of the table instead. Returns the frames of those taken, and how
+    /// many were resent. The taken frames come back whether or not a resend
+    /// fails: they are out of the table, so the caller is all that holds
+    /// their serials.
     pub(crate) fn retransmit_stalled_unless(
         &mut self,
         older_than: Duration,
         gone: impl Fn(ShardId) -> bool,
-    ) -> Result<(usize, Vec<Vec<u8>>)> {
+    ) -> (Vec<Vec<u8>>, Result<usize>) {
         let now = Instant::now();
-        let stalled: Vec<u64> = self
+        let (departed, stalled): (Vec<_>, Vec<_>) = self
             .inflight
             .iter()
             .filter(|(_, b)| now.duration_since(b.sent_at) >= older_than)
-            .map(|(&seq, _)| seq)
+            .map(|(&seq, b)| (seq, gone(b.shard)))
+            .partition(|&(_, departed)| departed);
+        let taken = departed
+            .into_iter()
+            .filter_map(|(seq, _)| self.remove(seq).map(|batch| batch.bytes))
             .collect();
-        let mut taken = Vec::new();
-        for &seq in &stalled {
-            let batch = self.inflight.get_mut(&seq).expect("collected above");
-            if gone(batch.shard) {
-                taken.extend(self.remove(seq).map(|batch| batch.bytes));
-            } else {
-                batch.sent_at = now;
-                self.link.send(&batch.bytes)?;
-            }
+        (taken, self.resend(&stalled, now))
+    }
+
+    /// Write the stored frames of the batches `stalled` names again,
+    /// stamped as sent at `now`.
+    fn resend(&mut self, stalled: &[(u64, bool)], now: Instant) -> Result<usize> {
+        for (seq, _) in stalled {
+            let batch = self.inflight.get_mut(seq).expect("collected by the caller");
+            batch.sent_at = now;
+            self.link.send(&batch.bytes)?;
         }
-        Ok((stalled.len() - taken.len(), taken))
+        Ok(stalled.len())
     }
 
     /// Forget every in-flight batch (the session's recovery resolves their
@@ -427,15 +433,20 @@ mod tests {
     use super::*;
     use dpr_core::{Key, Rng, SessionId, Value};
 
-    /// A link that keeps what is written and delivers what the test queues.
+    /// A link that keeps what is written and delivers what the test queues,
+    /// or refuses every write while `refusing`.
     #[derive(Default)]
     struct Scripted {
         sent: Vec<Vec<u8>>,
         arriving: Vec<u8>,
+        refusing: bool,
     }
 
     impl Link for Scripted {
         fn send(&mut self, frame: &[u8]) -> Result<()> {
+            if self.refusing {
+                return Err(DprError::Closed);
+            }
             self.sent.push(frame.to_vec());
             Ok(())
         }
@@ -531,6 +542,34 @@ mod tests {
         assert_eq!(core.retransmit_stalled(Duration::ZERO).unwrap(), 1);
     }
 
+    /// A stall scan whose resend fails still hands back the batches it took
+    /// for a departed shard: out of the table, nothing else holds their
+    /// serials. Three batches to a departed shard, one to a live one, and a
+    /// link that refuses every write; the table's order of visit is its
+    /// hasher's, so eight tables, each with its own.
+    #[test]
+    fn a_failed_resend_hands_back_the_departed_batches() {
+        const GONE: ShardId = ShardId(4);
+        let ops = [ClusterOp::Upsert(Key::from_u64(1), Value::from_u64(2))];
+        for _ in 0..8 {
+            let mut core = Core::new(DprClientSession::new(SessionId(7)), Scripted::default());
+            for shard in [GONE, SHARD, GONE, GONE] {
+                core.issue(shard, &ops).unwrap();
+            }
+            let mut departed = core.link.sent.clone();
+            departed.remove(1);
+            core.link.refusing = true;
+            let (mut taken, resent) = core.retransmit_stalled_unless(Duration::ZERO, |s| s == GONE);
+            assert!(resent.is_err());
+            taken.sort(); // by seq: the frames agree up to that field
+            assert_eq!(taken, departed);
+            assert_eq!((core.inflight(), core.inflight_ops()), (1, 1));
+            // The live shard's batch stays for the next scan.
+            core.link.refusing = false;
+            assert_eq!(core.retransmit_stalled(Duration::ZERO).unwrap(), 1);
+        }
+    }
+
     /// `acked_below` as each issued frame carries it, against a model of the
     /// in-flight table, over seeded schedules of loss, reordered and repeated
     /// answers, `NotOwner` re-routes and `taken` batches: it is the lowest
@@ -608,9 +647,9 @@ mod tests {
                     // Its worker left: taken out of the table, sent elsewhere.
                     7 => {
                         let gone = [SHARD, OTHER][draw(2)];
-                        let (_, taken) = core
-                            .retransmit_stalled_unless(Duration::ZERO, |s| s == gone)
-                            .unwrap();
+                        let (taken, resent) =
+                            core.retransmit_stalled_unless(Duration::ZERO, |s| s == gone);
+                        resent.unwrap();
                         let (left, stay): (Vec<_>, Vec<_>) =
                             model.iter().partition(|b| b.3 == gone);
                         assert_eq!(taken.len(), left.len());

@@ -1,7 +1,7 @@
 //! Cluster membership changes: partition migration, worker addition and
 //! removal (§5.3).
 
-use dpr_cluster::{Cluster, ClusterConfig, ClusterKind, ClusterOp, OpResult};
+use dpr_cluster::{BusFrame, Cluster, ClusterConfig, ClusterKind, ClusterOp, OpResult};
 use dpr_core::{Key, Value};
 use std::time::Duration;
 
@@ -111,6 +111,29 @@ fn remove_worker_migrates_everything_away() {
     session
         .wait_all_committed(cluster.cut_source(), Duration::from_secs(10))
         .unwrap();
+    cluster.shutdown();
+}
+
+/// A removed worker's proxy hop leaves the bus with it: a frame sent to the
+/// proxy's endpoint fails, where it was forwarded to the closed worker.
+#[test]
+fn a_removed_workers_proxy_leaves_the_bus() {
+    let mut cluster = Cluster::start(ClusterConfig {
+        extra_proxy_hop: true,
+        ..config(ClusterKind::DRedis, 2)
+    })
+    .unwrap();
+    load(&cluster, 100);
+    let proxy = cluster.worker_endpoint(1).unwrap();
+    assert_ne!(Some(proxy), cluster.workers().get(1).map(|w| w.endpoint()));
+    cluster.remove_worker(1).unwrap();
+    verify(&cluster, 100);
+    let (from, _inbox) = cluster.network().register();
+    let frame = BusFrame {
+        from,
+        bytes: vec![0u8; 8].into(),
+    };
+    assert!(cluster.network().send(proxy, frame).is_err());
     cluster.shutdown();
 }
 

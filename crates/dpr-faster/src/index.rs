@@ -28,8 +28,9 @@
 //! mostly by the insert of a new chain. At one slot per identity an
 //! identity's home slot is its own, so the table is direct-mapped and
 //! cannot fill up. The number of identities is derived from the store's
-//! memory budget ([`HashIndex::identities_for`]), which caps the index at a
-//! quarter of the bytes the budget allows the resident log.
+//! memory budget ([`HashIndex::identities_for`]), which caps the index at
+//! half the bytes the budget allows the resident log (two 8-byte slots per
+//! 32-byte record of the paper's size).
 //!
 //! ## Growth
 //!
@@ -152,8 +153,9 @@ struct Entries(AtomicU64);
 
 impl HashIndex {
     /// Chain identities for a store budgeted `resident_records` in memory:
-    /// two per record, a power of two. The budget is floored where the log
-    /// floors it (two pages) and the result capped at what an entry holds.
+    /// two per record, a power of two. The budget is floored at 2,048
+    /// records (a page of them at the paper's size) and the result capped at
+    /// what an entry holds.
     #[must_use]
     pub fn identities_for(resident_records: usize) -> u64 {
         let records = (resident_records as u64).clamp(1 << 11, 1 << (MAX_IDENTITY_BITS - 1));
@@ -456,7 +458,7 @@ mod tests {
         // colo_store's 250k resident records: 2^19 chains, a 4 MiB table.
         assert_eq!(HashIndex::identities_for(250_000), 1 << 19);
         assert_eq!(HashIndex::identities_for(1 << 22), 1 << 23);
-        // Floored with the log's two-page budget, capped by the entry.
+        // Floored at a page of records, capped by the entry.
         assert_eq!(HashIndex::identities_for(0), 1 << 12);
         assert_eq!(
             HashIndex::identities_for(usize::MAX),

@@ -199,7 +199,8 @@ pub struct RecordLog {
     head: AtomicU64,
     flushed: AtomicU64,
     begin: AtomicU64,
-    /// Max bytes in `[flushed, tail)` before appends stall (backpressure).
+    /// Max bytes in `[flushed, tail)` before appends stall (backpressure):
+    /// `u64::MAX`, or at most `memory_budget`.
     unflushed_limit: AtomicU64,
     /// Target resident bytes for [`RecordLog::maybe_evict`].
     memory_budget: u64,
@@ -234,13 +235,17 @@ impl RecordLog {
         }
     }
 
-    /// Bound the unflushed region `[flushed, tail)` to `bytes`; appends
-    /// past the bound stall, calling [`RecordLog::flush_volatile`] on
-    /// [`Backoff`] until the frontier catches up. `u64::MAX` (the default)
-    /// disables backpressure.
+    /// Bound the unflushed region `[flushed, tail)` to `bytes`, held
+    /// between a page and the memory budget: eviction stops at the flushed
+    /// frontier, so a larger unflushed region would keep more than the
+    /// budget resident. Appends past the bound stall, calling
+    /// [`RecordLog::flush_volatile`] on [`Backoff`] until the frontier
+    /// catches up. Without a call (the default) there is no backpressure.
     pub fn set_unflushed_limit(&self, bytes: u64) {
-        self.unflushed_limit
-            .store(bytes.max(PAGE_BYTES), Ordering::Relaxed);
+        self.unflushed_limit.store(
+            bytes.clamp(PAGE_BYTES, self.memory_budget),
+            Ordering::Relaxed,
+        );
     }
 
     /// Under an unflushed bound, roll the read-only boundary to half the

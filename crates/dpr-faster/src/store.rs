@@ -32,14 +32,6 @@ use std::time::Duration;
 
 const PAGE_BYTES: u64 = PAGE_SIZE as u64;
 
-/// Bytes-per-record used to convert the record-denominated config knobs
-/// (`memory_budget_records`, `unflushed_limit_records`) onto the
-/// byte-denominated arena log: a budget of two records of the paper's size,
-/// or one with a key and value of 24 bytes. Keeping the knobs
-/// record-denominated preserves every existing config literal across the
-/// workspace.
-const RECORD_BYTES_ESTIMATE: u64 = 64;
-
 /// Versions a store that runs no copy-forward pass checkpoints before
 /// [`FasterKv::collect_due_garbage`] asks for the cut to prune its manifests
 /// with: a bound on the manifests such a store keeps. A store that runs
@@ -47,7 +39,9 @@ const RECORD_BYTES_ESTIMATE: u64 = 64;
 const UNPRUNED_VERSIONS: u64 = 64;
 
 /// The smallest record of the paper's workloads (8-byte key and value): what
-/// bounds the number of records in a log of a given length.
+/// bounds the number of records in a log of a given length, and the bytes the
+/// record-denominated knobs (`memory_budget_records`,
+/// `unflushed_limit_records`) stand for on the byte-denominated arena log.
 const PAPER_RECORD_BYTES: u64 = record_footprint(8, 8) as u64;
 
 /// Copies a pass appends under one epoch guard and one take of the copy
@@ -68,13 +62,11 @@ fn is_purged(purged: &[(Version, Version)], v: Version) -> bool {
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct FasterConfig {
-    /// Records kept resident before eviction to the device begins
-    /// (converted to arena bytes at 64 bytes per record). A record of the
-    /// paper's size (8-byte key and value) is 32 bytes, so the arena holds
-    /// twice the records this names: a budget of 250,000 keeps ~500,000
-    /// resident. The conversion stays so that no configuration's memory
-    /// moves. The hash index takes its number of chains from it, two per
-    /// record ([`HashIndex::identities_for`]).
+    /// Records of the paper's size (8-byte key and value: 32 bytes) kept
+    /// resident before eviction to the device begins: a budget of 250,000
+    /// keeps 8 MB of log resident, fewer records if they are larger, and
+    /// two pages at least. The hash index takes its number of chains from
+    /// it, two per record ([`HashIndex::identities_for`]).
     pub memory_budget_records: usize,
     /// Spawn a background thread that calls [`FasterKv::maintain`]. Without
     /// one the owner does (a cluster shard's loop; a deterministic unit test
@@ -87,11 +79,15 @@ pub struct FasterConfig {
     /// synchronously instead, so the prefix guarantee has no exception
     /// lists. Default is relaxed, as in FASTER.
     pub strict_cpr: bool,
-    /// Bound on unflushed records (HybridLog's volatile region). When set,
+    /// Bound on unflushed records (HybridLog's volatile region), at the
+    /// paper's record size like the memory budget, and held to at most that
+    /// budget: eviction stops at the durable frontier, so a larger volatile
+    /// region would keep more than the budget resident. When set,
     /// maintenance rolls the read-only boundary and flushes continuously,
     /// and appends beyond the bound stall until the device catches up —
     /// making device speed throughput-relevant, as in real
-    /// FASTER. `None` = unbounded (no backpressure).
+    /// FASTER. `None` = unbounded (no backpressure; the whole log above the
+    /// last checkpoint is mutable).
     pub unflushed_limit_records: Option<u64>,
     /// Simulated latency of one device read (records below the head).
     /// Strict CPR pays it per operation; relaxed CPR pays it once per
@@ -374,7 +370,7 @@ impl FasterKv {
     ) -> Arc<FasterKv> {
         let log = RecordLog::new(
             device,
-            config.memory_budget_records as u64 * RECORD_BYTES_ESTIMATE,
+            (config.memory_budget_records as u64).saturating_mul(PAPER_RECORD_BYTES),
         );
         let kv = Arc::new(FasterKv {
             index: HashIndex::new(Arc::clone(log.epoch()), identities),
@@ -428,7 +424,7 @@ impl FasterKv {
             Some(m) => (m.version, m.until_address, m.purged.clone()),
             None => (Version::ZERO, 0, Vec::new()),
         };
-        let budget_bytes = config.memory_budget_records as u64 * RECORD_BYTES_ESTIMATE;
+        let budget_bytes = (config.memory_budget_records as u64).saturating_mul(PAPER_RECORD_BYTES);
         let identities = HashIndex::identities_for(config.memory_budget_records);
         // Records recovery must not resurrect: rolled back, or in flight but
         // uncommitted at the crash.
@@ -571,11 +567,12 @@ impl FasterKv {
         })
     }
 
-    /// Bound the unflushed log, and spawn the maintenance thread if the
-    /// configuration asks for one.
+    /// Bound the unflushed log (to the memory budget at most), and spawn the
+    /// maintenance thread if the configuration asks for one.
     fn start_maintenance(kv: &Arc<FasterKv>) {
         if let Some(limit) = kv.config.unflushed_limit_records {
-            kv.log.set_unflushed_limit(limit * RECORD_BYTES_ESTIMATE);
+            kv.log
+                .set_unflushed_limit(limit.saturating_mul(PAPER_RECORD_BYTES));
         }
         if !kv.config.auto_maintenance {
             return;
@@ -1686,6 +1683,12 @@ impl FasterKv {
     #[must_use]
     pub fn log_tail(&self) -> u64 {
         self.log.tail()
+    }
+
+    /// Bytes of the log resident in memory, `tail - head` (diagnostics).
+    #[must_use]
+    pub fn log_resident_bytes(&self) -> u64 {
+        self.log.resident_bytes()
     }
 
     /// The address the log begins at: everything below it has been freed

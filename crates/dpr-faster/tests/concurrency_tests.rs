@@ -4,6 +4,7 @@
 //! the device.
 
 use dpr_core::{Key, SessionId, Value, Version};
+use dpr_faster::record::record_footprint;
 use dpr_faster::{FasterConfig, FasterKv, Op, OpOutcome};
 use dpr_storage::{MemBlobStore, MemLogDevice};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -321,7 +322,7 @@ fn a_batch_that_waits_for_the_flusher_does_not_hold_off_eviction() {
     const OPS: usize = 50_000;
     let kv = FasterKv::new(
         FasterConfig {
-            memory_budget_records: 4 * dpr_faster::PAGE_SIZE / 64,
+            memory_budget_records: 4 * dpr_faster::PAGE_SIZE / record_footprint(8, 8),
             auto_maintenance: true,
             unflushed_limit_records: Some(4),
             ..FasterConfig::default()

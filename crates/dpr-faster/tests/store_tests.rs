@@ -2,8 +2,9 @@
 //! crash recovery, pending operations.
 
 use dpr_core::{Key, SessionId, Value, Version};
-use dpr_faster::{FasterConfig, FasterKv, OpOutcome, Phase};
-use dpr_storage::{MemBlobStore, MemLogDevice};
+use dpr_faster::record::record_footprint;
+use dpr_faster::{FasterConfig, FasterKv, OpOutcome, Phase, PAGE_SIZE};
+use dpr_storage::{MemBlobStore, MemLogDevice, StorageProfile};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -428,4 +429,75 @@ fn restore_to_earlier_checkpoint_after_restart() {
         kv.get(&Key::from_u64(1)).unwrap().unwrap().as_u64(),
         Some(1)
     );
+}
+
+/// A budget of B records keeps B records of the paper's size resident, not
+/// twice that: a store budgeted 16,384 records (eight pages) and preloaded
+/// with four times as many keys holds at most its budget and a page after
+/// every maintenance round, and every key reads back, the cold ones from the
+/// device.
+#[test]
+fn a_record_budget_keeps_the_records_it_names_resident() {
+    const BUDGET: u64 = 1 << 14;
+    let kv = FasterKv::new(
+        FasterConfig {
+            memory_budget_records: BUDGET as usize,
+            auto_maintenance: false,
+            unflushed_limit_records: Some(BUDGET),
+            ..FasterConfig::default()
+        },
+        Arc::new(MemLogDevice::null()),
+        Arc::new(MemBlobStore::new()),
+    );
+    let bound = BUDGET * record_footprint(8, 8) as u64 + PAGE_SIZE as u64;
+    let s = kv.start_session(SessionId(1));
+    let mut most = 0;
+    for k in 0..4 * BUDGET {
+        s.upsert(Key::from_u64(k), Value::from_u64(k)).unwrap();
+        if k % 1024 == 1023 {
+            kv.maintain();
+            most = most.max(kv.log_resident_bytes());
+        }
+    }
+    assert!(kv.log_tail() >= 4 * BUDGET * record_footprint(8, 8) as u64);
+    assert!(
+        most <= bound,
+        "{most} bytes resident, budget and a page {bound}"
+    );
+    for k in 0..4 * BUDGET {
+        assert_eq!(kv.get(&Key::from_u64(k)).unwrap(), Some(Value::from_u64(k)));
+    }
+}
+
+/// An unflushed bound above the memory budget is held to the budget:
+/// eviction stops at the durable frontier, so a volatile region of 16,384
+/// records (512 KiB) over a two-page budget would keep up to four times the
+/// budget resident. On a device that charges every flush 2 ms the resident log
+/// never exceeds the budget and a page, read after every write.
+#[test]
+fn an_unflushed_bound_above_the_budget_keeps_the_budget() {
+    let kv = FasterKv::new(
+        FasterConfig {
+            memory_budget_records: 0, // two pages
+            auto_maintenance: false,
+            unflushed_limit_records: Some(1 << 14),
+            ..FasterConfig::default()
+        },
+        Arc::new(MemLogDevice::with_profile(StorageProfile::LocalSsd)),
+        Arc::new(MemBlobStore::new()),
+    );
+    let bound = 3 * PAGE_SIZE as u64;
+    let s = kv.start_session(SessionId(1));
+    let records = 16 * PAGE_SIZE as u64 / record_footprint(8, 8) as u64;
+    for k in 0..records {
+        s.upsert(Key::from_u64(k), Value::from_u64(k)).unwrap();
+        if k % 512 == 511 {
+            kv.maintain();
+        }
+        let resident = kv.log_resident_bytes();
+        assert!(
+            resident <= bound,
+            "{resident} bytes resident after {k} writes"
+        );
+    }
 }
