@@ -668,7 +668,8 @@ fn preloaded_store(
 /// live state every time. Fold-over's cost is proportional to the write
 /// rate, snapshot's to the keyspace — the crossover is why FASTER defaults
 /// to fold-over for frequent commits. One writer, a checkpoint requested
-/// every 50 ms, local-SSD profile.
+/// every 50 ms, local-SSD profile; the harness's thread maintains the store
+/// every 200 µs meanwhile, as a shard loop would: what moves the checkpoints.
 fn ablation_checkpoint_mode(o: &Opts) -> Result<()> {
     let modes = [
         ("fold-over", CheckpointMode::FoldOver),
@@ -681,20 +682,29 @@ fn ablation_checkpoint_mode(o: &Opts) -> Result<()> {
             ..FasterConfig::default()
         };
         let (kv, session) = preloaded_store(config, StorageProfile::LocalSsd, o.keys)?;
-        let start = Instant::now();
-        let (mut ops, mut checkpoints) = (0u64, 0u64);
-        let mut last_checkpoint = Instant::now();
-        while start.elapsed() < o.long_window() {
-            for i in 0..512u64 {
-                session.upsert(Key::from_u64((ops + i) % o.keys), Value::from_u64(i))?;
+        let (ops, checkpoints, elapsed) = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| -> Result<_> {
+                let start = Instant::now();
+                let (mut ops, mut checkpoints) = (0u64, 0u64);
+                let mut last_checkpoint = Instant::now();
+                while start.elapsed() < o.long_window() {
+                    for i in 0..512u64 {
+                        session.upsert(Key::from_u64((ops + i) % o.keys), Value::from_u64(i))?;
+                    }
+                    ops += 512;
+                    if last_checkpoint.elapsed() > Duration::from_millis(50) {
+                        checkpoints += u64::from(kv.request_checkpoint(None));
+                        last_checkpoint = Instant::now();
+                    }
+                }
+                Ok((ops, checkpoints, start.elapsed().as_secs_f64()))
+            });
+            while !writer.is_finished() {
+                kv.maintain();
+                std::thread::sleep(Duration::from_micros(200));
             }
-            ops += 512;
-            if last_checkpoint.elapsed() > Duration::from_millis(50) {
-                checkpoints += u64::from(kv.request_checkpoint(None));
-                last_checkpoint = Instant::now();
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+            writer.join().expect("the writer panicked")
+        })?;
         let per_s = format!("{:.1}", checkpoints as f64 / elapsed);
         let mops = format!("{:.4}", ops as f64 / elapsed / 1e6);
         let fields = [

@@ -463,7 +463,6 @@ fn build_store(config: &ClusterConfig, shard: ShardId) -> Result<Arc<dyn ShardSt
             let kv = dpr_faster::FasterKv::new(
                 dpr_faster::FasterConfig {
                     memory_budget_records: config.memory_budget_records,
-                    auto_maintenance: false,
                     // Without checkpoints the log is "entirely mutable and we
                     // do not invoke the checkpointing code path" (§7.2) — no
                     // flushing, no backpressure.

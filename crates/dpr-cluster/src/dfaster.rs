@@ -225,7 +225,6 @@ mod tests {
         let kv = FasterKv::new(
             FasterConfig {
                 memory_budget_records: 1 << 20,
-                auto_maintenance: true,
                 ..FasterConfig::default()
             },
             Arc::new(MemLogDevice::null()),

@@ -758,8 +758,7 @@ fn a_colocated_batch_refused_mid_migration_keeps_its_serials() {
 }
 
 /// A cluster shard has one background loop, which parks between due times:
-/// no store of a cluster runs a maintenance thread of its own, and a 2-shard
-/// cluster left idle for 300 ms wakes its shard loops fewer than 400 times
+/// a 2-shard cluster left idle for 300 ms wakes its shard loops fewer than 400 times
 /// (a lease renewal every 4 ms and a checkpoint every 100 ms allow ~150;
 /// a loop that polled every millisecond would wake 600 times) — at first,
 /// and again once a session has written and a checkpoint interval passed,
@@ -774,15 +773,6 @@ fn an_idle_cluster_parks_its_background_loops() {
             ..ClusterConfig::default()
         })
         .unwrap();
-        let maintenance_threads = std::fs::read_dir("/proc/self/task")
-            .unwrap()
-            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-            .filter(|name| name.trim() == "faster-maint")
-            .count();
-        assert_eq!(
-            maintenance_threads, 0,
-            "a cluster's store has its own thread"
-        );
         let wakeups = || -> u64 { cluster.workers().iter().map(|w| w.loop_wakeups()).sum() };
         let woken_in_300_ms = || {
             let before = wakeups();
@@ -809,20 +799,30 @@ fn an_idle_cluster_parks_its_background_loops() {
 
 /// A batch whose version lower bound is ahead of its shard queues a
 /// fast-forward commit and wakes the shard loop to move it: on an idle shard
-/// whose loop is parked, it waits well under the 4 ms to the loop's next due
-/// time (median of 20 under 1 ms; ~2 ms if nothing wakes the loop).
+/// whose loop is parked, it is answered before the loop's next due time. An
+/// idle loop without checkpoints is due every 4 ms; issued a millisecond
+/// after one of its wake-ups, the median of 20 batches is answered within
+/// 2 ms, where without the wake-up each waits the 3 ms left.
 #[test]
 fn a_batch_ahead_of_an_idle_shard_wakes_its_loop() {
+    const SETTLE: Duration = Duration::from_millis(1);
     let cluster = Cluster::start(ClusterConfig {
         shards: 1,
+        checkpoint_interval: None,
         ..ClusterConfig::default()
     })
     .unwrap();
     let worker = Arc::clone(&cluster.workers()[0]);
     let (mut waits, mut results) = (Vec::new(), Vec::new());
     for serial in 0..20 {
-        // Let the last fast-forward finish and the loop park.
+        // Let the last fast-forward finish and the loop park; then catch a
+        // wake-up of it and let that step end.
         std::thread::sleep(Duration::from_millis(10));
+        let wakeups = worker.loop_wakeups();
+        while worker.loop_wakeups() == wakeups {
+            std::hint::spin_loop();
+        }
+        std::thread::sleep(SETTLE);
         let header = BatchHeader {
             session: SessionId(1),
             world_line: worker.world_line(),
@@ -840,7 +840,7 @@ fn a_batch_ahead_of_an_idle_shard_wakes_its_loop() {
     }
     waits.sort();
     assert!(
-        waits[10] < Duration::from_millis(1),
+        waits[10] < 2 * SETTLE,
         "a delayed batch waits for the loop's due time: {waits:?}"
     );
     cluster.shutdown();

@@ -46,6 +46,9 @@ impl StateObject for Spy {
     fn restore(&self, version: Version) -> Result<()> {
         self.inner.restore(version)
     }
+    fn maintain(&self) -> bool {
+        self.inner.maintain()
+    }
 }
 
 impl ShardStore for Spy {
@@ -92,7 +95,6 @@ fn straddling_batch_reports_deps_with_its_lowest_version() {
     let kv = FasterKv::new(
         FasterConfig {
             memory_budget_records: 1 << 20,
-            auto_maintenance: true,
             ..FasterConfig::default()
         },
         Arc::new(MemLogDevice::null()),

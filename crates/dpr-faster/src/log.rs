@@ -844,7 +844,9 @@ impl RecordLog {
     }
 
     /// Evict down to the memory budget if the resident region overflows
-    /// it. Must not be called while holding an epoch guard.
+    /// it, as far as the flushed and read-only frontiers allow: after every
+    /// batch of the store's sessions and in every maintenance round. Must not
+    /// be called while holding an epoch guard.
     pub fn maybe_evict(&self) -> u64 {
         let tail = self.tail();
         if tail.saturating_sub(self.head()) > self.memory_budget {

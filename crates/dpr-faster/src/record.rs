@@ -984,10 +984,7 @@ mod tests {
         use crate::{FasterConfig, FasterKv};
         use dpr_storage::{MemBlobStore, MemLogDevice};
         let kv = FasterKv::new(
-            FasterConfig {
-                auto_maintenance: false,
-                ..FasterConfig::default()
-            },
+            FasterConfig::default(),
             std::sync::Arc::new(MemLogDevice::null()),
             std::sync::Arc::new(MemBlobStore::new()),
         );

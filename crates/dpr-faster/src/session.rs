@@ -177,17 +177,22 @@ impl Session {
     ///
     /// `each` runs under the session's lock and the batch's guard: it must
     /// not block, and it must not call this session (which would deadlock)
-    /// or anything that waits for every guard.
+    /// or anything that waits for every guard. Past the store's memory
+    /// budget, the session evicts before it returns, as all its calls do.
     pub fn execute<'a>(
         &self,
         ops: impl IntoIterator<Item = Op<'a>>,
         each: impl FnMut(OpOutcome),
     ) -> dpr_core::Result<()> {
-        self.store.op_batch(&self.shared, ops, each)
+        let ran = self.store.op_batch(&self.shared, ops, each);
+        self.store.hold_budget();
+        ran
     }
 
     fn execute_one(&self, op: Op<'_>) -> dpr_core::Result<OpOutcome> {
-        self.store.op_one(&self.shared, op)
+        let outcome = self.store.op_one(&self.shared, op);
+        self.store.hold_budget();
+        outcome
     }
 
     /// Read `key`. Completes immediately for resident keys; goes PENDING if
@@ -218,7 +223,9 @@ impl Session {
     /// Resolve all outstanding PENDING operations, returning their results
     /// in serial order. Also surfaces operations lost to rollbacks.
     pub fn complete_pending(&self) -> dpr_core::Result<Vec<CompletedOp>> {
-        self.store.op_complete_pending(&self.shared)
+        let completed = self.store.op_complete_pending(&self.shared);
+        self.store.hold_budget();
+        completed
     }
 
     /// Participate in the state machine without issuing an operation. Call

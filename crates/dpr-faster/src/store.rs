@@ -26,8 +26,8 @@ use dpr_core::{DprError, Key, Result, SessionId, Value, Version};
 use dpr_storage::{BlobStore, LogDevice};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const PAGE_BYTES: u64 = PAGE_SIZE as u64;
@@ -68,10 +68,6 @@ pub struct FasterConfig {
     /// two pages at least. The hash index takes its number of chains from
     /// it, two per record ([`HashIndex::identities_for`]).
     pub memory_budget_records: usize,
-    /// Spawn a background thread that calls [`FasterKv::maintain`]. Without
-    /// one the owner does (a cluster shard's loop; a deterministic unit test
-    /// calls [`FasterKv::tick`]).
-    pub auto_maintenance: bool,
     /// How checkpoints capture state: fold-over (the paper's evaluation
     /// mode) or full snapshot.
     pub checkpoint_mode: dpr_core::CheckpointMode,
@@ -106,7 +102,6 @@ impl Default for FasterConfig {
     fn default() -> Self {
         FasterConfig {
             memory_budget_records: 1 << 22,
-            auto_maintenance: true,
             checkpoint_mode: dpr_core::CheckpointMode::FoldOver,
             strict_cpr: false,
             unflushed_limit_records: None,
@@ -305,7 +300,6 @@ pub struct FasterKv {
     copy_gate: Mutex<()>,
     /// Serializes [`FasterKv::collect_garbage`].
     compaction: Mutex<Compaction>,
-    shutdown: AtomicBool,
 }
 
 /// Written by every append that supersedes a record, so kept off the cache
@@ -393,10 +387,9 @@ impl FasterKv {
             dead_bytes: DeadBytes::default(),
             copy_gate: Mutex::new(()),
             compaction: Mutex::new(Compaction::default()),
-            shutdown: AtomicBool::new(false),
             config,
         });
-        Self::start_maintenance(&kv);
+        kv.bound_unflushed();
         kv
     }
 
@@ -504,10 +497,9 @@ impl FasterKv {
             dead_bytes: DeadBytes::default(),
             copy_gate: Mutex::new(()),
             compaction: Mutex::new(Compaction::default()),
-            shutdown: AtomicBool::new(false),
             config,
         });
-        Self::start_maintenance(&kv);
+        kv.bound_unflushed();
         Ok(kv)
     }
 
@@ -567,36 +559,17 @@ impl FasterKv {
         })
     }
 
-    /// Bound the unflushed log (to the memory budget at most), and spawn the
-    /// maintenance thread if the configuration asks for one.
-    fn start_maintenance(kv: &Arc<FasterKv>) {
-        if let Some(limit) = kv.config.unflushed_limit_records {
-            kv.log
+    /// Bound the unflushed log, to the memory budget at most.
+    fn bound_unflushed(&self) {
+        if let Some(limit) = self.config.unflushed_limit_records {
+            self.log
                 .set_unflushed_limit(limit.saturating_mul(PAPER_RECORD_BYTES));
         }
-        if !kv.config.auto_maintenance {
-            return;
-        }
-        let weak: Weak<FasterKv> = Arc::downgrade(kv);
-        std::thread::Builder::new()
-            .name("faster-maint".into())
-            .spawn(move || loop {
-                let Some(kv) = weak.upgrade() else { return };
-                if kv.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                kv.maintain();
-                drop(kv);
-                std::thread::sleep(Duration::from_micros(200));
-            })
-            .expect("spawn maintenance thread");
     }
 
-    /// Stop the maintenance thread (idempotent). Sessions remain usable but
-    /// no further checkpoints complete automatically.
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-    }
+    /// Does nothing: a store runs no thread of its own, and its owner stops
+    /// maintaining it by no longer calling [`FasterKv::maintain`].
+    pub fn shutdown(&self) {}
 
     // ---------------------------------------------------------------- sessions
 
@@ -910,6 +883,13 @@ impl FasterKv {
     /// the CPR rule — same version, above the read-only boundary, live.
     fn in_place_ok(&self, view: &RecordView<'_>, m: &RecordMeta, version: Version) -> bool {
         view.address() >= self.log.read_only() && m.version == version && !m.tombstone && !m.invalid
+    }
+
+    /// Hold the memory budget ([`RecordLog::maybe_evict`]) after every
+    /// session call, its guard and lock released, and every `collect_garbage`,
+    /// whether or not an owner calls [`FasterKv::maintain`].
+    pub(crate) fn hold_budget(&self) {
+        self.log.maybe_evict();
     }
 
     /// Run a batch of operations for a session (`Session::execute`): one take
@@ -1286,8 +1266,9 @@ impl FasterKv {
     }
 
     /// Drive the state machine one step, performing heavy work (flush,
-    /// purge) inline. [`FasterKv::maintain`] calls this continuously;
-    /// deterministic tests call it manually.
+    /// purge) inline. [`FasterKv::maintain`], [`FasterKv::wait_for_durable`]
+    /// and [`FasterKv::restore_sync`] call it on their caller's thread: a
+    /// store runs no thread of its own.
     pub fn tick(&self) {
         self.try_advance(true);
         self.report_log_bytes([
@@ -1327,13 +1308,14 @@ impl FasterKv {
         let _ = self.log.flush_volatile();
     }
 
-    /// The store's background maintenance, once: [`FasterKv::tick`] while
-    /// the state machine moves, [`FasterKv::continuous_flush`], eviction.
-    /// Returns whether work is in flight, for which the caller comes back
-    /// soon: a phase other than REST or a request queued, a flush or an
-    /// eviction that moved (appends may follow it), a finished pass waiting
-    /// for its cut. A log that neither moves stays as it is until appended
-    /// to.
+    /// The store's background maintenance, once, for its owner to call (a
+    /// cluster shard's loop): [`FasterKv::tick`] while the state machine
+    /// moves, [`FasterKv::continuous_flush`], eviction (which every batch
+    /// does as well). Returns whether work is in flight, for which the
+    /// caller comes back soon: a phase other than REST or a request queued,
+    /// a flush or an eviction that moved (appends may follow it), a finished
+    /// pass waiting for its cut. A log that neither moves stays as it is
+    /// until appended to.
     pub fn maintain(&self) -> bool {
         loop {
             let before = self.global.load();
@@ -1805,6 +1787,7 @@ impl FasterKv {
     pub fn collect_garbage(&self, version: Version) -> Result<Option<u64>> {
         let _round = crate::metrics::compaction_round().start_timer();
         let freed = self.collect_garbage_at(version);
+        self.hold_budget();
         if freed.is_err() {
             crate::metrics::gc_errors().inc();
         }
@@ -2167,7 +2150,6 @@ impl FasterKv {
 
 impl Drop for FasterKv {
     fn drop(&mut self) {
-        self.shutdown();
         self.report_log_bytes([0; 5]);
     }
 }
@@ -2188,7 +2170,6 @@ mod tests {
     fn config() -> FasterConfig {
         FasterConfig {
             memory_budget_records: 0,
-            auto_maintenance: false,
             ..FasterConfig::default()
         }
     }

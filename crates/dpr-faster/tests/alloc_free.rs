@@ -54,10 +54,7 @@ fn my_allocs() -> u64 {
 
 fn store() -> Arc<FasterKv> {
     FasterKv::new(
-        FasterConfig {
-            auto_maintenance: false,
-            ..FasterConfig::default()
-        },
+        FasterConfig::default(),
         Arc::new(MemLogDevice::null()),
         Arc::new(MemBlobStore::new()),
     )

@@ -10,7 +10,6 @@ use std::time::Duration;
 fn snapshot_config() -> FasterConfig {
     FasterConfig {
         memory_budget_records: 1 << 20,
-        auto_maintenance: false,
         checkpoint_mode: CheckpointMode::Snapshot,
         strict_cpr: false,
         unflushed_limit_records: None,
@@ -149,11 +148,10 @@ fn gc_truncates_device_below_snapshot_checkpoint() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
     // A snapshot checkpoint does not flush the log; the bounded volatile
-    // region does, and only a flushed prefix can be freed. Its flusher is
-    // the maintenance thread, which the pass's own appends wait for too.
+    // region does, and only a flushed prefix can be freed. An append at the
+    // bound flushes for itself, the pass's own appends too.
     let config = FasterConfig {
         unflushed_limit_records: Some(1 << 10),
-        auto_maintenance: true,
         ..snapshot_config()
     };
     let kv = FasterKv::new(config.clone(), device.clone(), blobs.clone());
@@ -277,7 +275,6 @@ fn strict_cpr_never_returns_pending() {
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
         memory_budget_records: 0, // tiny: floor 2 pages
-        auto_maintenance: false,
         checkpoint_mode: CheckpointMode::FoldOver,
         strict_cpr: true,
         unflushed_limit_records: None,

@@ -15,10 +15,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn config(auto_maintenance: bool) -> FasterConfig {
+mod common;
+use common::Maintainer;
+
+fn config() -> FasterConfig {
     FasterConfig {
         memory_budget_records: 0, // two pages: 4,096 records of the paper's size
-        auto_maintenance,
         ..FasterConfig::default()
     }
 }
@@ -107,7 +109,8 @@ fn write(kv: &Arc<FasterKv>, writer: u64, keys: u64, stop: &AtomicBool) -> Model
 
 /// (a) Four writers on a store of two resident pages while a fifth thread
 /// checkpoints, runs passes and truncates as fast as it can, until the log
-/// has been truncated five times, and a sixth scans the live state.
+/// has been truncated five times, a sixth scans the live state, and a
+/// seventh maintains the store.
 #[test]
 fn writers_racing_passes_and_truncations_keep_every_key_exact() {
     const WRITERS: u64 = 4;
@@ -115,7 +118,8 @@ fn writers_racing_passes_and_truncations_keep_every_key_exact() {
     const TRUNCATIONS: u32 = 5;
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
-    let kv = FasterKv::new(config(true), device.clone(), blobs.clone());
+    let kv = FasterKv::new(config(), device.clone(), blobs.clone());
+    let maintainer = Maintainer::start(&kv);
     let done = AtomicBool::new(false);
     let models: Vec<Model> = std::thread::scope(|scope| {
         let collector = scope.spawn(|| {
@@ -167,20 +171,26 @@ fn writers_racing_passes_and_truncations_keep_every_key_exact() {
     check(&kv);
     // And what is left of the log is the whole state.
     checkpoint(&kv);
+    drop(maintainer);
     drop(kv);
     device.crash();
-    check(&FasterKv::recover(config(false), device, blobs, None).unwrap());
+    check(&FasterKv::recover(config(), device, blobs, None).unwrap());
 }
 
 /// (b) A pass skips a record a newer one has superseded. If a rollback then
 /// purges the newer one, the older is live again, in a prefix the pass had
-/// marked for freeing: the pass is void.
+/// marked for freeing: the pass is void. The log stays resident, so that
+/// each pass starts at a quarter garbage.
 #[test]
 fn a_rollback_between_a_pass_and_its_truncation_loses_no_key() {
     const KEYS: u64 = 3_000;
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
-    let kv = FasterKv::new(config(false), device.clone(), blobs.clone());
+    let config = || FasterConfig {
+        memory_budget_records: 1 << 16,
+        ..config()
+    };
+    let kv = FasterKv::new(config(), device.clone(), blobs.clone());
     let s = kv.start_session(SessionId(1));
     // Versions 1 and 2, both durable; the cut is at 1.
     rewrite(&kv, &s, KEYS, 0..2);
@@ -212,7 +222,7 @@ fn a_rollback_between_a_pass_and_its_truncation_loses_no_key() {
     drop(s);
     drop(kv);
     device.crash();
-    let kv = FasterKv::recover(config(false), device, blobs, None).unwrap();
+    let kv = FasterKv::recover(config(), device, blobs, None).unwrap();
     for k in 0..KEYS {
         assert_eq!(read(&kv, k), Some(k), "key {k} after recovery");
     }
@@ -224,7 +234,7 @@ fn a_rollback_between_a_pass_and_its_truncation_loses_no_key() {
 fn a_pass_copies_no_more_than_it_frees_and_a_preload_runs_none() {
     const KEYS: u64 = 20_000;
     let kv = FasterKv::new(
-        config(false),
+        config(),
         Arc::new(MemLogDevice::null()),
         Arc::new(MemBlobStore::new()),
     );
@@ -295,7 +305,7 @@ fn a_resident_log_holds_at_most_a_quarter_garbage() {
     let kv = FasterKv::new(
         FasterConfig {
             memory_budget_records: 1 << 16,
-            ..config(false)
+            ..config()
         },
         Arc::new(MemLogDevice::null()),
         Arc::new(MemBlobStore::new()),
@@ -340,7 +350,7 @@ fn a_log_that_has_left_memory_waits_for_half_and_a_memorys_worth() {
     // Two pages, the memory budget of `config`.
     const MEMORY: u64 = 2 * PAGE_SIZE as u64;
     let kv = FasterKv::new(
-        config(false),
+        config(),
         Arc::new(MemLogDevice::null()),
         Arc::new(MemBlobStore::new()),
     );
@@ -385,7 +395,7 @@ fn truncations_free_the_device(
 ) -> usize {
     // A round of them is one page: every pass ends on a page boundary.
     const KEYS: u64 = (PAGE_SIZE / 32) as u64;
-    let kv = FasterKv::new(config(false), device, Arc::new(MemBlobStore::new()));
+    let kv = FasterKv::new(config(), device, Arc::new(MemBlobStore::new()));
     let s = kv.start_session(SessionId(1));
     let mut truncations = 0;
     for round in 0..rounds {

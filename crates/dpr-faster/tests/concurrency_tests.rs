@@ -11,11 +11,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+use common::Maintainer;
+
 fn store() -> Arc<FasterKv> {
     FasterKv::new(
         FasterConfig {
             memory_budget_records: 1 << 22,
-            auto_maintenance: true,
             ..FasterConfig::default()
         },
         Arc::new(MemLogDevice::null()),
@@ -26,6 +28,7 @@ fn store() -> Arc<FasterKv> {
 #[test]
 fn rmw_increments_are_never_lost_across_threads_and_checkpoints() {
     let kv = store();
+    let _maintainer = Maintainer::start(&kv);
     let threads = 4u64;
     let per_thread = 10_000u64;
     std::thread::scope(|scope| {
@@ -68,10 +71,7 @@ fn an_rmw_that_outgrows_its_record_loses_no_concurrent_in_place_rmw() {
     const GROWTHS: usize = 2_000;
     const INCREMENTS: u64 = 400_000;
     let kv = FasterKv::new(
-        FasterConfig {
-            auto_maintenance: false,
-            ..FasterConfig::default()
-        },
+        FasterConfig::default(),
         Arc::new(MemLogDevice::null()),
         Arc::new(MemBlobStore::new()),
     );
@@ -122,6 +122,7 @@ fn reads_of_a_monotone_counter_never_go_backwards() {
     // One writer increments a counter; one reader must observe a
     // non-decreasing sequence even across version boundaries.
     let kv = store();
+    let _maintainer = Maintainer::start(&kv);
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|scope| {
         let writer_kv = kv.clone();
@@ -172,12 +173,12 @@ fn racing_sessions_get_consistent_commit_points() {
     let kv = FasterKv::new(
         FasterConfig {
             memory_budget_records: 1 << 22,
-            auto_maintenance: true,
             ..FasterConfig::default()
         },
         device.clone(),
         blobs.clone(),
     );
+    let maintainer = Maintainer::start(&kv);
     let per_session = 5_000u64;
     std::thread::scope(|scope| {
         for t in 0..2u64 {
@@ -202,12 +203,12 @@ fn racing_sessions_get_consistent_commit_points() {
     let target = kv.durable_version().next();
     kv.request_checkpoint(None);
     assert!(kv.wait_for_durable(target, Duration::from_secs(10)));
+    drop(maintainer);
     drop(kv);
     device.crash();
     let kv = FasterKv::recover(
         FasterConfig {
             memory_budget_records: 1 << 22,
-            auto_maintenance: false,
             ..FasterConfig::default()
         },
         device,
@@ -297,10 +298,9 @@ fn a_lost_publish_race_leaves_no_stale_link_on_the_device() {
     });
     let sealing = kv.current_version();
     while !kv.request_checkpoint(None) {
-        std::thread::yield_now();
+        kv.maintain();
     }
     assert!(kv.wait_for_durable(sealing, Duration::from_secs(30)));
-    kv.shutdown();
     drop(kv);
     device.crash();
     let kv = FasterKv::recover(config, device, blobs, None).unwrap();
@@ -311,7 +311,7 @@ fn a_lost_publish_race_leaves_no_stale_link_on_the_device() {
 }
 
 /// A batch runs under one epoch guard, and an append of it that waits for
-/// the flusher refreshes the guard while it waits: the maintenance thread
+/// the flusher refreshes the guard while it waits: a maintainer thread
 /// flushes and then waits for every guard before it evicts, so a guard held
 /// through the wait would keep the flusher from the flush that ends it. The
 /// records are of 2 KiB, so the unflushed bound (one page) fills well within
@@ -323,13 +323,13 @@ fn a_batch_that_waits_for_the_flusher_does_not_hold_off_eviction() {
     let kv = FasterKv::new(
         FasterConfig {
             memory_budget_records: 4 * dpr_faster::PAGE_SIZE / record_footprint(8, 8),
-            auto_maintenance: true,
             unflushed_limit_records: Some(4),
             ..FasterConfig::default()
         },
         Arc::new(MemLogDevice::null()),
         Arc::new(MemBlobStore::new()),
     );
+    let _maintainer = Maintainer::start(&kv);
     let value = Value::from("v".repeat(2048).as_str());
     let keys: Vec<Key> = (0..OPS as u64).map(|i| Key::from_u64(i % 1000)).collect();
     let (done, ran) = std::sync::mpsc::channel();

@@ -11,7 +11,6 @@ use std::time::Duration;
 fn config(memory_budget_records: usize) -> FasterConfig {
     FasterConfig {
         memory_budget_records,
-        auto_maintenance: false,
         ..FasterConfig::default()
     }
 }

@@ -41,7 +41,6 @@ fn value(i: u64) -> Value {
 fn config() -> FasterConfig {
     FasterConfig {
         memory_budget_records: 0, // two pages: recovery leaves page 0 on the device
-        auto_maintenance: false,
         ..FasterConfig::default()
     }
 }

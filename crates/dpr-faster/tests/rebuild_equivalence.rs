@@ -15,7 +15,6 @@ use std::time::Duration;
 
 fn config(rebuild_threads: usize) -> FasterConfig {
     FasterConfig {
-        auto_maintenance: false,
         recovery_rebuild_threads: rebuild_threads,
         ..FasterConfig::default()
     }

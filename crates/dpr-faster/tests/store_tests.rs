@@ -8,10 +8,12 @@ use dpr_storage::{MemBlobStore, MemLogDevice, StorageProfile};
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+use common::Maintainer;
+
 fn manual_config() -> FasterConfig {
     FasterConfig {
         memory_budget_records: 1 << 20,
-        auto_maintenance: false,
         ..FasterConfig::default()
     }
 }
@@ -286,7 +288,6 @@ fn pending_read_resolves_from_device_after_eviction() {
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
         memory_budget_records: 0, // floor is 2 pages = 4,096 records
-        auto_maintenance: false,
         ..FasterConfig::default()
     };
     let kv = FasterKv::new(config, device, blobs);
@@ -331,7 +332,6 @@ fn commit_point_exceptions_include_outstanding_pendings() {
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
         memory_budget_records: 0,
-        auto_maintenance: false,
         ..FasterConfig::default()
     };
     let kv = FasterKv::new(config, device, blobs);
@@ -371,10 +371,10 @@ fn concurrent_sessions_with_checkpoints_under_load() {
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
         memory_budget_records: 1 << 22,
-        auto_maintenance: true,
         ..FasterConfig::default()
     };
     let kv = FasterKv::new(config, device, blobs);
+    let _maintainer = Maintainer::start(&kv);
     let threads = 4;
     let ops_per_thread = 20_000u64;
     std::thread::scope(|scope| {
@@ -434,15 +434,13 @@ fn restore_to_earlier_checkpoint_after_restart() {
 /// A budget of B records keeps B records of the paper's size resident, not
 /// twice that: a store budgeted 16,384 records (eight pages) and preloaded
 /// with four times as many keys holds at most its budget and a page after
-/// every maintenance round, and every key reads back, the cold ones from the
-/// device.
+/// every write, and every key reads back, the cold ones from the device.
 #[test]
 fn a_record_budget_keeps_the_records_it_names_resident() {
     const BUDGET: u64 = 1 << 14;
     let kv = FasterKv::new(
         FasterConfig {
             memory_budget_records: BUDGET as usize,
-            auto_maintenance: false,
             unflushed_limit_records: Some(BUDGET),
             ..FasterConfig::default()
         },
@@ -451,19 +449,15 @@ fn a_record_budget_keeps_the_records_it_names_resident() {
     );
     let bound = BUDGET * record_footprint(8, 8) as u64 + PAGE_SIZE as u64;
     let s = kv.start_session(SessionId(1));
-    let mut most = 0;
     for k in 0..4 * BUDGET {
         s.upsert(Key::from_u64(k), Value::from_u64(k)).unwrap();
-        if k % 1024 == 1023 {
-            kv.maintain();
-            most = most.max(kv.log_resident_bytes());
-        }
+        let resident = kv.log_resident_bytes();
+        assert!(
+            resident <= bound,
+            "{resident} bytes resident after {k} writes"
+        );
     }
     assert!(kv.log_tail() >= 4 * BUDGET * record_footprint(8, 8) as u64);
-    assert!(
-        most <= bound,
-        "{most} bytes resident, budget and a page {bound}"
-    );
     for k in 0..4 * BUDGET {
         assert_eq!(kv.get(&Key::from_u64(k)).unwrap(), Some(Value::from_u64(k)));
     }
@@ -472,14 +466,14 @@ fn a_record_budget_keeps_the_records_it_names_resident() {
 /// An unflushed bound above the memory budget is held to the budget:
 /// eviction stops at the durable frontier, so a volatile region of 16,384
 /// records (512 KiB) over a two-page budget would keep up to four times the
-/// budget resident. On a device that charges every flush 2 ms the resident log
-/// never exceeds the budget and a page, read after every write.
+/// budget resident. On a device that charges every flush 2 ms, and with no
+/// owner that maintains the store, the resident log never exceeds the budget
+/// and a page, read after every write: the writes hold it themselves.
 #[test]
 fn an_unflushed_bound_above_the_budget_keeps_the_budget() {
     let kv = FasterKv::new(
         FasterConfig {
             memory_budget_records: 0, // two pages
-            auto_maintenance: false,
             unflushed_limit_records: Some(1 << 14),
             ..FasterConfig::default()
         },
@@ -491,9 +485,6 @@ fn an_unflushed_bound_above_the_budget_keeps_the_budget() {
     let records = 16 * PAGE_SIZE as u64 / record_footprint(8, 8) as u64;
     for k in 0..records {
         s.upsert(Key::from_u64(k), Value::from_u64(k)).unwrap();
-        if k % 512 == 511 {
-            kv.maintain();
-        }
         let resident = kv.log_resident_bytes();
         assert!(
             resident <= bound,

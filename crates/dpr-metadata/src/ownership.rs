@@ -1,8 +1,8 @@
 //! Key-ownership tracking with virtual partitions and leases (§5.3).
 //!
 //! It is unrealistic to track ownership per key, so keys map to *virtual
-//! partitions* (hash- or range-based, both supported per the paper) and the
-//! ownership table maps partitions to workers. Workers validate each batch
+//! partitions* (hash-based; the paper supports ranges as well, which no
+//! deployment here uses) and the ownership table maps partitions to workers. Workers validate each batch
 //! against the table and guard staleness with leases; transfers renounce
 //! first, leaving the partition briefly un-owned while clients retry.
 
@@ -15,17 +15,13 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtualPartition(pub u32);
 
-/// How keys map to virtual partitions.
-///
-/// "Hash- and range-based partitioning schemes are supported by default"
-/// (§5.3). Range partitioning interprets 8-byte keys as big-endian integers.
+/// How keys map to virtual partitions: by hash, one of the two schemes §5.3
+/// supports by default.
 ///
 /// ```
 /// use dpr_metadata::Partitioner;
 /// use dpr_core::Key;
 ///
-/// let p = Partitioner::Range { partitions: 4, keyspace: 400 };
-/// assert_eq!(p.partition_of(&Key::from_u64(150)).0, 1);
 /// let h = Partitioner::Hash { partitions: 8 };
 /// assert!(h.partition_of(&Key::from_u64(150)).0 < 8);
 /// ```
@@ -36,13 +32,6 @@ pub enum Partitioner {
         /// Number of virtual partitions.
         partitions: u32,
     },
-    /// Split a `u64` keyspace into equal contiguous ranges.
-    Range {
-        /// Number of virtual partitions.
-        partitions: u32,
-        /// Exclusive upper bound of the keyspace.
-        keyspace: u64,
-    },
 }
 
 impl Partitioner {
@@ -50,7 +39,7 @@ impl Partitioner {
     #[must_use]
     pub fn partitions(&self) -> u32 {
         match self {
-            Partitioner::Hash { partitions } | Partitioner::Range { partitions, .. } => *partitions,
+            Partitioner::Hash { partitions } => *partitions,
         }
     }
 
@@ -60,14 +49,6 @@ impl Partitioner {
         match self {
             Partitioner::Hash { partitions } => {
                 VirtualPartition((key.hash64() % u64::from(*partitions)) as u32)
-            }
-            Partitioner::Range {
-                partitions,
-                keyspace,
-            } => {
-                let k = key.as_u64().unwrap_or_else(|| key.hash64());
-                let width = (keyspace / u64::from(*partitions)).max(1);
-                VirtualPartition(((k / width).min(u64::from(*partitions) - 1)) as u32)
             }
         }
     }
@@ -272,19 +253,6 @@ mod tests {
             assert_eq!(a, p.partition_of(&key));
             assert!(a.0 < 8);
         }
-    }
-
-    #[test]
-    fn range_partitioning_splits_keyspace() {
-        let p = Partitioner::Range {
-            partitions: 4,
-            keyspace: 400,
-        };
-        assert_eq!(p.partition_of(&Key::from_u64(0)).0, 0);
-        assert_eq!(p.partition_of(&Key::from_u64(150)).0, 1);
-        assert_eq!(p.partition_of(&Key::from_u64(399)).0, 3);
-        // Keys beyond the declared keyspace clamp to the last partition.
-        assert_eq!(p.partition_of(&Key::from_u64(10_000)).0, 3);
     }
 
     #[test]

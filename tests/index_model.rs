@@ -106,7 +106,8 @@ proptest! {
     }
 }
 
-/// Four sessions fill a store of 60,000 keys while checkpoints run: the
+/// Four sessions fill a store of 60,000 keys while checkpoints run, moved by
+/// the test's thread, which maintains the store as a shard loop would: the
 /// index starts at 512 slots and doubles eight times under them. Every key
 /// then reads its last write, before and after a crash.
 #[test]
@@ -122,23 +123,29 @@ fn index_grows_under_concurrent_sessions() {
     let kv = FasterKv::new(config.clone(), device.clone(), blobs.clone());
     assert_eq!(kv.index_occupancy().0, INITIAL_SLOTS);
     std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let kv = kv.clone();
-            scope.spawn(move || {
-                let s = kv.start_session(SessionId(t));
-                for i in 0..KEYS_PER_THREAD {
-                    // Own keys, and every fourth op one all threads write.
-                    let k = t * KEYS_PER_THREAD + i;
-                    s.upsert(Key::from_u64(k), Value::from_u64(k + 1)).unwrap();
-                    if i % 4 == 0 {
-                        let shared = Key::from_u64(1_000_000 + i);
-                        s.upsert(shared, Value::from_u64(i)).unwrap();
+        let sessions: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let kv = kv.clone();
+                scope.spawn(move || {
+                    let s = kv.start_session(SessionId(t));
+                    for i in 0..KEYS_PER_THREAD {
+                        // Own keys, and every fourth op one all threads write.
+                        let k = t * KEYS_PER_THREAD + i;
+                        s.upsert(Key::from_u64(k), Value::from_u64(k + 1)).unwrap();
+                        if i % 4 == 0 {
+                            let shared = Key::from_u64(1_000_000 + i);
+                            s.upsert(shared, Value::from_u64(i)).unwrap();
+                        }
+                        if i % 2500 == 0 {
+                            kv.request_checkpoint(None);
+                        }
                     }
-                    if i % 2500 == 0 {
-                        kv.request_checkpoint(None);
-                    }
-                }
-            });
+                })
+            })
+            .collect();
+        while !sessions.iter().all(|s| s.is_finished()) {
+            kv.maintain();
+            std::thread::sleep(Duration::from_micros(200));
         }
     });
     // ~62,800 chains (63,750 keys over 2^21 identities), more than 7/8 of
@@ -164,14 +171,12 @@ fn index_grows_under_concurrent_sessions() {
     check(&kv);
     let sealing = kv.current_version();
     while !kv.request_checkpoint(None) {
-        std::thread::yield_now();
+        kv.maintain();
     }
     assert!(kv.wait_for_durable(sealing, Duration::from_secs(30)));
-    kv.shutdown();
     drop(kv);
     device.crash();
     let kv = FasterKv::recover(config, device, blobs, None).unwrap();
     assert!(kv.durable_version() >= Version(1));
     check(&kv);
-    kv.shutdown();
 }

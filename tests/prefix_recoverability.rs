@@ -53,7 +53,6 @@ proptest! {
         let blobs = Arc::new(MemBlobStore::new());
         let config = FasterConfig {
             memory_budget_records: 1 << 20,
-            auto_maintenance: false,
             ..FasterConfig::default()
         };
         {
@@ -112,7 +111,6 @@ proptest! {
         let blobs = Arc::new(MemBlobStore::new());
         let config = FasterConfig {
             memory_budget_records: 1 << 20,
-            auto_maintenance: false,
             ..FasterConfig::default()
         };
         let kv = FasterKv::new(config, device, blobs);

@@ -154,7 +154,6 @@ fn the_largest_predecessor_and_version_round_trip() {
 fn a_key_or_value_beyond_the_page_is_refused_as_invalid() {
     let kv = FasterKv::new(
         FasterConfig {
-            auto_maintenance: false,
             ..FasterConfig::default()
         },
         Arc::new(MemLogDevice::null()),

@@ -20,7 +20,6 @@ fn shard(id: u32) -> (FasterShard, DprServer) {
     let kv = FasterKv::new(
         FasterConfig {
             memory_budget_records: 1 << 20,
-            auto_maintenance: true,
             ..FasterConfig::default()
         },
         Arc::new(MemLogDevice::null()),
