@@ -42,7 +42,7 @@ metric_fn!(
 );
 
 metric_fn!(
-    /// TCP connections currently held by network-plane I/O threads.
+    /// TCP connections currently open on the network plane, a server thread each.
     pub(crate) fn net_conns_active() -> Gauge =
         ("dpr_net_conns_active", Count,
          "Open network-plane TCP connections (accepted minus closed)")

@@ -1,27 +1,24 @@
-//! The real network plane: a non-blocking, multi-worker TCP server.
+//! The real network plane: a blocking TCP server, a thread per connection.
 //!
-//! One [`NetServer`] hosts *all* of a process's shard workers behind a
-//! single listener. An acceptor thread hands new connections round-robin to
-//! a fixed pool of I/O threads; each I/O thread owns many non-blocking
-//! connections and pumps them in a readiness loop (read → parse frames →
-//! execute → queue responses → flush). Requests are routed to workers by
-//! the frame header's `shard` field, so thousands of client connections
-//! fan in to a handful of threads.
-//!
-//! Frames on one connection are processed strictly in arrival order and
-//! responses to them are queued in completion order, which for the inline
-//! execution model below means *request order per connection*. Clients
-//! pipeline by writing many `Request` frames before reading any
-//! `Response`; cross-connection order is unspecified.
+//! One [`NetServer`] hosts *all* of a process's shard workers behind one
+//! listener, routing requests by the frame header's `shard` field. An
+//! acceptor gives each connection a thread of its own, which blocks in
+//! `read`, handles every complete frame received in arrival order, and sends
+//! their answers with one `write_all`. That suits the traffic the server
+//! carries: two connections per TCP workload of the benchmark, a handful per
+//! test. Clients pipeline by writing many `Request` frames before reading
+//! any `Response`; cross-connection order is unspecified. The answers are
+//! TCP's to pace: a thread reads no further while its peer leaves its
+//! answers unread, which stalls that connection only (`docs/NETWORK.md` §3).
 //!
 //! # Steady-state allocation discipline
 //!
 //! The request path is allocation-free in steady state, and every buffer on
 //! it has one owner:
 //!
-//! * A connection lives and dies on one I/O thread, and owns its
-//!   [`wire::FrameReader`] (received bytes and the one recycled body) and
-//!   its write buffer, a plain `Vec<u8>`; the thread owns the read chunk.
+//! * A connection's thread owns its [`wire::FrameReader`] (received bytes
+//!   and the one recycled body), its write buffer (a plain `Vec<u8>`), the
+//!   read chunk and the request path's `RequestScratch`.
 //! * A frame's body is copied once from the received bytes into the
 //!   reader's body allocation and handed out as a [`bytes::Bytes`] view; op
 //!   keys and values are zero-copy slices of it
@@ -33,7 +30,7 @@
 //!   straight into the connection write buffer ([`wire::encode_response`])
 //!   with a back-patched length — no intermediate frame or body `Vec`.
 //! * The per-session epoch fence is one map behind one lock, shared by the
-//!   I/O threads and taken once per handshake, never per request.
+//!   connections and taken once per handshake, never per request.
 //!
 //! The full wire contract (byte layout, handshake, dedupe across
 //! reconnect, failure modes) is specified in `docs/NETWORK.md`, including
@@ -47,83 +44,94 @@ use bytes::Bytes;
 use dpr_core::{DprError, Result, SessionId, ShardId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Tuning knobs for a [`NetServer`].
-#[derive(Debug, Clone)]
-pub struct NetServerConfig {
-    /// I/O threads sharing the connection set. The paper's deployment runs
-    /// thread-per-core; default is the host's parallelism capped at 4 so
-    /// test clusters with several in-process servers do not oversubscribe.
-    pub io_threads: usize,
-}
+/// Tuning knobs for a [`NetServer`]: none, since a connection is a thread.
+#[derive(Debug, Clone, Default)]
+pub struct NetServerConfig {}
 
-/// Socket read chunk size.
-const READ_CHUNK: usize = 64 << 10;
-
-impl Default for NetServerConfig {
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        NetServerConfig {
-            io_threads: cores.min(4),
-        }
-    }
-}
-
-/// Shared server state consulted by every I/O thread.
+/// Shared server state consulted by every connection's thread.
 struct ServerCtx {
     /// Shard-routed workers (`frame.shard` → worker).
     workers: HashMap<u32, Arc<Worker>>,
     /// Hosted shards in id order, echoed in every `HelloAck`.
     shards: Vec<ShardId>,
     /// Highest epoch accepted per session, for zombie-connection fencing.
-    /// Shared across I/O threads because a reconnect may land elsewhere.
+    /// Shared by the connections because a reconnect arrives on a new one.
     epochs: Mutex<HashMap<SessionId, u32>>,
 }
 
-/// Per-I/O-thread reusable buffers: one read chunk plus the request path's
-/// scratch, so a steady-state request allocates nothing on this thread.
-struct IoScratch {
-    /// Socket read staging.
-    read: Vec<u8>,
-    request: RequestScratch,
+impl ServerCtx {
+    /// A hosted worker (`NetServer::start` refuses none): the workers of a
+    /// process share their cluster's world-line and cut.
+    fn any_worker(&self) -> &Worker {
+        self.workers
+            .values()
+            .next()
+            .expect("a server hosts a worker")
+    }
 }
 
-/// One client connection owned by an I/O thread.
+/// One client connection, served by a thread of its own.
 struct Conn {
-    stream: TcpStream,
+    /// The thread's is the only strong handle, so the socket closes when
+    /// the thread ends; the server keeps a weak one to stop it.
+    stream: Arc<TcpStream>,
     /// Received bytes, split into frames.
     rd: FrameReader,
-    /// Encoded-but-unsent bytes (`wr[wr_pos..]` is pending).
+    /// The answers to the frames of one read, sent with one write.
     wr: Vec<u8>,
-    wr_pos: usize,
     /// Set by a successful `Hello`.
     session: Option<(SessionId, u32)>,
     open: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: Arc<TcpStream>) -> Conn {
         Conn {
             stream,
             rd: FrameReader::default(),
             wr: Vec::new(),
-            wr_pos: 0,
             session: None,
             open: true,
         }
     }
 
+    /// Serve the connection until the peer closes it, an unrecoverable
+    /// `Error` is sent, or the server stops: block in `read`, handle every
+    /// complete frame received, send their answers. A stop shuts the
+    /// socket's read side down, which ends a blocked `read`; the thread then
+    /// says `Goodbye` and shuts the socket down both ways.
+    fn serve(mut self, ctx: &ServerCtx, stop: &AtomicBool) {
+        let mut chunk = vec![0; wire::READ_CHUNK];
+        let mut scratch = RequestScratch::new();
+        while self.open && !stop.load(Ordering::Acquire) {
+            match self.stream.as_ref().read(&mut chunk) {
+                // End of file: the peer closed, or the server stops. A
+                // dangling partial frame is simply dropped (the truncation
+                // is the peer's, not ours to answer).
+                Ok(0) => self.open = false,
+                Ok(n) => self.rd.buffer().extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => self.open = false,
+            }
+            drain_frames(&mut self, ctx, &mut scratch);
+            self.send();
+        }
+        if stop.load(Ordering::Acquire) {
+            self.queue_with(|wr| wire::encode_control(wr, FrameKind::Goodbye, 0));
+            self.send();
+        }
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
     /// Encode one outbound frame into the write buffer via `f` and record
-    /// it as transmitted (the flush loop below drains the buffer as the
-    /// socket allows).
+    /// it as transmitted (`send` writes the buffer out).
     fn queue_with<F: FnOnce(&mut Vec<u8>)>(&mut self, f: F) {
         let before = self.wr.len();
         f(&mut self.wr);
@@ -131,69 +139,13 @@ impl Conn {
         metrics::net_frame_bytes().record((self.wr.len() - before) as u64);
     }
 
-    /// Write pending bytes without blocking. Returns whether progress was
-    /// made. Closes the connection on a hard error.
-    fn flush(&mut self) -> bool {
-        let mut progressed = false;
-        while self.wr_pos < self.wr.len() {
-            match self.stream.write(&self.wr[self.wr_pos..]) {
-                Ok(0) => {
-                    self.open = false;
-                    break;
-                }
-                Ok(n) => {
-                    self.wr_pos += n;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.open = false;
-                    break;
-                }
-            }
+    /// Write every queued answer, blocking while the peer's socket buffers
+    /// are full. Closes the connection on an error.
+    fn send(&mut self) {
+        if !self.wr.is_empty() && self.stream.as_ref().write_all(&self.wr).is_err() {
+            self.open = false;
         }
-        if self.wr_pos == self.wr.len() && self.wr_pos > 0 {
-            self.wr.clear();
-            self.wr_pos = 0;
-        } else if self.wr_pos > 64 << 10 {
-            // Reclaim the sent prefix of a long-lived backlog.
-            self.wr.drain(..self.wr_pos);
-            self.wr_pos = 0;
-        }
-        progressed
-    }
-
-    /// Read whatever the socket has ready, a `chunk` at a time. Returns
-    /// whether bytes arrived.
-    fn fill(&mut self, chunk: &mut [u8]) -> bool {
-        let mut progressed = false;
-        let rd = self.rd.buffer();
-        loop {
-            match self.stream.read(chunk) {
-                Ok(0) => {
-                    // EOF: peer closed. Remaining parsed frames still get
-                    // handled; a dangling partial frame is simply dropped
-                    // (the truncation is the peer's, not ours to answer).
-                    self.open = false;
-                    break;
-                }
-                Ok(n) => {
-                    rd.extend_from_slice(&chunk[..n]);
-                    progressed = true;
-                    if n < chunk.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.open = false;
-                    break;
-                }
-            }
-        }
-        progressed
+        self.wr.clear();
     }
 
     /// Send a protocol error; close the connection unless the code is
@@ -208,7 +160,7 @@ impl Conn {
     }
 
     /// Account for an `Error` frame just queued; an unrecoverable one closes
-    /// the connection once it is flushed.
+    /// the connection once it is sent.
     fn rejected(&mut self, code: ProtoErrorCode) {
         metrics::net_frame_rejects().inc();
         if !code.recoverable() {
@@ -217,15 +169,13 @@ impl Conn {
     }
 }
 
-/// Handle every complete frame the connection has received. Returns whether
-/// any frame was handled.
-fn drain_frames(conn: &mut Conn, ctx: &ServerCtx, scratch: &mut IoScratch) -> bool {
-    let mut progressed = false;
+/// Handle every complete frame the connection has received.
+fn drain_frames(conn: &mut Conn, ctx: &ServerCtx, scratch: &mut RequestScratch) {
     loop {
         // Drop the last frame's zero-copy views before asking for the next
         // one: while decoded ops still view the reader's body it cannot be
         // reused, and the next frame pays for a fresh allocation.
-        scratch.request.clear();
+        scratch.clear();
         let (header, body) = match conn.rd.next_frame() {
             Ok(Some(frame)) => frame,
             Ok(None) => break,
@@ -237,13 +187,11 @@ fn drain_frames(conn: &mut Conn, ctx: &ServerCtx, scratch: &mut IoScratch) -> bo
         };
         metrics::net_frames_rx().inc();
         metrics::net_frame_bytes().record(header.frame_len() as u64);
-        progressed = true;
         apply_frame(conn, ctx, &header, &body, scratch);
         if !conn.open {
             break;
         }
     }
-    progressed
 }
 
 fn apply_frame(
@@ -251,7 +199,7 @@ fn apply_frame(
     ctx: &ServerCtx,
     header: &FrameHeader,
     body: &Bytes,
-    scratch: &mut IoScratch,
+    scratch: &mut RequestScratch,
 ) {
     let seq = header.seq;
     match header.kind {
@@ -260,50 +208,46 @@ fn apply_frame(
                 Ok(hello) => hello,
                 Err(e) => return conn.proto_error(ProtoErrorCode::BadFrame, seq, e.to_string()),
             };
-            {
-                let mut epochs = ctx.epochs.lock();
-                let latest = epochs.entry(hello.session).or_insert(0);
-                if hello.epoch < *latest {
-                    drop(epochs);
-                    conn.proto_error(
-                        ProtoErrorCode::StaleEpoch,
-                        0,
-                        format!("epoch {} < accepted", hello.epoch),
-                    );
-                    return;
-                }
-                *latest = hello.epoch;
+            let mut epochs = ctx.epochs.lock();
+            let latest = epochs.entry(hello.session).or_insert(0);
+            if hello.epoch < *latest {
+                drop(epochs);
+                let detail = format!("epoch {} < accepted", hello.epoch);
+                return conn.proto_error(ProtoErrorCode::StaleEpoch, 0, detail);
             }
+            *latest = hello.epoch;
+            drop(epochs);
             conn.session = Some((hello.session, hello.epoch));
-            let world_line = ctx
-                .workers
-                .values()
-                .next()
-                .map(|w| w.world_line())
-                .unwrap_or(hello.world_line);
             let ack = HelloAck {
                 epoch: hello.epoch,
-                world_line,
+                world_line: ctx.any_worker().world_line(),
                 shards: ctx.shards.clone(),
             };
             conn.queue_with(|wr| ack.encode(wr));
         }
-        FrameKind::Request => handle_request(conn, ctx, header.shard, seq, body, scratch),
-        FrameKind::CutReq => {
-            let outcome = ctx
-                .workers
-                .values()
-                .next()
-                .ok_or(DprError::Closed)
-                .and_then(|w| w.read_cut());
-            match outcome {
-                Ok(cut) => conn.queue_with(|wr| wire::encode_cut_response(wr, seq, cut.0, &cut.1)),
-                Err(e) => conn.proto_error(ProtoErrorCode::BadFrame, seq, e.to_string()),
+        // Routed to its shard's worker, whose request path answers it
+        // straight into the connection's write buffer.
+        FrameKind::Request => {
+            let shard = header.shard;
+            if conn.session.is_none() {
+                let detail = "Request before Hello";
+                return conn.proto_error(ProtoErrorCode::HandshakeRequired, seq, detail);
+            }
+            let Some(worker) = ctx.workers.get(&shard) else {
+                let detail = format!("shard {shard} not hosted here");
+                return conn.proto_error(ProtoErrorCode::UnknownShard, seq, detail);
+            };
+            let mut refused = None;
+            conn.queue_with(|wr| refused = worker.serve_request(seq, body, scratch, wr));
+            if let Some(code) = refused {
+                conn.rejected(code);
             }
         }
-        FrameKind::Goodbye => {
-            conn.open = false;
-        }
+        FrameKind::CutReq => match ctx.any_worker().read_cut() {
+            Ok(cut) => conn.queue_with(|wr| wire::encode_cut_response(wr, seq, cut.0, &cut.1)),
+            Err(e) => conn.proto_error(ProtoErrorCode::BadFrame, seq, e.to_string()),
+        },
+        FrameKind::Goodbye => conn.open = false,
         kind @ (FrameKind::HelloAck
         | FrameKind::Response
         | FrameKind::CutResp
@@ -313,81 +257,6 @@ fn apply_frame(
                 seq,
                 format!("client sent server-only frame {kind:?}"),
             );
-        }
-    }
-}
-
-/// Route a `Request` frame to its shard's worker, whose request path
-/// answers it straight into the connection's write buffer.
-fn handle_request(
-    conn: &mut Conn,
-    ctx: &ServerCtx,
-    shard: u32,
-    seq: u64,
-    body: &Bytes,
-    scratch: &mut IoScratch,
-) {
-    if conn.session.is_none() {
-        conn.proto_error(
-            ProtoErrorCode::HandshakeRequired,
-            seq,
-            "Request before Hello",
-        );
-        return;
-    }
-    let Some(worker) = ctx.workers.get(&shard) else {
-        conn.proto_error(
-            ProtoErrorCode::UnknownShard,
-            seq,
-            format!("shard {shard} not hosted here"),
-        );
-        return;
-    };
-    let mut refused = None;
-    conn.queue_with(|wr| refused = worker.serve_request(seq, body, &mut scratch.request, wr));
-    if let Some(code) = refused {
-        conn.rejected(code);
-    }
-}
-
-fn io_loop(rx: &Receiver<TcpStream>, ctx: &Arc<ServerCtx>, stop: &Arc<AtomicBool>) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = IoScratch {
-        read: vec![0; READ_CHUNK],
-        request: RequestScratch::new(),
-    };
-    let mut backoff = dpr_core::Backoff::new();
-    loop {
-        let mut progressed = false;
-        // Fan-in: adopt connections the acceptor has assigned to us.
-        while let Ok(stream) = rx.try_recv() {
-            stream.set_nonblocking(true).ok();
-            stream.set_nodelay(true).ok();
-            conns.push(Conn::new(stream));
-            metrics::net_conns_active().add(1);
-            progressed = true;
-        }
-        if stop.load(Ordering::Acquire) {
-            // Clean shutdown: tell every peer, best-effort flush, exit.
-            for conn in &mut conns {
-                conn.queue_with(|wr| wire::encode_control(wr, FrameKind::Goodbye, 0));
-                conn.flush();
-            }
-            metrics::net_conns_active().sub(conns.len() as i64);
-            return;
-        }
-        for conn in &mut conns {
-            progressed |= conn.fill(&mut scratch.read);
-            progressed |= drain_frames(conn, ctx, &mut scratch);
-            progressed |= conn.flush();
-        }
-        let before = conns.len();
-        conns.retain(|c| c.open || c.wr_pos < c.wr.len());
-        metrics::net_conns_active().sub((before - conns.len()) as i64);
-        if progressed {
-            backoff.reset();
-        } else {
-            backoff.snooze();
         }
     }
 }
@@ -416,24 +285,75 @@ fn retry_accept_after(e: &std::io::Error) -> Option<Duration> {
     }
 }
 
+/// The connections' threads, each beside a weak handle on its socket.
+#[derive(Default)]
+struct Conns {
+    /// Threads started, for their names.
+    started: u64,
+    live: Vec<(Weak<TcpStream>, JoinHandle<()>)>,
+}
+
+impl Conns {
+    /// Give `stream` a thread of its own, after pruning. Its connection
+    /// closes at once if no thread can be had.
+    fn start(&mut self, stream: TcpStream, ctx: &Arc<ServerCtx>, stop: &Arc<AtomicBool>) {
+        self.prune();
+        stream.set_nodelay(true).ok();
+        let stream = Arc::new(stream);
+        let handle = Arc::downgrade(&stream);
+        let (ctx, stop) = (ctx.clone(), stop.clone());
+        let thread = std::thread::Builder::new()
+            .name(format!("dpr-net-conn-{}", self.started))
+            .spawn(move || {
+                metrics::net_conns_active().add(1);
+                Conn::new(stream).serve(&ctx, &stop);
+                metrics::net_conns_active().sub(1);
+            });
+        self.started += 1;
+        if let Ok(thread) = thread {
+            self.live.push((handle, thread));
+        }
+    }
+
+    /// Join the threads whose connections have ended: `start` does, before
+    /// each new connection, so what waits to be joined is at most the
+    /// connections that ended since the last one arrived;
+    /// `NetServer::shutdown` joins the rest.
+    fn prune(&mut self) {
+        while let Some(i) = self.live.iter().position(|(_, t)| t.is_finished()) {
+            let _ = self.live.swap_remove(i).1.join();
+        }
+    }
+
+    /// Shut down the read side of every open connection: its thread's
+    /// blocked `read` returns end of file, and the thread says `Goodbye`.
+    fn stop(&self) {
+        for stream in self.live.iter().filter_map(|(stream, _)| stream.upgrade()) {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
 /// A running network-plane server. Dropping it without calling
 /// [`NetServer::shutdown`] stops the threads but does not join them.
 pub struct NetServer {
     stop: Arc<AtomicBool>,
     local_addr: SocketAddr,
-    accept: Option<std::thread::JoinHandle<()>>,
-    io: Vec<std::thread::JoinHandle<()>>,
+    accept: Option<JoinHandle<()>>,
+    conns: Arc<Mutex<Conns>>,
 }
 
 impl NetServer {
     /// Serve `workers` on `listener` until [`NetServer::shutdown`].
     ///
     /// Every worker is reachable through the one listener; requests route
-    /// by the frame header's `shard` field.
+    /// by the frame header's `shard` field. The acceptor blocks in `accept`,
+    /// so `listener` should be in blocking mode, as `TcpListener::bind`
+    /// makes it.
     pub fn start(
         workers: Vec<Arc<Worker>>,
         listener: TcpListener,
-        config: NetServerConfig,
+        _config: NetServerConfig,
     ) -> Result<NetServer> {
         let stop = Arc::new(AtomicBool::new(false));
         if workers.is_empty() {
@@ -441,7 +361,6 @@ impl NetServer {
                 "NetServer needs at least one worker".into(),
             ));
         }
-        listener.set_nonblocking(false)?;
         let local_addr = listener.local_addr()?;
         let mut shards: Vec<ShardId> = workers.iter().map(|w| w.shard()).collect();
         shards.sort_unstable();
@@ -450,51 +369,34 @@ impl NetServer {
             shards,
             epochs: Mutex::new(HashMap::new()),
         });
-        let io_threads = config.io_threads.max(1);
-        let mut senders = Vec::with_capacity(io_threads);
-        let mut io = Vec::with_capacity(io_threads);
-        for i in 0..io_threads {
-            let (tx, rx) = channel::<TcpStream>();
-            senders.push(tx);
-            let ctx = ctx.clone();
-            let stop = stop.clone();
-            io.push(
-                std::thread::Builder::new()
-                    .name(format!("dpr-net-io-{i}"))
-                    .spawn(move || io_loop(&rx, &ctx, &stop))
-                    .expect("spawn net io thread"),
-            );
-        }
+        let conns = Arc::new(Mutex::new(Conns::default()));
         let accept = {
-            let stop = stop.clone();
+            let (stop, conns) = (stop.clone(), conns.clone());
             std::thread::Builder::new()
                 .name("dpr-net-accept".into())
-                .spawn(move || {
-                    let mut next = 0usize;
+                .spawn(move || loop {
                     // Blocks in `accept`: a stop wakes it with a connection
                     // of its own (`NetServer`'s `Drop`).
-                    loop {
-                        let accepted = listener.accept();
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        match accepted {
-                            Ok((stream, _)) => {
-                                // Round-robin fan-out to the I/O pool.
-                                let _ = senders[next % senders.len()].send(stream);
-                                next = next.wrapping_add(1);
+                    let accepted = listener.accept();
+                    // The flag is read under the lock that `Drop` stops the
+                    // connections under, so no connection starts after that.
+                    let mut conns = conns.lock();
+                    if stop.load(Ordering::Acquire) {
+                        return;
+                    }
+                    match accepted {
+                        Ok((stream, _)) => conns.start(stream, &ctx, &stop),
+                        // A stop waits out the pause (1 ms at most).
+                        Err(e) => match retry_accept_after(&e) {
+                            Some(wait) => std::thread::sleep(wait),
+                            // Stop the whole server rather than leave its
+                            // connections behind a dead acceptor.
+                            None => {
+                                stop.store(true, Ordering::Release);
+                                conns.stop();
+                                return;
                             }
-                            Err(e) => match retry_accept_after(&e) {
-                                Some(wait) => std::thread::sleep(wait),
-                                // Stop the whole server rather than leaking
-                                // a dead acceptor — I/O threads observe the
-                                // flag too.
-                                None => {
-                                    stop.store(true, Ordering::Release);
-                                    return;
-                                }
-                            },
-                        }
+                        },
                     }
                 })
                 .expect("spawn net accept thread")
@@ -503,7 +405,7 @@ impl NetServer {
             stop,
             local_addr,
             accept: Some(accept),
-            io,
+            conns,
         })
     }
 
@@ -513,25 +415,31 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Signal shutdown and join every thread: the acceptor, then each I/O
-    /// thread after it has sent `Goodbye` to its connections. No detached
-    /// threads survive.
+    /// Signal shutdown and join every thread: the acceptor, then each
+    /// connection's after it has sent its peer `Goodbye`. No detached
+    /// threads survive. A peer that leaves more answers unread than the
+    /// socket buffers hold holds its thread, and so this call, until it
+    /// reads or closes.
     pub fn shutdown(mut self) {
-        let (accept, io) = (self.accept.take(), std::mem::take(&mut self.io));
+        let (accept, conns) = (self.accept.take(), self.conns.clone());
         drop(self);
-        for h in accept.into_iter().chain(io) {
-            let _ = h.join();
+        // `Drop` has stopped the connections: none starts after it.
+        let live = std::mem::take(&mut conns.lock().live);
+        for thread in accept.into_iter().chain(live.into_iter().map(|(_, t)| t)) {
+            let _ = thread.join();
         }
     }
 }
 
 impl Drop for NetServer {
-    /// Raise the stop flag and wake the acceptor out of `accept` with a
-    /// connection of its own, unless it has stopped the server itself.
+    /// Raise the stop flag, wake the acceptor out of `accept` with a
+    /// connection of its own (unless it has stopped the server itself), and
+    /// stop every connection.
     fn drop(&mut self) {
         if !self.stop.swap(true, Ordering::AcqRel) {
             let _ = TcpStream::connect(self.local_addr);
         }
+        self.conns.lock().stop();
     }
 }
 

@@ -1,7 +1,7 @@
 //! The TCP link of the real network plane's client.
 //!
-//! The server side lives in [`crate::net`] (non-blocking fan-in
-//! [`crate::NetServer`]); the byte-level contract lives in [`crate::wire`]
+//! The server side lives in [`crate::net`] ([`crate::NetServer`], a thread
+//! per connection); the byte-level contract lives in [`crate::wire`]
 //! and is specified in `docs/NETWORK.md`. The client itself —
 //! [`PipelinedClient`]: in-flight table, reply handling, retransmission — is
 //! `session.rs`, the same code a bus session runs; this module adds what a
@@ -9,7 +9,7 @@
 //! bump.
 
 use crate::session::Link;
-use crate::wire::{FrameKind, FrameReader, Hello, HelloAck, ProtoError};
+use crate::wire::{FrameKind, FrameReader, Hello, HelloAck, ProtoError, READ_CHUNK};
 use dpr_core::{DprError, Result, ShardId};
 use libdpr::DprClientSession;
 use std::io::{Read, Write};
@@ -21,9 +21,6 @@ pub use crate::session::{CompletedRef, PipelinedClient};
 /// A server that accepts a connection but never answers the handshake
 /// surfaces as a typed [`DprError::Timeout`] after this long.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Socket read chunk size.
-const READ_CHUNK: usize = 64 << 10;
 
 /// One handshaken connection: what a [`PipelinedClient`] runs over when it
 /// is not given another link. Nothing on it is for callers.

@@ -12,11 +12,11 @@
 //! before then is held for the next call, which waits for it there, as a
 //! reader waits on a socket.
 //!
-//! An inbox has one consumer, as a connection has one I/O thread. An
-//! endpoint served by several threads ([`SimNetwork::register_lanes`], a
-//! worker's executors) has one inbox per thread, and a frame goes to lane
-//! `from % lanes`, the acceptor's round-robin rule of `net.rs`: a sender's
-//! frames are served by one thread, in the order sent (`docs/NETWORK.md` §6).
+//! An inbox has one consumer, as a connection has one thread. An endpoint
+//! served by several threads ([`SimNetwork::register_lanes`], a worker's
+//! executors) has one inbox per thread, and a frame goes to lane
+//! `from % lanes`: a sender's frames are served by one thread, in the order
+//! sent (`docs/NETWORK.md` §6).
 //!
 //! The chaos harness (`dpr-chaos`) puts a [`LinkFault`] on the link to an
 //! endpoint: extra delay, a drop rate drawn from a [`dpr_core::Rng`] seeded

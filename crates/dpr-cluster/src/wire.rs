@@ -243,6 +243,9 @@ pub fn decode_header(buf: &[u8]) -> Result<Option<FrameHeader>> {
 /// make bodies of ~150 B) are all served from the same one.
 const MIN_BODY_ALLOC: usize = 1 << 10;
 
+/// How much a socket link asks `read` for at a time, on either end.
+pub(crate) const READ_CHUNK: usize = 64 << 10;
+
 /// Splits one connection's received bytes into frames.
 ///
 /// The reader owns the bytes its link appends ([`FrameReader::buffer`]), a

@@ -146,7 +146,7 @@ impl Default for WorkerConfig {
 }
 
 /// Decode and execute buffers of the request path, one per serving thread
-/// (a socket I/O thread or a bus executor) and reused across frames, so a
+/// (a connection's thread or a bus executor) and reused across frames, so a
 /// warm request allocates nothing. The ops are zero-copy views of the frame
 /// body they were decoded from: [`RequestScratch::clear`] them before the
 /// connection's reader is asked for the next frame (`docs/NETWORK.md` §9).

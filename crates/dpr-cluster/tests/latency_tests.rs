@@ -46,7 +46,7 @@ fn metadata_latency_stays_off_the_operation_critical_path() {
     // Same workload with 0 vs 5 ms metadata statements: operation latency
     // must be unaffected (commits get slower, operations do not) — on the
     // bus, and over a socket whose client asks for the cut between batches:
-    // the I/O thread that serves its batches answers that too.
+    // the thread that serves its connection's batches answers that too.
     const STATEMENT: Duration = Duration::from_millis(5);
     let run = |meta_latency: Duration| -> (Duration, Duration) {
         let cluster = Cluster::start(ClusterConfig {
@@ -75,7 +75,7 @@ fn metadata_latency_stays_off_the_operation_critical_path() {
             .wait_all_committed(cluster.cut_source(), Duration::from_secs(20))
             .unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let config = NetServerConfig { io_threads: 1 };
+        let config = NetServerConfig::default();
         let server = NetServer::start(cluster.workers().to_vec(), listener, config).unwrap();
         let session = DprClientSession::new(SessionId(1 << 20));
         let mut client = PipelinedClient::connect(session, server.local_addr()).unwrap();

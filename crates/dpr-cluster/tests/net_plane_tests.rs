@@ -28,7 +28,7 @@ fn net_cluster(shards: usize, dedupe_window: usize) -> (Cluster, NetServer) {
     let server = NetServer::start(
         cluster.workers().to_vec(),
         listener,
-        NetServerConfig { io_threads: 2 },
+        NetServerConfig::default(),
     )
     .unwrap();
     (cluster, server)
@@ -92,7 +92,7 @@ fn write_then_read(cluster: &Cluster, client: &mut PipelinedClient, n: u64) {
 
 /// A server no client ever reached shuts down promptly: its acceptor blocks
 /// in `accept`, and `shutdown` wakes it with a connection of its own and
-/// joins it, and every I/O thread, within 100 ms.
+/// joins it within 100 ms.
 #[test]
 fn an_unreached_server_shuts_down_within_100_ms() {
     let (cluster, server) = net_cluster(1, 0);
@@ -465,6 +465,86 @@ fn unknown_shard_rejection_keeps_connection_open() {
     // ...so the same connection still serves real traffic.
     execute(&mut client, shard, &read(1)).unwrap();
 
+    server.shutdown();
+    cluster.shutdown();
+}
+
+/// Whether the caller runs alone in its process. If not, it is run so (this
+/// binary again, with its exact name) and must pass there: a test that reads
+/// `/proc/self` must not see the `dpr-net-` threads of other tests' servers.
+fn alone(name: &str) -> bool {
+    let args = [name, "--exact", "--test-threads=1"];
+    if std::env::args().skip(1).eq(args) {
+        return true;
+    }
+    let exe = std::env::current_exe().unwrap();
+    let out = std::process::Command::new(exe).args(args).output().unwrap();
+    let ran = String::from_utf8_lossy(&out.stdout).contains("1 passed");
+    assert!(out.status.success() && ran, "{out:?}");
+    false
+}
+
+/// How many of this process's threads have a name starting with `prefix`,
+/// and the sum of their voluntary context switches.
+fn threads_named(prefix: &str) -> (usize, u64) {
+    let (mut threads, mut switches) = (0, 0);
+    for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
+        let read = |file| std::fs::read_to_string(task.path().join(file)).unwrap_or_default();
+        if read("comm").starts_with(prefix) {
+            let status = read("status");
+            let count = status.split("\nvoluntary_ctxt_switches:").nth(1);
+            let count = count.and_then(|n| n.split_whitespace().next());
+            switches += count.map_or(0, |n| n.parse::<u64>().unwrap());
+            threads += 1;
+        }
+    }
+    (threads, switches)
+}
+
+/// A connection's server thread blocks in `read`: an idle, handshaken
+/// connection wakes the server's threads fewer than 10 times in 300 ms (a
+/// pool that polls its sockets and backs off between empty rounds wakes them
+/// hundreds of times), and no `dpr-net-` thread outlives `shutdown`.
+#[test]
+fn an_idle_connection_parks_its_server_thread() {
+    if !alone("an_idle_connection_parks_its_server_thread") {
+        return;
+    }
+    let (cluster, server) = net_cluster(1, 0);
+    let _client = connect(950, server.local_addr());
+    std::thread::sleep(Duration::from_millis(20));
+    let before = threads_named("dpr-net-").1;
+    std::thread::sleep(Duration::from_millis(300));
+    let woken = threads_named("dpr-net-").1 - before;
+    assert!(woken < 10, "{woken} wake-ups in 300 ms");
+    server.shutdown();
+    assert_eq!(threads_named("dpr-net-").0, 0, "a thread outlived shutdown");
+    cluster.shutdown();
+}
+
+/// Connections that come and go leave nothing behind: after 100 of them, one
+/// after another and never more than two open, each handshaking, running a
+/// batch and closing, at most two connection threads are alive and the
+/// process's descriptors are back within a few of where they were.
+#[test]
+fn connection_churn_leaves_no_thread_or_descriptor_behind() {
+    if !alone("connection_churn_leaves_no_thread_or_descriptor_behind") {
+        return;
+    }
+    let (cluster, server) = net_cluster(1, 0);
+    let shard = cluster.workers()[0].shard();
+    let descriptors = || std::fs::read_dir("/proc/self/fd").unwrap().count();
+    let (before, mut open) = (descriptors(), None);
+    for i in 0..100 {
+        let mut client = connect(1000 + i, server.local_addr());
+        execute(&mut client, shard, &upsert(i, i)).unwrap();
+        // The connection before this one closes now.
+        open = Some(client);
+    }
+    drop(open);
+    let (threads, after) = (threads_named("dpr-net-conn").0, descriptors());
+    let left = format!("{threads} threads, {before} descriptors -> {after}");
+    assert!(threads <= 2 && after <= before + 3, "{left}");
     server.shutdown();
     cluster.shutdown();
 }

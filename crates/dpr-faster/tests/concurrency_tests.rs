@@ -6,10 +6,10 @@
 use dpr_core::{Key, SessionId, Value, Version};
 use dpr_faster::record::record_footprint;
 use dpr_faster::{FasterConfig, FasterKv, Op, OpOutcome};
-use dpr_storage::{MemBlobStore, MemLogDevice};
+use dpr_storage::{LatencyModel, MemBlobStore, MemLogDevice};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 mod common;
 use common::Maintainer;
@@ -311,37 +311,48 @@ fn a_lost_publish_race_leaves_no_stale_link_on_the_device() {
 }
 
 /// A batch runs under one epoch guard, and an append of it that waits for
-/// the flusher refreshes the guard while it waits: a maintainer thread
-/// flushes and then waits for every guard before it evicts, so a guard held
-/// through the wait would keep the flusher from the flush that ends it. The
-/// records are of 2 KiB, so the unflushed bound (one page) fills well within
-/// the 64 operations a batch runs between refreshes of its own; the memory
-/// budget is four pages. Hangs with the refresh in the wait removed.
+/// the flusher refreshes the guard while it waits: an eviction waits for
+/// every guard, so a guard held through the waits would hold eviction off
+/// until the batch's own next refresh, 64 operations on. Here each 16 KiB
+/// record of one batch waits for a 10 ms flush (a one-page unflushed bound)
+/// while a second session reads a missing key again and again, each read
+/// evicting once the log is over its four pages: the longest read takes
+/// under 200 ms (15–40 ms measured; ~650 with the refresh in the wait
+/// removed).
 #[test]
 fn a_batch_that_waits_for_the_flusher_does_not_hold_off_eviction() {
-    const OPS: usize = 50_000;
+    let flush_fixed = Duration::from_millis(10);
+    let device = MemLogDevice::new(LatencyModel {
+        flush_fixed,
+        flush_per_mib: Duration::ZERO,
+    });
     let kv = FasterKv::new(
         FasterConfig {
             memory_budget_records: 4 * dpr_faster::PAGE_SIZE / record_footprint(8, 8),
             unflushed_limit_records: Some(4),
             ..FasterConfig::default()
         },
-        Arc::new(MemLogDevice::null()),
+        Arc::new(device),
         Arc::new(MemBlobStore::new()),
     );
-    let _maintainer = Maintainer::start(&kv);
-    let value = Value::from("v".repeat(2048).as_str());
-    let keys: Vec<Key> = (0..OPS as u64).map(|i| Key::from_u64(i % 1000)).collect();
-    let (done, ran) = std::sync::mpsc::channel();
-    let writer = kv.clone();
-    std::thread::spawn(move || {
-        let session = writer.start_session(SessionId(1));
-        let mut ran = 0;
-        let ops = keys.iter().map(|k| Op::Upsert(k, &value));
-        session.execute(ops, |_| ran += 1).unwrap();
-        let _ = done.send(ran);
+    let value = Value::from("v".repeat(16 << 10).as_str());
+    let keys: Vec<Key> = (0..300).map(|i| Key::from_u64(i % 100)).collect();
+    let done = AtomicBool::new(false);
+    let longest = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let ops = keys.iter().map(|k| Op::Upsert(k, &value));
+            kv.start_session(SessionId(1)).execute(ops, |_| {}).unwrap();
+            done.store(true, Ordering::Release);
+        });
+        let (reader, missing) = (kv.start_session(SessionId(2)), Key::from_u64(u64::MAX));
+        let mut longest = Duration::ZERO;
+        while !done.load(Ordering::Acquire) {
+            let began = Instant::now();
+            reader.read(&missing).unwrap();
+            longest = longest.max(began.elapsed());
+        }
+        longest
     });
-    let ran = ran.recv_timeout(Duration::from_secs(10));
-    assert_eq!(ran, Ok(OPS), "the batch has not finished in 10 s");
-    assert!(kv.log_tail() > 64 * dpr_faster::PAGE_SIZE as u64);
+    let evicted = kv.log_resident_bytes() < kv.log_tail() / 2;
+    assert!(evicted && longest < 20 * flush_fixed, "{longest:?}");
 }

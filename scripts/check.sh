@@ -118,10 +118,10 @@ fi
 # does not grow back unseen: a change that needs more lines raises this bound
 # in its own diff, where a reviewer sees it, and one that deletes lowers it.
 echo
-echo "==> workspace Rust is at most 35,026 lines"
+echo "==> workspace Rust is at most 35,025 lines"
 rust_lines=$(find crates src tests examples -name '*.rs' | xargs cat | wc -l)
-if (( rust_lines > 35026 )); then
-    echo "workspace Rust is $rust_lines lines, above the bound of 35,026" >&2
+if (( rust_lines > 35025 )); then
+    echo "workspace Rust is $rust_lines lines, above the bound of 35,025" >&2
     exit 1
 fi
 
@@ -211,9 +211,10 @@ guard co-located-refusal dpr-cluster cluster_tests \
 guard idle-cluster dpr-cluster cluster_tests \
     an_idle_cluster_parks_its_background_loops
 # A batch runs under one epoch guard, which an append refreshes while it
-# waits for the flusher (docs/PROTOCOL.md §5): the test's maintainer thread
-# flushes and then waits for every guard before it evicts. Hangs every run without
-# that refresh.
+# waits for the flusher (docs/PROTOCOL.md §5), so an eviction in another
+# session waits for one flush, not for the batch's next refresh 64 operations
+# on: each wait is a 10 ms flush, and the longest eviction must stay under
+# 200 ms. Fails every run (~650 ms) with that refresh removed.
 guard batch-guard dpr-faster concurrency_tests \
     a_batch_that_waits_for_the_flusher_does_not_hold_off_eviction
 
