@@ -16,7 +16,7 @@
 //! table. The process exits nonzero if any figure fails.
 
 use dpr_bench::harness::{self, BenchParams, RunStats};
-use dpr_bench::util::{ms, row, PERCENTILES};
+use dpr_bench::util::{ms, row, QUANTILES};
 use dpr_cassandra::{CassandraConfig, CassandraStore, CommitLogSync};
 use dpr_cluster::worker::WorkerConfig;
 use dpr_cluster::{
@@ -29,7 +29,8 @@ use dpr_core::{
 use dpr_faster::{FasterConfig, FasterKv, OpOutcome, Session};
 use dpr_metadata::{MetadataStore, OwnershipTable, PartitionedSqlStore, Partitioner};
 use dpr_storage::{MemBlobStore, MemLogDevice, StorageProfile};
-use dpr_ycsb::{KeyDistribution, LatencyHistogram, WorkloadGen, WorkloadOp, WorkloadSpec};
+use dpr_telemetry::HistogramSnapshot;
+use dpr_ycsb::{KeyDistribution, WorkloadGen, WorkloadOp, WorkloadSpec};
 use libdpr::{ApproximateFinder, DprClientSession, DprFinder};
 use std::collections::VecDeque;
 use std::process::{Command, ExitCode};
@@ -124,14 +125,14 @@ impl Report {
         let mops = |s: &RunStats| format!("{:.4}", s.mops());
         let with = |fields: Fields| [labels.clone(), fields].concat();
         let s = &stats[0];
-        let mean_p99 = |h: &LatencyHistogram, mean, p99| {
-            let p99 = (p99, ms(h.percentile(99.0)));
+        let mean_p99 = |h: &HistogramSnapshot, mean, p99| {
+            let p99 = (p99, ms(h.p99() as f64));
             with(vec![l("mops", mops(s)), (mean, ms(h.mean())), p99])
         };
-        let distribution = |h: &LatencyHistogram| {
-            let percentile = |&(p, key)| (key, ms(h.percentile(p)));
-            let mut fields = vec![l("samples", h.count()), l("mean_ms", ms(h.mean()))];
-            fields.extend(PERCENTILES.iter().map(percentile));
+        let distribution = |h: &HistogramSnapshot| {
+            let quantile = |&(q, key)| (key, ms(h.quantile(q) as f64));
+            let mut fields = vec![l("samples", h.count), l("mean_ms", ms(h.mean()))];
+            fields.extend(QUANTILES.iter().map(quantile));
             fields
         };
         match self {
@@ -573,15 +574,15 @@ fn ablation_fastforward(o: &Opts) -> Result<()> {
             l("fast_forward", fast_forward),
             l("mops", format!("{mops:.4}")),
             l("mean_commit_ms", ms(hist.mean())),
-            l("p99_commit_ms", ms(hist.percentile(99.0))),
-            l("commits_observed", hist.count()),
+            l("p99_commit_ms", ms(hist.p99() as f64)),
+            l("commits_observed", hist.count),
         ];
         row("ablation-fastforward", &fields);
     }
     Ok(())
 }
 
-fn fastforward_run(fast_forward: bool, o: &Opts) -> Result<(f64, LatencyHistogram)> {
+fn fastforward_run(fast_forward: bool, o: &Opts) -> Result<(f64, HistogramSnapshot)> {
     let net = SimNetwork::new(Duration::ZERO);
     let meta: Arc<dyn MetadataStore> = Arc::new(PartitionedSqlStore::new(8));
     let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
@@ -611,7 +612,7 @@ fn fastforward_run(fast_forward: bool, o: &Opts) -> Result<(f64, LatencyHistogra
     // Drive load directly against shard 0 (the fast shard) and measure how
     // long its ops take to enter the cut.
     let mut session = DprClientSession::new(SessionId(1));
-    let mut hist = LatencyHistogram::new();
+    let mut hist = HistogramSnapshot::default();
     let mut issued = 0u64;
     let mut commit_queue: VecDeque<(u64, Instant)> = VecDeque::new();
     let mut results = Vec::new();
@@ -635,7 +636,7 @@ fn fastforward_run(fast_forward: bool, o: &Opts) -> Result<(f64, LatencyHistogra
         let t = Instant::now();
         let committed = commit_queue.partition_point(|(serial, _)| *serial < prefix);
         for (_, at) in commit_queue.drain(..committed) {
-            hist.record(t - at);
+            hist.record((t - at).as_nanos() as u64);
         }
         std::thread::sleep(Duration::from_micros(500));
     }
@@ -980,8 +981,8 @@ mod tests {
             committed: 0,
             aborted: 0,
             duration: Duration::from_secs(1),
-            op_latency: LatencyHistogram::new(),
-            commit_latency: LatencyHistogram::new(),
+            op_latency: HistogramSnapshot::default(),
+            commit_latency: HistogramSnapshot::default(),
         };
         for (name, figure) in FIGURES {
             let Some(taken) = artifact.get(name) else {

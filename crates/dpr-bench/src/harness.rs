@@ -4,7 +4,8 @@
 
 use dpr_cluster::{Cluster, ClusterOp, SessionHandle};
 use dpr_core::{DprError, Key, Rng, Value};
-use dpr_ycsb::{LatencyHistogram, ThroughputSeries, WorkloadGen, WorkloadOp, WorkloadSpec};
+use dpr_telemetry::HistogramSnapshot;
+use dpr_ycsb::{ThroughputSeries, WorkloadGen, WorkloadOp, WorkloadSpec};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -56,10 +57,10 @@ pub struct RunStats {
     pub aborted: u64,
     /// Wall-clock duration.
     pub duration: Duration,
-    /// Operation completion latency.
-    pub op_latency: LatencyHistogram,
-    /// Operation commit latency.
-    pub commit_latency: LatencyHistogram,
+    /// Operation completion latency, in nanoseconds.
+    pub op_latency: HistogramSnapshot,
+    /// Operation commit latency, in nanoseconds.
+    pub commit_latency: HistogramSnapshot,
 }
 
 impl RunStats {
@@ -127,7 +128,7 @@ impl ClientState {
     /// Recover the session after a failure: the queued operations below the
     /// surviving prefix are committed, everything else issued so far is
     /// gone. Returns how many of the gone had completed.
-    fn recover(&mut self, commit_latency: &mut LatencyHistogram) -> u64 {
+    fn recover(&mut self, commit_latency: &mut HistogramSnapshot) -> u64 {
         let aborted_before = self.session.stats().aborted;
         let Ok(survived) = self.session.recover(Duration::from_secs(10)) else {
             return 0;
@@ -135,7 +136,7 @@ impl ClientState {
         let now = Instant::now();
         for (serial, t) in self.commit_queue.drain(..) {
             if serial < survived {
-                commit_latency.record(now - t);
+                commit_latency.record((now - t).as_nanos() as u64);
             }
         }
         // No result was taken for these and none will be.
@@ -181,8 +182,8 @@ pub fn run_workload(cluster: &Cluster, params: &BenchParams) -> RunStats {
             committed: 0,
             aborted: 0,
             duration: Duration::ZERO,
-            op_latency: LatencyHistogram::new(),
-            commit_latency: LatencyHistogram::new(),
+            op_latency: HistogramSnapshot::default(),
+            commit_latency: HistogramSnapshot::default(),
         };
         for handle in handles {
             let client = handle.join().expect("client thread");
@@ -199,8 +200,8 @@ pub fn run_workload(cluster: &Cluster, params: &BenchParams) -> RunStats {
 
 fn client_loop(state: &mut ClientState, params: &BenchParams, start: Instant) -> RunStats {
     let deadline = start + params.duration;
-    let mut op_latency = LatencyHistogram::new();
-    let mut commit_latency = LatencyHistogram::new();
+    let mut op_latency = HistogramSnapshot::default();
+    let mut commit_latency = HistogramSnapshot::default();
     let mut last_cut_check = Instant::now();
     let mut aborted = 0u64;
     // A failure shows as a world-line mismatch, from a reply or from the
@@ -232,7 +233,7 @@ fn client_loop(state: &mut ClientState, params: &BenchParams, start: Instant) ->
         let now = Instant::now();
         for (serial, _) in state.session.take_results() {
             if let Some(t) = state.issue_times.remove(&serial) {
-                op_latency.record(now - t);
+                op_latency.record((now - t).as_nanos() as u64);
             }
         }
         // Track commits.
@@ -244,7 +245,7 @@ fn client_loop(state: &mut ClientState, params: &BenchParams, start: Instant) ->
                     let queue = &mut state.commit_queue;
                     let committed = queue.partition_point(|(serial, _)| *serial < prefix);
                     for (_, t) in queue.drain(..committed) {
-                        commit_latency.record(now - t);
+                        commit_latency.record((now - t).as_nanos() as u64);
                     }
                 }
                 failure => failed |= moved(failure),

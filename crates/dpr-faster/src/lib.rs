@@ -39,7 +39,7 @@ pub mod state;
 pub mod store;
 
 pub use checkpoint::{CheckpointManifest, CommitPoint};
-pub use log::{GetOutcome, RecordLog, MAX_RECORD_LEN, PAGE_SIZE};
+pub use log::{EvictionTotals, GetOutcome, RecordLog, MAX_RECORD_LEN, PAGE_SIZE};
 pub use record::{Record, RecordMeta, RecordView, NONE_ADDRESS};
 pub use session::{Op, OpOutcome, PendingToken, Session};
 pub use state::{Phase, SystemState};

@@ -209,6 +209,19 @@ pub struct RecordLog {
     segments: RwLock<Vec<Segment>>,
     flush_state: Mutex<FlushScratch>,
     free_frames: Mutex<Vec<usize>>,
+    /// [`RecordLog::evict_to`] calls that reclaimed pages, each one
+    /// `quiesce`, and the bytes they reclaimed.
+    evictions: AtomicU64,
+    evicted_bytes: AtomicU64,
+}
+
+/// What a log's evictions have done so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EvictionTotals {
+    /// Evictions that reclaimed pages; each paid one epoch `quiesce`.
+    pub evictions: u64,
+    /// Bytes of the pages they reclaimed.
+    pub evicted_bytes: u64,
 }
 
 impl RecordLog {
@@ -232,6 +245,8 @@ impl RecordLog {
             segments: RwLock::new(Vec::new()),
             flush_state: Mutex::new(FlushScratch::default()),
             free_frames: Mutex::new(Vec::new()),
+            evictions: AtomicU64::new(0),
+            evicted_bytes: AtomicU64::new(0),
         }
     }
 
@@ -831,6 +846,11 @@ impl RecordLog {
             // One quiesce covers the whole batch: after it, no reader
             // guard predating the RECLAIMING flips can still be live.
             self.epoch.quiesce();
+            let bytes = reclaimed.len() as u64 * PAGE_BYTES;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
+            crate::metrics::log_evictions().inc();
+            crate::metrics::log_evicted_bytes().add(bytes);
             for page in reclaimed {
                 let slot = self.slot(page);
                 let buf = slot.buf.swap(null_mut(), Ordering::AcqRel);
@@ -841,6 +861,15 @@ impl RecordLog {
             }
         }
         self.head.load(Ordering::Acquire)
+    }
+
+    /// What this log's evictions have done so far.
+    #[must_use]
+    pub fn eviction_totals(&self) -> EvictionTotals {
+        EvictionTotals {
+            evictions: self.evictions.load(Ordering::Relaxed),
+            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
+        }
     }
 
     /// Evict down to the memory budget if the resident region overflows

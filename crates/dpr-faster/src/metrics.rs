@@ -113,6 +113,20 @@ metric_fn!(
 );
 
 metric_fn!(
+    /// Evictions that reclaimed pages, each paying one epoch `quiesce`.
+    pub(crate) fn log_evictions() -> Counter =
+        ("dpr_faster_log_evictions_total", Count,
+         "Evictions that reclaimed arena pages below head, each paying one epoch quiesce")
+);
+
+metric_fn!(
+    /// Bytes the evictions reclaimed.
+    pub(crate) fn log_evicted_bytes() -> Counter =
+        ("dpr_faster_log_evicted_bytes_total", Bytes,
+         "Bytes of the arena pages evictions reclaimed")
+);
+
+metric_fn!(
     /// Copy-forward passes run.
     pub(crate) fn compaction_passes() -> Counter =
         ("dpr_faster_compaction_passes_total", Count,

@@ -14,7 +14,7 @@
 
 use crate::checkpoint::{CheckpointManifest, CommitPoint};
 use crate::index::HashIndex;
-use crate::log::{GetOutcome, RecordLog, MAX_RECORD_LEN, PAGE_SIZE};
+use crate::log::{EvictionTotals, GetOutcome, RecordLog, MAX_RECORD_LEN, PAGE_SIZE};
 use crate::record::{record_footprint, RecordMeta, RecordView, MAX_VERSION, NONE_ADDRESS};
 use crate::session::{
     CompletedOp, Op, OpOutcome, PendingKind, PendingOp, PendingToken, RmwFn, Session, SessionCore,
@@ -1691,6 +1691,13 @@ impl FasterKv {
     #[must_use]
     pub fn compaction_totals(&self) -> CompactionTotals {
         self.compaction.lock().totals
+    }
+
+    /// What this store's evictions have done so far: the calls that
+    /// reclaimed pages, each paying one epoch `quiesce`, and their bytes.
+    #[must_use]
+    pub fn eviction_totals(&self) -> EvictionTotals {
+        self.log.eviction_totals()
     }
 
     /// The version a finished pass waits for: its prefix is freed by the

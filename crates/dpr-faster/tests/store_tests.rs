@@ -3,7 +3,7 @@
 
 use dpr_core::{Key, SessionId, Value, Version};
 use dpr_faster::record::record_footprint;
-use dpr_faster::{FasterConfig, FasterKv, OpOutcome, Phase, PAGE_SIZE};
+use dpr_faster::{EvictionTotals, FasterConfig, FasterKv, OpOutcome, Phase, PAGE_SIZE};
 use dpr_storage::{MemBlobStore, MemLogDevice, StorageProfile};
 use std::sync::Arc;
 use std::time::Duration;
@@ -461,6 +461,37 @@ fn a_record_budget_keeps_the_records_it_names_resident() {
     for k in 0..4 * BUDGET {
         assert_eq!(kv.get(&Key::from_u64(k)).unwrap(), Some(Value::from_u64(k)));
     }
+}
+
+/// Evictions are counted: a store budgeted 4,096 records (two pages) and
+/// preloaded with 16 times as many has evicted at least what it wrote beyond
+/// its budget and its unflushed bound, in calls that each paid a `quiesce`.
+#[test]
+fn evictions_count_their_calls_and_bytes() {
+    const BUDGET: u64 = 1 << 12;
+    let kv = FasterKv::new(
+        FasterConfig {
+            memory_budget_records: BUDGET as usize,
+            unflushed_limit_records: Some(BUDGET),
+            ..FasterConfig::default()
+        },
+        Arc::new(MemLogDevice::null()),
+        Arc::new(MemBlobStore::new()),
+    );
+    assert_eq!(kv.eviction_totals(), EvictionTotals::default());
+    let s = kv.start_session(SessionId(1));
+    for k in 0..16 * BUDGET {
+        s.upsert(Key::from_u64(k), Value::from_u64(k)).unwrap();
+    }
+    let totals = kv.eviction_totals();
+    let budget_bytes = BUDGET * record_footprint(8, 8) as u64;
+    assert!(totals.evictions > 0);
+    assert!(
+        totals.evicted_bytes >= kv.log_tail() - 2 * budget_bytes,
+        "{totals:?} of a {}-byte log",
+        kv.log_tail()
+    );
+    assert_eq!(totals.evicted_bytes % PAGE_SIZE as u64, 0);
 }
 
 /// An unflushed bound above the memory budget is held to the budget:

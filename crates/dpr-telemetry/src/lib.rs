@@ -1,5 +1,5 @@
 //! Cluster-wide telemetry for the DPR workspace: counters, gauges,
-//! log-scale histograms, and a protocol-event span ring, all dependency-free.
+//! log-linear histograms, and a protocol-event span ring, all dependency-free.
 //!
 //! # Design
 //!

@@ -1,12 +1,16 @@
-//! The three metric primitives: counters, gauges, and log-scale histograms.
+//! The three metric primitives: counters, gauges, and log-linear histograms.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Number of histogram buckets. Bucket 0 holds exact zeros; bucket `i`
-/// (for `i >= 1`) holds values in `[2^(i-1), 2^i)`, so 64 buckets cover
-/// the full `u64` range.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+/// Linear sub-buckets per power of two (and the values held exactly).
+const SUB_BUCKETS: usize = 16;
+
+/// Number of histogram buckets. Values below 16 have a bucket each; above
+/// that, each power of two `[2^e, 2^(e+1))` for `e` in `4..=63` is split
+/// into 16 equal sub-buckets, so a bucket is at most 1/16 of its values
+/// wide and 976 buckets cover the full `u64` range.
+pub const HISTOGRAM_BUCKETS: usize = SUB_BUCKETS * 61;
 
 /// A monotonically increasing count. Updates are relaxed `fetch_add`s.
 #[derive(Debug, Default)]
@@ -77,13 +81,12 @@ impl Gauge {
     }
 }
 
-/// A log-scale histogram over `u64` samples.
+/// A log-linear histogram over `u64` samples.
 ///
-/// Buckets are powers of two: recording a value touches exactly one bucket
-/// counter plus the running sum, count, and max — four relaxed atomic RMWs,
-/// no allocation. Quantiles are estimated from bucket boundaries (an upper
-/// bound with at most 2x resolution error, which is what log-scale buys),
-/// while [`HistogramSnapshot::max`] is exact.
+/// Recording a value touches exactly one bucket counter plus the running
+/// sum, count, and max — four relaxed atomic RMWs, no allocation. Quantiles
+/// are bucket upper bounds, at most 1/16 above the true value, while
+/// [`HistogramSnapshot::max`] is exact. The buckets take 7.6 KiB.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -114,27 +117,28 @@ impl Histogram {
         }
     }
 
-    /// Bucket index for a sample: 0 for 0, else `64 - leading_zeros`,
-    /// clamped to the last bucket.
+    /// Bucket index for a sample: the value itself below 16; above, one of
+    /// 16 per power of two, picked by the four bits below the leading one.
     #[must_use]
     pub fn bucket_index(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            ((64 - value.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
+        if value < SUB_BUCKETS as u64 {
+            return value as usize;
         }
+        let exp = 63 - value.leading_zeros() as usize;
+        let sub = (value >> (exp - 4)) as usize & (SUB_BUCKETS - 1);
+        (exp - 3) * SUB_BUCKETS + sub
     }
 
     /// Inclusive upper bound of bucket `i` (the value quantiles report).
     #[must_use]
     pub fn bucket_upper_bound(index: usize) -> u64 {
-        if index == 0 {
-            0
-        } else if index >= HISTOGRAM_BUCKETS - 1 {
-            u64::MAX
-        } else {
-            (1u64 << index) - 1
+        if index < SUB_BUCKETS {
+            return index as u64;
         }
+        let exp = index / SUB_BUCKETS + 3;
+        let sub = (index % SUB_BUCKETS) as u64;
+        let width = 1u64 << (exp - 4);
+        (1u64 << exp) + sub * width + (width - 1)
     }
 
     /// Record one sample.
@@ -181,7 +185,9 @@ impl Histogram {
     }
 }
 
-/// Point-in-time copy of a [`Histogram`].
+/// Point-in-time copy of a [`Histogram`], in plain memory. A thread that
+/// owns one can also record into it directly, without atomics (the
+/// `figures` harness's client threads do, once per operation).
 #[derive(Debug, Clone, Copy)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (see [`Histogram::bucket_index`]).
@@ -194,7 +200,37 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
+        HistogramSnapshot {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+}
+
 impl HistogramSnapshot {
+    /// Record one sample, as [`Histogram::record`] does.
+    pub fn record(&mut self, value: u64) {
+        self.buckets[Histogram::bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Fold `other`'s samples into this snapshot, as if one histogram had
+    /// recorded both.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
     /// Estimated value at quantile `q` in `[0, 1]`: the upper bound of the
     /// bucket containing the `ceil(q * count)`-th sample. Zero when empty.
     #[must_use]
@@ -303,35 +339,70 @@ mod tests {
     }
 
     #[test]
-    fn bucket_boundaries_are_powers_of_two() {
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(4), 3);
-        assert_eq!(Histogram::bucket_index(1023), 10);
-        assert_eq!(Histogram::bucket_index(1024), 11);
+    fn buckets_are_exact_below_16_and_a_sixteenth_of_a_power_of_two_above() {
+        for v in 0..32u64 {
+            assert_eq!(Histogram::bucket_index(v), v as usize);
+            assert_eq!(Histogram::bucket_upper_bound(v as usize), v);
+        }
+        assert_eq!(Histogram::bucket_index(1023), 111);
+        assert_eq!(Histogram::bucket_index(1024), 112);
         assert_eq!(Histogram::bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
-        for i in 1..HISTOGRAM_BUCKETS - 1 {
+        assert_eq!(
+            Histogram::bucket_upper_bound(HISTOGRAM_BUCKETS - 1),
+            u64::MAX
+        );
+        for i in 0..HISTOGRAM_BUCKETS - 1 {
             let hi = Histogram::bucket_upper_bound(i);
             assert_eq!(Histogram::bucket_index(hi), i);
             assert_eq!(Histogram::bucket_index(hi + 1), i + 1);
+            // No bucket is wider than a sixteenth of its lowest value.
+            let lo = if i == 0 {
+                0
+            } else {
+                Histogram::bucket_upper_bound(i - 1) + 1
+            };
+            assert!(
+                (hi - lo) as f64 <= lo as f64 / 16.0,
+                "bucket {i}: [{lo}, {hi}]"
+            );
         }
     }
 
     #[test]
-    fn quantiles_track_known_distribution() {
+    fn quantiles_are_within_a_sixteenth_of_the_value() {
         let h = Histogram::new();
-        for v in 1..=100u64 {
+        for v in 1_000..=1_999u64 {
             h.record(v);
         }
         let s = h.snapshot();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.max(), 100);
-        // p50 of 1..=100 is 50, whose bucket [32,64) reports bound 63.
-        assert_eq!(s.p50(), 63);
-        assert_eq!(s.p99(), 100, "last bucket bound is clamped to exact max");
-        assert!((s.mean() - 50.5).abs() < 1e-9);
+        let near = |got: u64, want: f64| (got as f64 - want).abs() <= want / 16.0;
+        assert!(near(s.p50(), 1_500.0), "p50 {}", s.p50());
+        assert!(near(s.p99(), 1_990.0), "p99 {}", s.p99());
+        // 1,999's bucket [1,984, 2,047] reports the exact max instead.
+        assert_eq!((s.count, s.max(), s.quantile(1.0)), (1_000, 1_999, 1_999));
+        assert!((s.mean() - 1_499.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merged_snapshots_read_as_one_histogram_fed_both() {
+        let mut merged = HistogramSnapshot::default();
+        let (b, both) = (Histogram::new(), Histogram::new());
+        for v in 1..=1_000u64 {
+            merged.record(v * 1_000);
+            both.record(v * 1_000);
+        }
+        for v in 1..=100u64 {
+            b.record(v * 100_000);
+            both.record(v * 100_000);
+        }
+        merged.merge(&b.snapshot());
+        let both = both.snapshot();
+        assert_eq!(merged.count, 1_100);
+        assert_eq!((merged.sum, merged.max), (both.sum, both.max));
+        assert_eq!(merged.buckets, both.buckets);
+        for q in [0.1, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(merged.quantile(q), both.quantile(q));
+        }
     }
 
     #[test]

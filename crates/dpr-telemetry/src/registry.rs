@@ -188,48 +188,27 @@ impl MetricsRegistry {
         );
         let _ = writeln!(out, "{}", "-".repeat(110));
         for e in entries.iter() {
-            match &e.metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(
-                        out,
-                        "{:<44} {:>10} {:>10} {:>10} {:>10} {:>12}  {}",
-                        e.name,
-                        c.get(),
-                        "-",
-                        "-",
-                        "-",
-                        "-",
-                        e.unit.label()
-                    );
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(
-                        out,
-                        "{:<44} {:>10} {:>10} {:>10} {:>10} {:>12}  {}",
-                        e.name,
-                        g.get(),
-                        "-",
-                        "-",
-                        "-",
-                        "-",
-                        e.unit.label()
-                    );
-                }
+            let columns = match &e.metric {
+                Metric::Counter(c) => vec![c.get().to_string()],
+                Metric::Gauge(g) => vec![g.get().to_string()],
                 Metric::Histogram(h) => {
                     let s = h.snapshot();
-                    let _ = writeln!(
-                        out,
-                        "{:<44} {:>10} {:>10} {:>10} {:>10} {:>12}  {}",
-                        e.name,
-                        s.p50(),
-                        s.p95(),
-                        s.p99(),
-                        s.max(),
-                        s.count,
-                        e.unit.label()
-                    );
+                    let columns = [s.p50(), s.p95(), s.p99(), s.max(), s.count];
+                    columns.map(|v| v.to_string()).to_vec()
                 }
-            }
+            };
+            let column = |i: usize| columns.get(i).map_or("-", String::as_str);
+            let _ = writeln!(
+                out,
+                "{:<44} {:>10} {:>10} {:>10} {:>10} {:>12}  {}",
+                e.name,
+                column(0),
+                column(1),
+                column(2),
+                column(3),
+                column(4),
+                e.unit.label()
+            );
         }
         let spans = self.spans.drain_copy();
         if !spans.is_empty() {
@@ -243,7 +222,8 @@ impl MetricsRegistry {
 
     /// Render Prometheus-style exposition text: `# HELP`/`# TYPE` headers,
     /// counters and gauges as single samples, histograms as cumulative
-    /// `_bucket{le="…"}` series plus `_sum` and `_count`.
+    /// `_bucket{le="…"}` series (the occupied buckets only) plus `_sum` and
+    /// `_count`.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
@@ -263,8 +243,7 @@ impl MetricsRegistry {
                     let _ = writeln!(out, "# TYPE {} histogram", e.name);
                     let s = h.snapshot();
                     let mut cumulative = 0u64;
-                    let highest = s.buckets.iter().rposition(|&n| n > 0).unwrap_or(0);
-                    for (i, &n) in s.buckets.iter().enumerate().take(highest + 1) {
+                    for (i, &n) in s.buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
                         cumulative += n;
                         let _ = writeln!(
                             out,
@@ -334,6 +313,7 @@ mod tests {
         let text = r.render_prometheus();
         assert!(text.contains("t_us_bucket{le=\"1\"} 1"));
         assert!(text.contains("t_us_bucket{le=\"3\"} 3"));
+        assert!(!text.contains("le=\"2\""), "an empty bucket is left out");
         assert!(text.contains("t_us_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("t_us_sum 7"));
         assert!(text.contains("t_us_count 3"));

@@ -1,118 +1,6 @@
-//! Measurement utilities: latency histograms and time-bucketed throughput.
+//! Time-bucketed throughput.
 
 use std::time::Duration;
-
-/// A log-scaled latency histogram (HdrHistogram-style, coarse).
-///
-/// Buckets are `[2^i, 2^(i+1))` nanoseconds split into 16 linear
-/// sub-buckets, giving ~6% relative resolution — plenty for the latency
-/// distributions of Figs. 12 and 18.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_nanos: u128,
-    max_nanos: u64,
-}
-
-const SUB: usize = 16;
-const EXPS: usize = 48;
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// Empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: vec![0; SUB * EXPS],
-            count: 0,
-            sum_nanos: 0,
-            max_nanos: 0,
-        }
-    }
-
-    fn index(nanos: u64) -> usize {
-        if nanos < SUB as u64 {
-            return nanos as usize;
-        }
-        let exp = 63 - nanos.leading_zeros() as usize; // floor(log2)
-        let base = exp * SUB;
-        let sub = ((nanos >> (exp.saturating_sub(4))) & (SUB as u64 - 1)) as usize;
-        (base + sub).min(SUB * EXPS - 1)
-    }
-
-    fn bucket_value(idx: usize) -> u64 {
-        if idx < SUB {
-            return idx as u64;
-        }
-        let exp = idx / SUB;
-        let sub = idx % SUB;
-        (1u64 << exp) + ((sub as u64) << exp.saturating_sub(4))
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, latency: Duration) {
-        let nanos = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.buckets[Self::index(nanos)] += 1;
-        self.count += 1;
-        self.sum_nanos += u128::from(nanos);
-        self.max_nanos = self.max_nanos.max(nanos);
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_nanos += other.sum_nanos;
-        self.max_nanos = self.max_nanos.max(other.max_nanos);
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency.
-    #[must_use]
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos((self.sum_nanos / u128::from(self.count)) as u64)
-    }
-
-    /// Maximum recorded latency.
-    #[must_use]
-    pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_nanos)
-    }
-
-    /// The `p`-th percentile (0 < p ≤ 100), approximated to bucket
-    /// resolution.
-    #[must_use]
-    pub fn percentile(&self, p: f64) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Duration::from_nanos(Self::bucket_value(idx));
-            }
-        }
-        self.max()
-    }
-}
 
 /// Time-bucketed throughput counters (Fig. 16's 250 ms buckets).
 #[derive(Debug, Clone)]
@@ -172,41 +60,6 @@ impl ThroughputSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_percentiles_are_ordered() {
-        let mut h = LatencyHistogram::new();
-        for i in 1..=1000u64 {
-            h.record(Duration::from_micros(i));
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.percentile(50.0);
-        let p99 = h.percentile(99.0);
-        assert!(p50 <= p99);
-        // ~6% bucket resolution.
-        assert!(p50 >= Duration::from_micros(400) && p50 <= Duration::from_micros(600));
-        assert!(p99 >= Duration::from_micros(900));
-        assert!(h.mean() >= Duration::from_micros(450));
-        assert!(h.max() >= Duration::from_micros(990));
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(Duration::from_millis(1));
-        b.record(Duration::from_millis(100));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!(a.percentile(100.0) >= Duration::from_millis(90));
-    }
-
-    #[test]
-    fn empty_histogram_is_sane() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.mean(), Duration::ZERO);
-        assert_eq!(h.percentile(99.0), Duration::ZERO);
-    }
 
     #[test]
     fn throughput_series_buckets_and_rates() {
