@@ -134,15 +134,14 @@ impl CassandraStore {
                 let mut buf = Vec::new();
                 encode_entry(&key, value.as_ref(), &mut buf);
                 let end = self.commitlog.append(&buf)? + buf.len() as u64;
-                // Group commit: wait until our entry is durable; whoever
-                // gets the gate performs the fsync for everyone behind it.
-                while self.commitlog.durable_frontier() < end {
-                    if let Some(_gate) = self.flush_gate.try_lock() {
-                        if self.commitlog.durable_frontier() < end {
-                            self.commitlog.flush()?;
-                        }
-                    } else {
-                        std::thread::yield_now();
+                // Group commit: writers whose entry is not yet durable queue
+                // on the gate; its holder flushes everything appended so
+                // far, so the writers behind it find their entries durable
+                // and return without a flush of their own.
+                if self.commitlog.durable_frontier() < end {
+                    let _gate = self.flush_gate.lock();
+                    if self.commitlog.durable_frontier() < end {
+                        self.commitlog.flush()?;
                     }
                 }
             }

@@ -234,20 +234,20 @@ impl SessionHandle {
             None => session.begin_batch(shard, ops.len() as u32)?,
         };
         let mut owners = Vec::new();
-        for _ in 0..OWNER_RETRIES {
+        let sent = crate::poll_until(OWNER_RETRY_FOR, OWNER_RETRY_WAIT, || {
             match self.execute_local(&header, ops) {
                 Err(DprError::NotOwner { .. }) => {}
-                done => return done,
+                done => return done.map(Some),
             }
             resolve_owners(&self.ownership, ops, &mut owners)?;
             if owners.iter().any(|&owner| owner != shard) {
                 // What goes back to this worker is a strict part of `ops`,
                 // so a refusal recurses at most once per op.
-                return self.reroute(header.first_serial, ops, &owners);
+                return self.reroute(header.first_serial, ops, &owners).map(Some);
             }
-            std::thread::sleep(OWNER_RETRY_WAIT);
-        }
-        Err(DprError::NotOwner { shard })
+            Ok(None)
+        })?;
+        sent.ok_or(DprError::NotOwner { shard })
     }
 
     /// Execute a batch on the co-located worker and take in its reply.
@@ -431,37 +431,20 @@ impl SessionHandle {
         read_cut: impl Fn() -> Cut,
         timeout: Duration,
     ) -> Result<()> {
-        let deadline = Instant::now() + timeout;
-        loop {
+        let committed = crate::poll_until(timeout, Duration::from_micros(200), || {
             let _ = self.poll(false, Duration::ZERO);
-            let cut = read_cut();
-            if self.refresh_on_world_line(&cut)? >= self.core.session().issued() {
-                return Ok(());
-            }
-            if Instant::now() > deadline {
-                return Err(DprError::Timeout);
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
+            let prefix = self.refresh_on_world_line(&read_cut())?;
+            Ok((prefix >= self.core.session().issued()).then_some(()))
+        })?;
+        committed.ok_or(DprError::Timeout)
     }
 
     /// Recover from a failure: wait for cluster recovery to finish, adopt
     /// the new world-line, and compute the surviving prefix. Returns the
     /// number of this session's ops that survived.
     pub fn recover(&mut self, timeout: Duration) -> Result<u64> {
-        let deadline = Instant::now() + timeout;
         // Wait until the cluster manager reports recovery complete.
-        loop {
-            match self.meta.recovery_in_progress()? {
-                None => break,
-                Some(_) => {
-                    if Instant::now() > deadline {
-                        return Err(DprError::Timeout);
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-            }
-        }
+        crate::manager::wait_no_recovery(&*self.meta, timeout)?;
         let world_line = self.meta.world_line()?;
         let mut cut = self.meta.read_cut()?;
         // Version numbers are ambiguous across world-lines: after rollback,
@@ -494,10 +477,10 @@ impl SessionHandle {
     }
 }
 
-/// How many times a client waits [`OWNER_RETRY_WAIT`] for ownership to
-/// settle (a partition mid-transfer, a co-located worker's lapsed lease)
-/// before it gives up: a second in all.
-const OWNER_RETRIES: u32 = 2000;
+/// How long a client waits for ownership to settle (a partition
+/// mid-transfer, a co-located worker's lapsed lease) before it gives up, and
+/// how often it looks again meanwhile.
+const OWNER_RETRY_FOR: Duration = Duration::from_secs(1);
 const OWNER_RETRY_WAIT: Duration = Duration::from_micros(500);
 
 /// Resolve the owners of `ops` into `owners` with one read of the table per
@@ -509,20 +492,17 @@ fn resolve_owners(
     ops: &[ClusterOp],
     owners: &mut Vec<ShardId>,
 ) -> Result<()> {
-    for _ in 0..OWNER_RETRIES {
+    let resolved = crate::poll_until(OWNER_RETRY_FOR, OWNER_RETRY_WAIT, || {
         owners.clear();
-        if ownership
-            .owners_into(ops.iter().map(ClusterOp::key), owners)
-            .is_ok()
-        {
-            return Ok(());
-        }
-        std::thread::sleep(OWNER_RETRY_WAIT);
-    }
-    Err(DprError::Invalid(format!(
-        "partition for {} stuck un-owned",
-        ops[owners.len()].key()
-    )))
+        let keys = ops.iter().map(ClusterOp::key);
+        Ok(ownership.owners_into(keys, owners).is_ok().then_some(()))
+    })?;
+    resolved.ok_or_else(|| {
+        DprError::Invalid(format!(
+            "partition for {} stuck un-owned",
+            ops[owners.len()].key()
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -633,7 +613,7 @@ mod tests {
             Err(DprError::NotOwner { shard }) => assert_eq!(shard, ShardId(0)),
             other => panic!("expected NotOwner, got {other:?}"),
         }
-        assert!(t0.elapsed() >= OWNER_RETRY_WAIT * OWNER_RETRIES);
+        assert!(t0.elapsed() >= OWNER_RETRY_FOR);
     }
 
     /// A dropped session leaves the bus: after 1,000 sessions, each with a

@@ -264,14 +264,14 @@ impl Cluster {
     /// asynchronously. Per §4.1 the recovery protocol is cluster-wide
     /// regardless of which worker crashed — every worker rolls back to the
     /// guaranteed cut — but the `recovery_begin` span names the blamed
-    /// shard, and the crashed worker discards its volatile
-    /// duplicate-suppression state as a real process restart would.
+    /// shard. The blamed worker keeps its memory: it rolls back as every
+    /// other does, and its rollback, like theirs, forgets the replies of the
+    /// world-line it leaves (`docs/PROTOCOL.md` §6).
     pub fn inject_failure_at(&self, idx: usize) -> Result<()> {
         let worker = self
             .workers
             .get(idx)
             .ok_or_else(|| dpr_core::DprError::Invalid(format!("no worker at index {idx}")))?;
-        worker.simulate_crash_restart();
         self.manager.trigger_failure_at(Some(worker.shard()))?;
         Ok(())
     }

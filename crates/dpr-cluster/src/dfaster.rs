@@ -5,8 +5,8 @@
 //! metadata-only operation over the already-flushing log) and `Restore()`
 //! to the non-blocking THROW/PURGE rollback of §5.5. Per client session, the
 //! worker keeps a corresponding FASTER session under the same globally
-//! unique id (§5.2), in one map behind one lock that a batch takes twice: to
-//! check its session out and back in.
+//! unique id (§5.2), each behind a lock of its own that a batch holds while
+//! it runs.
 
 use crate::message::{ClusterOp, OpResult};
 use crate::worker::{ShardStore, VersionSpan};
@@ -18,19 +18,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-enum Slot {
-    Idle(Session),
-    /// Checked out by an executor thread; batches for the same session
-    /// queue behind it, preserving the sequential session discipline.
-    Busy,
-}
-
 /// A FASTER-backed shard.
 pub struct FasterShard {
     shard: ShardId,
     kv: Arc<FasterKv>,
-    /// Server-side FASTER sessions, one per client session id (§5.2).
-    sessions: Mutex<HashMap<SessionId, Slot>>,
+    /// Server-side FASTER sessions, one per client session id (§5.2),
+    /// created on first contact. A batch holds its session's lock from its
+    /// first operation to its last completion, so two batches of one
+    /// session never interleave: a second one waits for the first.
+    sessions: Mutex<HashMap<SessionId, Arc<Mutex<Session>>>>,
 }
 
 impl FasterShard {
@@ -49,34 +45,13 @@ impl FasterShard {
         &self.kv
     }
 
-    fn checkout(&self, id: SessionId) -> Session {
-        loop {
-            {
-                let mut sessions = self.sessions.lock();
-                match sessions.get_mut(&id) {
-                    Some(slot @ Slot::Idle(_)) => {
-                        let Slot::Idle(s) = std::mem::replace(slot, Slot::Busy) else {
-                            unreachable!()
-                        };
-                        return s;
-                    }
-                    Some(Slot::Busy) => { /* fall through to retry */ }
-                    None => {
-                        // First contact from this client session: create the
-                        // corresponding store session (§5.2). Mark busy under
-                        // the lock so no duplicate can be created.
-                        sessions.insert(id, Slot::Busy);
-                        drop(sessions);
-                        return self.kv.start_session(id);
-                    }
-                }
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    fn checkin(&self, id: SessionId, session: Session) {
-        self.sessions.lock().insert(id, Slot::Idle(session));
+    /// The store session of client session `id`, created on first contact.
+    fn session(&self, id: SessionId) -> Arc<Mutex<Session>> {
+        let mut sessions = self.sessions.lock();
+        let session = sessions
+            .entry(id)
+            .or_insert_with(|| Arc::new(Mutex::new(self.kv.start_session(id))));
+        Arc::clone(session)
     }
 }
 
@@ -102,7 +77,8 @@ impl ShardStore for FasterShard {
         out: &mut Vec<OpResult>,
     ) -> Result<VersionSpan> {
         let base = out.len();
-        let session = self.checkout(session_id);
+        let session = self.session(session_id);
+        let session = session.lock();
         let run = (|| {
             // Placeholder results written in place; `OpResult::Value(None)`
             // doubles as the "unresolved" marker a PENDING op leaves until
@@ -152,7 +128,6 @@ impl ShardStore for FasterShard {
             }
             Ok(span.unwrap_or_else(|| VersionSpan::single(self.kv.current_version())))
         })();
-        self.checkin(session_id, session);
         if run.is_err() {
             out.truncate(base);
         }
@@ -250,6 +225,53 @@ mod tests {
         assert_eq!(results[1], OpResult::Value(Some(Value::from_u64(10))));
         assert_eq!(results[4], OpResult::Value(Some(Value::from_u64(2))));
         assert_eq!(results[6], OpResult::Value(None));
+    }
+
+    /// Two threads drive one client session's batches at once, as a
+    /// retransmit racing its original can. Each batch reads keys that have
+    /// left memory, so its reads go PENDING and are matched to it by serial
+    /// when it completes them: were the batches to interleave, one would
+    /// complete the other's reads and answer its own with nothing.
+    #[test]
+    fn one_sessions_batches_never_interleave() {
+        const KEYS: u64 = 20_000;
+        let kv = FasterKv::new(
+            FasterConfig {
+                memory_budget_records: 1024,
+                simulated_read_latency: Some(Duration::from_micros(100)),
+                ..FasterConfig::default()
+            },
+            Arc::new(MemLogDevice::null()),
+            Arc::new(MemBlobStore::new()),
+        );
+        let s = FasterShard::new(ShardId(0), kv);
+        let load: Vec<_> = (0..KEYS)
+            .map(|k| ClusterOp::Upsert(Key::from_u64(k), Value::from_u64(k)))
+            .collect();
+        s.execute_batch(SessionId(1), &load).unwrap();
+        assert!(s.request_commit(None));
+        assert!(s.kv().wait_for_durable(Version(1), Duration::from_secs(5)));
+        s.kv().force_evict();
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let s = &s;
+                scope.spawn(move || {
+                    let mut rng = dpr_core::Rng::new(t + 1);
+                    for round in 0..200 {
+                        let reads: Vec<u64> = (0..8).map(|_| rng.below(KEYS)).collect();
+                        let mut ops = vec![ClusterOp::Upsert(
+                            Key::from_u64(KEYS + t),
+                            Value::from_u64(round),
+                        )];
+                        ops.extend(reads.iter().map(|&k| ClusterOp::Read(Key::from_u64(k))));
+                        let (results, _) = s.execute_batch(SessionId(1), &ops).unwrap();
+                        for (&k, r) in reads.iter().zip(&results[1..]) {
+                            assert_eq!(*r, OpResult::Value(Some(Value::from_u64(k))), "key {k}");
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -46,3 +46,25 @@ pub use net::{NetServer, NetServerConfig};
 pub use session::{CompletedRef, PipelinedClient};
 pub use transport::{BusFrame, BusInbox, EndpointId, LinkFault, SimNetwork};
 pub use worker::{ShardStore, VersionSpan, Worker};
+
+use std::time::{Duration, Instant};
+
+/// The crate's one bounded wait: call `step` every `every` until it is done
+/// (`Some`) or fails, for `within` at most. `None` if it is still not done
+/// by then, for the caller to name its own error.
+pub(crate) fn poll_until<T>(
+    within: Duration,
+    every: Duration,
+    mut step: impl FnMut() -> dpr_core::Result<Option<T>>,
+) -> dpr_core::Result<Option<T>> {
+    let deadline = Instant::now() + within;
+    loop {
+        if let Some(done) = step()? {
+            return Ok(Some(done));
+        }
+        if Instant::now() >= deadline {
+            return Ok(None);
+        }
+        std::thread::sleep(every);
+    }
+}

@@ -65,13 +65,7 @@ impl ClusterManager {
 
     /// Block until any in-flight recovery completes.
     pub fn wait_recovery_complete(&self, timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
-        while self.meta.recovery_in_progress()?.is_some() {
-            if Instant::now() > deadline {
-                return Err(DprError::Timeout);
-            }
-            std::thread::sleep(Duration::from_micros(500));
-        }
+        wait_no_recovery(&*self.meta, timeout)?;
         crate::metrics::recoveries().inc();
         if let Some(started) = self.recovery_started.lock().take() {
             crate::metrics::recovery_duration().record_micros(started.elapsed());
@@ -86,4 +80,12 @@ impl ClusterManager {
     pub fn recovering(&self) -> Result<bool> {
         Ok(self.meta.recovery_in_progress()?.is_some())
     }
+}
+
+/// Wait until `meta` has no recovery in progress, every 500 µs for up to
+/// `timeout`: the manager's wait for a recovery to complete and a session's
+/// before it recovers.
+pub(crate) fn wait_no_recovery(meta: &dyn MetadataStore, timeout: Duration) -> Result<()> {
+    let idle = || Ok(meta.recovery_in_progress()?.is_none().then_some(()));
+    crate::poll_until(timeout, Duration::from_micros(500), idle)?.ok_or(DprError::Timeout)
 }

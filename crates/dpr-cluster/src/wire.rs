@@ -636,16 +636,6 @@ fn put_dpr_error(out: &mut Vec<u8>, e: &DprError) {
             put_u64(out, requested.0);
             put_u64(out, current.0);
         }
-        DprError::RolledBack {
-            session,
-            survived,
-            world_line,
-        } => {
-            put_u8(out, 2);
-            put_u64(out, session.0);
-            put_u64(out, *survived);
-            put_u64(out, world_line.0);
-        }
         DprError::NotOwner { shard } => {
             put_u8(out, 3);
             put_u32(out, shard.0);
@@ -678,11 +668,6 @@ fn get_dpr_error(c: &mut Cursor<'_>) -> Result<DprError> {
         1 => DprError::WorldLineMismatch {
             requested: WorldLine(c.u64()?),
             current: WorldLine(c.u64()?),
-        },
-        2 => DprError::RolledBack {
-            session: SessionId(c.u64()?),
-            survived: c.u64()?,
-            world_line: WorldLine(c.u64()?),
         },
         3 => DprError::NotOwner {
             shard: ShardId(c.u32()?),

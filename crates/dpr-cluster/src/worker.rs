@@ -202,9 +202,8 @@ pub struct Worker {
     /// Operations executed (all sessions) — worker-side throughput counter.
     executed_ops: AtomicU64,
     /// Duplicate suppression for retransmitted remote batches; `None` at a
-    /// `dedupe_window` of 0 (volatile: a crash-restart clears it, which is
-    /// safe because the rolled-back world-line forces clients to rebuild
-    /// their sessions anyway).
+    /// `dedupe_window` of 0. A rollback clears it, which is safe because
+    /// the new world-line forces clients to rebuild their sessions anyway.
     dedupe: Option<ReplyCache>,
 }
 
@@ -380,15 +379,6 @@ impl Worker {
         self.wakeups.load(Ordering::Relaxed)
     }
 
-    /// Simulate the volatile-state loss of a process crash + restart
-    /// (chaos harness, via [`crate::Cluster::inject_failure_at`]): durable
-    /// state survives, the duplicate-suppression cache does not.
-    pub fn simulate_crash_restart(&self) {
-        if let Some(cache) = &self.dedupe {
-            cache.clear();
-        }
-    }
-
     /// The DPR cut and its world-line, as a `CutReq` is answered (remote
     /// clients track commits without a side channel) and garbage collected:
     /// the finder's last publication, held in memory, while that is on this
@@ -540,7 +530,9 @@ impl Worker {
             self.server.set_world_line(rec.world_line);
             // Cached replies carry the old world-line; never replay them
             // into the new one. (The finder's cut is fenced in `read_cut`.)
-            self.simulate_crash_restart();
+            if let Some(cache) = &self.dedupe {
+                cache.clear();
+            }
             crate::metrics::worker_rollbacks().inc();
             dpr_telemetry::global().span("dpr-cluster", "worker_rollback", || {
                 format!(

@@ -63,14 +63,9 @@ fn valid_frames() -> Vec<Vec<u8>> {
         OpResult::Value(Some(value(100))),
     ];
     frame(&|out| wire::encode_response(out, shard.0, 42, Ok((&reply, &results))));
-    let (requested, current, survived) = (world_line, WorldLine(3), 17);
+    let (requested, current) = (world_line, WorldLine(3));
     for e in [
         DprError::WorldLineMismatch { requested, current },
-        DprError::RolledBack {
-            session,
-            survived,
-            world_line,
-        },
         DprError::NotOwner { shard },
         DprError::NoSuchCheckpoint { shard, version },
         DprError::Recovering,

@@ -1,6 +1,6 @@
 //! Unified error type for the workspace.
 
-use crate::version::{SessionId, ShardId, Version, WorldLine};
+use crate::version::{ShardId, Version, WorldLine};
 use std::fmt;
 
 /// Convenience alias used across the workspace.
@@ -10,9 +10,7 @@ pub type Result<T> = std::result::Result<T, DprError>;
 ///
 /// The interesting variants are the protocol-level ones: a
 /// [`DprError::WorldLineMismatch`] is how a shard tells a client that a
-/// failure happened and the client must compute its surviving prefix (§4.2),
-/// and [`DprError::RolledBack`] is what a session surfaces to the application
-/// together with the exact prefix that survived (§2).
+/// failure happened and the client must compute its surviving prefix (§4.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DprError {
     /// The request's world-line does not match the shard's.
@@ -26,16 +24,6 @@ pub enum DprError {
         requested: WorldLine,
         /// World-line the shard is currently on.
         current: WorldLine,
-    },
-    /// The session lost operations to a rollback; the surviving prefix is the
-    /// given sequence number (exclusive upper bound of surviving ops).
-    RolledBack {
-        /// The session affected.
-        session: SessionId,
-        /// Number of operations that survived (a prefix length).
-        survived: u64,
-        /// World-line the session must move to before continuing.
-        world_line: WorldLine,
     },
     /// The shard addressed does not own the requested key.
     NotOwner {
@@ -69,14 +57,6 @@ impl fmt::Display for DprError {
             DprError::WorldLineMismatch { requested, current } => write!(
                 f,
                 "world-line mismatch: request on {requested}, shard on {current}"
-            ),
-            DprError::RolledBack {
-                session,
-                survived,
-                world_line,
-            } => write!(
-                f,
-                "{session} rolled back: {survived} operations survived, now on {world_line}"
             ),
             DprError::NotOwner { shard } => write!(f, "{shard} does not own the requested key"),
             DprError::NoSuchCheckpoint { shard, version } => {
@@ -119,15 +99,5 @@ mod tests {
         let io = std::io::Error::other("disk gone");
         let e: DprError = io.into();
         assert!(matches!(e, DprError::Storage(_)));
-    }
-
-    #[test]
-    fn rolled_back_carries_prefix() {
-        let e = DprError::RolledBack {
-            session: SessionId(7),
-            survived: 42,
-            world_line: WorldLine(3),
-        };
-        assert!(e.to_string().contains("42"));
     }
 }

@@ -31,7 +31,7 @@ pub mod file;
 pub mod latency;
 pub mod memory;
 
-pub use blob::{BlobStore, FileBlobStore, MemBlobStore};
+pub use blob::{BlobStore, MemBlobStore};
 pub use device::{read_exact, LogDevice};
 pub use file::FileLogDevice;
 pub use latency::{LatencyModel, StorageProfile};

@@ -208,14 +208,6 @@ fn response_frames() {
             vec!["01", "02 00*7", "03 00*7"],
         ),
         (
-            DprError::RolledBack {
-                session: SessionId(7),
-                survived: 9,
-                world_line: WorldLine(3),
-            },
-            vec!["02", "07 00*7", "09 00*7", "03 00*7"],
-        ),
-        (
             DprError::NotOwner { shard: ShardId(4) },
             vec!["03", "04 00 00 00"],
         ),
@@ -248,6 +240,10 @@ fn response_frames() {
         );
         assert!(decoded.is_empty());
     }
+    // Tag 2 is reserved: a rejection that carries it is refused, whatever
+    // follows it.
+    let body = Bytes::from(hex(&["01", "02", "07 00*7", "09 00*7", "03 00*7"]));
+    assert!(wire::decode_response_body(&body, &mut Vec::new()).is_err());
 }
 
 #[test]
