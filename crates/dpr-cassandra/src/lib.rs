@@ -18,9 +18,8 @@
 
 use dpr_core::{Key, Result, Value};
 use dpr_storage::LogDevice;
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Commit-log durability mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +116,7 @@ impl CassandraStore {
     /// Read a key.
     #[must_use]
     pub fn read(&self, key: &Key) -> Option<Value> {
-        self.memtable.read().get(key).cloned()
+        self.memtable.read().unwrap().get(key).cloned()
     }
 
     /// Write (or delete, with `None`) a key, honoring the configured
@@ -139,14 +138,14 @@ impl CassandraStore {
                 // far, so the writers behind it find their entries durable
                 // and return without a flush of their own.
                 if self.commitlog.durable_frontier() < end {
-                    let _gate = self.flush_gate.lock();
+                    let _gate = self.flush_gate.lock().unwrap();
                     if self.commitlog.durable_frontier() < end {
                         self.commitlog.flush()?;
                     }
                 }
             }
         }
-        let mut table = self.memtable.write();
+        let mut table = self.memtable.write().unwrap();
         match value {
             Some(v) => {
                 table.insert(key, v);
@@ -195,20 +194,20 @@ impl CassandraStore {
             }
             carry.drain(..consumed);
         }
-        *self.memtable.write() = table;
+        *self.memtable.write().unwrap() = table;
         Ok(count)
     }
 
     /// Number of live keys.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.memtable.read().len()
+        self.memtable.read().unwrap().len()
     }
 
     /// Whether the store is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.memtable.read().is_empty()
+        self.memtable.read().unwrap().is_empty()
     }
 }
 

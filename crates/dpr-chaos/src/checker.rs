@@ -40,9 +40,8 @@
 
 use dpr_core::{ShardId, Token, Version};
 use dpr_metadata::{Cut, MetadataStore};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Upper bound on stored violation strings (counts keep accumulating).
@@ -122,7 +121,7 @@ impl InvariantChecker {
     /// cut). Lag is still *measured* during the window.
     pub fn exempt_lag(&self, window: Duration) {
         let until = Instant::now() + window;
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap();
         s.lag_exempt_until = Some(match s.lag_exempt_until {
             Some(existing) => existing.max(until),
             None => until,
@@ -133,7 +132,7 @@ impl InvariantChecker {
     /// floor and purge it from the shadow graph (its durable data was
     /// migrated away before removal, so dependencies on it are satisfied).
     pub fn note_shard_removed(&self, shard: ShardId) {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap();
         s.cut_floor.remove(&shard);
         s.stale_floor.remove(&shard);
         s.graph.retain(|t, _| t.shard != shard);
@@ -145,44 +144,44 @@ impl InvariantChecker {
     /// Record an externally detected violation (ledger bounds, fault
     /// execution errors, recovery timeouts).
     pub fn report_violation(&self, msg: impl Into<String>) {
-        self.state.lock().record(msg.into());
+        self.state.lock().unwrap().record(msg.into());
     }
 
     /// Number of tick passes performed.
     #[must_use]
     pub fn checks(&self) -> u64 {
-        self.state.lock().checks
+        self.state.lock().unwrap().checks
     }
 
     /// Total violations detected (stored strings are capped).
     #[must_use]
     pub fn violation_count(&self) -> u64 {
-        self.state.lock().violation_count
+        self.state.lock().unwrap().violation_count
     }
 
     /// The stored violation descriptions.
     #[must_use]
     pub fn violations(&self) -> Vec<String> {
-        self.state.lock().violations.clone()
+        self.state.lock().unwrap().violations.clone()
     }
 
     /// Maximum per-shard cut lag (versions) observed so far.
     #[must_use]
     pub fn max_lag(&self) -> u64 {
-        self.state.lock().max_lag
+        self.state.lock().unwrap().max_lag
     }
 
     /// One checking pass: drain buffered audit events, consume new spans,
     /// and poll the metadata store.
     pub fn tick(&self, meta: &Arc<dyn MetadataStore>) {
-        let commits = std::mem::take(&mut *self.pending_commits.lock());
-        let cuts = std::mem::take(&mut *self.pending_cuts.lock());
+        let commits = std::mem::take(&mut *self.pending_commits.lock().unwrap());
+        let cuts = std::mem::take(&mut *self.pending_cuts.lock().unwrap());
         let spans = {
-            let cursor = self.state.lock().span_cursor;
+            let cursor = self.state.lock().unwrap().span_cursor;
             dpr_telemetry::global().spans_since(cursor)
         };
 
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap();
         for (token, deps) in commits {
             // Invariant 6: the §3.2 lower-bound discipline as the servers
             // report it. Checked on every report, stragglers included.
@@ -382,11 +381,14 @@ impl CheckerState {
 
 impl libdpr::audit::AuditSink for InvariantChecker {
     fn commit_reported(&self, token: Token, deps: &[Token]) {
-        self.pending_commits.lock().push((token, deps.to_vec()));
+        self.pending_commits
+            .lock()
+            .unwrap()
+            .push((token, deps.to_vec()));
     }
 
     fn cut_published(&self, cut: &Cut) {
-        self.pending_cuts.lock().push(cut.clone());
+        self.pending_cuts.lock().unwrap().push(cut.clone());
     }
 }
 

@@ -9,9 +9,8 @@ use dpr_cluster::{Cluster, ClusterConfig, ClusterKind, ClusterOp, LinkFault, Ses
 use dpr_core::{DprFinderMode, Key, Result};
 use dpr_metadata::VirtualPartition;
 use dpr_ycsb::{KeyDistribution, WorkloadGen, WorkloadOp, WorkloadSpec};
-use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Chaos run parameters.
@@ -198,13 +197,14 @@ impl ChaosReport {
 }
 
 /// Serializes chaos runs within a process: the telemetry span ring and the
-/// `libdpr::audit` sink are process-global.
+/// `libdpr::audit` sink are process-global. It guards no data, so a run that
+/// panicked does not fail the runs after it.
 static RUN_LOCK: Mutex<()> = Mutex::new(());
 
 /// Run one chaos campaign and return its report. Violations do not abort
 /// the run — they accumulate in the report for the caller to assert on.
 pub fn run(config: &ChaosConfig) -> Result<ChaosReport> {
-    let _guard = RUN_LOCK.lock();
+    let _guard = RUN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     dpr_telemetry::set_enabled(true);
     let checker = Arc::new(InvariantChecker::new(config.lag_bound));
     libdpr::audit::install(checker.clone());
@@ -270,7 +270,7 @@ fn run_inner(config: &ChaosConfig, checker: &Arc<InvariantChecker>) -> Result<Ch
     // YCSB load threads.
     let mut load_threads = Vec::new();
     for c in 0..config.clients {
-        let session = cluster.read().open_session()?;
+        let session = cluster.read().unwrap().open_session()?;
         let stop = stop.clone();
         let completed = completed_ctr.clone();
         let keys = config.keys;
@@ -282,7 +282,7 @@ fn run_inner(config: &ChaosConfig, checker: &Arc<InvariantChecker>) -> Result<Ch
 
     // Exactly-once ledger session.
     let ledger_thread = {
-        let session = cluster.read().open_session()?;
+        let session = cluster.read().unwrap().open_session()?;
         let checker = checker.clone();
         let stop = stop.clone();
         std::thread::spawn(move || crate::ledger::run(session, checker, stop))
@@ -311,7 +311,7 @@ fn run_inner(config: &ChaosConfig, checker: &Arc<InvariantChecker>) -> Result<Ch
 
     // Heal everything, stop load, gather.
     {
-        let c = cluster.read();
+        let c = cluster.read().unwrap();
         c.network().clear_all_link_faults();
         for w in c.workers() {
             w.store().clear_commit_stall();
@@ -333,9 +333,9 @@ fn run_inner(config: &ChaosConfig, checker: &Arc<InvariantChecker>) -> Result<Ch
     let _ = ledger_thread.join();
     let _ = checker_thread.join();
     let lost_availability_ms = avail_thread.join().unwrap_or(0);
-    let net_dropped = cluster.read().network().dropped_count();
+    let net_dropped = cluster.read().unwrap().network().dropped_count();
     let elapsed_ms = started.elapsed().as_millis() as u64;
-    cluster.read().shutdown();
+    cluster.read().unwrap().shutdown();
 
     Ok(ChaosReport {
         config: config.clone(),
@@ -424,7 +424,7 @@ fn execute_fault(
             counts.crashes += 1;
             // Rollback waits for a quiescent checkpoint machine and for
             // worker liveness, so lift stalls and link faults first.
-            let c = cluster.read();
+            let c = cluster.read().unwrap();
             for w in c.workers() {
                 w.store().clear_commit_stall();
             }
@@ -446,7 +446,7 @@ fn execute_fault(
         FaultKind::PartitionLink { idx, ms } => {
             counts.partitions += 1;
             let (net, ep) = {
-                let c = cluster.read();
+                let c = cluster.read().unwrap();
                 let idx = idx.min(c.workers().len() - 1);
                 (c.network().clone(), c.worker_endpoint(idx))
             };
@@ -465,7 +465,7 @@ fn execute_fault(
         FaultKind::SlowLink { idx, extra_ms, ms } => {
             counts.slow_links += 1;
             let (net, ep) = {
-                let c = cluster.read();
+                let c = cluster.read().unwrap();
                 let idx = idx.min(c.workers().len() - 1);
                 (c.network().clone(), c.worker_endpoint(idx))
             };
@@ -484,7 +484,7 @@ fn execute_fault(
         FaultKind::LossyLink { idx, drop_pct, ms } => {
             counts.lossy_links += 1;
             let (net, ep) = {
-                let c = cluster.read();
+                let c = cluster.read().unwrap();
                 let idx = idx.min(c.workers().len() - 1);
                 (c.network().clone(), c.worker_endpoint(idx))
             };
@@ -504,7 +504,7 @@ fn execute_fault(
             counts.stalls += 1;
             checker.exempt_lag(Duration::from_millis(ms) + Duration::from_secs(5));
             let worker = {
-                let c = cluster.read();
+                let c = cluster.read().unwrap();
                 c.workers()[idx.min(c.workers().len() - 1)].clone()
             };
             worker
@@ -515,14 +515,14 @@ fn execute_fault(
         }
         FaultKind::AddWorker => {
             checker.exempt_lag(Duration::from_secs(5));
-            match cluster.write().add_worker() {
+            match cluster.write().unwrap().add_worker() {
                 Ok(_) => counts.workers_added += 1,
                 Err(e) => checker.report_violation(format!("add_worker failed: {e}")),
             }
         }
         FaultKind::RemoveWorker => {
             checker.exempt_lag(Duration::from_secs(5));
-            let mut c = cluster.write();
+            let mut c = cluster.write().unwrap();
             c.network().clear_all_link_faults();
             let idx = c.workers().len() - 1;
             let shard = c.workers()[idx].shard();
@@ -536,7 +536,7 @@ fn execute_fault(
         }
         FaultKind::MigratePartition { key } => {
             counts.migrations += 1;
-            let c = cluster.read();
+            let c = cluster.read().unwrap();
             let key = Key::from_u64(key);
             let vp = VirtualPartition((key.hash64() % u64::from(PARTITIONS)) as u32);
             let moved = c.owner_of(&key).and_then(|owner| {

@@ -34,7 +34,7 @@ pub struct SessionStats {
     pub aborted: u64,
 }
 
-type WorkerEndpoints = Arc<parking_lot::RwLock<HashMap<ShardId, EndpointId>>>;
+type WorkerEndpoints = Arc<std::sync::RwLock<HashMap<ShardId, EndpointId>>>;
 
 /// The ops of one [`SessionHandle::issue`] call bound for one shard, and
 /// where in the call each came from.
@@ -57,7 +57,7 @@ pub(crate) struct BusLink {
 impl Link for BusLink {
     fn send(&mut self, frame: &[u8]) -> Result<()> {
         let shard = wire::decode_header(frame)?.map_or(wire::NO_SHARD, |h| h.shard);
-        let to = self.workers.read().get(&ShardId(shard)).copied();
+        let to = self.workers.read().unwrap().get(&ShardId(shard)).copied();
         let to = to.ok_or_else(|| DprError::Invalid(format!("no worker for shard {shard}")))?;
         let frame = BusFrame {
             from: self.endpoint,
@@ -347,7 +347,7 @@ impl SessionHandle {
     /// of batches resent.
     pub fn resend_stalled(&mut self, older_than: Duration) -> Result<usize> {
         let workers = self.core.link.workers.clone();
-        let gone = |shard| !workers.read().contains_key(&shard);
+        let gone = |shard| !workers.read().unwrap().contains_key(&shard);
         let (departed, resent) = self.core.retransmit_stalled_unless(older_than, gone);
         // Every departed frame is re-routed before an error is returned:
         // nothing else holds their serials now.
@@ -523,7 +523,7 @@ mod tests {
             net,
             endpoint,
             inbox,
-            workers: Arc::new(parking_lot::RwLock::new([(ShardId(3), worker)].into())),
+            workers: Arc::new(std::sync::RwLock::new([(ShardId(3), worker)].into())),
         };
         let mut core = PipelinedClient::new(DprClientSession::new(SessionId(7)), link);
         let ops = [

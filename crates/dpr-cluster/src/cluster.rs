@@ -14,10 +14,9 @@ use dpr_metadata::{Cut, MetadataStore, OwnershipTable, PartitionedSqlStore, Part
 use dpr_redis::{AofPolicy, RedisConfig, RedisStore};
 use dpr_storage::{FileLogDevice, MemBlobStore, MemLogDevice, StorageProfile};
 use libdpr::{ApproximateFinder, DprFinder, ExactFinder, HybridFinder};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, RwLock, Weak};
 use std::thread::Thread;
 use std::time::Duration;
 
@@ -217,7 +216,10 @@ impl Cluster {
         } else {
             worker.endpoint()
         };
-        self.worker_endpoints.write().insert(shard, public_endpoint);
+        self.worker_endpoints
+            .write()
+            .unwrap()
+            .insert(shard, public_endpoint);
         self.workers.push(worker);
         Ok(())
     }
@@ -321,7 +323,7 @@ impl Cluster {
     #[must_use]
     pub fn worker_endpoint(&self, idx: usize) -> Option<EndpointId> {
         let shard = self.workers.get(idx)?.shard();
-        self.worker_endpoints.read().get(&shard).copied()
+        self.worker_endpoints.read().unwrap().get(&shard).copied()
     }
 
     /// The finder (tests/ablations).
@@ -421,7 +423,7 @@ impl Cluster {
         }
         self.workers[idx].pump_commits();
         self.meta.remove_worker(shard)?;
-        let public = self.worker_endpoints.write().remove(&shard);
+        let public = self.worker_endpoints.write().unwrap().remove(&shard);
         let worker = self.workers.remove(idx);
         // A proxy hop in front of the worker ends with its endpoint.
         if let Some(proxy) = public.filter(|&e| e != worker.endpoint()) {

@@ -120,7 +120,7 @@ const GAUGE_STEP: usize = 16;
 
 /// A worker's reply cache.
 pub(crate) struct ReplyCache {
-    sessions: parking_lot::Mutex<Sessions>,
+    sessions: std::sync::Mutex<Sessions>,
     /// The most entries kept over all sessions (`dedupe_window`).
     window: usize,
 }
@@ -139,7 +139,7 @@ impl ReplyCache {
     /// made by forgetting the session heard from least recently, whole.
     pub(crate) fn admit(&self, header: &BatchHeader, seq: u64, out: &mut Vec<u8>) -> Admit {
         let heard = Instant::now();
-        let mut guard = self.sessions.lock();
+        let mut guard = self.sessions.lock().unwrap();
         let sessions = &mut *guard;
         loop {
             let session = sessions
@@ -191,7 +191,7 @@ impl ReplyCache {
     /// for a batch that was rejected — it did not execute, and a retry must.
     /// An entry acknowledged or forgotten meanwhile stays forgotten.
     pub(crate) fn record(&self, header: &BatchHeader, response: Option<&[u8]>) {
-        let mut sessions = self.sessions.lock();
+        let mut sessions = self.sessions.lock().unwrap();
         let Some(session) = sessions.table.get_mut(&header.session) else {
             return;
         };
@@ -218,7 +218,7 @@ impl ReplyCache {
 
     /// Forget everything: the replies belong to a world-line that is gone.
     pub(crate) fn clear(&self) {
-        let mut sessions = self.sessions.lock();
+        let mut sessions = self.sessions.lock().unwrap();
         sessions.table.clear();
         let dropped = sessions.entries;
         resize(&mut sessions.entries, 0, dropped);
@@ -273,7 +273,7 @@ mod tests {
     }
 
     fn remembered(cache: &ReplyCache) -> usize {
-        cache.sessions.lock().entries
+        cache.sessions.lock().unwrap().entries
     }
 
     #[test]

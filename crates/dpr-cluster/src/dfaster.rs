@@ -13,9 +13,8 @@ use crate::worker::{ShardStore, VersionSpan};
 use dpr_core::{Result, SessionId, ShardId, Value, Version};
 use dpr_faster::{FasterKv, Op, OpOutcome, Session};
 use libdpr::{CommitDescriptor, StateObject};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A FASTER-backed shard.
@@ -47,7 +46,7 @@ impl FasterShard {
 
     /// The store session of client session `id`, created on first contact.
     fn session(&self, id: SessionId) -> Arc<Mutex<Session>> {
-        let mut sessions = self.sessions.lock();
+        let mut sessions = self.sessions.lock().unwrap();
         let session = sessions
             .entry(id)
             .or_insert_with(|| Arc::new(Mutex::new(self.kv.start_session(id))));
@@ -78,7 +77,7 @@ impl ShardStore for FasterShard {
     ) -> Result<VersionSpan> {
         let base = out.len();
         let session = self.session(session_id);
-        let session = session.lock();
+        let session = session.lock().unwrap();
         let run = (|| {
             // Placeholder results written in place; `OpResult::Value(None)`
             // doubles as the "unresolved" marker a PENDING op leaves until

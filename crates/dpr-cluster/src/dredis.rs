@@ -14,9 +14,9 @@ use crate::worker::{ShardStore, VersionSpan};
 use dpr_core::{Result, SessionId, ShardId, Version};
 use dpr_redis::{Command, RedisStore, Reply, SaveId};
 use libdpr::{CommitDescriptor, StateObject};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 struct RedisInner {
     store: RedisStore,
@@ -59,7 +59,7 @@ impl ShardStore for RedisShard {
         // The batch latch: exclusive access to the single-threaded store for
         // the whole batch, so every op executes in one version.
         let base = out.len();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let version = Version(self.current.load(Ordering::Acquire));
         for op in ops {
             let cmd = match op {
@@ -81,7 +81,7 @@ impl ShardStore for RedisShard {
     }
 
     fn scan_live(&self) -> Result<Vec<(dpr_core::Key, dpr_core::Value)>> {
-        Ok(self.inner.lock().store.entries())
+        Ok(self.inner.lock().unwrap().store.entries())
     }
 }
 
@@ -97,7 +97,7 @@ impl StateObject for RedisShard {
     /// The newest version a finished save sealed: the `LASTSAVE` poll of
     /// `take_commits`, without taking what it finds.
     fn durable_version(&self) -> Version {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         let last = inner.store.lastsave();
         let saved = inner.version_saves.iter().rev().find(|&(_, &s)| s <= last);
         saved.map_or(Version::ZERO, |(&v, _)| v)
@@ -105,7 +105,7 @@ impl StateObject for RedisShard {
 
     fn request_commit(&self, target: Option<Version>) -> bool {
         // Exclusive latch for BGSAVE (§6).
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let sealing = Version(self.current.load(Ordering::Acquire));
         match inner.store.bgsave() {
             Ok(save_id) => {
@@ -122,7 +122,7 @@ impl StateObject for RedisShard {
 
     fn take_commits(&self) -> Vec<CommitDescriptor> {
         // The periodic LASTSAVE poll (§6).
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let last = inner.store.lastsave();
         let mut done = Vec::new();
         let RedisInner {
@@ -141,7 +141,7 @@ impl StateObject for RedisShard {
     }
 
     fn restore(&self, version: Version) -> Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         // Restart from the newest snapshot at or below the target.
         let save = inner
             .version_saves
@@ -164,7 +164,7 @@ impl StateObject for RedisShard {
 
     /// A save is in flight until the pump has reported it.
     fn maintain(&self) -> bool {
-        !self.inner.lock().unreported.is_empty()
+        !self.inner.lock().unwrap().unreported.is_empty()
     }
 }
 

@@ -9,8 +9,7 @@
 
 use dpr_core::{DprError, Result, ShardId};
 use dpr_metadata::{MetadataStore, RecoveryState};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Failure detection and recovery orchestration.
@@ -47,7 +46,7 @@ impl ClusterManager {
     /// regardless of which one failed).
     pub fn trigger_failure_at(&self, crashed: Option<ShardId>) -> Result<RecoveryState> {
         let rec = self.meta.begin_recovery()?;
-        *self.recovery_started.lock() = dpr_telemetry::enabled().then(Instant::now);
+        *self.recovery_started.lock().unwrap() = dpr_telemetry::enabled().then(Instant::now);
         dpr_telemetry::global().span("dpr-cluster", "recovery_begin", || {
             let blame = match crashed {
                 Some(shard) => format!("crashed shard {}, ", shard.0),
@@ -67,7 +66,7 @@ impl ClusterManager {
     pub fn wait_recovery_complete(&self, timeout: Duration) -> Result<()> {
         wait_no_recovery(&*self.meta, timeout)?;
         crate::metrics::recoveries().inc();
-        if let Some(started) = self.recovery_started.lock().take() {
+        if let Some(started) = self.recovery_started.lock().unwrap().take() {
             crate::metrics::recovery_duration().record_micros(started.elapsed());
         }
         dpr_telemetry::global().span("dpr-cluster", "recovery_complete", || {

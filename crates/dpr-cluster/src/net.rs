@@ -42,12 +42,11 @@ use crate::wire::{ProtoError, ProtoErrorCode};
 use crate::worker::{RequestScratch, Worker};
 use bytes::Bytes;
 use dpr_core::{DprError, Result, SessionId, ShardId};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -208,7 +207,7 @@ fn apply_frame(
                 Ok(hello) => hello,
                 Err(e) => return conn.proto_error(ProtoErrorCode::BadFrame, seq, e.to_string()),
             };
-            let mut epochs = ctx.epochs.lock();
+            let mut epochs = ctx.epochs.lock().unwrap();
             let latest = epochs.entry(hello.session).or_insert(0);
             if hello.epoch < *latest {
                 drop(epochs);
@@ -380,7 +379,7 @@ impl NetServer {
                     let accepted = listener.accept();
                     // The flag is read under the lock that `Drop` stops the
                     // connections under, so no connection starts after that.
-                    let mut conns = conns.lock();
+                    let mut conns = conns.lock().unwrap();
                     if stop.load(Ordering::Acquire) {
                         return;
                     }
@@ -424,7 +423,7 @@ impl NetServer {
         let (accept, conns) = (self.accept.take(), self.conns.clone());
         drop(self);
         // `Drop` has stopped the connections: none starts after it.
-        let live = std::mem::take(&mut conns.lock().live);
+        let live = std::mem::take(&mut conns.lock().unwrap().live);
         for thread in accept.into_iter().chain(live.into_iter().map(|(_, t)| t)) {
             let _ = thread.join();
         }
@@ -439,7 +438,7 @@ impl Drop for NetServer {
         if !self.stop.swap(true, Ordering::AcqRel) {
             let _ = TcpStream::connect(self.local_addr);
         }
-        self.conns.lock().stop();
+        self.conns.lock().unwrap().stop();
     }
 }
 

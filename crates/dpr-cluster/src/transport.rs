@@ -30,12 +30,11 @@
 
 use bytes::Bytes;
 use dpr_core::{DprError, Rng};
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvError, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Address of a worker or client on the bus.
@@ -202,7 +201,7 @@ impl SimNetwork {
     pub fn register_lanes(&self, lanes: usize) -> (EndpointId, Vec<BusInbox>) {
         let id = EndpointId(self.next_endpoint.fetch_add(1, Ordering::AcqRel));
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..lanes.max(1)).map(|_| channel()).unzip();
-        self.links.lock().endpoints.insert(id, txs);
+        self.links.lock().unwrap().endpoints.insert(id, txs);
         let inboxes = rxs.into_iter().map(|lane| BusInbox {
             lane,
             held: Cell::new(None),
@@ -214,7 +213,7 @@ impl SimNetwork {
     /// taken what was sent, later sends to it fail, and its fault, parked
     /// frames and FIFO floor are forgotten.
     pub fn close(&self, id: EndpointId) {
-        let mut links = self.links.lock();
+        let mut links = self.links.lock().unwrap();
         links.endpoints.remove(&id);
         links.faults.remove(&id);
         links.fifo_floor.remove(&id);
@@ -225,7 +224,7 @@ impl SimNetwork {
     /// Send `msg` to `to`, subject to the configured latency and any
     /// installed [`LinkFault`] for the destination.
     pub fn send(&self, to: EndpointId, msg: BusFrame) -> dpr_core::Result<()> {
-        let mut links = self.links.lock();
+        let mut links = self.links.lock().unwrap();
         if links.shutdown {
             return Err(DprError::Closed);
         }
@@ -248,7 +247,7 @@ impl SimNetwork {
 
     /// Install (or replace) the fault on the link to `to`.
     pub fn set_link_fault(&self, to: EndpointId, fault: LinkFault) {
-        let mut links = self.links.lock();
+        let mut links = self.links.lock().unwrap();
         links.faults.insert(to, fault);
         if !fault.partitioned {
             links.release_parked(to, self.latency + fault.extra_delay);
@@ -258,14 +257,14 @@ impl SimNetwork {
     /// Heal the link to `to`: remove its fault and release any parked
     /// messages, in their original send order, at the base latency.
     pub fn clear_link_fault(&self, to: EndpointId) {
-        let mut links = self.links.lock();
+        let mut links = self.links.lock().unwrap();
         links.faults.remove(&to);
         links.release_parked(to, self.latency);
     }
 
     /// Heal every link at once (end of a chaos round).
     pub fn clear_all_link_faults(&self) {
-        let mut links = self.links.lock();
+        let mut links = self.links.lock().unwrap();
         links.faults.clear();
         for to in links.parked.keys().copied().collect::<Vec<_>>() {
             links.release_parked(to, self.latency);
@@ -275,7 +274,7 @@ impl SimNetwork {
     /// Reseed the deterministic drop generator (chaos runs call this once
     /// so the whole fault schedule replays from a single `u64`).
     pub fn set_fault_seed(&self, seed: u64) {
-        self.links.lock().rng = Rng::new(seed);
+        self.links.lock().unwrap().rng = Rng::new(seed);
     }
 
     /// Messages dropped so far by lossy-link faults.
@@ -287,7 +286,7 @@ impl SimNetwork {
     /// Tear down: later sends fail, frames parked behind a partition are
     /// discarded, and frames already sent are handed out when due.
     pub fn shutdown(&self) {
-        let mut links = self.links.lock();
+        let mut links = self.links.lock().unwrap();
         links.shutdown = true;
         links.parked.clear();
         links.count_parked();
@@ -465,7 +464,7 @@ mod tests {
     impl SimNetwork {
         /// Endpoints registered, and entries in the fault, parked and floor tables.
         pub(crate) fn tables(&self) -> [usize; 2] {
-            let links = self.links.lock();
+            let links = self.links.lock().unwrap();
             let held = links.faults.len() + links.parked.len() + links.fifo_floor.len();
             [links.endpoints.len(), held]
         }

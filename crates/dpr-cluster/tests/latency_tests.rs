@@ -3,10 +3,8 @@
 //! that metadata latency stays OFF the operation critical path.
 
 use dpr_cluster::{Cluster, ClusterConfig, ClusterKind, ClusterOp, OpResult};
-use dpr_cluster::{NetServer, NetServerConfig, PipelinedClient};
 use dpr_core::{Key, SessionId, Value};
 use libdpr::DprClientSession;
-use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 #[test]
@@ -43,71 +41,48 @@ fn cluster_is_correct_with_network_latency() {
 
 #[test]
 fn metadata_latency_stays_off_the_operation_critical_path() {
-    // Same workload with 0 vs 5 ms metadata statements: operation latency
-    // must be unaffected (commits get slower, operations do not) — on the
-    // bus, and over a socket whose client asks for the cut between batches:
-    // the thread that serves its connection's batches answers that too.
-    const STATEMENT: Duration = Duration::from_millis(5);
-    let run = |meta_latency: Duration| -> (Duration, Duration) {
-        let cluster = Cluster::start(ClusterConfig {
-            kind: ClusterKind::DFaster,
-            shards: 2,
-            metadata_latency: meta_latency,
-            checkpoint_interval: Some(Duration::from_millis(20)),
-            finder_interval: Duration::from_millis(2),
-            ..ClusterConfig::default()
-        })
-        .unwrap();
-        let mut session = cluster.open_session().unwrap();
-        // Measure operation latency over 50 single-op executes.
-        let t = Instant::now();
-        for i in 0..50u64 {
-            session
-                .execute(vec![ClusterOp::Upsert(
-                    Key::from_u64(i),
-                    Value::from_u64(i),
-                )])
-                .unwrap();
-        }
-        let op_time = t.elapsed() / 50;
-        // Committed: the finder has published.
-        session
-            .wait_all_committed(cluster.cut_source(), Duration::from_secs(20))
-            .unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let config = NetServerConfig::default();
-        let server = NetServer::start(cluster.workers().to_vec(), listener, config).unwrap();
-        let session = DprClientSession::new(SessionId(1 << 20));
-        let mut client = PipelinedClient::connect(session, server.local_addr()).unwrap();
-        let mut trips: Vec<Duration> = (0..200u64)
-            .map(|i| {
-                client.request_cut().unwrap();
-                let (t, key) = (Instant::now(), Key::from_u64(i));
-                let shard = cluster.owner_of(&key).unwrap();
-                client
-                    .issue(shard, &[ClusterOp::Upsert(key, Value::from_u64(i))])
-                    .unwrap();
-                while client.inflight() > 0 {
-                    client.poll_each(STATEMENT, |_| {}).unwrap();
-                }
-                t.elapsed()
-            })
-            .collect();
-        trips.sort();
-        server.shutdown();
-        cluster.shutdown();
-        (op_time, trips[197])
+    // Counted, not timed: the request path both planes share
+    // (`execute_local_into`) and a `CutReq`'s answer (`read_cut`, once the
+    // finder has published) issue no metadata statement on the thread that
+    // calls them, so no statement's latency is an operation's.
+    let cluster = Cluster::start(ClusterConfig {
+        kind: ClusterKind::DFaster,
+        shards: 2,
+        checkpoint_interval: Some(Duration::from_millis(20)),
+        finder_interval: Duration::from_millis(2),
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let worker = &cluster.workers()[0];
+    let keys: Vec<Key> = (0..)
+        .map(Key::from_u64)
+        .filter(|k| cluster.owner_of(k).unwrap() == worker.shard())
+        .take(50)
+        .collect();
+    let mut session = DprClientSession::new(SessionId(1 << 20));
+    let mut results = Vec::new();
+    let mut execute = |session: &mut DprClientSession, key: &Key| {
+        let header = session.begin_batch(worker.shard(), 1).unwrap();
+        let ops = [ClusterOp::Upsert(key.clone(), Value::from_u64(1))];
+        let reply = worker.execute_local_into(&header, &ops, &mut results);
+        session.process_reply(&reply.unwrap()).unwrap();
     };
-    let (fast_ops, fast_trip) = run(Duration::ZERO);
-    let (slow_ops, slow_trip) = run(STATEMENT);
-    // Operations are microseconds; even with 5 ms metadata statements they
-    // must stay far below one metadata round trip.
-    assert!(
-        slow_ops < STATEMENT,
-        "metadata latency leaked into the op path: {slow_ops:?} (baseline {fast_ops:?})"
-    );
-    assert!(
-        slow_trip < STATEMENT,
-        "a cut request held the socket's batches: p99 {slow_trip:?} (baseline {fast_trip:?})"
-    );
+    // Until the finder has published a cut of this world-line.
+    execute(&mut session, &keys[0]);
+    let (cut, started) = (cluster.cut_source(), Instant::now());
+    while session.refresh_commit(&cut()) == 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "nothing committed"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let before = dpr_metadata::statements_on_this_thread();
+    for key in &keys {
+        execute(&mut session, key);
+        worker.read_cut().unwrap();
+    }
+    let issued = dpr_metadata::statements_on_this_thread() - before;
+    assert_eq!(issued, 0, "metadata statements on the operation path");
+    cluster.shutdown();
 }

@@ -17,8 +17,7 @@ use dpr_faster::{FasterConfig, FasterKv};
 use dpr_metadata::{MetadataStore, OwnershipTable, PartitionedSqlStore, Partitioner};
 use dpr_storage::{MemBlobStore, MemLogDevice};
 use libdpr::{BatchHeader, CommitDescriptor, DprFinder, StateObject};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A `FasterShard` that notes the versions each batch executed in.
@@ -59,7 +58,7 @@ impl ShardStore for Spy {
         out: &mut Vec<OpResult>,
     ) -> Result<VersionSpan> {
         let span = self.inner.execute_batch_into(session, ops, out)?;
-        self.spans.lock().push(span);
+        self.spans.lock().unwrap().push(span);
         Ok(span)
     }
     fn scan_live(&self) -> Result<Vec<(Key, Value)>> {
@@ -75,7 +74,7 @@ struct CapturingFinder {
 
 impl DprFinder for CapturingFinder {
     fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
-        self.reports.lock().extend(reports);
+        self.reports.lock().unwrap().extend(reports);
         Ok(())
     }
     fn refresh(&self) -> Result<()> {
@@ -137,7 +136,7 @@ fn straddling_batch_reports_deps_with_its_lowest_version() {
     let mut replied = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(20);
     let straddles = |spans: &[VersionSpan]| spans.iter().filter(|s| s.lowest < s.highest).count();
-    while straddles(&store.spans.lock()) < WANTED && Instant::now() < deadline {
+    while straddles(&store.spans.lock().unwrap()) < WANTED && Instant::now() < deadline {
         let label = replied.len() as u64 + 1;
         let header = BatchHeader {
             session: SessionId(7),
@@ -154,7 +153,7 @@ fn straddling_batch_reports_deps_with_its_lowest_version() {
             .unwrap();
         replied.push(reply.version);
     }
-    let spans = store.spans.lock().clone();
+    let spans = store.spans.lock().unwrap().clone();
     assert!(
         straddles(&spans) >= WANTED,
         "only {} of {} batches straddled a checkpoint",
@@ -168,14 +167,21 @@ fn straddling_batch_reports_deps_with_its_lowest_version() {
         store.request_commit(None);
         std::thread::sleep(Duration::from_millis(1));
     }
-    let reported = |v: Version| finder.reports.lock().iter().any(|(t, _)| t.version >= v);
+    let reported = |v: Version| {
+        finder
+            .reports
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|(t, _)| t.version >= v)
+    };
     while !reported(last) {
         assert!(Instant::now() < deadline + Duration::from_secs(10));
         std::thread::sleep(Duration::from_millis(1));
     }
     worker.stop();
 
-    let reports = finder.reports.lock();
+    let reports = finder.reports.lock().unwrap();
     for (i, span) in spans.iter().enumerate() {
         let label = Version(i as u64 + 1);
         assert_eq!(replied[i], span.highest, "the reply carries the highest");

@@ -10,8 +10,8 @@
 //! This is the substrate on which the CPR/DPR state machines (checkpoint,
 //! rollback) coordinate threads "loosely" without blocking them (§5.5).
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Sentinel meaning "slot unused / thread not protected".
 const UNPROTECTED: u64 = 0;
@@ -154,7 +154,7 @@ impl LightEpoch {
     /// is safe). Returns the new epoch.
     pub fn bump_with(&self, action: impl FnOnce() + Send + 'static) -> u64 {
         let prior = self.current.fetch_add(1, Ordering::AcqRel);
-        self.drains.lock().push(Drain {
+        self.drains.lock().unwrap().push(Drain {
             epoch: prior,
             action: Box::new(action),
         });
@@ -202,7 +202,7 @@ impl LightEpoch {
         let safe = self.safe_epoch();
         let mut ready = Vec::new();
         {
-            let mut drains = self.drains.lock();
+            let mut drains = self.drains.lock().unwrap();
             let mut i = 0;
             while i < drains.len() {
                 if drains[i].epoch <= safe {

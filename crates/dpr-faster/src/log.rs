@@ -63,11 +63,10 @@ use crate::record::{
 use dpr_core::epoch::EpochGuard;
 use dpr_core::{Backoff, DprError, Key, LightEpoch, Result, Value, Version};
 use dpr_storage::{read_exact, LogDevice};
-use parking_lot::{Mutex, RwLock};
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::ptr::null_mut;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Size of one arena page frame. Also the upper bound on a single
 /// record's footprint (header + key + value capacity).
@@ -386,7 +385,7 @@ impl RecordLog {
     }
 
     fn alloc_frame(&self) -> *mut u8 {
-        if let Some(raw) = self.free_frames.lock().pop() {
+        if let Some(raw) = self.free_frames.lock().unwrap().pop() {
             let p = raw as *mut u8;
             // Frames must come back zero-filled: a zero header word is
             // the "not yet written" sentinel.
@@ -410,7 +409,7 @@ impl RecordLog {
     /// not the one an appender's next page would get (measured on `net_rate`:
     /// 6 MiB of the 14 a truncation freed came back as new allocations).
     fn release_frame(&self, p: *mut u8) {
-        self.free_frames.lock().push(p as usize);
+        self.free_frames.lock().unwrap().push(p as usize);
     }
 
     /// Resolve (installing if needed) the frame for `page`. Only valid
@@ -655,7 +654,7 @@ impl RecordLog {
     /// The range streams to the device a page at a time through a one-page
     /// scratch, and one `flush` at the end makes it durable.
     pub fn flush_until(&self, until: u64) -> Result<u64> {
-        let mut st = self.flush_state.lock();
+        let mut st = self.flush_state.lock().unwrap();
         let start = self.flushed.load(Ordering::Acquire);
         let until = until.min(self.tail());
         let FlushScratch { page, runs } = &mut *st;
@@ -724,7 +723,7 @@ impl RecordLog {
         self.device.flush()?;
         {
             // Published only now: a failed flush is retried from `start`.
-            let mut segs = self.segments.write();
+            let mut segs = self.segments.write().unwrap();
             for run in runs.drain(..) {
                 match segs.last_mut() {
                     Some(last)
@@ -742,7 +741,7 @@ impl RecordLog {
 
     /// Device offset for `addr`, plus the end address of its segment.
     fn device_span(&self, addr: u64) -> Option<(u64, u64)> {
-        let segs = self.segments.read();
+        let segs = self.segments.read().unwrap();
         let i = segs.partition_point(|s| s.start <= addr);
         if i == 0 {
             return None;
@@ -758,7 +757,7 @@ impl RecordLog {
     /// First flushed address at or above `addr` (for scans across
     /// truncation gaps).
     fn next_segment_start(&self, addr: u64) -> Option<u64> {
-        let segs = self.segments.read();
+        let segs = self.segments.read().unwrap();
         segs.iter().map(|s| s.start).find(|&s| s >= addr)
     }
 
@@ -770,6 +769,7 @@ impl RecordLog {
     pub fn segment_spans_until(&self, until: u64) -> Vec<(u64, u64, u64)> {
         self.segments
             .read()
+            .unwrap()
             .iter()
             .filter(|s| s.start < until)
             .map(|s| (s.start, s.dev, s.len.min(until - s.start)))
@@ -927,7 +927,7 @@ impl RecordLog {
             return Ok(self.begin());
         }
         self.evict_to(addr);
-        let mut segs = self.segments.write();
+        let mut segs = self.segments.write().unwrap();
         let mut cutoff = None;
         segs.retain_mut(|s| {
             if s.start + s.len <= addr {
@@ -1148,7 +1148,7 @@ impl RecordLog {
         }
         let truncated = log.device.truncated_before();
         let begin = {
-            let mut segs = log.segments.write();
+            let mut segs = log.segments.write().unwrap();
             for &(start, dev, len) in spans {
                 let gone = truncated.saturating_sub(dev).min(len);
                 let (start, dev, len) = (start + gone, dev + gone, len - gone);
@@ -1271,7 +1271,7 @@ impl Drop for RecordLog {
                 }
             }
         }
-        for raw in self.free_frames.lock().drain(..) {
+        for raw in self.free_frames.lock().unwrap().drain(..) {
             // SAFETY: the free list holds `alloc_frame` allocations that no
             // slot points at (`release_frame`).
             unsafe { dealloc(raw as *mut u8, frame_layout()) };

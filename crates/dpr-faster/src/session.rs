@@ -16,9 +16,8 @@
 use crate::state::SystemState;
 use crate::store::FasterKv;
 use dpr_core::{Key, SessionId, Value, Version};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A handle to a pending (unresolved) operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,7 +163,7 @@ impl Session {
     /// Serial number the next operation will receive.
     #[must_use]
     pub fn next_serial(&self) -> u64 {
-        self.shared.core.lock().next_serial
+        self.shared.core.lock().unwrap().next_serial
     }
 
     /// Run `ops` in order, handing each outcome to `each`, under one take of

@@ -24,10 +24,9 @@ use crate::state::{GlobalState, Phase, SystemState};
 use dpr_core::epoch::EpochGuard;
 use dpr_core::{DprError, Key, Result, SessionId, Value, Version};
 use dpr_storage::{BlobStore, LogDevice};
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock, TryLockError};
 use std::time::Duration;
 
 const PAGE_BYTES: u64 = PAGE_SIZE as u64;
@@ -90,13 +89,13 @@ pub struct FasterConfig {
     /// `complete_pending` batch, modeling FASTER's concurrent I/O issue.
     /// `None` = instantaneous reads.
     pub simulated_read_latency: Option<Duration>,
-    /// Threads used by the recovery index rebuild. The durable scan is
-    /// partitioned by page range (pages are self-contained parse units)
-    /// and each thread races its records into the index with a
-    /// last-writer-wins-by-address publish, so any thread count produces
-    /// the same index as the sequential scan.
-    pub recovery_rebuild_threads: usize,
 }
+
+/// Threads of the recovery index rebuild. The durable scan is partitioned by
+/// page range (pages are self-contained parse units) and each thread races
+/// its records into the index with a last-writer-wins-by-address publish, so
+/// any thread count produces the same index as the sequential scan.
+const REBUILD_THREADS: u64 = 4;
 
 impl Default for FasterConfig {
     fn default() -> Self {
@@ -106,7 +105,6 @@ impl Default for FasterConfig {
             strict_cpr: false,
             unflushed_limit_records: None,
             simulated_read_latency: None,
-            recovery_rebuild_threads: 4,
         }
     }
 }
@@ -406,6 +404,17 @@ impl FasterKv {
         blobs: Arc<dyn BlobStore>,
         at_most: Option<Version>,
     ) -> Result<Arc<FasterKv>> {
+        Self::recover_with(config, device, blobs, at_most, REBUILD_THREADS)
+    }
+
+    /// [`FasterKv::recover`] with the index rebuilt by `rebuild_threads`.
+    pub(crate) fn recover_with(
+        config: FasterConfig,
+        device: Arc<dyn LogDevice>,
+        blobs: Arc<dyn BlobStore>,
+        at_most: Option<Version>,
+        rebuild_threads: u64,
+    ) -> Result<Arc<FasterKv>> {
         let manifest = CheckpointManifest::latest(blobs.as_ref(), at_most)?;
         let (version, until, mut purged) = match &manifest {
             Some(m) if m.version >= MAX_VERSION => {
@@ -457,7 +466,7 @@ impl FasterKv {
                     .map_or((0, &[][..]), |m| (m.index_buckets, &m.segments));
                 let log = RecordLog::recover(device, budget_bytes, until, spans)?;
                 let index = HashIndex::new(Arc::clone(log.epoch()), identities.max(chained));
-                Self::rebuild_index(&config, &index, &log, &dead)?;
+                Self::rebuild_index(rebuild_threads, &index, &log, &dead)?;
                 (log, index, until)
             }
         };
@@ -506,16 +515,15 @@ impl FasterKv {
     /// Rebuild the hash index from the recovered log in parallel.
     ///
     /// The scan of `[begin, until)` is partitioned by page range across
-    /// `recovery_rebuild_threads` — records never straddle pages, so every
-    /// partition starts at a parse boundary (`begin` is one) and scans
-    /// independently. Each
-    /// thread publishes its records with [`HashIndex::publish_max`]
+    /// `threads` threads — records never straddle pages, so every partition
+    /// starts at a parse boundary (`begin` is one) and scans independently.
+    /// Each thread publishes its records with [`HashIndex::publish_max`]
     /// (last-writer-wins by address), which commutes across threads and
     /// therefore yields exactly the heads a sequential scan-and-publish
     /// would produce, however the table grows meanwhile. `prev` pointers
     /// need no relinking: they were serialized with the records.
     fn rebuild_index(
-        config: &FasterConfig,
+        threads: u64,
         index: &HashIndex,
         log: &RecordLog,
         dead: &(dyn Fn(u64, &RecordMeta) -> bool + Sync),
@@ -529,7 +537,7 @@ impl FasterKv {
         index.reserve(&log.protect(), (until - begin) / PAPER_RECORD_BYTES);
         let first_page = begin / PAGE_BYTES;
         let pages = until.div_ceil(PAGE_BYTES) - first_page;
-        let threads = (config.recovery_rebuild_threads.max(1) as u64).min(pages);
+        let threads = threads.clamp(1, pages);
         let pages_per = pages.div_ceil(threads);
         std::thread::scope(|s| -> Result<()> {
             let mut handles = Vec::new();
@@ -576,7 +584,7 @@ impl FasterKv {
     /// Open a session with the given globally unique id.
     pub fn start_session(self: &Arc<Self>, id: SessionId) -> Session {
         let shared = Arc::new(SessionShared::new(id, self.global.load()));
-        self.sessions.write().insert(id, shared.clone());
+        self.sessions.write().unwrap().insert(id, shared.clone());
         Session {
             store: self.clone(),
             shared,
@@ -585,7 +593,7 @@ impl FasterKv {
 
     pub(crate) fn drop_session(&self, shared: &Arc<SessionShared>) {
         {
-            let mut core = shared.core.lock();
+            let mut core = shared.core.lock().unwrap();
             let global = self.global.load();
             if core.observed != global {
                 self.apply_crossing(shared.id, &mut core, global);
@@ -597,7 +605,7 @@ impl FasterKv {
             // Record the session's final prefix so later checkpoints keep
             // reporting it (a departed session's ops are all in versions at
             // or below its departure version).
-            self.departed.lock().insert(
+            self.departed.lock().unwrap().insert(
                 shared.id,
                 CommitPoint {
                     serial: core.next_serial,
@@ -605,11 +613,11 @@ impl FasterKv {
                 },
             );
         }
-        self.sessions.write().remove(&shared.id);
+        self.sessions.write().unwrap().remove(&shared.id);
     }
 
     pub(crate) fn session_refresh(&self, shared: &Arc<SessionShared>) {
-        let mut core = shared.core.lock();
+        let mut core = shared.core.lock().unwrap();
         self.refresh_locked(shared.id, &mut core);
         drop(core);
         self.try_advance(false);
@@ -629,7 +637,7 @@ impl FasterKv {
         if new.version <= core.observed.version {
             return;
         }
-        let mut boundary = self.boundary.lock();
+        let mut boundary = self.boundary.lock().unwrap();
         if let Some(b) = boundary.as_mut() {
             match b.kind {
                 BoundaryKind::Checkpoint => {
@@ -653,13 +661,16 @@ impl FasterKv {
     /// idle sessions on their behalf.
     fn all_sessions_at(&self, target: SystemState) -> bool {
         // A copy in flight is of the version it read under the gate.
-        if self.copy_gate.try_lock().is_none() {
-            return false;
+        match self.copy_gate.try_lock() {
+            Err(TryLockError::WouldBlock) => return false,
+            held => drop(held.unwrap()),
         }
-        let sessions: Vec<Arc<SessionShared>> = self.sessions.read().values().cloned().collect();
+        let sessions: Vec<Arc<SessionShared>> =
+            self.sessions.read().unwrap().values().cloned().collect();
         for s in sessions {
-            let Some(mut core) = s.core.try_lock() else {
-                return false;
+            let mut core = match s.core.try_lock() {
+                Err(TryLockError::WouldBlock) => return false,
+                held => held.unwrap(),
             };
             if core.observed != target {
                 self.apply_crossing(s.id, &mut core, target);
@@ -676,7 +687,7 @@ impl FasterKv {
     /// bytes predate the recovered checkpoint boundary but its version was
     /// never committed).
     fn is_dead(&self, addr: u64, m: &RecordMeta) -> bool {
-        self.is_dead_given(&self.purged.read(), addr, m)
+        self.is_dead_given(&self.purged.read().unwrap(), addr, m)
     }
 
     /// [`FasterKv::is_dead`] with the rolled-back version ranges given: a
@@ -906,7 +917,7 @@ impl FasterKv {
         ops: impl IntoIterator<Item = Op<'a>>,
         mut each: impl FnMut(OpOutcome),
     ) -> Result<()> {
-        let mut core = shared.core.lock();
+        let mut core = shared.core.lock().unwrap();
         let guard = self.log.protect();
         for (i, op) in ops.into_iter().enumerate() {
             if i > 0 && i % GUARD_REFRESH_OPS == 0 {
@@ -918,7 +929,7 @@ impl FasterKv {
                 // give it that here, and drive it, as `Session::refresh` does.
                 drop(core);
                 self.try_advance(false);
-                core = shared.core.lock();
+                core = shared.core.lock().unwrap();
             }
             each(self.run_op(&guard, shared.id, &mut core, op)?);
         }
@@ -930,7 +941,7 @@ impl FasterKv {
     /// loop. Through `op_batch`, a single-session probe of 25,600 resident
     /// reads and upserts ran 50–100 ns (a tenth) slower per operation.
     pub(crate) fn op_one(&self, shared: &SessionShared, op: Op<'_>) -> Result<OpOutcome> {
-        let mut core = shared.core.lock();
+        let mut core = shared.core.lock().unwrap();
         let guard = self.log.protect();
         self.run_op(&guard, shared.id, &mut core, op)
     }
@@ -1172,7 +1183,7 @@ impl FasterKv {
         &self,
         shared: &Arc<SessionShared>,
     ) -> Result<Vec<CompletedOp>> {
-        let mut core = shared.core.lock();
+        let mut core = shared.core.lock().unwrap();
         self.refresh_locked(shared.id, &mut core);
         let version = core.observed.version;
         let mut out = Vec::new();
@@ -1229,10 +1240,10 @@ impl FasterKv {
         // Check the machine first and drop its guard before touching the
         // request queue: `try_advance` acquires machine → requests, so
         // holding requests while waiting on machine would deadlock.
-        if self.machine.lock().is_some() {
+        if self.machine.lock().unwrap().is_some() {
             return false;
         }
-        let mut reqs = self.requests.lock();
+        let mut reqs = self.requests.lock().unwrap();
         if !reqs.is_empty() {
             return false;
         }
@@ -1243,7 +1254,10 @@ impl FasterKv {
     /// Request a rollback of all versions above `v_safe` (the `Restore()`
     /// of the StateObject API, non-blocking per §5.5).
     pub fn request_rollback(&self, v_safe: Version) {
-        self.requests.lock().push_back(Request::Rollback { v_safe });
+        self.requests
+            .lock()
+            .unwrap()
+            .push_back(Request::Rollback { v_safe });
     }
 
     /// Chaos fault point: park checkpoint completion for `duration`, as if
@@ -1253,7 +1267,7 @@ impl FasterKv {
     /// extends the stall to the later deadline.
     pub fn stall_checkpoints_for(&self, duration: Duration) {
         let deadline = std::time::Instant::now() + duration;
-        let mut stall = self.checkpoint_stall.lock();
+        let mut stall = self.checkpoint_stall.lock().unwrap();
         *stall = Some(match *stall {
             Some(existing) => existing.max(deadline),
             None => deadline,
@@ -1262,7 +1276,7 @@ impl FasterKv {
 
     /// Lift any active checkpoint stall (chaos harness heals the device).
     pub fn clear_checkpoint_stall(&self) {
-        *self.checkpoint_stall.lock() = None;
+        *self.checkpoint_stall.lock().unwrap() = None;
     }
 
     /// Drive the state machine one step, performing heavy work (flush,
@@ -1354,7 +1368,7 @@ impl FasterKv {
     /// Drain completed checkpoints since the last call.
     #[must_use]
     pub fn take_completed_checkpoints(&self) -> Vec<CheckpointInfo> {
-        std::mem::take(&mut *self.completed.lock())
+        std::mem::take(&mut *self.completed.lock().unwrap())
     }
 
     /// The manifest this store was recovered from, if any.
@@ -1384,13 +1398,14 @@ impl FasterKv {
     }
 
     fn try_advance(&self, heavy: bool) {
-        let Some(mut machine) = self.machine.try_lock() else {
-            return;
+        let mut machine = match self.machine.try_lock() {
+            Err(TryLockError::WouldBlock) => return,
+            held => held.unwrap(),
         };
         let state = self.global.load();
         match state.phase {
             Phase::Rest => {
-                let req = self.requests.lock().pop_front();
+                let req = self.requests.lock().unwrap().pop_front();
                 match req {
                     None => {}
                     Some(Request::Checkpoint { target }) => {
@@ -1408,7 +1423,7 @@ impl FasterKv {
                             phase_entered: now,
                         });
                         crate::metrics::phase_span(Phase::Rest, Phase::Prepare, commit_version);
-                        *self.boundary.lock() = Some(Boundary {
+                        *self.boundary.lock().unwrap() = Some(Boundary {
                             kind: BoundaryKind::Checkpoint,
                             points: BTreeMap::new(),
                         });
@@ -1423,7 +1438,7 @@ impl FasterKv {
                             // Nothing beyond the safe point exists.
                             return;
                         }
-                        self.purged.write().push((v_safe, v_lost));
+                        self.purged.write().unwrap().push((v_safe, v_lost));
                         let now = MachineCtx::now();
                         *machine = Some(MachineCtx {
                             kind: MachineKind::Rollback { v_safe, v_lost },
@@ -1434,7 +1449,7 @@ impl FasterKv {
                         });
                         crate::metrics::rollback_throw().inc();
                         crate::metrics::phase_span(Phase::Rest, Phase::Throw, v_lost);
-                        *self.boundary.lock() = Some(Boundary {
+                        *self.boundary.lock().unwrap() = Some(Boundary {
                             kind: BoundaryKind::Rollback,
                             points: BTreeMap::new(),
                         });
@@ -1478,7 +1493,7 @@ impl FasterKv {
                 // machine here; ops keep executing in the in-progress
                 // version and the cut lag grows until the stall expires.
                 {
-                    let mut stall = self.checkpoint_stall.lock();
+                    let mut stall = self.checkpoint_stall.lock().unwrap();
                     if let Some(deadline) = *stall {
                         if std::time::Instant::now() < deadline {
                             return;
@@ -1533,18 +1548,19 @@ impl FasterKv {
                     let mut points = self
                         .boundary
                         .lock()
+                        .unwrap()
                         .take()
                         .map(|b| b.points)
                         .unwrap_or_default();
                     // Departed sessions keep their final prefix in every
                     // later manifest.
-                    for (id, cp) in self.departed.lock().iter() {
+                    for (id, cp) in self.departed.lock().unwrap().iter() {
                         points.entry(*id).or_insert_with(|| cp.clone());
                     }
                     let manifest = CheckpointManifest {
                         version: commit_version,
                         until_address: until,
-                        purged: self.purged.read().clone(),
+                        purged: self.purged.read().unwrap().clone(),
                         commit_points: points,
                         snapshot_blob,
                         index_buckets: self.index.identities(),
@@ -1555,7 +1571,7 @@ impl FasterKv {
                             .fetch_max(commit_version.0, Ordering::AcqRel);
                         // Hand the commit points to the DPR layer without
                         // cloning the per-session map.
-                        self.completed.lock().push(CheckpointInfo {
+                        self.completed.lock().unwrap().push(CheckpointInfo {
                             version: commit_version,
                             until_address: until,
                             commit_points: manifest.commit_points,
@@ -1604,7 +1620,7 @@ impl FasterKv {
                 }
                 crate::metrics::rollback_purge().inc();
                 crate::metrics::phase_span(Phase::Purge, Phase::Rest, state.version);
-                *self.boundary.lock() = None;
+                *self.boundary.lock().unwrap() = None;
                 *machine = None;
                 self.global.store(SystemState {
                     phase: Phase::Rest,
@@ -1690,7 +1706,7 @@ impl FasterKv {
     /// What this store's copy-forward passes have done so far.
     #[must_use]
     pub fn compaction_totals(&self) -> CompactionTotals {
-        self.compaction.lock().totals
+        self.compaction.lock().unwrap().totals
     }
 
     /// What this store's evictions have done so far: the calls that
@@ -1705,7 +1721,12 @@ impl FasterKv {
     /// that version or a later one. `None` when no pass is waiting.
     #[must_use]
     pub fn pending_pass(&self) -> Option<Version> {
-        self.compaction.lock().pending.as_ref().map(|p| p.version)
+        self.compaction
+            .lock()
+            .unwrap()
+            .pending
+            .as_ref()
+            .map(|p| p.version)
     }
 
     /// Evict every flushed, sealed page from memory (tests and memory
@@ -1813,7 +1834,7 @@ impl FasterKv {
         cut: impl FnOnce() -> Option<Version>,
     ) -> Result<Option<u64>> {
         let (waits_for, due) = {
-            let c = self.compaction.lock();
+            let c = self.compaction.lock().unwrap();
             let manifests = Version(c.kept.0 + UNPRUNED_VERSIONS);
             let waits_for = c.pending.as_ref().map_or(manifests, |pass| pass.version);
             (waits_for, self.pass_budget(&c).is_some())
@@ -1882,12 +1903,12 @@ impl FasterKv {
                 }
             }
         }
-        let mut compaction = self.compaction.lock();
+        let mut compaction = self.compaction.lock().unwrap();
         let kept = manifest.map(|m| m.version);
         compaction.kept = compaction.kept.max(kept.unwrap_or(Version::ZERO));
         let mut freed = None;
         if let Some(pass) = compaction.pending.take() {
-            if pass.rollbacks != self.purged.read().len() {
+            if pass.rollbacks != self.purged.read().unwrap().len() {
                 // Void. Its copies stay where they are, ordinary records;
                 // the originals they hide are garbage for the next pass.
                 self.dead_bytes.0.fetch_add(pass.copied, Ordering::Relaxed);
@@ -1948,14 +1969,14 @@ impl FasterKv {
         if frontier <= begin {
             return Ok(None);
         }
-        let rollbacks = self.purged.read().len();
+        let rollbacks = self.purged.read().unwrap().len();
         // A session that found a record above the read-only boundary a
         // moment before the boundary passed it may still be writing to it,
         // under its guard.
         self.log.epoch().quiesce();
         // The rollbacks the pass began with: one more voids it, and each copy
         // checks its original against them again (`append_copies`).
-        let purged = self.purged.read().clone();
+        let purged = self.purged.read().unwrap().clone();
         let (mut copied, mut visited) = (0, 0);
         let mut live = Vec::new();
         let mut until = begin;
@@ -2042,9 +2063,9 @@ impl FasterKv {
         let mut copied = 0;
         for batch in live.chunks(COPY_BATCH) {
             let guard = self.log.protect();
-            let _gate = self.copy_gate.lock();
+            let _gate = self.copy_gate.lock().unwrap();
             let version = self.global.load().version;
-            let purged = self.purged.read().clone();
+            let purged = self.purged.read().unwrap().clone();
             for rec in batch.iter().filter(|rec| !is_purged(&purged, rec.version)) {
                 copied += self.publish_copy(&guard, &purged, rec, version)?;
             }
@@ -2130,8 +2151,8 @@ impl FasterKv {
     pub fn machine_idle(&self) -> bool {
         // Lock order machine → requests, matching `try_advance` (the guards
         // of a `&&` chain live to the end of the statement).
-        self.machine.lock().is_none()
-            && self.requests.lock().is_empty()
+        self.machine.lock().unwrap().is_none()
+            && self.requests.lock().unwrap().is_empty()
             && self.global.load().phase == Phase::Rest
     }
 
@@ -2260,6 +2281,70 @@ mod tests {
         for k in 0..KEYS {
             assert_eq!(read(&kv, k), Some(k + 6), "key {k}");
         }
+    }
+
+    /// Recovering one durable log with a single-threaded index rebuild and
+    /// with a parallel one gives identical observable state. The parallel
+    /// rebuild races page-partitioned scans into the index with
+    /// last-writer-wins-by-address publishes, and the index doubles under
+    /// them as chains appear (6,000 keys take it from 512 slots to 16,384),
+    /// so the outcome must not depend on the thread count or on where the
+    /// doublings fall.
+    #[test]
+    fn parallel_rebuild_equals_sequential_rebuild() {
+        const KEYS: u64 = 6000;
+        let device = Arc::new(MemLogDevice::null());
+        let blobs = Arc::new(MemBlobStore::new());
+        let mut expected = std::collections::HashMap::new();
+        {
+            let kv = FasterKv::new(FasterConfig::default(), device.clone(), blobs.clone());
+            let s = kv.start_session(SessionId(1));
+            // Several generations of overwrites and deletes across two
+            // checkpointed versions, so chains have depth and the log spans
+            // enough pages (12) to give each of eight threads its own.
+            for i in 0..16_000u64 {
+                s.upsert(Key::from_u64(i % KEYS), Value::from_u64(i))
+                    .unwrap();
+                expected.insert(i % KEYS, i);
+            }
+            for i in 0..200u64 {
+                s.delete(Key::from_u64(i * 7 % KEYS)).unwrap();
+                expected.remove(&(i * 7 % KEYS));
+            }
+            kv.request_checkpoint(None);
+            assert!(kv.wait_for_durable(Version(1), Duration::from_secs(10)));
+            for i in 0..8000u64 {
+                s.upsert(Key::from_u64(i % 3600), Value::from_u64(i + 100_000))
+                    .unwrap();
+                expected.insert(i % 3600, i + 100_000);
+            }
+            kv.request_checkpoint(None);
+            assert!(kv.wait_for_durable(Version(2), Duration::from_secs(10)));
+        }
+
+        // The log tail, the sorted live pairs and a point read of every key.
+        let observe = |threads: u64| {
+            let config = FasterConfig::default();
+            let kv = FasterKv::recover_with(config, device.clone(), blobs.clone(), None, threads)
+                .unwrap();
+            let mut live: Vec<(u64, u64)> = (kv.scan_live().unwrap().into_iter())
+                .map(|(k, v)| (k.as_u64().unwrap(), v.as_u64().unwrap()))
+                .collect();
+            live.sort_unstable();
+            let gets: Vec<Option<u64>> = (0..KEYS).map(|k| read(&kv, k)).collect();
+            (kv.log_tail(), live, gets)
+        };
+        let sequential = observe(1);
+        assert_eq!(sequential, observe(8), "the rebuilds diverge");
+
+        // And both match what was committed.
+        let (_, live, gets) = sequential;
+        for (k, got) in gets.into_iter().enumerate() {
+            assert_eq!(got, expected.get(&(k as u64)).copied(), "key {k}");
+        }
+        let mut want: Vec<(u64, u64)> = expected.into_iter().collect();
+        want.sort_unstable();
+        assert_eq!(live, want, "scan_live diverges from the written state");
     }
 
     #[test]

@@ -11,9 +11,6 @@ fn snapshot_config() -> FasterConfig {
     FasterConfig {
         memory_budget_records: 1 << 20,
         checkpoint_mode: CheckpointMode::Snapshot,
-        strict_cpr: false,
-        unflushed_limit_records: None,
-        simulated_read_latency: None,
         ..FasterConfig::default()
     }
 }
@@ -277,8 +274,6 @@ fn strict_cpr_never_returns_pending() {
         memory_budget_records: 0, // tiny: floor 2 pages
         checkpoint_mode: CheckpointMode::FoldOver,
         strict_cpr: true,
-        unflushed_limit_records: None,
-        simulated_read_latency: None,
         ..FasterConfig::default()
     };
     let kv = FasterKv::new(config, device, blobs);

@@ -19,10 +19,9 @@ use bytes::Bytes;
 use dpr_core::{DprError, Result, ShardId, Version};
 use dpr_storage::{BlobStore, LogDevice};
 use libdpr::{CommitDescriptor, StateObject};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A consumer group identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -206,7 +205,7 @@ impl SharedLog {
     /// Enqueue a payload; visible to consumers immediately, committed
     /// lazily. Returns the entry offset and the version it executed in.
     pub fn enqueue(&self, payload: Bytes) -> (u64, Version) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let version = Version(self.current_version.load(Ordering::Acquire));
         let offset = inner.entries.len() as u64;
         inner.entries.push(Entry {
@@ -219,7 +218,12 @@ impl SharedLog {
 
     /// Read the entry at `offset`, if present.
     pub fn read(&self, offset: u64) -> Option<Entry> {
-        self.inner.lock().entries.get(offset as usize).cloned()
+        self.inner
+            .lock()
+            .unwrap()
+            .entries
+            .get(offset as usize)
+            .cloned()
     }
 
     /// Dequeue up to `max` entries for `consumer`, advancing its offset.
@@ -227,7 +231,7 @@ impl SharedLog {
     /// dequeue is an operation too — it commits with the consumer-offset
     /// movement it caused).
     pub fn poll(&self, consumer: ConsumerId, max: usize) -> (Vec<Entry>, Version) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let version = Version(self.current_version.load(Ordering::Acquire));
         let start = *inner.consumers.get(&consumer).unwrap_or(&0);
         let end = (start as usize + max).min(inner.entries.len());
@@ -238,12 +242,18 @@ impl SharedLog {
 
     /// Committed offset of `consumer`.
     pub fn consumer_offset(&self, consumer: ConsumerId) -> u64 {
-        *self.inner.lock().consumers.get(&consumer).unwrap_or(&0)
+        *self
+            .inner
+            .lock()
+            .unwrap()
+            .consumers
+            .get(&consumer)
+            .unwrap_or(&0)
     }
 
     /// Total entries (committed or not).
     pub fn len(&self) -> u64 {
-        self.inner.lock().entries.len() as u64
+        self.inner.lock().unwrap().entries.len() as u64
     }
 
     /// Whether the log is empty.
@@ -258,7 +268,7 @@ impl SharedLog {
     pub fn pump(&self) -> Result<Vec<Version>> {
         // Snapshot what to do under the lock, do I/O outside it.
         let (to_flush, pending): (u64, Vec<(Version, u64)>) = {
-            let inner = self.inner.lock();
+            let inner = self.inner.lock().unwrap();
             let max_until = inner.sealing.values().copied().max().unwrap_or(0);
             (
                 max_until.saturating_sub(inner.flushed_entries),
@@ -271,7 +281,7 @@ impl SharedLog {
         if to_flush > 0 {
             let mut buf = Vec::new();
             let (start, entries): (u64, Vec<Entry>) = {
-                let inner = self.inner.lock();
+                let inner = self.inner.lock().unwrap();
                 let start = inner.flushed_entries;
                 let until = inner.sealing.values().copied().max().unwrap_or(start);
                 (
@@ -284,12 +294,12 @@ impl SharedLog {
             }
             let at = self.device.append(&buf)?;
             self.device.flush()?;
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.lock().unwrap();
             inner.flushed_entries = inner.flushed_entries.max(start + entries.len() as u64);
             inner.device_end = inner.device_end.max(at + buf.len() as u64);
         }
         let mut done = Vec::new();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let flushed = inner.flushed_entries;
         let consumers = inner.consumers.clone();
         let ready: Vec<(Version, u64)> = inner
@@ -430,7 +440,7 @@ impl StateObject for SharedLog {
     }
 
     fn request_commit(&self, target: Option<Version>) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let sealing = Version(self.current_version.load(Ordering::Acquire));
         if inner.sealing.contains_key(&sealing) {
             return false;
@@ -445,7 +455,7 @@ impl StateObject for SharedLog {
     fn take_commits(&self) -> Vec<CommitDescriptor> {
         // Opportunistically drive pending flushes.
         let _ = self.pump();
-        std::mem::take(&mut self.inner.lock().completed)
+        std::mem::take(&mut self.inner.lock().unwrap().completed)
     }
 
     fn restore(&self, version: Version) -> Result<()> {
@@ -461,7 +471,7 @@ impl StateObject for SharedLog {
             )?;
             LogManifest::decode(&data)?
         };
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.entries.truncate(boundary.until_offset as usize);
         inner.flushed_entries = inner.flushed_entries.min(boundary.until_offset);
         inner.consumers = boundary.consumers;

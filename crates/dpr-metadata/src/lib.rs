@@ -33,6 +33,6 @@ pub mod recovery;
 pub mod store;
 
 pub use ownership::{OwnershipEntry, OwnershipTable, Partitioner, VirtualPartition};
-pub use partitioned::PartitionedSqlStore;
+pub use partitioned::{statements_on_this_thread, PartitionedSqlStore};
 pub use recovery::RecoveryState;
 pub use store::{Cut, MetadataStore};

@@ -7,8 +7,7 @@
 //! first, leaving the partition briefly un-owned while clients retry.
 
 use dpr_core::{Clock, DprError, Key, Result, ShardId};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 /// A virtual partition id.
@@ -104,7 +103,7 @@ impl OwnershipTable {
             owner: Some(workers[p % workers.len()]),
             lease_until_nanos,
         });
-        let mut entries = self.entries.write();
+        let mut entries = self.entries.write().unwrap();
         entries.clear();
         entries.extend(rows);
     }
@@ -120,7 +119,7 @@ impl OwnershipTable {
 
     /// The owner of a partition, routing only as [`OwnershipTable::owner_of`].
     pub fn owner_of_partition(&self, vp: VirtualPartition) -> Result<ShardId> {
-        owner_in(&self.entries.read(), vp)
+        owner_in(&self.entries.read().unwrap(), vp)
     }
 
     /// Append to `out` the owner of each of `keys`, in order, read under one
@@ -132,7 +131,7 @@ impl OwnershipTable {
         keys: impl IntoIterator<Item = &'a Key>,
         out: &mut Vec<ShardId>,
     ) -> Result<()> {
-        let entries = self.entries.read();
+        let entries = self.entries.read().unwrap();
         for key in keys {
             out.push(owner_in(&entries, self.partitioner.partition_of(key))?);
         }
@@ -154,7 +153,7 @@ impl OwnershipTable {
         shard: ShardId,
         keys: impl IntoIterator<Item = &'a Key>,
     ) -> bool {
-        let entries = self.entries.read();
+        let entries = self.entries.read().unwrap();
         let now = self.clock.now_nanos();
         keys.into_iter().all(|key| {
             entries
@@ -166,7 +165,7 @@ impl OwnershipTable {
     /// Renew the lease on every partition owned by `shard`.
     pub fn renew_leases(&self, shard: ShardId) {
         let until = self.clock.now_nanos() + self.lease.as_nanos() as u64;
-        let mut entries = self.entries.write();
+        let mut entries = self.entries.write().unwrap();
         for e in entries.iter_mut() {
             if e.owner == Some(shard) {
                 e.lease_until_nanos = until;
@@ -178,7 +177,7 @@ impl OwnershipTable {
     /// before the table is updated, so the partition is temporarily
     /// un-owned and clients retry (§5.3).
     pub fn renounce(&self, vp: VirtualPartition, old_owner: ShardId) -> Result<()> {
-        let mut entries = self.entries.write();
+        let mut entries = self.entries.write().unwrap();
         let e = entries
             .get_mut(vp.0 as usize)
             .ok_or_else(|| DprError::Invalid(format!("unknown partition {vp:?}")))?;
@@ -196,7 +195,7 @@ impl OwnershipTable {
     /// Complete a transfer by installing the new owner.
     pub fn claim(&self, vp: VirtualPartition, new_owner: ShardId) -> Result<()> {
         let now = self.clock.now_nanos();
-        let mut entries = self.entries.write();
+        let mut entries = self.entries.write().unwrap();
         let e = entries
             .get_mut(vp.0 as usize)
             .ok_or_else(|| DprError::Invalid(format!("unknown partition {vp:?}")))?;
@@ -213,6 +212,7 @@ impl OwnershipTable {
     pub fn partitions_of(&self, shard: ShardId) -> Vec<VirtualPartition> {
         self.entries
             .read()
+            .unwrap()
             .iter()
             .zip(0..)
             .filter(|(e, _)| e.owner == Some(shard))

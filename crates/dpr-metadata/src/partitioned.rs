@@ -28,10 +28,22 @@
 use crate::recovery::RecoveryState;
 use crate::store::{Cut, MetadataStore};
 use dpr_core::{DprError, Result, ShardId, Token, Version, WorldLine};
-use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
+
+thread_local! {
+    static STATEMENTS_HERE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Statements charged on the calling thread so far, by any store: a path
+/// that leaves this unchanged kept every metadata round trip off itself.
+#[must_use]
+pub fn statements_on_this_thread() -> u64 {
+    STATEMENTS_HERE.with(Cell::get)
+}
 
 /// Everything the store holds, behind its one lock.
 #[derive(Default)]
@@ -101,6 +113,7 @@ impl PartitionedSqlStore {
     /// One statement: count it and pay its round trip, before the lock.
     fn charge(&self) {
         self.statements.fetch_add(1, Ordering::Relaxed);
+        STATEMENTS_HERE.with(|n| n.set(n.get() + 1));
         crate::metrics::statements().inc();
         if !self.latency.is_zero() {
             let timer = crate::metrics::statement_latency().start_timer();
@@ -122,7 +135,7 @@ impl MetadataStore for PartitionedSqlStore {
     fn register_worker(&self, shard: ShardId) -> Result<()> {
         self.charge();
         self.touch(std::iter::once(shard));
-        let mut t = self.tables.lock();
+        let mut t = self.tables.lock().unwrap();
         t.dpr.entry(shard).or_insert(Version::ZERO);
         t.cut.entry(shard).or_insert(Version::ZERO);
         crate::metrics::dpr_table_rows().set(t.dpr.len() as i64);
@@ -132,7 +145,7 @@ impl MetadataStore for PartitionedSqlStore {
     fn remove_worker(&self, shard: ShardId) -> Result<()> {
         self.charge();
         self.touch(std::iter::once(shard));
-        let mut t = self.tables.lock();
+        let mut t = self.tables.lock().unwrap();
         t.dpr.remove(&shard);
         t.cut.remove(&shard);
         crate::metrics::dpr_table_rows().set(t.dpr.len() as i64);
@@ -141,7 +154,7 @@ impl MetadataStore for PartitionedSqlStore {
 
     fn members(&self) -> Result<Vec<ShardId>> {
         self.charge();
-        Ok(self.tables.lock().dpr.keys().copied().collect())
+        Ok(self.tables.lock().unwrap().dpr.keys().copied().collect())
     }
 
     fn update_persisted_versions(&self, updates: &[(ShardId, Version)]) -> Result<()> {
@@ -151,7 +164,7 @@ impl MetadataStore for PartitionedSqlStore {
         // One multi-row `UPDATE ... FROM (VALUES ...)`: a single round trip.
         self.charge();
         self.touch(updates.iter().map(|&(s, _)| s));
-        let mut t = self.tables.lock();
+        let mut t = self.tables.lock().unwrap();
         // Validate the whole batch before touching any row: an abort must
         // leave the table unmodified (transactional semantics).
         if let Some(&(missing, _)) = updates.iter().find(|&&(s, _)| !t.dpr.contains_key(&s)) {
@@ -166,17 +179,17 @@ impl MetadataStore for PartitionedSqlStore {
 
     fn min_persisted_version(&self) -> Result<Option<Version>> {
         self.charge();
-        Ok(self.tables.lock().dpr.values().copied().min())
+        Ok(self.tables.lock().unwrap().dpr.values().copied().min())
     }
 
     fn max_persisted_version(&self) -> Result<Option<Version>> {
         self.charge();
-        Ok(self.tables.lock().dpr.values().copied().max())
+        Ok(self.tables.lock().unwrap().dpr.values().copied().max())
     }
 
     fn persisted_versions(&self) -> Result<Cut> {
         self.charge();
-        Ok(self.tables.lock().dpr.clone())
+        Ok(self.tables.lock().unwrap().dpr.clone())
     }
 
     fn add_graph_versions(&self, entries: Vec<(Token, Vec<Token>)>) -> Result<()> {
@@ -185,7 +198,7 @@ impl MetadataStore for PartitionedSqlStore {
         }
         self.charge();
         self.touch(entries.iter().map(|(t, _)| t.shard));
-        let mut t = self.tables.lock();
+        let mut t = self.tables.lock().unwrap();
         t.graph.extend(entries);
         crate::metrics::graph_rows().set(t.graph.len() as i64);
         Ok(())
@@ -193,13 +206,13 @@ impl MetadataStore for PartitionedSqlStore {
 
     fn graph_snapshot(&self) -> Result<Vec<(Token, Vec<Token>)>> {
         self.charge();
-        let t = self.tables.lock();
+        let t = self.tables.lock().unwrap();
         Ok(t.graph.iter().map(|(k, v)| (*k, v.clone())).collect())
     }
 
     fn prune_graph_below(&self, cut: &Cut) -> Result<()> {
         self.charge();
-        let mut t = self.tables.lock();
+        let mut t = self.tables.lock().unwrap();
         t.graph.retain(|token, _| {
             cut.get(&token.shard)
                 .is_none_or(|&committed| token.version > committed)
@@ -210,7 +223,7 @@ impl MetadataStore for PartitionedSqlStore {
 
     fn update_cut_atomically(&self, cut: Cut) -> Result<(WorldLine, Cut)> {
         self.charge();
-        let mut t = self.tables.lock();
+        let mut t = self.tables.lock().unwrap();
         if t.recovery.is_some() {
             return Err(DprError::Recovering);
         }
@@ -225,23 +238,23 @@ impl MetadataStore for PartitionedSqlStore {
 
     fn read_cut(&self) -> Result<Cut> {
         self.charge();
-        Ok(self.tables.lock().cut.clone())
+        Ok(self.tables.lock().unwrap().cut.clone())
     }
 
     fn telemetry_frontier(&self) -> Result<(Option<Version>, Cut)> {
         // Telemetry-only, not a protocol round trip: no charge, no latency.
-        let t = self.tables.lock();
+        let t = self.tables.lock().unwrap();
         Ok((t.dpr.values().copied().max(), t.cut.clone()))
     }
 
     fn world_line(&self) -> Result<WorldLine> {
         self.charge();
-        Ok(self.tables.lock().world_line)
+        Ok(self.tables.lock().unwrap().world_line)
     }
 
     fn begin_recovery(&self) -> Result<RecoveryState> {
         self.charge();
-        let mut t = self.tables.lock();
+        let mut t = self.tables.lock().unwrap();
         t.world_line = t.world_line.next();
         let state = RecoveryState {
             world_line: t.world_line,
@@ -255,7 +268,7 @@ impl MetadataStore for PartitionedSqlStore {
 
     fn report_rollback_complete(&self, shard: ShardId) -> Result<RecoveryState> {
         self.charge();
-        let mut t = self.tables.lock();
+        let mut t = self.tables.lock().unwrap();
         let Some(rec) = t.recovery.as_mut() else {
             return Err(DprError::Metadata("no recovery in progress".into()));
         };
@@ -269,12 +282,18 @@ impl MetadataStore for PartitionedSqlStore {
 
     fn recovery_in_progress(&self) -> Result<Option<RecoveryState>> {
         self.charge();
-        Ok(self.tables.lock().recovery.clone())
+        Ok(self.tables.lock().unwrap().recovery.clone())
     }
 
     fn recovery_cut(&self, world_line: WorldLine) -> Result<Option<Cut>> {
         self.charge();
-        Ok(self.tables.lock().recovery_cuts.get(&world_line).cloned())
+        Ok(self
+            .tables
+            .lock()
+            .unwrap()
+            .recovery_cuts
+            .get(&world_line)
+            .cloned())
     }
 }
 

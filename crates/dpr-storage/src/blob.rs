@@ -3,8 +3,8 @@
 use crate::latency::LatencyModel;
 use bytes::Bytes;
 use dpr_core::Result;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::RwLock;
 
 /// A store of named blobs with atomic, all-or-nothing writes.
 ///
@@ -53,7 +53,7 @@ impl MemBlobStore {
 /// again and again, since a recovery deletes the manifests it rolls back.
 impl Clone for MemBlobStore {
     fn clone(&self) -> Self {
-        let blobs = RwLock::new(self.blobs.read().clone());
+        let blobs = RwLock::new(self.blobs.read().unwrap().clone());
         MemBlobStore { blobs, ..*self }
     }
 }
@@ -65,16 +65,17 @@ impl BlobStore for MemBlobStore {
         }
         self.blobs
             .write()
+            .unwrap()
             .insert(name.to_owned(), Bytes::copy_from_slice(data));
         Ok(())
     }
 
     fn get(&self, name: &str) -> Result<Option<Bytes>> {
-        Ok(self.blobs.read().get(name).cloned())
+        Ok(self.blobs.read().unwrap().get(name).cloned())
     }
 
     fn delete(&self, name: &str) -> Result<()> {
-        self.blobs.write().remove(name);
+        self.blobs.write().unwrap().remove(name);
         Ok(())
     }
 
@@ -82,6 +83,7 @@ impl BlobStore for MemBlobStore {
         Ok(self
             .blobs
             .read()
+            .unwrap()
             .keys()
             .filter(|k| k.starts_with(prefix))
             .cloned()

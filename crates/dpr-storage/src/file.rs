@@ -18,13 +18,13 @@
 use crate::device::LogDevice;
 use crate::latency::LatencyModel;
 use dpr_core::{DprError, Result};
-use parking_lot::RwLock;
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::ErrorKind;
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 
 /// The shortest segment: sixteen 64 KiB pages of a `dpr-faster` log.
 pub const MIN_SEGMENT_BYTES: u64 = 1 << 20;
@@ -137,6 +137,7 @@ impl FileLogDevice {
     pub fn held_bytes(&self) -> u64 {
         self.segments
             .read()
+            .unwrap()
             .held
             .iter()
             .filter_map(|s| s.file.metadata().ok())
@@ -146,10 +147,10 @@ impl FileLogDevice {
 
     fn ensure_segments(&self, end: u64) -> Result<()> {
         // Nearly every append lands in a segment that exists.
-        if self.segments.read().end >= end {
+        if self.segments.read().unwrap().end >= end {
             return Ok(());
         }
-        let mut segments = self.segments.write();
+        let mut segments = self.segments.write().unwrap();
         while segments.end < end {
             let start = segments.end;
             let span = start - segments.held.front().map_or(start, |s| s.start);
@@ -171,7 +172,7 @@ impl FileLogDevice {
     /// that has not written them yet read as zeros, as on the in-memory
     /// device.
     fn read_files(&self, addr: u64, buf: &mut [u8]) -> Result<()> {
-        let segments = self.segments.read();
+        let segments = self.segments.read().unwrap();
         segments.for_each_piece(addr, buf.len(), |segment, at, range| {
             let dst = &mut buf[range];
             let Some(segment) = segment else {
@@ -218,7 +219,7 @@ impl LogDevice for FileLogDevice {
     fn append(&self, data: &[u8]) -> Result<u64> {
         let addr = self.tail.fetch_add(data.len() as u64, Ordering::SeqCst);
         self.ensure_segments(addr + data.len() as u64)?;
-        let segments = self.segments.read();
+        let segments = self.segments.read().unwrap();
         segments.for_each_piece(addr, data.len(), |segment, at, range| {
             if let Some(segment) = segment {
                 segment
@@ -245,14 +246,14 @@ impl LogDevice for FileLogDevice {
             self.read_files(addr, &mut buf[..avail])?;
             return Ok(avail);
         }
-        if let Some(bytes) = self.pages.read().get(&page) {
+        if let Some(bytes) = self.pages.read().unwrap().get(&page) {
             buf[..avail].copy_from_slice(&bytes[at..at + avail]);
             return Ok(avail);
         }
         let mut bytes = vec![0u8; PAGE_BYTES as usize].into_boxed_slice();
         self.read_files(page * PAGE_BYTES, &mut bytes)?;
         buf[..avail].copy_from_slice(&bytes[at..at + avail]);
-        let mut pages = self.pages.write();
+        let mut pages = self.pages.write().unwrap();
         // A truncation stores its point before it drops pages under this
         // lock, so a page it has passed is not kept after it.
         if (page + 1) * PAGE_BYTES > self.truncated.load(Ordering::Acquire) {
@@ -286,11 +287,11 @@ impl LogDevice for FileLogDevice {
         // wholly below it hold bytes nobody can ask for: closing a segment
         // frees its file.
         {
-            let mut segments = self.segments.write();
+            let mut segments = self.segments.write().unwrap();
             let below = segments.held.partition_point(|s| s.end <= addr);
             segments.held.drain(..below);
         }
-        let mut pages = self.pages.write();
+        let mut pages = self.pages.write().unwrap();
         *pages = pages.split_off(&(addr / PAGE_BYTES));
         Ok(())
     }
@@ -336,11 +337,15 @@ mod tests {
         for at in [10, 2 * MIN_SEGMENT_BYTES + PAGE_BYTES + 5] {
             read_exact(&dev, at, &mut buf).unwrap();
         }
-        assert_eq!(dev.pages.read().len(), 2);
+        assert_eq!(dev.pages.read().unwrap().len(), 2);
         let cut = 2 * MIN_SEGMENT_BYTES + PAGE_BYTES + 10;
         dev.truncate_before(cut).unwrap();
         assert_eq!(dev.held_bytes(), MIN_SEGMENT_BYTES + 100);
-        assert_eq!(dev.pages.read().len(), 1, "the page `cut` lies in stays");
+        assert_eq!(
+            dev.pages.read().unwrap().len(),
+            1,
+            "the page `cut` lies in stays"
+        );
         for below in [0, MIN_SEGMENT_BYTES - 1, 2 * MIN_SEGMENT_BYTES, cut - 1] {
             assert!(dev.read(below, &mut buf).is_err(), "read at {below}");
         }
@@ -350,7 +355,7 @@ mod tests {
         }
         // Past the tail: every segment goes, and appends go on above it.
         dev.truncate_before(10 * MIN_SEGMENT_BYTES).unwrap();
-        assert_eq!((dev.held_bytes(), dev.pages.read().len()), (0, 0));
+        assert_eq!((dev.held_bytes(), dev.pages.read().unwrap().len()), (0, 0));
         assert_eq!(dev.append(b"more").unwrap(), data.len() as u64);
     }
 
@@ -368,10 +373,13 @@ mod tests {
         read_exact(&dev, 0, &mut scan).unwrap();
         let mut buf = [0u8; 64];
         read_exact(&dev, 3 * PAGE_BYTES + 8, &mut buf).unwrap();
-        assert!(dev.pages.read().is_empty(), "a scan and an unflushed page");
+        assert!(
+            dev.pages.read().unwrap().is_empty(),
+            "a scan and an unflushed page"
+        );
         read_exact(&dev, PAGE_BYTES + 8, &mut buf).unwrap();
-        assert_eq!(dev.pages.read().keys().collect::<Vec<_>>(), [&1]);
-        dev.pages.write().get_mut(&1).unwrap()[8] ^= 0xff;
+        assert_eq!(dev.pages.read().unwrap().keys().collect::<Vec<_>>(), [&1]);
+        dev.pages.write().unwrap().get_mut(&1).unwrap()[8] ^= 0xff;
         read_exact(&dev, PAGE_BYTES + 8, &mut buf).unwrap();
         assert_eq!(buf[0], !data[PAGE_BYTES as usize + 8]);
     }
@@ -387,7 +395,7 @@ mod tests {
         for _ in 0..pages {
             dev.append(&page).unwrap();
         }
-        let files = dev.segments.read().held.len();
+        let files = dev.segments.read().unwrap().held.len();
         assert!(files <= 100, "{files} files for {pages} minimum segments");
         assert_eq!(dev.held_bytes(), pages * PAGE_BYTES);
         let mut buf = vec![0u8; PAGE_BYTES as usize];

@@ -6,9 +6,9 @@
 use crate::device::LogDevice;
 use crate::latency::{LatencyModel, StorageProfile};
 use dpr_core::{DprError, Result};
-use parking_lot::RwLock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 
 /// Page granularity of the backing store, that of a `dpr-faster` log page.
 /// Appends may span pages.
@@ -95,7 +95,7 @@ impl MemLogDevice {
     /// truncation point lies in to the one the tail lies in (diagnostics).
     #[must_use]
     pub fn held_bytes(&self) -> u64 {
-        (self.pages.read().held.len() * PAGE_SIZE) as u64
+        (self.pages.read().unwrap().held.len() * PAGE_SIZE) as u64
     }
 
     fn ensure_pages(&self, end: u64) {
@@ -103,10 +103,10 @@ impl MemLogDevice {
         let has = |p: &Pages| p.first + p.held.len() >= need;
         // Nearly every append lands in pages that exist: check under the
         // read lock, which readers and other appenders share.
-        if has(&self.pages.read()) {
+        if has(&self.pages.read().unwrap()) {
             return;
         }
-        let mut pages = self.pages.write();
+        let mut pages = self.pages.write().unwrap();
         while !has(&pages) {
             pages
                 .held
@@ -120,7 +120,7 @@ impl LogDevice for MemLogDevice {
         let addr = self.tail.fetch_add(data.len() as u64, Ordering::SeqCst);
         let end = addr + data.len() as u64;
         self.ensure_pages(end);
-        let pages = self.pages.read();
+        let pages = self.pages.read().unwrap();
         let mut off = addr as usize;
         let mut rest = data;
         while !rest.is_empty() {
@@ -128,7 +128,7 @@ impl LogDevice for MemLogDevice {
             let in_page = off % PAGE_SIZE;
             let n = rest.len().min(PAGE_SIZE - in_page);
             if let Some(bytes) = pages.get(page) {
-                bytes.write()[in_page..in_page + n].copy_from_slice(&rest[..n]);
+                bytes.write().unwrap()[in_page..in_page + n].copy_from_slice(&rest[..n]);
             }
             off += n;
             rest = &rest[n..];
@@ -146,7 +146,7 @@ impl LogDevice for MemLogDevice {
             return Ok(0);
         }
         let avail = ((tail - addr) as usize).min(buf.len());
-        let pages = self.pages.read();
+        let pages = self.pages.read().unwrap();
         let mut off = addr as usize;
         let mut done = 0;
         while done < avail {
@@ -156,7 +156,7 @@ impl LogDevice for MemLogDevice {
             // Released by a truncation that came between the check above and
             // this lock.
             let bytes = pages.get(page).ok_or_else(truncated)?;
-            buf[done..done + n].copy_from_slice(&bytes.read()[in_page..in_page + n]);
+            buf[done..done + n].copy_from_slice(&bytes.read().unwrap()[in_page..in_page + n]);
             off += n;
             done += n;
         }
@@ -187,7 +187,7 @@ impl LogDevice for MemLogDevice {
         // Every read checks `truncated` first, so the pages that now lie
         // wholly below it hold bytes nobody can ask for: release them.
         let whole = addr as usize / PAGE_SIZE;
-        let mut pages = self.pages.write();
+        let mut pages = self.pages.write().unwrap();
         let below = whole.saturating_sub(pages.first).min(pages.held.len());
         pages.held.drain(..below);
         // Past the last page held, `held` is empty and starts over there.
@@ -270,7 +270,7 @@ mod tests {
         let data: Vec<u8> = (0..3 * PAGE_SIZE + 100).map(|i| (i % 251) as u8).collect();
         dev.append(&data).unwrap();
         let held = |dev: &MemLogDevice| {
-            let pages = dev.pages.read();
+            let pages = dev.pages.read().unwrap();
             (pages.first, pages.held.len())
         };
         assert_eq!(held(&dev), (0, 4));
@@ -310,7 +310,7 @@ mod tests {
             dev.append(&[1u8; PAGE_SIZE]).unwrap();
             dev.truncate_before(dev.tail() - 100).unwrap();
         }
-        let pages = dev.pages.read();
+        let pages = dev.pages.read().unwrap();
         assert_eq!((pages.first, pages.held.len()), (999, 1));
         assert_eq!(dev.held_bytes(), PAGE_SIZE as u64);
     }

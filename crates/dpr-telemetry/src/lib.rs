@@ -21,6 +21,10 @@
 //!    into the registry once; call sites cache the reference in a
 //!    `OnceLock`, so steady-state access never touches the registry lock.
 //!
+//! Unlike the rest of the workspace, which panics on a poisoned lock, this
+//! crate takes the guard, so a metric or a span never turns a panic
+//! elsewhere into a second one.
+//!
 //! # Usage
 //!
 //! ```

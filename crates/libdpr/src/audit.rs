@@ -15,9 +15,8 @@
 
 use dpr_core::Token;
 use dpr_metadata::Cut;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Receiver of finder observations. Implementations must be cheap and
 /// non-blocking: calls happen on the finder's commit-report path.
@@ -35,14 +34,14 @@ static SINK: RwLock<Option<Arc<dyn AuditSink>>> = RwLock::new(None);
 
 /// Install the process-global audit sink (replacing any previous one).
 pub fn install(sink: Arc<dyn AuditSink>) {
-    *SINK.write() = Some(sink);
+    *SINK.write().unwrap() = Some(sink);
     ENABLED.store(true, Ordering::Release);
 }
 
 /// Remove the audit sink; subsequent finder activity is unobserved.
 pub fn uninstall() {
     ENABLED.store(false, Ordering::Release);
-    *SINK.write() = None;
+    *SINK.write().unwrap() = None;
 }
 
 /// Whether a sink is installed (guards loops over batched reports).
@@ -55,7 +54,7 @@ pub fn enabled() -> bool {
 #[inline]
 pub(crate) fn commit_reported(token: Token, deps: &[Token]) {
     if enabled() {
-        if let Some(sink) = SINK.read().clone() {
+        if let Some(sink) = SINK.read().unwrap().clone() {
             sink.commit_reported(token, deps);
         }
     }
@@ -64,7 +63,7 @@ pub(crate) fn commit_reported(token: Token, deps: &[Token]) {
 #[inline]
 pub(crate) fn cut_published(cut: &Cut) {
     if enabled() {
-        if let Some(sink) = SINK.read().clone() {
+        if let Some(sink) = SINK.read().unwrap().clone() {
             sink.cut_published(cut);
         }
     }
@@ -74,7 +73,7 @@ pub(crate) fn cut_published(cut: &Cut) {
 mod tests {
     use super::*;
     use dpr_core::{ShardId, Version};
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     struct Recorder {
         commits: Mutex<Vec<Token>>,
@@ -83,10 +82,10 @@ mod tests {
 
     impl AuditSink for Recorder {
         fn commit_reported(&self, token: Token, _deps: &[Token]) {
-            self.commits.lock().push(token);
+            self.commits.lock().unwrap().push(token);
         }
         fn cut_published(&self, cut: &Cut) {
-            self.cuts.lock().push(cut.clone());
+            self.cuts.lock().unwrap().push(cut.clone());
         }
     }
 
@@ -98,15 +97,15 @@ mod tests {
         });
         let token = Token::new(ShardId(0), Version(1));
         commit_reported(token, &[]);
-        assert!(rec.commits.lock().is_empty(), "not yet installed");
+        assert!(rec.commits.lock().unwrap().is_empty(), "not yet installed");
         install(rec.clone());
         assert!(enabled());
         commit_reported(token, &[]);
         cut_published(&Cut::from([(ShardId(0), Version(1))]));
         uninstall();
         commit_reported(token, &[]);
-        assert_eq!(rec.commits.lock().len(), 1);
-        assert_eq!(rec.cuts.lock().len(), 1);
+        assert_eq!(rec.commits.lock().unwrap().len(), 1);
+        assert_eq!(rec.cuts.lock().unwrap().len(), 1);
         assert!(!enabled());
     }
 }

@@ -16,9 +16,8 @@
 
 use dpr_core::{DprError, Result, ShardId, Token, Version, WorldLine};
 use dpr_metadata::{Cut, MetadataStore};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Record the cut lag (`Vmax - min(Vsafe)`, the §3.4 fast-forward
 /// pressure): how far the persisted frontier has run ahead of the published
@@ -59,7 +58,7 @@ fn publish(
         written => Arc::new(written?),
     };
     crate::audit::cut_published(&written.1);
-    *last.lock() = Some(Arc::clone(&written));
+    *last.lock().unwrap() = Some(Arc::clone(&written));
     Ok(Some(written))
 }
 
@@ -247,28 +246,28 @@ impl CutEngine {
 
     /// Enqueue one commit report.
     pub fn ingest_one(&self, token: Token, deps: Vec<Token>) {
-        self.mailbox.lock().push((token, deps));
+        self.mailbox.lock().unwrap().push((token, deps));
     }
 
     /// Enqueue a group of commit reports.
     pub fn ingest(&self, reports: Vec<(Token, Vec<Token>)>) {
-        self.mailbox.lock().extend(reports);
+        self.mailbox.lock().unwrap().extend(reports);
     }
 
     /// Load entries straight into the closure graph (initial seeding from a
     /// durable snapshot; a restarted coordinator resumes from what the
     /// store kept).
     pub fn seed(&self, entries: Vec<(Token, Vec<Token>)>) {
-        self.graph.lock().extend(entries);
+        self.graph.lock().unwrap().extend(entries);
     }
 
     /// Drain the mailbox and compute the maximal closed cut over the graph,
     /// capped by `lost_ceiling` (see [`compute_closure_cut_capped`]).
     #[must_use]
     pub fn compute(&self, floor: &Cut, lost_ceiling: &Cut) -> Cut {
-        let mut graph = self.graph.lock();
+        let mut graph = self.graph.lock().unwrap();
         {
-            let mut mailbox = self.mailbox.lock();
+            let mut mailbox = self.mailbox.lock().unwrap();
             if !mailbox.is_empty() {
                 for (token, deps) in mailbox.drain(..) {
                     graph.insert(token, deps);
@@ -284,15 +283,15 @@ impl CutEngine {
     /// makes every later floor dominate them — see the type docs); callers
     /// must skip this when `update_cut_atomically` fails.
     pub fn commit(&self, cut: &Cut) {
-        let mut graph = self.graph.lock();
+        let mut graph = self.graph.lock().unwrap();
         graph.retain(|t, _| cut.get(&t.shard).copied().unwrap_or(Version::ZERO) < t.version);
         crate::metrics::delta_pending_tokens().set(graph.len() as i64);
     }
 
     /// Forget everything (coordinator crash: the in-memory graph is lost).
     pub fn clear(&self) {
-        self.mailbox.lock().clear();
-        self.graph.lock().clear();
+        self.mailbox.lock().unwrap().clear();
+        self.graph.lock().unwrap().clear();
         crate::metrics::delta_pending_tokens().set(0);
     }
 
@@ -300,7 +299,7 @@ impl CutEngine {
     /// working-set size, bounded by cut lag.
     #[must_use]
     pub fn pending_len(&self) -> usize {
-        self.graph.lock().len() + self.mailbox.lock().len()
+        self.graph.lock().unwrap().len() + self.mailbox.lock().unwrap().len()
     }
 }
 
@@ -352,7 +351,7 @@ impl DprFinder for ExactFinder {
     }
 
     fn published(&self) -> Option<Arc<(WorldLine, Cut)>> {
-        self.published.lock().clone()
+        self.published.lock().unwrap().clone()
     }
 
     fn max_version(&self) -> Result<Version> {
@@ -414,7 +413,7 @@ impl DprFinder for ApproximateFinder {
     }
 
     fn published(&self) -> Option<Arc<(WorldLine, Cut)>> {
-        self.published.lock().clone()
+        self.published.lock().unwrap().clone()
     }
 
     fn max_version(&self) -> Result<Version> {
@@ -456,7 +455,7 @@ impl HybridFinder {
     /// precision resumes per shard once the floor passes the lost region.
     pub fn simulate_coordinator_crash(&self) {
         self.engine.clear();
-        *self.lost_ceiling.lock() = self.meta.persisted_versions().unwrap_or_default();
+        *self.lost_ceiling.lock().unwrap() = self.meta.persisted_versions().unwrap_or_default();
     }
 
     /// Tokens the delta engine currently holds (graph + mailbox): its
@@ -494,7 +493,7 @@ impl DprFinder for HybridFinder {
         // engine mailbox and is never blocked behind the fixpoint; a report
         // racing this pass either joins it or waits intact for the next —
         // nothing is pruned without being closure-checked.
-        let ceiling = self.lost_ceiling.lock().clone();
+        let ceiling = self.lost_ceiling.lock().unwrap().clone();
         let cut = self.engine.compute(&floor, &ceiling);
         if let Some(written) = publish(&*self.meta, &self.published, cut)? {
             self.engine.commit(&written.1);
@@ -503,7 +502,7 @@ impl DprFinder for HybridFinder {
     }
 
     fn published(&self) -> Option<Arc<(WorldLine, Cut)>> {
-        self.published.lock().clone()
+        self.published.lock().unwrap().clone()
     }
 
     fn max_version(&self) -> Result<Version> {

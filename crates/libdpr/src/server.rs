@@ -43,8 +43,8 @@ use crate::header::{BatchHeader, BatchReply};
 use crate::state_object::StateObject;
 use dpr_core::epoch::EpochGuard;
 use dpr_core::{Backoff, DprError, LightEpoch, Result, ShardId, Token, Version, WorldLine};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Epoch-table capacity: max threads concurrently inside the gate.
@@ -139,7 +139,7 @@ impl GateGuard<'_> {
         if deps.peek().is_none() && !stamp {
             return;
         }
-        let mut table = server.table.lock();
+        let mut table = server.table.lock().unwrap();
         if stamp {
             if let Err(at) = table
                 .first_exec_us
@@ -284,7 +284,7 @@ impl DprServer {
         self.epoch.quiesce();
         scratch.deps.clear();
         scratch.first_exec_us.clear();
-        self.table.lock().take_upto(upto, scratch);
+        self.table.lock().unwrap().take_upto(upto, scratch);
     }
 
     /// Drain completed local commits to the finder, each with the
@@ -303,7 +303,7 @@ impl DprServer {
         so: &dyn StateObject,
         finder: &dyn DprFinder,
     ) -> Result<Vec<Version>> {
-        let mut scratch = self.drain.lock();
+        let mut scratch = self.drain.lock().unwrap();
         let mut commits = so.take_commits();
         if commits.is_empty() {
             return Ok(Vec::new());
@@ -363,7 +363,7 @@ impl DprServer {
     /// (versions at or below it were reported — and their entries taken —
     /// before the cut could include them), so the whole table is dropped.
     pub fn on_restore(&self) {
-        let mut scratch = self.drain.lock();
+        let mut scratch = self.drain.lock().unwrap();
         self.quiesce_and_take(Version(u64::MAX), &mut scratch);
     }
 
@@ -373,7 +373,7 @@ impl DprServer {
     #[must_use]
     pub fn pending_deps(&self) -> Vec<(Version, Vec<Token>)> {
         let mut out: Vec<(Version, Vec<Token>)> = Vec::new();
-        for &(executed, shard, v) in &self.table.lock().deps {
+        for &(executed, shard, v) in &self.table.lock().unwrap().deps {
             match out.last_mut() {
                 Some((e, tokens)) if *e == executed => tokens.push(Token::new(shard, v)),
                 _ => out.push((executed, vec![Token::new(shard, v)])),
@@ -413,7 +413,7 @@ mod tests {
         fn complete_commit(&self) {
             let v = self.current.fetch_add(1, Ordering::SeqCst);
             self.durable.store(v, Ordering::SeqCst);
-            self.pending_commits.lock().push(CommitDescriptor {
+            self.pending_commits.lock().unwrap().push(CommitDescriptor {
                 version: Version(v),
             });
         }
@@ -433,7 +433,7 @@ mod tests {
             // Complete instantly, jumping to the target.
             let v = self.current.load(Ordering::SeqCst);
             self.durable.store(v, Ordering::SeqCst);
-            self.pending_commits.lock().push(CommitDescriptor {
+            self.pending_commits.lock().unwrap().push(CommitDescriptor {
                 version: Version(v),
             });
             let next = target.map_or(v + 1, |t| t.0.max(v + 1));
@@ -441,7 +441,7 @@ mod tests {
             true
         }
         fn take_commits(&self) -> Vec<CommitDescriptor> {
-            std::mem::take(&mut *self.pending_commits.lock())
+            std::mem::take(&mut *self.pending_commits.lock().unwrap())
         }
         fn restore(&self, version: Version) -> Result<()> {
             self.durable.store(version.0, Ordering::SeqCst);
@@ -458,7 +458,7 @@ mod tests {
 
     impl DprFinder for CapturingFinder {
         fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
-            self.reports.lock().extend(reports);
+            self.reports.lock().unwrap().extend(reports);
             Ok(())
         }
         fn refresh(&self) -> Result<()> {
@@ -612,7 +612,7 @@ mod tests {
         so.complete_commit();
         assert_eq!(server.pump_commits(&so, &finder).unwrap(), vec![Version(1)]);
         assert_eq!(
-            *finder.reports.lock(),
+            *finder.reports.lock().unwrap(),
             vec![(
                 Token::new(ShardId(0), Version(1)),
                 vec![Token::new(ShardId(1), Version(1))]
@@ -631,7 +631,7 @@ mod tests {
             server.pump_commits(&so, &finder).unwrap(),
             vec![Version(2), Version(3)]
         );
-        let reports = finder.reports.lock();
+        let reports = finder.reports.lock().unwrap();
         assert_eq!(reports.len(), 3);
         assert_eq!(
             reports[1],
@@ -660,7 +660,7 @@ mod tests {
         so.complete_commit();
         so.complete_commit();
         server.pump_commits(&so, &finder).unwrap();
-        let reports = finder.reports.lock();
+        let reports = finder.reports.lock().unwrap();
         assert_eq!(
             reports[1],
             (
@@ -688,7 +688,7 @@ mod tests {
             so.complete_commit();
         }
         server.pump_commits(&so, &finder).unwrap();
-        let reports = finder.reports.lock().clone();
+        let reports = finder.reports.lock().unwrap().clone();
         assert_eq!(reports.len(), open as usize);
         for (i, (token, deps)) in reports.iter().enumerate() {
             let v = Version(i as u64 + 1);

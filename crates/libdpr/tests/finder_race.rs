@@ -21,11 +21,11 @@ use dpr_metadata::{Cut, MetadataStore, PartitionedSqlStore};
 use libdpr::audit::{self, AuditSink};
 use libdpr::finder::cut_is_closed;
 use libdpr::{DprFinder, ExactFinder, HybridFinder};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The audit sink is process-global; serialize the tests that install one.
+/// It guards no data, so a test that failed does not fail the ones after it.
 static AUDIT_LOCK: Mutex<()> = Mutex::new(());
 
 /// Shadow of everything the finder was told and everything it published.
@@ -37,10 +37,10 @@ struct Shadow {
 
 impl AuditSink for Shadow {
     fn commit_reported(&self, token: Token, deps: &[Token]) {
-        self.graph.lock().insert(token, deps.to_vec());
+        self.graph.lock().unwrap().insert(token, deps.to_vec());
     }
     fn cut_published(&self, cut: &Cut) {
-        self.cuts.lock().push(cut.clone());
+        self.cuts.lock().unwrap().push(cut.clone());
     }
 }
 
@@ -57,7 +57,7 @@ const VERSIONS_PER_SHARD: u64 = 300;
 /// strictly higher versions, so no late edge can invalidate an earlier
 /// published cut — unless a report was dropped.
 fn race(finder: Arc<dyn DprFinder>) {
-    let _serial = AUDIT_LOCK.lock();
+    let _serial = AUDIT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let shadow = Arc::new(Shadow::default());
     audit::install(shadow.clone());
 
@@ -102,8 +102,8 @@ fn race(finder: Arc<dyn DprFinder>) {
     refresher.join().unwrap();
     audit::uninstall();
 
-    let union = shadow.graph.lock();
-    let cuts = shadow.cuts.lock();
+    let union = shadow.graph.lock().unwrap();
+    let cuts = shadow.cuts.lock().unwrap();
     assert_eq!(
         union.len(),
         (SHARDS as usize) * (VERSIONS_PER_SHARD as usize),

@@ -26,12 +26,11 @@ use dpr_core::{Result, Rng, SessionId, ShardId, Token, Version, WorldLine};
 use dpr_metadata::{MetadataStore, PartitionedSqlStore};
 use libdpr::finder::cut_is_closed;
 use libdpr::{BatchHeader, CommitDescriptor, DprFinder, DprServer, ExactFinder, StateObject};
-use parking_lot::Mutex;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 thread_local! {
@@ -110,7 +109,7 @@ impl StateObject for StressSo {
         false // sealing is driven by the sealer thread
     }
     fn take_commits(&self) -> Vec<CommitDescriptor> {
-        let commits = std::mem::take(&mut *self.pending.lock());
+        let commits = std::mem::take(&mut *self.pending.lock().unwrap());
         if !commits.is_empty() {
             self.taken.store(true, Ordering::SeqCst);
         }
@@ -131,7 +130,7 @@ struct CapturingFinder {
 
 impl DprFinder for CapturingFinder {
     fn report_commits(&self, reports: Vec<(Token, Vec<Token>)>) -> Result<()> {
-        self.reports.lock().extend(reports.clone());
+        self.reports.lock().unwrap().extend(reports.clone());
         self.inner.report_commits(reports)
     }
     fn refresh(&self) -> Result<()> {
@@ -172,7 +171,7 @@ fn seal_one(so: &StressSo, inflight: &[AtomicU64]) -> u64 {
             std::thread::yield_now();
         }
     }
-    so.pending.lock().push(CommitDescriptor {
+    so.pending.lock().unwrap().push(CommitDescriptor {
         version: Version(sealed),
     });
     sealed
@@ -287,7 +286,7 @@ fn concurrent_record_and_pump_lose_nothing() {
 
     // Exact attribution: the report of `v` is the max-per-shard merge of
     // what executed in `v` — nothing dropped, nothing from a later version.
-    let reports = finder.reports.lock().clone();
+    let reports = finder.reports.lock().unwrap().clone();
     assert_eq!(truth.len(), WRITERS * BATCHES_PER_WRITER);
     let mut expected: BTreeMap<u64, BTreeMap<ShardId, Version>> = BTreeMap::new();
     for &(dep, e) in &truth {
@@ -377,7 +376,7 @@ fn stalled_writer_is_not_overtaken_by_its_versions_report() {
     writer.join().unwrap();
     assert_eq!(reported, vec![Version(1)]);
     assert_eq!(
-        *finder.reports.lock(),
+        *finder.reports.lock().unwrap(),
         vec![(Token::new(ShardId(0), Version(1)), vec![dep])]
     );
 }

@@ -2,7 +2,8 @@
 # Pre-PR gate: everything a change must pass before it ships.
 #
 #   scripts/check.sh --quick   build + tier-1 tests + the fixed-wait
-#                              allow-list + one generator + the workspace
+#                              allow-list + no yield_now spin + one
+#                              generator + one lock library + the workspace
 #                              size ratchet + the record-budget and
 #                              membership tests (fast inner loop)
 #   scripts/check.sh           the full gate: workspace tests, the lossy-link
@@ -131,14 +132,30 @@ if [[ -n "$unlisted" ]]; then
     exit 1
 fi
 
+# One lock library: every crate locks through `std::sync`, whose data locks
+# panic on poison (docs/PROTOCOL.md §12). `parking_lot`, or a stand-in of
+# that name, in a manifest or a source is a second lock API for the same
+# primitive.
+echo
+echo "==> no parking_lot in the manifests or under crates, src, tests and examples"
+locks=$({
+    grep -rn parking_lot Cargo.toml crates/*/Cargo.toml
+    grep -rn --include='*.rs' parking_lot crates src tests examples
+} || true)
+if [[ -n "$locks" ]]; then
+    echo "parking_lot is back (file:line); lock through std::sync:" >&2
+    echo "$locks" >&2
+    exit 1
+fi
+
 # The workspace shrinks towards ROADMAP item 15's target (33,500 lines) and
 # does not grow back unseen: a change that needs more lines raises this bound
 # in its own diff, where a reviewer sees it, and one that deletes lowers it.
 echo
-echo "==> workspace Rust is at most 34,882 lines"
+echo "==> workspace Rust is at most 34,887 lines"
 rust_lines=$(find crates src tests examples -name '*.rs' | xargs cat | wc -l)
-if (( rust_lines > 34882 )); then
-    echo "workspace Rust is $rust_lines lines, above the bound of 34,882" >&2
+if (( rust_lines > 34887 )); then
+    echo "workspace Rust is $rust_lines lines, above the bound of 34,887" >&2
     exit 1
 fi
 
@@ -157,8 +174,8 @@ step cargo test --release -q -p dpr-cluster --test membership_tests \
 
 if [[ "$MODE" == "--quick" ]]; then
     echo
-    echo "Quick checks passed (tier-1, the fixed-wait allow-list, one generator, the size ratchet"
-    echo "and the record-budget and membership tests;"
+    echo "Quick checks passed (tier-1, the fixed-wait allow-list, one generator, one lock library,"
+    echo "the size ratchet and the record-budget and membership tests;"
     echo "run scripts/check.sh for the full gate)."
     exit 0
 fi

@@ -10,11 +10,10 @@ use dpr::protocol::{
     ApproximateFinder, BatchHeader, CommitDescriptor, Cut, CutEngine, DprFinder, DprServer,
     ExactFinder, HybridFinder, StateObject,
 };
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const SHARDS: u32 = 4;
 
@@ -95,7 +94,10 @@ struct SealedByHand {
 impl SealedByHand {
     fn seal(&self) {
         let version = Version(self.current.fetch_add(1, Ordering::SeqCst));
-        self.sealed.lock().push(CommitDescriptor { version });
+        self.sealed
+            .lock()
+            .unwrap()
+            .push(CommitDescriptor { version });
     }
 }
 
@@ -113,7 +115,7 @@ impl StateObject for SealedByHand {
         false
     }
     fn take_commits(&self) -> Vec<CommitDescriptor> {
-        std::mem::take(&mut *self.sealed.lock())
+        std::mem::take(&mut *self.sealed.lock().unwrap())
     }
     fn restore(&self, _version: Version) -> dpr::core::Result<()> {
         Ok(())
