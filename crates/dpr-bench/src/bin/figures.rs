@@ -23,10 +23,10 @@ use dpr_cluster::{
     Cluster, ClusterConfig, ClusterKind, ClusterOp, FasterShard, SimNetwork, Worker,
 };
 use dpr_core::{
-    CheckpointMode, Clock, DprFinderMode, Key, RecoverabilityLevel, Result, Rng, SessionId,
-    ShardId, SystemClock, Value, Version,
+    Clock, DprFinderMode, Key, RecoverabilityLevel, Result, Rng, SessionId, ShardId, SystemClock,
+    Value, Version,
 };
-use dpr_faster::{FasterConfig, FasterKv, OpOutcome, Session};
+use dpr_faster::{FasterConfig, FasterKv, OpOutcome};
 use dpr_metadata::{MetadataStore, OwnershipTable, PartitionedSqlStore, Partitioner};
 use dpr_storage::{MemBlobStore, MemLogDevice, StorageProfile};
 use dpr_telemetry::HistogramSnapshot;
@@ -41,8 +41,8 @@ use Figure::{Custom, Table};
 
 const USAGE: &str = "usage: figures [NAME ...] [--secs S] [--keys N] [--metrics[=prometheus]]
   NAME       the first column of the rows to print: fig10 .. fig19, ablation-finder,
-             ablation-fastforward, ablation-checkpoint-mode, ablation-strict-cpr,
-             extra-workloads; none = all of them, in this order
+             ablation-fastforward, ablation-strict-cpr, extra-workloads; none = all of
+             them, in this order
   --secs S   measurement window of one point (default 2)
   --keys N   distinct keys, preloaded before every point (default 50000)
   --metrics  telemetry report on exit, as a table or in the Prometheus format
@@ -58,7 +58,7 @@ struct Opts {
 
 impl Opts {
     /// Window of the experiments that report commit latency per checkpoint
-    /// (Fig. 12) or count checkpoints (three ablations): below 2 s they see
+    /// (Fig. 12) or count checkpoints (two ablations): below 2 s they see
     /// too few of either, so this is a floor, printed in the meta row.
     fn long_window(&self) -> Duration {
         self.window.max(Duration::from_secs(2))
@@ -586,7 +586,7 @@ fn fastforward_run(fast_forward: bool, o: &Opts) -> Result<(f64, HistogramSnapsh
     let net = SimNetwork::new(Duration::ZERO);
     let meta: Arc<dyn MetadataStore> = Arc::new(PartitionedSqlStore::new(8));
     let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
-    let partitioner = Partitioner::Hash { partitions: 64 };
+    let partitioner = Partitioner { partitions: 64 };
     let lease = Duration::from_secs(10);
     let ownership = Arc::new(OwnershipTable::new(partitioner, clock, lease));
     let finder: Arc<dyn DprFinder> = Arc::new(ApproximateFinder::new(meta.clone()));
@@ -645,79 +645,6 @@ fn fastforward_run(fast_forward: bool, o: &Opts) -> Result<(f64, HistogramSnapsh
     Ok((issued as f64 / start.elapsed().as_secs_f64() / 1e6, hist))
 }
 
-/// A single store on in-memory devices and the session that preloaded it
-/// with `keys` keys — the subject of the two store-level ablations.
-fn preloaded_store(
-    config: FasterConfig,
-    profile: StorageProfile,
-    keys: u64,
-) -> Result<(Arc<FasterKv>, Session)> {
-    let log = Arc::new(MemLogDevice::with_profile(profile));
-    let blobs = Arc::new(MemBlobStore::with_latency(profile.latency()));
-    let kv = FasterKv::new(config, log, blobs);
-    let session = kv.start_session(SessionId(1));
-    for k in 0..keys {
-        session.upsert(Key::from_u64(k), Value::from_u64(k))?;
-    }
-    Ok((kv, session))
-}
-
-/// Ablation — fold-over vs snapshot checkpoints.
-///
-/// Fold-over checkpoints flush only the log delta since the last checkpoint
-/// (the mode the paper evaluates); snapshot checkpoints serialize the full
-/// live state every time. Fold-over's cost is proportional to the write
-/// rate, snapshot's to the keyspace — the crossover is why FASTER defaults
-/// to fold-over for frequent commits. One writer, a checkpoint requested
-/// every 50 ms, local-SSD profile; the harness's thread maintains the store
-/// every 200 µs meanwhile, as a shard loop would: what moves the checkpoints.
-fn ablation_checkpoint_mode(o: &Opts) -> Result<()> {
-    let modes = [
-        ("fold-over", CheckpointMode::FoldOver),
-        ("snapshot", CheckpointMode::Snapshot),
-    ];
-    for (mode, checkpoint_mode) in modes {
-        let config = FasterConfig {
-            memory_budget_records: 1 << 24,
-            checkpoint_mode,
-            ..FasterConfig::default()
-        };
-        let (kv, session) = preloaded_store(config, StorageProfile::LocalSsd, o.keys)?;
-        let (ops, checkpoints, elapsed) = std::thread::scope(|scope| {
-            let writer = scope.spawn(|| -> Result<_> {
-                let start = Instant::now();
-                let (mut ops, mut checkpoints) = (0u64, 0u64);
-                let mut last_checkpoint = Instant::now();
-                while start.elapsed() < o.long_window() {
-                    for i in 0..512u64 {
-                        session.upsert(Key::from_u64((ops + i) % o.keys), Value::from_u64(i))?;
-                    }
-                    ops += 512;
-                    if last_checkpoint.elapsed() > Duration::from_millis(50) {
-                        checkpoints += u64::from(kv.request_checkpoint(None));
-                        last_checkpoint = Instant::now();
-                    }
-                }
-                Ok((ops, checkpoints, start.elapsed().as_secs_f64()))
-            });
-            while !writer.is_finished() {
-                kv.maintain();
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            writer.join().expect("the writer panicked")
-        })?;
-        let per_s = format!("{:.1}", checkpoints as f64 / elapsed);
-        let mops = format!("{:.4}", ops as f64 / elapsed / 1e6);
-        let fields = [
-            l("mode", mode),
-            l("mops", mops),
-            l("checkpoints_per_s", per_s),
-        ];
-        row("ablation-checkpoint-mode", &fields);
-    }
-    Ok(())
-}
-
 /// Ablation — strict vs relaxed CPR (§5.4).
 ///
 /// With a working set larger than the resident region, reads regularly
@@ -733,11 +660,18 @@ fn ablation_strict_cpr(o: &Opts) -> Result<()> {
             unflushed_limit_records: Some(1 << 14),
             // An evicted read costs one I/O round trip (~local-SSD class).
             simulated_read_latency: Some(Duration::from_micros(100)),
-            ..FasterConfig::default()
         };
         // A working set much larger than two pages, checkpointed so that
         // eviction can kick in.
-        let (kv, session) = preloaded_store(config, StorageProfile::Null, o.keys)?;
+        let kv = FasterKv::new(
+            config,
+            Arc::new(MemLogDevice::null()),
+            Arc::new(MemBlobStore::new()),
+        );
+        let session = kv.start_session(SessionId(1));
+        for k in 0..o.keys {
+            session.upsert(Key::from_u64(k), Value::from_u64(k))?;
+        }
         kv.request_checkpoint(None);
         assert!(kv.wait_for_durable(Version(1), Duration::from_secs(30)));
         kv.force_evict();
@@ -830,7 +764,6 @@ const FIGURES: &[(&str, Figure)] = &[
         Table(Report::CommitLatency, ablation_finder),
     ),
     ("ablation-fastforward", Custom(ablation_fastforward)),
-    ("ablation-checkpoint-mode", Custom(ablation_checkpoint_mode)),
     ("ablation-strict-cpr", Custom(ablation_strict_cpr)),
     ("extra-workloads", Table(MOPS, extra_workloads)),
 ];
@@ -964,7 +897,9 @@ mod tests {
     /// Every selectable name has a runner or at least one point, and a
     /// table-driven one prints exactly the rows — count and field keys — that
     /// the checked-in `figures_output.txt` holds under its name: editing a
-    /// sweep or a report without re-taking the document fails here.
+    /// sweep or a report without re-taking the document fails here. Every
+    /// row of the document is a header or a figure's: a removed figure's rows
+    /// fail here too.
     #[test]
     fn the_table_and_figures_output_txt_agree() {
         let mut artifact = std::collections::BTreeMap::<_, Vec<Vec<_>>>::new();
@@ -1002,6 +937,11 @@ mod tests {
             let outside = CASSANDRA_SYNC.len() * usize::from(*name == "fig19");
             assert_eq!(taken.len(), outside + rows.len(), "{name}: row count");
             assert_eq!(taken[outside..], rows[..], "{name}: field keys");
+        }
+        for name in artifact.keys() {
+            let figure = FIGURES.iter().any(|(n, _)| n == name);
+            let header = ["figures-meta", "fig16-meta"].contains(name);
+            assert!(figure || header, "{name}: a row of no figure");
         }
     }
 }

@@ -554,7 +554,7 @@ mod tests {
         let clock = SimClock::new();
         let lease = Duration::from_secs(10);
         let ownership = Arc::new(OwnershipTable::new(
-            dpr_metadata::Partitioner::Hash { partitions: 4 },
+            dpr_metadata::Partitioner { partitions: 4 },
             Arc::new(clock.clone()),
             lease,
         ));

@@ -126,7 +126,7 @@ impl Cluster {
         ));
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let ownership = Arc::new(OwnershipTable::new(
-            Partitioner::Hash {
+            Partitioner {
                 partitions: config.partitions,
             },
             clock,

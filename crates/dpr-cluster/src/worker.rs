@@ -222,11 +222,16 @@ impl Worker {
     ) -> Result<Arc<Worker>> {
         let (endpoint, lanes) = net.register_lanes(config.executors);
         meta.register_worker(shard)?;
+        // A worker started during or after a recovery takes the cluster's
+        // world-line: it is not in that recovery's `pending`, and it has
+        // nothing to roll back.
+        let server = DprServer::new(shard);
+        server.set_world_line(meta.world_line()?);
         let dedupe = (config.dedupe_window > 0).then(|| ReplyCache::new(config.dedupe_window));
         let worker = Arc::new(Worker {
             shard,
             store,
-            server: Arc::new(DprServer::new(shard)),
+            server: Arc::new(server),
             net,
             endpoint,
             ownership,

@@ -93,6 +93,29 @@ fn add_worker_rebalances_and_serves() {
     cluster.shutdown();
 }
 
+/// A worker that joins after a failure starts on the cluster's world-line:
+/// it has nothing to roll back. Started on the initial one, it refused every
+/// batch of a recovered session as `Recovering`, and `execute` timed out.
+#[test]
+fn a_worker_added_after_a_failure_serves() {
+    let mut cluster = Cluster::start(config(ClusterKind::DFaster, 3)).unwrap();
+    load(&cluster, 300);
+    let mut session = cluster.open_session().unwrap();
+    cluster.inject_failure_at(1).unwrap();
+    cluster.wait_recovered(Duration::from_secs(10)).unwrap();
+    session.recover(Duration::from_secs(10)).unwrap();
+    let shard = cluster.add_worker().unwrap();
+    let owned = (0..).map(Key::from_u64);
+    let owned = owned.filter(|k| cluster.owner_of(k).unwrap() == shard);
+    let ops: Vec<ClusterOp> = owned
+        .take(40)
+        .map(|k| ClusterOp::Upsert(k, Value::from_u64(1)))
+        .collect();
+    let results = session.execute(ops).unwrap();
+    assert_eq!(results, vec![OpResult::Done; 40]);
+    cluster.shutdown();
+}
+
 #[test]
 fn remove_worker_migrates_everything_away() {
     let mut cluster = Cluster::start(config(ClusterKind::DFaster, 3)).unwrap();

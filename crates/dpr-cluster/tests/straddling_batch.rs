@@ -111,7 +111,7 @@ fn straddling_batch_reports_deps_with_its_lowest_version() {
         store.clone(),
         SimNetwork::new(Duration::ZERO),
         Arc::new(OwnershipTable::new(
-            Partitioner::Hash { partitions: 64 },
+            Partitioner { partitions: 64 },
             clock,
             Duration::from_secs(10),
         )),

@@ -45,17 +45,6 @@ impl RecoverabilityLevel {
     }
 }
 
-/// How a FASTER-style shard captures a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointMode {
-    /// Fold-over: mark the mutable region read-only and flush the log tail
-    /// (the mode used in the paper's evaluation, §7.1).
-    FoldOver,
-    /// Full snapshot of live state to a separate file (slower, smaller
-    /// recovery working set). Provided for completeness and ablations.
-    Snapshot,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

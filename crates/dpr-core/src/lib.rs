@@ -30,7 +30,7 @@ pub mod version;
 
 pub use backoff::Backoff;
 pub use clock::{Clock, SimClock, SystemClock};
-pub use config::{CheckpointMode, DprFinderMode, RecoverabilityLevel};
+pub use config::{DprFinderMode, RecoverabilityLevel};
 pub use epoch::LightEpoch;
 pub use error::{DprError, Result};
 pub use kv::{Key, Value};

@@ -36,9 +36,6 @@ pub struct CheckpointManifest {
     pub purged: Vec<(Version, Version)>,
     /// Per-session commit points at this version boundary.
     pub commit_points: BTreeMap<SessionId, CommitPoint>,
-    /// For snapshot-mode checkpoints: the blob holding the full state image
-    /// (fold-over checkpoints recover from the log instead).
-    pub snapshot_blob: Option<String>,
     /// Number of chain identities of the hash index (`2^b`: records whose
     /// keys share the top `b` hash bits form one `prev` chain). Recovery
     /// gives the rebuilt index at least as many, because a larger count only
@@ -53,13 +50,14 @@ pub struct CheckpointManifest {
 }
 
 /// Magic prefix of the binary manifest encoding ("DPRM" + format word).
-/// Format 5 is the only layout there is, and it also names the layout of
-/// the log the manifest points into: 5 is the 16-byte record header
-/// ([`crate::record`]), where 4 was a manifest of the same bytes over a log
-/// of 32-byte headers. No build of this repository wrote 1–4 to anything
-/// that is still at rest, and any other word is refused.
+/// Format 6 is the only layout there is, and it also names the layout of
+/// the log the manifest points into: the 16-byte record header
+/// ([`crate::record`]). Format 5 was these bytes with a tagged snapshot-blob
+/// field after `until_address`, and 4 a manifest of format 5's bytes over a
+/// log of 32-byte headers. No build of this repository wrote 1–5 to
+/// anything that is still at rest, and any other word is refused.
 const MANIFEST_MAGIC: u32 = 0x4450_524D;
-const MANIFEST_FORMAT: u16 = 5;
+const MANIFEST_FORMAT: u16 = 6;
 
 thread_local! {
     /// Reusable encode buffer: checkpoints complete on the worker tick
@@ -126,14 +124,6 @@ impl CheckpointManifest {
         put_u16(out, MANIFEST_FORMAT);
         put_u64(out, self.version.0);
         put_u64(out, self.until_address);
-        match &self.snapshot_blob {
-            Some(name) => {
-                out.push(1);
-                put_u32(out, name.len() as u32);
-                out.extend_from_slice(name.as_bytes());
-            }
-            None => out.push(0),
-        }
         put_u32(out, self.purged.len() as u32);
         for (lo, hi) in &self.purged {
             put_u64(out, lo.0);
@@ -170,23 +160,6 @@ impl CheckpointManifest {
         }
         let version = Version(r.u64()?);
         let until_address = r.u64()?;
-        let snapshot_blob = match r.take(1)?[0] {
-            0 => None,
-            1 => {
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?;
-                Some(
-                    std::str::from_utf8(bytes)
-                        .map_err(|e| DprError::Storage(format!("manifest decode: {e}")))?
-                        .to_owned(),
-                )
-            }
-            b => {
-                return Err(DprError::Storage(format!(
-                    "manifest decode: bad snapshot tag {b}"
-                )))
-            }
-        };
         let npurged = r.u32()? as usize;
         let mut purged = Vec::with_capacity(npurged.min(1024));
         for _ in 0..npurged {
@@ -215,7 +188,6 @@ impl CheckpointManifest {
             until_address,
             purged,
             commit_points,
-            snapshot_blob,
             index_buckets,
             segments,
         })
@@ -289,7 +261,6 @@ mod tests {
                     exceptions: vec![7],
                 },
             )]),
-            snapshot_blob: None,
             index_buckets: 1 << 10,
             segments: vec![(0, 0, v * 100)],
         }
@@ -336,8 +307,7 @@ mod tests {
 
     #[test]
     fn cut_short_corrupted_or_foreign_blobs_are_storage_errors() {
-        let mut m = manifest(5);
-        m.snapshot_blob = Some("snap-5".into());
+        let m = manifest(5);
         let mut buf = Vec::new();
         m.encode_into(&mut buf);
         assert_eq!(CheckpointManifest::decode(&buf).unwrap(), m);
@@ -354,10 +324,11 @@ mod tests {
             bad[at] ^= 0xFF;
             assert!(rejected(&bad) || at >= 6, "byte {at} flipped");
         }
-        // The layouts older builds numbered 1 to 4 (4: these bytes over a log
-        // of 32-byte record headers), and a word from the future.
-        assert_eq!(MANIFEST_FORMAT, 5);
-        for word in [0u16, 1, 2, 3, 4, MANIFEST_FORMAT + 1] {
+        // The layouts older builds numbered 1 to 5 (5: with a snapshot-blob
+        // field; 4: over a log of 32-byte record headers), and a word from
+        // the future.
+        assert_eq!(MANIFEST_FORMAT, 6);
+        for word in [0u16, 1, 2, 3, 4, 5, MANIFEST_FORMAT + 1] {
             let mut old = buf.clone();
             old[4..6].copy_from_slice(&word.to_le_bytes());
             assert!(rejected(&old), "format word {word}");

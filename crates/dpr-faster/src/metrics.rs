@@ -32,7 +32,7 @@ metric_fn!(
     /// Time spent in WaitFlush (sealing and flushing the committed prefix).
     pub(crate) fn phase_wait_flush() -> Histogram =
         ("dpr_faster_checkpoint_wait_flush_us", Micros,
-         "Time a checkpoint spent in WaitFlush (flush or snapshot capture + manifest write)")
+         "Time a checkpoint spent in WaitFlush (log flush + manifest write)")
 );
 
 metric_fn!(

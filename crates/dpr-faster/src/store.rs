@@ -67,9 +67,6 @@ pub struct FasterConfig {
     /// two pages at least. The hash index takes its number of chains from
     /// it, two per record ([`HashIndex::identities_for`]).
     pub memory_budget_records: usize,
-    /// How checkpoints capture state: fold-over (the paper's evaluation
-    /// mode) or full snapshot.
-    pub checkpoint_mode: dpr_core::CheckpointMode,
     /// Strict CPR (§5.4): operations that would go PENDING resolve
     /// synchronously instead, so the prefix guarantee has no exception
     /// lists. Default is relaxed, as in FASTER.
@@ -101,7 +98,6 @@ impl Default for FasterConfig {
     fn default() -> Self {
         FasterConfig {
             memory_budget_records: 1 << 22,
-            checkpoint_mode: dpr_core::CheckpointMode::FoldOver,
             strict_cpr: false,
             unflushed_limit_records: None,
             simulated_read_latency: None,
@@ -142,8 +138,6 @@ struct MachineCtx {
     /// Fold-over capture boundary, set at the `InProgress → WaitFlush`
     /// transition.
     until_address: Option<u64>,
-    /// For snapshot-mode checkpoints: blob name once written.
-    snapshot_blob: Option<String>,
     /// Telemetry only (None while disabled): when the machine left Rest.
     started_at: Option<std::time::Instant>,
     /// Telemetry only: when the current phase was entered.
@@ -437,39 +431,17 @@ impl FasterKv {
             }
             m.invalid || m.version > version || is_purged(&purged, m.version)
         };
-        let snapshot = manifest.as_ref().and_then(|m| m.snapshot_blob.as_ref());
-        let (log, index, recovery_boundary) = match snapshot {
-            Some(snapshot) => {
-                // Snapshot checkpoint: the full state image is the state; the
-                // log prefix (possibly garbage-collected) is dead. Re-append
-                // it into a fresh log, whose flushes land after the current
-                // device tail (the segment map records their real offsets).
-                let log = RecordLog::new(device, budget_bytes);
-                let index = HashIndex::new(Arc::clone(log.epoch()), identities);
-                for (key, value) in Self::read_snapshot(blobs.as_ref(), snapshot)? {
-                    let guard = log.protect();
-                    let prev = index.head(&guard, &key);
-                    let addr = log.append(&guard, &key, &value, version, false, prev);
-                    index.publish_max(&guard, &key, addr);
-                }
-                (log, index, 0)
-            }
-            None => {
-                // Fold-over checkpoint: the durable log prefix IS the state,
-                // `prev` links included. They connect the chains of the
-                // identity count in the manifest; a larger count only splits
-                // those chains, so a walk still passes every record of its
-                // own, while a smaller one would merge chains that no link
-                // joins. Hence never fewer than the manifest says.
-                let (chained, spans) = manifest
-                    .as_ref()
-                    .map_or((0, &[][..]), |m| (m.index_buckets, &m.segments));
-                let log = RecordLog::recover(device, budget_bytes, until, spans)?;
-                let index = HashIndex::new(Arc::clone(log.epoch()), identities.max(chained));
-                Self::rebuild_index(rebuild_threads, &index, &log, &dead)?;
-                (log, index, until)
-            }
-        };
+        // The durable log prefix IS the state, `prev` links included. They
+        // connect the chains of the identity count in the manifest; a larger
+        // count only splits those chains, so a walk still passes every record
+        // of its own, while a smaller one would merge chains that no link
+        // joins. Hence never fewer than the manifest says.
+        let (chained, spans) = manifest
+            .as_ref()
+            .map_or((0, &[][..]), |m| (m.index_buckets, &m.segments));
+        let log = RecordLog::recover(device, budget_bytes, until, spans)?;
+        let index = HashIndex::new(Arc::clone(log.epoch()), identities.max(chained));
+        Self::rebuild_index(rebuild_threads, &index, &log, &dead)?;
         let deleted = CheckpointManifest::delete_above(blobs.as_ref(), version)?;
         let lost = deleted.max(Version(skipped.into_inner()));
         if lost > version {
@@ -499,7 +471,7 @@ impl FasterKv {
                     .unwrap_or_default(),
             ),
             recovered_manifest: manifest,
-            recovery_boundary,
+            recovery_boundary: until,
             recovered_version: version,
             checkpoint_stall: Mutex::new(None),
             log_reported: Default::default(),
@@ -1418,7 +1390,6 @@ impl FasterKv {
                                 target,
                             },
                             until_address: None,
-                            snapshot_blob: None,
                             started_at: now,
                             phase_entered: now,
                         });
@@ -1443,7 +1414,6 @@ impl FasterKv {
                         *machine = Some(MachineCtx {
                             kind: MachineKind::Rollback { v_safe, v_lost },
                             until_address: None,
-                            snapshot_blob: None,
                             started_at: now,
                             phase_entered: now,
                         });
@@ -1510,41 +1480,21 @@ impl FasterKv {
                 else {
                     return;
                 };
-                let capture_done = match self.config.checkpoint_mode {
-                    dpr_core::CheckpointMode::FoldOver => {
-                        if heavy && self.log.flushed() < until {
-                            if let Err(e) = self.log.flush_until(until) {
-                                // Flush failures leave the machine parked;
-                                // retried next tick.
-                                debug_assert!(false, "flush failed: {e}");
-                                return;
-                            }
-                        }
-                        self.log.flushed() >= until
+                if heavy && self.log.flushed() < until {
+                    if let Err(e) = self.log.flush_until(until) {
+                        // Flush failures leave the machine parked; retried
+                        // next tick.
+                        debug_assert!(false, "flush failed: {e}");
+                        return;
                     }
-                    dpr_core::CheckpointMode::Snapshot => {
-                        if ctx.snapshot_blob.is_none() && heavy {
-                            // Full state image of everything at or below the
-                            // committing version.
-                            match self.write_snapshot(commit_version) {
-                                Ok(name) => ctx.snapshot_blob = Some(name),
-                                Err(e) => {
-                                    debug_assert!(false, "snapshot failed: {e}");
-                                    return;
-                                }
-                            }
-                        }
-                        ctx.snapshot_blob.is_some()
-                    }
-                };
-                if capture_done {
+                }
+                if self.log.flushed() >= until {
                     ctx.lap(crate::metrics::phase_wait_flush());
                     if let Some(started) = ctx.started_at.take() {
                         crate::metrics::checkpoint_total().record_micros(started.elapsed());
                     }
                     crate::metrics::checkpoints().inc();
                     crate::metrics::phase_span(Phase::WaitFlush, Phase::Rest, commit_version);
-                    let snapshot_blob = ctx.snapshot_blob.take();
                     let mut points = self
                         .boundary
                         .lock()
@@ -1562,7 +1512,6 @@ impl FasterKv {
                         until_address: until,
                         purged: self.purged.read().unwrap().clone(),
                         commit_points: points,
-                        snapshot_blob,
                         index_buckets: self.index.identities(),
                         segments: self.log.segment_spans_until(until),
                     };
@@ -1640,18 +1589,11 @@ impl FasterKv {
     /// tombstoned, invalid, and purged records. Used by key migration
     /// (§5.3) — an O(log) pass, not a hot-path operation.
     pub fn scan_live(&self) -> Result<Vec<(Key, Value)>> {
-        self.scan_live_upto(Version(u64::MAX >> 8))
-    }
-
-    /// Like [`FasterKv::scan_live`], but only considering records written at
-    /// or below `max_version` (snapshot checkpoints capture the state as of
-    /// the committing version).
-    pub fn scan_live_upto(&self, max_version: Version) -> Result<Vec<(Key, Value)>> {
         let mut newest: HashMap<Key, (u64, Option<Value>)> = HashMap::new();
         let (begin, tail) = (self.log.begin(), self.log.tail());
         self.log.scan_range(begin, tail, &mut |rec| {
             let m = rec.meta();
-            if m.version > max_version || self.is_dead(rec.address(), &m) {
+            if self.is_dead(rec.address(), &m) {
                 return Ok(());
             }
             let value = if m.tombstone {
@@ -1735,65 +1677,14 @@ impl FasterKv {
         self.log.evict_to(self.log.flushed())
     }
 
-    /// Write a full state image for a snapshot-mode checkpoint.
-    fn write_snapshot(&self, version: Version) -> Result<String> {
-        let live = self.scan_live_upto(version)?;
-        let mut buf = Vec::with_capacity(16 + live.len() * 24);
-        buf.extend_from_slice(&(live.len() as u64).to_le_bytes());
-        for (k, v) in &live {
-            buf.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            buf.extend_from_slice(k.as_bytes());
-            buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            buf.extend_from_slice(v.as_bytes());
-        }
-        let name = format!("snap-{:020}", version.0);
-        self.blobs.put(&name, &buf)?;
-        Ok(name)
-    }
-
-    fn read_snapshot(blobs: &dyn BlobStore, name: &str) -> Result<Vec<(Key, Value)>> {
-        let corrupt = || DprError::Storage(format!("corrupt snapshot {name}"));
-        let data = blobs
-            .get(name)?
-            .ok_or_else(|| DprError::Storage(format!("missing snapshot {name}")))?;
-        if data.len() < 8 {
-            return Err(corrupt());
-        }
-        let count = u64::from_le_bytes(data[0..8].try_into().unwrap()) as usize;
-        let mut out = Vec::with_capacity(count);
-        let mut pos = 8;
-        for _ in 0..count {
-            if data.len() < pos + 4 {
-                return Err(corrupt());
-            }
-            let klen = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4;
-            if data.len() < pos + klen + 4 {
-                return Err(corrupt());
-            }
-            let key = Key(bytes::Bytes::copy_from_slice(&data[pos..pos + klen]));
-            pos += klen;
-            let vlen = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4;
-            if data.len() < pos + vlen {
-                return Err(corrupt());
-            }
-            let value = Value(bytes::Bytes::copy_from_slice(&data[pos..pos + vlen]));
-            pos += vlen;
-            out.push((key, value));
-        }
-        Ok(out)
-    }
-
     /// Garbage-collect durable state the DPR cut has moved past: `version`
     /// must be covered by the cut — "D-FASTER only garbage-collects FASTER
     /// log entries that are in the DPR guarantee", §5.5.
     ///
     /// Recovery at the cut uses the newest manifest at or below it
     /// ([`CheckpointManifest::latest`]), so that one and everything above
-    /// it are kept and the older manifests deleted. The log, in either
-    /// checkpoint mode, is shortened in two steps, each a call of this
-    /// function:
+    /// it are kept and the older manifests deleted. The log is shortened in
+    /// two steps, each a call of this function:
     ///
     /// * a *copy-forward pass* once the dead bytes the store has counted are
     ///   a quarter of `tail - begin` (half, and a memory's worth since the

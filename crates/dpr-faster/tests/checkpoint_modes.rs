@@ -1,92 +1,17 @@
-//! Snapshot-mode checkpoints, strict CPR, and DPR-tied log garbage
-//! collection.
+//! Strict CPR, and DPR-tied log garbage collection under fold-over
+//! checkpoints.
 
-use dpr_core::{CheckpointMode, Key, SessionId, Value, Version};
+use dpr_core::{Key, SessionId, Value, Version};
 use dpr_faster::{FasterConfig, FasterKv, OpOutcome};
 use dpr_storage::{BlobStore, LogDevice, MemBlobStore, MemLogDevice};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn snapshot_config() -> FasterConfig {
+fn config() -> FasterConfig {
     FasterConfig {
         memory_budget_records: 1 << 20,
-        checkpoint_mode: CheckpointMode::Snapshot,
         ..FasterConfig::default()
     }
-}
-
-#[test]
-fn snapshot_checkpoint_recovers_exact_state() {
-    let device = Arc::new(MemLogDevice::null());
-    let blobs = Arc::new(MemBlobStore::new());
-    {
-        let kv = FasterKv::new(snapshot_config(), device.clone(), blobs.clone());
-        let s = kv.start_session(SessionId(1));
-        for i in 0..50u64 {
-            s.upsert(Key::from_u64(i), Value::from_u64(i)).unwrap();
-        }
-        s.delete(Key::from_u64(7)).unwrap();
-        kv.request_checkpoint(None);
-        assert!(kv.wait_for_durable(Version(1), Duration::from_secs(10)));
-        // Uncommitted era.
-        s.upsert(Key::from_u64(0), Value::from_u64(999)).unwrap();
-    }
-    device.crash();
-    let kv = FasterKv::recover(snapshot_config(), device, blobs, None).unwrap();
-    assert_eq!(kv.durable_version(), Version(1));
-    assert_eq!(
-        kv.get(&Key::from_u64(0)).unwrap().unwrap().as_u64(),
-        Some(0)
-    );
-    assert!(
-        kv.get(&Key::from_u64(7)).unwrap().is_none(),
-        "delete captured"
-    );
-    assert_eq!(
-        kv.get(&Key::from_u64(49)).unwrap().unwrap().as_u64(),
-        Some(49)
-    );
-}
-
-#[test]
-fn snapshot_recovery_then_foldover_checkpoint_then_crash() {
-    // The mixed sequence: snapshot checkpoint → crash → recover → more
-    // writes → fold-over checkpoint → crash → recover. Exercises the
-    // device-scan-base logic.
-    let device = Arc::new(MemLogDevice::null());
-    let blobs = Arc::new(MemBlobStore::new());
-    {
-        let kv = FasterKv::new(snapshot_config(), device.clone(), blobs.clone());
-        let s = kv.start_session(SessionId(1));
-        s.upsert(Key::from_u64(1), Value::from_u64(1)).unwrap();
-        kv.request_checkpoint(None);
-        assert!(kv.wait_for_durable(Version(1), Duration::from_secs(10)));
-    }
-    device.crash();
-    // Recover with FOLD-OVER config from the snapshot manifest, write more,
-    // fold-over checkpoint.
-    let foldover = FasterConfig {
-        checkpoint_mode: CheckpointMode::FoldOver,
-        ..snapshot_config()
-    };
-    {
-        let kv = FasterKv::recover(foldover.clone(), device.clone(), blobs.clone(), None).unwrap();
-        let s = kv.start_session(SessionId(2));
-        s.upsert(Key::from_u64(2), Value::from_u64(2)).unwrap();
-        kv.request_checkpoint(None);
-        assert!(kv.wait_for_durable(Version(2), Duration::from_secs(10)));
-    }
-    device.crash();
-    let kv = FasterKv::recover(foldover, device, blobs, None).unwrap();
-    assert_eq!(kv.durable_version(), Version(2));
-    assert_eq!(
-        kv.get(&Key::from_u64(1)).unwrap().unwrap().as_u64(),
-        Some(1)
-    );
-    assert_eq!(
-        kv.get(&Key::from_u64(2)).unwrap().unwrap().as_u64(),
-        Some(2)
-    );
 }
 
 /// The one truncation the store used to ship cut the log below a snapshot
@@ -99,7 +24,7 @@ fn a_key_never_rewritten_is_readable_after_gc() {
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
         unflushed_limit_records: Some(1 << 10),
-        ..snapshot_config()
+        ..config()
     };
     let kv = FasterKv::new(config, device, blobs);
     let s = kv.start_session(SessionId(1));
@@ -141,15 +66,15 @@ fn rewrite(kv: &Arc<FasterKv>, s: &dpr_faster::Session, keys: u64, rounds: u64) 
 }
 
 #[test]
-fn gc_truncates_device_below_snapshot_checkpoint() {
+fn gc_truncates_device_under_a_bounded_volatile_region() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
-    // A snapshot checkpoint does not flush the log; the bounded volatile
-    // region does, and only a flushed prefix can be freed. An append at the
-    // bound flushes for itself, the pass's own appends too.
+    // The bounded volatile region flushes between checkpoints, and only a
+    // flushed prefix can be freed. An append at the bound flushes for
+    // itself, the pass's own appends too.
     let config = FasterConfig {
         unflushed_limit_records: Some(1 << 10),
-        ..snapshot_config()
+        ..config()
     };
     let kv = FasterKv::new(config.clone(), device.clone(), blobs.clone());
     let s = kv.start_session(SessionId(1));
@@ -173,8 +98,8 @@ fn gc_truncates_device_below_snapshot_checkpoint() {
     let totals = kv.compaction_totals();
     assert_eq!(totals.freed_bytes, kv.log_begin());
     assert!(totals.copied_bytes <= totals.freed_bytes);
-    // The running store and a recovery from the snapshot agree, the key
-    // written once included.
+    // The running store and a recovery from what is left of the log agree,
+    // the key written once included.
     drop(s);
     let check = |kv: &Arc<FasterKv>| {
         for i in (0..keys).chain([7777]) {
@@ -195,10 +120,7 @@ fn gc_truncates_device_below_snapshot_checkpoint() {
 fn gc_truncates_foldover_log_below_an_emptied_prefix_and_refuses_future_versions() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
-    let config = FasterConfig {
-        checkpoint_mode: CheckpointMode::FoldOver,
-        ..snapshot_config()
-    };
+    let config = config();
     let kv = FasterKv::new(config.clone(), device.clone(), blobs.clone());
     let s = kv.start_session(SessionId(1));
     let keys = 3_000u64;
@@ -232,10 +154,7 @@ fn gc_truncates_foldover_log_below_an_emptied_prefix_and_refuses_future_versions
 fn gc_prunes_foldover_manifests_below_the_cut() {
     let device = Arc::new(MemLogDevice::null());
     let blobs = Arc::new(MemBlobStore::new());
-    let config = FasterConfig {
-        checkpoint_mode: CheckpointMode::FoldOver,
-        ..snapshot_config()
-    };
+    let config = config();
     let (checkpoints, cut) = (200u64, 150u64);
     {
         let kv = FasterKv::new(config.clone(), device.clone(), blobs.clone());
@@ -272,7 +191,6 @@ fn strict_cpr_never_returns_pending() {
     let blobs = Arc::new(MemBlobStore::new());
     let config = FasterConfig {
         memory_budget_records: 0, // tiny: floor 2 pages
-        checkpoint_mode: CheckpointMode::FoldOver,
         strict_cpr: true,
         ..FasterConfig::default()
     };

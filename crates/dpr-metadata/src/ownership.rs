@@ -14,42 +14,27 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtualPartition(pub u32);
 
-/// How keys map to virtual partitions: by hash, one of the two schemes §5.3
-/// supports by default.
+/// How keys map to virtual partitions: `hash(key) % partitions`, the one
+/// of §5.3's two default schemes that this reproduction deploys.
 ///
 /// ```
 /// use dpr_metadata::Partitioner;
 /// use dpr_core::Key;
 ///
-/// let h = Partitioner::Hash { partitions: 8 };
+/// let h = Partitioner { partitions: 8 };
 /// assert!(h.partition_of(&Key::from_u64(150)).0 < 8);
 /// ```
 #[derive(Debug, Clone)]
-pub enum Partitioner {
-    /// `hash(key) % partitions`.
-    Hash {
-        /// Number of virtual partitions.
-        partitions: u32,
-    },
+pub struct Partitioner {
+    /// Number of virtual partitions.
+    pub partitions: u32,
 }
 
 impl Partitioner {
-    /// Number of partitions this scheme produces.
-    #[must_use]
-    pub fn partitions(&self) -> u32 {
-        match self {
-            Partitioner::Hash { partitions } => *partitions,
-        }
-    }
-
     /// The virtual partition owning `key`.
     #[must_use]
     pub fn partition_of(&self, key: &Key) -> VirtualPartition {
-        match self {
-            Partitioner::Hash { partitions } => {
-                VirtualPartition((key.hash64() % u64::from(*partitions)) as u32)
-            }
-        }
+        VirtualPartition((key.hash64() % u64::from(self.partitions)) as u32)
     }
 }
 
@@ -99,7 +84,7 @@ impl OwnershipTable {
     /// "keyspace sharded by hash value into equal chunks" layout (§7.1).
     pub fn assign_round_robin(&self, workers: &[ShardId]) {
         let lease_until_nanos = self.clock.now_nanos() + self.lease.as_nanos() as u64;
-        let rows = (0..self.partitioner.partitions() as usize).map(|p| OwnershipEntry {
+        let rows = (0..self.partitioner.partitions as usize).map(|p| OwnershipEntry {
             owner: Some(workers[p % workers.len()]),
             lease_until_nanos,
         });
@@ -237,7 +222,7 @@ mod tests {
     fn table(partitions: u32) -> (OwnershipTable, SimClock) {
         let clock = SimClock::new();
         let t = OwnershipTable::new(
-            Partitioner::Hash { partitions },
+            Partitioner { partitions },
             Arc::new(clock.clone()),
             Duration::from_secs(10),
         );
@@ -246,7 +231,7 @@ mod tests {
 
     #[test]
     fn hash_partitioning_is_stable_and_total() {
-        let p = Partitioner::Hash { partitions: 8 };
+        let p = Partitioner { partitions: 8 };
         for k in 0..1000u64 {
             let key = Key::from_u64(k);
             let a = p.partition_of(&key);

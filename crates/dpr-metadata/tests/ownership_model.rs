@@ -98,7 +98,7 @@ fn the_flat_table_answers_as_the_map_did() {
     for seed in 1..=40u64 {
         let clock = SimClock::new();
         let table = OwnershipTable::new(
-            Partitioner::Hash {
+            Partitioner {
                 partitions: PARTITIONS,
             },
             Arc::new(clock.clone()),
@@ -191,7 +191,7 @@ fn the_flat_table_answers_as_the_map_did() {
 fn a_transfer_lands_between_batches_not_inside_one() {
     let clock = SimClock::new();
     let table = OwnershipTable::new(
-        Partitioner::Hash {
+        Partitioner {
             partitions: PARTITIONS,
         },
         Arc::new(clock),

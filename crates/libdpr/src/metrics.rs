@@ -27,6 +27,14 @@ metric_fn!(
 );
 
 metric_fn!(
+    /// The rejections of `validate_reject` whose client is ahead of the
+    /// shard (§4.2): they resolve only once the shard takes the world-line.
+    pub(crate) fn validate_recovering() -> Counter =
+        ("dpr_server_validate_recovering_total", Count,
+         "Batches rejected as Recovering: the client is on a later world-line than the shard")
+);
+
+metric_fn!(
     /// Batch execution to commit report — how far commit trails completion (§1, §6).
     /// Measured per version: first batch recorded in the version → the
     /// drain that reports it.

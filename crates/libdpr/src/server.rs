@@ -201,6 +201,7 @@ impl DprServer {
         if header.world_line > ours {
             // We are still recovering; the client must retry.
             crate::metrics::validate_reject().inc();
+            crate::metrics::validate_recovering().inc();
             return BatchDisposition::Reject(DprError::Recovering);
         }
         if header.version_lower_bound > so.current_version() {

@@ -13,7 +13,8 @@
 #                              idle-cluster and batch-guard guards, manifest,
 #                              third_party, dpr-bench size, forbid-unsafe and
 #                              unsafe-comment lints, docs,
-#                              chaos and figures smokes, and the benchmark's
+#                              chaos (with an availability floor) and
+#                              figures smokes, and the benchmark's
 #                              schema smoke
 #
 # Fully offline — dependencies are vendored as stubs under third_party/
@@ -152,10 +153,10 @@ fi
 # does not grow back unseen: a change that needs more lines raises this bound
 # in its own diff, where a reviewer sees it, and one that deletes lowers it.
 echo
-echo "==> workspace Rust is at most 34,887 lines"
+echo "==> workspace Rust is at most 34,618 lines"
 rust_lines=$(find crates src tests examples -name '*.rs' | xargs cat | wc -l)
-if (( rust_lines > 34887 )); then
-    echo "workspace Rust is $rust_lines lines, above the bound of 34,887" >&2
+if (( rust_lines > 34618 )); then
+    echo "workspace Rust is $rust_lines lines, above the bound of 34,618" >&2
     exit 1
 fi
 
@@ -345,11 +346,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # §10). Exits nonzero on any invariant violation. The checked-in
 # BENCH_chaos.json comes from a full default-length campaign; the smoke
 # writes to the target directory instead. A mistyped flag must be refused,
-# not run as the default campaign.
+# not run as the default campaign. The round must also make progress: seed
+# 42 adds a worker after a crash, and a joiner left on the initial
+# world-line stalls every session. Availability reads 51.9-55.8 % with the
+# joiner on world-line 0, and 77.9-85.2 % over 100 runs with it on the
+# cluster's (docs/PROTOCOL.md §6).
 echo
-echo "==> chaos smoke (1 round, seed 42, 2s)"
+echo "==> chaos smoke (1 round, seed 42, 2s; availability at least 75%)"
 cargo run --release -q -p dpr-bench --bin chaos -- \
     --seed 42 --rounds 1 --secs 2 --out target/BENCH_chaos.smoke.json
+availability=$(grep -o '"availability_pct": [0-9.]*' target/BENCH_chaos.smoke.json | cut -d' ' -f2)
+if ! awk -v a="$availability" 'BEGIN { exit !(a != "" && a >= 75) }'; then
+    echo "chaos smoke: availability ${availability:-missing}% is below the floor of 75%" >&2
+    exit 1
+fi
 if cargo run --release -q -p dpr-bench --bin chaos -- --sed 42 2>/dev/null; then
     echo "chaos accepted the unknown flag --sed" >&2
     exit 1

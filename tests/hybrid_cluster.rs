@@ -68,7 +68,7 @@ fn facade_reexports_cover_all_crates() {
     let _ = CommitLogSync::Group;
     let _ = Version::FIRST;
     let _ = FasterConfig::default();
-    let _ = Partitioner::Hash { partitions: 4 };
+    let _ = Partitioner { partitions: 4 };
     let _ = AofPolicy::Off;
     let _ = ConsumerId(1);
     let _ = StorageProfile::Null;
