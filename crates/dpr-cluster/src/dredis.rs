@@ -7,16 +7,22 @@
 //! same version, the invariant the D-Redis server wrapper maintains with
 //! its shared/exclusive latch pair. A background `LASTSAVE` poll (here:
 //! inspecting `lastsave()` inside `take_commits`) detects checkpoint
-//! completion, and `Restore()` restarts the instance from a snapshot.
+//! completion, and `Restore()` restarts the instance from a snapshot. Under
+//! `everysec` the shard loop's `maintain` flushes the AOF once a second.
 
 use crate::message::{ClusterOp, OpResult};
 use crate::worker::{ShardStore, VersionSpan};
 use dpr_core::{Result, SessionId, ShardId, Version};
 use dpr_redis::{Command, RedisStore, Reply, SaveId};
+use dpr_storage::LogDevice;
 use libdpr::{CommitDescriptor, StateObject};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// How often an `everysec` AOF is flushed.
+const AOF_FLUSH_EVERY: Duration = Duration::from_secs(1);
 
 struct RedisInner {
     store: RedisStore,
@@ -32,6 +38,10 @@ pub struct RedisShard {
     inner: Mutex<RedisInner>,
     /// Version ops currently execute in.
     current: AtomicU64,
+    /// The store's AOF, flushed by `maintain` without the latch, and when
+    /// that last happened.
+    aof: Option<Arc<dyn LogDevice>>,
+    aof_flushed_at: Mutex<Instant>,
 }
 
 impl RedisShard {
@@ -39,6 +49,8 @@ impl RedisShard {
     pub fn new(shard: ShardId, store: RedisStore) -> Self {
         RedisShard {
             shard,
+            aof: store.aof().cloned(),
+            aof_flushed_at: Mutex::new(Instant::now()),
             inner: Mutex::new(RedisInner {
                 store,
                 version_saves: BTreeMap::new(),
@@ -162,8 +174,18 @@ impl StateObject for RedisShard {
         Ok(())
     }
 
-    /// A save is in flight until the pump has reported it.
+    /// Flush the AOF once a second, while batches go on appending to it; a
+    /// failed flush is tried again a second later. A save is in flight
+    /// until the pump has reported it.
     fn maintain(&self) -> bool {
+        if let Some(aof) = &self.aof {
+            let mut at = self.aof_flushed_at.lock().unwrap();
+            if at.elapsed() >= AOF_FLUSH_EVERY {
+                *at = Instant::now();
+                drop(at);
+                let _ = aof.flush();
+            }
+        }
         !self.inner.lock().unwrap().unreported.is_empty()
     }
 }
@@ -172,15 +194,36 @@ impl StateObject for RedisShard {
 mod tests {
     use super::*;
     use dpr_core::{Key, Value};
-    use dpr_redis::RedisConfig;
-    use dpr_storage::MemBlobStore;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use dpr_redis::{AofPolicy, RedisConfig};
+    use dpr_storage::{MemBlobStore, MemLogDevice};
 
     fn shard() -> RedisShard {
         let store =
             RedisStore::new(RedisConfig::default(), Arc::new(MemBlobStore::new()), None).unwrap();
         RedisShard::new(ShardId(0), store)
+    }
+
+    #[test]
+    fn maintain_flushes_an_everysec_aof_within_a_second() {
+        let aof = Arc::new(MemLogDevice::null());
+        let config = RedisConfig {
+            aof: AofPolicy::EverySec,
+        };
+        let blobs = Arc::new(MemBlobStore::new());
+        let store = RedisStore::new(config, blobs, Some(aof.clone() as _)).unwrap();
+        let s = RedisShard::new(ShardId(0), store);
+        s.execute_batch(
+            SessionId(1),
+            &[ClusterOp::Upsert(Key::from_u64(1), Value::from_u64(1))],
+        )
+        .unwrap();
+        assert!(aof.tail() > aof.durable_frontier());
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_millis(1100) {
+            s.maintain();
+            std::thread::sleep(Duration::from_millis(4));
+        }
+        assert_eq!(aof.durable_frontier(), aof.tail());
     }
 
     fn wait_commits(s: &RedisShard) -> Vec<CommitDescriptor> {

@@ -14,10 +14,18 @@
 //! forward:
 //!
 //! ```text
-//!   0 .... begin ........ head ........ read_only ........ tail
-//!   [ freed ][ on device ][ immutable resident ][ mutable in place ]
-//!                       (flushed tracks the durable frontier)
+//!   0 .... begin ........ head ........ safe_read_only .. read_only ........ tail
+//!   [ freed ][ on device ][ immutable resident ][ closing ][ mutable in place ]
+//!            (flushed, the durable frontier, at or below safe_read_only)
 //! ```
+//!
+//! A session writes a record in place only at or above `read_only`, a check
+//! it makes under its epoch guard, so it may still write just below a
+//! boundary that has just moved. Moving `read_only` therefore registers an
+//! epoch drain that lifts `safe_read_only` to it once every older guard is
+//! refreshed or dropped. [`RecordLog::flush_until`] stops there, and
+//! eviction, truncation and the store's copy-forward pass stay below
+//! `flushed`: none of them sees a record that can still change.
 //!
 //! Below `begin` the log is gone, from memory and from the device
 //! ([`RecordLog::truncate_below`]): the store frees a prefix once every
@@ -195,6 +203,10 @@ pub struct RecordLog {
     dir: Box<[AtomicPtr<PageChunk>]>,
     tail: AtomicU64,
     read_only: AtomicU64,
+    /// `read_only` once every guard taken before it moved there has been
+    /// refreshed or dropped: no session writes in place below it any more.
+    /// Shared with the epoch's drain actions, which move it.
+    safe_read_only: Arc<AtomicU64>,
     head: AtomicU64,
     flushed: AtomicU64,
     begin: AtomicU64,
@@ -234,6 +246,7 @@ impl RecordLog {
             dir: dir.into_boxed_slice(),
             tail: AtomicU64::new(0),
             read_only: AtomicU64::new(0),
+            safe_read_only: Arc::new(AtomicU64::new(0)),
             head: AtomicU64::new(0),
             flushed: AtomicU64::new(0),
             begin: AtomicU64::new(0),
@@ -263,17 +276,18 @@ impl RecordLog {
     }
 
     /// Under an unflushed bound, roll the read-only boundary to half the
-    /// bound below the tail and flush up to it. Safe because records below
-    /// the read-only boundary are never updated in place.
+    /// bound below the tail and flush up to the safe read-only frontier.
+    /// The boundary moved here becomes safe once every guard older than the
+    /// move is refreshed, so a later call flushes it.
     pub fn flush_volatile(&self) -> Result<()> {
         let limit = self.unflushed_limit.load(Ordering::Relaxed);
         if limit == u64::MAX {
             return Ok(());
         }
         self.advance_read_only(self.tail().saturating_sub(limit / 2));
-        let read_only = self.read_only();
-        if self.flushed() < read_only {
-            self.flush_until(read_only)?;
+        let safe = self.safe_read_only();
+        if self.flushed() < safe {
+            self.flush_until(safe)?;
         }
         Ok(())
     }
@@ -283,9 +297,18 @@ impl RecordLog {
         self.tail.load(Ordering::Acquire)
     }
 
-    /// Boundary below which records are immutable (fold-over boundary).
+    /// Boundary below which a record is not written in place (fold-over
+    /// boundary). A session that checked a record against it before it
+    /// moved may still write, until its guard is refreshed.
     pub fn read_only(&self) -> u64 {
-        self.read_only.load(Ordering::Acquire)
+        self.read_only.load(Ordering::SeqCst)
+    }
+
+    /// Boundary below which records no longer change: the read-only
+    /// boundary as every guard has seen it. Flushes stop here, and with them
+    /// eviction, truncation and the store's copy-forward pass.
+    pub fn safe_read_only(&self) -> u64 {
+        self.safe_read_only.load(Ordering::Acquire)
     }
 
     /// Boundary below which frames may have been evicted to the device.
@@ -319,17 +342,28 @@ impl RecordLog {
         &self.device
     }
 
-    /// Advance the read-only boundary (never moves backwards).
+    /// Advance the read-only boundary (never moves backwards). The move
+    /// becomes the safe read-only frontier through an epoch drain: once every
+    /// guard taken before it is refreshed or dropped, no session that
+    /// checked a record against the old boundary is left to write it.
     pub fn advance_read_only(&self, addr: u64) {
         let addr = addr.min(self.tail());
-        self.read_only.fetch_max(addr, Ordering::AcqRel);
+        // SeqCst, as the boundary's load: a guard published after the
+        // drain's scan passed its slot reads the new boundary.
+        if self.read_only.fetch_max(addr, Ordering::SeqCst) < addr {
+            let safe = Arc::clone(&self.safe_read_only);
+            self.epoch.bump_with(move || {
+                safe.fetch_max(addr, Ordering::AcqRel);
+            });
+        }
     }
 
     /// Seal the log at the current tail (CPR WaitFlush): everything below
-    /// the returned address becomes immutable.
+    /// the returned address becomes immutable, and safe to flush once every
+    /// older guard is refreshed.
     pub fn seal_to_tail(&self) -> u64 {
         let t = self.tail();
-        self.read_only.fetch_max(t, Ordering::AcqRel);
+        self.advance_read_only(t);
         t
     }
 
@@ -540,7 +574,8 @@ impl RecordLog {
         let t0 = std::time::Instant::now();
         let mut backoff = Backoff::new();
         while unflushed(self) + need > limit {
-            // Eviction, behind the flush this waits for, waits for guards.
+            // The flush this waits for stops at the safe read-only frontier,
+            // and eviction behind it waits for guards: both wait for this one.
             guard.refresh();
             let _ = self.flush_volatile();
             backoff.snooze();
@@ -645,18 +680,19 @@ impl RecordLog {
     // Flush / device
     // ------------------------------------------------------------------
 
-    /// Flush the records of `[flushed, min(until, tail))` to the device and
-    /// advance the durable frontier, which only ever rests on a record
-    /// boundary: a record that would cross `until` waits for the next call.
-    /// Values are captured through the record seqlock, so concurrent in-place
-    /// updates are never torn on the device.
+    /// Flush the records of `[flushed, min(until, safe_read_only))` to the
+    /// device and advance the durable frontier, which only ever rests on a
+    /// record boundary: a record that would cross `until` waits for the next
+    /// call. No value below the safe frontier is written in place any more,
+    /// so the device holds each record's last value.
     ///
     /// The range streams to the device a page at a time through a one-page
     /// scratch, and one `flush` at the end makes it durable.
     pub fn flush_until(&self, until: u64) -> Result<u64> {
         let mut st = self.flush_state.lock().unwrap();
         let start = self.flushed.load(Ordering::Acquire);
-        let until = until.min(self.tail());
+        let safe = self.safe_read_only();
+        let until = until.min(safe);
         let FlushScratch { page, runs } = &mut *st;
         runs.clear();
         let mut addr = start;
@@ -815,11 +851,11 @@ impl RecordLog {
     // Eviction
     // ------------------------------------------------------------------
 
-    /// Evict whole pages below `new_head` (clamped to the flushed and
-    /// read-only frontiers, floored to a page boundary). Returns the new
-    /// head. Must not be called while holding an epoch guard.
+    /// Evict whole pages below `new_head` (clamped to the flushed frontier,
+    /// floored to a page boundary). Returns the new head. Must not be called
+    /// while holding an epoch guard.
     pub fn evict_to(&self, new_head: u64) -> u64 {
-        let limit = new_head.min(self.flushed()).min(self.read_only());
+        let limit = new_head.min(self.flushed());
         let target = limit - limit % PAGE_BYTES;
         let cur = self.head.load(Ordering::Acquire);
         if target <= cur {
@@ -873,7 +909,7 @@ impl RecordLog {
     }
 
     /// Evict down to the memory budget if the resident region overflows
-    /// it, as far as the flushed and read-only frontiers allow: after every
+    /// it, as far as the flushed frontier allows: after every
     /// batch of the store's sessions and in every maintenance round. Must not
     /// be called while holding an epoch guard.
     pub fn maybe_evict(&self) -> u64 {
@@ -916,13 +952,13 @@ impl RecordLog {
     }
 
     /// Free the log below `addr`, a record boundary at or below the flushed
-    /// and read-only frontiers: `begin` moves there first, so that no chain
+    /// frontier: `begin` moves there first, so that no chain
     /// walk starts into the prefix, then its frames are evicted (whole pages)
     /// and its device bytes truncated (whatever unit the device frees in).
     /// Returns the new `begin`. Must not be called while holding an epoch
     /// guard.
     pub fn truncate_below(&self, addr: u64) -> Result<u64> {
-        let addr = addr.min(self.flushed()).min(self.read_only());
+        let addr = addr.min(self.flushed());
         if addr <= self.begin.fetch_max(addr, Ordering::AcqRel) {
             return Ok(self.begin());
         }
@@ -1168,6 +1204,7 @@ impl RecordLog {
         log.begin.store(begin, Ordering::Release);
         log.tail.store(until, Ordering::Release);
         log.read_only.store(until, Ordering::Release);
+        log.safe_read_only.store(until, Ordering::Release);
         log.flushed.store(until, Ordering::Release);
         let last_page = (until - 1) / PAGE_BYTES;
         let budget_pages = (log.memory_budget / PAGE_BYTES).max(1);
@@ -1462,6 +1499,25 @@ mod tests {
         let head = log.evict_to(log.tail());
         assert_eq!(head, sealed - sealed % PAGE_BYTES);
         assert_eq!(log.resident_bytes(), log.tail() - head);
+    }
+
+    #[test]
+    fn a_flush_stops_at_a_boundary_a_live_guard_has_not_seen() {
+        let log = new_log();
+        for i in 0..100u64 {
+            put(&log, &key(i), &val(i), Version(1), false, NONE_ADDRESS);
+        }
+        // A session that checked a record against the old boundary.
+        let guard = log.protect();
+        let sealed = log.seal_to_tail();
+        log.flush_until(sealed).unwrap();
+        assert_eq!(
+            log.flushed(),
+            0,
+            "flushed past a boundary a live guard has not seen"
+        );
+        drop(guard);
+        assert_eq!(log.flush_until(sealed).unwrap(), sealed);
     }
 
     #[test]

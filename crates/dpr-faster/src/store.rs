@@ -58,6 +58,12 @@ fn is_purged(purged: &[(Version, Version)], v: Version) -> bool {
     purged.iter().any(|&(lo, hi)| v > lo && v <= hi)
 }
 
+/// [`FasterKv::is_dead`] with the rolled-back version ranges given: a copy
+/// of them that a pass takes once, not a lock per record.
+fn is_dead_given(purged: &[(Version, Version)], m: &RecordMeta) -> bool {
+    m.invalid || is_purged(purged, m.version)
+}
+
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct FasterConfig {
@@ -258,13 +264,6 @@ pub struct FasterKv {
     completed: Mutex<Vec<CheckpointInfo>>,
     durable_version: AtomicU64,
     recovered_manifest: Option<CheckpointManifest>,
-    /// Read-time recovery filter: device bytes cannot be rewritten during
-    /// recovery, so records below this address whose version exceeds
-    /// `recovered_version` (in flight but uncommitted at the crash) are
-    /// treated as invalid wherever they are observed.
-    recovery_boundary: u64,
-    /// Version the store last recovered at (see `recovery_boundary`).
-    recovered_version: Version,
     /// Final commit points of sessions that have ended: carried into every
     /// later manifest so a client can learn its surviving prefix even after
     /// its server-side session closed.
@@ -371,8 +370,6 @@ impl FasterKv {
             completed: Mutex::new(Vec::new()),
             durable_version: AtomicU64::new(0),
             recovered_manifest: None,
-            recovery_boundary: 0,
-            recovered_version: Version::ZERO,
             departed: Mutex::new(BTreeMap::new()),
             checkpoint_stall: Mutex::new(None),
             log_reported: Default::default(),
@@ -471,8 +468,6 @@ impl FasterKv {
                     .unwrap_or_default(),
             ),
             recovered_manifest: manifest,
-            recovery_boundary: until,
-            recovered_version: version,
             checkpoint_stall: Mutex::new(None),
             log_reported: Default::default(),
             dead_bytes: DeadBytes::default(),
@@ -654,20 +649,11 @@ impl FasterKv {
 
     // ---------------------------------------------------------------- ops
 
-    /// Whether the record at `addr` must be skipped by every read: marked
-    /// invalid in place, version rolled back, or dead since recovery (its
-    /// bytes predate the recovered checkpoint boundary but its version was
-    /// never committed).
-    fn is_dead(&self, addr: u64, m: &RecordMeta) -> bool {
-        self.is_dead_given(&self.purged.read().unwrap(), addr, m)
-    }
-
-    /// [`FasterKv::is_dead`] with the rolled-back version ranges given: a
-    /// copy of them that a pass takes once, not a lock per record.
-    fn is_dead_given(&self, purged: &[(Version, Version)], addr: u64, m: &RecordMeta) -> bool {
-        m.invalid
-            || is_purged(purged, m.version)
-            || (addr < self.recovery_boundary && m.version > self.recovered_version)
+    /// Whether a record must be skipped by every read: marked invalid in
+    /// place, or of a version rolled back — by a rollback, or by the
+    /// recovery that discarded the versions above the one it adopted.
+    fn is_dead(&self, m: &RecordMeta) -> bool {
+        is_dead_given(&self.purged.read().unwrap(), m)
     }
 
     /// Where a walk for `key` under `guard` starts and may stop. The floor
@@ -703,7 +689,7 @@ impl FasterKv {
                     hops += 1;
                     if view.key_matches(key) {
                         let m = view.meta();
-                        if self.is_dead(addr, &m) {
+                        if self.is_dead(&m) {
                             addr = view.prev();
                             continue;
                         }
@@ -769,7 +755,7 @@ impl FasterKv {
                     GetOutcome::Resident(view) => {
                         if view.key_matches(key) {
                             let m = view.meta();
-                            if !self.is_dead(addr, &m) {
+                            if !self.is_dead(&m) {
                                 let value = (!m.tombstone).then(|| view.read_value());
                                 return Ok(Cold::Found(view.footprint(), value));
                             }
@@ -791,7 +777,7 @@ impl FasterKv {
             };
             if rec.key() == key {
                 let m = rec.meta();
-                if !self.is_dead(addr, &m) {
+                if !self.is_dead(&m) {
                     let value = (!m.tombstone).then(|| rec.read_value());
                     return Ok(Cold::Found(rec.footprint(), value));
                 }
@@ -1593,7 +1579,7 @@ impl FasterKv {
         let (begin, tail) = (self.log.begin(), self.log.tail());
         self.log.scan_range(begin, tail, &mut |rec| {
             let m = rec.meta();
-            if self.is_dead(rec.address(), &m) {
+            if self.is_dead(&m) {
                 return Ok(());
             }
             let value = if m.tombstone {
@@ -1652,7 +1638,8 @@ impl FasterKv {
     }
 
     /// What this store's evictions have done so far: the calls that
-    /// reclaimed pages, each paying one epoch `quiesce`, and their bytes.
+    /// reclaimed pages, each waiting once for every epoch guard, and their
+    /// bytes.
     #[must_use]
     pub fn eviction_totals(&self) -> EvictionTotals {
         self.log.eviction_totals()
@@ -1689,7 +1676,7 @@ impl FasterKv {
     /// * a *copy-forward pass* once the dead bytes the store has counted are
     ///   a quarter of `tail - begin` (half, and a memory's worth since the
     ///   previous pass, once the log's beginning has left memory): the live
-    ///   records of the flushed, read-only prefix — of as much of it as frees
+    ///   records of the flushed prefix — of as much of it as frees
     ///   the garbage counted since the previous pass began, or less
     ///   (`pass_budget`) — are appended again at the tail, as records of the
     ///   version current at that moment. On a store with a bounded volatile
@@ -1742,8 +1729,8 @@ impl FasterKv {
         Ok(None)
     }
 
-    /// The garbage a pass is to free, if one is due — none waits, a flushed,
-    /// read-only prefix lies above `begin`, and the dead bytes are a quarter
+    /// The garbage a pass is to free, if one is due — none waits, a flushed
+    /// prefix lies above `begin`, and the dead bytes are a quarter
     /// of `extent = tail - begin` or more: what was counted dead since the
     /// previous pass began, and no more than takes the dead bytes back under
     /// a quarter, so a store's first pass covers a page or so. Freeing `g`
@@ -1761,7 +1748,7 @@ impl FasterKv {
     fn pass_budget(&self, c: &Compaction) -> Option<u64> {
         let (begin, tail) = (self.log.begin(), self.log.tail());
         let dead = self.dead_bytes.0.load(Ordering::Relaxed);
-        let frontier = self.log.flushed().min(self.log.read_only());
+        let frontier = self.log.flushed();
         if c.pending.is_some() || dead == 0 || frontier <= begin {
             return None;
         }
@@ -1836,10 +1823,11 @@ impl FasterKv {
         Ok(freed)
     }
 
-    /// One copy-forward pass over `[begin, until)`, a prefix of the flushed,
-    /// read-only log: nothing in it is written in place any more. A record
-    /// there is live iff it is the newest record of its key that no rollback
-    /// or lost race has killed; a live record that is not a tombstone is
+    /// One copy-forward pass over `[begin, until)`, a prefix of the flushed
+    /// log: a flush stops at the safe read-only frontier
+    /// ([`RecordLog::safe_read_only`]), so nothing in it is written in place
+    /// any more. A record there is live iff it is the newest record of its
+    /// key that no rollback or lost race has killed; a live record that is not a tombstone is
     /// appended again at the tail and published over the chain head its
     /// liveness walk started from. A live tombstone is not: all it hides lies
     /// below it, in the prefix that goes with it.
@@ -1849,22 +1837,18 @@ impl FasterKv {
     /// value are taken out only of the records the pass copies. A page below
     /// `head` is read from the device as owned records.
     ///
-    /// The pass frees nothing. It ends at the flushed, read-only frontier or
+    /// The pass frees nothing. It ends at the flushed frontier or
     /// at the first page boundary by which the bytes it has not copied reach
     /// `budget` (a page's first byte is a record boundary like the
     /// frontier), or after a page below `head`. `None` when there is no
     /// prefix.
     fn copy_forward(&self, budget: u64) -> Result<Option<Pass>> {
         let begin = self.log.begin();
-        let frontier = self.log.flushed().min(self.log.read_only());
+        let frontier = self.log.flushed();
         if frontier <= begin {
             return Ok(None);
         }
         let rollbacks = self.purged.read().unwrap().len();
-        // A session that found a record above the read-only boundary a
-        // moment before the boundary passed it may still be writing to it,
-        // under its guard.
-        self.log.epoch().quiesce();
         // The rollbacks the pass began with: one more voids it, and each copy
         // checks its original against them again (`append_copies`).
         let purged = self.purged.read().unwrap().clone();
@@ -1925,7 +1909,7 @@ impl FasterKv {
         key: &[u8],
         value: impl FnOnce() -> Value,
     ) -> Result<Option<LiveRecord>> {
-        if m.tombstone || self.is_dead_given(purged, at, &m) {
+        if m.tombstone || is_dead_given(purged, &m) {
             return Ok(None);
         }
         let head = self.index.head_of(guard, key);
@@ -2016,14 +2000,13 @@ impl FasterKv {
         while addr != NONE_ADDRESS && addr > at {
             let (newer, prev) = match self.log.get_ready(guard, addr)? {
                 GetOutcome::Resident(view) => (
-                    view.key_bytes() == key && !self.is_dead_given(purged, addr, &view.meta()),
+                    view.key_bytes() == key && !is_dead_given(purged, &view.meta()),
                     view.prev(),
                 ),
                 GetOutcome::OnDisk => {
                     let rec = self.log.read_from_device(addr)?;
                     (
-                        rec.key().as_bytes() == key
-                            && !self.is_dead_given(purged, addr, &rec.meta()),
+                        rec.key().as_bytes() == key && !is_dead_given(purged, &rec.meta()),
                         rec.prev(),
                     )
                 }
@@ -2052,7 +2035,7 @@ impl FasterKv {
     /// machine is still non-blocking for sessions).
     pub fn restore_sync(&self, v_safe: Version, timeout: Duration) -> Result<()> {
         // Wait out any in-flight checkpoint first so the rollback is queued
-        // against a quiescent machine.
+        // against an idle machine.
         let deadline = std::time::Instant::now() + timeout;
         let idle = || self.machine_idle();
         if !self.tick_until(idle, deadline) {
@@ -2236,6 +2219,45 @@ mod tests {
         let mut want: Vec<(u64, u64)> = expected.into_iter().collect();
         want.sort_unstable();
         assert_eq!(live, want, "scan_live diverges from the written state");
+    }
+
+    /// A record of version 2 below the seal of checkpoint 1, and after it on
+    /// its chain a record of version 1 of another key, appended by hand. The
+    /// rebuild makes that record the chain's head, which links to the
+    /// version-2 one: recovery at 1 must read past it (its purge range
+    /// `(1, 2]` hides it) to the key's value of 1.
+    #[test]
+    fn recovery_reads_past_a_later_versions_record_under_a_live_one() {
+        let device = Arc::new(MemLogDevice::null());
+        let blobs = Arc::new(MemBlobStore::new());
+        // Two keys on one chain of the recovered index too.
+        let bits = HashIndex::identities_for(0).trailing_zeros();
+        let chain = |k: u64| Key::hash_bytes(Key::from_u64(k).as_bytes()) >> (64 - bits);
+        let (a, b) = (1, (2..).find(|&k| chain(k) == chain(1)).unwrap());
+        {
+            let kv = FasterKv::with_identities(config(), device.clone(), blobs.clone(), CHAINS);
+            let s = kv.start_session(SessionId(1));
+            s.upsert(Key::from_u64(a), Value::from_u64(1)).unwrap();
+            kv.request_checkpoint(None);
+            while kv.current_phase() != Phase::InProgress {
+                kv.tick();
+            }
+            s.upsert(Key::from_u64(a), Value::from_u64(2)).unwrap();
+            let guard = kv.log.protect();
+            let key = Key::from_u64(b);
+            let head = kv.index.head(&guard, &key);
+            let addr = kv
+                .log
+                .append(&guard, &key, &Value::from_u64(1), Version(1), false, head);
+            kv.index.try_publish(&guard, &key, head, addr).unwrap();
+            drop(guard);
+            assert!(kv.wait_for_durable(Version(1), Duration::from_secs(10)));
+            assert!(kv.log.flushed() > addr);
+        }
+        device.crash();
+        let kv = FasterKv::recover(config(), device, blobs, Some(Version(1))).unwrap();
+        assert_eq!(read(&kv, b), Some(1));
+        assert_eq!(read(&kv, a), Some(1), "recovery at 1 read version 2");
     }
 
     #[test]

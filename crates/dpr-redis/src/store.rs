@@ -143,13 +143,10 @@ impl RedisStore {
         }
     }
 
-    /// Flush the AOF (the background `everysec` fsync; the wrapper or a
-    /// timer calls this).
-    pub fn flush_aof(&self) -> Result<()> {
-        if let Some(aof) = &self.aof {
-            aof.flush()?;
-        }
-        Ok(())
+    /// The AOF device. Under `everysec` the store never flushes it: its
+    /// owner does, once a second (D-Redis's shard, outside its latch).
+    pub fn aof(&self) -> Option<&Arc<dyn LogDevice>> {
+        self.aof.as_ref()
     }
 
     /// `BGSAVE`: start an asynchronous snapshot and return its id. The
@@ -395,7 +392,7 @@ mod tests {
         let (mut s, dev) = store(AofPolicy::EverySec);
         s.execute(&Command::Set(Key::from_u64(1), Value::from_u64(1)))
             .unwrap();
-        s.flush_aof().unwrap();
+        s.aof().unwrap().flush().unwrap();
         s.execute(&Command::Set(Key::from_u64(2), Value::from_u64(2)))
             .unwrap();
         // No flush: the second write is volatile.

@@ -27,9 +27,27 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-full}"
 
-step() {
+# What the gate costs (ROADMAP item 10): each `==>` section prints its wall
+# time when it ends, and the last line the total.
+gate_started=$EPOCHREALTIME
+section_name=""
+seconds_since() { awk -v a="$1" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f", b - a }'; }
+end_section() {
+    if [[ -n "$section_name" ]]; then
+        echo "    $(seconds_since "$section_started") s: $section_name"
+    fi
+    section_name=""
+}
+section() {
+    end_section
     echo
     echo "==> $*"
+    section_name="$*"
+    section_started=$EPOCHREALTIME
+}
+
+step() {
+    section "$@"
     "$@"
 }
 
@@ -45,8 +63,7 @@ step cargo test -q
 # which of these are still to go. The simulated bus's pump thread, whose
 # condvar poll (200 µs ahead, 5 ms idle) this check could not see, is gone:
 # the bus's waits are its inbox's, listed below.
-echo
-echo "==> no fixed wait under dpr-cluster/src and dpr-faster/src off the allow-list"
+section "no fixed wait under dpr-cluster/src and dpr-faster/src off the allow-list"
 allowed_waits=$(grep -v '^#' <<'ALLOWED'
 # The client's wait for replies.
 1 crates/dpr-cluster/src/client.rs: for frame in self.inbox.recv_timeout(wait).ok().into_iter().chain(rest) {
@@ -81,8 +98,7 @@ fi
 # waits, so it is allowed only in dpr-core's `Backoff` and in
 # `FasterKv::tick_until`, which runs the checkpoint state machine between its
 # yields. Each is named by file and enclosing function.
-echo
-echo "==> no yield_now spin under crates/*/src outside Backoff and tick_until"
+section "no yield_now spin under crates/*/src outside Backoff and tick_until"
 spins=$(for f in $(find crates/*/src -name '*.rs'); do
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
                    /^[ \t]*(pub(\([a-z]+\))? )?((const|async|unsafe) )*fn / {
@@ -101,8 +117,7 @@ fi
 # `ChaosRng`, the xorshift shift triple (13, 7, 17), or a SplitMix64,
 # xorshift* or LCG constant, with or without `_` separators. The key hash's
 # SplitMix64 finalizer in dpr-core/src/kv.rs is allowed, by line text.
-echo
-echo "==> no pseudo-random generator outside crates/dpr-core/src/rng.rs"
+section "no pseudo-random generator outside crates/dpr-core/src/rng.rs"
 allowed_generators=$(grep -v '^#' <<'ALLOWED'
 # Key::hash_bytes: the finalizer of a hash, not a stream.
 crates/dpr-core/src/kv.rs: let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -137,8 +152,7 @@ fi
 # panic on poison (docs/PROTOCOL.md §12). `parking_lot`, or a stand-in of
 # that name, in a manifest or a source is a second lock API for the same
 # primitive.
-echo
-echo "==> no parking_lot in the manifests or under crates, src, tests and examples"
+section "no parking_lot in the manifests or under crates, src, tests and examples"
 locks=$({
     grep -rn parking_lot Cargo.toml crates/*/Cargo.toml
     grep -rn --include='*.rs' parking_lot crates src tests examples
@@ -152,11 +166,10 @@ fi
 # The workspace shrinks towards ROADMAP item 15's target (33,500 lines) and
 # does not grow back unseen: a change that needs more lines raises this bound
 # in its own diff, where a reviewer sees it, and one that deletes lowers it.
-echo
-echo "==> workspace Rust is at most 34,618 lines"
+section "workspace Rust is at most 34,736 lines"
 rust_lines=$(find crates src tests examples -name '*.rs' | xargs cat | wc -l)
-if (( rust_lines > 34618 )); then
-    echo "workspace Rust is $rust_lines lines, above the bound of 34,618" >&2
+if (( rust_lines > 34736 )); then
+    echo "workspace Rust is $rust_lines lines, above the bound of 34,736" >&2
     exit 1
 fi
 
@@ -174,10 +187,12 @@ step cargo test --release -q -p dpr-cluster --test membership_tests \
     a_removed_workers_proxy_leaves_the_bus
 
 if [[ "$MODE" == "--quick" ]]; then
+    end_section
     echo
     echo "Quick checks passed (tier-1, the fixed-wait allow-list, one generator, one lock library,"
     echo "the size ratchet and the record-budget and membership tests;"
     echo "run scripts/check.sh for the full gate)."
+    echo "Total: $(seconds_since "$gate_started") s."
     exit 0
 fi
 
@@ -187,8 +202,7 @@ step cargo test --workspace -q
 # A guarantee is guarded, not sampled: its test runs 20 times in release and
 # the first failure stops the gate.
 guard() { # label, package, test target, test name
-    echo
-    echo "==> $1 guard (20 runs, release)"
+    section "$1 guard (20 runs, release)"
     for run in $(seq 20); do
         cargo test --release -q -p "$2" --test "$3" "$4" >/dev/null || {
             echo "$1 run $run of 20 failed" >&2
@@ -255,8 +269,7 @@ guard batch-guard dpr-faster concurrency_tests \
 
 # No crate serializes through serde: every byte format has one hand-written
 # codec. The stand-ins under third_party/ are for benchmark/ only.
-echo
-echo "==> no serde in the crates' manifests"
+section "no serde in the crates' manifests"
 if grep -l serde crates/*/Cargo.toml Cargo.toml; then
     echo "serde is back in the manifests listed above" >&2
     exit 1
@@ -264,8 +277,7 @@ fi
 
 # A manifest names what its crate uses: every name under [dependencies] or
 # [dev-dependencies] must occur, as a word, somewhere in the crate's sources.
-echo
-echo "==> no declared dependency that its crate never names"
+section "no declared dependency that its crate never names"
 unused=0
 for manifest in Cargo.toml crates/*/Cargo.toml; do
     dir=$(dirname "$manifest")
@@ -291,8 +303,7 @@ done
 [[ "$unused" == 0 ]] || exit 1
 
 # dpr-bench is a harness, not a second code base (ROADMAP item 7).
-echo
-echo "==> crates/dpr-bench is at most 2,100 lines of Rust"
+section "crates/dpr-bench is at most 2,100 lines of Rust"
 bench_lines=$(find crates/dpr-bench -name '*.rs' -print0 | xargs -0 cat | wc -l)
 if (( bench_lines > 2100 )); then
     echo "crates/dpr-bench has $bench_lines lines of Rust" >&2
@@ -302,8 +313,7 @@ fi
 # The compiler confines `unsafe` to dpr-faster: every other library crate,
 # and the facade, forbids it. (Integration tests and the `allocstacks`
 # binary are crates of their own and keep their `GlobalAlloc` impls.)
-echo
-echo "==> #![forbid(unsafe_code)] in every lib.rs but dpr-faster's"
+section "#![forbid(unsafe_code)] in every lib.rs but dpr-faster's"
 for lib in src/lib.rs crates/*/src/lib.rs; do
     if [[ "$lib" != crates/dpr-faster/src/lib.rs ]] &&
         ! grep -q '^#!\[forbid(unsafe_code)\]' "$lib"; then
@@ -313,8 +323,7 @@ for lib in src/lib.rs crates/*/src/lib.rs; do
 done
 
 # One figure harness, steered by flags: no environment knobs in dpr-bench.
-echo
-echo "==> no env::var under crates/dpr-bench/src"
+section "no env::var under crates/dpr-bench/src"
 if grep -rn 'env::var' crates/dpr-bench/src; then
     echo "an environment knob is back in dpr-bench (lines above)" >&2
     exit 1
@@ -323,22 +332,18 @@ fi
 if cargo fmt --version >/dev/null 2>&1; then
     step cargo fmt --check
 else
-    echo
-    echo "==> cargo fmt --check SKIPPED (rustfmt not installed)"
+    section "cargo fmt --check SKIPPED (rustfmt not installed)"
 fi
 
 if cargo clippy --version >/dev/null 2>&1; then
-    echo
-    echo "==> cargo clippy --workspace --all-targets (warnings and unexplained unsafe denied)"
+    section "cargo clippy --workspace --all-targets (warnings and unexplained unsafe denied)"
     cargo clippy --workspace --all-targets -- -D warnings \
         -D clippy::undocumented_unsafe_blocks
 else
-    echo
-    echo "==> cargo clippy SKIPPED (clippy not installed)"
+    section "cargo clippy SKIPPED (clippy not installed)"
 fi
 
-echo
-echo "==> cargo doc --no-deps --workspace (warnings denied)"
+section "cargo doc --no-deps --workspace (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Chaos smoke: one short fixed-seed round of the fault-injection campaign
@@ -351,8 +356,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # world-line stalls every session. Availability reads 51.9-55.8 % with the
 # joiner on world-line 0, and 77.9-85.2 % over 100 runs with it on the
 # cluster's (docs/PROTOCOL.md §6).
-echo
-echo "==> chaos smoke (1 round, seed 42, 2s; availability at least 75%)"
+section "chaos smoke (1 round, seed 42, 2s; availability at least 75%)"
 cargo run --release -q -p dpr-bench --bin chaos -- \
     --seed 42 --rounds 1 --secs 2 --out target/BENCH_chaos.smoke.json
 availability=$(grep -o '"availability_pct": [0-9.]*' target/BENCH_chaos.smoke.json | cut -d' ' -f2)
@@ -370,8 +374,7 @@ fi
 # 2 s floor), the row counts checked against the table, and each Fig. 12
 # row's percentile columns (p10_ms .. p999_ms, read off the histogram)
 # positive and non-decreasing; an unknown name must be refused.
-echo
-echo "==> figures smoke (fig12 + ablation-finder, 0.2 s a point, 2000 keys)"
+section "figures smoke (fig12 + ablation-finder, 0.2 s a point, 2000 keys)"
 cargo run --release -q -p dpr-bench --bin figures -- \
     fig12 ablation-finder --secs 0.2 --keys 2000 > target/figures.smoke.txt
 rows() { grep -c "^$1"$'\t' target/figures.smoke.txt || true; }
@@ -401,9 +404,10 @@ fi
 # 1/100 size and check the output on all three planes. Performance is
 # measured with its `run` and `compare` commands (benchmark/README.md), not
 # here.
-echo
-echo "==> benchmark schema smoke (every workload, 1 s, 1/100 size)"
+section "benchmark schema smoke (every workload, 1 s, 1/100 size)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+end_section
 
 echo
 echo "All checks passed."
+echo "Total: $(seconds_since "$gate_started") s."
