@@ -196,16 +196,15 @@ impl ChaosReport {
     }
 }
 
-/// Serializes chaos runs within a process: the telemetry span ring and the
-/// `libdpr::audit` sink are process-global. It guards no data, so a run that
-/// panicked does not fail the runs after it.
+/// Serializes chaos runs within a process: the `libdpr::audit` sink is
+/// process-global. It guards no data, so a run that panicked does not fail
+/// the runs after it.
 static RUN_LOCK: Mutex<()> = Mutex::new(());
 
 /// Run one chaos campaign and return its report. Violations do not abort
 /// the run — they accumulate in the report for the caller to assert on.
 pub fn run(config: &ChaosConfig) -> Result<ChaosReport> {
     let _guard = RUN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    dpr_telemetry::set_enabled(true);
     let checker = Arc::new(InvariantChecker::new(config.lag_bound));
     libdpr::audit::install(checker.clone());
     let result = run_inner(config, &checker);

@@ -9,9 +9,8 @@
 //! key migration. Throughout the run an [`checker::InvariantChecker`]
 //! continuously asserts the paper's correctness properties — prefix
 //! recoverability, cut monotonicity, downward closure, bounded cut lag,
-//! recovery completeness, and exactly-once session replay — from the
-//! [`libdpr::audit`] tap, the [`dpr_telemetry`] span stream, and the
-//! metadata store.
+//! recovery completeness, and exactly-once session replay — from two
+//! channels: the [`libdpr::audit`] tap and the metadata store.
 //!
 //! The `chaos` binary in `dpr-bench` wraps [`driver::run`] and emits
 //! `BENCH_chaos.json`; `docs/PROTOCOL.md` §"Chaos harness" maps each

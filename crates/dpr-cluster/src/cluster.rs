@@ -61,11 +61,6 @@ pub struct ClusterConfig {
     /// Insert a pass-through proxy hop in front of every worker (the
     /// Fig. 17/18 "Redis + Proxy" configuration).
     pub extra_proxy_hop: bool,
-    /// Bound on each FASTER shard's unflushed (volatile) log region, in
-    /// records, held to at most the memory budget. Applied only when
-    /// checkpoints are enabled; makes device speed throughput-relevant via
-    /// append backpressure (§7.2's "thrashing" regime). `None` = unbounded.
-    pub unflushed_limit_records: Option<u64>,
     /// The most unacknowledged batches each worker remembers, over all
     /// sessions, so that a retransmitted batch is answered again and not
     /// executed again (see [`crate::worker::WorkerConfig::dedupe_window`]);
@@ -90,7 +85,6 @@ impl Default for ClusterConfig {
             finder_interval: Duration::from_millis(5),
             validate_ownership: true,
             extra_proxy_hop: false,
-            unflushed_limit_records: Some(1 << 18),
             dedupe_window: 0,
         }
     }
@@ -274,7 +268,7 @@ impl Cluster {
             .workers
             .get(idx)
             .ok_or_else(|| dpr_core::DprError::Invalid(format!("no worker at index {idx}")))?;
-        self.manager.trigger_failure_at(Some(worker.shard()))?;
+        self.manager.trigger_failure_at(worker.shard())?;
         Ok(())
     }
 
@@ -452,6 +446,12 @@ impl Drop for Cluster {
     }
 }
 
+/// Bound on each D-FASTER shard's unflushed (volatile) log region, in
+/// records, held to at most the memory budget. Applied only when checkpoints
+/// are enabled; makes device speed throughput-relevant via append
+/// backpressure (§7.2's "thrashing" regime).
+const UNFLUSHED_LIMIT_RECORDS: u64 = 1 << 18;
+
 /// Build one shard's cache-store per the cluster configuration. A D-FASTER
 /// shard's log lives in files of its own, charged the storage profile's
 /// latency per flush, so what the log has flushed is held by the kernel and
@@ -471,7 +471,7 @@ fn build_store(config: &ClusterConfig, shard: ShardId) -> Result<Arc<dyn ShardSt
                     unflushed_limit_records: if config.checkpoint_interval.is_some()
                         && config.recoverability != RecoverabilityLevel::None
                     {
-                        config.unflushed_limit_records
+                        Some(UNFLUSHED_LIMIT_RECORDS)
                     } else {
                         None
                     },

@@ -15,8 +15,9 @@ use std::time::{Duration, Instant};
 /// Failure detection and recovery orchestration.
 pub struct ClusterManager {
     meta: Arc<dyn MetadataStore>,
-    /// Telemetry only: when the in-flight recovery was triggered.
-    recovery_started: Mutex<Option<Instant>>,
+    /// When the last recovery this manager triggered began, until a wait
+    /// sees it complete.
+    triggered: Mutex<Option<Instant>>,
 }
 
 impl ClusterManager {
@@ -24,37 +25,27 @@ impl ClusterManager {
     pub fn new(meta: Arc<dyn MetadataStore>) -> Self {
         ClusterManager {
             meta,
-            recovery_started: Mutex::new(None),
+            triggered: Mutex::new(None),
         }
     }
 
-    /// Report a detected failure: bumps the world-line, freezes DPR
-    /// progress, and instructs every worker to roll back to the guaranteed
-    /// cut. Returns the recovery state (workers complete it asynchronously).
+    /// Report a detected failure at `crashed`: bumps the world-line,
+    /// freezes DPR progress, and instructs every worker to roll back to the
+    /// guaranteed cut. Returns the recovery state (workers complete it
+    /// asynchronously). The `recovery_begin` span records which worker the
+    /// detector blamed; the protocol itself does not depend on it (§4.1:
+    /// every worker rolls back to the guaranteed cut).
     ///
     /// Mirrors §7.4's methodology: "we simulated a worker failure by
     /// notifying workers of a new world-line, forcing all workers to
     /// rollback to the latest DPR cut."
-    pub fn trigger_failure(&self) -> Result<RecoveryState> {
-        self.trigger_failure_at(None)
-    }
-
-    /// [`ClusterManager::trigger_failure`] with failure attribution: when
-    /// `crashed` names a shard, the `recovery_begin` span records which
-    /// worker the detector blamed (the recovery protocol itself is
-    /// unchanged — per §4.1 every worker rolls back to the guaranteed cut
-    /// regardless of which one failed).
-    pub fn trigger_failure_at(&self, crashed: Option<ShardId>) -> Result<RecoveryState> {
+    pub fn trigger_failure_at(&self, crashed: ShardId) -> Result<RecoveryState> {
         let rec = self.meta.begin_recovery()?;
-        *self.recovery_started.lock().unwrap() = dpr_telemetry::enabled().then(Instant::now);
+        *self.triggered.lock().unwrap() = Some(Instant::now());
         dpr_telemetry::global().span("dpr-cluster", "recovery_begin", || {
-            let blame = match crashed {
-                Some(shard) => format!("crashed shard {}, ", shard.0),
-                None => String::new(),
-            };
             format!(
-                "{}world-line {} ({} shards to roll back)",
-                blame,
+                "crashed shard {}, world-line {} ({} shards to roll back)",
+                crashed.0,
                 rec.world_line.0,
                 rec.pending.len()
             )
@@ -62,22 +53,20 @@ impl ClusterManager {
         Ok(rec)
     }
 
-    /// Block until any in-flight recovery completes.
+    /// Block until any in-flight recovery completes. The first wait to see
+    /// a triggered recovery complete counts it, records its duration and
+    /// emits `recovery_complete`, before it returns (so before any failure
+    /// its caller triggers next); a wait that finds none records nothing.
     pub fn wait_recovery_complete(&self, timeout: Duration) -> Result<()> {
         wait_no_recovery(&*self.meta, timeout)?;
-        crate::metrics::recoveries().inc();
-        if let Some(started) = self.recovery_started.lock().unwrap().take() {
+        if let Some(started) = self.triggered.lock().unwrap().take() {
+            crate::metrics::recoveries().inc();
             crate::metrics::recovery_duration().record_micros(started.elapsed());
+            dpr_telemetry::global().span("dpr-cluster", "recovery_complete", || {
+                "all pending shards rolled back; progress resumed".to_string()
+            });
         }
-        dpr_telemetry::global().span("dpr-cluster", "recovery_complete", || {
-            "all pending shards rolled back; progress resumed".to_string()
-        });
         Ok(())
-    }
-
-    /// Whether a recovery is currently in progress.
-    pub fn recovering(&self) -> Result<bool> {
-        Ok(self.meta.recovery_in_progress()?.is_some())
     }
 }
 

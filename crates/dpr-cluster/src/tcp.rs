@@ -31,6 +31,11 @@ pub struct TcpLink {
     epoch: u32,
     /// Shards reachable through this connection (from the handshake).
     shards: Vec<ShardId>,
+    /// The socket's read mode and timeout as last set: each changes only
+    /// when a wait asks for another, so a run of like polls makes no
+    /// `setsockopt` call.
+    nonblocking: bool,
+    read_timeout: Option<Duration>,
 }
 
 impl TcpLink {
@@ -43,6 +48,8 @@ impl TcpLink {
             stream,
             epoch,
             shards: Vec::new(),
+            nonblocking: false,
+            read_timeout: None,
         };
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         let mut buf = Vec::new();
@@ -82,8 +89,21 @@ impl TcpLink {
 }
 
 impl Link for TcpLink {
-    fn send(&mut self, frame: &[u8]) -> Result<()> {
-        self.stream.write_all(frame)?;
+    fn send(&mut self, mut frame: &[u8]) -> Result<()> {
+        // A socket left non-blocking by a zero-wait poll refuses a write its
+        // buffer cannot take; that write blocks.
+        while !frame.is_empty() {
+            match self.stream.write(frame) {
+                Ok(0) => return Err(DprError::Closed),
+                Ok(n) => frame = &frame[n..],
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.stream.set_nonblocking(false)?;
+                    self.nonblocking = false;
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
         Ok(())
     }
 
@@ -91,13 +111,17 @@ impl Link for TcpLink {
         // To a socket a zero timeout means "forever": a zero wait is a
         // non-blocking read instead. Any other wait is the read timeout as
         // given (the kernel rounds it up to its timer tick).
-        if wait.is_zero() {
-            self.stream.set_nonblocking(true)?;
-        } else {
+        let nonblocking = wait.is_zero();
+        if self.nonblocking != nonblocking {
+            self.stream.set_nonblocking(nonblocking)?;
+            self.nonblocking = nonblocking;
+        }
+        if !nonblocking && self.read_timeout != Some(wait) {
             self.stream.set_read_timeout(Some(wait))?;
+            self.read_timeout = Some(wait);
         }
         let mut chunk = [0u8; READ_CHUNK];
-        let read = loop {
+        loop {
             match self.stream.read(&mut chunk) {
                 Ok(0) => break Err(DprError::Closed),
                 Ok(n) => {
@@ -117,11 +141,7 @@ impl Link for TcpLink {
                 }
                 Err(e) => break Err(e.into()),
             }
-        };
-        if wait.is_zero() {
-            self.stream.set_nonblocking(false)?;
         }
-        read
     }
 }
 

@@ -7,7 +7,7 @@
 use dpr_cluster::{Cluster, ClusterConfig, ClusterKind, ClusterOp};
 use dpr_core::{Key, Value};
 use dpr_storage::StorageProfile;
-use dpr_telemetry::SpanEvent;
+use dpr_telemetry::{SpanEvent, Unit};
 use std::time::Duration;
 
 /// Index of the first span matching `(target, name, detail-substring)` at or
@@ -32,6 +32,12 @@ fn find_span(spans: &[SpanEvent], from: usize, target: &str, name: &str, detail:
 fn checkpoint_and_recovery_emit_expected_span_sequence() {
     dpr_telemetry::set_enabled(true);
     dpr_telemetry::global().clear_spans();
+    let recoveries = dpr_telemetry::global().counter(
+        "dpr_cluster_recoveries_total",
+        Unit::Count,
+        "Cluster recoveries driven to completion",
+    );
+    let recoveries_before = recoveries.get();
 
     let cluster = Cluster::start(ClusterConfig {
         kind: ClusterKind::DFaster,
@@ -62,7 +68,14 @@ fn checkpoint_and_recovery_emit_expected_span_sequence() {
     // index.
     cluster.inject_failure_at(1).unwrap();
     cluster.wait_recovered(Duration::from_secs(10)).unwrap();
+    // A wait that finds no recovery in progress records none.
+    cluster.wait_recovered(Duration::from_secs(10)).unwrap();
     cluster.shutdown();
+    assert_eq!(
+        recoveries.get() - recoveries_before,
+        2,
+        "each recovery is counted once, and a wait without one not at all"
+    );
 
     let spans = dpr_telemetry::global().spans();
 
@@ -151,4 +164,9 @@ fn checkpoint_and_recovery_emit_expected_span_sequence() {
         r0b < complete2 && r1b < complete2,
         "second recovery must also complete after both rollbacks"
     );
+    let completes = spans
+        .iter()
+        .filter(|s| s.name == "recovery_complete")
+        .count();
+    assert_eq!(completes, 2, "one recovery_complete per recovery");
 }

@@ -318,8 +318,11 @@ fn a_lost_publish_race_leaves_no_stale_link_on_the_device() {
 /// while a second session reads a missing key again and again, each read
 /// evicting once the log is over its four pages: the longest read takes
 /// under 200 ms (15–40 ms measured; ~650 with the refresh in the wait
-/// removed).
+/// removed). The bound is the property, and an unoptimised build on a
+/// loaded host can miss it: it runs in release only, 20 times in
+/// `scripts/check.sh`.
 #[test]
+#[cfg_attr(debug_assertions, ignore = "a wall-clock bound, held in release")]
 fn a_batch_that_waits_for_the_flusher_does_not_hold_off_eviction() {
     let flush_fixed = Duration::from_millis(10);
     let device = MemLogDevice::new(LatencyModel {

@@ -303,11 +303,6 @@ impl Timer {
         }
         elapsed
     }
-
-    /// Abandon the timer without recording.
-    pub fn discard(mut self) {
-        self.start = None;
-    }
 }
 
 impl Drop for Timer {

@@ -157,19 +157,6 @@ impl MetricsRegistry {
         self.spans.drain_copy()
     }
 
-    /// Copy of the span events with `seq >= from_seq`, oldest first.
-    ///
-    /// This is the incremental-consumption API for online observers (e.g.
-    /// the chaos invariant checker): keep `last.seq + 1` as a cursor and
-    /// pass it back on the next poll. Unlike [`MetricsRegistry::spans`]
-    /// this stays cheap when the ring is full but little is new. If the
-    /// first returned event's `seq` is above the cursor, the ring evicted
-    /// events before the consumer read them.
-    #[must_use]
-    pub fn spans_since(&self, from_seq: u64) -> Vec<SpanEvent> {
-        self.spans.drain_since(from_seq)
-    }
-
     /// Clear the span ring (tests isolate themselves with this).
     pub fn clear_spans(&self) {
         self.spans.clear();

@@ -18,10 +18,6 @@ pub const SPAN_RING_CAPACITY: usize = 4096;
 /// One recorded protocol event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Monotone sequence number assigned at push time; survives ring
-    /// eviction, so consumers can detect gaps and resume incrementally
-    /// (see [`crate::MetricsRegistry::spans_since`]).
-    pub seq: u64,
     /// Microseconds since the telemetry epoch (first [`crate::set_enabled`]).
     pub at_micros: u64,
     /// Component that emitted the event (e.g. `"dpr-faster"`).
@@ -46,21 +42,13 @@ impl fmt::Display for SpanEvent {
 }
 
 pub(crate) struct SpanRing {
-    events: Mutex<RingState>,
-}
-
-struct RingState {
-    events: VecDeque<SpanEvent>,
-    next_seq: u64,
+    events: Mutex<VecDeque<SpanEvent>>,
 }
 
 impl SpanRing {
     pub(crate) fn new() -> SpanRing {
         SpanRing {
-            events: Mutex::new(RingState {
-                events: VecDeque::new(),
-                next_seq: 0,
-            }),
+            events: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -69,14 +57,11 @@ impl SpanRing {
             .elapsed()
             .as_micros()
             .min(u128::from(u64::MAX)) as u64;
-        let mut state = self.events.lock().unwrap_or_else(|e| e.into_inner());
-        if state.events.len() == SPAN_RING_CAPACITY {
-            state.events.pop_front();
+        let mut events = self.events.lock().unwrap_or_else(|e| e.into_inner());
+        if events.len() == SPAN_RING_CAPACITY {
+            events.pop_front();
         }
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.events.push_back(SpanEvent {
-            seq,
+        events.push_back(SpanEvent {
             at_micros,
             target,
             name,
@@ -89,32 +74,15 @@ impl SpanRing {
         self.events
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .events
             .iter()
             .cloned()
             .collect()
-    }
-
-    /// Copy out events with `seq >= from_seq`, oldest first (does not
-    /// clear). Online consumers track the last seen `seq + 1` as their
-    /// cursor; a first returned `seq` above the cursor means the ring
-    /// evicted events before they were read.
-    pub(crate) fn drain_since(&self, from_seq: u64) -> Vec<SpanEvent> {
-        let state = self.events.lock().unwrap_or_else(|e| e.into_inner());
-        // The ring holds a contiguous seq range; skip the prefix below
-        // the cursor instead of filtering every event.
-        let start = state
-            .events
-            .front()
-            .map_or(0, |e| from_seq.saturating_sub(e.seq) as usize);
-        state.events.iter().skip(start).cloned().collect()
     }
 
     pub(crate) fn clear(&self) {
         self.events
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .events
             .clear();
     }
 }
@@ -132,32 +100,13 @@ mod tests {
         let events = ring.drain_copy();
         assert_eq!(events.len(), SPAN_RING_CAPACITY);
         assert_eq!(events[0].detail, "10", "oldest ten dropped");
-        assert_eq!(events[0].seq, 10, "seq survives eviction");
         ring.clear();
         assert!(ring.drain_copy().is_empty());
     }
 
     #[test]
-    fn drain_since_resumes_from_cursor() {
-        let ring = SpanRing::new();
-        for i in 0..5 {
-            ring.push("test", "evt", format!("{i}"));
-        }
-        let all = ring.drain_since(0);
-        assert_eq!(all.len(), 5);
-        let cursor = all.last().unwrap().seq + 1;
-        assert!(ring.drain_since(cursor).is_empty());
-        ring.push("test", "evt", "5".to_string());
-        let fresh = ring.drain_since(cursor);
-        assert_eq!(fresh.len(), 1);
-        assert_eq!(fresh[0].detail, "5");
-        assert_eq!(fresh[0].seq, 5);
-    }
-
-    #[test]
     fn display_is_readable() {
         let e = SpanEvent {
-            seq: 0,
             at_micros: 1_500_000,
             target: "dpr-faster",
             name: "phase",

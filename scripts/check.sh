@@ -166,10 +166,10 @@ fi
 # The workspace shrinks towards ROADMAP item 15's target (33,500 lines) and
 # does not grow back unseen: a change that needs more lines raises this bound
 # in its own diff, where a reviewer sees it, and one that deletes lowers it.
-section "workspace Rust is at most 34,736 lines"
+section "workspace Rust is at most 34,735 lines"
 rust_lines=$(find crates src tests examples -name '*.rs' | xargs cat | wc -l)
-if (( rust_lines > 34736 )); then
-    echo "workspace Rust is $rust_lines lines, above the bound of 34,736" >&2
+if (( rust_lines > 34735 )); then
+    echo "workspace Rust is $rust_lines lines, above the bound of 34,735" >&2
     exit 1
 fi
 
